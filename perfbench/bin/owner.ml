@@ -55,7 +55,6 @@ let server_side_stages dir base delta =
 
 let run ~workload ~seed ~dir ~spans_path =
   let w = Option.get (Workloads.find workload) in
-  let spec = Workloads.spec_at w seed in
   let traced = Option.is_some spans_path in
   let rec_ = Spans.create () in
   let span ?parent ?start name f =
@@ -98,7 +97,7 @@ let run ~workload ~seed ~dir ~spans_path =
   Unix.rename tmp (Filename.concat dir "bundle.bin");
   Lines.say "published %d" (Unix.stat (Store.snapshot_path dir)).Unix.st_size;
   (* generated on the first command, so it never runs during set-up *)
-  let trace = lazy (Workload.Trace.generate spec table) in
+  let trace = lazy (Workloads.updates w table ~seed) in
   let cur = ref index in
   let last_update = ref None in
   let apply_ms = ref [] and pair = ref (0, 0) and fmh = ref (0, 0) in

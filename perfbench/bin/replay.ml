@@ -19,9 +19,8 @@ let sent_ops stream sent =
 
 let run ~workload ~seed ~dir ~sent ~spans_path =
   let w = Option.get (Workloads.find workload) in
-  let spec = Workloads.spec_at w seed in
   let table = Workloads.table w in
-  let trace = Aqv_db.Workload.Trace.generate spec table in
+  let reads = Workloads.reads (Workloads.traffic w table) ~seed in
   let index =
     match Store.open_dir dir with
     | Ok (store, index, _) ->
@@ -29,7 +28,7 @@ let run ~workload ~seed ~dir ~sent ~spans_path =
       index
     | Error e -> failwith ("replay: " ^ Aqv_store.Error.to_string e)
   in
-  let ops = sent_ops trace.Aqv_db.Workload.Trace.per_client.(0) sent in
+  let ops = sent_ops reads sent in
   let rec_ = Spans.create () in
   let locate = ref 0 and hits = ref 0 and misses = ref 0 in
   let replies =

@@ -37,12 +37,14 @@ let spawn ?(stdin = Unix.stdin) ?(stdout = Unix.stderr) args =
   live := pid :: !live;
   pid
 
-(* Role placement on a machine with two or more CPUs: the load
-   generator and the server share the last CPU, so a request and its
-   reply never wait for the other CPU to be woken — on a virtual machine
-   that wake-up waits on the hypervisor and made throughput track host
-   load. The owner, which only works while no read runs, gets CPU 0.
-   Best effort: without taskset the roles run unpinned. *)
+(* Role placement on a machine with two or more CPUs: every role runs
+   on the last CPU. A request and its reply never wait for the other CPU
+   to be woken — on a virtual machine that wake-up waits on the
+   hypervisor and made throughput track host load — and the speed kernel
+   (see Speed) times the one CPU all the work runs on: the speeds of two
+   vCPUs wander apart. The roles take turns: the owner works while no
+   read runs, the server while the load generator waits. Best effort:
+   without taskset the roles run unpinned. *)
 let cpus = lazy (try Domain.recommended_domain_count () with _ -> 1)
 
 let pin pid cpu =
@@ -99,7 +101,7 @@ let spawn_owner ~workload ~seed ~dir ~spans =
   in
   Unix.close r_in;
   Unix.close w_out;
-  pin pid 0;
+  pin pid (serving_cpu ());
   { o_pid = pid; o_in = Unix.out_channel_of_descr w_in; o_out = Unix.in_channel_of_descr r_out }
 
 let tell o fmt =
@@ -194,7 +196,8 @@ let client_cpu_s () =
 
 type window = {
   samples : Report.sample array;
-  sent : int;  (** requests sent *)
+  slices : Slices.t list;  (** untraced runs: the window in one-second slices *)
+  sent : int;  (** requests sent, warm-up included *)
   failed : int;
   wall_s : float;
   server_cpu_s : float;
@@ -210,9 +213,13 @@ type window = {
    tracing overhead. *)
 let slice_s = 0.5
 
+(* Reads before the window opens, so that it starts with warm caches. *)
+let warm_up_s = 1.
+
 (* Closed-loop reads over one connection for [seconds]: each reply is
-   verified before the next request goes out. *)
-let read_window ~rig ~bundle ~(trace : Trace.t) ~seconds ~traced ~rec_ =
+   verified before the next request goes out. An untraced window is cut
+   into one-second slices at request boundaries. *)
+let read_window ~rig ~bundle ~ops ~seconds ~traced ~rec_ =
   let plain = Protocol.client_ctx bundle in
   let cur_verify = ref Spans.no_parent in
   let timed_ctx =
@@ -225,19 +232,55 @@ let read_window ~rig ~bundle ~(trace : Trace.t) ~seconds ~traced ~rec_ =
            ok))
       bundle.Protocol.epoch
   in
-  let ops = trace.Trace.per_client.(0) in
-  let kvs0, r0 = stats rig.port in
-  let cpu_srv0 = Measure.proc_cpu_s rig.server and cpu_cli0 = client_cpu_s () in
-  let steal0 = Measure.steal_ticks () in
-  let t_start = now () in
-  let t_end = t_start +. seconds in
   let sent = ref 0 and failed = ref 0 and acc = ref [] in
+  let t_start = ref 0. in
+  let measuring = ref false in
+  let slices = ref [] in
+  let slice_lat = ref [] and slice_n = ref 0 in
+  let slice_t0 = ref 0. and slice_srv0 = ref 0. and slice_cli0 = ref 0. in
+  let speed_units = ref 0 and speed_cpu = ref 0. and speed_wall = ref 0. in
+  let open_slice t =
+    slice_t0 := t;
+    slice_srv0 := Measure.proc_threads_cpu_s rig.server;
+    slice_cli0 := client_cpu_s ();
+    slice_lat := [];
+    slice_n := 0;
+    speed_units := 0;
+    speed_cpu := 0.;
+    speed_wall := 0.
+  in
+  let close_slice t =
+    let srv = Measure.proc_threads_cpu_s rig.server and cli = client_cpu_s () in
+    slices :=
+      {
+        Slices.queries = !slice_n;
+        wall_s = t -. !slice_t0 -. !speed_wall;
+        lat_s = Array.of_list !slice_lat;
+        server_cpu_s = srv -. !slice_srv0;
+        client_cpu_s = cli -. !slice_cli0 -. !speed_cpu;
+        speed_units = !speed_units;
+        speed_cpu_s = !speed_cpu;
+      }
+      :: !slices
+  in
+  (* one unit of the speed kernel after each reply of an untraced
+     window, while the server idles: the CPU's speed, sampled at the
+     rate the queries run *)
+  let time_speed () =
+    let w0 = now () in
+    let c = Speed.unit_cpu_s () in
+    speed_wall := !speed_wall +. (now () -. w0);
+    speed_cpu := !speed_cpu +. c;
+    incr speed_units
+  in
   let one fd =
     let q = Workloads.query_of_op ops.(!sent mod Array.length ops) in
     let req = !sent in
     incr sent;
     let t0 = now () in
-    let in_trace = traced && int_of_float ((t0 -. t_start) /. slice_s) mod 2 = 1 in
+    let in_trace =
+      traced && !measuring && int_of_float ((t0 -. !t_start) /. slice_s) mod 2 = 1
+    in
     let ok =
       if not in_trace then
         match Roundtrip.ask fd (Protocol.Run_query q) with
@@ -256,27 +299,65 @@ let read_window ~rig ~bundle ~(trace : Trace.t) ~seconds ~traced ~rec_ =
             | _ -> false)
     in
     let t2 = now () in
-    if ok then acc := { Report.at = t0 -. t_start; lat = t2 -. t0; traced = in_trace } :: !acc
-    else incr failed
+    if not ok then incr failed
+    else if !measuring then begin
+      acc := { Report.at = t0 -. !t_start; lat = t2 -. t0; traced = in_trace } :: !acc;
+      slice_lat := (t2 -. t0) :: !slice_lat;
+      incr slice_n;
+      if not traced then time_speed ()
+    end
   in
-  while now () < t_end do
-    match Roundtrip.with_connection ~port:rig.port (fun fd -> while now () < t_end do one fd done) with
-    | () -> ()
-    | exception e ->
-      incr failed;
-      log "read connection: %s" (Printexc.to_string e)
-  done;
-  let t_stop = now () in
+  (* One connection for warm-up and window: the server's session thread
+     lives across every slice, so its CPU time is never lost with it. *)
+  let t_stop = ref 0. in
+  let cpu_srv0 = ref 0. and cpu_cli0 = ref 0. and steal0 = ref (0, 0) in
+  let stats0 = ref ([], Protocol.Stats []) in
+  let reads fd =
+    let until = now () +. warm_up_s in
+    while now () < until do one fd done;
+    stats0 := stats rig.port;
+    cpu_srv0 := Measure.proc_cpu_s rig.server;
+    cpu_cli0 := client_cpu_s ();
+    steal0 := Measure.steal_ticks ();
+    t_start := now ();
+    measuring := true;
+    let t_end = !t_start +. seconds in
+    let next_cut = ref (!t_start +. 1.) in
+    if not traced then open_slice !t_start;
+    while now () < t_end do
+      if not traced then begin
+        let t = now () in
+        if t >= !next_cut then begin
+          close_slice t;
+          open_slice t;
+          next_cut := !next_cut +. 1.
+        end
+      end;
+      one fd
+    done;
+    t_stop := now ();
+    if not traced then close_slice !t_stop
+  in
+  (match Roundtrip.with_connection ~port:rig.port reads with
+  | () -> ()
+  | exception e ->
+    incr failed;
+    log "read connection: %s" (Printexc.to_string e));
+  if !t_stop = 0. then t_stop := now ();
+  measuring := false;
   let cpu_srv1 = Measure.proc_cpu_s rig.server and cpu_cli1 = client_cpu_s () in
   let kvs1, _ = stats rig.port in
   let steal1 = Measure.steal_ticks () in
+  let kvs0, r0 = !stats0 in
+  let steal0 = !steal0 in
   {
     samples = Array.of_list !acc;
+    slices = List.rev !slices;
     sent = !sent;
     failed = !failed;
-    wall_s = t_stop -. t_start;
-    server_cpu_s = cpu_srv1 -. cpu_srv0;
-    client_cpu_s = cpu_cli1 -. cpu_cli0;
+    wall_s = !t_stop -. !t_start;
+    server_cpu_s = cpu_srv1 -. !cpu_srv0;
+    client_cpu_s = cpu_cli1 -. !cpu_cli0;
     stats0 = kvs0;
     stats1 = kvs1;
     stats0_frame = frame_bytes r0;
@@ -289,11 +370,11 @@ let read_window ~rig ~bundle ~(trace : Trace.t) ~seconds ~traced ~rec_ =
 (* Owner updates, back to back, once the read window has closed: the
    owner's trace digest first (it must equal the load generator's), then
    one verdict line per update. *)
-let run_updates rig ~(trace : Trace.t) ~count =
+let run_updates rig ~(updates : Trace.t) ~count =
   tell rig.owner "republish %d %d" rig.port count;
   let digest_ok =
     match owner_line rig.owner with
-    | [ "trace"; sha ] when sha = trace.Trace.sha256_hex -> true
+    | [ "trace"; sha ] when sha = updates.Trace.sha256_hex -> true
     | l ->
       log "owner trace differs: %s" (String.concat " " l);
       false
@@ -303,7 +384,7 @@ let run_updates rig ~(trace : Trace.t) ~count =
     match owner_line rig.owner with
     | [ "done" ] -> ()
     | [ "acked"; _; ms ] ->
-      acks := float_of_string ms :: !acks;
+      acks := (float_of_string ms, now ()) :: !acks;
       go ()
     | "failed" :: i :: why ->
       incr failed;
@@ -322,15 +403,19 @@ let run ~workload ~seed ~seconds ~traced =
     | Some w -> w
     | None -> failwith ("unknown workload " ^ workload)
   in
-  let spec = Workloads.spec_at w seed in
   let table = Workloads.table w in
-  let trace = Trace.generate spec table in
-  let digest_ok =
-    seed <> Workloads.default_seed || trace.Trace.sha256_hex = w.pinned_trace_sha256
+  let traffic = Workloads.traffic w table in
+  let updates = Workloads.updates w table ~seed in
+  let pinned what (t : Trace.t) sha =
+    let ok = t.Trace.sha256_hex = sha in
+    if not ok then log "%s trace digest %s differs from the pinned %s" what t.Trace.sha256_hex sha;
+    ok
   in
-  if not digest_ok then
-    log "trace digest %s differs from the pinned %s" trace.Trace.sha256_hex
-      w.pinned_trace_sha256;
+  let digest_ok =
+    pinned "traffic" traffic w.traffic_sha256
+    && (seed <> Workloads.default_seed || pinned "updates" updates w.updates_sha256)
+  in
+  let ops = Workloads.reads traffic ~seed in
   let base = Filename.concat ".perfbench" (Printf.sprintf "%s-%d-%d" workload seed (Unix.getpid ())) in
   if not (Sys.file_exists ".perfbench") then Unix.mkdir ".perfbench" 0o755;
   if Sys.file_exists base then rm_rf base;
@@ -342,6 +427,8 @@ let run ~workload ~seed ~seconds ~traced =
   let reps = if traced then 2 else 3 in
   let setups = ref [] in
   let rig = ref None in
+  let probe = Speed.Probe.create () in
+  Speed.Probe.start probe;
   for k = 1 to reps do
     Option.iter tear_down !rig;
     let spans = if traced && k = reps then Some (Filename.concat base "spans") else None in
@@ -349,19 +436,30 @@ let run ~workload ~seed ~seconds ~traced =
     let r = set_up ~workload ~seed ~dir:(Filename.concat base (Printf.sprintf "rep%d" k)) ~spans in
     let t1 = now () in
     if spans <> None then ignore (Spans.record rec_ "setup" t0 t1);
-    setups := (t1 -. t0) :: !setups;
+    setups := (t0, t1) :: !setups;
     rig := Some r
   done;
+  Speed.Probe.stop probe;
   let rig = Option.get !rig in
-  let setup_times = Array.of_list (List.rev !setups) in
+  let setups = Array.of_list (List.rev !setups) in
+  let setup_times = Array.map (fun (t0, t1) -> t1 -. t0) setups in
   let bundle =
     Protocol.decode_bundle
       (Aqv_util.Wire.reader (Measure.read_file (Filename.concat rig.dir "bundle.bin")))
   in
-  let win = read_window ~rig ~bundle ~trace ~seconds ~traced ~rec_ in
+  let win = read_window ~rig ~bundle ~ops ~seconds ~traced ~rec_ in
   let rss_mb = Measure.proc_hwm_mb rig.server in
-  let owner_digest_ok, acks_ms, updates_failed =
-    run_updates rig ~trace ~count:w.Workloads.updates
+  Speed.Probe.start probe;
+  let owner_digest_ok, acks, updates_failed =
+    run_updates rig ~updates ~count:w.Workloads.updates
+  in
+  Speed.Probe.stop probe;
+  let acks_ms = List.map fst acks in
+  (* timings at the reference speed, each by the slowdown over its own
+     interval *)
+  let setup_slowdowns = Array.map (fun (lo, hi) -> Speed.Probe.slowdown probe ~lo ~hi) setups in
+  let ack_slowdowns =
+    List.map (fun (ms, at) -> Speed.Probe.slowdown probe ~lo:(at -. (ms /. 1000.)) ~hi:at) acks
   in
   stop_server rig.server;
   let owner_metrics = quit_owner rig.owner in
@@ -381,19 +479,31 @@ let run ~workload ~seed ~seconds ~traced =
   in
   let metrics =
     if not traced then begin
+      let sl = win.slices in
       let per_q x = x *. 1e6 /. float_of_int (max 1 queries) in
+      (* the figures as measured, before they are set to the reference
+         speed *)
+      log "as measured: throughput %.1f/s, p50 %.1f us, p99 %.1f us, server %.1f us/q, client %.1f us/q, set-up %.3f s, republish %.1f ms"
+        (float_of_int queries /. win.wall_s) (Measure.percentile all_lat 50.)
+        (Measure.percentile all_lat 99.) (per_q win.server_cpu_s) (per_q win.client_cpu_s)
+        (Measure.median setup_times) (Measure.median (Array.of_list acks_ms));
+      let show xs = String.concat " " (List.map (Printf.sprintf "%.2f") xs) in
+      log "slowdown: window slices %s; set-ups %s; updates %s"
+        (show (List.map Slices.slowdown sl)) (show (Array.to_list setup_slowdowns))
+        (show ack_slowdowns);
       Catalog.select Catalog.end_to_end
         [
-          ("setup_s", Measure.median setup_times);
-          ("throughput_qps", float_of_int queries /. win.wall_s);
-          ("query_p50_us", Measure.percentile all_lat 50.);
-          ("query_p99_us", Measure.percentile all_lat 99.);
-          ("server_cpu_us_per_query", per_q win.server_cpu_s);
-          ("client_cpu_us_per_query", per_q win.client_cpu_s);
+          ("setup_s", Measure.median (Array.map2 ( /. ) setup_times setup_slowdowns));
+          ("throughput_qps", Slices.throughput sl);
+          ("query_p50_us", 1e6 *. Slices.latency sl 50.);
+          ("query_p99_us", 1e6 *. Slices.latency sl 99.);
+          ("server_cpu_us_per_query", 1e6 *. Slices.server_cpu sl);
+          ("client_cpu_us_per_query", 1e6 *. Slices.client_cpu sl);
           ("reply_bytes_mean", reply_bytes);
           ("snapshot_bytes", float_of_int rig.snapshot_bytes);
           ("server_rss_mb", rss_mb);
-          ("republish_p50_ms", Measure.median (Array.of_list acks_ms));
+          ( "republish_p50_ms",
+            Measure.median (Array.of_list (List.map2 ( /. ) acks_ms ack_slowdowns)) );
         ]
     end
     else

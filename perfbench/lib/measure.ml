@@ -82,6 +82,32 @@ let steal_ticks () =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+let read_file_opt path = try Some (read_file path) with Sys_error _ -> None
+
+(* CPU seconds a thread has run, from the text of
+   /proc/<pid>/task/<tid>/schedstat: its first field, in nanoseconds.
+   utime and stime count 10 ms ticks, too coarse for a one-second
+   slice. *)
+let cpu_s_of_schedstat text =
+  match String.split_on_char ' ' (String.trim text) with
+  | ns :: _ :: _ -> (
+    match Int64.of_string_opt ns with
+    | Some v -> Int64.to_float v /. 1e9
+    | None -> failwith "Measure.cpu_s_of_schedstat: not a number")
+  | _ -> failwith "Measure.cpu_s_of_schedstat: truncated"
+
+(* CPU seconds of the live threads of [pid]. A thread that has exited
+   is not counted: take differences only across spans in which the
+   threads doing the work live throughout. *)
+let proc_threads_cpu_s pid =
+  let dir = Printf.sprintf "/proc/%d/task" pid in
+  Array.fold_left
+    (fun acc tid ->
+      match read_file_opt (Filename.concat (Filename.concat dir tid) "schedstat") with
+      | Some text -> acc +. cpu_s_of_schedstat text
+      | None -> acc)
+    0. (Sys.readdir dir)
+
 let proc_cpu_s pid = cpu_s_of_stat (read_file (Printf.sprintf "/proc/%d/stat" pid))
 
 let proc_hwm_mb pid =

@@ -47,6 +47,64 @@ let proc_status () =
   Alcotest.(check (option int)) "absent" None (Measure.status_kb text "VmSwap");
   Alcotest.(check bool) "own VmHWM" true (Measure.proc_hwm_mb (Unix.getpid ()) > 0.)
 
+let proc_schedstat () =
+  Alcotest.check feq "run time in seconds" 1.5 (Measure.cpu_s_of_schedstat "1500000000 2000 31\n");
+  Alcotest.check_raises "truncated" (Failure "Measure.cpu_s_of_schedstat: truncated") (fun () ->
+      ignore (Measure.cpu_s_of_schedstat "12\n"));
+  (* a running thread's figure is brought up to date at the next
+     scheduler tick, so work for several ticks *)
+  let t0 = Measure.proc_threads_cpu_s (Unix.getpid ()) in
+  ignore (Sys.opaque_identity (Speed.work 10_000_000));
+  Alcotest.(check bool) "own threads advance" true (Measure.proc_threads_cpu_s (Unix.getpid ()) > t0)
+
+let speed_slowdown () =
+  let r = Speed.reference_s in
+  Alcotest.check feq "no units" 1. (Speed.slowdown ~units:0 ~cpu_s:0.);
+  Alcotest.check feq "at reference" 1. (Speed.slowdown ~units:4 ~cpu_s:(4. *. r));
+  Alcotest.check feq "twice as slow" 2. (Speed.slowdown ~units:4 ~cpu_s:(8. *. r));
+  Alcotest.(check bool) "a unit takes time" true (Speed.unit_cpu_s () >= 0.)
+
+(* A slice of [n] replies in [wall] seconds, [slow] times slower than
+   the reference, every latency [lat] seconds; at the reference speed a
+   reply costs 100 us of server and 300 us of client CPU. *)
+let slice ~n ~wall ~slow ~lat =
+  {
+    Slices.queries = n;
+    wall_s = wall;
+    lat_s = Array.make n lat;
+    server_cpu_s = float_of_int n *. 1e-4 *. slow;
+    client_cpu_s = float_of_int n *. 3e-4 *. slow;
+    speed_units = 10;
+    speed_cpu_s = 10. *. Speed.reference_s *. slow;
+  }
+
+let slices_at_reference () =
+  let close = Alcotest.float 1e-6 in
+  (* one slice at reference speed, one at half speed doing the same work
+     per second of reference time, one third empty *)
+  let sl =
+    [
+      slice ~n:100 ~wall:1. ~slow:1. ~lat:0.01;
+      slice ~n:50 ~wall:1. ~slow:2. ~lat:0.02;
+      slice ~n:0 ~wall:1. ~slow:1. ~lat:0.;
+    ]
+  in
+  Alcotest.check close "throughput" 100. (Slices.throughput sl);
+  Alcotest.check close "p50" 0.01 (Slices.latency sl 50.);
+  Alcotest.check close "p99" 0.01 (Slices.latency sl 99.);
+  Alcotest.check close "server cpu per reply" 1e-4 (Slices.server_cpu sl);
+  Alcotest.check close "client cpu per reply" 3e-4 (Slices.client_cpu sl);
+  (* the median slice, not the mean *)
+  let sl =
+    [
+      slice ~n:100 ~wall:1. ~slow:1. ~lat:0.01;
+      slice ~n:120 ~wall:1. ~slow:1. ~lat:0.01;
+      slice ~n:10 ~wall:1. ~slow:1. ~lat:0.1;
+    ]
+  in
+  Alcotest.check close "median slice" 100. (Slices.throughput sl);
+  Alcotest.check close "median slice's p99" 0.01 (Slices.latency sl 99.)
+
 let names () =
   List.iter
     (fun n -> Alcotest.(check bool) ("valid " ^ n) true (Measure.valid_name n))
@@ -135,10 +193,16 @@ let () =
           Alcotest.test_case "median and mean" `Quick median_mean;
           Alcotest.test_case "/proc stat" `Quick proc_stat;
           Alcotest.test_case "/proc status" `Quick proc_status;
+          Alcotest.test_case "/proc schedstat" `Quick proc_schedstat;
           Alcotest.test_case "metric name grammar" `Quick names;
           Alcotest.test_case "catalog matches BENCHMARK.json" `Quick
             catalog_matches_benchmark_json;
           Alcotest.test_case "result line" `Quick result_line;
+        ] );
+      ( "speed",
+        [
+          Alcotest.test_case "slowdown" `Quick speed_slowdown;
+          Alcotest.test_case "slices at reference speed" `Quick slices_at_reference;
         ] );
       ( "spans",
         [
