@@ -148,7 +148,7 @@ let default_seed = 0x17EEL
    the sorted id sequence recurs (differing digests are patched). The
    structure itself (I-tree shape, sorted lists) is still derived from
    scratch — the seeded insertion shuffle ranges over the crossing pair
-   list the streaming enumerator just produced (a pure function of the
+   list the crossing enumerator just produced (a pure function of the
    table and domain; see [Crossings]), so any splice-based shortcut
    would diverge from a fresh [build] of the same table, and
    bit-identity with the fresh build is the invariant that makes
@@ -182,11 +182,11 @@ let build_structure ~seed ?fmh_storage ?prev ~pool table =
             | None -> assert false
           else Record.digest records.(i) )
   in
-  (* one streaming pass over the pair space feeds both consumers: the
-     I-tree insertion (shuffled crossing list) and the 1-D sweep
-     (crossing roots are its boundary events). Chunks classify over the
-     pool; only crossing pairs are retained or registered — peak pair
-     memory is O(#crossings + chunk), never Θ(n²). *)
+  (* one crossing enumeration feeds both consumers: the I-tree
+     insertion (shuffled crossing list) and the 1-D sweep (crossing
+     roots are its boundary events). 1-D is an O(n log n + K) inversion
+     sweep, d >= 2 a chunked probe over the pool; only crossing pairs
+     are retained or registered — never Θ(n²) pair records. *)
   let crossings =
     Crossings.enumerate ~memo:use ~pool (Table.domain table) (Table.functions table)
   in

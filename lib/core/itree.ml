@@ -126,7 +126,7 @@ let collect_leaves root =
 let build ?(seed = 0x17EEL) ?(order = `Shuffled) ?memo ?crossings dom fns =
   let root = fresh_leaf (Region.of_domain dom) [] in
   let t = { root; functions = fns; domain = dom; leaf_nodes = [||]; intersections = 0; nodes = 1 } in
-  (* the streaming enumerator has already reduced the Θ(n²) pair space
+  (* the crossing enumerator has already reduced the Θ(n²) pair space
      to the crossing pairs — the only pairs whose insertion does
      anything. Callers that enumerated up front (Ifmh.build_structure
      shares one pass with the 1-D sweep) hand the result in; otherwise

@@ -58,8 +58,8 @@ let compute ~box ~dim fa fb =
   { diff; zero; box = box_cls; root1 }
 
 (* Read-only carry-over lookup: the previous build's result is valid
-   exactly when both records are unchanged. The streaming enumerator
-   visits each pair once per build, so there is no within-build [cur]
+   exactly when both records are unchanged. The crossing enumerator
+   consults each pair at most once per build, so there is no within-build [cur]
    consultation — [cur] only collects what [register_geom] retains for
    the next rebuild. Ticks hit/miss so per-pair totals stay exactly one
    tick, independent of chunking and pool size. *)

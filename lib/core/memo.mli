@@ -86,8 +86,10 @@ val find_geom : use -> i:int -> j:int -> pair_geom option
     previous index's result, valid exactly when both records are
     unchanged. Read-only (safe inside pool tasks); ticks
     [memo_pair_hits] on a carry, [memo_pair_misses] otherwise — the
-    streaming enumerator consults each pair exactly once per build, so
-    per-pair totals are one tick regardless of chunking or pool size. *)
+    crossing enumerator consults each pair it gives a geometry record
+    exactly once per build (the K crossing pairs in 1-D, all n(n-1)/2
+    in d >= 2), so totals are one tick per such pair regardless of
+    chunking or pool size. *)
 
 val register_geom : use -> i:int -> j:int -> pair_geom -> unit
 (** Retain a pair's geometry in [cur] for the next rebuild. The

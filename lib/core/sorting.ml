@@ -268,7 +268,7 @@ let build ?(storage = Snapshot) ?pool ?rdig ?memo ?crossings table itree =
   in
   let entries =
     if Table.dim table = 1 then begin
-      (* the sweep consumes the streaming enumerator's crossing set;
+      (* the sweep consumes the crossing enumerator's crossing set;
          callers that enumerated up front (Ifmh.build_structure) share
          that one pass with the I-tree insertion *)
       let crossings =

@@ -47,7 +47,7 @@ val build :
     caller that already hashed the records — {!Ifmh.build} does — need
     not pay for it twice; omitted, the digests are computed here.
 
-    [crossings] supplies the streaming enumerator's crossing set: in
+    [crossings] supplies the crossing enumerator's crossing set: in
     1-D the sweep's boundary events are exactly the crossing pairs
     (each carries its root), so the old private Θ(n²) pair walk is
     gone. Omitted in 1-D, the set is enumerated here (through [memo]

@@ -42,16 +42,20 @@ type snapshot = {
           cache (see [Aqv.Fragment]) instead of being reassembled *)
   frag_misses : int;  (** VO fragments assembled from the index *)
   build_pairs_classified : int;
-      (** function pairs classified against the domain box by the
-          streaming crossing enumerator (see [Aqv.Crossings]): exactly
-          n(n-1)/2 per structure build, regardless of chunking or pool
-          size *)
+      (** function pairs the crossing enumerator (see [Aqv.Crossings])
+          gave a geometry record, per structure build: in 1-D the K
+          crossings the inversion sweep finds — it never looks at a
+          non-crossing pair; in d >= 2 exactly n(n-1)/2, each probed
+          once regardless of chunking or pool size *)
   build_pair_chunks : int;
-      (** bounded chunks the enumerator processed — the pair index
-          space is never materialized wholesale *)
+      (** bounded chunks the d >= 2 probe processed,
+          ceil(n(n-1)/2 / chunk) — the pair index space is never
+          materialized wholesale; 0 in 1-D, where the sweep needs no
+          chunks *)
   build_peak_pairs : int;
       (** high-water mark of pair records live at once in the
-          enumerator: at most (retained crossings) + (one chunk) — the
+          enumerator: at most (retained crossings) + (one chunk),
+          exactly the crossings in 1-D — the
           O(#crossings + chunk) memory bound, as a deterministic
           counter. A mark, not a flow: [diff] reports the later
           snapshot's value *)

@@ -1,14 +1,16 @@
-(* Streaming crossing enumeration (the owner-side pair front-end):
-   chunked, pool-parallel enumeration must be bit-identical to the
-   retained sequential full-enumeration reference [enumerate_scan],
-   the new build counters must be count-exact and deterministic, and a
-   full build must serialize identically across pool sizes and
-   insertion orders. CI runs this binary under AQV_DOMAINS=1 and =2 so
-   the default pool exercises both code paths. *)
+(* Crossing enumeration (the owner-side pair front-end): the 1-D
+   inversion sweep and the chunked, pool-parallel d >= 2 probe must both
+   be bit-identical to the sequential all-pairs reference
+   [Crossings_ref.enumerate], the build counters must obey their exact
+   per-dimension laws, and a full build must serialize identically
+   across pool sizes and insertion orders. CI runs this binary under
+   AQV_DOMAINS=1 and =2 so the default pool exercises both code
+   paths. *)
 
 module Q = Aqv_num.Rational
 module Linfun = Aqv_num.Linfun
 module Region = Aqv_num.Region
+module Domain = Aqv_num.Domain
 module Prng = Aqv_util.Prng
 module Metrics = Aqv_util.Metrics
 module Wire = Aqv_util.Wire
@@ -30,12 +32,18 @@ let seq_pool = lazy (Pool.create ~domains:1 ())
 let keypair = lazy (Signer.generate ~bits:512 Signer.Rsa (Prng.create 42L))
 
 (* dense: crossings ~ 35% of pairs; sparse: well under 1%, so the
-   retained set is a sliver of the classified set; 2-D goes through the
-   general [Memo.compute] probe instead of the 1-D endpoint-sign test *)
+   crossings are a sliver of the pair space; tie-heavy: slopes and
+   intercepts in a handful of integers, so parallel lines and equal
+   values at an endpoint are common; 2-D goes through the chunked
+   [Memo.compute] probe instead of the 1-D inversion sweep *)
 let table_dense n seed = Workload.lines_1d ~n (Prng.create (Int64.of_int (0xD0 + seed)))
 
 let table_sparse n seed =
   Workload.lines_1d ~intercept_range:1_000_000 ~n (Prng.create (Int64.of_int (0x5A + seed)))
+
+let table_ties ~slopes ~intercepts n seed =
+  Workload.lines_1d ~slope_range:slopes ~intercept_range:intercepts ~n
+    (Prng.create (Int64.of_int (0x71 + seed)))
 
 let table_2d n seed = Workload.scored ~n ~dims:2 (Prng.create (Int64.of_int (0x2D + seed)))
 
@@ -48,11 +56,20 @@ let geom_equal (a : Memo.pair_geom) (b : Memo.pair_geom) =
      | None, None -> true
      | _ -> false)
 
-(* streamed result == scan reference: same totals, same pairs in the
-   same (lexicographic) order, equal geometry field by field — and the
-   streaming high-water mark obeys its O(crossings + chunk) bound *)
-let same_as_scan name (got : Crossings.t) (scan : Crossings.t) =
-  check Alcotest.int (name ^ ": total") scan.Crossings.total got.Crossings.total;
+(* enumerated result == scan reference: same pairs in the same
+   (lexicographic) order, equal geometry field by field, the
+   per-dimension total and chunk laws (1-D: total = crossings, no
+   chunks; d >= 2: total = n(n-1)/2 in ceil(total/chunk) chunks) — and
+   the high-water mark obeys its O(crossings + chunk) bound *)
+let same_as_scan name ~dim (got : Crossings.t) (scan : Crossings.t) =
+  let total, chunks =
+    if dim = 1 then (Crossings.count scan, 0)
+    else
+      let t = scan.Crossings.total in
+      (t, (t + got.Crossings.chunk - 1) / got.Crossings.chunk)
+  in
+  check Alcotest.int (name ^ ": total") total got.Crossings.total;
+  check Alcotest.int (name ^ ": chunks") chunks got.Crossings.chunks;
   check Alcotest.int (name ^ ": crossing count") (Crossings.count scan) (Crossings.count got);
   Array.iteri
     (fun k (ps : Crossings.pair) ->
@@ -74,17 +91,46 @@ let same_as_scan name (got : Crossings.t) (scan : Crossings.t) =
   check Alcotest.bool (name ^ ": peak bound") true
     (got.Crossings.peak_live <= Crossings.count got + got.Crossings.chunk)
 
+(* identity against the reference with and without a memo (fresh, then
+   fully carried), sequentially and on the 4- and 1-domain pools *)
+let enum_identity dom fns chunk =
+  let dim = Domain.dim dom in
+  let scan = Crossings_ref.enumerate dom fns in
+  let ids = Array.init (Array.length fns) Fun.id in
+  List.iter
+    (fun (name, pool) ->
+      let pool = Option.map Lazy.force pool in
+      same_as_scan name ~dim (Crossings.enumerate ~chunk ?pool dom fns) scan;
+      let m = Memo.create dom in
+      same_as_scan (name ^ "+memo") ~dim
+        (Crossings.enumerate ~chunk ?pool ~memo:(Memo.use ~ids m) dom fns)
+        scan;
+      let carried = Memo.use ~prev:m ~changed:(fun _ -> false) ~ids (Memo.create dom) in
+      same_as_scan (name ^ "+carried") ~dim
+        (Crossings.enumerate ~chunk ?pool ~memo:carried dom fns)
+        scan)
+    [ ("seq", None); ("pool", Some par_pool); ("pool-1", Some seq_pool) ];
+  true
+
 let enum_identity_prop mk (n, seed, chunk) =
   let t = mk n seed in
-  let dom = Table.domain t and fns = Table.functions t in
-  let scan = Crossings.enumerate_scan dom fns in
-  same_as_scan "seq" (Crossings.enumerate ~chunk dom fns) scan;
-  same_as_scan "pool" (Crossings.enumerate ~chunk ~pool:(Lazy.force par_pool) dom fns) scan;
-  same_as_scan "pool-1" (Crossings.enumerate ~chunk ~pool:(Lazy.force seq_pool) dom fns) scan;
-  true
+  enum_identity (Table.domain t) (Table.functions t) chunk
 
 let gen_1d = QCheck.(triple (int_range 2 40) (int_range 0 999) (int_range 1 900))
 let gen_2d = QCheck.(triple (int_range 2 14) (int_range 0 999) (int_range 1 120))
+
+(* n <= 28 <= (2 * slopes + 1) * (intercepts + 1), so the distinct
+   lines always exist; the first function is appended again, so
+   identical lines (a tie at both endpoints) are covered too *)
+let gen_ties =
+  QCheck.(
+    pair
+      (triple (int_range 2 28) (int_range 0 999) (int_range 1 900))
+      (pair (int_range 3 20) (int_range 3 20)))
+
+let ties_prop dom ((n, seed, chunk), (slopes, intercepts)) =
+  let fns = Table.functions (table_ties ~slopes ~intercepts n seed) in
+  enum_identity dom (Array.append fns [| fns.(0) |]) chunk
 
 let enum_identity_dense =
   qtest ~count:60 "streaming = scan (dense 1-D, any chunk, any pool)" gen_1d
@@ -94,50 +140,70 @@ let enum_identity_sparse =
   qtest ~count:60 "streaming = scan (sparse 1-D, any chunk, any pool)" gen_1d
     (enum_identity_prop table_sparse)
 
+let enum_identity_ties =
+  qtest ~count:100 "sweep = scan (tie-heavy 1-D, any memo, any pool)" gen_ties
+    (ties_prop (Domain.of_ints [ (0, 1) ]))
+
+let enum_identity_wide =
+  qtest ~count:100 "sweep = scan (tie-heavy 1-D over (-3, 5))" gen_ties
+    (ties_prop (Domain.of_ints [ (-3, 5) ]))
+
 let enum_identity_2d =
   qtest ~count:25 "streaming = scan (2-D, any chunk, any pool)" gen_2d
     (enum_identity_prop table_2d)
 
-(* chunk edges: a 1-pair chunk, a chunk bigger than the pair space, and
-   the degenerate single-function table (zero pairs, zero chunks) *)
+(* chunk edges: a 1-pair chunk and a chunk bigger than the pair space,
+   for the chunked 2-D probe and the chunk-free 1-D sweep; [chunk = 0]
+   refused either way; the degenerate single-function table (zero
+   pairs, zero chunks) *)
 let test_chunk_edges () =
-  let t = table_dense 12 0 in
-  let dom = Table.domain t and fns = Table.functions t in
-  let scan = Crossings.enumerate_scan dom fns in
-  same_as_scan "chunk=1" (Crossings.enumerate ~chunk:1 dom fns) scan;
-  same_as_scan "chunk>total" (Crossings.enumerate ~chunk:10_000 dom fns) scan;
-  Alcotest.check_raises "chunk=0 refused"
-    (Invalid_argument "Crossings.enumerate: chunk must be >= 1") (fun () ->
-      ignore (Crossings.enumerate ~chunk:0 dom fns));
-  let one = [| Table.functions t |> fun a -> a.(0) |] in
-  let cr = Crossings.enumerate ~chunk:7 dom one in
-  check Alcotest.int "single fn: total" 0 cr.Crossings.total;
-  check Alcotest.int "single fn: crossings" 0 (Crossings.count cr);
-  check Alcotest.int "single fn: chunks" 0 cr.Crossings.chunks
+  List.iter
+    (fun t ->
+      let dom = Table.domain t and fns = Table.functions t in
+      let dim = Domain.dim dom in
+      let scan = Crossings_ref.enumerate dom fns in
+      same_as_scan "chunk=1" ~dim (Crossings.enumerate ~chunk:1 dom fns) scan;
+      same_as_scan "chunk>total" ~dim (Crossings.enumerate ~chunk:10_000 dom fns) scan;
+      Alcotest.check_raises "chunk=0 refused"
+        (Invalid_argument "Crossings.enumerate: chunk must be >= 1") (fun () ->
+          ignore (Crossings.enumerate ~chunk:0 dom fns));
+      let cr = Crossings.enumerate ~chunk:7 dom [| fns.(0) |] in
+      check Alcotest.int "single fn: total" 0 cr.Crossings.total;
+      check Alcotest.int "single fn: crossings" 0 (Crossings.count cr);
+      check Alcotest.int "single fn: chunks" 0 cr.Crossings.chunks)
+    [ table_dense 12 0; table_2d 8 0 ]
 
-(* The build counters are deterministic — exact values, not bounds
-   (except the peak, whose law is the O(crossings + chunk) invariant):
-   classified = n(n-1)/2, chunks = ceil(total/chunk), crossings = the
-   scan's count, identical ticks whether or not a pool fans the chunks
-   out — and the scan reference ticks none of them. *)
-let test_counters_exact () =
-  let n = 40 in
-  let t = table_dense n 7 in
+(* The build counters are deterministic — exact values, with the
+   per-dimension laws. 1-D: classified = crossings = the scan's count,
+   no chunks, peak = crossings. d >= 2: classified = n(n-1)/2,
+   chunks = ceil(total/chunk), peak <= crossings + chunk. Identical
+   ticks whether or not a pool fans the work out — and the reference
+   ticks none of them. *)
+let counters_exact t ~chunk =
   let dom = Table.domain t and fns = Table.functions t in
+  let n = Array.length fns in
   let total = n * (n - 1) / 2 in
-  let chunk = 100 in
+  let scan = Crossings_ref.enumerate dom fns in
+  let k = Crossings.count scan in
   Metrics.reset ();
   let cr = Crossings.enumerate ~chunk dom fns in
   let s = Metrics.snapshot () in
-  check Alcotest.int "classified = n(n-1)/2" total s.Metrics.build_pairs_classified;
-  check Alcotest.int "chunks = ceil(total/chunk)"
-    ((total + chunk - 1) / chunk)
-    s.Metrics.build_pair_chunks;
-  check Alcotest.int "crossings counter" (Crossings.count cr) s.Metrics.build_crossings;
-  check Alcotest.int "crossings counter = record" (Crossings.count cr) s.Metrics.build_crossings;
-  check Alcotest.bool "peak <= crossings + chunk" true
-    (s.Metrics.build_peak_pairs <= Crossings.count cr + chunk);
-  check Alcotest.bool "peak >= first chunk" true (s.Metrics.build_peak_pairs >= min total chunk);
+  check Alcotest.int "crossings = scan" k (Crossings.count cr);
+  check Alcotest.int "crossings counter" k s.Metrics.build_crossings;
+  if Domain.dim dom = 1 then begin
+    check Alcotest.int "1-D: classified = crossings" k s.Metrics.build_pairs_classified;
+    check Alcotest.int "1-D: no chunks" 0 s.Metrics.build_pair_chunks;
+    check Alcotest.int "1-D: peak = crossings" k s.Metrics.build_peak_pairs
+  end
+  else begin
+    check Alcotest.int "classified = n(n-1)/2" total s.Metrics.build_pairs_classified;
+    check Alcotest.int "chunks = ceil(total/chunk)"
+      ((total + chunk - 1) / chunk)
+      s.Metrics.build_pair_chunks;
+    check Alcotest.bool "peak >= first chunk" true
+      (s.Metrics.build_peak_pairs >= min total chunk)
+  end;
+  check Alcotest.bool "peak <= crossings + chunk" true (s.Metrics.build_peak_pairs <= k + chunk);
   Metrics.reset ();
   ignore (Crossings.enumerate ~chunk ~pool:(Lazy.force par_pool) dom fns);
   let sp = Metrics.snapshot () in
@@ -147,21 +213,28 @@ let test_counters_exact () =
   check Alcotest.int "pool: crossings" s.Metrics.build_crossings sp.Metrics.build_crossings;
   check Alcotest.int "pool: peak" s.Metrics.build_peak_pairs sp.Metrics.build_peak_pairs;
   Metrics.reset ();
-  ignore (Crossings.enumerate_scan dom fns);
+  ignore (Crossings_ref.enumerate dom fns);
   let s0 = Metrics.snapshot () in
   check Alcotest.int "scan ticks no classified" 0 s0.Metrics.build_pairs_classified;
   check Alcotest.int "scan ticks no chunks" 0 s0.Metrics.build_pair_chunks;
   check Alcotest.int "scan ticks no crossings" 0 s0.Metrics.build_crossings;
   check Alcotest.int "scan ticks no peak" 0 s0.Metrics.build_peak_pairs
 
-(* Memo interaction: a fresh pass consults every pair exactly once (all
-   misses), registration retains crossings only — so a carried-over
-   pass hits exactly the crossing pairs and recomputes the rest, and
-   the carried result is still identical to the scan. *)
-let test_memo_retention () =
-  let n = 30 in
-  let t = table_dense n 3 in
+let test_counters_exact () =
+  counters_exact (table_dense 40 7) ~chunk:100;
+  counters_exact (table_2d 14 7) ~chunk:10
+
+(* Memo interaction: registration retains crossings only. 1-D: the
+   sweep consults the crossing pairs only, so a fresh pass misses
+   exactly K times and a fully carried pass hits exactly K times with
+   no misses. d >= 2: the probe consults every pair once, so a fresh
+   pass misses n(n-1)/2 times and a carried pass hits the crossing
+   pairs and recomputes the rest. The carried result is still
+   identical to the scan. *)
+let memo_retention t =
   let dom = Table.domain t and fns = Table.functions t in
+  let n = Array.length fns in
+  let dim = Domain.dim dom in
   let total = n * (n - 1) / 2 in
   let ids = Array.init n Fun.id in
   let m1 = Memo.create dom in
@@ -169,19 +242,23 @@ let test_memo_retention () =
   Metrics.reset ();
   let cr1 = Crossings.enumerate ~chunk:64 ~memo:u1 dom fns in
   let s1 = Metrics.snapshot () in
-  check Alcotest.int "fresh pass: all misses" total s1.Metrics.memo_pair_misses;
+  let k = Crossings.count cr1 in
+  let consulted = if dim = 1 then k else total in
+  check Alcotest.int "fresh pass: all misses" consulted s1.Metrics.memo_pair_misses;
   check Alcotest.int "fresh pass: no hits" 0 s1.Metrics.memo_pair_hits;
   let m2 = Memo.create dom in
   let u2 = Memo.use ~prev:m1 ~changed:(fun _ -> false) ~ids m2 in
   Metrics.reset ();
   let cr2 = Crossings.enumerate ~chunk:64 ~memo:u2 dom fns in
   let s2 = Metrics.snapshot () in
-  check Alcotest.int "carry pass: hits = crossings" (Crossings.count cr1)
-    s2.Metrics.memo_pair_hits;
-  check Alcotest.int "carry pass: misses = non-crossing"
-    (total - Crossings.count cr1)
+  check Alcotest.int "carry pass: hits = crossings" k s2.Metrics.memo_pair_hits;
+  check Alcotest.int "carry pass: misses = consulted non-crossing" (consulted - k)
     s2.Metrics.memo_pair_misses;
-  same_as_scan "carried" cr2 (Crossings.enumerate_scan dom fns)
+  same_as_scan "carried" ~dim cr2 (Crossings_ref.enumerate dom fns)
+
+let test_memo_retention () =
+  memo_retention (table_dense 30 3);
+  memo_retention (table_2d 12 3)
 
 (* Decomposition is insertion-order independent: the shuffled (default)
    and lexicographic insertion orders build different tree shapes but
@@ -238,6 +315,8 @@ let () =
         [
           enum_identity_dense;
           enum_identity_sparse;
+          enum_identity_ties;
+          enum_identity_wide;
           enum_identity_2d;
           Alcotest.test_case "chunk edges" `Quick test_chunk_edges;
         ] );
