@@ -25,6 +25,8 @@ module Signer = Aqv_crypto.Signer
 module Table = Aqv_db.Table
 module Workload = Aqv_db.Workload
 module Pool = Aqv_par.Pool
+module Mesh_ref = Aqv_ref.Mesh_ref
+module Store_ref = Aqv_ref.Store_ref
 open Aqv
 
 let scale =
@@ -285,7 +287,7 @@ let server_cost_figure ~id ~title ~make_query () =
         float_of_int !total /. float_of_int queries_per_point
       in
       let loc_bin = locate_cost Mesh.locate_cell in
-      let loc_scan = locate_cost Mesh.locate_cell_scan in
+      let loc_scan = locate_cost Mesh_ref.locate_cell_scan in
       row "%8d %6d %10.1f %10.1f %10.1f %9.1f %10.1f %8.1f %9.1f %6d/%-5d\n%!" n s
         mesh one multi one_warm multi_warm loc_bin loc_scan fh fm;
       json_add
@@ -813,11 +815,12 @@ let abl_recovery () =
   in
   row "(n = %d, dry signer; 'recover' coalesces all surviving frames into\n" n;
   row " one net change list and a single rebuild, so its cost stays ~flat\n";
-  row " in log length; 'seq' forces the old frame-by-frame replay — one\n";
+  row " in log length; 'seq' is the frame-by-frame reference replay — one\n";
   row " rebuild per frame, linear in k; compaction resets both to the\n";
   row " snapshot-load floor)\n";
   row "%8s | %10s %10s | %10s %10s | %12s | %12s\n" "frames" "recover s" "coalesced"
     "seq s" "replayed" "compacted s" "fresh build";
+  let recover_hash_ops = ref [] in
   List.iter
     (fun k ->
       let dir =
@@ -856,22 +859,28 @@ let abl_recovery () =
         let x, t = time f in
         (x, t, (Metrics.diff (Metrics.snapshot ()) before).Metrics.hash_ops)
       in
-      let recover replay () =
-        match Store.open_dir ~replay dir with
+      let recover () =
+        match Store.open_dir dir with
         | Error e -> failwith (Aqv_store.Error.to_string e)
         | Ok (store, _, recovery) ->
           Store.close store;
           recovery
       in
-      let recovery, t_rec, h_rec = hashed (recover `Coalesced) in
-      let recovery_seq, t_seq, h_seq = hashed (recover `Sequential) in
+      let recovery, t_rec, h_rec = hashed recover in
+      let recovery_seq, t_seq, h_seq =
+        hashed (fun () ->
+            match Store_ref.recover dir with
+            | Error e -> failwith (Aqv_store.Error.to_string e)
+            | Ok r -> r)
+      in
+      recover_hash_ops := (k, h_rec) :: !recover_hash_ops;
       (* compact, then recover again: the log-length term disappears *)
       (match Store.open_dir dir with
       | Error e -> failwith (Aqv_store.Error.to_string e)
       | Ok (store, recovered, _) ->
         Store.compact store recovered;
         Store.close store);
-      let _, t_compacted, h_compacted = hashed (recover `Coalesced) in
+      let _, t_compacted, h_compacted = hashed recover in
       let _, t_fresh, h_fresh =
         hashed (fun () ->
             Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:(1 + k) !tbl kp)
@@ -890,20 +899,26 @@ let abl_recovery () =
               ("wall_s", J_num secs);
             ])
         [
-          ("recover", recovery.Store.replayed, recovery.Store.coalesced, t_rec, h_rec);
-          ( "recover-sequential",
-            recovery_seq.Store.replayed,
-            recovery_seq.Store.coalesced,
-            t_seq,
-            h_seq );
+          ("recover", recovery.Store.replayed, recovery.Store.replayed, t_rec, h_rec);
+          ("recover-sequential", recovery_seq.Store_ref.replayed, 0, t_seq, h_seq);
           ("recover-compacted", 0, 0, t_compacted, h_compacted);
           ("fresh-build", 0, 0, t_fresh, h_fresh);
         ];
       row "%8d | %10.3f %10d | %10.3f %10d | %12.3f | %12.3f\n%!" k t_rec
-        recovery.Store.coalesced t_seq recovery_seq.Store.replayed t_compacted
+        recovery.Store.replayed t_seq recovery_seq.Store_ref.replayed t_compacted
         t_fresh;
       rm_rf dir)
-    [ 0; 1; 2; 4; 8; 16 ]
+    [ 0; 1; 2; 4; 8; 16 ];
+  (* hash_ops are deterministic, so this guard is immune to runner
+     noise: a super-linear ratio means recovery went back to one
+     rebuild per frame *)
+  let h1 = List.assoc 1 !recover_hash_ops and h16 = List.assoc 16 !recover_hash_ops in
+  let ratio = float_of_int h16 /. float_of_int h1 in
+  row "coalesced recovery hash_ops: k=1 %d, k=16 %d, ratio %.2f\n%!" h1 h16 ratio;
+  if ratio >= 3.0 then
+    failwith
+      (Printf.sprintf "abl-recovery: recovery cost grew super-linearly: %.2fx over 16 frames"
+         ratio)
 
 (* Serving fast paths, with CI-guarded deterministic counters: point
    location must grow sub-linearly in the subdomain count S (binary
@@ -934,7 +949,7 @@ let abl_serve_frag () =
     in
     let s = Mesh.subdomain_count c.mesh in
     let bin = cost (Mesh.locate_cell c.mesh) in
-    let scan = cost (Mesh.locate_cell_scan c.mesh) in
+    let scan = cost (Mesh_ref.locate_cell_scan c.mesh) in
     let itree = Ifmh.itree c.one in
     let it = cost (fun x -> ignore (Itree.locate itree [| x |]); 0) in
     row "%8d %8d | %10d %10d %8.2f | %10d\n%!" n s bin scan

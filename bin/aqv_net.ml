@@ -43,11 +43,6 @@
      aqv_net stats --port 7464
          dump the server's observability counters (in-band request)
 
-     aqv_net bench --clients 8 --requests 50
-         self-contained load generator: build an index, serve it from
-         an in-process engine, hammer it with M concurrent verifying
-         clients, report throughput and tail latency
-
      aqv_net workload --spec workloads/smoke.json --json out.json
          declarative traffic model: expand the spec's seed-fixed query
          trace (zipfian hot-set popularity, mixed top-k/range/KNN,
@@ -217,7 +212,7 @@ let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
     let engine = Engine.create config index in
     Stats.recovered (Engine.stats engine)
       ~torn_tail:(recovery.Store.torn_tail_bytes > 0)
-      ~coalesced:recovery.Store.coalesced;
+      ~coalesced:recovery.Store.replayed;
     let follower =
       Option.map
         (fun (host, port) -> Follower.start ~host ~engine ~port ())
@@ -231,10 +226,10 @@ let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     Printf.printf
-      "recovered epoch %d (snapshot epoch %d, %d delta(s) replayed, %d \
+      "recovered epoch %d (snapshot epoch %d, %d delta(s) replayed, \
        coalesced into one rebuild, %d skipped, %d torn byte(s) truncated)\n"
       recovery.Store.final_epoch recovery.Store.snapshot_epoch
-      recovery.Store.replayed recovery.Store.coalesced recovery.Store.skipped
+      recovery.Store.replayed recovery.Store.skipped
       recovery.Store.torn_tail_bytes;
     (let m = Aqv_util.Metrics.snapshot () in
      if m.Aqv_util.Metrics.memo_pair_hits > 0 || m.Aqv_util.Metrics.memo_fmh_hits > 0
@@ -314,9 +309,9 @@ let run_stats port =
 
 (* --------------------------- fsck / compact ------------------------- *)
 
-(* machine-readable reports (fsck --json, bench --json, workload
-   --json) all go through Aqv_util.Json; short aliases keep the report
-   builders readable *)
+(* machine-readable reports (fsck --json, workload --json) all go
+   through Aqv_util.Json; short aliases keep the report builders
+   readable *)
 let json_value = Json.to_string
 let jS s = Json.String s
 let jI n = Json.Int n
@@ -346,7 +341,7 @@ let run_fsck dir json =
               ("log_frames", jI r.Store.r_log_frames);
               ("replayed", jI r.Store.r_replayed);
               ("skipped", jI r.Store.r_skipped);
-              ("frames_coalesced", jI r.Store.r_coalesced);
+              ("frames_coalesced", jI r.Store.r_replayed);
               ("memo_pair_hits", jI m.Aqv_util.Metrics.memo_pair_hits);
               ("memo_fmh_hits", jI m.Aqv_util.Metrics.memo_fmh_hits);
               ("frag_hits", jI m.Aqv_util.Metrics.frag_hits);
@@ -362,7 +357,7 @@ let run_fsck dir json =
     Printf.printf "  log             %d frame(s): %d replayable, %d stale\n"
       r.Store.r_log_frames r.Store.r_replayed r.Store.r_skipped;
     Printf.printf "  replay          %d frame(s) coalesced into one rebuild\n"
-      r.Store.r_coalesced;
+      r.Store.r_replayed;
     (let m = Aqv_util.Metrics.snapshot () in
      Printf.printf "  rebuild cache   %d pair / %d fmh hit(s)\n"
        m.Aqv_util.Metrics.memo_pair_hits m.Aqv_util.Metrics.memo_fmh_hits;
@@ -387,22 +382,8 @@ let run_compact dir =
     Printf.printf "compacted %s: snapshot now at epoch %d (%d log frame(s) folded in)\n"
       dir recovery.Store.final_epoch frames
 
-(* ------------------------------- bench ------------------------------ *)
+(* -------------------------------- rig ------------------------------- *)
 
-(* Self-contained load generator: everything (owner, engine, M verifying
-   clients) in one process, so `aqv_net bench` is a one-command serving
-   baseline. Deterministic request streams per client via Prng splits;
-   wall-clock throughput and the latency histogram are the measurement.
-   With [--republish N] an owner thread drives N republishes through the
-   same engine while the query load runs, measuring republish latency
-   (apply + hot swap) under concurrent reads.
-
-   With [--replicas N] (N > 1) the same load instead runs against a
-   replication topology, all in-process: a primary engine with a hub,
-   N-1 follower engines tailing its delta stream, and an epoch-aware
-   router in front — clients connect to the router, republishes go to
-   the primary, and the read throughput should scale with N while every
-   reply still verifies. *)
 (* Shared in-process serving rig: a primary engine (with a hub when
    replicas > 1), follower engines tailing its delta stream, and an
    epoch-aware router in front — the same topology `aqv_net selftest`
@@ -488,181 +469,6 @@ let send_republish ~primary_port ~repub_hist ~repub_failures delta =
       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
   | _ -> incr repub_failures
   | exception _ -> incr repub_failures
-
-let run_bench records seed clients requests cache_capacity republish verify
-    replicas json_path =
-  setup_logging ();
-  let replicas = max 1 replicas in
-  let table = Workload.lines_1d ~n:records (Prng.create (Int64.of_int seed)) in
-  let keypair = Signer.generate ~bits:512 Signer.Rsa (Prng.create 1L) in
-  let index = Ifmh.build ~epoch:1 ~scheme:Ifmh.Multi_signature table keypair in
-  let bundle = Protocol.bundle_of_index index keypair.Signer.public in
-  let ctx = Protocol.client_ctx bundle in
-  let failures = ref 0 and failures_mu = Mutex.create () in
-  let repub_hist = Histogram.create () in
-  let repub_failures = ref 0 in
-  let hists = Array.make clients (Histogram.create ()) in
-  let wall = ref 0. in
-  let engine, replica_counts =
-    with_rig ~index ~cache_capacity ~max_conns:(clients + 8) ~replicas
-      (fun ~engine ~primary_port ~port ->
-        let client_thread i =
-          let prng = Prng.create (Int64.of_int ((seed * 1000) + i)) in
-          let hist = Histogram.create () in
-          Roundtrip.with_connection ~port (fun fd ->
-              for j = 0 to requests - 1 do
-                let x = Workload.weight_point table prng in
-                let l = Q.of_int (Prng.int_in prng 0 400) in
-                let u = Q.add l (Q.of_int (Prng.int_in prng 50 400)) in
-                let request, check =
-                  match j mod 3 with
-                  | 0 ->
-                    let q = Query.top_k ~x ~k:(1 + Prng.int prng 8) in
-                    ( Protocol.Run_query q,
-                      function Protocol.Answer r -> Client.accepts ctx q r | _ -> false )
-                  | 1 ->
-                    let q = Query.range ~x ~l ~u in
-                    ( Protocol.Run_query q,
-                      function Protocol.Answer r -> Client.accepts ctx q r | _ -> false )
-                  | _ ->
-                    ( Protocol.Run_count { x; l; u },
-                      function
-                      | Protocol.Count_answer r ->
-                        Result.is_ok (Count.verify ctx ~x ~l ~u r)
-                      | _ -> false )
-                in
-                let t0 = Unix.gettimeofday () in
-                let reply = Roundtrip.ask fd request in
-                let us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-                Histogram.observe hist us;
-                if verify && not (check reply) then begin
-                  Mutex.lock failures_mu;
-                  incr failures;
-                  Mutex.unlock failures_mu
-                end
-              done);
-          hist
-        in
-        (* owner thread: modify one record per epoch, republish over the
-           same wire protocol the clients use, time ask-to-ack *)
-        let repub_thread () =
-          let prng = Prng.create (Int64.of_int ((seed * 1000) + 999)) in
-          let cur = ref index in
-          for e = 2 to republish + 1 do
-            let id = Prng.int prng records in
-            let attrs =
-              [| Q.of_int (Prng.int_in prng 1 100); Q.of_int (Prng.int_in prng 0 500) |]
-            in
-            let changes = [ Update.Modify (Record.make ~id ~attrs ()) ] in
-            let next = Ifmh.apply ~epoch:e keypair changes !cur in
-            send_republish ~primary_port ~repub_hist ~repub_failures
-              (Ifmh.delta ~changes next);
-            cur := next
-          done
-        in
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init clients (fun i ->
-              Thread.create (fun () -> hists.(i) <- client_thread i) ())
-        in
-        let republisher =
-          if republish > 0 then Some (Thread.create repub_thread ()) else None
-        in
-        List.iter Thread.join threads;
-        wall := Unix.gettimeofday () -. t0;
-        Option.iter Thread.join republisher;
-        (* post-republish probe pass: replay client 0's deterministic
-           query stream once more after the last swap. The epoch
-           changed, so every probe misses the verbatim response cache
-           and falls back to fragment assembly — fragments warmed
-           before the swap hit for every window the modified records
-           did not touch, which is what the post-republish gauges
-           measure. Runs outside the timed window. *)
-        if republish > 0 then ignore (client_thread 0);
-        engine)
-  in
-  let wall = !wall in
-  let hist = Array.fold_left Histogram.merge (Histogram.create ()) hists in
-  let total = clients * requests in
-  let stats = Engine.stats engine in
-  Printf.printf "bench: %d records, %d clients x %d requests, %d replica(s)%s\n"
-    records clients requests replicas
-    (if verify then " (client-verified)" else "");
-  Printf.printf "  wall        %.3f s\n" wall;
-  Printf.printf "  throughput  %.0f req/s\n" (float_of_int total /. wall);
-  Printf.printf "  latency us  p50=%d p90=%d p99=%d max=%d\n"
-    (Histogram.percentile hist 50) (Histogram.percentile hist 90)
-    (Histogram.percentile hist 99) (Histogram.max_value hist);
-  Printf.printf "  cache       %d hits / %d misses\n" (Stats.get stats "cache_hits")
-    (Stats.get stats "cache_misses");
-  Engine.refresh_frag_stats engine;
-  let frag_rate hits misses =
-    float_of_int hits /. float_of_int (max 1 (hits + misses))
-  in
-  Printf.printf "  fragments   %d hits / %d misses (hit rate %.2f)\n"
-    (Stats.get stats "frag_hits")
-    (Stats.get stats "frag_misses")
-    (frag_rate (Stats.get stats "frag_hits") (Stats.get stats "frag_misses"));
-  Printf.printf "  bytes       %d in / %d out\n" (Stats.get stats "bytes_in")
-    (Stats.get stats "bytes_out");
-  if republish > 0 then begin
-    Printf.printf
-      "  republish   %d acked, latency us p50=%d p99=%d max=%d (under query load)\n"
-      (Histogram.count repub_hist)
-      (Histogram.percentile repub_hist 50)
-      (Histogram.percentile repub_hist 99)
-      (Histogram.max_value repub_hist);
-    Printf.printf "  rebuild     cache %d pair / %d fmh hit(s)\n"
-      (Stats.get stats "memo_pair_hits")
-      (Stats.get stats "memo_fmh_hits");
-    Printf.printf "  fragments   %d hits / %d misses post-republish (hit rate %.2f)\n"
-      (Stats.get stats "frag_hits_post_republish")
-      (Stats.get stats "frag_misses_post_republish")
-      (frag_rate
-         (Stats.get stats "frag_hits_post_republish")
-         (Stats.get stats "frag_misses_post_republish"))
-  end;
-  if replica_counts <> [] then begin
-    Printf.printf "  deltas      %d shipped to %d follower(s)\n"
-      (Stats.get stats "deltas_shipped")
-      (replicas - 1);
-    List.iter
-      (fun (name, n) -> Printf.printf "  replica     %-20s %d request(s)\n" name n)
-      replica_counts
-  end;
-  Printf.printf "  verify      %d failure(s)\n" (!failures + !repub_failures);
-  Option.iter
-    (fun path ->
-      write_file path
-        (json_value
-           (jO [
-                ("records", jI records);
-                ("clients", jI clients);
-                ("requests_per_client", jI requests);
-                ("replicas", jI replicas);
-                ("republished", jI (Histogram.count repub_hist));
-                ("wall_s", jF wall);
-                ("throughput_rps", jF (float_of_int total /. wall));
-                ("latency_us_p50", jI (Histogram.percentile hist 50));
-                ("latency_us_p90", jI (Histogram.percentile hist 90));
-                ("latency_us_p99", jI (Histogram.percentile hist 99));
-                ("latency_us_max", jI (Histogram.max_value hist));
-                ("deltas_shipped", jI (Stats.get stats "deltas_shipped"));
-                ("frag_hits", jI (Stats.get stats "frag_hits"));
-                ("frag_misses", jI (Stats.get stats "frag_misses"));
-                ("frag_hits_post_republish", jI (Stats.get stats "frag_hits_post_republish"));
-                ("frag_misses_post_republish", jI (Stats.get stats "frag_misses_post_republish"));
-                ( "post_republish_hit_rate",
-                  jF
-                    (frag_rate
-                       (Stats.get stats "frag_hits_post_republish")
-                       (Stats.get stats "frag_misses_post_republish")) );
-                ("verify_failures", jI (!failures + !repub_failures));
-                ("per_replica", jO (List.map (fun (name, n) -> (name, jI n)) replica_counts));
-              ])
-        ^ "\n"))
-    json_path;
-  if !failures + !repub_failures > 0 then exit 1
 
 (* ------------------------------ workload ----------------------------- *)
 
@@ -1300,18 +1106,6 @@ let l_t = Arg.(value & opt string "0" & info [ "l" ])
 let u_t = Arg.(value & opt string "100" & info [ "u" ])
 let y_t = Arg.(value & opt string "0" & info [ "y" ])
 let at_t = Arg.(value & opt string "0.5" & info [ "at"; "x" ])
-let clients_t = Arg.(value & opt int 8 & info [ "clients" ] ~docv:"M")
-let requests_t = Arg.(value & opt int 50 & info [ "requests" ] ~docv:"R")
-
-let no_verify_t =
-  Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip client-side verification.")
-
-let republish_t =
-  Arg.(
-    value & opt int 0
-    & info [ "republish" ] ~docv:"N"
-        ~doc:"Drive N owner republishes through the engine during the query load.")
-
 let follow_t =
   Arg.(
     value
@@ -1331,20 +1125,6 @@ let port_file_t =
 
 let fsck_json_t =
   Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable report on stdout.")
-
-let bench_replicas_t =
-  Arg.(
-    value & opt int 1
-    & info [ "replicas" ] ~docv:"N"
-        ~doc:
-          "Serve the load from N replicas (a primary, N-1 followers tailing \
-           its delta stream, and an epoch-aware router in front).")
-
-let bench_json_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE" ~doc:"Write machine-readable results here.")
 
 let replicas_t =
   Arg.(
@@ -1398,16 +1178,6 @@ let compact_cmd =
     (Cmd.info "compact"
        ~doc:"Fold the delta log into a fresh snapshot at the current epoch.")
     Term.(const run_compact $ dir_t)
-
-let bench_cmd =
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Load generator: in-process engine + M concurrent verifying clients.")
-    Term.(
-      const run_bench $ records_t $ seed_t $ clients_t $ requests_t $ cache_t
-      $ republish_t
-      $ Term.app (Term.const not) no_verify_t
-      $ bench_replicas_t $ bench_json_t)
 
 let spec_t =
   Arg.(
@@ -1464,7 +1234,6 @@ let () =
             stats_cmd;
             fsck_cmd;
             compact_cmd;
-            bench_cmd;
             workload_cmd;
             selftest_cmd;
           ]))

@@ -355,38 +355,18 @@ let logical_size_bytes t =
 let outside_domain x0 =
   invalid_arg (Printf.sprintf "Mesh.locate_cell: point %s outside domain" (Q.to_string x0))
 
-(* Linear-scan reference: the original O(S) location, kept as the
-   semantic oracle for the binary search below (test_core qchecks the
-   two agree at random points, exact facets and domain endpoints). Cells
-   are half-open [lob, hib), the last cell right-closed, so a point
-   exactly on a facet belongs to the cell on its right. *)
-let locate_cell_scan t x0 =
-  let ncells = Array.length t.cells in
-  let rec scan c =
-    if c >= ncells then outside_domain x0
-    else begin
-      Aqv_util.Metrics.add_mesh_cells 1;
-      Aqv_util.Metrics.add_locate_sign_tests 1;
-      let cell = t.cells.(c) in
-      let inside =
-        Q.compare cell.lob x0 <= 0
-        && (Q.compare x0 cell.hib < 0 || c = ncells - 1)
-      in
-      if inside then c else scan (c + 1)
-    end
-  in
-  scan 0
-
 (* O(log S) point location: binary search for the greatest cell whose
-   left bound does not exceed [x0]. Cells partition the domain with
-   strictly increasing [lob], so this is exactly the cell the scan
-   stops at: for any c < c* the scan's [x0 < hib] test fails (hib_c =
-   lob_{c+1} <= x0), and at c* it succeeds (or c* is the right-closed
-   last cell). Facet ties need no slack here — the half-open convention
-   makes every exact comparison unambiguous, the same reason
-   [Region.strictly_feasible] pads interior witnesses {e away} from
-   facets elsewhere. Every probe is one exact-rational comparison,
-   ticked in both the mesh-cell and the location sign-test counters. *)
+   left bound does not exceed [x0]. Cells are half-open [lob, hib), the
+   last cell right-closed, and partition the domain with strictly
+   increasing [lob], so this is exactly the cell a left-to-right scan
+   stops at (the linear-scan reference in test/ref): for any c < c* the
+   scan's [x0 < hib] test fails (hib_c = lob_{c+1} <= x0), and at c* it
+   succeeds (or c* is the right-closed last cell). Facet ties need no
+   slack here — the half-open convention makes every exact comparison
+   unambiguous, the same reason [Region.strictly_feasible] pads
+   interior witnesses {e away} from facets elsewhere. Every probe is
+   one exact-rational comparison, ticked in both the mesh-cell and the
+   location sign-test counters. *)
 let locate_cell t x0 =
   let ncells = Array.length t.cells in
   if ncells = 0 then outside_domain x0;

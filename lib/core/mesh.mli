@@ -85,13 +85,7 @@ val locate_cell : t -> Aqv_num.Rational.t -> int
     Every boundary probe ticks the mesh-cell and location sign-test
     counters in {!Aqv_util.Metrics}.
     @raise Invalid_argument left of the domain (points right of it
-    clamp to the last cell, as the scan always did). *)
-
-val locate_cell_scan : t -> Aqv_num.Rational.t -> int
-(** The original O(S) linear scan, kept as the semantic reference:
-    [locate_cell] must agree with it everywhere, including exact facet
-    points and the domain endpoints (qcheck'd in [test/test_core.ml]).
-    Same counters, one tick per scanned cell. *)
+    clamp to the last cell). *)
 
 val cell_bounds : t -> (Aqv_num.Rational.t * Aqv_num.Rational.t) array
 (** Per-cell [(lob, hib)] intervals, left to right — the boundary

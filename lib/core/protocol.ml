@@ -59,10 +59,6 @@ let encode_x w x =
   W.varint w (Array.length x);
   Array.iter (Q.encode w) x
 
-let decode_x r =
-  let d = W.read_varint r in
-  Array.init d (fun _ -> Q.decode r)
-
 let encode_request w = function
   | Run_query q ->
     W.u8 w 0;
@@ -92,11 +88,11 @@ let decode_request r =
   match W.read_u8 r with
   | 0 -> Run_query (Query.decode r)
   | 1 ->
-    let x = decode_x r in
+    let x = W.read_array r Q.decode in
     let record_id = W.read_varint r in
     Run_rank { x; record_id }
   | 2 ->
-    let x = decode_x r in
+    let x = W.read_array r Q.decode in
     let l = Q.decode r in
     let u = Q.decode r in
     Run_count { x; l; u }

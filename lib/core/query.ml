@@ -55,8 +55,7 @@ let encode w t =
 let decode r =
   let module W = Aqv_util.Wire in
   let tag = W.read_u8 r in
-  let d = W.read_varint r in
-  let x = Array.init d (fun _ -> Q.decode r) in
+  let x = W.read_array r Q.decode in
   match tag with
   | 0 ->
     let k = W.read_varint r in

@@ -29,8 +29,7 @@ let encode w t =
 
 let decode r =
   let id = W.read_varint r in
-  let n = W.read_varint r in
-  let attrs = Array.init n (fun _ -> Q.decode r) in
+  let attrs = W.read_array r Q.decode in
   let payload = W.read_bytes r in
   { id; attrs; payload }
 

@@ -42,9 +42,8 @@ let encode w t =
   Array.iter (Q.encode w) t.hi
 
 let decode r =
-  let d = Aqv_util.Wire.read_varint r in
-  let lo = Array.init d (fun _ -> Q.decode r) in
-  let hi = Array.init d (fun _ -> Q.decode r) in
+  let lo = Aqv_util.Wire.read_array r Q.decode in
+  let hi = Array.init (Array.length lo) (fun _ -> Q.decode r) in
   { lo; hi }
 
 let equal a b =

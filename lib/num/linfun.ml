@@ -72,8 +72,7 @@ let encode w t =
 
 let decode r =
   let module W = Aqv_util.Wire in
-  let d = W.read_varint r in
-  let coeffs = Array.init d (fun _ -> Q.decode r) in
+  let coeffs = W.read_array r Q.decode in
   let const = Q.decode r in
   { coeffs; const }
 

@@ -39,7 +39,7 @@ val recovered : t -> torn_tail:bool -> coalesced:int -> unit
 (** The serving index was recovered from a durable store at startup;
     [torn_tail] records whether a partial trailing log frame had to be
     truncated, [coalesced] how many log frames were folded into the
-    single recovery rebuild (0 under sequential replay). *)
+    single recovery rebuild. *)
 
 val add_memo_hits : t -> pairs:int -> fmh:int -> unit
 (** Accumulate rebuild-cache hits (pair geometry / FMH-trees, from the

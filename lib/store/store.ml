@@ -8,8 +8,6 @@ type policy = { max_log_frames : int; max_log_bytes : int }
    than under the old frame-by-frame replay (64 frames / 16 MiB). *)
 let default_policy = { max_log_frames = 256; max_log_bytes = 64 * 1024 * 1024 }
 
-type replay_mode = [ `Coalesced | `Sequential ]
-
 type t = {
   dir : string;
   policy : policy;
@@ -22,7 +20,6 @@ type recovery = {
   final_epoch : int;
   replayed : int;
   skipped : int;
-  coalesced : int;
   torn_tail_bytes : int;
 }
 
@@ -42,56 +39,33 @@ let publish ?(policy = default_policy) ~dir index =
   let wal = Wal.create ~path:(wal_path dir) in
   { dir; policy; fault = Fault.create (); wal }
 
-(* Replay the validated log over the snapshot image. Frames whose base
-   epoch is below the current one are leftovers of an interrupted
-   compaction (snapshot rewritten, log not yet reset) and are skipped;
-   a frame that jumps ahead means the log does not continue this
-   snapshot and recovery must refuse. *)
-let replay_sequential ?pool ~file index0 frames =
-  let rec go i index replayed skipped = function
-    | [] -> Ok (index, replayed, skipped, 0)
-    | (f : Wal.frame) :: rest -> (
-        let cur = Ifmh.epoch index in
-        if f.base_epoch < cur then go (i + 1) index replayed (skipped + 1) rest
-        else if f.base_epoch > cur then
-          Error
-            (Error.Epoch_gap
-               { file; frame = i; base_epoch = f.base_epoch; current_epoch = cur })
-        else
-          match
-            let d = Ifmh.decode_delta (Wire.reader f.delta) in
-            Ifmh.apply_delta ?pool d index
-          with
-          | exception Failure m ->
-              Error (Error.Replay_failed { file; frame = i; reason = m })
-          | exception Invalid_argument m ->
-              Error (Error.Replay_failed { file; frame = i; reason = m })
-          | index' -> go (i + 1) index' (replayed + 1) skipped rest)
-  in
-  go 0 index0 0 0 frames
-
-(* Coalesced replay: every accepted frame costs a full structure rebuild
-   under [replay_sequential], so recovering a k-frame log pays k
-   rebuilds for one final answer. Instead, walk the log simulating only
-   the epoch chain (stale frames are skipped without even decoding — a
-   skipped frame must never be folded in), fold the surviving change
+(* Replay the validated log over the snapshot image, coalesced:
+   applying frame by frame would cost one full structure rebuild per
+   accepted frame, k rebuilds for one final answer. Instead, walk the
+   log simulating only the epoch chain, fold the surviving change
    lists into one net list with [Update.compose], and replay a single
    synthetic delta carrying the last frame's epoch and signatures: one
    rebuild regardless of log length. [Update.compose] guarantees the
    net list reproduces the sequential result positionally, and the
    apply == rebuild invariant does the rest — the recovered index is
-   byte-identical to the sequential replay (test_store asserts it frame
-   prefix by frame prefix).
+   byte-identical to a frame-by-frame replay (test_store asserts it
+   frame prefix by frame prefix against the reference in test/ref).
+
+   Frames whose base epoch is below the current one are leftovers of an
+   interrupted compaction (snapshot rewritten, log not yet reset) and
+   are skipped without even decoding — a skipped frame must never be
+   folded in; a frame that jumps ahead means the log does not continue
+   this snapshot and recovery must refuse.
 
    Validation parity: [compose ~exists] (over the snapshot's record
    ids) rejects a syntactically invalid sequence at the offending frame
-   with the message sequential replay would produce. What is *not*
+   with the message frame-by-frame replay would produce. What is *not*
    re-checked per frame is the payload of intermediate frames
    (signature counts, transient emptiness) — those versions are never
    served, and the final frame's payload is fully validated by
    [Ifmh.apply_delta]; such a divergence is attributed to the last
    accepted frame. *)
-let replay_coalesced ?pool ~file index0 frames =
+let replay ?pool ~file index0 frames =
   let base_ids = Hashtbl.create 64 in
   Array.iter
     (fun r -> Hashtbl.replace base_ids (Aqv_db.Record.id r) ())
@@ -127,24 +101,15 @@ let replay_coalesced ?pool ~file index0 frames =
   in
   match fold 0 (Ifmh.epoch index0) [] None 0 0 frames with
   | Error e -> Error e
-  | Ok (_, None, _, skipped) -> Ok (index0, 0, skipped, 0)
+  | Ok (_, None, _, skipped) -> Ok (index0, 0, skipped)
   | Ok (changes, Some (li, last), replayed, skipped) -> (
       match Ifmh.apply_delta ?pool (Ifmh.delta_with_changes changes last) index0 with
       | exception Failure m -> Error (Error.Replay_failed { file; frame = li; reason = m })
       | exception Invalid_argument m ->
           Error (Error.Replay_failed { file; frame = li; reason = m })
-      | index -> Ok (index, replayed, skipped, replayed))
+      | index -> Ok (index, replayed, skipped))
 
-(* [replay] is also the name of the mode argument of [open_dir]/[fsck],
-   hence the [_with]. *)
-let replay_with ?pool ~mode ~file index0 frames =
-  match mode with
-  | `Sequential -> replay_sequential ?pool ~file index0 frames
-  | `Coalesced -> replay_coalesced ?pool ~file index0 frames
-
-let open_dir ?pool ?(policy = default_policy) ?(fault = Fault.create ())
-    ?(replay = `Coalesced) dir =
-  let mode = replay in
+let open_dir ?pool ?(policy = default_policy) ?(fault = Fault.create ()) dir =
   match Snapshot.read ?pool ~fault ~path:(snapshot_path dir) () with
   | Error e -> Error e
   | Ok (index0, hdr) -> (
@@ -161,7 +126,6 @@ let open_dir ?pool ?(policy = default_policy) ?(fault = Fault.create ())
                   final_epoch = hdr.epoch;
                   replayed = 0;
                   skipped = 0;
-                  coalesced = 0;
                   torn_tail_bytes = torn;
                 } )
       in
@@ -179,9 +143,9 @@ let open_dir ?pool ?(policy = default_policy) ?(fault = Fault.create ())
               with
               | exception Error.Error e -> Error e
               | () -> (
-              match replay_with ?pool ~mode ~file:wp index0 sc.scanned with
+              match replay ?pool ~file:wp index0 sc.scanned with
               | Error e -> Error e
-              | Ok (index, replayed, skipped, coalesced) -> (
+              | Ok (index, replayed, skipped) -> (
                   match
                     Wal.open_append ~path:wp ~bytes:sc.valid_bytes
                       ~frames:(List.length sc.scanned)
@@ -196,7 +160,6 @@ let open_dir ?pool ?(policy = default_policy) ?(fault = Fault.create ())
                             final_epoch = Ifmh.epoch index;
                             replayed;
                             skipped;
-                            coalesced;
                             torn_tail_bytes = sc.torn_bytes;
                           } ))))
 
@@ -244,17 +207,15 @@ type report = {
   r_log_frames : int;
   r_replayed : int;
   r_skipped : int;
-  r_coalesced : int;
   r_torn_tail_bytes : int;
 }
 
-let fsck ?pool ?(replay = `Coalesced) dirname =
-  let mode = replay in
+let fsck ?pool dirname =
   match Snapshot.read ?pool ~path:(snapshot_path dirname) () with
   | Error e -> Error e
   | Ok (index0, hdr) -> (
       let wp = wal_path dirname in
-      let finish ~frames ~replayed ~skipped ~coalesced ~torn ~final =
+      let finish ~frames ~replayed ~skipped ~torn ~final =
         Ok
           {
             r_scheme = hdr.scheme;
@@ -265,24 +226,23 @@ let fsck ?pool ?(replay = `Coalesced) dirname =
             r_log_frames = frames;
             r_replayed = replayed;
             r_skipped = skipped;
-            r_coalesced = coalesced;
             r_torn_tail_bytes = torn;
           }
       in
       if not (Sys.file_exists wp) then
-        finish ~frames:0 ~replayed:0 ~skipped:0 ~coalesced:0 ~torn:0 ~final:hdr.epoch
+        finish ~frames:0 ~replayed:0 ~skipped:0 ~torn:0 ~final:hdr.epoch
       else
         match Wal.scan ~path:wp () with
         | Error e -> Error e
         | Ok sc -> (
             if sc.valid_bytes < 8 then
-              finish ~frames:0 ~replayed:0 ~skipped:0 ~coalesced:0
+              finish ~frames:0 ~replayed:0 ~skipped:0
                 ~torn:sc.valid_bytes ~final:hdr.epoch
             else
-              match replay_with ?pool ~mode ~file:wp index0 sc.scanned with
+              match replay ?pool ~file:wp index0 sc.scanned with
               | Error e -> Error e
-              | Ok (index, replayed, skipped, coalesced) ->
+              | Ok (index, replayed, skipped) ->
                   finish
                     ~frames:(List.length sc.scanned)
-                    ~replayed ~skipped ~coalesced ~torn:sc.torn_bytes
+                    ~replayed ~skipped ~torn:sc.torn_bytes
                     ~final:(Ifmh.epoch index)))

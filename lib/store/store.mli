@@ -11,10 +11,16 @@
     - {!open_dir} recovery replays the log with [Ifmh.apply_delta],
       which rebuilds the structure exactly as the hot-swap path did, so
       the recovered index is byte-identical to what a never-crashed
-      server would serve (the apply == rebuild invariant). By default
-      the surviving frames are {e coalesced} first — folded into one
-      net change list with [Update.compose] — so a k-frame log costs
-      one rebuild, not k, with the identical final index;
+      server would serve (the apply == rebuild invariant). The
+      surviving frames are {e coalesced} first — folded into one net
+      change list with [Update.compose] — so a k-frame log costs one
+      rebuild, not k, with the identical final index. Invalid logs are
+      rejected at the same frame with the same typed error a
+      frame-by-frame replay gives, except for checks only an
+      intermediate version could trip (signature counts, transient
+      emptiness): those are deferred to the final [Ifmh.apply_delta]
+      and attributed to the last accepted frame — intermediate
+      versions are never served;
     - a torn log tail (crash mid-append) is truncated; every other
       corruption mode is a typed {!Error.t} and nothing is served.
 
@@ -36,27 +42,11 @@ val default_policy : policy
     frame-by-frame replay (64 frames / 16 MiB) before compaction pays
     for itself — see bench [abl-recovery]. *)
 
-type replay_mode = [ `Coalesced | `Sequential ]
-(** How recovery replays the log. [`Coalesced] (the default) folds the
-    surviving frames into one net change list ([Update.compose]) and
-    rebuilds once, carrying the last frame's epoch and signatures;
-    [`Sequential] rebuilds frame by frame. Both land on byte-identical
-    indexes and reject invalid logs at the same frame with the same
-    typed error — except checks only an intermediate version could
-    trip (signature counts, transient emptiness), which coalescing
-    defers to the final [Ifmh.apply_delta] and attributes to the last
-    accepted frame; intermediate versions are never served.
-    [`Sequential] exists for that identity test and for debugging a
-    log frame by frame. *)
-
 type recovery = {
   snapshot_epoch : int;
   final_epoch : int;  (** epoch after replay — what the engine serves *)
-  replayed : int;  (** frames applied *)
+  replayed : int;  (** frames folded into the single recovery rebuild *)
   skipped : int;  (** stale frames below the snapshot epoch (torn compaction) *)
-  coalesced : int;
-      (** frames folded into the single recovery rebuild — [replayed]
-          under [`Coalesced], 0 under [`Sequential] *)
   torn_tail_bytes : int;  (** garbage truncated from the log tail *)
 }
 
@@ -72,12 +62,11 @@ val open_dir :
   ?pool:Aqv_par.Pool.pool ->
   ?policy:policy ->
   ?fault:Fault.t ->
-  ?replay:replay_mode ->
   string ->
   (t * Aqv.Ifmh.t * recovery, Error.t) result
 (** Recover: validate the snapshot, scan the log, truncate a torn tail,
-    replay surviving deltas (default [`Coalesced]: one rebuild for the
-    whole log). Never raises on bad input. *)
+    replay surviving deltas (coalesced: one rebuild for the whole log).
+    Never raises on bad input. *)
 
 val append : t -> base:Aqv.Ifmh.t -> Aqv.Ifmh.delta -> unit
 (** Log one accepted delta ([base] is the index it applies to; its
@@ -120,13 +109,10 @@ type report = {
   r_log_frames : int;
   r_replayed : int;
   r_skipped : int;
-  r_coalesced : int;
   r_torn_tail_bytes : int;
 }
 
 val fsck :
-  ?pool:Aqv_par.Pool.pool -> ?replay:replay_mode -> string ->
-  (report, Error.t) result
+  ?pool:Aqv_par.Pool.pool -> string -> (report, Error.t) result
 (** Read-only health check: validates snapshot + log and dry-runs the
-    replay (default [`Coalesced]) without truncating or modifying
-    anything. *)
+    replay without truncating or modifying anything. *)

@@ -79,4 +79,11 @@ let read_list r f =
   let n = read_varint r in
   List.init n (fun _ -> f r)
 
+(* Every element costs at least one byte, so a count larger than the
+   bytes left is a lie: refuse it before [Array.init] allocates it. *)
+let read_array r f =
+  let n = read_varint r in
+  if n > String.length r.data - r.pos then failwith "Wire: truncated";
+  Array.init n (fun _ -> f r)
+
 let at_end r = r.pos = String.length r.data

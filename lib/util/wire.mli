@@ -36,4 +36,11 @@ val read_varint : reader -> int
 val read_int : reader -> int
 val read_bytes : reader -> string
 val read_list : reader -> (reader -> 'a) -> 'a list
+
+val read_array : reader -> (reader -> 'a) -> 'a array
+(** Length-prefixed array, as written by [varint] then the elements.
+    Elements are read in order. Every element must cost at least one
+    byte: a length larger than the bytes left in the reader fails with
+    [Failure "Wire: truncated"] before anything is allocated. *)
+
 val at_end : reader -> bool

@@ -18,6 +18,7 @@ module Pool = Aqv_par.Pool
 module Signer = Aqv_crypto.Signer
 module Table = Aqv_db.Table
 module Workload = Aqv_db.Workload
+module Crossings_ref = Aqv_ref.Crossings_ref
 open Aqv
 
 let check = Alcotest.check

@@ -14,6 +14,7 @@ module Table = Aqv_db.Table
 module Template = Aqv_db.Template
 module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
+module Mesh_ref = Aqv_ref.Mesh_ref
 open Aqv
 
 let check = Alcotest.check
@@ -592,7 +593,7 @@ let test_locate_binary_eq_scan () =
       List.iter
         (fun x ->
           let b = Mesh.locate_cell mesh x in
-          let s = Mesh.locate_cell_scan mesh x in
+          let s = Mesh_ref.locate_cell_scan mesh x in
           if b <> s then
             Alcotest.failf "n=%d: binary=%d scan=%d at x=%s" n b s (Q.to_string x);
           let l, h = bounds.(min b (ncells - 1)) in
@@ -612,10 +613,10 @@ let test_locate_outside_domain () =
   Alcotest.check_raises "binary raises left of domain" (Invalid_argument msg) (fun () ->
       ignore (Mesh.locate_cell mesh left));
   Alcotest.check_raises "scan raises left of domain" (Invalid_argument msg) (fun () ->
-      ignore (Mesh.locate_cell_scan mesh left));
-  (* right of the domain clamps to the last cell, as the scan always did *)
+      ignore (Mesh_ref.locate_cell_scan mesh left));
+  (* right of the domain clamps to the last cell, as the scan does *)
   let right = Q.add hi Q.one in
-  check Alcotest.int "clamps right of domain" (Mesh.locate_cell_scan mesh right)
+  check Alcotest.int "clamps right of domain" (Mesh_ref.locate_cell_scan mesh right)
     (Mesh.locate_cell mesh right)
 
 (* CI guard: location cost must grow sub-linearly in the subdomain

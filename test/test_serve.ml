@@ -290,6 +290,19 @@ let test_malformed_frames_refused_inline () =
           expect_refused "junk request tag" "\xff";
           expect_refused "zero-length frame" "";
           expect_refused "negative array length" ("\x01" ^ negative_varint);
+          (* an array length of 2^40 followed by one honest rational: the
+             decoder must refuse it from the bytes received, not try to
+             allocate it *)
+          let huge_array tags =
+            let w = Wire.writer () in
+            List.iter (Wire.u8 w) tags;
+            Wire.varint w (1 lsl 40);
+            Q.encode w Q.one;
+            Wire.contents w
+          in
+          expect_refused "huge Run_query x" (huge_array [ 0; 0 ]);
+          expect_refused "huge Run_rank x" (huge_array [ 1 ]);
+          expect_refused "huge Run_count x" (huge_array [ 2 ]);
           (* the same session keeps serving honest requests afterwards *)
           let w = Wire.writer () in
           Protocol.encode_request w (Protocol.Run_query (topk_query 3));

@@ -24,6 +24,7 @@ module Fault = Aqv_store.Fault
 module Snapshot = Aqv_store.Snapshot
 module Wal = Aqv_store.Wal
 module Store = Aqv_store.Store
+module Store_ref = Aqv_ref.Store_ref
 module Engine = Aqv_serve.Engine
 module Stats = Aqv_serve.Stats
 module Roundtrip = Aqv_serve.Roundtrip
@@ -251,14 +252,38 @@ let test_wal_roundtrip () =
             check Alcotest.string "delta bytes" a.Wal.delta b.Wal.delta)
           frames sc.Wal.scanned)
 
+(* Coalesced recovery ([Store.open_dir]) against the frame-by-frame
+   reference replay in test/ref: the same bytes, final epoch, replayed
+   and skipped counts. The reference reads first, since [open_dir]
+   truncates a torn tail (the reference only skips it). *)
+let recover_vs_ref dir =
+  match Store_ref.recover dir with
+  | Error e -> Error ("reference recovery errored: " ^ Serror.to_string e)
+  | Ok r -> (
+    match Store.open_dir dir with
+    | Error e -> Error ("coalesced recovery errored: " ^ Serror.to_string e)
+    | Ok (store, index, recovery) ->
+      Store.close store;
+      let mismatch what a b =
+        Error (Printf.sprintf "coalesced %s %d, reference %d" what a b)
+      in
+      if not (String.equal (save_bytes index) (save_bytes r.Store_ref.index)) then
+        Error "coalesced bytes differ from the reference replay"
+      else if recovery.Store.final_epoch <> r.Store_ref.final_epoch then
+        mismatch "final epoch" recovery.Store.final_epoch r.Store_ref.final_epoch
+      else if recovery.Store.replayed <> r.Store_ref.replayed then
+        mismatch "replayed" recovery.Store.replayed r.Store_ref.replayed
+      else if recovery.Store.skipped <> r.Store_ref.skipped then
+        mismatch "skipped" recovery.Store.skipped r.Store_ref.skipped
+      else Ok (index, recovery))
+
 (* --------------------- torn-tail property test ---------------------- *)
 
 (* Truncate the log at EVERY byte offset: scan must always succeed and
    yield a prefix of the appended frames; full recovery, checked once
    per distinct prefix length, must serve exactly the epoch that prefix
-   reaches — under BOTH replay modes, byte-identically, with the
-   coalesced counter reporting how many frames were folded (0 when
-   replaying frame-by-frame). *)
+   reaches, byte-identically to the frame-by-frame reference, with
+   every surviving frame folded into the one rebuild. *)
 let prop_torn_tail ~dims ~scheme seed =
   with_dir (fun dir ->
       let prng = Prng.create (Int64.of_int seed) in
@@ -283,31 +308,25 @@ let prop_torn_tail ~dims ~scheme seed =
           end
           else if not checked.(m) then begin
             checked.(m) <- true;
-            List.iter
-              (fun (mode, mode_name, want_coalesced) ->
-                match Store.open_dir ~replay:mode dir with
-                | Error e ->
-                  ok := false;
-                  Printf.printf "%s recovery at cut %d errored: %s\n" mode_name
-                    cut (Serror.to_string e)
-                | Ok (store, index, recovery) ->
-                  Store.close store;
-                  if not (String.equal (save_bytes index) images.(m)) then begin
-                    ok := false;
-                    Printf.printf "cut %d: %s recovered bytes differ at prefix %d\n"
-                      cut mode_name m
-                  end;
-                  if recovery.Store.final_epoch <> 1 + m then begin
-                    ok := false;
-                    Printf.printf "cut %d: %s epoch %d, want %d\n" cut mode_name
-                      recovery.Store.final_epoch (1 + m)
-                  end;
-                  if recovery.Store.coalesced <> want_coalesced then begin
-                    ok := false;
-                    Printf.printf "cut %d: %s coalesced %d, want %d\n" cut
-                      mode_name recovery.Store.coalesced want_coalesced
-                  end)
-              [ (`Coalesced, "coalesced", m); (`Sequential, "sequential", 0) ]
+            match recover_vs_ref dir with
+            | Error msg ->
+              ok := false;
+              Printf.printf "cut %d: %s\n" cut msg
+            | Ok (index, recovery) ->
+              if not (String.equal (save_bytes index) images.(m)) then begin
+                ok := false;
+                Printf.printf "cut %d: recovered bytes differ at prefix %d\n" cut m
+              end;
+              if recovery.Store.final_epoch <> 1 + m then begin
+                ok := false;
+                Printf.printf "cut %d: epoch %d, want %d\n" cut
+                  recovery.Store.final_epoch (1 + m)
+              end;
+              if recovery.Store.replayed <> m then begin
+                ok := false;
+                Printf.printf "cut %d: coalesced %d frame(s), want %d\n" cut
+                  recovery.Store.replayed m
+              end
           end)
       done;
       (* every prefix length must actually occur (cut at exact frame
@@ -445,20 +464,14 @@ let test_coalesce_skips_stale_frame () =
       (* crash mid-compaction: the snapshot already carries epoch 2, the
          log still holds the epoch-1 frame ahead of the live one *)
       Snapshot.write ~path:(Store.snapshot_path dir) index2;
-      List.iter
-        (fun (mode, want_coalesced) ->
-          match Store.open_dir ~replay:mode dir with
-          | Error e -> Alcotest.failf "recovery failed: %s" (Serror.to_string e)
-          | Ok (store, index, recovery) ->
-            Store.close store;
-            check Alcotest.string "live frame replayed over new snapshot"
-              (hex (save_bytes index3))
-              (hex (save_bytes index));
-            check Alcotest.int "stale frame skipped" 1 recovery.Store.skipped;
-            check Alcotest.int "live frame replayed" 1 recovery.Store.replayed;
-            check Alcotest.int "only the live frame coalesced" want_coalesced
-              recovery.Store.coalesced)
-        [ (`Coalesced, 1); (`Sequential, 0) ])
+      match recover_vs_ref dir with
+      | Error msg -> Alcotest.fail msg
+      | Ok (index, recovery) ->
+        check Alcotest.string "live frame replayed over new snapshot"
+          (hex (save_bytes index3))
+          (hex (save_bytes index));
+        check Alcotest.int "stale frame skipped" 1 recovery.Store.skipped;
+        check Alcotest.int "only the live frame coalesced" 1 recovery.Store.replayed)
 
 (* Inserts, deletes, modifies and a delete-then-reinsert spread over
    several frames: the coalesced single-rebuild recovery, the
@@ -488,20 +501,14 @@ let test_coalesce_mixed_frames () =
           index1 frames
       in
       Store.close store;
-      List.iter
-        (fun (mode, want_coalesced) ->
-          match Store.open_dir ~replay:mode dir with
-          | Error e -> Alcotest.failf "recovery failed: %s" (Serror.to_string e)
-          | Ok (store, index, recovery) ->
-            Store.close store;
-            check Alcotest.string "recovered = hot-swapped"
-              (hex (save_bytes final))
-              (hex (save_bytes index));
-            check Alcotest.int "all frames replayed" 3 recovery.Store.replayed;
-            check Alcotest.int "coalesced count" want_coalesced
-              recovery.Store.coalesced;
-            check Alcotest.int "final epoch" 4 recovery.Store.final_epoch)
-        [ (`Coalesced, 3); (`Sequential, 0) ])
+      match recover_vs_ref dir with
+      | Error msg -> Alcotest.fail msg
+      | Ok (index, recovery) ->
+        check Alcotest.string "recovered = hot-swapped"
+          (hex (save_bytes final))
+          (hex (save_bytes index));
+        check Alcotest.int "all frames coalesced" 3 recovery.Store.replayed;
+        check Alcotest.int "final epoch" 4 recovery.Store.final_epoch)
 
 let test_compaction_policy () =
   with_dir (fun dir ->
