@@ -27,6 +27,7 @@ module Workload = Aqv_db.Workload
 module Pool = Aqv_par.Pool
 module Mesh_ref = Aqv_ref.Mesh_ref
 module Store_ref = Aqv_ref.Store_ref
+module Bigint_ref = Aqv_ref.Bigint_ref
 open Aqv
 
 let scale =
@@ -556,7 +557,7 @@ let abl_montgomery () =
   in
   let (), t_plain =
     time (fun () ->
-        for _ = 1 to reps do ignore (Z.mod_pow_plain ~base:b ~exp:e ~modulus:m) done)
+        for _ = 1 to reps do ignore (Bigint_ref.mod_pow_plain ~base:b ~exp:e ~modulus:m) done)
   in
   row "%-28s %10.3f ms/op\n" "Montgomery (windowed)" (t_mont /. float_of_int reps *. 1000.);
   row "%-28s %10.3f ms/op\n" "plain square-and-multiply" (t_plain /. float_of_int reps *. 1000.);
@@ -586,59 +587,6 @@ let abl_depth () =
         (Itree.max_depth rand) (Itree.average_leaf_depth rand) (Itree.max_depth lex)
         (Itree.average_leaf_depth lex))
     [ 50; 100; 200 ]
-
-let abl_storage () =
-  header "Ablation — FMH storage: persistent snapshots vs recompute-on-query";
-  let n = scaled 300 in
-  let table = table_of n in
-  row "(n = %d)\n" n;
-  let build storage =
-    Gc.compact ();
-    let before_heap = Gc.((stat ()).live_words) in
-    let index, t_build =
-      time (fun () ->
-          Ifmh.build ~fmh_storage:storage ~scheme:Ifmh.One_signature table dry_signer)
-    in
-    Gc.compact ();
-    let after_heap = Gc.((stat ()).live_words) in
-    (index, t_build, after_heap - before_heap)
-  in
-  let per_query index =
-    let index = Ifmh.without_fragment_cache index in
-    let rng = query_rng () in
-    Metrics.reset ();
-    let before = Metrics.snapshot () in
-    for _ = 1 to 20 do
-      ignore (Server.answer index (topk_query 3 table rng))
-    done;
-    let d = Metrics.diff (Metrics.snapshot ()) before in
-    d.Metrics.hash_ops / 20
-  in
-  let idx_snap, t_snap, mem_snap = build Sorting.Snapshot in
-  let h_snap = per_query idx_snap in
-  let idx_lazy, t_lazy, mem_lazy = build Sorting.Recompute in
-  let h_lazy = per_query idx_lazy in
-  row "%-12s %14s %16s %18s\n" "storage" "build (s)" "live words" "hashes/query";
-  row "%-12s %14.2f %16d %18d\n" "snapshot" t_snap mem_snap h_snap;
-  row "%-12s %14.2f %16d %18d\n%!" "recompute" t_lazy mem_lazy h_lazy
-
-let abl_vo_compact () =
-  header "Ablation — VO encoding: plain vs record-deduplicated (one-signature)";
-  row "%8s %12s %12s %10s\n" "n" "plain B" "compact B" "saving";
-  List.iter
-    (fun n ->
-      let n = scaled n in
-      let c = ctx_of n in
-      let rng = query_rng () in
-      let plain = ref 0 and compact = ref 0 in
-      for _ = 1 to 20 do
-        let resp = Server.answer c.one (topk_query 3 c.table rng) in
-        plain := !plain + Vo.size_bytes resp.Server.vo;
-        compact := !compact + Vo.size_bytes_compact resp.Server.vo
-      done;
-      row "%8d %12d %12d %9.0f%%\n%!" n (!plain / 20) (!compact / 20)
-        (100. *. (1. -. (float_of_int !compact /. float_of_int !plain))))
-    [ 100; 200; 300; 400 ]
 
 let abl_correlation () =
   header "Ablation — owner cost vs data correlation (slope spread of the lines)";
@@ -1243,8 +1191,6 @@ let figures =
     ("fig8b", fig8b);
     ("abl-montgomery", abl_montgomery);
     ("abl-depth", abl_depth);
-    ("abl-storage", abl_storage);
-    ("abl-vo-compact", abl_vo_compact);
     ("abl-correlation", abl_correlation);
     ("abl-batch", abl_batch);
     ("abl-count", abl_count);

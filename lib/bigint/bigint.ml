@@ -559,21 +559,6 @@ let mod_pow_mont mmag basemag expt =
   lit_one.(0) <- 1;
   mag_normalize (mont_mul ctx !acc lit_one)
 
-let mod_pow_plain ~base:b ~exp ~modulus =
-  if sign exp < 0 then invalid_arg "Bigint.mod_pow_plain: negative exponent";
-  if sign modulus <= 0 then invalid_arg "Bigint.mod_pow_plain: modulus <= 0";
-  if equal modulus one then S 0
-  else begin
-    let b = erem b modulus in
-    let bl = bit_length exp in
-    let acc = ref one in
-    for i = bl - 1 downto 0 do
-      acc := erem (mul !acc !acc) modulus;
-      if testbit exp i then acc := erem (mul !acc b) modulus
-    done;
-    !acc
-  end
-
 let mod_pow ~base:b ~exp ~modulus =
   if sign exp < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
   if sign modulus <= 0 then invalid_arg "Bigint.mod_pow: modulus <= 0";

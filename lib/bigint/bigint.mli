@@ -85,11 +85,6 @@ val mod_pow : base:t -> exp:t -> modulus:t -> t
     [exp >= 0], [modulus > 0]. Uses Montgomery multiplication when the
     modulus is odd. *)
 
-val mod_pow_plain : base:t -> exp:t -> modulus:t -> t
-(** Same result via plain square-and-multiply with trial division at
-    every step. Exists for the Montgomery-speedup ablation benchmark;
-    prefer {!mod_pow}. *)
-
 val mod_inv : t -> t -> t
 (** [mod_inv a m] is the inverse of [a] modulo [m].
     @raise Not_found if [gcd a m <> 1]. *)

@@ -41,20 +41,11 @@ type t = {
   mutable misses : int;
 }
 
-let default_capacity = 4096
+let with_capacity capacity =
+  { capacity; mu = Mutex.create (); tbl = Hashtbl.create 256; hits = 0; misses = 0 }
 
-let create ?(capacity = default_capacity) () =
-  {
-    capacity = max 0 capacity;
-    mu = Mutex.create ();
-    tbl = Hashtbl.create (min 256 (max 16 capacity));
-    hits = 0;
-    misses = 0;
-  }
-
-let disabled () = create ~capacity:0 ()
-let enabled t = t.capacity > 0
-let size t = Hashtbl.length t.tbl
+let create () = with_capacity 4096
+let disabled () = with_capacity 0
 
 let locked t f =
   Mutex.lock t.mu;

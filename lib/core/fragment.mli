@@ -48,18 +48,13 @@ type deps =
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] bounds the entry count (flush-on-full eviction);
-    [capacity = 0] disables the cache: every lookup misses without
-    ticking counters, stores are dropped. Default {!default_capacity}. *)
-
-val default_capacity : int
+val create : unit -> t
+(** An empty cache of at most 4096 entries (flush-on-full eviction). *)
 
 val disabled : unit -> t
-(** [create ~capacity:0 ()]. *)
-
-val enabled : t -> bool
-val size : t -> int
+(** A cache that holds nothing: every lookup misses without ticking
+    counters, stores are dropped. The cache-cold baseline of the
+    cached == cold identity tests. *)
 
 val counters : t -> int * int
 (** [(hits, misses)] accumulated by this cache object — unlike the

@@ -155,7 +155,7 @@ let default_seed = 0x17EEL
    increments (and crash recovery) safe to serve.
    Everything consulted under the pool is read-only — pool tasks stay
    pure. *)
-let build_structure ~seed ?fmh_storage ?prev ~pool table =
+let build_structure ~seed ?prev ~pool table =
   let records = Table.records table in
   let n = Array.length records in
   let ids = Array.map Record.id records in
@@ -194,9 +194,7 @@ let build_structure ~seed ?fmh_storage ?prev ~pool table =
   (* digest once, in parallel, and thread the array into the sorting
      build (which used to re-hash every record) *)
   let rdig = Aqv_par.Pool.parallel_init pool n digest_at in
-  let sorting =
-    Sorting.build ?storage:fmh_storage ~pool ~rdig ~memo:use ~crossings table itree
-  in
+  let sorting = Sorting.build ~pool ~rdig ~memo:use ~crossings table itree in
   (itree, sorting, rdig, memo)
 
 (* The assembled index keeps each signing digest next to its signature:
@@ -265,9 +263,9 @@ let assemble ~scheme ~seed ~epoch ~signature_size ~pool ~memo ~frags table itree
       frags;
     }
 
-let build ?(seed = default_seed) ?fmh_storage ?(epoch = 0) ?pool ~scheme table keypair =
+let build ?(seed = default_seed) ?(epoch = 0) ?pool ~scheme table keypair =
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
-  let itree, sorting, rdig, memo = build_structure ~seed ?fmh_storage ~pool table in
+  let itree, sorting, rdig, memo = build_structure ~seed ~pool table in
   assemble ~scheme ~seed ~epoch ~signature_size:keypair.Signer.signature_size ~pool ~memo
     ~frags:(Fragment.create ()) table itree sorting rdig
     ~sign_root:keypair.Signer.sign
@@ -283,8 +281,7 @@ let drop_rebuild_cache t = { t with memo = Memo.create (Table.domain t.table) }
    are all reused. The structure itself is still rebuilt from scratch —
    see [build_structure] for why. *)
 let rebuild_structure ~pool t table =
-  build_structure ~seed:t.seed ~fmh_storage:(Sorting.storage t.sorting) ~prev:t ~pool
-    table
+  build_structure ~seed:t.seed ~prev:t ~pool table
 
 (* Fragments dirtied by a change list: entries naming a changed record
    id, plus everything committing the whole structure. Purged from the
@@ -416,7 +413,7 @@ let save w t =
   | None -> W.u8 w 0);
   W.list w (W.bytes w) (Array.to_list t.leaf_signatures)
 
-let load ?fmh_storage ?pool r =
+let load ?pool r =
   let module W = Aqv_util.Wire in
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
   let scheme =
@@ -438,7 +435,7 @@ let load ?fmh_storage ?pool r =
     | t -> t
     | exception Invalid_argument m -> failwith ("Ifmh.load: " ^ m)
   in
-  let itree, sorting, rdig, memo = build_structure ~seed ?fmh_storage ~pool table in
+  let itree, sorting, rdig, memo = build_structure ~seed ~pool table in
   if scheme = Multi_signature && Array.length leaf_signatures <> Itree.leaf_count itree then
     failwith "Ifmh.load: signature count mismatch";
   (* attach the stored signatures through the same assembly path *)

@@ -26,7 +26,6 @@ type t
 
 val build :
   ?seed:int64 ->
-  ?fmh_storage:Sorting.storage ->
   ?epoch:int ->
   ?pool:Aqv_par.Pool.pool ->
   scheme:scheme ->
@@ -35,11 +34,9 @@ val build :
   t
 (** Owner-side construction: I-tree insertion, per-subdomain sorting,
     FMH construction, hash propagation, signing. All hash and signature
-    operations tick {!Aqv_util.Metrics}. [fmh_storage] selects the
-    FMH persistence policy (see {!Sorting.storage}; default
-    [Snapshot]). [epoch] (default 0) is a freshness counter committed in
-    every signature: clients configured with a minimum epoch reject
-    replays of stale database versions.
+    operations tick {!Aqv_util.Metrics}. [epoch] (default 0) is a
+    freshness counter committed in every signature: clients configured
+    with a minimum epoch reject replays of stale database versions.
 
     [pool] (default {!Aqv_par.Pool.default}, sized by [AQV_DOMAINS])
     parallelizes the embarrassingly parallel stages — record digesting,
@@ -216,7 +213,7 @@ val save : Aqv_util.Wire.writer -> t -> unit
     the table and build seed, so only those inputs plus the owner's
     signatures go on the wire. *)
 
-val load : ?fmh_storage:Sorting.storage -> ?pool:Aqv_par.Pool.pool -> Aqv_util.Wire.reader -> t
+val load : ?pool:Aqv_par.Pool.pool -> Aqv_util.Wire.reader -> t
 (** Rebuild a saved index (e.g. on the storage server after the owner's
     upload); the reconstruction parallelizes over [pool] exactly as
     {!build} does. Signatures are attached, not checked — the verifying

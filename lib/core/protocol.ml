@@ -165,69 +165,17 @@ let decode_reply r =
   | 9 -> Snapshot_frame { index = W.read_bytes r }
   | _ -> failwith "Protocol: bad reply tag"
 
-let handle ?stats ?republish index request =
+let handle index request =
   match
     match request with
     | Run_query q -> Answer (Server.answer index q)
     | Run_rank { x; record_id } -> Rank_answer (Server.rank index ~x ~record_id)
     | Run_count { x; l; u } -> Count_answer (Count.answer index ~x ~l ~u)
-    | Get_stats -> (
-      match stats with
-      | Some f -> Stats (f ())
-      | None -> Refused "Protocol: stats not available")
-    | Republish delta -> (
-      match republish with
-      | Some f -> Republished (f delta)
-      | None -> Refused "Protocol: republish not available")
-    | Subscribe _ ->
-      (* replication needs a connection-level handoff; only the serving
-         engine's session loop can honour it *)
-      Refused "Protocol: replication not available"
+    | Get_stats | Republish _ | Subscribe _ ->
+      (* counters, index swaps and replication handoff live in the
+         serving engine, which answers these before dispatching here *)
+      Refused "Protocol: request needs the serving engine"
   with
   | reply -> reply
   | exception Invalid_argument msg -> Refused msg
   | exception Failure msg -> Refused msg
-
-(* ------------------------------ framing ----------------------------- *)
-
-let max_frame = 64 * 1024 * 1024
-
-let write_frame oc payload =
-  let n = String.length payload in
-  if n > max_frame then failwith "Protocol: frame too large";
-  List.iter (fun shift -> output_char oc (Char.chr ((n lsr shift) land 0xff))) [ 24; 16; 8; 0 ];
-  output_string oc payload;
-  flush oc
-
-let read_frame ic =
-  match input_char ic with
-  | exception End_of_file -> None
-  | c0 ->
-    let b i = Char.code i in
-    let n =
-      try
-        (* sequential lets: [and] would leave the byte order unspecified *)
-        let c1 = input_char ic in
-        let c2 = input_char ic in
-        let c3 = input_char ic in
-        (b c0 lsl 24) lor (b c1 lsl 16) lor (b c2 lsl 8) lor b c3
-      with End_of_file -> failwith "Protocol: truncated frame header"
-    in
-    if n > max_frame then failwith "Protocol: frame too large";
-    (* chunked body read: the length is attacker-supplied, so never
-       allocate [n] bytes up front — a short stream claiming 64 MiB must
-       fail after buffering only what actually arrived *)
-    let chunk_cap = 64 * 1024 in
-    let buf = Buffer.create (min n chunk_cap) in
-    let chunk = Bytes.create (min (max n 1) chunk_cap) in
-    let rec fill remaining =
-      if remaining > 0 then begin
-        let k = min remaining (Bytes.length chunk) in
-        (try really_input ic chunk 0 k
-         with End_of_file -> failwith "Protocol: truncated frame");
-        Buffer.add_subbytes buf chunk 0 k;
-        fill (remaining - k)
-      end
-    in
-    fill n;
-    Some (Buffer.contents buf)

@@ -2,10 +2,10 @@
 
     Completes the paper's three-party model as running code: the owner
     publishes a {!bundle} (template, domain, public key, epoch) out of
-    band; the server answers length-prefixed framed requests; users
-    verify the replies with {!Client}/{!Count} against the bundle. Used
-    by [bin/aqv_net.ml], which runs the server and client as separate
-    processes over TCP. *)
+    band; the server answers length-prefixed framed requests (framed by
+    [Aqv_serve.Frame_io]); users verify the replies with
+    {!Client}/{!Count} against the bundle. Used by [bin/aqv_net.ml],
+    which runs the server and client as separate processes over TCP. *)
 
 (** {1 Owner's public bundle} *)
 
@@ -79,27 +79,9 @@ val encode_reply : Aqv_util.Wire.writer -> reply -> unit
 val decode_reply : Aqv_util.Wire.reader -> reply
 (** @raise Failure on malformed input. *)
 
-val handle :
-  ?stats:(unit -> (string * int) list) ->
-  ?republish:(Ifmh.delta -> int) ->
-  Ifmh.t ->
-  request ->
-  reply
-(** Server-side dispatch. Never raises: bad inputs come back as
-    [Refused]. [Get_stats] is answered by the [stats] callback when
-    given (the serving runtime passes its counters), else [Refused];
-    likewise [Republish] by the [republish] callback, which returns the
-    epoch now being served (raising [Failure]/[Invalid_argument] turns
-    into [Refused]). [Subscribe] is always [Refused] here: replication
-    takes over the whole connection, which only the engine's session
-    loop can do. *)
-
-(** {1 Framing} *)
-
-val write_frame : out_channel -> string -> unit
-(** 4-byte big-endian length prefix + payload; flushes. *)
-
-val read_frame : in_channel -> string option
-(** [None] on clean EOF. @raise Failure on oversized/truncated frames.
-    The body is read in bounded chunks: a short stream with a large
-    claimed length never causes the full claimed size to be allocated. *)
+val handle : Ifmh.t -> request -> reply
+(** Server-side dispatch of the read requests. Never raises: bad inputs
+    come back as [Refused]. [Get_stats], [Republish] and [Subscribe]
+    are always [Refused] here: the serving engine answers them itself
+    (its counters, its index swap, its replication handoff) and
+    dispatches only reads to [handle]. *)

@@ -5,17 +5,9 @@ module Mht = Aqv_merkle.Mht
 module Record = Aqv_db.Record
 module Table = Aqv_db.Table
 
-type storage = Snapshot | Recompute
-
 type leaf_lists = { order : int Pvec.t; fmh : Mht.t }
+type t = { entries : leaf_lists array; records : int }
 
-type entry =
-  | Full of leaf_lists
-  | Thin of { order : int Pvec.t; root : string }
-
-type t = { entries : entry array; records : int; rdig : string array; storage : storage }
-
-let storage t = t.storage
 let record_count t = t.records
 let leaf_count t = Array.length t.entries
 let fmh_leaf_count t = t.records + 2
@@ -40,24 +32,12 @@ let fmh_of_order rdig order =
   done;
   Mht.of_digests digests
 
-let leaf t id =
-  match t.entries.(id) with
-  | Full lists -> lists
-  | Thin { order; root } ->
-    (* rebuild on demand; the shape is a deterministic function of the
-       leaf count, so the recomputed tree is bit-identical *)
-    let fmh = fmh_of_order t.rdig (Pvec.to_array order) in
-    assert (String.equal (Mht.root fmh) root);
-    { order; fmh }
-
-let fmh_root t id =
-  match t.entries.(id) with
-  | Full lists -> Mht.root lists.fmh
-  | Thin { root; _ } -> root
+let leaf t id = t.entries.(id)
+let fmh_root t id = Mht.root t.entries.(id).fmh
 
 (* ------------------------- 1-D sweep build ------------------------- *)
 
-let build_1d ~crossings ?memo ~storage table itree rdig =
+let build_1d ~crossings ?memo table itree rdig =
   let fns = Table.functions table in
   let n = Array.length fns in
   let dom = Table.domain table in
@@ -113,13 +93,7 @@ let build_1d ~crossings ?memo ~storage table itree rdig =
     [| Q.average lo hi |]
   in
   let entries = Array.make ncells None in
-  let stash c order tree =
-    entries.(c) <-
-      Some
-        (match storage with
-        | Snapshot -> Full { order; fmh = tree }
-        | Recompute -> Thin { order; root = Mht.root tree })
-  in
+  let stash c order fmh = entries.(c) <- Some { order; fmh } in
   (* initial cell: the only full FMH build of the sweep — every later
      cell is O(g log n) sets over its neighbour — so it is the one
      worth carrying over. The sweep's own snapshots are not registered:
@@ -131,8 +105,8 @@ let build_1d ~crossings ?memo ~storage table itree rdig =
   let pv = ref (Pvec.of_array order0) in
   let tree =
     ref
-      (match (memo, storage) with
-      | Some u, Snapshot -> (
+      (match memo with
+      | Some u -> (
         let key = Memo.fmh_key u ~order:order0 in
         match Memo.find_fmh u ~key ~rdig ~order:order0 with
         | Some t ->
@@ -142,7 +116,7 @@ let build_1d ~crossings ?memo ~storage table itree rdig =
           let t = fmh_of_order rdig order0 in
           Memo.add_fmh u ~key ~rdig ~order:order0 t;
           t)
-      | _ -> fmh_of_order rdig order0)
+      | None -> fmh_of_order rdig order0)
   in
   stash 0 !pv !tree;
   (* sweep: process events grouped by boundary *)
@@ -216,7 +190,7 @@ let build_1d ~crossings ?memo ~storage table itree rdig =
    the tasks are read-only (pool tasks stay pure up to Metrics ticks);
    registration into the new memo runs after the fan-out, on the
    sequential path. *)
-let build_nd ?memo ~pool ~storage table itree rdig =
+let build_nd ?memo ~pool table itree rdig =
   let fns = Table.functions table in
   let built =
     Aqv_par.Pool.parallel_map pool
@@ -224,23 +198,17 @@ let build_nd ?memo ~pool ~storage table itree rdig =
         let sample = Aqv_num.Region.interior_point node.Itree.region in
         let order = sorted_positions fns sample in
         let tree, reg =
-          match (memo, storage) with
-          | Some u, Snapshot -> (
+          match memo with
+          | Some u -> (
             let key = Memo.fmh_key u ~order in
             match Memo.find_fmh u ~key ~rdig ~order with
             | Some t -> (t, Some (key, order, t))
             | None ->
               let t = fmh_of_order rdig order in
               (t, Some (key, order, t)))
-          | _ -> (fmh_of_order rdig order, None)
+          | None -> (fmh_of_order rdig order, None)
         in
-        let pv = Pvec.of_array order in
-        let entry =
-          match storage with
-          | Snapshot -> Full { order = pv; fmh = tree }
-          | Recompute -> Thin { order = pv; root = Mht.root tree }
-        in
-        (entry, reg))
+        ({ order = Pvec.of_array order; fmh = tree }, reg))
       (Itree.leaves itree)
   in
   (match memo with
@@ -253,7 +221,7 @@ let build_nd ?memo ~pool ~storage table itree rdig =
   | None -> ());
   Array.map fst built
 
-let build ?(storage = Snapshot) ?pool ?rdig ?memo ?crossings table itree =
+let build ?pool ?rdig ?memo ?crossings table itree =
   if Table.size table < 1 then invalid_arg "Sorting.build: empty table";
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
   let rdig =
@@ -277,8 +245,8 @@ let build ?(storage = Snapshot) ?pool ?rdig ?memo ?crossings table itree =
         | None ->
           Crossings.enumerate ?memo ~pool (Table.domain table) (Table.functions table)
       in
-      build_1d ~crossings ?memo ~storage table itree rdig
+      build_1d ~crossings ?memo table itree rdig
     end
-    else build_nd ?memo ~pool ~storage table itree rdig
+    else build_nd ?memo ~pool table itree rdig
   in
-  { entries; records = Table.size table; rdig; storage }
+  { entries; records = Table.size table }

@@ -14,14 +14,8 @@
     sorted independently at its witness point, so leaves fan out over
     the {!Aqv_par.Pool} — bit-identically to a sequential build.
 
-    Two storage policies trade memory for query-time hashing:
-    [Snapshot] keeps one persistent FMH per subdomain (shared
-    structure, O(log n) marginal nodes per subdomain); [Recompute]
-    keeps only the sorted order and the FMH root per subdomain and
-    rebuilds the tree — O(n) hashes — when a query actually lands in
-    the subdomain. The ablation bench quantifies the trade. *)
-
-type storage = Snapshot | Recompute
+    Every subdomain keeps its persistent FMH-tree (shared structure,
+    O(log n) marginal nodes per subdomain), so a query never rehashes. *)
 
 type leaf_lists = {
   order : int Aqv_util.Pvec.t;
@@ -33,7 +27,6 @@ type leaf_lists = {
 type t
 
 val build :
-  ?storage:storage ->
   ?pool:Aqv_par.Pool.pool ->
   ?rdig:string array ->
   ?memo:Memo.use ->
@@ -41,7 +34,7 @@ val build :
   Aqv_db.Table.t ->
   Itree.t ->
   t
-(** Default storage: [Snapshot]. [pool] (default {!Aqv_par.Pool.default})
+(** [pool] (default {!Aqv_par.Pool.default})
     parallelizes the per-leaf work in dimension >= 2. [rdig] supplies
     precomputed record digests (one per record, in table order) so a
     caller that already hashed the records — {!Ifmh.build} does — need
@@ -58,20 +51,16 @@ val build :
     FMH-tree is carried over; in dimension >= 2 every leaf's FMH-tree
     is looked up by its sorted id sequence and patched where record
     digests changed.
-    FMH entries are consulted and recorded only under [Snapshot]
-    storage — [Recompute] trades those hashes for memory on purpose.
     Reuse is bit-identical to hashing from scratch.
     @raise Invalid_argument if the table and tree disagree or [rdig]
     has the wrong length. *)
 
 val leaf : t -> int -> leaf_lists
-(** Lists for I-tree leaf [id]. Under [Recompute] this rebuilds the
-    FMH-tree (counted as hash operations in {!Aqv_util.Metrics}). *)
+(** Lists for I-tree leaf [id]. *)
 
 val fmh_root : t -> int -> string
-(** Root commitment of leaf [id]'s FMH-tree; never rebuilds. *)
+(** Root commitment of leaf [id]'s FMH-tree. *)
 
-val storage : t -> storage
 val record_count : t -> int
 val leaf_count : t -> int
 

@@ -111,154 +111,6 @@ let size_bytes t =
   Aqv_util.Metrics.add_bytes_out n;
   n
 
-(* ------------------------- compact encoding ------------------------ *)
-
-(* Records referenced from the VO, deduplicated in first-occurrence
-   order; references are indices into this table. *)
-let record_table t =
-  let seen = Hashtbl.create 16 in
-  let table = ref [] in
-  let count = ref 0 in
-  let intern r =
-    let key = Record.digest r in
-    match Hashtbl.find_opt seen key with
-    | Some idx -> idx
-    | None ->
-      let idx = !count in
-      Hashtbl.add seen key idx;
-      table := r :: !table;
-      incr count;
-      idx
-  in
-  let intern_boundary = function
-    | Min_sentinel | Max_sentinel -> ()
-    | Boundary_record r -> ignore (intern r)
-  in
-  intern_boundary t.left;
-  intern_boundary t.right;
-  (match t.subdomain with
-  | One_sig_path steps ->
-    List.iter
-      (fun s ->
-        ignore (intern s.rp);
-        ignore (intern s.rq))
-      steps
-  | Multi_sig_constraints cons ->
-    List.iter
-      (fun (rp, rq, _) ->
-        ignore (intern rp);
-        ignore (intern rq))
-      cons);
-  (List.rev !table, intern)
-
-(* A VO that references no record twice is smaller inline: the dedup
-   table's framing and per-reference indices cost bytes the inline
-   form never pays back. So the codec is adaptive — both forms are
-   rendered and the smaller one ships — with the mode folded into the
-   spare range of the leading left-boundary tag (0–2 inline, 3–5
-   deduplicated), so the inline fallback is byte-for-byte the plain
-   encoding: compact output is never larger than [encode]'s. *)
-let encode_compact_mode w t ~dedup ~table ~intern =
-  let emit_record w r = if dedup then W.varint w (intern r) else Record.encode w r in
-  let ltag = match t.left with Min_sentinel -> 0 | Max_sentinel -> 1 | Boundary_record _ -> 2 in
-  W.u8 w (if dedup then 3 + ltag else ltag);
-  W.varint w t.n_leaves;
-  W.varint w t.epoch;
-  W.varint w t.window_lo;
-  if dedup then W.list w (Record.encode w) table;
-  (match t.left with
-  | Min_sentinel | Max_sentinel -> ()
-  | Boundary_record r -> emit_record w r);
-  (match t.right with
-  | Min_sentinel -> W.u8 w 0
-  | Max_sentinel -> W.u8 w 1
-  | Boundary_record r ->
-    W.u8 w 2;
-    emit_record w r);
-  W.list w (W.bytes w) t.fmh_proof;
-  (match t.subdomain with
-  | One_sig_path steps ->
-    W.u8 w 0;
-    W.list w
-      (fun s ->
-        emit_record w s.rp;
-        emit_record w s.rq;
-        encode_side w s.taken;
-        W.bytes w s.sibling)
-      steps
-  | Multi_sig_constraints cons ->
-    W.u8 w 1;
-    W.list w
-      (fun (rp, rq, side) ->
-        emit_record w rp;
-        emit_record w rq;
-        encode_side w side)
-      cons);
-  W.bytes w t.signature
-
-let encode_compact w t =
-  let table, intern = record_table t in
-  let rendered dedup =
-    let w' = W.writer () in
-    encode_compact_mode w' t ~dedup ~table ~intern;
-    W.size w'
-  in
-  let dedup = rendered true < rendered false in
-  encode_compact_mode w t ~dedup ~table ~intern
-
-let decode_compact r =
-  let header = W.read_u8 r in
-  if header > 5 then failwith "Vo: bad compact header";
-  let dedup = header >= 3 in
-  let ltag = if dedup then header - 3 else header in
-  let n_leaves = W.read_varint r in
-  let epoch = W.read_varint r in
-  let window_lo = W.read_varint r in
-  let table =
-    if dedup then Array.of_list (W.read_list r Record.decode) else [||]
-  in
-  let fetch idx =
-    if idx < 0 || idx >= Array.length table then failwith "Vo: bad record reference"
-    else table.(idx)
-  in
-  let read_record r = if dedup then fetch (W.read_varint r) else Record.decode r in
-  let dec_boundary tag =
-    match tag with
-    | 0 -> Min_sentinel
-    | 1 -> Max_sentinel
-    | 2 -> Boundary_record (read_record r)
-    | _ -> failwith "Vo: bad boundary tag"
-  in
-  let left = dec_boundary ltag in
-  let right = dec_boundary (W.read_u8 r) in
-  let fmh_proof = W.read_list r W.read_bytes in
-  let subdomain =
-    match W.read_u8 r with
-    | 0 ->
-      One_sig_path
-        (W.read_list r (fun r ->
-             let rp = read_record r in
-             let rq = read_record r in
-             let taken = decode_side r in
-             let sibling = W.read_bytes r in
-             { rp; rq; taken; sibling }))
-    | 1 ->
-      Multi_sig_constraints
-        (W.read_list r (fun r ->
-             let rp = read_record r in
-             let rq = read_record r in
-             let side = decode_side r in
-             (rp, rq, side)))
-    | _ -> failwith "Vo: bad subdomain tag"
-  in
-  let signature = W.read_bytes r in
-  { n_leaves; epoch; window_lo; left; right; fmh_proof; subdomain; signature }
-
-let size_bytes_compact t =
-  let w = W.writer () in
-  encode_compact w t;
-  W.size w
-
 let pp ppf t =
   let kind, extra =
     match t.subdomain with

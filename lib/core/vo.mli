@@ -53,20 +53,4 @@ val size_bytes : t -> int
     metric (Fig. 8). Also ticks the bytes-out counter in
     {!Aqv_util.Metrics}. *)
 
-(** {1 Compact encoding}
-
-    The one-signature path repeats the same records across steps (an
-    intersection pair can guard several ancestors, and popular records
-    appear in many pairs). The compact codec ships each distinct record
-    once and references it by index — an optimization beyond the paper,
-    quantified by the [vo-compact] ablation bench. The codec is
-    adaptive: when a VO references no record twice, deduplication would
-    cost more than it saves, so the encoder falls back to the inline
-    form (mode is folded into the leading tag byte) and compact output
-    is never larger than {!encode}'s. *)
-
-val encode_compact : Aqv_util.Wire.writer -> t -> unit
-val decode_compact : Aqv_util.Wire.reader -> t
-val size_bytes_compact : t -> int
-
 val pp : Format.formatter -> t -> unit

@@ -45,7 +45,7 @@ val auth_path : t -> int -> path_elem list
     in {!Aqv_util.Metrics} as FMH-node traversals. *)
 
 val root_of_path : leaf:string -> path:path_elem list -> string
-(** Recompute the root committed by an authentication path. *)
+(** The root an authentication path commits to, folded up from [leaf]. *)
 
 val index_of_path : n:int -> path:path_elem list -> int option
 (** The leaf index a path proves, recovered from the sibling sides and
@@ -60,6 +60,6 @@ val range_proof : t -> lo:int -> hi:int -> string list
     the range they determine the root. *)
 
 val root_of_range : n:int -> lo:int -> leaves:string list -> proof:string list -> string option
-(** Recompute the root of an [n]-leaf tree from the leaf digests
+(** Rebuild the root of an [n]-leaf tree from the leaf digests
     [lo .. lo + length leaves - 1] plus a {!range_proof}. [None] if the
     shapes are inconsistent (wrong counts). *)

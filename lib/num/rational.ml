@@ -94,4 +94,7 @@ let decode r =
   let neg_sign = W.read_u8 r = 1 in
   let n = Z.of_bytes_be (W.read_bytes r) in
   let d = Z.of_bytes_be (W.read_bytes r) in
+  (* wire input is untrusted: a zero denominator is malformed input,
+     reported like every other decode error, not [Division_by_zero] *)
+  if Z.is_zero d then failwith "Rational: zero denominator";
   mk (if neg_sign then Z.neg n else n) d

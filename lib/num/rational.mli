@@ -61,3 +61,4 @@ val encode : Aqv_util.Wire.writer -> t -> unit
 (** Canonical wire encoding (signed numerator bytes, denominator bytes). *)
 
 val decode : Aqv_util.Wire.reader -> t
+(** @raise Failure on malformed input, a zero denominator included. *)

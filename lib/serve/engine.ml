@@ -256,8 +256,8 @@ let install_snapshot t index' =
 
 (* Pull-based refresh of the fragment-cache stats gauges: the cache
    keeps its own race-free counters, so stats are read, never sampled
-   from global metrics. Ran on every Get_stats, and callable by
-   in-process probes (the bench subcommand) before reading Stats. *)
+   from global metrics. Runs on every Get_stats, on each periodic stats
+   log line and once at shutdown. *)
 let refresh_frag_stats t =
   let hits, misses = Aqv.Fragment.counters (Ifmh.fragments (Atomic.get t.index)) in
   let base_h, base_m =

@@ -93,8 +93,8 @@ val refresh_frag_stats : t -> unit
 (** Refresh the fragment-cache gauges in {!stats} from the serving
     index's own counters (total and rebased at the last
     {!swap_index}). Every [Get_stats] request does this implicitly;
-    in-process probes that read {!Stats.get} directly (the bench
-    subcommand) must call it first. *)
+    in-process probes that read {!Stats.get} directly
+    ([aqv_net workload]) must call it first. *)
 
 val index : t -> Aqv.Ifmh.t
 (** The index currently being served (a snapshot; see {!swap_index}). *)

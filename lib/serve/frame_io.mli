@@ -1,10 +1,10 @@
 (** Deadline-aware frame I/O over raw file descriptors.
 
-    Same wire format as [Protocol.write_frame]/[read_frame] (4-byte
-    big-endian length prefix, 64 MiB cap), but over [Unix.file_descr]
-    with per-phase timeouts via [SO_RCVTIMEO]/[SO_SNDTIMEO], so both
-    the engine and the client roundtrip path get bounded blocking
-    without an event loop. All calls retry [EINTR]. *)
+    The one framer of the wire protocol (4-byte big-endian length
+    prefix, 64 MiB cap) over [Unix.file_descr], with per-phase timeouts
+    via [SO_RCVTIMEO]/[SO_SNDTIMEO], so the engine, the replication
+    hub, router and follower, and the client roundtrip path all get
+    bounded blocking without an event loop. All calls retry [EINTR]. *)
 
 exception Timeout
 (** A read or write exceeded its deadline. *)

@@ -1,7 +1,7 @@
 (* Tests for features beyond the paper's core construction: verifiable
-   rank queries, the lazy (Recompute) FMH storage policy, the compact
-   VO codec, full response serialization, I-tree depth statistics, and
-   the plain-vs-Montgomery modexp equivalence. *)
+   rank queries, VO and full response serialization, I-tree depth
+   statistics, the plain-vs-Montgomery modexp equivalence, and the wire
+   protocol with its [Frame_io] framing. *)
 
 module Q = Aqv_num.Rational
 module Z = Aqv_bigint.Bigint
@@ -11,6 +11,8 @@ module Record = Aqv_db.Record
 module Table = Aqv_db.Table
 module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
+module Frame_io = Aqv_serve.Frame_io
+module Bigint_ref = Aqv_ref.Bigint_ref
 open Aqv
 
 let check = Alcotest.check
@@ -82,61 +84,6 @@ let test_rank_tamper_rejected () =
   | Ok _ -> Alcotest.fail "shifted rank accepted"
   | Error _ -> ()
 
-(* --------------------------- lazy storage --------------------------- *)
-
-let test_lazy_storage_equivalent () =
-  let t = Lazy.force table in
-  let kp = Lazy.force keypair in
-  let snap = Ifmh.build ~scheme:Ifmh.One_signature t kp in
-  let lazy_ = Ifmh.build ~fmh_storage:Sorting.Recompute ~scheme:Ifmh.One_signature t kp in
-  check Alcotest.bool "storage flag" true (Sorting.storage (Ifmh.sorting lazy_) = Sorting.Recompute);
-  (* identical commitments *)
-  for id = 0 to Itree.leaf_count (Ifmh.itree snap) - 1 do
-    check Alcotest.string "same fmh root"
-      (Sorting.fmh_root (Ifmh.sorting snap) id)
-      (Sorting.fmh_root (Ifmh.sorting lazy_) id)
-  done;
-  (* identical signatures (same root, same deterministic signer input) *)
-  check Alcotest.string "same root signature" (Ifmh.root_signature snap)
-    (Ifmh.root_signature lazy_);
-  (* identical responses, and they verify *)
-  let rng = Prng.create 505L in
-  let c = ctx () in
-  for _ = 1 to 20 do
-    let x = Workload.weight_point t rng in
-    let q = Query.top_k ~x ~k:4 in
-    let r1 = Server.answer snap q and r2 = Server.answer lazy_ q in
-    let w1 = Wire.writer () and w2 = Wire.writer () in
-    Server.encode_response w1 r1;
-    Server.encode_response w2 r2;
-    check Alcotest.string "identical responses" (Wire.contents w1) (Wire.contents w2);
-    check Alcotest.bool "verifies" true (Client.accepts c q r2)
-  done
-
-let test_lazy_storage_multi_sig () =
-  let t = Workload.lines_1d ~n:12 (Prng.create 506L) in
-  let kp = Lazy.force keypair in
-  let lazy_ = Ifmh.build ~fmh_storage:Sorting.Recompute ~scheme:Ifmh.Multi_signature t kp in
-  let c =
-    Client.make_ctx ~template:(Table.template t) ~domain:(Table.domain t)
-      ~verify_signature:kp.Signer.verify
-  in
-  let rng = Prng.create 507L in
-  for _ = 1 to 10 do
-    let x = Workload.weight_point t rng in
-    let l, u = Workload.range_for_result_size t ~x ~size:3 in
-    let q = Query.range ~x ~l ~u in
-    check Alcotest.bool "verifies" true (Client.accepts c q (Server.answer lazy_ q))
-  done
-
-let test_lazy_storage_2d () =
-  let t = Workload.scored ~n:6 ~dims:2 (Prng.create 508L) in
-  let kp = Lazy.force keypair in
-  let snap = Ifmh.build ~scheme:Ifmh.One_signature t kp in
-  let lazy_ = Ifmh.build ~fmh_storage:Sorting.Recompute ~scheme:Ifmh.One_signature t kp in
-  check Alcotest.string "same root signature" (Ifmh.root_signature snap)
-    (Ifmh.root_signature lazy_)
-
 (* --------------------------- VO codecs ------------------------------ *)
 
 let roundtrip_checks index =
@@ -154,37 +101,14 @@ let roundtrip_checks index =
     let w2 = Wire.writer () in
     Vo.encode w2 vo';
     check Alcotest.string "plain roundtrip" (Wire.contents w) (Wire.contents w2);
-    (* compact codec *)
-    let wc = Wire.writer () in
-    Vo.encode_compact wc vo;
-    let voc = Vo.decode_compact (Wire.reader (Wire.contents wc)) in
-    let w3 = Wire.writer () in
-    Vo.encode w3 voc;
-    check Alcotest.string "compact roundtrip preserves VO" (Wire.contents w) (Wire.contents w3);
     (* a decoded VO still verifies *)
     let c = ctx () in
     check Alcotest.bool "decoded verifies" true
-      (Client.accepts c q { resp with Server.vo = voc })
+      (Client.accepts c q { resp with Server.vo = vo' })
   done
 
 let test_vo_roundtrip_one () = roundtrip_checks (Lazy.force index_one)
 let test_vo_roundtrip_multi () = roundtrip_checks (Lazy.force index_multi)
-
-let test_compact_smaller_for_one_sig () =
-  (* with a deep path the compact form should not be larger *)
-  let t = Workload.lines_1d ~n:60 (Prng.create 510L) in
-  let kp = Lazy.force keypair in
-  let index = Ifmh.build ~scheme:Ifmh.One_signature t kp in
-  let rng = Prng.create 511L in
-  let worse = ref 0 in
-  for _ = 1 to 20 do
-    let x = Workload.weight_point t rng in
-    let resp = Server.answer index (Query.top_k ~x ~k:3) in
-    let plain = Vo.size_bytes resp.Server.vo in
-    let compact = Vo.size_bytes_compact resp.Server.vo in
-    if compact > plain then incr worse
-  done;
-  check Alcotest.int "compact never larger" 0 !worse
 
 let test_response_roundtrip () =
   let t = Lazy.force table in
@@ -248,7 +172,8 @@ let mod_pow_agree =
     (fun (b, e, m) ->
       QCheck.assume (m >= 2);
       let b = Z.of_int b and e = Z.of_int e and m = Z.of_int m in
-      Z.equal (Z.mod_pow ~base:b ~exp:e ~modulus:m) (Z.mod_pow_plain ~base:b ~exp:e ~modulus:m))
+      Z.equal (Z.mod_pow ~base:b ~exp:e ~modulus:m)
+        (Bigint_ref.mod_pow_plain ~base:b ~exp:e ~modulus:m))
 
 let mod_pow_agree_big =
   qtest ~count:30 "mod_pow = mod_pow_plain (big)"
@@ -259,7 +184,8 @@ let mod_pow_agree_big =
       let e = Z.random_bits rng 64 in
       let m = Z.succ (Z.random_bits rng 200) in
       QCheck.assume (Z.compare m Z.two >= 0);
-      Z.equal (Z.mod_pow ~base:b ~exp:e ~modulus:m) (Z.mod_pow_plain ~base:b ~exp:e ~modulus:m))
+      Z.equal (Z.mod_pow ~base:b ~exp:e ~modulus:m)
+        (Bigint_ref.mod_pow_plain ~base:b ~exp:e ~modulus:m))
 
 
 (* ------------------------------ epochs ------------------------------ *)
@@ -585,6 +511,8 @@ let test_protocol_roundtrips () =
           | _ -> false );
       ( Protocol.Run_query (Query.top_k ~x:[| Q.of_int 5 |] ~k:1),
         fun reply -> match reply with Protocol.Refused _ -> true | _ -> false );
+      (* answered by the serving engine, never by [handle] *)
+      (Protocol.Get_stats, fun reply -> match reply with Protocol.Refused _ -> true | _ -> false);
     ]
   in
   List.iter
@@ -601,39 +529,38 @@ let test_protocol_roundtrips () =
       check Alcotest.bool "reply verifies after roundtrip" true (accept reply'))
     checks
 
-(* frames go through a temp file: a pipe would deadlock on frames
-   larger than the kernel buffer with no concurrent reader *)
-let with_frame_file write_side read_side =
+(* frames go through a temp file: a socketpair would block on frames
+   larger than the kernel buffer with no concurrent reader. A plain file
+   fd takes the same read/write path as a socket; no timeouts are set. *)
+let with_frame_fd write_side read_side =
   let path = Filename.temp_file "aqv" ".frames" in
-  let oc = open_out_bin path in
-  write_side oc;
-  close_out oc;
-  let ic = open_in_bin path in
   Fun.protect
-    ~finally:(fun () ->
-      close_in ic;
-      Sys.remove path)
-    (fun () -> read_side ic)
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let wfd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      Fun.protect ~finally:(fun () -> Unix.close wfd) (fun () -> write_side wfd);
+      let rfd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close rfd) (fun () -> read_side rfd))
 
 let test_protocol_frames () =
-  with_frame_file
-    (fun oc ->
-      Protocol.write_frame oc "hello";
-      Protocol.write_frame oc "";
-      Protocol.write_frame oc (String.make 70000 'x'))
-    (fun ic ->
-      check Alcotest.(option string) "frame 1" (Some "hello") (Protocol.read_frame ic);
-      check Alcotest.(option string) "frame 2 (empty)" (Some "") (Protocol.read_frame ic);
-      (match Protocol.read_frame ic with
+  with_frame_fd
+    (fun fd ->
+      check Alcotest.int "framed size" 9 (Frame_io.write_frame fd "hello");
+      ignore (Frame_io.write_frame fd "");
+      ignore (Frame_io.write_frame fd (String.make 70000 'x')))
+    (fun fd ->
+      check Alcotest.(option string) "frame 1" (Some "hello") (Frame_io.read_frame fd);
+      check Alcotest.(option string) "frame 2 (empty)" (Some "") (Frame_io.read_frame fd);
+      (match Frame_io.read_frame fd with
       | Some s -> check Alcotest.int "frame 3 length" 70000 (String.length s)
       | None -> Alcotest.fail "frame 3 missing");
-      check Alcotest.(option string) "clean EOF" None (Protocol.read_frame ic))
+      check Alcotest.(option string) "clean EOF" None (Frame_io.read_frame fd))
 
 let test_protocol_truncated_frame () =
-  with_frame_file
-    (fun oc -> output_string oc "\x00\x00\x00\x64abc")
-    (fun ic ->
-      match Protocol.read_frame ic with
+  with_frame_fd
+    (fun fd -> Frame_io.write_raw fd "\x00\x00\x00\x64abc")
+    (fun fd ->
+      match Frame_io.read_frame fd with
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "truncated frame not detected")
 
@@ -647,17 +574,10 @@ let () =
           Alcotest.test_case "missing id" `Quick test_rank_missing_id;
           Alcotest.test_case "tamper rejected" `Quick test_rank_tamper_rejected;
         ] );
-      ( "lazy-storage",
-        [
-          Alcotest.test_case "equivalent to snapshot" `Quick test_lazy_storage_equivalent;
-          Alcotest.test_case "multi-sig" `Quick test_lazy_storage_multi_sig;
-          Alcotest.test_case "2d" `Quick test_lazy_storage_2d;
-        ] );
       ( "codecs",
         [
           Alcotest.test_case "vo roundtrips, one-sig" `Quick test_vo_roundtrip_one;
           Alcotest.test_case "vo roundtrips, multi-sig" `Quick test_vo_roundtrip_multi;
-          Alcotest.test_case "compact never larger" `Quick test_compact_smaller_for_one_sig;
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
         ] );

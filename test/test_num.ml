@@ -45,6 +45,15 @@ let test_q_div_zero () =
   Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
       ignore (Q.div Q.one Q.zero))
 
+let test_q_decode_zero_den () =
+  (* untrusted wire bytes: 1/0 is malformed input, not Division_by_zero *)
+  let w = Aqv_util.Wire.writer () in
+  Aqv_util.Wire.u8 w 0;
+  Aqv_util.Wire.bytes w "\x01";
+  Aqv_util.Wire.bytes w "";
+  Alcotest.check_raises "zero denominator" (Failure "Rational: zero denominator") (fun () ->
+      ignore (Q.decode (Aqv_util.Wire.reader (Aqv_util.Wire.contents w))))
+
 let q_field_axioms =
   qtest "field axioms" (QCheck.triple arb_q arb_q arb_q) (fun (a, b, c) ->
       Q.equal (Q.add a b) (Q.add b a)
@@ -449,6 +458,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_q_basics;
           Alcotest.test_case "decimal parsing" `Quick test_q_decimal;
           Alcotest.test_case "division by zero" `Quick test_q_div_zero;
+          Alcotest.test_case "decode zero denominator" `Quick test_q_decode_zero_den;
           q_field_axioms;
           q_compare_total;
           q_mediant_between;

@@ -1,9 +1,11 @@
 (* Tests for the serving runtime (lib/serve) and the protocol framing
    hardening that rides with it: exact-integer histograms, the LRU
-   response cache, deterministic fault injection, frame edge cases
-   (truncated / oversized / junk — must fail cleanly, never hang or
-   over-allocate), and the concurrent engine itself (interleaving, per-
-   connection deadlines, load shedding, in-band stats, graceful drain). *)
+   response cache, deterministic fault injection, edge cases of the
+   [Frame_io] framer every serving component runs (truncated / oversized
+   / junk — must fail cleanly, never hang or over-allocate), and the
+   concurrent engine itself (interleaving, per-connection deadlines,
+   load shedding, malformed and zero-denominator requests, in-band
+   stats, graceful drain). *)
 
 module Q = Aqv_num.Rational
 module Prng = Aqv_util.Prng
@@ -158,28 +160,27 @@ let test_faults_bounds () =
 
 (* ----------------------- protocol framing edges --------------------- *)
 
-(* frames go through a temp file: a pipe would deadlock on frames larger
-   than the kernel buffer with no concurrent reader *)
-let with_frame_file write_side read_side =
+(* frames go through a temp file: a socketpair would block on frames
+   larger than the kernel buffer with no concurrent reader. A plain file
+   fd takes the same read/write path as a socket; no timeouts are set. *)
+let with_frame_fd write_side read_side =
   let path = Filename.temp_file "aqv" ".frames" in
-  let oc = open_out_bin path in
-  write_side oc;
-  close_out oc;
-  let ic = open_in_bin path in
   Fun.protect
-    ~finally:(fun () ->
-      close_in ic;
-      Sys.remove path)
-    (fun () -> read_side ic)
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let wfd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      Fun.protect ~finally:(fun () -> Unix.close wfd) (fun () -> write_side wfd);
+      let rfd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close rfd) (fun () -> read_side rfd))
 
 let header_of n =
   String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
 
 let expect_frame_failure label raw =
-  with_frame_file
-    (fun oc -> output_string oc raw)
-    (fun ic ->
-      match Protocol.read_frame ic with
+  with_frame_fd
+    (fun fd -> Frame_io.write_raw fd raw)
+    (fun fd ->
+      match Frame_io.read_frame fd with
       | exception Failure _ -> ()
       | _ -> Alcotest.failf "%s not detected" label)
 
@@ -192,10 +193,10 @@ let test_frame_oversized () =
   expect_frame_failure "oversized frame" (header_of ((64 * 1024 * 1024) + 1))
 
 let test_frame_zero_length () =
-  with_frame_file
-    (fun oc -> Protocol.write_frame oc "")
-    (fun ic ->
-      check Alcotest.(option string) "zero-length frame" (Some "") (Protocol.read_frame ic))
+  with_frame_fd
+    (fun fd -> ignore (Frame_io.write_frame fd ""))
+    (fun fd ->
+      check Alcotest.(option string) "zero-length frame" (Some "") (Frame_io.read_frame fd))
 
 let test_junk_request_tag () =
   (match Protocol.decode_request (Wire.reader "\xff") with
@@ -211,11 +212,11 @@ let test_junk_request_tag () =
 let test_frame_no_eager_alloc () =
   (* a stream claiming 64 MiB but carrying 10 bytes must fail after
      allocating only bounded chunks, never the full claimed size *)
-  with_frame_file
-    (fun oc -> output_string oc (header_of (64 * 1024 * 1024) ^ "0123456789"))
-    (fun ic ->
+  with_frame_fd
+    (fun fd -> Frame_io.write_raw fd (header_of (64 * 1024 * 1024) ^ "0123456789"))
+    (fun fd ->
       let before = Gc.allocated_bytes () in
-      (match Protocol.read_frame ic with
+      (match Frame_io.read_frame fd with
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "truncated 64 MiB frame accepted");
       let allocated = Gc.allocated_bytes () -. before in
@@ -311,6 +312,29 @@ let test_malformed_frames_refused_inline () =
             check Alcotest.bool "session survives malformed frames" true
               (Client.accepts (Lazy.force ctx) (topk_query 3) resp)
           | _ -> Alcotest.fail "expected Answer after malformed frames")))
+
+let test_zero_denominator_refused () =
+  with_engine (fun t port ->
+      Roundtrip.with_connection ~port (fun fd ->
+          (* Run_rank whose x is 1/0: an empty denominator byte string *)
+          let w = Wire.writer () in
+          Wire.u8 w 1;
+          Wire.varint w 1;
+          Wire.u8 w 0;
+          Wire.bytes w "\x01";
+          Wire.bytes w "";
+          Wire.varint w 3;
+          ignore (Frame_io.write_frame fd (Wire.contents w));
+          (match Frame_io.read_frame ~header_timeout:5. ~body_timeout:5. fd with
+          | Some reply -> (
+            match Protocol.decode_reply (Wire.reader reply) with
+            | Protocol.Refused _ -> ()
+            | _ -> Alcotest.fail "zero denominator not refused")
+          | None -> Alcotest.fail "connection closed on zero denominator");
+          check Alcotest.int "counted as malformed" 1
+            (Stats.get (Engine.stats t) "req_malformed");
+          (* the same session keeps serving *)
+          expect_verified_topk 3 (Roundtrip.ask fd (Protocol.Run_query (topk_query 3)))))
 
 let test_oversized_frame_drops_session () =
   with_engine (fun t port ->
@@ -557,6 +581,7 @@ let () =
           Alcotest.test_case "overload shedding" `Quick test_overload_shedding;
           Alcotest.test_case "malformed frames refused" `Quick
             test_malformed_frames_refused_inline;
+          Alcotest.test_case "zero denominator refused" `Quick test_zero_denominator_refused;
           Alcotest.test_case "oversized frame drops session" `Quick
             test_oversized_frame_drops_session;
           Alcotest.test_case "stats + cache over wire" `Quick
