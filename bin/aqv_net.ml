@@ -132,7 +132,12 @@ let publish_to dir index keypair =
 let run_publish n seed scheme epoch dir =
   let scheme = match scheme with `One -> Ifmh.One_signature | `Multi -> Ifmh.Multi_signature in
   let keypair, index = build_index n seed scheme epoch in
-  let bundle_bytes = publish_to dir index keypair in
+  let bundle_bytes =
+    try publish_to dir index keypair
+    with Store_error.Error e ->
+      Printf.eprintf "aqv_net: cannot publish to %s: %s\n" dir (Store_error.to_string e);
+      exit 1
+  in
   Printf.printf "published: %d records, %s, epoch %d\n" n (Ifmh.scheme_name scheme) epoch;
   Printf.printf "  index.bin  %d bytes (checksummed snapshot, for the storage server)\n"
     (Aqv_store.Ioutil.file_size (Store.snapshot_path dir));

@@ -454,129 +454,179 @@ let mod_inv a m =
   in
   go a m one zero
 
-(* --- Montgomery machinery (odd modulus) --- *)
+(* --- Montgomery exponentiation (odd modulus) --- *)
 
+(* One context per modulus, computed once. It is never mutated after
+   [mont] returns, so every domain signing under one key shares it;
+   all scratch space is allocated per call. *)
 type mont = {
-  m : int array;  (* modulus magnitude, n limbs *)
-  n : int;
-  n0' : int;  (* -m^{-1} mod base *)
+  mm : int array;  (* modulus limbs, n of them, top limb non-zero *)
+  n0' : int;  (* -m^-1 mod 2^26 *)
+  r2 : int array;  (* R^2 mod m in n limbs, R = 2^(26n): enters the domain in one multiply *)
+  modulus : t;
 }
 
-let mont_init mmag =
-  let n = Array.length mmag in
-  let m0 = mmag.(0) in
+(* The kernel sums up to 2n limb products (each below 2^52) plus a
+   carry in one native int, which stays below 2^62 for n <= 511 limbs.
+   8192 bits is 316 limbs. *)
+let mont_max_bits = 8192
+
+let mont modulus =
+  if sign modulus <= 0 || is_even modulus || equal modulus one then
+    invalid_arg "Bigint.mont: modulus must be odd and > 1";
+  if bit_length modulus > mont_max_bits then invalid_arg "Bigint.mont: modulus above 8192 bits";
+  let mm = to_mag modulus in
+  let n = Array.length mm in
+  let m0 = mm.(0) in
   (* Newton iteration for the inverse of m0 modulo 2^26 *)
   let inv = ref 1 in
   for _ = 1 to 5 do
     inv := !inv * (2 - (m0 * !inv)) land mask
   done;
-  assert (m0 * !inv land mask = 1);
-  { m = mmag; n; n0' = (base - !inv) land mask }
+  let r2 = Array.make n 0 in
+  let _, r = mag_divmod (mag_shift_left [| 1 |] (2 * n * limb_bits)) mm in
+  Array.blit r 0 r2 0 (Array.length r);
+  { mm; n0' = (base - !inv) land mask; r2; modulus }
 
-(* (a * b * R^-1) mod m via CIOS; a, b are n-limb arrays, values < m. *)
-let mont_mul ctx a b =
-  let n = ctx.n in
-  let m = ctx.m in
-  let t = Array.make (n + 2) 0 in
+(* dst <- a * b * R^-1 mod m, for n-limb a, b < m. Product scanning:
+   column k accumulates every a_j*b_(k-j) and q_j*m_(k-j) in one int
+   and carries lazily, once per column. Columns below n fix the
+   quotient limbs q; column k >= n emits result limb k - n, and no
+   later column reads a limb below k - n + 1, so dst may alias a or b.
+   The result before the final subtract is below 2m. *)
+let mont_mul_into ctx q dst a b =
+  let m = ctx.mm in
+  let n = Array.length m in
+  let n0' = ctx.n0' in
+  let t = ref 0 in
   for i = 0 to n - 1 do
-    let ai = a.(i) in
-    let carry = ref 0 in
-    for j = 0 to n - 1 do
-      let s = t.(j) + (ai * b.(j)) + !carry in
-      t.(j) <- s land mask;
-      carry := s lsr limb_bits
+    let acc = ref !t in
+    for j = 0 to i - 1 do
+      acc :=
+        !acc
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get q j * Array.unsafe_get m (i - j))
     done;
-    let s = t.(n) + !carry in
-    t.(n) <- s land mask;
-    t.(n + 1) <- t.(n + 1) + (s lsr limb_bits);
-    let mi = t.(0) * ctx.n0' land mask in
-    let s = t.(0) + (mi * m.(0)) in
-    let carry = ref (s lsr limb_bits) in
-    for j = 1 to n - 1 do
-      let s = t.(j) + (mi * m.(j)) + !carry in
-      t.(j - 1) <- s land mask;
-      carry := s lsr limb_bits
-    done;
-    let s = t.(n) + !carry in
-    t.(n - 1) <- s land mask;
-    t.(n) <- t.(n + 1) + (s lsr limb_bits);
-    t.(n + 1) <- 0
+    let s = !acc + (Array.unsafe_get a i * Array.unsafe_get b 0) in
+    let qi = (s land mask) * n0' land mask in
+    Array.unsafe_set q i qi;
+    t := (s + (qi * Array.unsafe_get m 0)) lsr limb_bits
   done;
-  let r = Array.sub t 0 n in
-  if t.(n) <> 0 || mag_compare r m >= 0 then begin
+  for i = n to (2 * n) - 1 do
+    let acc = ref !t in
+    for j = i - n + 1 to n - 1 do
+      acc :=
+        !acc
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get q j * Array.unsafe_get m (i - j))
+    done;
+    Array.unsafe_set dst (i - n) (!acc land mask);
+    t := !acc lsr limb_bits
+  done;
+  (* one conditional subtract: t is the carry out of the top limb *)
+  let i = ref (n - 1) in
+  while !i >= 0 && Array.unsafe_get dst !i = Array.unsafe_get m !i do
+    decr i
+  done;
+  if !t <> 0 || !i < 0 || Array.unsafe_get dst !i > Array.unsafe_get m !i then begin
     let borrow = ref 0 in
-    for i = 0 to n - 1 do
-      let s = r.(i) - m.(i) - !borrow in
-      if s < 0 then begin
-        r.(i) <- s + base;
-        borrow := 1
-      end
-      else begin
-        r.(i) <- s;
-        borrow := 0
-      end
+    for k = 0 to n - 1 do
+      let s = Array.unsafe_get dst k - Array.unsafe_get m k - !borrow in
+      Array.unsafe_set dst k (s land mask);
+      borrow := -(s asr limb_bits)
     done
-  end;
-  r
+  end
 
-(* a * R mod m, as an n-limb array *)
-let mont_of ctx amag =
-  let shifted = mag_shift_left amag (ctx.n * limb_bits) in
-  let _, r = mag_divmod shifted ctx.m in
-  let out = Array.make ctx.n 0 in
-  Array.blit r 0 out 0 (Array.length r);
-  out
+let mag_bit e i = (e.(i / limb_bits) lsr (i mod limb_bits)) land 1
 
-let mod_pow_mont mmag basemag expt =
-  let ctx = mont_init mmag in
-  let one_m = mont_of ctx [| 1 |] in
-  let x = mont_of ctx basemag in
-  (* fixed 4-bit window *)
-  let tbl = Array.make 16 one_m in
-  tbl.(1) <- x;
-  for i = 2 to 15 do
-    tbl.(i) <- mont_mul ctx tbl.(i - 1) x
-  done;
-  let bl = mag_bit_length (to_mag expt) in
-  let nwin = (bl + 3) / 4 in
-  let acc = ref one_m in
-  for w = nwin - 1 downto 0 do
-    acc := mont_mul ctx !acc !acc;
-    acc := mont_mul ctx !acc !acc;
-    acc := mont_mul ctx !acc !acc;
-    acc := mont_mul ctx !acc !acc;
-    let i = w * 4 in
-    let digit =
-      (if testbit expt (i + 3) then 8 else 0)
-      lor (if testbit expt (i + 2) then 4 else 0)
-      lor (if testbit expt (i + 1) then 2 else 0)
-      lor (if testbit expt i then 1 else 0)
-    in
-    if digit <> 0 then acc := mont_mul ctx !acc tbl.(digit)
-  done;
-  (* leave the Montgomery domain: multiply by the literal 1 *)
-  let lit_one = Array.make ctx.n 0 in
-  lit_one.(0) <- 1;
-  mag_normalize (mont_mul ctx !acc lit_one)
+(* Above this many exponent bits, a width-5 sliding window (16 odd
+   powers) beats left-to-right square-and-multiply. *)
+let short_exp_bits = 20
+
+let mod_pow_mont ctx ~base:b ~exp =
+  if sign exp < 0 then invalid_arg "Bigint.mod_pow_mont: negative exponent";
+  let e = to_mag exp in
+  let bits = mag_bit_length e in
+  if bits = 0 then one
+  else begin
+    let n = Array.length ctx.mm in
+    let b = if sign b >= 0 && compare b ctx.modulus < 0 then b else erem b ctx.modulus in
+    let q = Array.make n 0 in
+    let x = Array.make n 0 in
+    let bm = to_mag b in
+    Array.blit bm 0 x 0 (Array.length bm);
+    mont_mul_into ctx q x x ctx.r2;
+    let acc = Array.make n 0 in
+    if bits <= short_exp_bits then begin
+      Array.blit x 0 acc 0 n;
+      for i = bits - 2 downto 0 do
+        mont_mul_into ctx q acc acc acc;
+        if mag_bit e i = 1 then mont_mul_into ctx q acc acc x
+      done
+    end
+    else begin
+      (* tbl.(k) = x^(2k+1) *)
+      let tbl = Array.make 16 x in
+      mont_mul_into ctx q acc x x;
+      for k = 1 to 15 do
+        let p = Array.make n 0 in
+        mont_mul_into ctx q p tbl.(k - 1) acc;
+        tbl.(k) <- p
+      done;
+      (* the top bit is set, so the first window seeds acc *)
+      let first = ref true in
+      let i = ref (bits - 1) in
+      while !i >= 0 do
+        if mag_bit e !i = 0 then begin
+          mont_mul_into ctx q acc acc acc;
+          decr i
+        end
+        else begin
+          let l = ref (if !i >= 4 then !i - 4 else 0) in
+          while mag_bit e !l = 0 do
+            incr l
+          done;
+          let w = ref 0 in
+          for k = !i downto !l do
+            w := (!w lsl 1) lor mag_bit e k
+          done;
+          if !first then begin
+            Array.blit tbl.(!w lsr 1) 0 acc 0 n;
+            first := false
+          end
+          else begin
+            for _ = !l to !i do
+              mont_mul_into ctx q acc acc acc
+            done;
+            mont_mul_into ctx q acc acc tbl.(!w lsr 1)
+          end;
+          i := !l - 1
+        end
+      done
+    end;
+    (* leave the domain: multiply by the literal 1 *)
+    Array.fill x 0 n 0;
+    x.(0) <- 1;
+    mont_mul_into ctx q acc acc x;
+    make 1 (mag_normalize acc)
+  end
 
 let mod_pow ~base:b ~exp ~modulus =
   if sign exp < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
   if sign modulus <= 0 then invalid_arg "Bigint.mod_pow: modulus <= 0";
   if equal modulus one then S 0
   else if is_zero exp then one
+  else if (not (is_even modulus)) && bit_length modulus <= mont_max_bits then
+    mod_pow_mont (mont modulus) ~base:b ~exp
   else begin
     let b = erem b modulus in
-    if is_zero b then S 0
-    else if not (is_even modulus) then make 1 (mod_pow_mont (to_mag modulus) (to_mag b) exp)
-    else begin
-      let bl = bit_length exp in
-      let acc = ref one in
-      for i = bl - 1 downto 0 do
-        acc := erem (mul !acc !acc) modulus;
-        if testbit exp i then acc := erem (mul !acc b) modulus
-      done;
-      !acc
-    end
+    let bl = bit_length exp in
+    let acc = ref one in
+    for i = bl - 1 downto 0 do
+      acc := erem (mul !acc !acc) modulus;
+      if testbit exp i then acc := erem (mul !acc b) modulus
+    done;
+    !acc
   end
 
 (* ------------------------------------------------------------------ *)
@@ -641,10 +691,34 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 (* Bytes / random                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Both conversions pack bits straight between bytes and 26-bit limbs
+   through a small accumulator: linear in the length. *)
 let of_bytes_be s =
-  let v = ref zero in
-  String.iter (fun c -> v := add_int (shift_left !v 8) (Char.code c)) s;
-  !v
+  let len = String.length s in
+  if len <= 7 then begin
+    (* 56 bits fit a native int: no limb array *)
+    let v = ref 0 in
+    for i = 0 to len - 1 do
+      v := (!v lsl 8) lor Char.code (String.unsafe_get s i)
+    done;
+    S !v
+  end
+  else begin
+    let a = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+    let acc = ref 0 and nacc = ref 0 and k = ref 0 in
+    for i = len - 1 downto 0 do
+      acc := !acc lor (Char.code (String.unsafe_get s i) lsl !nacc);
+      nacc := !nacc + 8;
+      if !nacc >= limb_bits then begin
+        a.(!k) <- !acc land mask;
+        incr k;
+        acc := !acc lsr limb_bits;
+        nacc := !nacc - limb_bits
+      end
+    done;
+    if !nacc > 0 then a.(!k) <- !acc;
+    make 1 (mag_normalize a)
+  end
 
 let to_bytes_be ?width t =
   if sign t < 0 then invalid_arg "Bigint.to_bytes_be: negative";
@@ -657,14 +731,30 @@ let to_bytes_be ?width t =
       w
   in
   let b = Bytes.make out_len '\000' in
-  let rec fill t i =
-    if i >= 0 && not (is_zero t) then begin
-      let q, r = divmod t (S 256) in
-      Bytes.set b i (Char.chr (to_int_exn r));
-      fill q (i - 1)
-    end
-  in
-  fill t (out_len - 1);
+  (* every byte left of the last [nbytes] is zero, so stopping at index
+     0 loses nothing *)
+  let i = ref (out_len - 1) in
+  (match t with
+  | S v ->
+    let v = ref v in
+    while !v <> 0 && !i >= 0 do
+      Bytes.unsafe_set b !i (Char.unsafe_chr (!v land 0xff));
+      v := !v lsr 8;
+      decr i
+    done
+  | B { mag; _ } ->
+    let acc = ref 0 and nacc = ref 0 in
+    for k = 0 to Array.length mag - 1 do
+      acc := !acc lor (mag.(k) lsl !nacc);
+      nacc := !nacc + limb_bits;
+      while !nacc >= 8 && !i >= 0 do
+        Bytes.unsafe_set b !i (Char.unsafe_chr (!acc land 0xff));
+        acc := !acc lsr 8;
+        nacc := !nacc - 8;
+        decr i
+      done
+    done;
+    if !nacc > 0 && !i >= 0 then Bytes.unsafe_set b !i (Char.unsafe_chr !acc));
   Bytes.unsafe_to_string b
 
 let random_bits rng bits =

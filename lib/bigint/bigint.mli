@@ -82,8 +82,24 @@ val gcd : t -> t -> t
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
 (** [mod_pow ~base ~exp ~modulus] computes [base^exp mod modulus] for
-    [exp >= 0], [modulus > 0]. Uses Montgomery multiplication when the
-    modulus is odd. *)
+    [exp >= 0], [modulus > 0]. An odd modulus of at most 8192 bits goes
+    through [mod_pow_mont (mont modulus)]; any other modulus takes
+    plain square-and-multiply. *)
+
+type mont
+(** Montgomery context of one odd modulus: its limbs, [-m^-1 mod 2^26]
+    and [R^2 mod m]. Immutable, so domains may share it. Build it once
+    per key and reuse it for every exponentiation under that modulus. *)
+
+val mont : t -> mont
+(** @raise Invalid_argument if the modulus is even, [<= 1], or above
+    8192 bits. *)
+
+val mod_pow_mont : mont -> base:t -> exp:t -> t
+(** [mod_pow_mont c ~base ~exp] is [base^exp mod m] for the context's
+    modulus [m] and [exp >= 0]; [base] may be negative or [>= m].
+    Allocation does not grow with the exponent's length.
+    @raise Invalid_argument on a negative exponent. *)
 
 val mod_inv : t -> t -> t
 (** [mod_inv a m] is the inverse of [a] modulo [m].

@@ -12,7 +12,8 @@ type pub
 
 val gen_params : ?lbits:int -> ?nbits:int -> Aqv_util.Prng.t -> params
 (** Generate a (p, q, g) domain-parameter triple: [q] prime of [nbits],
-    [p = 1 (mod q)] prime of [lbits], [g] of order [q]. *)
+    [p = 1 (mod q)] prime of [lbits], [g] of order [q].
+    @raise Invalid_argument unless [nbits < lbits <= 8192]. *)
 
 val generate : params -> Aqv_util.Prng.t -> priv * pub
 val sign : priv -> Sha256.digest -> string
@@ -24,4 +25,6 @@ val encode_pub : Aqv_util.Wire.writer -> pub -> unit
 (** Wire form of the public key (domain parameters and [y]). *)
 
 val decode_pub : Aqv_util.Wire.reader -> pub
-(** @raise Failure on malformed input. *)
+(** @raise Failure on malformed input, and on a [p] that is even or
+    above 8192 bits. [q] is not tested for primality: {!verify} returns
+    [false] when the signature's [s] has no inverse mod [q]. *)

@@ -8,13 +8,10 @@ let small_primes =
     197; 199; 211; 223; 227; 229; 233; 239; 241; 251;
   ]
 
-(* Miller-Rabin witness test: true if [a] proves [n] composite. *)
-let witness n a =
-  (* n - 1 = d * 2^s with d odd *)
-  let n1 = Z.pred n in
-  let rec split d s = if Z.is_even d then split (Z.shift_right d 1) (s + 1) else (d, s) in
-  let d, s = split n1 0 in
-  let x = Z.mod_pow ~base:a ~exp:d ~modulus:n in
+(* Miller-Rabin witness test: true if [a] proves [n] composite, where
+   [n - 1 = d * 2^s] with [d] odd and [pow a d = a^d mod n]. *)
+let witness ~pow n n1 d s a =
+  let x = pow a d in
   if Z.equal x Z.one || Z.equal x n1 then false
   else begin
     let rec squares x i =
@@ -35,13 +32,22 @@ let is_prime ?(rounds = 24) rng n =
     if small then true
     else if List.exists (fun p -> Z.is_zero (Z.rem n (Z.of_int p))) small_primes then false
     else begin
+      (* n is odd here: one Montgomery context serves every round *)
+      let pow =
+        match Z.mont n with
+        | ctx -> fun a d -> Z.mod_pow_mont ctx ~base:a ~exp:d
+        | exception Invalid_argument _ -> fun a d -> Z.mod_pow ~base:a ~exp:d ~modulus:n
+      in
+      let n1 = Z.pred n in
+      let rec split d s = if Z.is_even d then split (Z.shift_right d 1) (s + 1) else (d, s) in
+      let d, s = split n1 0 in
       let n3 = Z.sub n (Z.of_int 3) in
       let rec rounds_left i =
         if i = 0 then true
         else begin
           (* a uniform in [2, n-2] *)
           let a = Z.add Z.two (Z.random_below rng (Z.succ n3)) in
-          if witness n a then false else rounds_left (i - 1)
+          if witness ~pow n n1 d s a then false else rounds_left (i - 1)
         end
       in
       rounds_left rounds

@@ -10,7 +10,7 @@ type pub
 
 val generate : ?bits:int -> Aqv_util.Prng.t -> priv * pub
 (** [generate ~bits rng] creates a key pair with a [bits]-bit modulus
-    (default 512). *)
+    (default 512). @raise Invalid_argument unless [128 <= bits <= 8192]. *)
 
 val sign : priv -> Sha256.digest -> string
 (** Signature bytes, always [bits/8] long. Counted in {!Aqv_util.Metrics}. *)
@@ -28,4 +28,6 @@ val encode_pub : Aqv_util.Wire.writer -> pub -> unit
     clients can receive it from the owner. *)
 
 val decode_pub : Aqv_util.Wire.reader -> pub
-(** @raise Failure on malformed input. *)
+(** @raise Failure on malformed input, on a modulus that is even, under
+    62 bytes (too small for the padded digest) or above 8192 bits, and
+    on an exponent outside [\[2, n)]. *)

@@ -1,8 +1,11 @@
-(* Reference modular exponentiation: plain left-to-right
-   square-and-multiply with a full [erem] after every step, built only
-   from public [Bigint] operations. The qcheck in test_extensions
-   checks [Bigint.mod_pow] (Montgomery for odd moduli) against it, and
-   the abl-montgomery bench figure times it as the plain baseline. *)
+(* Reference oracles for [Bigint], built only from its public
+   arithmetic. [mod_pow_plain] is plain left-to-right square-and-multiply
+   with a full [erem] after every step: the qchecks in test_extensions
+   and test_bigint check [Bigint.mod_pow] and [Bigint.mod_pow_mont]
+   against it, and the abl-montgomery bench figure times it as the
+   plain baseline. The byte conversions work one byte at a time
+   (quadratic) and are what test_bigint checks the limb-packing
+   [Bigint.of_bytes_be] / [to_bytes_be] against. *)
 
 module Z = Aqv_bigint.Bigint
 
@@ -19,3 +22,29 @@ let mod_pow_plain ~base ~exp ~modulus =
     done;
     !acc
   end
+
+let of_bytes_be s =
+  let v = ref Z.zero in
+  String.iter (fun c -> v := Z.add_int (Z.shift_left !v 8) (Char.code c)) s;
+  !v
+
+let to_bytes_be ?width t =
+  if Z.sign t < 0 then invalid_arg "Bigint_ref.to_bytes_be: negative";
+  let nbytes = max 1 ((Z.bit_length t + 7) / 8) in
+  let out_len =
+    match width with
+    | None -> nbytes
+    | Some w ->
+      if nbytes > w && not (Z.is_zero t) then invalid_arg "Bigint_ref.to_bytes_be: width too small";
+      w
+  in
+  let b = Bytes.make out_len '\000' in
+  let rec fill t i =
+    if i >= 0 && not (Z.is_zero t) then begin
+      let q, r = Z.divmod t (Z.of_int 256) in
+      Bytes.set b i (Char.chr (Z.to_int_exn r));
+      fill q (i - 1)
+    end
+  in
+  fill t (out_len - 1);
+  Bytes.unsafe_to_string b

@@ -7,6 +7,7 @@
 
 module Z = Aqv_bigint.Bigint
 module Prng = Aqv_util.Prng
+module Bigint_ref = Aqv_ref.Bigint_ref
 
 let check = Alcotest.check
 let zt = Alcotest.testable (fun ppf z -> Z.pp ppf z) Z.equal
@@ -168,6 +169,34 @@ let prop_bytes_width =
       let s = Z.to_bytes_be ~width:w a in
       String.length s = w && Z.equal a (Z.of_bytes_be s))
 
+(* Every length 0-100 with a random run of leading zero bytes, every
+   width from -1 to len + 1 and none, and the negated value: the limb
+   packing must return the same bytes, or raise Invalid_argument
+   exactly when the byte-at-a-time reference does. *)
+let prop_bytes_match_ref =
+  let outcome f = match f () with s -> Some s | exception Invalid_argument _ -> None in
+  qtest "bytes_be = byte-at-a-time reference" ~count:10 QCheck.int (fun seed ->
+      let rng = Prng.create (Int64.of_int seed) in
+      let ok = ref true in
+      for len = 0 to 100 do
+        let zeros = if Prng.bool rng then 0 else Prng.int rng (len + 1) in
+        let s = String.make zeros '\000' ^ Prng.bytes rng (len - zeros) in
+        let v = Z.of_bytes_be s in
+        if not (Z.equal v (Bigint_ref.of_bytes_be s)) then ok := false;
+        let widths = None :: List.init (len + 3) (fun w -> Some (w - 1)) in
+        List.iter
+          (fun x ->
+            List.iter
+              (fun width ->
+                if
+                  outcome (fun () -> Z.to_bytes_be ?width x)
+                  <> outcome (fun () -> Bigint_ref.to_bytes_be ?width x)
+                then ok := false)
+              widths)
+          (if Z.is_zero v then [ v ] else [ v; Z.neg v ])
+      done;
+      !ok)
+
 let prop_gcd =
   qtest "gcd divides and is max" ~count:300 arb_z_pair (fun (a, b) ->
       let g = Z.gcd a b in
@@ -229,6 +258,106 @@ let test_mod_pow_even_modulus () =
   let b = Z.of_string "0xdeadbeefcafebabe1234" in
   check zt "even modulus path" (naive_mod_pow (Z.erem b m) (Z.of_int 13) m)
     (Z.mod_pow ~base:b ~exp:(Z.of_int 13) ~modulus:m)
+
+(* ---------------------- Montgomery edge cases ---------------------- *)
+
+(* Odd moduli of 1-40 limbs: a full top limb, a top limb near 2^26
+   (the final-subtract path is hot there), or any bit length. *)
+let gen_odd_modulus rng =
+  let limbs = 1 + Prng.int rng 40 in
+  let bits = 26 * limbs in
+  let m =
+    match Prng.int rng 3 with
+    | 0 -> Z.add (Z.shift_left Z.one (bits - 1)) (Z.random_bits rng (bits - 1))
+    | 1 -> Z.sub (Z.shift_left Z.one bits) (Z.random_bits rng (1 + Prng.int rng 30))
+    | _ -> Z.random_bits rng (bits - Prng.int rng 26)
+  in
+  let m = if Z.is_even m then Z.succ m else m in
+  if Z.compare m Z.one <= 0 then Z.of_int 3 else m
+
+let gen_edge_exp rng =
+  match Prng.int rng 9 with
+  | 0 -> Z.zero
+  | 1 -> Z.one
+  | 2 -> Z.two
+  | 3 -> Z.add (Z.shift_left Z.one 19) (Z.random_bits rng 19) (* 20 bits: last short path *)
+  | 4 -> Z.add (Z.shift_left Z.one 20) (Z.random_bits rng 20) (* 21 bits: first window *)
+  | 5 -> Z.of_int 65537
+  | 6 -> Z.pred (Z.shift_left Z.one (1 + Prng.int rng 300)) (* all ones *)
+  | 7 ->
+    (* long zero runs between short bursts *)
+    let burst () = Z.random_bits rng 6 in
+    Z.add (Z.shift_left (burst ()) (40 + Prng.int rng 200)) (Z.add (Z.shift_left (burst ()) 30) (burst ()))
+  | _ -> Z.random_bits rng (Prng.int rng 400)
+
+let gen_edge_base rng m =
+  match Prng.int rng 6 with
+  | 0 -> Z.zero
+  | 1 -> Z.pred m
+  | 2 -> Z.add m (Z.random_bits rng 100) (* >= m *)
+  | 3 -> Z.neg (Z.random_below rng m)
+  | 4 -> Z.one
+  | _ -> Z.random_below rng m
+
+let prop_mod_pow_mont_edges =
+  qtest "mod_pow_mont = mod_pow_plain (edge cases)" ~count:400 QCheck.int (fun seed ->
+      let rng = Prng.create (Int64.of_int seed) in
+      let m = gen_odd_modulus rng in
+      let e = gen_edge_exp rng in
+      let b = gen_edge_base rng m in
+      let expect = Bigint_ref.mod_pow_plain ~base:b ~exp:e ~modulus:m in
+      Z.equal (Z.mod_pow_mont (Z.mont m) ~base:b ~exp:e) expect
+      && Z.equal (Z.mod_pow ~base:b ~exp:e ~modulus:m) expect)
+
+let test_mod_pow_size_bound () =
+  let rng = Prng.create 43L in
+  let b = Z.random_bits rng 9000 in
+  let e = Z.random_bits rng 24 in
+  (* 8192 bits: the largest modulus the kernel takes *)
+  let m8192 = Z.succ (Z.shift_left (Z.random_bits rng 8190) 1) in
+  let m8192 = Z.add m8192 (Z.shift_left Z.one 8191) in
+  check Alcotest.int "8192 bits" 8192 (Z.bit_length m8192);
+  check zt "8192-bit kernel"
+    (Bigint_ref.mod_pow_plain ~base:b ~exp:e ~modulus:m8192)
+    (Z.mod_pow_mont (Z.mont m8192) ~base:b ~exp:e);
+  (* just above: mont refuses, mod_pow falls back to square-and-multiply *)
+  List.iter
+    (fun k ->
+      let m = Z.add (Z.shift_left Z.one 8192) (Z.of_int k) in
+      Alcotest.check_raises "mont refuses 8193 bits"
+        (Invalid_argument "Bigint.mont: modulus above 8192 bits") (fun () -> ignore (Z.mont m));
+      check zt "fallback" (Bigint_ref.mod_pow_plain ~base:b ~exp:e ~modulus:m)
+        (Z.mod_pow ~base:b ~exp:e ~modulus:m))
+    [ 1; 12345 ]
+
+let test_mont_refuses () =
+  List.iter
+    (fun m ->
+      match Z.mont m with
+      | _ -> Alcotest.failf "mont accepted %s" (Z.to_string m)
+      | exception Invalid_argument _ -> ())
+    [ Z.zero; Z.one; Z.minus_one; Z.of_int (-7); Z.two; Z.shift_left Z.one 100 ];
+  Alcotest.check_raises "negative exponent"
+    (Invalid_argument "Bigint.mod_pow_mont: negative exponent") (fun () ->
+      ignore (Z.mod_pow_mont (Z.mont (Z.of_int 7)) ~base:Z.two ~exp:Z.minus_one))
+
+(* The kernel allocates nothing per multiply: one exponentiation costs
+   the same minor words whatever the exponent's length. *)
+let test_mod_pow_mont_allocation () =
+  let rng = Prng.create 44L in
+  let m = Z.add (Z.shift_left Z.one 255) (Z.succ (Z.shift_left (Z.random_bits rng 253) 1)) in
+  let ctx = Z.mont m in
+  let b = Z.random_below rng m in
+  let words exp =
+    ignore (Z.mod_pow_mont ctx ~base:b ~exp);
+    let before = Gc.minor_words () in
+    ignore (Z.mod_pow_mont ctx ~base:b ~exp);
+    Gc.minor_words () -. before
+  in
+  let exp_of_bits k = Z.add (Z.shift_left Z.one (k - 1)) (Z.random_bits rng (k - 1)) in
+  let w64 = words (exp_of_bits 64) and w1024 = words (exp_of_bits 1024) in
+  check (Alcotest.float 0.) "same words at 64 and 1024 exponent bits" w64 w1024;
+  if w1024 >= 1000. then Alcotest.failf "%.0f minor words for one exponentiation" w1024
 
 let prop_mod_inv =
   qtest "mod_inv correct when gcd=1" ~count:300
@@ -349,6 +478,7 @@ let () =
           prop_testbit;
           prop_bytes_roundtrip;
           prop_bytes_width;
+          prop_bytes_match_ref;
           prop_gcd;
           prop_is_even;
         ] );
@@ -358,6 +488,10 @@ let () =
           prop_mod_pow_laws;
           Alcotest.test_case "fermat" `Quick test_mod_pow_fermat;
           Alcotest.test_case "even modulus" `Quick test_mod_pow_even_modulus;
+          prop_mod_pow_mont_edges;
+          Alcotest.test_case "mont size bound" `Quick test_mod_pow_size_bound;
+          Alcotest.test_case "mont refuses" `Quick test_mont_refuses;
+          Alcotest.test_case "mont allocation flat" `Quick test_mod_pow_mont_allocation;
           prop_mod_inv;
           Alcotest.test_case "mod_inv not found" `Quick test_mod_inv_not_found;
         ] );

@@ -179,6 +179,59 @@ let test_rsa_cross_key () =
   let d = Sha256.digest "a message" in
   check Alcotest.bool "other key" false (Rsa.verify pub2 d (Rsa.sign priv d))
 
+(* Known answers, recorded before the Montgomery kernel was rewritten.
+   PKCS#1 v1.5 signing is deterministic, so any arithmetic change that
+   moves one signature byte fails here. *)
+let rsa_known_signature =
+  "63b5875d8a1618dd87926dfd68ff422a5ca86abbf0be183cee8b7e69fe5be59c"
+  ^ "fb9cb065f87b031d291a6187bc5a9b60e6c641e4b3c19435904536a5f846af92"
+
+let test_rsa_known_answer () =
+  let priv, pub = Lazy.force rsa_keys in
+  let d = Sha256.digest "a message" in
+  let s = Rsa.sign priv d in
+  check Alcotest.string "signature" rsa_known_signature (Aqv_util.Hex.encode s);
+  check Alcotest.bool "verifies" true (Rsa.verify pub d s)
+
+(* Public keys arrive from the wire: the decoder must refuse anything
+   the verifier cannot check, with [Failure], so that a forged key is a
+   typed rejection instead of an exception escaping [Client.verify]. *)
+let rsa_pub_of n e =
+  let w = Aqv_util.Wire.writer () in
+  Aqv_util.Wire.bytes w (Z.to_bytes_be n);
+  Aqv_util.Wire.bytes w (Z.to_bytes_be e);
+  Rsa.decode_pub (Aqv_util.Wire.reader (Aqv_util.Wire.contents w))
+
+let refuses what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Failure _ -> ()
+
+let real_rsa_modulus () =
+  let _, pub = Lazy.force rsa_keys in
+  let w = Aqv_util.Wire.writer () in
+  Rsa.encode_pub w pub;
+  Z.of_bytes_be (Aqv_util.Wire.read_bytes (Aqv_util.Wire.reader (Aqv_util.Wire.contents w)))
+
+let e65537 = Z.of_int 65537
+
+let test_rsa_decode_short_modulus () =
+  (* 61 bytes: too small for the SHA-256 DigestInfo padding *)
+  let n = Z.succ (Z.shift_left Z.one 487) in
+  refuses "61-byte modulus" (fun () -> rsa_pub_of n e65537)
+
+let test_rsa_decode_even_modulus () =
+  refuses "even modulus" (fun () -> rsa_pub_of (Z.succ (real_rsa_modulus ())) e65537)
+
+let test_rsa_decode_oversized_modulus () =
+  let n = Z.succ (Z.shift_left Z.one 8192) in
+  refuses "8193-bit modulus" (fun () -> rsa_pub_of n e65537)
+
+let test_rsa_decode_exponent_range () =
+  let n = real_rsa_modulus () in
+  refuses "e = n" (fun () -> rsa_pub_of n n);
+  refuses "e > n" (fun () -> rsa_pub_of n (Z.add n Z.two))
+
 let rsa_sign_verify_many =
   qtest ~count:30 "rsa roundtrip (random messages)" QCheck.string (fun m ->
       let priv, pub = Lazy.force rsa_keys in
@@ -220,6 +273,39 @@ let test_dsa_rejects_bitflip () =
 let test_dsa_rejects_garbage () =
   let _, pub = Lazy.force dsa_ctx in
   check Alcotest.bool "garbage" false (Dsa.verify pub (Sha256.digest "m") "nonsense")
+
+let dsa_known_signature =
+  "145da25b529f94d7f9ea3ab095aa00dd7a59fa3ed7142b5e7f7edc4d16f65336f04f7c1a47dfb1c3aab0"
+
+let test_dsa_known_answer () =
+  let priv, pub = Lazy.force dsa_ctx in
+  let d = Sha256.digest "a message" in
+  let s = Dsa.sign priv d in
+  check Alcotest.string "signature" dsa_known_signature (Aqv_util.Hex.encode s);
+  check Alcotest.bool "verifies" true (Dsa.verify pub d s)
+
+let dsa_pub_of ~p ~q ~g ~y =
+  let w = Aqv_util.Wire.writer () in
+  List.iter (fun v -> Aqv_util.Wire.bytes w (Z.to_bytes_be v)) [ p; q; g; y ];
+  Dsa.decode_pub (Aqv_util.Wire.reader (Aqv_util.Wire.contents w))
+
+let test_dsa_decode_even_p () =
+  refuses "even p" (fun () ->
+      dsa_pub_of ~p:(Z.of_int 32) ~q:(Z.of_int 7) ~g:Z.two ~y:(Z.of_int 3))
+
+let test_dsa_decode_oversized_p () =
+  refuses "8193-bit p" (fun () ->
+      dsa_pub_of ~p:(Z.succ (Z.shift_left Z.one 8192)) ~q:(Z.of_int 7) ~g:Z.two ~y:(Z.of_int 3))
+
+let test_dsa_verify_composite_q () =
+  (* q = 15 decodes (the decoder does not test primality), and s = 5
+     has no inverse mod 15: verification must say no, not raise *)
+  let pub = dsa_pub_of ~p:(Z.of_int 31) ~q:(Z.of_int 15) ~g:Z.two ~y:(Z.of_int 3) in
+  let w = Aqv_util.Wire.writer () in
+  Aqv_util.Wire.bytes w (Z.to_bytes_be Z.one);
+  Aqv_util.Wire.bytes w (Z.to_bytes_be (Z.of_int 5));
+  check Alcotest.bool "no inverse" false
+    (Dsa.verify pub (Sha256.digest "m") (Aqv_util.Wire.contents w))
 
 let dsa_sign_verify_many =
   qtest ~count:20 "dsa roundtrip (random messages)" QCheck.string (fun m ->
@@ -295,6 +381,13 @@ let () =
           Alcotest.test_case "bitflip" `Quick test_rsa_rejects_bitflip;
           Alcotest.test_case "bad length" `Quick test_rsa_rejects_bad_length;
           Alcotest.test_case "cross key" `Quick test_rsa_cross_key;
+          Alcotest.test_case "known answer" `Quick test_rsa_known_answer;
+          Alcotest.test_case "decode refuses short modulus" `Quick test_rsa_decode_short_modulus;
+          Alcotest.test_case "decode refuses even modulus" `Quick test_rsa_decode_even_modulus;
+          Alcotest.test_case "decode refuses oversized modulus" `Quick
+            test_rsa_decode_oversized_modulus;
+          Alcotest.test_case "decode refuses exponent out of range" `Quick
+            test_rsa_decode_exponent_range;
           rsa_sign_verify_many;
         ] );
       ( "dsa",
@@ -304,6 +397,10 @@ let () =
           Alcotest.test_case "wrong digest" `Quick test_dsa_rejects_wrong_digest;
           Alcotest.test_case "bitflip" `Quick test_dsa_rejects_bitflip;
           Alcotest.test_case "garbage" `Quick test_dsa_rejects_garbage;
+          Alcotest.test_case "known answer" `Quick test_dsa_known_answer;
+          Alcotest.test_case "decode refuses even p" `Quick test_dsa_decode_even_p;
+          Alcotest.test_case "decode refuses oversized p" `Quick test_dsa_decode_oversized_p;
+          Alcotest.test_case "verify composite q" `Quick test_dsa_verify_composite_q;
           dsa_sign_verify_many;
         ] );
       ( "signer",

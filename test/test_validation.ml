@@ -71,6 +71,10 @@ let () =
               Aqv_crypto.Dsa.gen_params ~lbits:100 ~nbits:200 (Prng.create 1L));
           raises_invalid "prime gen 1 bit" (fun () ->
               Aqv_crypto.Prime.gen_prime (Prng.create 1L) ~bits:1);
+          raises_invalid "rsa modulus above 8192 bits" (fun () ->
+              Signer.generate ~bits:8200 Signer.Rsa (Prng.create 1L));
+          raises_invalid "dsa p above 8192 bits" (fun () ->
+              Aqv_crypto.Dsa.gen_params ~lbits:8200 ~nbits:160 (Prng.create 1L));
         ] );
       ( "db",
         [

@@ -2,7 +2,8 @@
    every checked-in workloads/*.json, the pure SLO gate on synthetic
    measurements, and the `aqv_net workload` command end to end — a
    satisfied spec exits 0 with ok=1, a violated bound exits non-zero
-   and names itself in the JSON report. *)
+   and names itself in the JSON report; and `aqv_net publish` into an
+   uncreatable directory exits 1 with the store error. *)
 
 module Json = Aqv_util.Json
 module Spec = Aqv_db.Spec
@@ -129,11 +130,10 @@ let test_gate_pure () =
 
 (* ----------------------------- end to end ---------------------------- *)
 
-let run_workload_cmd args =
+let run_aqv_net args =
   let out = Filename.temp_file "aqv_workload" ".out" in
   let cmd =
-    Printf.sprintf "%s workload %s > %s 2>&1" (Filename.quote aqv_net) args
-      (Filename.quote out)
+    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote aqv_net) args (Filename.quote out)
   in
   let code =
     match Unix.system cmd with
@@ -145,6 +145,13 @@ let run_workload_cmd args =
   close_in ic;
   Sys.remove out;
   (code, text)
+
+let run_workload_cmd args = run_aqv_net ("workload " ^ args)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
 
 (* total field access: absent members read as Null, so the typed
    accessors compose *)
@@ -230,12 +237,16 @@ let test_e2e_bad_spec_exit_2 () =
   let code, text = run_workload_cmd ("--spec " ^ Filename.quote spec_file) in
   Sys.remove spec_file;
   check Alcotest.int "exit 2 on bad spec" 2 code;
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
   check Alcotest.bool "error names the missing field" true (contains text "records")
+
+let test_publish_missing_dir () =
+  (* the parent directory does not exist, so the store cannot create D *)
+  let dir = Filename.concat (Filename.temp_file "aqv_publish" ".absent") "sub" in
+  Sys.remove (Filename.dirname dir);
+  let code, text = run_aqv_net ("publish --records 8 --dir " ^ Filename.quote dir) in
+  check Alcotest.int "exit 1, not a crash" 1 code;
+  check Alcotest.bool "store error reported" true
+    (contains text ("aqv_net: cannot publish to " ^ dir ^ ": "))
 
 let () =
   Alcotest.run "aqv_workload"
@@ -258,5 +269,6 @@ let () =
           Alcotest.test_case "smoke spec passes" `Quick test_e2e_pass;
           Alcotest.test_case "violated bound named" `Quick test_e2e_violation_names_bound;
           Alcotest.test_case "bad spec exit 2" `Quick test_e2e_bad_spec_exit_2;
+          Alcotest.test_case "publish to missing dir" `Quick test_publish_missing_dir;
         ] );
     ]
