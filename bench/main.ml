@@ -671,6 +671,12 @@ let abl_count () =
         (float_of_int range_bytes /. float_of_int count_bytes))
     [ 5; 20; 50; 80; 100 ]
 
+(* Update cost, with hard-failing deterministic signature laws: a
+   one-sig apply issues exactly 1 signature; a multi-sig apply issues
+   exactly as many as a from-scratch rebuild, one per subdomain of the
+   updated index; and at b = 1 the mesh re-signs fewer than the
+   multi-sig apply. Signing is counted in Metrics, so the laws are
+   immune to runner noise; wall seconds are evidence only. *)
 let abl_update () =
   header "Ablation — incremental maintenance: apply vs full rebuild (RSA-512)";
   let n = scaled 200 in
@@ -683,19 +689,17 @@ let abl_update () =
   row " one-sig pays 1 signature + a full hash re-propagation, multi-sig\n";
   row " one signature per subdomain [%d here] + no propagation, mesh one\n"
     (Itree.leaf_count (Ifmh.itree multi));
-  row " per dirtied run; rebuild = from-scratch multi-sig build; cold =\n";
-  row " multi-sig apply with the rebuild cache dropped, so 'multi s' vs\n";
-  row " 'cold s' isolates the carry-over of pair geometry + FMH-trees)\n";
+  row " per dirtied run; rebuild = from-scratch multi-sig build)\n";
+  let fail b fmt =
+    Printf.ksprintf (fun m -> failwith (Printf.sprintf "abl-update: b=%d %s" b m)) fmt
+  in
   let measure f =
     Metrics.reset ();
-    let before = Metrics.snapshot () in
-    let _, t = time f in
-    let d = Metrics.diff (Metrics.snapshot ()) before in
-    (d.Metrics.sign_ops, d.Metrics.memo_pair_hits, d.Metrics.memo_fmh_hits, t)
+    let r, t = time f in
+    (r, (Metrics.snapshot ()).Metrics.sign_ops, t)
   in
-  row "%6s | %8s %8s | %9s %8s %8s | %8s %8s | %11s %9s | %9s\n" "b" "one sig"
-    "one s" "multi sig" "multi s" "cold s" "mesh sig" "mesh s" "rebuild sig"
-    "rebuild s" "pair hits";
+  row "%6s | %8s %8s | %9s %8s | %8s %8s | %11s %9s\n" "b" "one sig" "one s" "multi sig"
+    "multi s" "mesh sig" "mesh s" "rebuild sig" "rebuild s";
   List.iter
     (fun b ->
       let rng = Prng.create (Int64.of_int (0xAB10 + b)) in
@@ -710,23 +714,16 @@ let abl_update () =
                    |]
                  ()))
       in
-      let s_one, p_one, f_one, t_one = measure (fun () -> Ifmh.apply kp changes one) in
-      let s_multi, p_multi, f_multi, t_multi =
-        measure (fun () -> Ifmh.apply kp changes multi)
-      in
-      let s_cold, p_cold, f_cold, t_cold =
-        measure (fun () -> Ifmh.apply kp changes (Ifmh.drop_rebuild_cache multi))
-      in
-      let s_mesh, p_mesh, f_mesh, t_mesh =
-        measure (fun () -> Mesh.apply kp changes mesh)
-      in
-      let s_reb, p_reb, f_reb, t_reb =
+      let _, s_one, t_one = measure (fun () -> Ifmh.apply kp changes one) in
+      let multi', s_multi, t_multi = measure (fun () -> Ifmh.apply kp changes multi) in
+      let _, s_mesh, t_mesh = measure (fun () -> Mesh.apply kp changes mesh) in
+      let _, s_reb, t_reb =
         measure (fun () ->
             Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:2
               (Update.apply_table changes table) kp)
       in
       List.iter
-        (fun (variant, sigs, pairs, fmh, secs) ->
+        (fun (variant, sigs, secs) ->
           json_add
             [
               ("figure", J_str "abl-update");
@@ -734,19 +731,24 @@ let abl_update () =
               ("batch", J_int b);
               ("variant", J_str variant);
               ("sign_ops", J_int sigs);
-              ("memo_pair_hits", J_int pairs);
-              ("memo_fmh_hits", J_int fmh);
               ("wall_s", J_num secs);
             ])
         [
-          ("one-sig-apply", s_one, p_one, f_one, t_one);
-          ("multi-sig-apply", s_multi, p_multi, f_multi, t_multi);
-          ("multi-sig-apply-cold", s_cold, p_cold, f_cold, t_cold);
-          ("mesh-apply", s_mesh, p_mesh, f_mesh, t_mesh);
-          ("multi-sig-rebuild", s_reb, p_reb, f_reb, t_reb);
+          ("one-sig-apply", s_one, t_one);
+          ("multi-sig-apply", s_multi, t_multi);
+          ("mesh-apply", s_mesh, t_mesh);
+          ("multi-sig-rebuild", s_reb, t_reb);
         ];
-      row "%6d | %8d %8.3f | %9d %8.3f %8.3f | %8d %8.3f | %11d %9.3f | %9d\n%!"
-        b s_one t_one s_multi t_multi t_cold s_mesh t_mesh s_reb t_reb p_multi)
+      row "%6d | %8d %8.3f | %9d %8.3f | %8d %8.3f | %11d %9.3f\n%!" b s_one t_one s_multi
+        t_multi s_mesh t_mesh s_reb t_reb;
+      let subdomains = Itree.leaf_count (Ifmh.itree multi') in
+      if s_one <> 1 then fail b "one-sig apply issued %d signatures, not 1" s_one;
+      if s_multi <> subdomains then
+        fail b "multi-sig apply issued %d signatures for %d subdomains" s_multi subdomains;
+      if s_reb <> subdomains then
+        fail b "rebuild issued %d signatures for %d subdomains" s_reb subdomains;
+      if b = 1 && s_mesh >= s_multi then
+        fail b "mesh apply issued %d signatures, not fewer than multi-sig's %d" s_mesh s_multi)
     [ 1; 2; 4; 8; 16 ]
 
 let abl_recovery () =

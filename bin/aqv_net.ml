@@ -236,11 +236,6 @@ let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
       recovery.Store.final_epoch recovery.Store.snapshot_epoch
       recovery.Store.replayed recovery.Store.skipped
       recovery.Store.torn_tail_bytes;
-    (let m = Aqv_util.Metrics.snapshot () in
-     if m.Aqv_util.Metrics.memo_pair_hits > 0 || m.Aqv_util.Metrics.memo_fmh_hits > 0
-     then
-       Printf.printf "  rebuild cache: %d pair / %d fmh hit(s) during recovery\n"
-         m.Aqv_util.Metrics.memo_pair_hits m.Aqv_util.Metrics.memo_fmh_hits);
     Printf.printf "serving %d records on 127.0.0.1:%d%s (max %d conns, cache %d)%s\n%!"
       (Table.size (Ifmh.table index))
       (Engine.port engine)
@@ -347,8 +342,6 @@ let run_fsck dir json =
               ("replayed", jI r.Store.r_replayed);
               ("skipped", jI r.Store.r_skipped);
               ("frames_coalesced", jI r.Store.r_replayed);
-              ("memo_pair_hits", jI m.Aqv_util.Metrics.memo_pair_hits);
-              ("memo_fmh_hits", jI m.Aqv_util.Metrics.memo_fmh_hits);
               ("frag_hits", jI m.Aqv_util.Metrics.frag_hits);
               ("frag_misses", jI m.Aqv_util.Metrics.frag_misses);
               ("final_epoch", jI r.Store.r_final_epoch);
@@ -364,8 +357,6 @@ let run_fsck dir json =
     Printf.printf "  replay          %d frame(s) coalesced into one rebuild\n"
       r.Store.r_replayed;
     (let m = Aqv_util.Metrics.snapshot () in
-     Printf.printf "  rebuild cache   %d pair / %d fmh hit(s)\n"
-       m.Aqv_util.Metrics.memo_pair_hits m.Aqv_util.Metrics.memo_fmh_hits;
      Printf.printf "  fragment cache  %d hit(s) / %d miss(es) (replay serves no VOs)\n"
        m.Aqv_util.Metrics.frag_hits m.Aqv_util.Metrics.frag_misses);
     Printf.printf "  final epoch     %d\n" r.Store.r_final_epoch;

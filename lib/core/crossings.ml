@@ -5,7 +5,7 @@ module Linfun = Aqv_num.Linfun
 module Metrics = Aqv_util.Metrics
 module Pool = Aqv_par.Pool
 
-type pair = { i : int; j : int; geom : Memo.pair_geom }
+type pair = { i : int; j : int; diff : Linfun.t; root : Q.t option }
 
 type t = {
   pairs : pair array;
@@ -18,8 +18,18 @@ type t = {
 let count t = Array.length t.pairs
 let default_chunk = 32768
 
-let is_crossing (g : Memo.pair_geom) =
-  match g.Memo.box with Some Region.Split -> true | _ -> false
+(* the crossing point of a 1-D difference [a x + b]: [-b/a] *)
+let root_1d diff = Q.div (Q.neg (Linfun.const diff)) (Linfun.coeff diff 0)
+
+let probe ~box ~dim fns i j =
+  let diff = Linfun.sub fns.(i) fns.(j) in
+  if Linfun.is_zero diff then None
+  else
+    match Region.classify box diff with
+    | Region.Split ->
+      let root = if dim = 1 then Some (root_1d diff) else None in
+      Some { i; j; diff; root }
+    | Region.Pos | Region.Neg -> None
 
 let fan_out pool len f =
   match pool with
@@ -85,57 +95,27 @@ let crossing_ids_1d dom fns =
   Array.sort Int.compare ids;
   Array.map (fun id -> (id / n, id mod n)) ids
 
-let sweep_1d ~chunk ?memo ?pool dom fns =
+let sweep_1d ~chunk ?pool dom fns =
   let ids = crossing_ids_1d dom fns in
   let k = Array.length ids in
-  (* the expressions [Memo.compute] evaluates, so the geometry is
-     bit-identical to a full classification's *)
-  let fresh i j =
-    let diff = Linfun.sub fns.(i) fns.(j) in
-    let a = Linfun.coeff diff 0 and b = Linfun.const diff in
-    { Memo.diff; zero = false; box = Some Region.Split; root1 = Some (Q.div (Q.neg b) a) }
-  in
-  (* a carried entry was registered as a crossing of the same two
-     unchanged functions over the same domain, so it is this pair's
-     geometry; the memo is consulted read-only, per crossing pair *)
-  let geom =
-    match memo with
-    | None -> fresh
-    | Some u -> (
-      fun i j -> match Memo.find_geom u ~i ~j with Some g -> g | None -> fresh i j)
-  in
+  (* the expressions [probe] evaluates, so the records are bit-identical
+     to a full classification's *)
   let pairs =
     fan_out pool k (fun t ->
         let i, j = ids.(t) in
-        { i; j; geom = geom i j })
+        let diff = Linfun.sub fns.(i) fns.(j) in
+        { i; j; diff; root = Some (root_1d diff) })
   in
-  (match memo with
-  | Some u -> Array.iter (fun p -> Memo.register_geom u ~i:p.i ~j:p.j p.geom) pairs
-  | None -> ());
   { pairs; total = k; chunk; chunks = 0; peak_live = k }
 
 (* d >= 2: flat pair index k in [0, n(n-1)/2) maps to the k-th (i, j),
    i < j, in lexicographic order. The probe never inverts the
    triangular formula: it keeps a running (i, j) cursor and advances it
    chunk by chunk, so only one chunk of indices is ever live. *)
-let probe_chunked ~chunk ?memo ?pool dom fns =
+let probe_chunked ~chunk ?pool dom fns =
   let n = Array.length fns in
   let total = n * (n - 1) / 2 in
-  let box = Region.of_domain dom in
-  let dim = Domain.dim dom in
-  let fresh i j =
-    let g = Memo.compute ~box ~dim fns.(i) fns.(j) in
-    if is_crossing g then Some { i; j; geom = g } else None
-  in
-  let probe =
-    match memo with
-    | None -> fresh
-    | Some u -> (
-      fun i j ->
-        match Memo.find_geom u ~i ~j with
-        | Some g -> if is_crossing g then Some { i; j; geom = g } else None
-        | None -> fresh i j)
-  in
+  let probe = probe ~box:(Region.of_domain dom) ~dim:(Domain.dim dom) fns in
   (* cursor into the lexicographic pair sequence *)
   let ci = ref 0 and cj = ref 1 in
   let advance () =
@@ -159,20 +139,14 @@ let probe_chunked ~chunk ?memo ?pool dom fns =
       js.(k) <- !cj;
       advance ()
     done;
-    (* classification is a pure function of (f_i, f_j, box) — and the
-       memo consultation is read-only — so the chunk fans out over the
-       pool bit-identically to a sequential pass; results land in flat
-       index order either way *)
+    (* classification is a pure function of (f_i, f_j, box), so the
+       chunk fans out over the pool bit-identically to a sequential
+       pass; results land in flat index order either way *)
     let probed = fan_out pool len (fun k -> probe is.(k) js.(k)) in
-    (* sequential post-pass: retain crossings, register them for the
-       next rebuild. Registration stays off the pool by design. *)
     let kept = ref [] in
     for k = len - 1 downto 0 do
       match probed.(k) with Some p -> kept := p :: !kept | None -> ()
     done;
-    (match memo with
-    | Some u -> List.iter (fun p -> Memo.register_geom u ~i:p.i ~j:p.j p.geom) !kept
-    | None -> ());
     let kept = Array.of_list !kept in
     kept_rev := kept :: !kept_rev;
     retained := !retained + Array.length kept;
@@ -185,11 +159,11 @@ let probe_chunked ~chunk ?memo ?pool dom fns =
   let pairs = Array.concat (List.rev !kept_rev) in
   { pairs; total; chunk; chunks = !chunks; peak_live = !peak }
 
-let enumerate ?(chunk = default_chunk) ?memo ?pool dom fns =
+let enumerate ?(chunk = default_chunk) ?pool dom fns =
   if chunk < 1 then invalid_arg "Crossings.enumerate: chunk must be >= 1";
   let t =
-    if Domain.dim dom = 1 then sweep_1d ~chunk ?memo ?pool dom fns
-    else probe_chunked ~chunk ?memo ?pool dom fns
+    if Domain.dim dom = 1 then sweep_1d ~chunk ?pool dom fns
+    else probe_chunked ~chunk ?pool dom fns
   in
   Metrics.add_build_pairs_classified t.total;
   Metrics.add_build_pair_chunks t.chunks;

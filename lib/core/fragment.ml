@@ -4,15 +4,15 @@ module Halfspace = Aqv_num.Halfspace
 module Metrics = Aqv_util.Metrics
 
 (* Content-addressed cache of per-subdomain VO pieces, carried on the
-   index (like the [Memo] rebuild cache) and shared across epochs: a
+   index and shared across epochs: a
    key commits the full content the cached piece is a function of —
    record digests, window position, FMH root, sibling hashes — never a
    leaf id, cell index or epoch. That is what makes sharing across
    republishes sound: an entry either still describes exactly the bytes
    the current index would assemble (key match, by collision resistance
-   of the digests) or it can never be found again (key mismatch). The
-   same discipline as [Memo]: pure function results keyed by full input
-   content, never tree structure. *)
+   of the digests) or it can never be found again (key mismatch): pure
+   function results keyed by full input content, never tree
+   structure. *)
 
 type window = {
   left : Vo.boundary;

@@ -3,10 +3,9 @@
     The serving engine's response cache is keyed by [(epoch, request)],
     so a republish strands every entry even when almost nothing changed.
     This cache sits one level below, inside {!Server}'s VO assembly, and
-    is keyed the way the {!Memo} rebuild caches are: by the {e full
-    content} each fragment is a pure function of — record digests,
-    window position, FMH root, path sibling hashes — and never by leaf
-    id, cell index or epoch. An entry therefore either still describes
+    is keyed by the {e full content} each fragment is a pure function
+    of — record digests, window position, FMH root, path sibling hashes
+    — and never by leaf id, cell index or epoch. An entry therefore either still describes
     exactly the bytes the current index would assemble (its key matches,
     by collision resistance of the committed digests), or it can never
     be found again. That is what lets the cache be carried across
@@ -15,8 +14,8 @@
     (epoch, [n_leaves], signature) are always taken from the live index.
 
     A fragment keyed by anything less — a cell index, a leaf id — would
-    silently break cached == cache-cold byte-identity of served VOs,
-    the same trap as the {!Memo} keying rules. [test/test_update.ml]
+    silently break cached == cache-cold byte-identity of served VOs.
+    [test/test_update.ml]
     qchecks that identity across schemes, dimensions and republish
     sequences.
 

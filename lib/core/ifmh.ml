@@ -24,10 +24,6 @@ type t = {
   leaf_signatures : string array;
   root_digest : string option;  (** the digest [root_signature] covers *)
   leaf_digests : string array;  (** the digests [leaf_signatures] cover *)
-  memo : Memo.t;
-      (** rebuild cache populated by this build, carried into the next
-          [rebuild_structure]; pure function results only, never
-          structure *)
   frags : Fragment.t;
       (** content-addressed VO fragment cache consulted by [Server]
           assembly; carried (same object) across [apply] so fragments
@@ -142,65 +138,51 @@ let default_seed = 0x17EEL
    by [build] (owner: signs), [load] (server: attaches stored
    signatures) and the incremental rebuilds ([prev] present).
 
-   With [prev], record digests of unchanged records are reused, and the
-   previous index's rebuild cache is consulted: per-pair geometry is
-   valid when both records are unchanged, per-subdomain FMH-trees when
-   the sorted id sequence recurs (differing digests are patched). The
-   structure itself (I-tree shape, sorted lists) is still derived from
-   scratch — the seeded insertion shuffle ranges over the crossing pair
-   list the crossing enumerator just produced (a pure function of the
-   table and domain; see [Crossings]), so any splice-based shortcut
-   would diverge from a fresh [build] of the same table, and
-   bit-identity with the fresh build is the invariant that makes
-   increments (and crash recovery) safe to serve.
-   Everything consulted under the pool is read-only — pool tasks stay
-   pure. *)
+   With [prev], the digests of records whose content is unchanged are
+   reused. Everything else is derived from scratch — the seeded
+   insertion shuffle ranges over the crossing pair list the crossing
+   enumerator just produced (a pure function of the table and domain;
+   see [Crossings]), so any splice-based shortcut would diverge from a
+   fresh [build] of the same table, and bit-identity with the fresh
+   build is the invariant that makes increments (and crash recovery)
+   safe to serve. *)
 let build_structure ~seed ?prev ~pool table =
   let records = Table.records table in
-  let n = Array.length records in
-  let ids = Array.map Record.id records in
-  let memo = Memo.create (Table.domain table) in
-  let use, digest_at =
+  let digest_at =
     match prev with
-    | None -> (Memo.use ~ids memo, fun i -> Record.digest records.(i))
+    | None -> fun i -> Record.digest records.(i)
     | Some t ->
       let by_id = Hashtbl.create (Array.length t.rdig) in
       Array.iteri
         (fun i r -> Hashtbl.replace by_id (Record.id r) (r, t.rdig.(i)))
         (Table.records t.table);
-      let old = Array.map (fun r -> Hashtbl.find_opt by_id (Record.id r)) records in
-      let same =
-        Array.mapi
-          (fun i r ->
-            match old.(i) with Some (r', _) -> Record.equal r' r | None -> false)
+      let reused =
+        Array.map
+          (fun r ->
+            match Hashtbl.find_opt by_id (Record.id r) with
+            | Some (r', d) when Record.equal r' r -> Some d
+            | _ -> None)
           records
       in
-      ( Memo.use ~prev:t.memo ~changed:(fun i -> not same.(i)) ~ids memo,
-        fun i ->
-          if same.(i) then match old.(i) with
-            | Some (_, d) -> d
-            | None -> assert false
-          else Record.digest records.(i) )
+      fun i -> match reused.(i) with Some d -> d | None -> Record.digest records.(i)
   in
   (* one crossing enumeration feeds both consumers: the I-tree
      insertion (shuffled crossing list) and the 1-D sweep (crossing
      roots are its boundary events). 1-D is an O(n log n + K) inversion
      sweep, d >= 2 a chunked probe over the pool; only crossing pairs
-     are retained or registered — never Θ(n²) pair records. *)
-  let crossings =
-    Crossings.enumerate ~memo:use ~pool (Table.domain table) (Table.functions table)
-  in
+     are retained — never Θ(n²) pair records. *)
+  let crossings = Crossings.enumerate ~pool (Table.domain table) (Table.functions table) in
   let itree = Itree.build ~seed ~crossings (Table.domain table) (Table.functions table) in
   (* digest once, in parallel, and thread the array into the sorting
      build (which used to re-hash every record) *)
-  let rdig = Aqv_par.Pool.parallel_init pool n digest_at in
-  let sorting = Sorting.build ~pool ~rdig ~memo:use ~crossings table itree in
-  (itree, sorting, rdig, memo)
+  let rdig = Aqv_par.Pool.parallel_init pool (Array.length records) digest_at in
+  let sorting = Sorting.build ~pool ~rdig ~crossings table itree in
+  (itree, sorting, rdig)
 
 (* The assembled index keeps each signing digest next to its signature:
    the incremental [apply] keys its signature reuse on them, and tests
    compare them directly under fake signers. *)
-let assemble ~scheme ~seed ~epoch ~signature_size ~pool ~memo ~frags table itree sorting
+let assemble ~scheme ~seed ~epoch ~signature_size ~pool ~frags table itree sorting
     rdig ~sign_root ~sign_leaf =
   let n_leaves = Table.size table + 2 in
   match scheme with
@@ -220,7 +202,6 @@ let assemble ~scheme ~seed ~epoch ~signature_size ~pool ~memo ~frags table itree
       leaf_signatures = [||];
       root_digest = Some root_digest;
       leaf_digests = [||];
-      memo;
       frags;
     }
   | Multi_signature ->
@@ -259,29 +240,18 @@ let assemble ~scheme ~seed ~epoch ~signature_size ~pool ~memo ~frags table itree
       leaf_signatures = Array.map snd signed;
       root_digest = None;
       leaf_digests = Array.map fst signed;
-      memo;
       frags;
     }
 
 let build ?(seed = default_seed) ?(epoch = 0) ?pool ~scheme table keypair =
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
-  let itree, sorting, rdig, memo = build_structure ~seed ~pool table in
-  assemble ~scheme ~seed ~epoch ~signature_size:keypair.Signer.signature_size ~pool ~memo
+  let itree, sorting, rdig = build_structure ~seed ~pool table in
+  assemble ~scheme ~seed ~epoch ~signature_size:keypair.Signer.signature_size ~pool
     ~frags:(Fragment.create ()) table itree sorting rdig
     ~sign_root:keypair.Signer.sign
     ~sign_leaf:(fun _ d -> keypair.Signer.sign d)
 
-let drop_rebuild_cache t = { t with memo = Memo.create (Table.domain t.table) }
-
 (* ---------------------- incremental maintenance --------------------- *)
-
-(* Rebuild the structure for an updated table: [build_structure] with
-   the old index as [prev], so record digests of untouched records, the
-   per-pair geometry of unchanged record pairs and recurring FMH-trees
-   are all reused. The structure itself is still rebuilt from scratch —
-   see [build_structure] for why. *)
-let rebuild_structure ~pool t table =
-  build_structure ~seed:t.seed ~prev:t ~pool table
 
 (* Fragments dirtied by a change list: entries naming a changed record
    id, plus everything committing the whole structure. Purged from the
@@ -302,7 +272,7 @@ let apply ?epoch ?pool keypair changes t =
   if epoch < t.epoch then invalid_arg "Ifmh.apply: epoch must not decrease";
   let table = Update.apply_table changes t.table in
   purge_fragments t changes;
-  let itree, sorting, rdig, memo = rebuild_structure ~pool t table in
+  let itree, sorting, rdig = build_structure ~seed:t.seed ~prev:t ~pool table in
   (* Deterministic signing (PKCS#1-style RSA padding, RFC-6979-style DSA
      nonces) makes signature reuse sound: same digest, same bytes. Only
      digests the update did not change hit the cache — epoch and
@@ -317,7 +287,7 @@ let apply ?epoch ?pool keypair changes t =
     match Hashtbl.find_opt cache d with Some s -> s | None -> keypair.Signer.sign d
   in
   assemble ~scheme:t.scheme ~seed:t.seed ~epoch
-    ~signature_size:keypair.Signer.signature_size ~pool ~memo ~frags:t.frags table itree
+    ~signature_size:keypair.Signer.signature_size ~pool ~frags:t.frags table itree
     sorting rdig
     ~sign_root:sign
     ~sign_leaf:(fun _ d -> sign d)
@@ -379,7 +349,7 @@ let apply_delta ?pool (d : delta) (t : t) =
     | exception Invalid_argument m -> failwith ("Ifmh.apply_delta: " ^ m)
   in
   purge_fragments t d.changes;
-  let itree, sorting, rdig, memo = rebuild_structure ~pool t table in
+  let itree, sorting, rdig = build_structure ~seed:t.seed ~prev:t ~pool table in
   (match t.scheme with
   | One_signature ->
     if d.root_signature = None then failwith "Ifmh.apply_delta: missing signature"
@@ -387,7 +357,7 @@ let apply_delta ?pool (d : delta) (t : t) =
     if Array.length d.leaf_signatures <> Itree.leaf_count itree then
       failwith "Ifmh.apply_delta: signature count mismatch");
   assemble ~scheme:t.scheme ~seed:t.seed ~epoch:d.epoch ~signature_size:t.signature_size
-    ~pool ~memo ~frags:t.frags table itree sorting rdig
+    ~pool ~frags:t.frags table itree sorting rdig
     ~sign_root:(fun _ -> Option.value ~default:"" d.root_signature)
     ~sign_leaf:(fun id _ -> d.leaf_signatures.(id))
 
@@ -435,13 +405,13 @@ let load ?pool r =
     | t -> t
     | exception Invalid_argument m -> failwith ("Ifmh.load: " ^ m)
   in
-  let itree, sorting, rdig, memo = build_structure ~seed ~pool table in
+  let itree, sorting, rdig = build_structure ~seed ~pool table in
   if scheme = Multi_signature && Array.length leaf_signatures <> Itree.leaf_count itree then
     failwith "Ifmh.load: signature count mismatch";
   (* attach the stored signatures through the same assembly path *)
   let stored_root = root_signature in
   let t =
-    assemble ~scheme ~seed ~epoch ~signature_size ~pool ~memo
+    assemble ~scheme ~seed ~epoch ~signature_size ~pool
       ~frags:(Fragment.create ()) table itree sorting rdig
       ~sign_root:(fun _ -> Option.value ~default:"" stored_root)
       ~sign_leaf:(fun id _ -> leaf_signatures.(id))

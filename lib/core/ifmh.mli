@@ -66,16 +66,9 @@ val build :
     property for random update sequences, both schemes, 1-D and 2-D,
     sequential and parallel. Signature reuse is sound because signing is
     deterministic, and never crosses a version bump because every
-    signing digest commits the epoch and leaf count.
-
-    Beyond the crypto reuse, every index carries a {!Memo} rebuild
-    cache: per-pair geometry (differences, domain-box classifications,
-    1-D crossing points) keyed by the pair's record ids and valid while
-    both records are unchanged, and per-subdomain FMH-trees keyed by
-    their sorted id sequence, patched where record digests changed. The
-    cache holds only pure function results keyed by their full input
-    content — never tree structure — so reuse is bit-identical to
-    recomputing; cache hits and misses tick {!Aqv_util.Metrics}. *)
+    signing digest commits the epoch and leaf count. Beyond signatures
+    and record digests, nothing is carried over: the I-tree, the sorted
+    lists and their FMH-trees are rebuilt from scratch. *)
 
 val apply :
   ?epoch:int ->
@@ -104,13 +97,6 @@ val delete :
 val modify :
   ?epoch:int -> ?pool:Aqv_par.Pool.pool -> Aqv_crypto.Signer.keypair ->
   Aqv_db.Record.t -> t -> t
-
-val drop_rebuild_cache : t -> t
-(** The same index with an empty {!Memo} rebuild cache: the next
-    {!apply} or {!apply_delta} on it recomputes every pair geometry and
-    FMH-tree. The cache holds only pure function results, so dropping
-    it never changes an output — tests use this to assert cached and
-    cache-cold rebuilds are byte-identical. *)
 
 val fragments : t -> Fragment.t
 (** The VO fragment cache {!Server} assembly consults. Fresh (and

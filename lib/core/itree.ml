@@ -28,11 +28,11 @@ let intersection_count t = t.intersections
 
 let fresh_leaf region cons = { region; h = ""; kind = Leaf { id = -1; cons } }
 
-(* Insert intersection (i, j) with difference [diff]: split every leaf
-   whose region the hyperplane properly crosses. [root_cls] is the
-   memoized classification against the whole domain box — exactly what
-   the walk would compute at the root, whose region is the box. *)
-let insert ?root_cls t i j diff =
+(* Insert a crossing pair: split every leaf whose region its hyperplane
+   properly crosses. The enumerator retained the pair because it
+   crosses the whole domain box, so the root — whose region is the box
+   — is known to classify Split without asking again. *)
+let insert t ({ i; j; diff; _ } : Crossings.pair) =
   let split_any = ref false in
   let rec go ~known node =
     match (match known with Some c -> c | None -> Region.classify node.region diff) with
@@ -59,7 +59,7 @@ let insert ?root_cls t i j diff =
         t.nodes <- t.nodes + 2;
         split_any := true)
   in
-  go ~known:root_cls t.root;
+  go ~known:(Some Region.Split) t.root;
   if !split_any then t.intersections <- t.intersections + 1
 
 (* 1-D fast insertion. The generic [insert] classifies the pair's
@@ -77,11 +77,8 @@ let insert ?root_cls t i j diff =
    classifies both children Pos/Neg there and splits nothing. *)
 type shadow = SLeaf of node | SNode of { r : Q.t; left : shadow ref; right : shadow ref }
 
-let insert_1d t shadow i j (geom : Memo.pair_geom) =
-  let diff = geom.Memo.diff in
-  let r =
-    match geom.Memo.root1 with Some r -> r | None -> invalid_arg "Itree.insert_1d: no root"
-  in
+let insert_1d t shadow ({ i; j; diff; root } : Crossings.pair) =
+  let r = match root with Some r -> r | None -> invalid_arg "Itree.insert_1d: no root" in
   let rec go s =
     match !s with
     | SNode { r = rn; left; right } ->
@@ -123,17 +120,15 @@ let collect_leaves root =
   go root;
   !acc
 
-let build ?(seed = 0x17EEL) ?(order = `Shuffled) ?memo ?crossings dom fns =
+let build ?(seed = 0x17EEL) ?(order = `Shuffled) ?crossings dom fns =
   let root = fresh_leaf (Region.of_domain dom) [] in
   let t = { root; functions = fns; domain = dom; leaf_nodes = [||]; intersections = 0; nodes = 1 } in
   (* the crossing enumerator has already reduced the Θ(n²) pair space
      to the crossing pairs — the only pairs whose insertion does
      anything. Callers that enumerated up front (Ifmh.build_structure
      shares one pass with the 1-D sweep) hand the result in; otherwise
-     enumerate here, sequentially, registering into [memo] if given. *)
-  let cr =
-    match crossings with Some c -> c | None -> Crossings.enumerate ?memo dom fns
-  in
+     enumerate here, sequentially. *)
+  let cr = match crossings with Some c -> c | None -> Crossings.enumerate dom fns in
   (* inserted in a seeded random order: a random order keeps the
      expected tree depth logarithmic in the number of subdomains, like
      a randomly built BST. Shuffling the crossing list (not the full
@@ -146,19 +141,8 @@ let build ?(seed = 0x17EEL) ?(order = `Shuffled) ?memo ?crossings dom fns =
   (match order with
   | `Shuffled -> Aqv_util.Prng.shuffle (Aqv_util.Prng.create seed) pairs
   | `Lexicographic -> ());
-  if Aqv_num.Domain.dim dom = 1 then begin
-    let shadow = ref (SLeaf root) in
-    Array.iter
-      (fun (p : Crossings.pair) -> insert_1d t shadow p.Crossings.i p.Crossings.j p.Crossings.geom)
-      pairs
-  end
-  else
-    Array.iter
-      (fun (p : Crossings.pair) ->
-        (* box = Some Split by construction — exactly what the walk's
-           root classification would compute, its region being the box *)
-        insert ~root_cls:Region.Split t p.Crossings.i p.Crossings.j p.Crossings.geom.Memo.diff)
-      pairs;
+  if Aqv_num.Domain.dim dom = 1 then Array.iter (insert_1d t (ref (SLeaf root))) pairs
+  else Array.iter (insert t) pairs;
   let leaf_nodes = Array.of_list (collect_leaves root) in
   (* in 1-D, order leaves left to right so leaf ids align with the
      sweep's subdomain indices *)

@@ -38,7 +38,6 @@ type t
 val build :
   ?seed:int64 ->
   ?order:[ `Shuffled | `Lexicographic ] ->
-  ?memo:Memo.use ->
   ?crossings:Crossings.t ->
   Aqv_num.Domain.t ->
   Aqv_num.Linfun.t array ->
@@ -54,11 +53,9 @@ val build :
 
     [crossings] hands in a pre-enumerated crossing set so one streaming
     pass feeds both this insertion and the 1-D sweep
-    ({!Ifmh.build_structure} does); [memo] is ignored in that case (the
-    enumerator already consulted and registered it). Without
-    [crossings], enumeration happens here — sequentially, through
-    [memo] if given, with no retained registration otherwise. Either
-    way the built tree is bit-identical. *)
+    ({!Ifmh.build_structure} does). Without [crossings], enumeration
+    happens here, sequentially. Either way the built tree is
+    bit-identical. *)
 
 val root : t -> node
 val functions : t -> Aqv_num.Linfun.t array

@@ -37,7 +37,7 @@ let fmh_root t id = Mht.root t.entries.(id).fmh
 
 (* ------------------------- 1-D sweep build ------------------------- *)
 
-let build_1d ~crossings ?memo table itree rdig =
+let build_1d ~crossings table itree rdig =
   let fns = Table.functions table in
   let n = Array.length fns in
   let dom = Table.domain table in
@@ -50,7 +50,7 @@ let build_1d ~crossings ?memo table itree rdig =
   let events =
     Array.to_seq crossings.Crossings.pairs
     |> Seq.filter_map (fun (p : Crossings.pair) ->
-           match p.Crossings.geom.Memo.root1 with
+           match p.Crossings.root with
            | Some root when Q.compare dlo root < 0 && Q.compare root dhi < 0 ->
              Some (root, p.Crossings.i, p.Crossings.j)
            | _ -> None)
@@ -95,29 +95,13 @@ let build_1d ~crossings ?memo table itree rdig =
   let entries = Array.make ncells None in
   let stash c order fmh = entries.(c) <- Some { order; fmh } in
   (* initial cell: the only full FMH build of the sweep — every later
-     cell is O(g log n) sets over its neighbour — so it is the one
-     worth carrying over. The sweep's own snapshots are not registered:
-     looking them up would cost what the sweep already pays. *)
+     cell is O(g log n) sets over its neighbour *)
   let order0 = sorted_positions fns (cell_sample 0) in
   let pos = Array.make n 0 in
   Array.iteri (fun idx p -> pos.(p) <- idx) order0;
   let cur_order = Array.copy order0 in
   let pv = ref (Pvec.of_array order0) in
-  let tree =
-    ref
-      (match memo with
-      | Some u -> (
-        let key = Memo.fmh_key u ~order:order0 in
-        match Memo.find_fmh u ~key ~rdig ~order:order0 with
-        | Some t ->
-          Memo.add_fmh u ~key ~rdig ~order:order0 t;
-          t
-        | None ->
-          let t = fmh_of_order rdig order0 in
-          Memo.add_fmh u ~key ~rdig ~order:order0 t;
-          t)
-      | None -> fmh_of_order rdig order0)
-  in
+  let tree = ref (fmh_of_order rdig order0) in
   stash 0 !pv !tree;
   (* sweep: process events grouped by boundary *)
   let m = Array.length events in
@@ -186,42 +170,16 @@ let build_1d ~crossings ?memo table itree rdig =
 
 (* Each leaf is a pure function of (functions, region, rdig), so the
    map fans out over the pool; results land by leaf id, making the
-   entry array bit-identical to a sequential build. Memo lookups inside
-   the tasks are read-only (pool tasks stay pure up to Metrics ticks);
-   registration into the new memo runs after the fan-out, on the
-   sequential path. *)
-let build_nd ?memo ~pool table itree rdig =
+   entry array bit-identical to a sequential build. *)
+let build_nd ~pool table itree rdig =
   let fns = Table.functions table in
-  let built =
-    Aqv_par.Pool.parallel_map pool
-      (fun (node : Itree.node) ->
-        let sample = Aqv_num.Region.interior_point node.Itree.region in
-        let order = sorted_positions fns sample in
-        let tree, reg =
-          match memo with
-          | Some u -> (
-            let key = Memo.fmh_key u ~order in
-            match Memo.find_fmh u ~key ~rdig ~order with
-            | Some t -> (t, Some (key, order, t))
-            | None ->
-              let t = fmh_of_order rdig order in
-              (t, Some (key, order, t)))
-          | None -> (fmh_of_order rdig order, None)
-        in
-        ({ order = Pvec.of_array order; fmh = tree }, reg))
-      (Itree.leaves itree)
-  in
-  (match memo with
-  | Some u ->
-    Array.iter
-      (function
-        | _, Some (key, order, tree) -> Memo.add_fmh u ~key ~rdig ~order tree
-        | _, None -> ())
-      built
-  | None -> ());
-  Array.map fst built
+  Aqv_par.Pool.parallel_map pool
+    (fun (node : Itree.node) ->
+      let order = sorted_positions fns (Aqv_num.Region.interior_point node.Itree.region) in
+      { order = Pvec.of_array order; fmh = fmh_of_order rdig order })
+    (Itree.leaves itree)
 
-let build ?pool ?rdig ?memo ?crossings table itree =
+let build ?pool ?rdig ?crossings table itree =
   if Table.size table < 1 then invalid_arg "Sorting.build: empty table";
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
   let rdig =
@@ -242,11 +200,10 @@ let build ?pool ?rdig ?memo ?crossings table itree =
       let crossings =
         match crossings with
         | Some c -> c
-        | None ->
-          Crossings.enumerate ?memo ~pool (Table.domain table) (Table.functions table)
+        | None -> Crossings.enumerate ~pool (Table.domain table) (Table.functions table)
       in
-      build_1d ~crossings ?memo table itree rdig
+      build_1d ~crossings table itree rdig
     end
-    else build_nd ?memo ~pool table itree rdig
+    else build_nd ~pool table itree rdig
   in
   { entries; records = Table.size table }

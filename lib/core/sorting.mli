@@ -29,7 +29,6 @@ type t
 val build :
   ?pool:Aqv_par.Pool.pool ->
   ?rdig:string array ->
-  ?memo:Memo.use ->
   ?crossings:Crossings.t ->
   Aqv_db.Table.t ->
   Itree.t ->
@@ -43,15 +42,8 @@ val build :
     [crossings] supplies the crossing enumerator's crossing set: in
     1-D the sweep's boundary events are exactly the crossing pairs
     (each carries its root), so the old private Θ(n²) pair walk is
-    gone. Omitted in 1-D, the set is enumerated here (through [memo]
-    and [pool] if given) — bit-identical either way; dimension >= 2
-    never needs it.
-
-    [memo] supplies the {!Memo} rebuild cache: the initial 1-D cell's
-    FMH-tree is carried over; in dimension >= 2 every leaf's FMH-tree
-    is looked up by its sorted id sequence and patched where record
-    digests changed.
-    Reuse is bit-identical to hashing from scratch.
+    gone. Omitted in 1-D, the set is enumerated here (over [pool]) —
+    bit-identical either way; dimension >= 2 never needs it.
     @raise Invalid_argument if the table and tree disagree or [rdig]
     has the wrong length. *)
 

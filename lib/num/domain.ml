@@ -2,12 +2,18 @@ module Q = Rational
 
 type t = { lo : Q.t array; hi : Q.t array }
 
+(* [make] and [decode] refuse the same shapes, each with its own
+   exception class: a caller's mistake vs. malformed wire bytes *)
+let validated ~fail lo hi =
+  if Array.length lo = 0 then fail "empty";
+  Array.iteri (fun i l -> if Q.compare l hi.(i) >= 0 then fail "lo >= hi") lo;
+  { lo; hi }
+
 let make bounds =
-  if bounds = [] then invalid_arg "Domain.make: empty";
-  List.iter
-    (fun (l, h) -> if Q.compare l h >= 0 then invalid_arg "Domain.make: lo >= hi")
-    bounds;
-  { lo = Array.of_list (List.map fst bounds); hi = Array.of_list (List.map snd bounds) }
+  validated
+    ~fail:(fun m -> invalid_arg ("Domain.make: " ^ m))
+    (Array.of_list (List.map fst bounds))
+    (Array.of_list (List.map snd bounds))
 
 let unit_box d = make (List.init d (fun _ -> (Q.zero, Q.one)))
 let of_ints bounds = make (List.map (fun (l, h) -> (Q.of_int l, Q.of_int h)) bounds)
@@ -44,7 +50,7 @@ let encode w t =
 let decode r =
   let lo = Aqv_util.Wire.read_array r Q.decode in
   let hi = Array.init (Array.length lo) (fun _ -> Q.decode r) in
-  { lo; hi }
+  validated ~fail:(fun m -> failwith ("Domain.decode: " ^ m)) lo hi
 
 let equal a b =
   dim a = dim b

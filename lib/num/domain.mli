@@ -22,4 +22,7 @@ val center : t -> Rational.t array
 val pp : Format.formatter -> t -> unit
 val encode : Aqv_util.Wire.writer -> t -> unit
 val decode : Aqv_util.Wire.reader -> t
+(** @raise Failure on malformed bytes, and on every shape {!make}
+    refuses (no dimensions, [lo >= hi] in some dimension). *)
+
 val equal : t -> t -> bool

@@ -198,16 +198,9 @@ let republish t delta =
     ~finally:(fun () -> Mutex.unlock t.republish_mu)
     (fun () ->
       let base = Atomic.get t.index in
-      (* memo ticks happen only inside rebuilds, which all serialize
-         under [republish_mu], so the delta around this apply is
-         attributable to it alone *)
-      let m0 = Aqv_util.Metrics.snapshot () in
       match Ifmh.apply_delta delta base with
       | exception (Failure msg | Invalid_argument msg) -> Error msg
       | index' -> (
-        let dm = Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) m0 in
-        Stats.add_memo_hits t.stats ~pairs:dm.Aqv_util.Metrics.memo_pair_hits
-          ~fmh:dm.Aqv_util.Metrics.memo_fmh_hits;
         if Ifmh.epoch index' <= Ifmh.epoch base then
           Error "Engine: republish does not advance the epoch"
         else

@@ -27,8 +27,6 @@ type t = {
   mutable torn_tail_truncations : int;
   mutable frames_coalesced : int;
   mutable compactions : int;
-  mutable memo_pair_hits : int;
-  mutable memo_fmh_hits : int;
   mutable frag_hits : int;
   mutable frag_misses : int;
   mutable frag_hits_post_republish : int;
@@ -67,8 +65,6 @@ let create () =
     torn_tail_truncations = 0;
     frames_coalesced = 0;
     compactions = 0;
-    memo_pair_hits = 0;
-    memo_fmh_hits = 0;
     frag_hits = 0;
     frag_misses = 0;
     frag_hits_post_republish = 0;
@@ -117,11 +113,6 @@ let recovered t ~torn_tail ~coalesced =
       t.frames_coalesced <- t.frames_coalesced + coalesced;
       if torn_tail then
         t.torn_tail_truncations <- t.torn_tail_truncations + 1)
-
-let add_memo_hits t ~pairs ~fmh =
-  locked t (fun () ->
-      t.memo_pair_hits <- t.memo_pair_hits + pairs;
-      t.memo_fmh_hits <- t.memo_fmh_hits + fmh)
 
 let set_frag_counters t ~hits ~misses ~post_republish_hits ~post_republish_misses =
   locked t (fun () ->
@@ -173,8 +164,6 @@ let to_assoc t =
           ("torn_tail_truncations", t.torn_tail_truncations);
           ("frames_coalesced", t.frames_coalesced);
           ("compactions", t.compactions);
-          ("memo_pair_hits", t.memo_pair_hits);
-          ("memo_fmh_hits", t.memo_fmh_hits);
           ("frag_hits", t.frag_hits);
           ("frag_misses", t.frag_misses);
           ("frag_hits_post_republish", t.frag_hits_post_republish);

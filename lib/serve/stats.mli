@@ -41,11 +41,6 @@ val recovered : t -> torn_tail:bool -> coalesced:int -> unit
     truncated, [coalesced] how many log frames were folded into the
     single recovery rebuild. *)
 
-val add_memo_hits : t -> pairs:int -> fmh:int -> unit
-(** Accumulate rebuild-cache hits (pair geometry / FMH-trees, from the
-    {!Aqv_util.Metrics} delta around a republish) so remote clients see
-    them in [Protocol.Stats]. *)
-
 val set_frag_counters :
   t ->
   hits:int ->

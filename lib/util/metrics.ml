@@ -32,10 +32,6 @@ let itree_nodes = Atomic.make 0
 let fmh_nodes = Atomic.make 0
 let mesh_cells = Atomic.make 0
 let bytes_out = Atomic.make 0
-let memo_pair_hits = Atomic.make 0
-let memo_pair_misses = Atomic.make 0
-let memo_fmh_hits = Atomic.make 0
-let memo_fmh_misses = Atomic.make 0
 let locate_sign_tests = Atomic.make 0
 let frag_hits = Atomic.make 0
 let frag_misses = Atomic.make 0
@@ -53,10 +49,6 @@ let reset () =
   Atomic.set fmh_nodes 0;
   Atomic.set mesh_cells 0;
   Atomic.set bytes_out 0;
-  Atomic.set memo_pair_hits 0;
-  Atomic.set memo_pair_misses 0;
-  Atomic.set memo_fmh_hits 0;
-  Atomic.set memo_fmh_misses 0;
   Atomic.set locate_sign_tests 0;
   Atomic.set frag_hits 0;
   Atomic.set frag_misses 0;
@@ -75,10 +67,10 @@ let snapshot () =
     fmh_nodes = Atomic.get fmh_nodes;
     mesh_cells = Atomic.get mesh_cells;
     bytes_out = Atomic.get bytes_out;
-    memo_pair_hits = Atomic.get memo_pair_hits;
-    memo_pair_misses = Atomic.get memo_pair_misses;
-    memo_fmh_hits = Atomic.get memo_fmh_hits;
-    memo_fmh_misses = Atomic.get memo_fmh_misses;
+    memo_pair_hits = 0;
+    memo_pair_misses = 0;
+    memo_fmh_hits = 0;
+    memo_fmh_misses = 0;
     locate_sign_tests = Atomic.get locate_sign_tests;
     frag_hits = Atomic.get frag_hits;
     frag_misses = Atomic.get frag_misses;
@@ -98,10 +90,10 @@ let diff a b =
     fmh_nodes = a.fmh_nodes - b.fmh_nodes;
     mesh_cells = a.mesh_cells - b.mesh_cells;
     bytes_out = a.bytes_out - b.bytes_out;
-    memo_pair_hits = a.memo_pair_hits - b.memo_pair_hits;
-    memo_pair_misses = a.memo_pair_misses - b.memo_pair_misses;
-    memo_fmh_hits = a.memo_fmh_hits - b.memo_fmh_hits;
-    memo_fmh_misses = a.memo_fmh_misses - b.memo_fmh_misses;
+    memo_pair_hits = 0;
+    memo_pair_misses = 0;
+    memo_fmh_hits = 0;
+    memo_fmh_misses = 0;
     locate_sign_tests = a.locate_sign_tests - b.locate_sign_tests;
     frag_hits = a.frag_hits - b.frag_hits;
     frag_misses = a.frag_misses - b.frag_misses;
@@ -118,14 +110,10 @@ let pp ppf s =
   Format.fprintf ppf
     "@[<v>hash_ops=%d hash_bytes=%d@ sign_ops=%d verify_ops=%d@ \
      itree_nodes=%d fmh_nodes=%d mesh_cells=%d locate_tests=%d@ \
-     bytes_out=%d@ memo_pairs=%d/%d memo_fmh=%d/%d frags=%d/%d@ \
+     bytes_out=%d@ frags=%d/%d@ \
      build_pairs=%d chunks=%d peak=%d crossings=%d@]"
     s.hash_ops s.hash_bytes s.sign_ops s.verify_ops s.itree_nodes
-    s.fmh_nodes s.mesh_cells s.locate_sign_tests s.bytes_out s.memo_pair_hits
-    (s.memo_pair_hits + s.memo_pair_misses)
-    s.memo_fmh_hits
-    (s.memo_fmh_hits + s.memo_fmh_misses)
-    s.frag_hits
+    s.fmh_nodes s.mesh_cells s.locate_sign_tests s.bytes_out s.frag_hits
     (s.frag_hits + s.frag_misses)
     s.build_pairs_classified s.build_pair_chunks s.build_peak_pairs s.build_crossings
 
@@ -141,10 +129,6 @@ let add_itree_nodes n = add itree_nodes n
 let add_fmh_nodes n = add fmh_nodes n
 let add_mesh_cells n = add mesh_cells n
 let add_bytes_out n = add bytes_out n
-let add_memo_pair_hit () = Atomic.incr memo_pair_hits
-let add_memo_pair_miss () = Atomic.incr memo_pair_misses
-let add_memo_fmh_hit () = Atomic.incr memo_fmh_hits
-let add_memo_fmh_miss () = Atomic.incr memo_fmh_misses
 let add_locate_sign_tests n = add locate_sign_tests n
 let add_frag_hit () = Atomic.incr frag_hits
 let add_frag_miss () = Atomic.incr frag_misses

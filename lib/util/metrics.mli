@@ -24,13 +24,12 @@ type snapshot = {
   mesh_cells : int;  (** signature-mesh cells scanned *)
   bytes_out : int;  (** serialized bytes produced (VO / index) *)
   memo_pair_hits : int;
-      (** pair-geometry results carried over from the previous index
-          during a rebuild (see [Aqv.Memo]) *)
-  memo_pair_misses : int;  (** pair-geometry results computed fresh *)
+      (** Always 0, as are the three [memo_*] fields below: the rebuild
+          cache they counted is retired, and they remain only while the
+          benchmark harness still reads them. *)
+  memo_pair_misses : int;
   memo_fmh_hits : int;
-      (** subdomain FMH-trees reused (possibly patched) from the
-          previous index during a rebuild *)
-  memo_fmh_misses : int;  (** subdomain FMH-trees hashed from scratch *)
+  memo_fmh_misses : int;
   locate_sign_tests : int;
       (** exact-rational sign tests spent locating the subdomain of a
           query point: one per I-tree descent step, one per mesh
@@ -85,10 +84,6 @@ val add_itree_nodes : int -> unit
 val add_fmh_nodes : int -> unit
 val add_mesh_cells : int -> unit
 val add_bytes_out : int -> unit
-val add_memo_pair_hit : unit -> unit
-val add_memo_pair_miss : unit -> unit
-val add_memo_fmh_hit : unit -> unit
-val add_memo_fmh_miss : unit -> unit
 val add_locate_sign_tests : int -> unit
 val add_frag_hit : unit -> unit
 val add_frag_miss : unit -> unit

@@ -36,7 +36,7 @@ let keypair = lazy (Signer.generate ~bits:512 Signer.Rsa (Prng.create 42L))
    crossings are a sliver of the pair space; tie-heavy: slopes and
    intercepts in a handful of integers, so parallel lines and equal
    values at an endpoint are common; 2-D goes through the chunked
-   [Memo.compute] probe instead of the 1-D inversion sweep *)
+   [Crossings.probe] instead of the 1-D inversion sweep *)
 let table_dense n seed = Workload.lines_1d ~n (Prng.create (Int64.of_int (0xD0 + seed)))
 
 let table_sparse n seed =
@@ -48,21 +48,18 @@ let table_ties ~slopes ~intercepts n seed =
 
 let table_2d n seed = Workload.scored ~n ~dims:2 (Prng.create (Int64.of_int (0x2D + seed)))
 
-let geom_equal (a : Memo.pair_geom) (b : Memo.pair_geom) =
-  Linfun.equal a.Memo.diff b.Memo.diff
-  && a.Memo.zero = b.Memo.zero
-  && a.Memo.box = b.Memo.box
-  && (match (a.Memo.root1, b.Memo.root1) with
-     | Some ra, Some rb -> Q.equal ra rb
-     | None, None -> true
-     | _ -> false)
+let pair_equal (a : Crossings.pair) (b : Crossings.pair) =
+  Linfun.equal a.Crossings.diff b.Crossings.diff
+  && Option.equal Q.equal a.Crossings.root b.Crossings.root
 
 (* enumerated result == scan reference: same pairs in the same
-   (lexicographic) order, equal geometry field by field, the
+   (lexicographic) order, equal records field by field, the
    per-dimension total and chunk laws (1-D: total = crossings, no
    chunks; d >= 2: total = n(n-1)/2 in ceil(total/chunk) chunks) — and
    the high-water mark obeys its O(crossings + chunk) bound *)
-let same_as_scan name ~dim (got : Crossings.t) (scan : Crossings.t) =
+let same_as_scan name dom (got : Crossings.t) (scan : Crossings.t) =
+  let dim = Domain.dim dom in
+  let box = Region.of_domain dom in
   let total, chunks =
     if dim = 1 then (Crossings.count scan, 0)
     else
@@ -80,36 +77,23 @@ let same_as_scan name ~dim (got : Crossings.t) (scan : Crossings.t) =
         (Printf.sprintf "%s: pair %d ids" name k)
         (ps.Crossings.i, ps.Crossings.j)
         (pg.Crossings.i, pg.Crossings.j);
-      check Alcotest.bool
-        (Printf.sprintf "%s: pair %d geom" name k)
-        true
-        (geom_equal ps.Crossings.geom pg.Crossings.geom);
+      check Alcotest.bool (Printf.sprintf "%s: pair %d record" name k) true (pair_equal ps pg);
       check Alcotest.bool
         (Printf.sprintf "%s: pair %d is crossing" name k)
         true
-        (pg.Crossings.geom.Memo.box = Some Region.Split))
+        (Region.classify box pg.Crossings.diff = Region.Split))
     scan.Crossings.pairs;
   check Alcotest.bool (name ^ ": peak bound") true
     (got.Crossings.peak_live <= Crossings.count got + got.Crossings.chunk)
 
-(* identity against the reference with and without a memo (fresh, then
-   fully carried), sequentially and on the 4- and 1-domain pools *)
+(* identity against the reference, sequentially and on the 4- and
+   1-domain pools *)
 let enum_identity dom fns chunk =
-  let dim = Domain.dim dom in
   let scan = Crossings_ref.enumerate dom fns in
-  let ids = Array.init (Array.length fns) Fun.id in
   List.iter
     (fun (name, pool) ->
       let pool = Option.map Lazy.force pool in
-      same_as_scan name ~dim (Crossings.enumerate ~chunk ?pool dom fns) scan;
-      let m = Memo.create dom in
-      same_as_scan (name ^ "+memo") ~dim
-        (Crossings.enumerate ~chunk ?pool ~memo:(Memo.use ~ids m) dom fns)
-        scan;
-      let carried = Memo.use ~prev:m ~changed:(fun _ -> false) ~ids (Memo.create dom) in
-      same_as_scan (name ^ "+carried") ~dim
-        (Crossings.enumerate ~chunk ?pool ~memo:carried dom fns)
-        scan)
+      same_as_scan name dom (Crossings.enumerate ~chunk ?pool dom fns) scan)
     [ ("seq", None); ("pool", Some par_pool); ("pool-1", Some seq_pool) ];
   true
 
@@ -142,7 +126,7 @@ let enum_identity_sparse =
     (enum_identity_prop table_sparse)
 
 let enum_identity_ties =
-  qtest ~count:100 "sweep = scan (tie-heavy 1-D, any memo, any pool)" gen_ties
+  qtest ~count:100 "sweep = scan (tie-heavy 1-D, any pool)" gen_ties
     (ties_prop (Domain.of_ints [ (0, 1) ]))
 
 let enum_identity_wide =
@@ -161,10 +145,9 @@ let test_chunk_edges () =
   List.iter
     (fun t ->
       let dom = Table.domain t and fns = Table.functions t in
-      let dim = Domain.dim dom in
       let scan = Crossings_ref.enumerate dom fns in
-      same_as_scan "chunk=1" ~dim (Crossings.enumerate ~chunk:1 dom fns) scan;
-      same_as_scan "chunk>total" ~dim (Crossings.enumerate ~chunk:10_000 dom fns) scan;
+      same_as_scan "chunk=1" dom (Crossings.enumerate ~chunk:1 dom fns) scan;
+      same_as_scan "chunk>total" dom (Crossings.enumerate ~chunk:10_000 dom fns) scan;
       Alcotest.check_raises "chunk=0 refused"
         (Invalid_argument "Crossings.enumerate: chunk must be >= 1") (fun () ->
           ignore (Crossings.enumerate ~chunk:0 dom fns));
@@ -224,42 +207,6 @@ let counters_exact t ~chunk =
 let test_counters_exact () =
   counters_exact (table_dense 40 7) ~chunk:100;
   counters_exact (table_2d 14 7) ~chunk:10
-
-(* Memo interaction: registration retains crossings only. 1-D: the
-   sweep consults the crossing pairs only, so a fresh pass misses
-   exactly K times and a fully carried pass hits exactly K times with
-   no misses. d >= 2: the probe consults every pair once, so a fresh
-   pass misses n(n-1)/2 times and a carried pass hits the crossing
-   pairs and recomputes the rest. The carried result is still
-   identical to the scan. *)
-let memo_retention t =
-  let dom = Table.domain t and fns = Table.functions t in
-  let n = Array.length fns in
-  let dim = Domain.dim dom in
-  let total = n * (n - 1) / 2 in
-  let ids = Array.init n Fun.id in
-  let m1 = Memo.create dom in
-  let u1 = Memo.use ~ids m1 in
-  Metrics.reset ();
-  let cr1 = Crossings.enumerate ~chunk:64 ~memo:u1 dom fns in
-  let s1 = Metrics.snapshot () in
-  let k = Crossings.count cr1 in
-  let consulted = if dim = 1 then k else total in
-  check Alcotest.int "fresh pass: all misses" consulted s1.Metrics.memo_pair_misses;
-  check Alcotest.int "fresh pass: no hits" 0 s1.Metrics.memo_pair_hits;
-  let m2 = Memo.create dom in
-  let u2 = Memo.use ~prev:m1 ~changed:(fun _ -> false) ~ids m2 in
-  Metrics.reset ();
-  let cr2 = Crossings.enumerate ~chunk:64 ~memo:u2 dom fns in
-  let s2 = Metrics.snapshot () in
-  check Alcotest.int "carry pass: hits = crossings" k s2.Metrics.memo_pair_hits;
-  check Alcotest.int "carry pass: misses = consulted non-crossing" (consulted - k)
-    s2.Metrics.memo_pair_misses;
-  same_as_scan "carried" ~dim cr2 (Crossings_ref.enumerate dom fns)
-
-let test_memo_retention () =
-  memo_retention (table_dense 30 3);
-  memo_retention (table_2d 12 3)
 
 (* Decomposition is insertion-order independent: the shuffled (default)
    and lexicographic insertion orders build different tree shapes but
@@ -324,7 +271,6 @@ let () =
       ( "counters",
         [
           Alcotest.test_case "exact build counters" `Quick test_counters_exact;
-          Alcotest.test_case "memo retention" `Quick test_memo_retention;
         ] );
       ( "structure",
         [

@@ -125,22 +125,6 @@ let prop_rebuild_equivalence ~dims ~scheme seed =
   let fresh = Ifmh.build ~scheme ~epoch:2 (Update.apply_table changes table) fake_keypair in
   identical ~scheme updated fresh
 
-(* The rebuild cache must be invisible in the output: an apply that
-   carries the previous index's memo and one that starts cache-cold
-   land on identical bytes and signing digests. *)
-let prop_cached_equals_cold ~dims ~scheme seed =
-  let prng = Prng.create (Int64.of_int seed) in
-  let n = if dims = 1 then 5 + Prng.int prng 10 else 4 + Prng.int prng 4 in
-  let table =
-    if dims = 1 then Workload.lines_1d ~slope_range:40 ~intercept_range:40 ~n prng
-    else Workload.scored ~attr_range:20 ~n ~dims prng
-  in
-  let base = Ifmh.build ~scheme ~epoch:1 table fake_keypair in
-  let changes = gen_changes ~dims prng table (1 + Prng.int prng 4) in
-  let cached = Ifmh.apply fake_keypair changes base in
-  let cold = Ifmh.apply fake_keypair changes (Ifmh.drop_rebuild_cache base) in
-  identical ~scheme cached cold
-
 let qtest name count gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
@@ -156,14 +140,6 @@ let equivalence_tests =
       (prop_rebuild_equivalence ~dims:2 ~scheme:Ifmh.One_signature);
     qtest "apply = rebuild (multi-sig, 2-D)" 100 arb_seed
       (prop_rebuild_equivalence ~dims:2 ~scheme:Ifmh.Multi_signature);
-    qtest "cached apply = cold apply (one-sig, 1-D)" 60 arb_seed
-      (prop_cached_equals_cold ~dims:1 ~scheme:Ifmh.One_signature);
-    qtest "cached apply = cold apply (multi-sig, 1-D)" 60 arb_seed
-      (prop_cached_equals_cold ~dims:1 ~scheme:Ifmh.Multi_signature);
-    qtest "cached apply = cold apply (one-sig, 2-D)" 50 arb_seed
-      (prop_cached_equals_cold ~dims:2 ~scheme:Ifmh.One_signature);
-    qtest "cached apply = cold apply (multi-sig, 2-D)" 50 arb_seed
-      (prop_cached_equals_cold ~dims:2 ~scheme:Ifmh.Multi_signature);
   ]
 
 (* Chained increments: many applies in a row stay equivalent to one
@@ -317,40 +293,6 @@ let test_compose_edges () =
        (Update.compose ~exists:(fun id -> id = 0)
           [ Update.Delete 0 ]
           [ Update.Insert (r 5); Update.Insert (r 6) ]))
-
-(* ----------------------- rebuild cache counters --------------------- *)
-
-(* The cache must be visible in Metrics: a cached apply carries over
-   pair geometry (and FMH-trees where the order recurs); a cache-cold
-   apply ticks only misses. Counters are deterministic, so exact zeros
-   are assertable. *)
-let test_memo_counters () =
-  let table = Workload.lines_1d ~n:30 (Prng.create 40L) in
-  let base = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
-  let change = [ Update.Modify (line ~id:0 7 3) ] in
-  let cached, m_cached = metrics_during (fun () -> Ifmh.apply fake_keypair change base) in
-  let cold, m_cold =
-    metrics_during (fun () ->
-        Ifmh.apply fake_keypair change (Ifmh.drop_rebuild_cache base))
-  in
-  check Alcotest.bool "cached apply hits pair cache" true
-    (m_cached.Metrics.memo_pair_hits > 0);
-  check Alcotest.int "cold apply hits nothing" 0
-    (m_cold.Metrics.memo_pair_hits + m_cold.Metrics.memo_fmh_hits);
-  check Alcotest.bool "cached = cold output" true
-    (identical ~scheme:Ifmh.Multi_signature cached cold);
-  check Alcotest.bool "cache does not add hashing" true
-    (m_cached.Metrics.hash_ops <= m_cold.Metrics.hash_ops);
-  (* 2-D, content-identical modify: every pair and every leaf's
-     FMH-tree is reusable, so fmh hits must cover all leaves *)
-  let table2 = Workload.scored ~attr_range:20 ~n:8 ~dims:2 (Prng.create 41L) in
-  let base2 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table2 fake_keypair in
-  let noop_modify = [ Update.Modify (Table.records table2).(0) ] in
-  let _, m2 = metrics_during (fun () -> Ifmh.apply fake_keypair noop_modify base2) in
-  check Alcotest.int "2-D content-identical modify reuses every FMH"
-    (Itree.leaf_count (Ifmh.itree base2))
-    m2.Metrics.memo_fmh_hits;
-  check Alcotest.int "...and misses none" 0 m2.Metrics.memo_fmh_misses
 
 (* ------------------------ re-signing asymmetry ---------------------- *)
 
@@ -719,7 +661,6 @@ let () =
       ( "cost",
         [
           Alcotest.test_case "re-signing asymmetry" `Quick test_resign_asymmetry;
-          Alcotest.test_case "rebuild cache counters" `Quick test_memo_counters;
           Alcotest.test_case "mesh chain repair" `Quick test_mesh_apply;
         ] );
       ( "delta",

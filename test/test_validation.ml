@@ -27,9 +27,70 @@ let raises_div name f =
       | exception e -> Alcotest.failf "%s: wrong exception %s" name (Printexc.to_string e)
       | _ -> Alcotest.failf "%s: no exception" name)
 
+let raises_failure name f =
+  Alcotest.test_case name `Quick (fun () ->
+      match f () with
+      | exception Failure _ -> ()
+      | exception e -> Alcotest.failf "%s: wrong exception %s" name (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: no exception" name)
+
 let table = lazy (Workload.lines_1d ~n:6 (Prng.create 700L))
 let keypair = lazy (Signer.generate ~bits:512 Signer.Rsa (Prng.create 701L))
 let index = lazy (Ifmh.build ~scheme:Ifmh.One_signature (Lazy.force table) (Lazy.force keypair))
+
+(* The shapes [Domain.make] refuses, as wire bytes: no dimensions, an
+   inverted interval, a zero-width one. Decoders must refuse them with
+   [Failure] — an unchecked domain once reached an [assert] in the
+   I-tree build, an exception class the serving stack never catches. *)
+let bad_domains =
+  let encode bounds =
+    let w = Aqv_util.Wire.writer () in
+    Aqv_util.Wire.varint w (List.length bounds);
+    List.iter (fun (l, _) -> Q.encode w (Q.of_int l)) bounds;
+    List.iter (fun (_, h) -> Q.encode w (Q.of_int h)) bounds;
+    Aqv_util.Wire.contents w
+  in
+  [
+    ("zero-dimension", encode []);
+    ("inverted", encode [ (1, 0) ]);
+    ("zero-width", encode [ (1, 1) ]);
+  ]
+
+let encoded enc v =
+  let w = Aqv_util.Wire.writer () in
+  enc w v;
+  Aqv_util.Wire.contents w
+
+(* [s] with its first occurrence of [sub] replaced by [by] *)
+let splice s ~sub ~by =
+  let n = String.length sub in
+  let rec find k =
+    if k + n > String.length s then invalid_arg "splice: not found"
+    else if String.sub s k n = sub then k
+    else find (k + 1)
+  in
+  let k = find 0 in
+  String.sub s 0 k ^ by ^ String.sub s (k + n) (String.length s - k - n)
+
+let decode_tests =
+  let good_domain () = encoded Domain.encode (Table.domain (Lazy.force table)) in
+  List.concat_map
+    (fun (shape, bad) ->
+      [
+        raises_failure ("Domain.decode " ^ shape) (fun () ->
+            Domain.decode (Aqv_util.Wire.reader bad));
+        raises_failure ("Protocol.decode_bundle " ^ shape) (fun () ->
+            let bundle =
+              Protocol.bundle_of_index (Lazy.force index) (Lazy.force keypair).Signer.public
+            in
+            let bytes = encoded Protocol.encode_bundle bundle in
+            Protocol.decode_bundle
+              (Aqv_util.Wire.reader (splice bytes ~sub:(good_domain ()) ~by:bad)));
+        raises_failure ("Ifmh.load " ^ shape) (fun () ->
+            let bytes = encoded Ifmh.save (Lazy.force index) in
+            Ifmh.load (Aqv_util.Wire.reader (splice bytes ~sub:(good_domain ()) ~by:bad)));
+      ])
+    bad_domains
 
 let () =
   Alcotest.run "aqv_validation"
@@ -103,4 +164,5 @@ let () =
           raises_invalid "answer outside domain" (fun () ->
               Server.answer (Lazy.force index) (Query.top_k ~x:[| Q.of_int 7 |] ~k:1));
         ] );
+      ("decode", decode_tests);
     ]
