@@ -995,9 +995,20 @@ let abl_serve_frag () =
    story: the default dense lines (crossings a constant ~1/3 of the
    pair space, so the Merkle back-end dominates the wall) and a sparse
    variant with intercepts spread over 10^6 (crossings ~0.1% of pairs,
-   the shape where an all-pairs front-end would dominate). Counters are
-   deterministic, so the guards are immune to runner noise; wall
-   seconds go to JSON only. *)
+   the shape where an all-pairs front-end would dominate). The 1-D rows
+   also guard the sweep's back-end: each subdomain boundary applies its
+   FMH leaf changes in one [Mht.set_many], so an adjacent swap rehashes
+   the union of two root paths, about ceil(log2(n+2)) + 1 node hashes
+   (two separate sets paid about 2 ceil(log2(n+2))). A single swap
+   costs between floor(log2(n+2)) and 2 ceil(log2(n+2)) - 1 depending
+   on where the two leaves' paths meet, so the law is on the mean per
+   crossing, within one of ceil(log2(n+2)) + 1, on rows with at least
+   32 crossings. Counters are deterministic, so the guards are immune
+   to runner noise; wall seconds go to JSON only. *)
+let ceil_log2 n =
+  let rec go d p = if p >= n then d else go (d + 1) (2 * p) in
+  go 0 1
+
 let abl_build_scale () =
   header "Ablation — crossing enumeration: pair records vs crossings";
   row "(chunk = %d; 1-D rows are full builds, 2-D rows enumeration only;\n"
@@ -1039,8 +1050,31 @@ let abl_build_scale () =
     let idx, wall =
       time (fun () -> Ifmh.build ~scheme:Ifmh.Multi_signature table dry_signer)
     in
-    ignore (Sys.opaque_identity idx);
-    let classified, crossings, peak, chunks = report shape n wall (Metrics.snapshot ()) in
+    let s = Metrics.snapshot () in
+    let classified, crossings, peak, chunks = report shape n wall s in
+    (* sweep node hashes: a dry multi-signature build hashes the n
+       records, the first cell's full FMH (n + 1 interior nodes over
+       n + 2 leaves), one signing digest per subdomain, and the sweep *)
+    let sweep =
+      s.Metrics.hash_ops - n - (n + 1) - (Ifmh.stats idx).Ifmh.subdomains
+    in
+    let per_crossing = float_of_int sweep /. float_of_int (max 1 crossings) in
+    let depth = ceil_log2 (n + 2) in
+    row "%-9s %7d   sweep node hashes per crossing %.2f (law ~%d, fails above %d; two sets paid ~%d)\n%!"
+      shape n per_crossing (depth + 1) (depth + 2) (2 * depth);
+    json_add
+      [
+        ("figure", J_str "abl-build-scale-sweep");
+        ("shape", J_str shape);
+        ("n", J_int n);
+        ("sweep_hashes", J_int sweep);
+        ("crossings", J_int crossings);
+        ("sweep_hashes_per_crossing", J_num per_crossing);
+        ("ceil_log2_leaves", J_int depth);
+      ];
+    if crossings >= 32 && per_crossing > float_of_int (depth + 2) then
+      fail shape n "sweep paid %.2f node hashes per crossing, law is ceil(log2(n+2)) + 1 = %d"
+        per_crossing (depth + 1);
     if classified <> crossings then
       fail shape n "classified %d pairs, expected the %d crossings" classified crossings;
     if chunks <> 0 then fail shape n "ran %d chunks, expected none" chunks;

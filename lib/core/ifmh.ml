@@ -22,8 +22,13 @@ type t = {
   rdig : string array;  (** per-record digests, in table order *)
   root_signature : string option;
   leaf_signatures : string array;
-  root_digest : string option;  (** the digest [root_signature] covers *)
-  leaf_digests : string array;  (** the digests [leaf_signatures] cover *)
+  leaf_digests : string array option Atomic.t;
+      (** the digests [leaf_signatures] cover, kept where signing
+          computed them (owner [build]/[apply]). [None] under
+          one-signature and on the server ([load]/[apply_delta]), which
+          attaches signatures by leaf id and never needs them, until
+          something asks: then one walk fills it. Racing domains each
+          compute the same array, so whichever write lands is right. *)
   frags : Fragment.t;
       (** content-addressed VO fragment cache consulted by [Server]
           assembly; carried (same object) across [apply] so fragments
@@ -52,16 +57,6 @@ let leaf_signature t id =
     invalid_arg "Ifmh.leaf_signature: one-signature index"
   else t.leaf_signatures.(id)
 
-let root_signing_digest t =
-  match t.root_digest with
-  | Some d -> d
-  | None -> invalid_arg "Ifmh.root_signing_digest: multi-signature index"
-
-let leaf_signing_digest t id =
-  if Array.length t.leaf_digests = 0 then
-    invalid_arg "Ifmh.leaf_signing_digest: one-signature index"
-  else t.leaf_digests.(id)
-
 let inode_tag = "\x04"
 let root_sign_tag = "\x05"
 let leaf_sign_tag = "\x06"
@@ -82,17 +77,62 @@ let meta_bytes_of n_leaves epoch =
 let root_digest_for_signing ~root_hash ~n_leaves ~epoch =
   Sha256.digest_list [ root_sign_tag; root_hash; meta_bytes_of n_leaves epoch ]
 
+(* A leaf signing digest hashes tag | domain | one entry per
+   constraint, root first | FMH root | meta. *)
+let write_cons_entry w (dp, dq, side) =
+  Aqv_util.Wire.bytes w dp;
+  Aqv_util.Wire.bytes w dq;
+  Aqv_util.Wire.u8 w (Halfspace.side_to_int side)
+
 let leaf_digest_for_signing ~domain ~cons_digests ~fmh_root ~n_leaves ~epoch =
   let w = Aqv_util.Wire.writer () in
   Aqv_num.Domain.encode w domain;
-  List.iter
-    (fun (dp, dq, side) ->
-      Aqv_util.Wire.bytes w dp;
-      Aqv_util.Wire.bytes w dq;
-      Aqv_util.Wire.u8 w (Halfspace.side_to_int side))
-    cons_digests;
+  List.iter (write_cons_entry w) cons_digests;
   Sha256.digest_list
     [ leaf_sign_tag; Aqv_util.Wire.contents w; fmh_root; meta_bytes_of n_leaves epoch ]
+
+(* Every leaf signing digest of a multi-signature index, in one
+   sequential I-tree walk. A leaf's constraints are exactly the inodes
+   on its root path, so siblings share the hash state up to their
+   common ancestor: each inode's two constraint entries are fed once,
+   the context copied at the fork. The bytes equal
+   [leaf_digest_for_signing] leaf by leaf, and each digest ticks the
+   hash counter once with its full message length, as that function
+   does. *)
+let leaf_signing_digests ~domain ~n_leaves ~epoch itree sorting rdig =
+  let out = Array.make (Itree.leaf_count itree) "" in
+  let meta = meta_bytes_of n_leaves epoch in
+  let rec go (node : Itree.node) ctx len =
+    match node.Itree.kind with
+    | Itree.Leaf lf ->
+      let fmh_root = Sorting.fmh_root sorting lf.Itree.id in
+      Sha256.feed ctx fmh_root;
+      Sha256.feed ctx meta;
+      Aqv_util.Metrics.add_hash
+        ~bytes_len:(len + String.length fmh_root + String.length meta);
+      out.(lf.Itree.id) <- Sha256.finalize ctx
+    | Itree.Inode n ->
+      let below = Sha256.copy ctx in
+      let entry side =
+        let w = Aqv_util.Wire.writer () in
+        write_cons_entry w (rdig.(n.Itree.i), rdig.(n.Itree.j), side);
+        Aqv_util.Wire.contents w
+      in
+      let above_entry = entry Halfspace.Above in
+      Sha256.feed ctx above_entry;
+      go n.Itree.above ctx (len + String.length above_entry);
+      let below_entry = entry Halfspace.Below in
+      Sha256.feed below below_entry;
+      go n.Itree.below below (len + String.length below_entry)
+  in
+  let ctx = Sha256.init () in
+  let w = Aqv_util.Wire.writer () in
+  Aqv_num.Domain.encode w domain;
+  let prefix = Aqv_util.Wire.contents w in
+  Sha256.feed ctx leaf_sign_tag;
+  Sha256.feed ctx prefix;
+  go (Itree.root itree) ctx (String.length leaf_sign_tag + String.length prefix);
+  out
 
 (* Bottom-up hash propagation over the I-tree (paper step 3). The two
    subtrees under the root are disjoint — no node is reachable from
@@ -179,77 +219,94 @@ let build_structure ~seed ?prev ~pool table =
   let sorting = Sorting.build ~pool ~rdig ~crossings table itree in
   (itree, sorting, rdig)
 
-(* The assembled index keeps each signing digest next to its signature:
-   the incremental [apply] keys its signature reuse on them, and tests
-   compare them directly under fake signers. *)
+(* Where an assembled index's signatures come from: the owner signs
+   the digests it computes ([build], and [apply] through its reuse
+   cache); the keyless server attaches the owner's stored or shipped
+   signatures by leaf id ([load], [apply_delta]) and computes no
+   signing digest at all. *)
+type signatures =
+  | Sign of (string -> string)
+  | Attach of { root : string option; leaves : string array }
+
 let assemble ~scheme ~seed ~epoch ~signature_size ~pool ~frags table itree sorting
-    rdig ~sign_root ~sign_leaf =
+    rdig signatures =
   let n_leaves = Table.size table + 2 in
+  let index ~root_signature ~leaf_signatures ~leaf_digests =
+    {
+      scheme;
+      table;
+      itree;
+      sorting;
+      signature_size;
+      seed;
+      epoch;
+      rdig;
+      root_signature;
+      leaf_signatures;
+      leaf_digests = Atomic.make leaf_digests;
+      frags;
+    }
+  in
   match scheme with
   | One_signature ->
     let root_hash = propagate_hashes ~pool itree sorting rdig in
-    let root_digest = root_digest_for_signing ~root_hash ~n_leaves ~epoch in
-    {
-      scheme;
-      table;
-      itree;
-      sorting;
-      signature_size;
-      seed;
-      epoch;
-      rdig;
-      root_signature = Some (sign_root root_digest);
-      leaf_signatures = [||];
-      root_digest = Some root_digest;
-      leaf_digests = [||];
-      frags;
-    }
-  | Multi_signature ->
-    let domain = Table.domain table in
-    (* one RSA/DSA signature per subdomain: the dominant construction
-       cost, and each is a pure function of its own leaf — fan out.
-       Writing [node.h] is safe: leaves are distinct nodes, each touched
-       by exactly one task. *)
-    let signed =
-      Aqv_par.Pool.parallel_map pool
-        (fun (node : Itree.node) ->
-          match node.Itree.kind with
-          | Itree.Inode _ -> assert false
-          | Itree.Leaf lf ->
-            let fmh_root = Sorting.fmh_root sorting lf.Itree.id in
-            node.Itree.h <- fmh_root;
-            let cons_digests =
-              List.rev_map (fun (i, j, side) -> (rdig.(i), rdig.(j), side)) lf.Itree.cons
-            in
-            let digest =
-              leaf_digest_for_signing ~domain ~cons_digests ~fmh_root ~n_leaves ~epoch
-            in
-            (digest, sign_leaf lf.Itree.id digest))
-        (Itree.leaves itree)
+    let root_signature =
+      match signatures with
+      | Sign sign -> sign (root_digest_for_signing ~root_hash ~n_leaves ~epoch)
+      | Attach { root; _ } -> Option.get root
     in
-    {
-      scheme;
-      table;
-      itree;
-      sorting;
-      signature_size;
-      seed;
-      epoch;
-      rdig;
-      root_signature = None;
-      leaf_signatures = Array.map snd signed;
-      root_digest = None;
-      leaf_digests = Array.map fst signed;
-      frags;
-    }
+    index ~root_signature:(Some root_signature) ~leaf_signatures:[||] ~leaf_digests:None
+  | Multi_signature -> (
+    Array.iter
+      (fun (node : Itree.node) ->
+        match node.Itree.kind with
+        | Itree.Leaf lf -> node.Itree.h <- Sorting.fmh_root sorting lf.Itree.id
+        | Itree.Inode _ -> assert false)
+      (Itree.leaves itree);
+    match signatures with
+    | Sign sign ->
+      let digests =
+        leaf_signing_digests ~domain:(Table.domain table) ~n_leaves ~epoch itree sorting
+          rdig
+      in
+      (* one RSA/DSA signature per subdomain: the dominant construction
+         cost, and each a pure function of its digest — fan out *)
+      index ~root_signature:None
+        ~leaf_signatures:(Aqv_par.Pool.parallel_map pool sign digests)
+        ~leaf_digests:(Some digests)
+    | Attach { leaves; _ } ->
+      index ~root_signature:None ~leaf_signatures:leaves ~leaf_digests:None)
+
+let root_signing_digest t =
+  match t.scheme with
+  | One_signature ->
+    root_digest_for_signing ~root_hash:(Itree.root t.itree).Itree.h
+      ~n_leaves:(Table.size t.table + 2) ~epoch:t.epoch
+  | Multi_signature -> invalid_arg "Ifmh.root_signing_digest: multi-signature index"
+
+(* All leaf signing digests: the owner's, or — on an index whose
+   signatures were attached — one walk on first demand. *)
+let leaf_signing_digests_of t =
+  match Atomic.get t.leaf_digests with
+  | Some d -> d
+  | None ->
+    let d =
+      leaf_signing_digests ~domain:(Table.domain t.table)
+        ~n_leaves:(Table.size t.table + 2) ~epoch:t.epoch t.itree t.sorting t.rdig
+    in
+    Atomic.set t.leaf_digests (Some d);
+    d
+
+let leaf_signing_digest t id =
+  match t.scheme with
+  | One_signature -> invalid_arg "Ifmh.leaf_signing_digest: one-signature index"
+  | Multi_signature -> (leaf_signing_digests_of t).(id)
 
 let build ?(seed = default_seed) ?(epoch = 0) ?pool ~scheme table keypair =
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
   let itree, sorting, rdig = build_structure ~seed ~pool table in
   assemble ~scheme ~seed ~epoch ~signature_size:keypair.Signer.signature_size ~pool
-    ~frags:(Fragment.create ()) table itree sorting rdig
-    ~sign_root:keypair.Signer.sign
-    ~sign_leaf:(fun _ d -> keypair.Signer.sign d)
+    ~frags:(Fragment.create ()) table itree sorting rdig (Sign keypair.Signer.sign)
 
 (* ---------------------- incremental maintenance --------------------- *)
 
@@ -278,19 +335,19 @@ let apply ?epoch ?pool keypair changes t =
      digests the update did not change hit the cache — epoch and
      n_leaves are committed in every digest, so a replayable signature
      can never be reused across a version bump by construction. *)
-  let cache = Hashtbl.create (Array.length t.leaf_digests + 1) in
-  (match (t.root_digest, t.root_signature) with
-  | Some d, Some s -> Hashtbl.replace cache d s
-  | _ -> ());
-  Array.iteri (fun i d -> Hashtbl.replace cache d t.leaf_signatures.(i)) t.leaf_digests;
+  let cache = Hashtbl.create (Array.length t.leaf_signatures + 1) in
+  (match t.scheme with
+  | One_signature -> Hashtbl.replace cache (root_signing_digest t) (root_signature t)
+  | Multi_signature ->
+    Array.iteri
+      (fun i d -> Hashtbl.replace cache d t.leaf_signatures.(i))
+      (leaf_signing_digests_of t));
   let sign d =
     match Hashtbl.find_opt cache d with Some s -> s | None -> keypair.Signer.sign d
   in
   assemble ~scheme:t.scheme ~seed:t.seed ~epoch
     ~signature_size:keypair.Signer.signature_size ~pool ~frags:t.frags table itree
-    sorting rdig
-    ~sign_root:sign
-    ~sign_leaf:(fun _ d -> sign d)
+    sorting rdig (Sign sign)
 
 let insert ?epoch ?pool keypair r t = apply ?epoch ?pool keypair [ Update.Insert r ] t
 let delete ?epoch ?pool keypair id t = apply ?epoch ?pool keypair [ Update.Delete id ] t
@@ -343,6 +400,8 @@ let decode_delta r =
 let apply_delta ?pool (d : delta) (t : t) =
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
   if d.epoch < t.epoch then failwith "Ifmh.apply_delta: epoch regression";
+  if t.scheme = One_signature && d.root_signature = None then
+    failwith "Ifmh.apply_delta: missing signature";
   let table =
     match Update.apply_table d.changes t.table with
     | table -> table
@@ -350,16 +409,11 @@ let apply_delta ?pool (d : delta) (t : t) =
   in
   purge_fragments t d.changes;
   let itree, sorting, rdig = build_structure ~seed:t.seed ~prev:t ~pool table in
-  (match t.scheme with
-  | One_signature ->
-    if d.root_signature = None then failwith "Ifmh.apply_delta: missing signature"
-  | Multi_signature ->
-    if Array.length d.leaf_signatures <> Itree.leaf_count itree then
-      failwith "Ifmh.apply_delta: signature count mismatch");
+  if t.scheme = Multi_signature && Array.length d.leaf_signatures <> Itree.leaf_count itree
+  then failwith "Ifmh.apply_delta: signature count mismatch";
   assemble ~scheme:t.scheme ~seed:t.seed ~epoch:d.epoch ~signature_size:t.signature_size
     ~pool ~frags:t.frags table itree sorting rdig
-    ~sign_root:(fun _ -> Option.value ~default:"" d.root_signature)
-    ~sign_leaf:(fun id _ -> d.leaf_signatures.(id))
+    (Attach { root = d.root_signature; leaves = d.leaf_signatures })
 
 (* --------------------------- persistence --------------------------- *)
 
@@ -405,19 +459,14 @@ let load ?pool r =
     | t -> t
     | exception Invalid_argument m -> failwith ("Ifmh.load: " ^ m)
   in
+  (* the cheap check first: a rebuild costs the whole structure *)
+  if scheme = One_signature && root_signature = None then failwith "Ifmh.load: missing signature";
   let itree, sorting, rdig = build_structure ~seed ~pool table in
   if scheme = Multi_signature && Array.length leaf_signatures <> Itree.leaf_count itree then
     failwith "Ifmh.load: signature count mismatch";
-  (* attach the stored signatures through the same assembly path *)
-  let stored_root = root_signature in
-  let t =
-    assemble ~scheme ~seed ~epoch ~signature_size ~pool
-      ~frags:(Fragment.create ()) table itree sorting rdig
-      ~sign_root:(fun _ -> Option.value ~default:"" stored_root)
-      ~sign_leaf:(fun id _ -> leaf_signatures.(id))
-  in
-  if scheme = One_signature && stored_root = None then failwith "Ifmh.load: missing signature";
-  t
+  assemble ~scheme ~seed ~epoch ~signature_size ~pool ~frags:(Fragment.create ()) table
+    itree sorting rdig
+    (Attach { root = root_signature; leaves = leaf_signatures })
 
 type build_stats = {
   subdomains : int;

@@ -143,9 +143,11 @@ val delta_with_changes : Update.change list -> delta -> delta
 
 val apply_delta : ?pool:Aqv_par.Pool.pool -> delta -> t -> t
 (** Server-side replay: rebuild the updated structure and attach the
-    shipped signatures (unchecked — clients verify).
+    shipped signatures by leaf id (unchecked — clients verify). No
+    signing digest is computed.
     @raise Failure on a malformed delta, a signature count mismatch, or
-    an epoch regression. *)
+    an epoch regression. An epoch regression and a one-signature delta
+    without its root signature are refused before any rebuild work. *)
 
 val encode_delta : Aqv_util.Wire.writer -> delta -> unit
 val decode_delta : Aqv_util.Wire.reader -> delta
@@ -165,13 +167,19 @@ val leaf_signature : t -> int -> string
 (** @raise Invalid_argument under the one-signature scheme. *)
 
 val root_signing_digest : t -> string
-(** The digest the root signature covers, as assembled.
+(** The digest the root signature covers: one hash over the IMH root
+    hash, computed on each call.
     @raise Invalid_argument under the multi-signature scheme. *)
 
 val leaf_signing_digest : t -> int -> string
-(** The digest leaf [id]'s signature covers, as assembled. Signature
-    reuse in {!apply} keys on these; tests compare them directly when
-    running under fake signers.
+(** The digest leaf [id]'s signature covers. Signature reuse in
+    {!apply} keys on these; tests compare them directly when running
+    under fake signers. An owner's index ({!build}, {!apply}) keeps
+    the digests it signed. A server's index ({!load}, {!apply_delta})
+    attaches signatures by leaf id and never computes a signing
+    digest; the first call there computes all of them in one I-tree
+    walk (a few compressions per leaf) and keeps them — the same bytes
+    the owner signed.
     @raise Invalid_argument under the one-signature scheme. *)
 
 val leaf_digest_for_signing :
@@ -202,8 +210,10 @@ val save : Aqv_util.Wire.writer -> t -> unit
 val load : ?pool:Aqv_par.Pool.pool -> Aqv_util.Wire.reader -> t
 (** Rebuild a saved index (e.g. on the storage server after the owner's
     upload); the reconstruction parallelizes over [pool] exactly as
-    {!build} does. Signatures are attached, not checked — the verifying
-    clients check them. @raise Failure on malformed input. *)
+    {!build} does. Signatures are attached by leaf id, not checked —
+    the verifying clients check them — and no signing digest is
+    computed. @raise Failure on malformed input; a one-signature image
+    without its root signature is refused before the rebuild. *)
 
 type build_stats = {
   subdomains : int;  (** I-tree leaves *)

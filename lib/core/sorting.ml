@@ -95,7 +95,9 @@ let build_1d ~crossings table itree rdig =
   let entries = Array.make ncells None in
   let stash c order fmh = entries.(c) <- Some { order; fmh } in
   (* initial cell: the only full FMH build of the sweep — every later
-     cell is O(g log n) sets over its neighbour *)
+     cell is one [Mht.set_many] over its neighbour, rehashing the union
+     of its moved leaves' root paths: O(g + log n) node hashes for a
+     crossing group of size g, about log n + 1 for a single swap *)
   let order0 = sorted_positions fns (cell_sample 0) in
   let pos = Array.make n 0 in
   Array.iteri (fun idx p -> pos.(p) <- idx) order0;
@@ -129,6 +131,8 @@ let build_1d ~crossings table itree rdig =
         Hashtbl.replace groups v (p :: Option.value ~default:[] (Hashtbl.find_opt groups v)))
       involved;
     let sample = cell_sample c in
+    (* the boundary's FMH leaf changes, applied in one descent below *)
+    let changes = ref [] in
     Hashtbl.iter
       (fun _ members ->
         let members = Array.of_list members in
@@ -157,11 +161,14 @@ let build_1d ~crossings table itree rdig =
               cur_order.(target) <- p;
               pos.(p) <- target;
               pv := Pvec.set !pv target p;
-              tree := Mht.set !tree (target + 1) rdig.(p)
+              changes := (target + 1, rdig.(p)) :: !changes
             end
             else pos.(p) <- target)
           by)
       groups;
+    (* adjacent moved positions share their root paths above their
+       lowest common ancestor: one descent hashes that union once *)
+    tree := Mht.set_many !tree (List.sort (fun (a, _) (b, _) -> compare a b) !changes);
     stash c !pv !tree
   done;
   Array.map Option.get entries

@@ -7,12 +7,16 @@
 
     In dimension 1, construction is a left-to-right sweep: crossing a
     subdomain boundary transposes exactly the records that intersect
-    there, so each snapshot costs O(g log n) over its neighbour (for a
-    crossing group of size g) thanks to the persistence of
-    {!Aqv_util.Pvec} and {!Aqv_merkle.Mht}. The sweep is inherently
-    incremental and stays sequential. In higher dimensions each leaf is
-    sorted independently at its witness point, so leaves fan out over
-    the {!Aqv_par.Pool} — bit-identically to a sequential build.
+    there, so each snapshot costs O(g + log n) over its neighbour (for
+    a crossing group of size g) thanks to the persistence of
+    {!Aqv_util.Pvec} and {!Aqv_merkle.Mht}: a boundary's moved leaves
+    go to one {!Aqv_merkle.Mht.set_many}, which rehashes the union of
+    their root paths once — about log n + 1 node hashes for the usual
+    single adjacent swap, against 2 log n for two separate sets. The
+    sweep is inherently incremental and stays sequential. In higher
+    dimensions each leaf is sorted independently at its witness point,
+    so leaves fan out over the {!Aqv_par.Pool} — bit-identically to a
+    sequential build.
 
     Every subdomain keeps its persistent FMH-tree (shared structure,
     O(log n) marginal nodes per subdomain), so a query never rehashes. *)

@@ -125,6 +125,10 @@ let feed ctx s =
     ctx.buf_len <- len - !pos
   end
 
+let copy ctx =
+  if ctx.finalized then invalid_arg "Sha256.copy: finalized";
+  { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf; w = Array.make 64 0 }
+
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256.finalize: already finalized";
   ctx.finalized <- true;

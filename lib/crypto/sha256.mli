@@ -29,3 +29,10 @@ val init : unit -> ctx
 val feed : ctx -> string -> unit
 val finalize : ctx -> digest
 (** [finalize] may be called once per context. *)
+
+val copy : ctx -> ctx
+(** An independent context in the same state: feeding or finalizing
+    either one leaves the other untouched. Lets messages that share a
+    prefix hash it once. The streaming interface ticks no
+    {!Aqv_util.Metrics} counter; callers that use it count their own
+    digests. @raise Invalid_argument on a finalized context. *)

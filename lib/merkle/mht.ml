@@ -60,9 +60,33 @@ let rec set t i d =
     else if i < sl then node (set l i d) r
     else node l (set r (i - sl) d)
 
+(* One descent for a whole change set: the sorted changes are split at
+   each node's left size, so every node on the union of their root
+   paths is rebuilt — and hashed — exactly once. *)
+let set_many t changes =
+  let n = size t in
+  ignore
+    (List.fold_left
+       (fun prev (i, _) ->
+         if i <= prev || i >= n then
+           invalid_arg "Mht.set_many: index out of bounds, repeated or unsorted";
+         i)
+       (-1) changes);
+  let rec go t off changes =
+    match (changes, t) with
+    | [], _ -> t
+    | [ (_, d) ], Leaf _ -> Leaf d
+    | _, Leaf _ -> assert false
+    | _, Node { l; r; _ } ->
+      let mid = off + size l in
+      let left, right = List.partition (fun (i, _) -> i < mid) changes in
+      node (go l off left) (go r mid right)
+  in
+  go t 0 changes
+
 let swap_adjacent t i =
   let a = leaf t i and b = leaf t (i + 1) in
-  set (set t i b) (i + 1) a
+  set_many t [ (i, b); (i + 1, a) ]
 
 type path_elem = { sibling : string; sibling_on_left : bool }
 

@@ -10,10 +10,11 @@
     a verifier reconstruct roots from segments without trusting any
     structural hints.
 
-    Trees are immutable and persistent: {!set} and {!swap_adjacent}
-    share all untouched nodes, so the owner can snapshot one FMH per
-    subdomain while paying only O(log n) per adjacent transposition —
-    the exact mutation that moving across a subdomain boundary induces.
+    Trees are immutable and persistent: {!set}, {!set_many} and
+    {!swap_adjacent} share all untouched nodes, so the owner can
+    snapshot one FMH per subdomain while paying only O(log n) per
+    adjacent transposition — the exact mutation that moving across a
+    subdomain boundary induces.
 
     Interior hashes are domain-separated from leaf digests
     ([H("\x03" | left | right)]), preventing leaf/interior confusion. *)
@@ -33,8 +34,20 @@ val leaves : t -> string array
 val set : t -> int -> string -> t
 (** Replace one leaf digest; O(log n) new nodes. *)
 
+val set_many : t -> (int * string) list -> t
+(** Replace several leaf digests in one descent: [changes] are
+    [(index, digest)] pairs in strictly ascending index order. Every
+    node on the union of the changed leaves' root paths is rehashed
+    once, so the result equals folding {!set} over [changes] at a
+    fraction of the hashing when the paths share ancestors — two
+    adjacent leaves cost about log n + 1 node hashes instead of
+    2 log n. [set_many t []] is [t].
+    @raise Invalid_argument on an out-of-bounds, duplicate or
+    unsorted index. *)
+
 val swap_adjacent : t -> int -> t
-(** [swap_adjacent t i] exchanges leaves [i] and [i+1]. *)
+(** [swap_adjacent t i] exchanges leaves [i] and [i+1] (one
+    {!set_many}). *)
 
 (** {1 Proofs} *)
 

@@ -153,6 +153,78 @@ let prop_set_then_leaves =
       expect.(i) <- d (1000 + v);
       Mht.leaves t = expect)
 
+(* Interior nodes with at least one changed leaf below them: the node
+   hashes one [set_many] descent must pay, from the shape alone. *)
+let union_path_nodes n idxs =
+  let rec split_point n =
+    let rec go p = if p * 2 < n then go (p * 2) else p in
+    go 1
+  and go lo size =
+    if size = 1 || not (List.exists (fun i -> lo <= i && i < lo + size) idxs) then 0
+    else begin
+      let p = split_point size in
+      1 + go lo p + go (lo + p) (size - p)
+    end
+  in
+  go 0 n
+
+(* Change sets of every shape the sweep issues: empty, one adjacent
+   swap, both ends, and arbitrary sorted subsets. *)
+let gen_change_set =
+  QCheck.Gen.(
+    int_range 1 300 >>= fun n ->
+    int_bound 3 >>= fun kind ->
+    (match kind with
+    | 0 -> return []
+    | 1 when n >= 2 -> map (fun i -> [ i; i + 1 ]) (int_bound (n - 2))
+    | 2 -> return (List.sort_uniq compare [ 0; n - 1 ])
+    | _ -> map (List.sort_uniq compare) (list_size (int_range 1 12) (int_bound (n - 1))))
+    >>= fun idxs ->
+    map (fun v -> (n, List.map (fun i -> (i, d (5000 + i + v))) idxs)) small_nat)
+
+let prop_set_many_is_fold_of_set =
+  qtest ~count:300 "set_many = fold of set"
+    (QCheck.make
+       ~print:(fun (n, cs) ->
+         Printf.sprintf "n=%d [%s]" n
+           (String.concat ";" (List.map (fun (i, _) -> string_of_int i) cs)))
+       gen_change_set)
+    (fun (n, changes) ->
+      let t = mk n in
+      let folded = List.fold_left (fun t (i, v) -> Mht.set t i v) t changes in
+      let before = Aqv_util.Metrics.snapshot () in
+      let many = Mht.set_many t changes in
+      let hashes = (Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) before).hash_ops in
+      String.equal (Mht.root folded) (Mht.root many)
+      && Mht.leaves folded = Mht.leaves many
+      && List.for_all
+           (fun i -> Mht.auth_path folded i = Mht.auth_path many i)
+           (List.init n Fun.id)
+      && hashes = union_path_nodes n (List.map fst changes))
+
+let test_set_many_rejects () =
+  let t = mk 9 in
+  let rejects name changes =
+    match Mht.set_many t changes with
+    | (_ : Mht.t) -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "negative" [ (-1, d 1) ];
+  rejects "past the end" [ (3, d 1); (9, d 2) ];
+  rejects "duplicate" [ (4, d 1); (4, d 2) ];
+  rejects "unsorted" [ (5, d 1); (2, d 2) ];
+  (* an adjacent swap rehashes the union of two root paths once: 4
+     hashes for siblings in a 16-leaf tree, 7 when the paths meet only
+     at the root — two separate sets paid 8 either way *)
+  let t = mk 16 in
+  List.iter
+    (fun (i, expect) ->
+      let before = Aqv_util.Metrics.snapshot () in
+      ignore (Mht.swap_adjacent t i);
+      check Alcotest.int (Printf.sprintf "swap %d/%d of 16" i (i + 1)) expect
+        (Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) before).hash_ops)
+    [ (6, 4); (7, 7) ]
+
 let prop_range_proof_size_logarithmic =
   qtest ~count:100 "range proof size is O(log n)"
     QCheck.(pair (int_range 2 512) (int_bound 511))
@@ -178,6 +250,8 @@ let () =
           Alcotest.test_case "set persistent" `Quick test_set_persistent;
           Alcotest.test_case "swap adjacent (all n, i)" `Quick test_swap_adjacent;
           prop_set_then_leaves;
+          prop_set_many_is_fold_of_set;
+          Alcotest.test_case "set_many rejects bad indices" `Quick test_set_many_rejects;
         ] );
       ( "proofs",
         [

@@ -640,6 +640,124 @@ let test_tie_split_2d () =
         (identical ~scheme updated fresh))
     [ Ifmh.One_signature; Ifmh.Multi_signature ]
 
+(* ------------------- signing digests on the server ------------------ *)
+
+let random_table ~dims prng =
+  let n = if dims = 1 then 5 + Prng.int prng 10 else 4 + Prng.int prng 4 in
+  if dims = 1 then Workload.lines_1d ~slope_range:40 ~intercept_range:40 ~n prng
+  else Workload.scored ~attr_range:20 ~n ~dims prng
+
+let load_of index = Ifmh.load (Wire.reader (save_bytes index))
+
+let leaf_digests index =
+  List.init (Itree.leaf_count (Ifmh.itree index)) (Ifmh.leaf_signing_digest index)
+
+(* The owner computes every leaf signing digest in one prefix-sharing
+   I-tree walk; the client recomputes one leaf's with
+   [leaf_digest_for_signing] from the constraint list its VO carries.
+   They must agree leaf by leaf, and the walk (forced on a loaded
+   index, which holds no digests) must count one hash per leaf over
+   the same message bytes. *)
+let prop_walk_is_per_leaf ~dims seed =
+  let prng = Prng.create (Int64.of_int seed) in
+  let table = random_table ~dims prng in
+  let epoch = Prng.int prng 5 in
+  let index = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch table fake_keypair in
+  let per_leaf, m_per_leaf =
+    metrics_during (fun () ->
+        Array.to_list
+          (Array.map
+             (fun (node : Itree.node) ->
+               match node.Itree.kind with
+               | Itree.Inode _ -> assert false
+               | Itree.Leaf lf ->
+                 let cons_digests =
+                   List.rev_map
+                     (fun (i, j, side) ->
+                       (Ifmh.record_digest index i, Ifmh.record_digest index j, side))
+                     lf.Itree.cons
+                 in
+                 Ifmh.leaf_digest_for_signing ~domain:(Table.domain table) ~cons_digests
+                   ~fmh_root:(Sorting.fmh_root (Ifmh.sorting index) lf.Itree.id)
+                   ~n_leaves:(Table.size table + 2) ~epoch)
+             (Itree.leaves (Ifmh.itree index))))
+  in
+  let loaded = load_of index in
+  let walked, m_walk = metrics_during (fun () -> leaf_digests loaded) in
+  per_leaf = leaf_digests index
+  && per_leaf = walked
+  && m_walk.Metrics.hash_ops = m_per_leaf.Metrics.hash_ops
+  && m_walk.Metrics.hash_bytes = m_per_leaf.Metrics.hash_bytes
+
+(* A server's index holds no signing digests; asked for them, it must
+   return exactly what the owner signed — after load and after a
+   replayed delta. *)
+let test_server_digests () =
+  List.iter
+    (fun dims ->
+      let prng = Prng.create (Int64.of_int (40 + dims)) in
+      let table = random_table ~dims prng in
+      let owner = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
+      let server = load_of owner in
+      check Alcotest.(list string) "load = owner" (List.map hex (leaf_digests owner))
+        (List.map hex (leaf_digests server));
+      let changes = gen_changes ~dims prng table 3 in
+      let owner' = Ifmh.apply fake_keypair changes owner in
+      let server' = Ifmh.apply_delta (Ifmh.delta ~changes owner') server in
+      check Alcotest.(list string) "apply_delta = owner" (List.map hex (leaf_digests owner'))
+        (List.map hex (leaf_digests server')))
+    [ 1; 2 ]
+
+(* The owner may apply on top of a loaded index (e.g. after a restart):
+   the reuse cache then comes from recomputed digests, and the result
+   must equal applying on the built index byte for byte — and a
+   same-epoch no-op must still re-sign nothing. *)
+let test_apply_on_loaded () =
+  List.iter
+    (fun (dims, scheme) ->
+      let prng = Prng.create (Int64.of_int (50 + dims)) in
+      let table = random_table ~dims prng in
+      let built = Ifmh.build ~scheme ~epoch:1 table fake_keypair in
+      let loaded = load_of built in
+      let changes = gen_changes ~dims prng table 2 in
+      let a = Ifmh.apply fake_keypair changes built in
+      let b = Ifmh.apply fake_keypair changes loaded in
+      check Alcotest.bool "apply on loaded = apply on built" true (identical ~scheme a b);
+      let noop, m =
+        metrics_during (fun () -> Ifmh.apply ~epoch:(Ifmh.epoch loaded) fake_keypair [] loaded)
+      in
+      check Alcotest.int "no-op on loaded re-signs nothing" 0 m.Metrics.sign_ops;
+      check Alcotest.string "no-op on loaded is byte-identical" (hex (save_bytes built))
+        (hex (save_bytes noop)))
+    [ (1, Ifmh.One_signature); (1, Ifmh.Multi_signature); (2, Ifmh.One_signature);
+      (2, Ifmh.Multi_signature) ]
+
+(* A one-signature snapshot or delta without its root signature is
+   refused before any rebuild work: same message, no hash counted. *)
+let test_cheap_checks_first () =
+  let refused name msg f =
+    let (), m =
+      metrics_during (fun () ->
+          match f () with
+          | (_ : Ifmh.t) -> Alcotest.failf "%s: expected Failure" name
+          | exception Failure got -> check Alcotest.string name msg got)
+    in
+    check Alcotest.int (name ^ ": no hash before refusing") 0 m.Metrics.hash_ops
+  in
+  let table = Workload.lines_1d ~n:12 (Prng.create 60L) in
+  let multi = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
+  let one = Ifmh.build ~scheme:Ifmh.One_signature ~epoch:1 table fake_keypair in
+  (* a multi-signature image relabelled one-signature: no root signature *)
+  let image = Bytes.of_string (save_bytes multi) in
+  Bytes.set image 0 '\000';
+  refused "load" "Ifmh.load: missing signature" (fun () ->
+      Ifmh.load (Wire.reader (Bytes.to_string image)));
+  (* a multi-signature delta carries no root signature *)
+  let changes = [ Update.Modify (line ~id:(Record.id (Table.record table 0)) 3 5) ] in
+  let d = Ifmh.delta ~changes (Ifmh.apply fake_keypair changes multi) in
+  refused "apply_delta" "Ifmh.apply_delta: missing signature" (fun () ->
+      Ifmh.apply_delta d one)
+
 let () =
   Alcotest.run "aqv_update"
     [
@@ -669,6 +787,16 @@ let () =
           Alcotest.test_case "roundtrip multi-sig" `Quick test_delta_multi;
         ] );
       ("fragments", fragment_tests);
+      ( "digests",
+        [
+          qtest "walk = per-leaf digest (1-D)" 100 arb_seed (prop_walk_is_per_leaf ~dims:1);
+          qtest "walk = per-leaf digest (2-D)" 60 arb_seed (prop_walk_is_per_leaf ~dims:2);
+          Alcotest.test_case "load and apply_delta return the owner's digests" `Quick
+            test_server_digests;
+          Alcotest.test_case "apply on loaded = apply on built" `Quick test_apply_on_loaded;
+          Alcotest.test_case "cheap checks before the rebuild" `Quick
+            test_cheap_checks_first;
+        ] );
       ( "ties",
         [
           Alcotest.test_case "merge on parallel update" `Quick test_tie_merge;
