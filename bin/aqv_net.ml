@@ -676,6 +676,10 @@ let run_workload spec_path replicas_override seed_override json_path =
       (fun (name, n) -> Printf.printf "  replica     %-20s %d request(s)\n" name n)
       replica_counts;
   Printf.printf "  verify      %d failure(s)\n" all_failures;
+  let memo = Client.memo_counters ctx in
+  Printf.printf "  digest memo records %d hits / %d misses, FMH nodes %d hits / %d misses\n"
+    memo.Client.record_hits memo.Client.record_misses memo.Client.node_hits
+    memo.Client.node_misses;
   List.iter
     (fun (bound, limit, actual, ok) ->
       Printf.printf "  slo         %-34s limit %-12.6g actual %-12.6g %s\n" bound
@@ -717,6 +721,14 @@ let run_workload spec_path replicas_override seed_override json_path =
                       ( "per_replica",
                         jO (List.map (fun (n, c) -> (n, jI c)) replica_counts) );
                       ("verify_failures", jI all_failures);
+                      ( "client_memo",
+                        jO
+                          [
+                            ("record_hits", jI memo.Client.record_hits);
+                            ("record_misses", jI memo.Client.record_misses);
+                            ("node_hits", jI memo.Client.node_hits);
+                            ("node_misses", jI memo.Client.node_misses);
+                          ] );
                     ] );
                 ( "slo",
                   Json.List

@@ -68,7 +68,7 @@ let to_responses resp =
       })
     resp.items
 
-let verify ctx ~x queries resp =
+let verify_memoized ctx ~x queries resp =
   let open Semantics in
   match
     guard (queries <> [] && List.length queries = List.length resp.items) Malformed;
@@ -84,27 +84,8 @@ let verify ctx ~x queries resp =
     guard (n >= 1) Malformed;
     (* reconstruct every item's root; they must all agree *)
     let root_of item =
-      let count = List.length item.result in
-      let wlo = item.window_lo in
-      let whi = wlo + count - 1 in
-      guard (wlo >= 1 && whi <= n && wlo <= whi + 1) Malformed;
-      (match item.left with
-      | Vo.Min_sentinel -> guard (wlo - 1 = 0) Malformed
-      | Vo.Max_sentinel -> raise (Reject Malformed)
-      | Vo.Boundary_record _ -> guard (wlo - 1 >= 1) Malformed);
-      (match item.right with
-      | Vo.Max_sentinel -> guard (whi + 1 = n + 1) Malformed
-      | Vo.Min_sentinel -> raise (Reject Malformed)
-      | Vo.Boundary_record _ -> guard (whi + 1 <= n) Malformed);
-      let leaves =
-        (Client.boundary_digest item.left :: List.map Record.digest item.result)
-        @ [ Client.boundary_digest item.right ]
-      in
-      match
-        Mht.root_of_range ~n:resp.n_leaves ~lo:(wlo - 1) ~leaves ~proof:item.fmh_proof
-      with
-      | Some h -> h
-      | None -> raise (Reject Malformed)
+      Client.window_root ctx ~n_leaves:resp.n_leaves ~window_lo:item.window_lo
+        ~left:item.left ~result:item.result ~right:item.right ~fmh_proof:item.fmh_proof
     in
     let roots = List.map root_of resp.items in
     let fmh_root = List.hd roots in
@@ -122,6 +103,9 @@ let verify ctx ~x queries resp =
   | () -> Ok ()
   | exception Reject r -> Error r
   | exception Invalid_argument _ -> Error Malformed
+
+let verify ctx ~x queries resp =
+  Client.with_memo ctx (fun ctx -> verify_memoized ctx ~x queries resp)
 
 let size_bytes resp =
   let w = W.writer () in

@@ -20,7 +20,7 @@ val make_ctx :
 val with_min_epoch : ctx -> int -> ctx
 (** A context that additionally rejects responses signed for database
     epochs older than the given one (freshness; default 0 accepts
-    everything). *)
+    everything). It shares the digest memo of the given ctx. *)
 
 type rejection = Semantics.rejection =
   | Malformed  (** structurally inconsistent response *)
@@ -42,7 +42,11 @@ val verify : ctx -> Query.t -> Server.response -> (unit, rejection) result
 (** Full verification: FMH range reconstruction, IMH path folding or
     inequality checking, signature verification, and query-semantics
     re-execution. Hash and signature operations tick
-    {!Aqv_util.Metrics} — the paper's user-cost metrics (Fig. 7). *)
+    {!Aqv_util.Metrics} — the paper's user-cost metrics (Fig. 7).
+    [hash_ops] counts digests actually computed: a ctx that already
+    verified replies reuses memoized digests and computes fewer, so
+    per-query user cost is measured with a fresh {!make_ctx}, whose
+    first verification uses no memo. *)
 
 val accepts : ctx -> Query.t -> Server.response -> bool
 
@@ -60,9 +64,55 @@ val check_subdomain_proof :
     signature (route re-evaluation or inequality checks included).
     @raise Semantics.Reject on any violation. *)
 
-val boundary_digest : Vo.boundary -> string
+val window_root :
+  ctx ->
+  n_leaves:int ->
+  window_lo:int ->
+  left:Vo.boundary ->
+  result:Aqv_db.Record.t list ->
+  right:Vo.boundary ->
+  fmh_proof:string list ->
+  string
+(** Building block shared with {!Batch}: check that the window and its
+    boundaries fit an [n_leaves]-leaf list (sentinels only at its ends)
+    and rebuild the FMH root they commit to with the range proof.
+    @raise Semantics.Reject [Malformed] on any inconsistency. *)
+
+val boundary_digest : ctx -> Vo.boundary -> string
 (** The FMH leaf digest a boundary commits to (record digest or
     sentinel constant). *)
+
+(** {1 Digest memo}
+
+    Each ctx — and every ctx derived from it by {!with_min_epoch} —
+    shares a bounded memo of record digests (keyed by record id, a hit
+    only for a record {!Aqv_db.Record.equal} to the cached one) and FMH
+    interior node hashes (keyed by the exact hashed bytes). A hit
+    returns exactly what a fresh computation would, so no decision
+    depends on the memo; it only spares the hashing of records and
+    subtrees an earlier verification already hashed. Only accepted
+    verifications add to it, so it holds authenticated data alone. The
+    memo is thread-safe and flushes a table when it is full. *)
+
+val with_memo : ctx -> (ctx -> ('a, 'e) result) -> ('a, 'e) result
+(** [with_memo ctx f] runs one verification [f] with the memo. A ctx's
+    first verification runs memo-free, so a one-shot client hashes and
+    times exactly as the paper's user does. Later ones look up what
+    earlier accepted verifications computed, and publish what they
+    compute only if [f] returns [Ok]: a rejected reply leaves the memo
+    as it was. {!verify} and {!verify_rank} each run in one, as do
+    {!Batch} and {!Count}; outside it, {!window_root},
+    {!check_subdomain_proof} and {!boundary_digest} hash afresh. *)
+
+type memo_counters = {
+  record_hits : int;
+  record_misses : int;
+  node_hits : int;
+  node_misses : int;
+}
+
+val memo_counters : ctx -> memo_counters
+(** Lookups this ctx's memo has answered since {!make_ctx}. *)
 
 val min_epoch : ctx -> int
 val template : ctx -> Aqv_db.Template.t

@@ -48,7 +48,7 @@ let answer index ~x ~l ~u =
     signature = vo.Vo.signature;
   }
 
-let verify ctx ~x ~l ~u resp =
+let verify_memoized ctx ~x ~l ~u resp =
   let open Semantics in
   match
     guard (Q.compare l u <= 0) Malformed;
@@ -60,7 +60,7 @@ let verify ctx ~x ~l ~u resp =
     guard (n >= 1) Malformed;
     (* every anchor must commit to the same FMH root and a position *)
     let resolve anchor =
-      let root = Mht.root_of_path ~leaf:(Client.boundary_digest anchor.boundary) ~path:anchor.path in
+      let root = Mht.root_of_path ~leaf:(Client.boundary_digest ctx anchor.boundary) ~path:anchor.path in
       match Mht.index_of_path ~n:resp.n_leaves ~path:anchor.path with
       | Some i -> (root, i)
       | None -> raise (Reject Malformed)
@@ -117,6 +117,9 @@ let verify ctx ~x ~l ~u resp =
   with
   | count -> Ok count
   | exception Reject r -> Error r
+
+let verify ctx ~x ~l ~u resp =
+  Client.with_memo ctx (fun ctx -> verify_memoized ctx ~x ~l ~u resp)
 
 let encode w resp =
   W.varint w resp.n_leaves;

@@ -25,18 +25,10 @@ type value =
   | Range of string list  (** an FMH range proof *)
   | Proof of Vo.subdomain_proof
 
-(* What a republish must treat as dirtied: entries built from specific
-   records (window bodies, multi-sig constraint lists) name them;
-   entries whose bytes commit the whole structure (range proofs, one-sig
-   paths with sibling hashes) are dirtied by any change. *)
-type deps = Records of int list | Whole_index
-
-type entry = { value : value; deps : deps }
-
 type t = {
   capacity : int;  (** 0 disables the cache entirely *)
   mu : Mutex.t;
-  tbl : (string, entry) Hashtbl.t;
+  tbl : (string, value) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
@@ -58,29 +50,45 @@ let find t key =
   else
     locked t (fun () ->
         match Hashtbl.find_opt t.tbl key with
-        | Some e ->
+        | Some v ->
           t.hits <- t.hits + 1;
           Metrics.add_frag_hit ();
-          Some e.value
+          Some v
         | None ->
           t.misses <- t.misses + 1;
           Metrics.add_frag_miss ();
           None)
 
-let add t key ~deps value =
+let add t key value =
   if t.capacity > 0 then
     locked t (fun () ->
         (* flush-on-full: crude but deterministic, and correctness never
            depends on what is cached *)
         if Hashtbl.length t.tbl >= t.capacity && not (Hashtbl.mem t.tbl key) then
           Hashtbl.reset t.tbl;
-        Hashtbl.replace t.tbl key { value; deps })
+        Hashtbl.replace t.tbl key value)
 
 (* Republish hygiene: entries touching a changed record (or committing
    the whole structure) can never match again — their keys embed the old
    digests — so drop them eagerly rather than waiting for the
-   flush-on-full. Purging more than necessary would still be correct;
-   purging less only wastes slots. *)
+   flush-on-full. What an entry depends on is read off its value:
+   window bodies and multi-sig constraint lists hold their records;
+   range proofs and one-sig paths (sibling hashes) commit the whole
+   index and are dirtied by any change. Purging more than necessary
+   would still be correct; purging less only wastes slots. *)
+let dirtied changed v =
+  let named r = Hashtbl.mem changed (Record.id r) in
+  match v with
+  | Range _ | Proof (Vo.One_sig_path _) -> true
+  | Window { left; right; result } ->
+    let boundary = function
+      | Vo.Boundary_record r -> named r
+      | Vo.Min_sentinel | Vo.Max_sentinel -> false
+    in
+    boundary left || boundary right || List.exists named result
+  | Proof (Vo.Multi_sig_constraints cons) ->
+    List.exists (fun (rp, rq, _) -> named rp || named rq) cons
+
 let purge t ~ids =
   if t.capacity > 0 && ids <> [] then
     locked t (fun () ->
@@ -88,13 +96,7 @@ let purge t ~ids =
         List.iter (fun id -> Hashtbl.replace changed id ()) ids;
         let doomed =
           Hashtbl.fold
-            (fun key e acc ->
-              let dirty =
-                match e.deps with
-                | Whole_index -> true
-                | Records rs -> List.exists (Hashtbl.mem changed) rs
-              in
-              if dirty then key :: acc else acc)
+            (fun key v acc -> if dirtied changed v then key :: acc else acc)
             t.tbl []
         in
         List.iter (Hashtbl.remove t.tbl) doomed)

@@ -39,12 +39,6 @@ type value =
   | Proof of Vo.subdomain_proof
       (** one-sig path steps or multi-sig constraint records *)
 
-type deps =
-  | Records of int list  (** record ids the fragment was built from *)
-  | Whole_index
-      (** commits digests of the whole structure (range proofs, one-sig
-          sibling chains): dirtied by any change *)
-
 type t
 
 val create : unit -> t
@@ -62,13 +56,16 @@ val counters : t -> int * int
     stats. *)
 
 val find : t -> string -> value option
-val add : t -> string -> deps:deps -> value -> unit
+val add : t -> string -> value -> unit
 
 val purge : t -> ids:int list -> unit
-(** Drop entries dirtied by a change to the given record ids (and every
-    [Whole_index] entry). Purging is hygiene, not correctness: stale
-    entries can never match a content key again. Called by
-    {!Ifmh.apply} / {!Ifmh.apply_delta} with the change list's ids. *)
+(** Drop entries dirtied by a change to the given record ids, read off
+    each value: a [Window] naming one of them as a boundary or result
+    record, a multi-sig [Proof] naming one in a constraint, and every
+    [Range] and one-sig [Proof] (they commit hashes of the whole
+    index). Purging is hygiene, not correctness: stale entries can
+    never match a content key again. Called by {!Ifmh.apply} /
+    {!Ifmh.apply_delta} with the change list's ids. *)
 
 (** {1 Key builders}
 

@@ -49,9 +49,7 @@ let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
       in
       let result = List.init (whi - wlo + 1) (fun k -> record_at (wlo + k)) in
       let w = { Fragment.left; right; result } in
-      let boundary_ids = function Vo.Boundary_record r -> [ Record.id r ] | _ -> [] in
-      let ids = boundary_ids left @ List.map Record.id result @ boundary_ids right in
-      Fragment.add frags wkey ~deps:(Fragment.Records ids) (Fragment.Window w);
+      Fragment.add frags wkey (Fragment.Window w);
       w
   in
   let rkey =
@@ -63,7 +61,7 @@ let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
     | Some _ -> assert false
     | None ->
       let p = Mht.range_proof lists.Sorting.fmh ~lo:(wlo - 1) ~hi:(whi + 1) in
-      Fragment.add frags rkey ~deps:Fragment.Whole_index (Fragment.Range p);
+      Fragment.add frags rkey (Fragment.Range p);
       p
   in
   let subdomain, signature =
@@ -122,7 +120,7 @@ let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
               annotated
           in
           let p = Vo.One_sig_path steps in
-          Fragment.add frags pkey ~deps:Fragment.Whole_index (Fragment.Proof p);
+          Fragment.add frags pkey (Fragment.Proof p);
           p
       in
       (proof, Ifmh.root_signature index)
@@ -144,11 +142,8 @@ let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
               (fun (i, j, side) -> (Table.record table i, Table.record table j, side))
               leaf.Itree.cons
           in
-          let ids =
-            List.concat_map (fun (rp, rq, _) -> [ Record.id rp; Record.id rq ]) cons
-          in
           let p = Vo.Multi_sig_constraints cons in
-          Fragment.add frags pkey ~deps:(Fragment.Records ids) (Fragment.Proof p);
+          Fragment.add frags pkey (Fragment.Proof p);
           p
       in
       (proof, Ifmh.leaf_signature index leaf.Itree.id)

@@ -147,7 +147,7 @@ let range_proof t ~lo ~hi =
   in
   List.rev (go t 0 [])
 
-let root_of_range ~n ~lo ~leaves ~proof =
+let root_of_range ~node_hash ~n ~lo ~leaves ~proof =
   let leaves = Array.of_list leaves in
   let hi = lo + Array.length leaves - 1 in
   if n < 1 || lo < 0 || hi >= n || Array.length leaves = 0 then None

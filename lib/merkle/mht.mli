@@ -72,7 +72,19 @@ val range_proof : t -> lo:int -> hi:int -> string list
     left-to-right traversal order: together with the leaf digests of
     the range they determine the root. *)
 
-val root_of_range : n:int -> lo:int -> leaves:string list -> proof:string list -> string option
+val node_hash : string -> string -> string
+(** [node_hash l r] is the interior hash [H("\x03" | l | r)]: a pure
+    function of the bytes [l ^ r]. *)
+
+val root_of_range :
+  node_hash:(string -> string -> string) ->
+  n:int ->
+  lo:int ->
+  leaves:string list ->
+  proof:string list ->
+  string option
 (** Rebuild the root of an [n]-leaf tree from the leaf digests
-    [lo .. lo + length leaves - 1] plus a {!range_proof}. [None] if the
-    shapes are inconsistent (wrong counts). *)
+    [lo .. lo + length leaves - 1] plus a {!range_proof}, hashing every
+    interior node with [node_hash] — {!node_hash} itself, or any
+    function equal to it, such as a verifier's memo of it. [None] if
+    the shapes are inconsistent (wrong counts). *)

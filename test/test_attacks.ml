@@ -666,6 +666,253 @@ let test_replication_tampered_delta () =
     | Ok () -> Alcotest.fail "tampered delta produced an accepted answer"
     | Error _ -> ())
 
+(* ------------------------- client digest memo ----------------------- *)
+
+(* A ctx memoizes record digests and FMH node hashes across the replies
+   it verifies. A hit must return exactly what a fresh computation
+   would, so a warm ctx decides every reply as a fresh one does: the
+   same acceptance, the same rejection name. *)
+
+let decision ctx query resp =
+  match Client.verify ctx query resp with
+  | Ok () -> "accepted"
+  | Error r -> Client.rejection_to_string r
+
+(* the honest reply of [test_fuzz_mutations] and every mutant of it
+   that still decodes *)
+let decoded_mutants index =
+  let query, resp = honest index in
+  let original = encoded Server.encode_response resp in
+  let mutants = ref [] in
+  iter_mutants ~seed:91L ~attempts:400 original (fun mutated ->
+      match Server.decode_response (Aqv_util.Wire.reader mutated) with
+      | exception (Failure _ | Invalid_argument _) -> ()
+      | resp' -> mutants := resp' :: !mutants);
+  (query, resp, List.rev !mutants)
+
+(* a ctx's first verification runs memo-free: the second fills the memo *)
+let primed query resp =
+  let c = ctx () in
+  for _ = 1 to 2 do
+    check Alcotest.string "priming reply accepted" "accepted" (decision c query resp)
+  done;
+  c
+
+let test_memo_warm_mutants index () =
+  let query, resp, mutants = decoded_mutants index in
+  check Alcotest.bool "some mutants decode" true (mutants <> []);
+  let hits = ref 0 in
+  List.iter
+    (fun m ->
+      let warm = primed query resp in
+      check Alcotest.string "warm = fresh decision" (decision (ctx ()) query m)
+        (decision warm query m);
+      hits := !hits + (Client.memo_counters warm).Client.record_hits)
+    mutants;
+  check Alcotest.bool "the memo answered lookups" true (!hits > 0)
+
+let test_memo_mutants_first index () =
+  let query, resp, mutants = decoded_mutants index in
+  let expected = List.map (fun m -> decision (ctx ()) query m) mutants in
+  let c = ctx () in
+  List.iter (fun m -> ignore (Client.verify c query m)) mutants;
+  check Alcotest.string "honest still accepted" "accepted" (decision c query resp);
+  check
+    Alcotest.(list string)
+    "decisions after priming with every mutant" expected
+    (List.map (fun m -> decision c query m) mutants)
+
+let test_memo_same_id_misses index () =
+  let query, resp = honest index in
+  let warm = primed query resp in
+  let tamper name f =
+    let forged =
+      with_result resp (List.mapi (fun i r -> if i = 1 then f r else r) resp.Server.result)
+    in
+    let before = (Client.memo_counters warm).Client.record_misses in
+    check Alcotest.string name (decision (ctx ()) query forged) (decision warm query forged);
+    check Alcotest.bool (name ^ ": forged record missed") true
+      ((Client.memo_counters warm).Client.record_misses > before)
+  in
+  tamper "same id, other attrs" (fun r -> forged_record (Record.id r));
+  tamper "same id, other payload" (fun r ->
+      Record.make ~id:(Record.id r) ~attrs:(Record.attrs r) ~payload:"evil" ());
+  check Alcotest.string "honest reply after the forgeries" "accepted"
+    (decision warm query resp)
+
+(* A ctx's first verification uses no memo, and a verification reads
+   only what earlier ones computed, so the first two both tick the
+   paper's hash count (Fig. 7): the building blocks called outside
+   [Client.with_memo], which never touch the memo, are the reference. *)
+let test_memo_fresh_cost index () =
+  let query, resp = honest index in
+  let vo = resp.Server.vo in
+  let hash_ops f =
+    let before = Aqv_util.Metrics.snapshot () in
+    f ();
+    (Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) before).Aqv_util.Metrics.hash_ops
+  in
+  let c = ctx () in
+  let unmemoized =
+    hash_ops (fun () ->
+        let fmh_root =
+          Client.window_root c ~n_leaves:vo.Vo.n_leaves ~window_lo:vo.Vo.window_lo
+            ~left:vo.Vo.left ~result:resp.Server.result ~right:vo.Vo.right
+            ~fmh_proof:vo.Vo.fmh_proof
+        in
+        Client.check_subdomain_proof c ~x:(Query.x query) ~fmh_root
+          ~n_leaves:vo.Vo.n_leaves ~epoch:vo.Vo.epoch vo.Vo.subdomain
+          ~signature:vo.Vo.signature)
+  in
+  check Alcotest.int "fresh ctx = no memo" unmemoized
+    (hash_ops (fun () -> ignore (Client.verify c query resp)));
+  check Alcotest.int "second verification = no memo" unmemoized
+    (hash_ops (fun () -> ignore (Client.verify c query resp)));
+  check Alcotest.bool "a warm ctx hashes less" true
+    (hash_ops (fun () -> ignore (Client.verify c query resp)) < unmemoized)
+
+(* Only accepted verifications add to the memo. A forged reply, here
+   with an oversized proof entry and a same-id record carrying a large
+   payload, is rejected and leaves nothing a later lookup could hit; nor
+   does it evict the honest reply's entries. *)
+let test_memo_rejected_leaves_nothing index () =
+  let query, resp = honest index in
+  let warm = primed query resp in
+  let vo = resp.Server.vo in
+  let bloated r =
+    Record.make ~id:(Record.id r) ~attrs:(Record.attrs r) ~payload:(String.make 4096 'x') ()
+  in
+  let forged =
+    with_vo
+      (with_result resp
+         (List.mapi (fun i r -> if i = 0 then bloated r else r) resp.Server.result))
+      { vo with Vo.fmh_proof = String.make 4096 '\xff' :: List.tl vo.Vo.fmh_proof }
+  in
+  check Alcotest.bool "forged reply rejected" true (decision (ctx ()) query forged <> "accepted");
+  let misses f =
+    let count () =
+      let c = Client.memo_counters warm in
+      (c.Client.record_misses, c.Client.node_misses)
+    in
+    let r0, n0 = count () in
+    f ();
+    let r1, n1 = count () in
+    (r1 - r0, n1 - n0)
+  in
+  let verify_forged () =
+    check Alcotest.string "warm = fresh decision" (decision (ctx ()) query forged)
+      (decision warm query forged)
+  in
+  let first = misses verify_forged in
+  check Alcotest.bool "the forgery missed" true (fst first > 0 && snd first > 0);
+  check Alcotest.(pair int int) "a repeat finds nothing of it" first (misses verify_forged);
+  check Alcotest.(pair int int) "the honest reply still hits throughout" (0, 0)
+    (misses (fun () ->
+         check Alcotest.string "honest reply" "accepted" (decision warm query resp)))
+
+(* Soundness of the record key: equal records hash equally. [b] is
+   either [a] re-decoded from a non-canonical wire form (unreduced
+   fractions, padded big-endian bytes, any positive sign byte) or an
+   unrelated record with the same id. *)
+let noncanonical_copy ~scale ~pad ~sign_byte a =
+  let module W = Aqv_util.Wire in
+  let module Z = Aqv_bigint.Bigint in
+  let w = W.writer () in
+  let bytes z = String.make pad '\x00' ^ Z.to_bytes_be (Z.mul z (Z.of_int scale)) in
+  W.varint w (Record.id a);
+  W.varint w (Record.arity a);
+  Array.iter
+    (fun q ->
+      (* a zero may arrive as "negative zero" *)
+      W.u8 w (if Q.sign q < 0 || (Q.sign q = 0 && sign_byte = 255) then 1 else sign_byte);
+      W.bytes w (bytes (Z.abs (Q.num q)));
+      W.bytes w (bytes (Q.den q)))
+    (Record.attrs a);
+  W.bytes w (Record.payload a);
+  Record.decode (W.reader (W.contents w))
+
+let arb_record_pair =
+  let open QCheck.Gen in
+  let attr = map2 (fun p q -> Q.of_ints p q) (int_range (-1000) 1000) (int_range 1 50) in
+  let record id =
+    map2
+      (fun attrs payload -> Record.make ~id ~attrs:(Array.of_list attrs) ~payload ())
+      (list_size (int_range 1 3) attr)
+      (oneofl [ ""; "p"; "payload" ])
+  in
+  let gen =
+    int_bound 20 >>= fun id ->
+    record id >>= fun a ->
+    bool >>= fun derived ->
+    if derived then
+      map3
+        (fun scale pad sign_byte -> (a, noncanonical_copy ~scale ~pad ~sign_byte a, true))
+        (int_range 1 7) (int_bound 9)
+        (oneofl [ 0; 2; 255 ])
+    else map (fun b -> (a, b, false)) (record id)
+  in
+  QCheck.make
+    ~print:(fun (a, b, _) -> Format.asprintf "%a / %a" Record.pp a Record.pp b)
+    gen
+
+let prop_equal_records_hash_equally (a, b, derived) =
+  ((not derived) || Record.equal a b)
+  && ((not (Record.equal a b)) || String.equal (Record.digest a) (Record.digest b))
+
+(* Client threads share one ctx (as [aqv_net workload]'s do): every
+   decision, under any interleaving, must be the one a fresh ctx makes
+   for that reply alone. *)
+let test_memo_threads () =
+  let t = Lazy.force table in
+  let rng = Prng.create 96L in
+  let replies =
+    List.concat_map
+      (fun index ->
+        let query, resp, mutants = decoded_mutants index in
+        let honest_replies =
+          List.init 6 (fun i ->
+              let x = Workload.weight_point t rng in
+              let q =
+                if i mod 2 = 0 then Query.top_k ~x ~k:(2 + i)
+                else
+                  let l, u = Workload.range_for_result_size t ~x ~size:(3 + i) in
+                  Query.range ~x ~l ~u
+              in
+              (q, Server.answer index q))
+        in
+        ((query, resp) :: honest_replies)
+        @ List.filteri (fun i _ -> i mod 4 = 0) (List.map (fun m -> (query, m)) mutants))
+      [ Lazy.force index_one; Lazy.force index_multi ]
+    |> Array.of_list
+  in
+  let n = Array.length replies in
+  let expected = Array.map (fun (q, r) -> decision (ctx ()) q r) replies in
+  check Alcotest.bool "honest and forged replies" true
+    (Array.mem "accepted" expected && Array.exists (( <> ) "accepted") expected);
+  let shared = ctx () in
+  let threads = 4 and rounds = 3 in
+  let got = Array.init threads (fun _ -> Array.make (rounds * n) "") in
+  let worker k () =
+    for i = 0 to (rounds * n) - 1 do
+      (* each thread walks the replies from its own offset *)
+      let j = (i + (k * 7)) mod n in
+      let q, r = replies.(j) in
+      got.(k).(i) <- decision shared q r;
+      Thread.yield ()
+    done
+  in
+  List.iter Thread.join (List.init threads (fun k -> Thread.create (worker k) ()));
+  Array.iteri
+    (fun k decisions ->
+      Array.iteri
+        (fun i d ->
+          let j = (i + (k * 7)) mod n in
+          check Alcotest.string (Printf.sprintf "thread %d reply %d" k j) expected.(j) d)
+        decisions)
+    got;
+  check Alcotest.bool "the shared memo was hit" true
+    ((Client.memo_counters shared).Client.node_hits > 0)
+
 let () =
   Alcotest.run "aqv_attacks"
     [
@@ -722,5 +969,30 @@ let () =
           Alcotest.test_case "stale replica" `Quick test_replication_stale_replica;
           Alcotest.test_case "tampered delta" `Quick
             test_replication_tampered_delta;
+        ] );
+      ( "digest memo",
+        [
+          Alcotest.test_case "one-sig warm = fresh" `Quick
+            (test_memo_warm_mutants (Lazy.force index_one));
+          Alcotest.test_case "multi-sig warm = fresh" `Quick
+            (test_memo_warm_mutants (Lazy.force index_multi));
+          Alcotest.test_case "one-sig mutants first" `Quick
+            (test_memo_mutants_first (Lazy.force index_one));
+          Alcotest.test_case "multi-sig mutants first" `Quick
+            (test_memo_mutants_first (Lazy.force index_multi));
+          Alcotest.test_case "one-sig fresh hash count" `Quick
+            (test_memo_fresh_cost (Lazy.force index_one));
+          Alcotest.test_case "multi-sig fresh hash count" `Quick
+            (test_memo_fresh_cost (Lazy.force index_multi));
+          Alcotest.test_case "same id, other bytes" `Quick
+            (test_memo_same_id_misses (Lazy.force index_multi));
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:500 ~name:"equal records, equal hash"
+               arb_record_pair prop_equal_records_hash_equally);
+          Alcotest.test_case "threads share one ctx" `Quick test_memo_threads;
+          Alcotest.test_case "one-sig forgery kept out" `Quick
+            (test_memo_rejected_leaves_nothing (Lazy.force index_one));
+          Alcotest.test_case "multi-sig forgery kept out" `Quick
+            (test_memo_rejected_leaves_nothing (Lazy.force index_multi));
         ] );
     ]

@@ -96,7 +96,7 @@ let test_range_proof_all_ranges () =
       for hi = lo to n - 1 do
         let proof = Mht.range_proof t ~lo ~hi in
         let leaves = List.init (hi - lo + 1) (fun k -> Mht.leaf t (lo + k)) in
-        match Mht.root_of_range ~n ~lo ~leaves ~proof with
+        match Mht.root_of_range ~node_hash:Mht.node_hash ~n ~lo ~leaves ~proof with
         | Some r when String.equal r (Mht.root t) -> ()
         | Some _ -> Alcotest.failf "range root mismatch n=%d [%d,%d]" n lo hi
         | None -> Alcotest.failf "range shape rejected n=%d [%d,%d]" n lo hi
@@ -109,12 +109,12 @@ let test_range_proof_detects_tamper () =
   let proof = Mht.range_proof t ~lo:4 ~hi:9 in
   (* replace one in-range leaf *)
   let leaves = List.init 6 (fun k -> if k = 2 then d 77 else Mht.leaf t (4 + k)) in
-  (match Mht.root_of_range ~n:16 ~lo:4 ~leaves ~proof with
+  (match Mht.root_of_range ~node_hash:Mht.node_hash ~n:16 ~lo:4 ~leaves ~proof with
   | Some r -> check Alcotest.bool "root differs" false (String.equal r (Mht.root t))
   | None -> ());
   (* drop a leaf: shape becomes inconsistent or root changes *)
   let dropped = List.init 5 (fun k -> Mht.leaf t (4 + k)) in
-  match Mht.root_of_range ~n:16 ~lo:4 ~leaves:dropped ~proof with
+  match Mht.root_of_range ~node_hash:Mht.node_hash ~n:16 ~lo:4 ~leaves:dropped ~proof with
   | Some r -> check Alcotest.bool "dropped leaf detected" false (String.equal r (Mht.root t))
   | None -> ()
 
@@ -122,7 +122,7 @@ let test_range_proof_wrong_n () =
   let t = mk 16 in
   let proof = Mht.range_proof t ~lo:4 ~hi:9 in
   let leaves = List.init 6 (fun k -> Mht.leaf t (4 + k)) in
-  match Mht.root_of_range ~n:17 ~lo:4 ~leaves ~proof with
+  match Mht.root_of_range ~node_hash:Mht.node_hash ~n:17 ~lo:4 ~leaves ~proof with
   | Some r -> check Alcotest.bool "wrong n detected" false (String.equal r (Mht.root t))
   | None -> ()
 

@@ -529,6 +529,59 @@ let test_frag_post_republish () =
           (Ifmh.scheme_name scheme))
     [ Ifmh.One_signature; Ifmh.Multi_signature ]
 
+(* [purge ~ids] reads what an entry depends on from its value: exactly
+   the windows and multi-sig constraint lists naming a changed id go,
+   with every range proof and one-sig path; everything else stays. *)
+let prop_purge_reads_values seed =
+  let prng = Prng.create (Int64.of_int seed) in
+  let id () = Prng.int prng 12 in
+  let rec_ () = line ~id:(id ()) 1 0 in
+  let boundary () =
+    match Prng.int prng 3 with
+    | 0 -> Vo.Min_sentinel
+    | 1 -> Vo.Max_sentinel
+    | _ -> Vo.Boundary_record (rec_ ())
+  in
+  let side () = if Prng.bool prng then Aqv_num.Halfspace.Above else Aqv_num.Halfspace.Below in
+  let value () =
+    match Prng.int prng 4 with
+    | 0 ->
+      Fragment.Window
+        {
+          Fragment.left = boundary ();
+          right = boundary ();
+          result = List.init (Prng.int prng 4) (fun _ -> rec_ ());
+        }
+    | 1 -> Fragment.Range [ "proof" ]
+    | 2 ->
+      Fragment.Proof
+        (Vo.One_sig_path
+           (List.init (Prng.int prng 3) (fun _ ->
+                { Vo.rp = rec_ (); rq = rec_ (); taken = side (); sibling = "s" })))
+    | _ ->
+      Fragment.Proof
+        (Vo.Multi_sig_constraints
+           (List.init (Prng.int prng 3) (fun _ -> (rec_ (), rec_ (), side ()))))
+  in
+  let entries = List.init 40 (fun k -> (Printf.sprintf "key%d" k, value ())) in
+  let changed = List.init (1 + Prng.int prng 3) (fun _ -> id ()) in
+  let cache = Fragment.create () in
+  List.iter (fun (key, v) -> Fragment.add cache key v) entries;
+  Fragment.purge cache ~ids:changed;
+  let names r = List.mem (Record.id r) changed in
+  let names_boundary = function Vo.Boundary_record r -> names r | _ -> false in
+  let dirtied = function
+    | Fragment.Range _ | Fragment.Proof (Vo.One_sig_path _) -> true
+    | Fragment.Window w ->
+      names_boundary w.Fragment.left || names_boundary w.Fragment.right
+      || List.exists names w.Fragment.result
+    | Fragment.Proof (Vo.Multi_sig_constraints cons) ->
+      List.exists (fun (rp, rq, _) -> names rp || names rq) cons
+  in
+  List.for_all
+    (fun (key, v) -> Option.is_some (Fragment.find cache key) = not (dirtied v))
+    entries
+
 let fragment_tests =
   [
     qtest "served bytes cached = cold = disabled (one-sig, 1-D)" 40 arb_seed
@@ -541,6 +594,7 @@ let fragment_tests =
       (prop_fragment_identity ~dims:2 ~scheme:Ifmh.Multi_signature);
     Alcotest.test_case "fragment counters" `Quick test_frag_counters;
     Alcotest.test_case "fragments survive republish" `Quick test_frag_post_republish;
+    qtest "purge reads the values" 200 arb_seed prop_purge_reads_values;
   ]
 
 (* ------------------- exact-tie merge/split fixes -------------------- *)
