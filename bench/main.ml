@@ -1162,6 +1162,24 @@ let micro_tests () =
   let pool = Pool.default () in
   let pool_input = Array.init 4096 (fun i -> i) in
   let cheap x = (x * 2654435761) lxor (x lsr 7) in
+  (* a hot-read-shaped reply: intercepts up to 10^6, a weight over 1009,
+     a 100-record range window (about hot-read's mean reply size) *)
+  let hot_table =
+    Workload.lines_1d ~intercept_range:1_000_000 ~n:(scaled 200) (Prng.create 0x407L)
+  in
+  let hot = Ifmh.build ~scheme:Ifmh.Multi_signature hot_table dry_signer in
+  let xh = Workload.weight_point hot_table rng in
+  let l, u =
+    Workload.range_for_result_size hot_table ~x:xh ~size:(min 100 (Table.size hot_table))
+  in
+  let hot_reply = Protocol.Answer (Server.answer hot (Query.range ~x:xh ~l ~u)) in
+  let hot_bytes =
+    let w = Aqv_util.Wire.writer () in
+    Protocol.encode_reply w hot_reply;
+    Aqv_util.Wire.contents w
+  in
+  let fns = Table.functions hot_table in
+  let sa = Aqv_num.Linfun.eval fns.(0) xh and sb = Aqv_num.Linfun.eval fns.(1) xh in
   [
     Test.make ~name:"pool-map-4k-seq"
       (Staged.stage (fun () -> Array.map cheap pool_input));
@@ -1193,6 +1211,15 @@ let micro_tests () =
             ignore (Client.verify warm small_q small_resp)
           done;
           fun () -> Client.verify warm small_q small_resp));
+    Test.make ~name:"q-compare" (Staged.stage (fun () -> Q.compare sa sb));
+    Test.make ~name:"q-add" (Staged.stage (fun () -> Q.add sa sb));
+    Test.make ~name:"reply-encode-hot"
+      (Staged.stage (fun () ->
+           let w = Aqv_util.Wire.writer () in
+           Protocol.encode_reply w hot_reply;
+           w));
+    Test.make ~name:"reply-decode-hot"
+      (Staged.stage (fun () -> Protocol.decode_reply (Aqv_util.Wire.reader hot_bytes)));
   ]
 
 let run_micros () =

@@ -5,7 +5,24 @@
     point tie-break, which matters because the verification structures
     commit to a total order. Values are kept normalized
     ([gcd(num,den) = 1], [den > 0]), so structural equality is value
-    equality and encodings are canonical. *)
+    equality and encodings are canonical.
+
+    {b Representation.} A value whose reduced numerator and denominator
+    both fit a native [int] other than [min_int] is held as that pair of
+    machine words (one heap block); any other value as a pair of
+    {!Aqv_bigint.Bigint}s. The choice is a function of the value alone,
+    so the canonical-form promise above holds across both forms.
+
+    {b Overflow bounds.} Operations on two native values stay on machine
+    words when every operand magnitude (numerators and denominators) is
+    below 2^31 for a product ([mul], [div], [compare] of unequal
+    denominators), below 2^30 for a sum of products ([add], [sub] of
+    unequal denominators, [average]), and below 2^61 for a plain sum
+    ([add], [sub] over one denominator, [mediant]); each such result is
+    below 2^62 and is reduced by a native gcd. Past a bound, or on a
+    [Bigint] operand, the operation runs on [Bigint]s and the result is
+    brought back to the native form when it fits. Both paths compute
+    the same value, so callers never see which one ran. *)
 
 type t
 
@@ -58,7 +75,14 @@ val mediant : t -> t -> t
 val average : t -> t -> t
 
 val encode : Aqv_util.Wire.writer -> t -> unit
-(** Canonical wire encoding (signed numerator bytes, denominator bytes). *)
+(** Canonical wire encoding: a sign byte (1 for negative, else 0), then
+    the numerator's magnitude and the denominator, each a
+    length-prefixed minimal big-endian byte string ([0] is one zero
+    byte). A native value is written straight to the buffer. *)
 
 val decode : Aqv_util.Wire.reader -> t
-(** @raise Failure on malformed input, a zero denominator included. *)
+(** Accepts non-canonical forms and normalizes them: any sign byte other
+    than 1 means non-negative, fields may carry leading zero bytes, and
+    the fraction need not be reduced. Fields whose value fits an [int]
+    are read in place, others through {!Aqv_bigint.Bigint}.
+    @raise Failure on malformed input, a zero denominator included. *)

@@ -35,6 +35,15 @@ let bytes w s =
   varint w (String.length s);
   Buffer.add_string w s
 
+let uint_be w v =
+  if v < 0 then invalid_arg "Wire.uint_be";
+  let rec width v k = if v < 0x100 then k else width (v lsr 8) (k + 1) in
+  let k = width v 1 in
+  varint w k;
+  for i = k - 1 downto 0 do
+    u8 w (v lsr (8 * i))
+  done
+
 let list w f xs =
   varint w (List.length xs);
   List.iter f xs
@@ -49,10 +58,13 @@ let read_u8 r =
   r.pos <- r.pos + 1;
   c
 
+(* A 9th byte carries bits 56..62; bit 62 is the sign bit of an int,
+   so it must be clear, as must the continuation bit: exactly the values
+   [varint] writes. *)
 let read_varint r =
   let rec go shift acc =
-    if shift > 62 then failwith "Wire: varint overflow";
     let b = read_u8 r in
+    if shift = 56 && b > 0x3f then failwith "Wire: varint overflow";
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if b land 0x80 <> 0 then go (shift + 7) acc else acc
   in
@@ -68,12 +80,40 @@ let read_int r =
   let z = go 0 0 in
   (z lsr 1) lxor (-(z land 1))
 
-let read_bytes r =
+(* A field's length prefix, checked against the bytes left (written so
+   that a length near [max_int] cannot overflow the check) *)
+let read_length r =
   let n = read_varint r in
-  if r.pos + n > String.length r.data then failwith "Wire: truncated";
+  if n > String.length r.data - r.pos then failwith "Wire: truncated";
+  n
+
+let read_bytes r =
+  let n = read_length r in
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
+
+let read_uint_be r =
+  let start = r.pos in
+  let n = read_length r in
+  let stop = r.pos + n in
+  let i = ref r.pos in
+  while !i < stop && String.unsafe_get r.data !i = '\000' do
+    incr i
+  done;
+  let len = stop - !i in
+  if len > 8 || (len = 8 && Char.code (String.unsafe_get r.data !i) > 0x3f) then begin
+    r.pos <- start;
+    -1
+  end
+  else begin
+    let v = ref 0 in
+    for j = !i to stop - 1 do
+      v := (!v lsl 8) lor Char.code (String.unsafe_get r.data j)
+    done;
+    r.pos <- stop;
+    !v
+  end
 
 let read_list r f =
   let n = read_varint r in

@@ -22,6 +22,12 @@ val int : writer -> int -> unit
 val bytes : writer -> string -> unit
 (** Length-prefixed byte string. *)
 
+val uint_be : writer -> int -> unit
+(** Non-negative integer as a length-prefixed big-endian byte string:
+    the minimal bytes of its magnitude, one zero byte for zero. The same
+    bytes as [bytes] of [Bigint.to_bytes_be], without building either.
+    @raise Invalid_argument if negative. *)
+
 val list : writer -> ('a -> unit) -> 'a list -> unit
 (** Length-prefixed sequence; elements written by the callback. *)
 
@@ -33,8 +39,18 @@ type reader
 val reader : string -> reader
 val read_u8 : reader -> int
 val read_varint : reader -> int
+(** Refuses ([Failure "Wire: varint overflow"]) any encoding of a value
+    above [max_int], so it never returns a negative int. *)
+
 val read_int : reader -> int
 val read_bytes : reader -> string
+
+val read_uint_be : reader -> int
+(** A length-prefixed big-endian unsigned field, leading zero bytes
+    allowed, read in place. Returns its value when that is at most
+    [max_int]; otherwise returns [-1] and leaves the reader where it
+    was, so the caller can re-read the field with [read_bytes]. *)
+
 val read_list : reader -> (reader -> 'a) -> 'a list
 
 val read_array : reader -> (reader -> 'a) -> 'a array

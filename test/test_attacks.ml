@@ -913,6 +913,39 @@ let test_memo_threads () =
   check Alcotest.bool "the shared memo was hit" true
     ((Client.memo_counters shared).Client.node_hits > 0)
 
+(* A record id whose 9th varint byte sets bit 62 used to decode as a
+   negative int; re-encoding it for the digest then raised
+   [Invalid_argument] out of [Client.verify]. The forged reply must end
+   in a decode [Failure] or a rejection, never an escaping exception. *)
+let test_forged_varint_id index () =
+  let query, resp = honest index in
+  let original = encoded Protocol.encode_reply (Protocol.Answer resp) in
+  let r = List.nth resp.Server.result 1 in
+  let body = encoded Record.encode r in
+  let id_bytes = encoded Aqv_util.Wire.varint (Record.id r) in
+  let at =
+    let n = String.length body in
+    let rec find i =
+      if i + n > String.length original then Alcotest.fail "record bytes not found"
+      else if String.sub original i n = body then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let k = String.length id_bytes in
+  let forged =
+    String.sub original 0 at ^ "\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+    ^ String.sub original (at + k) (String.length original - at - k)
+  in
+  let outcome =
+    match Protocol.decode_reply (Aqv_util.Wire.reader forged) with
+    | exception Failure _ -> "decode failure"
+    | Protocol.Answer resp' -> decision (ctx ()) query resp'
+    | _ -> "other reply"
+  in
+  check Alcotest.bool ("forged id refused: " ^ outcome) true
+    (outcome <> "accepted" && outcome <> "other reply")
+
 let () =
   Alcotest.run "aqv_attacks"
     [
@@ -955,6 +988,10 @@ let () =
             (test_fuzz_mutations (Lazy.force index_multi));
           Alcotest.test_case "snapshot decoder mutations" `Quick test_fuzz_snapshot;
           Alcotest.test_case "bundle decoder mutations" `Quick test_fuzz_bundle;
+          Alcotest.test_case "one-sig forged varint id" `Quick
+            (test_forged_varint_id (Lazy.force index_one));
+          Alcotest.test_case "multi-sig forged varint id" `Quick
+            (test_forged_varint_id (Lazy.force index_multi));
         ] );
       ( "store",
         [

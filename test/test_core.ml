@@ -663,6 +663,92 @@ let test_mesh_rejects_2d () =
   Alcotest.check_raises "2d" (Invalid_argument "Mesh.build: 1-D tables only") (fun () ->
       ignore (Mesh.build table (Lazy.force keypair)))
 
+(* ------------------------- pinned bytes ----------------------------- *)
+
+(* Every byte the owner, server and client exchange, hashed into one
+   SHA-256 and pinned: saved indexes, the bundle, encoded requests and
+   replies, an [apply]'s saved result and its delta. Three small seeded
+   tables (1-D lines, 2-D scored, and 1-D lines whose attributes sit at
+   and past the machine-word bounds of the rational arithmetic) under
+   both schemes. A codec or arithmetic change that moves any byte fails
+   here. *)
+let pinned_bytes_sha256 = "bda81398f88a28d6e0549e830bec64d8d368d50c3f0c0f9ace074808f7613c55"
+
+let wide_table () =
+  let big s = Q.of_bigints (Aqv_bigint.Bigint.of_string s) Aqv_bigint.Bigint.one in
+  let line id a b = Record.make ~id ~attrs:[| a; b |] ~payload:(string_of_int id) () in
+  let records =
+    [
+      line 0 (Q.of_ints ((1 lsl 40) + 3) 7) (Q.of_int (-(1 lsl 33)));
+      line 1 (Q.of_int (-(1 lsl 31) - 1)) (Q.of_ints 5 ((1 lsl 31) + 1));
+      line 2 (Q.of_ints ((1 lsl 30) + 1) ((1 lsl 30) - 1)) (Q.of_int max_int);
+      line 3 (Q.of_int min_int) (big "123456789012345678901234567");
+      line 4 (Q.of_ints 530 1009) (Q.of_ints (-546) 7);
+      line 5 (big "-98765432109876543210") (Q.of_ints (1 lsl 62 - 1) 3);
+      line 6 Q.zero (Q.of_ints (-(1 lsl 61)) ((1 lsl 31) - 1));
+    ]
+  in
+  Table.make ~records ~template:Template.affine_1d ~domain:(Domain.of_ints [ (0, 1) ])
+
+let test_pinned_bytes () =
+  let kp = Lazy.force keypair in
+  let w = Aqv_util.Wire.writer () in
+  let emit f =
+    let v = Aqv_util.Wire.writer () in
+    f v;
+    Aqv_util.Wire.bytes w (Aqv_util.Wire.contents v)
+  in
+  let tables =
+    [
+      Workload.lines_1d ~n:12 (Prng.create 401L);
+      Workload.scored ~n:7 ~dims:2 (Prng.create 402L);
+      wide_table ();
+    ]
+  in
+  List.iter
+    (fun table ->
+      List.iter
+        (fun scheme ->
+          let index = Ifmh.build ~scheme table kp in
+          emit (fun v -> Ifmh.save v index);
+          emit (fun v -> Protocol.encode_bundle v (Protocol.bundle_of_index index kp.Signer.public));
+          let rng = Prng.create 403L in
+          for i = 0 to 11 do
+            let query = random_query table rng in
+            let x = Query.x query in
+            let request =
+              match i mod 4 with
+              | 0 | 1 -> Protocol.Run_query query
+              | 2 ->
+                let r = Table.record table (Prng.int rng (Table.size table)) in
+                Protocol.Run_rank { x; record_id = Record.id r }
+              | _ ->
+                let scores = Workload.scores_at table x in
+                let a = snd scores.(Prng.int rng (Array.length scores)) in
+                let b = snd scores.(Prng.int rng (Array.length scores)) in
+                Protocol.Run_count { x; l = Q.min a b; u = Q.add (Q.max a b) (Q.of_ints 1 3) }
+            in
+            emit (fun v -> Protocol.encode_request v request);
+            emit (fun v -> Protocol.encode_reply v (Protocol.handle index request))
+          done;
+          let records = Table.records table in
+          let changes =
+            [
+              Update.Insert
+                (Record.make ~id:900 ~attrs:[| Q.of_ints 17 3; Q.of_ints (-(1 lsl 35)) 11 |] ());
+              Update.Delete (Record.id records.(1));
+              Update.Modify
+                (Record.make ~id:(Record.id records.(0)) ~attrs:[| Q.of_ints 2 1009; Q.of_int 40 |] ());
+            ]
+          in
+          let updated = Ifmh.apply kp changes index in
+          emit (fun v -> Ifmh.save v updated);
+          emit (fun v -> Ifmh.encode_delta v (Ifmh.delta ~changes updated)))
+        [ Ifmh.One_signature; Ifmh.Multi_signature ])
+    tables;
+  check Alcotest.string "sha256 of every exchanged byte" pinned_bytes_sha256
+    (Aqv_util.Hex.encode (Aqv_crypto.Sha256.digest (Aqv_util.Wire.contents w)))
+
 let () =
   Alcotest.run "aqv_core"
     [
@@ -721,4 +807,5 @@ let () =
           Alcotest.test_case "dry-run counts" `Quick test_mesh_counts;
           Alcotest.test_case "rejects 2d" `Quick test_mesh_rejects_2d;
         ] );
+      ("bytes", [ Alcotest.test_case "pinned sha256" `Quick test_pinned_bytes ]);
     ]

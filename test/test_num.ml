@@ -86,6 +86,205 @@ let q_encode_roundtrip =
       Q.encode w a;
       Q.equal a (Q.decode (Aqv_util.Wire.reader (Aqv_util.Wire.contents w))))
 
+(* ------------------------ rational vs oracle ------------------------ *)
+
+(* [Rational] against [Rational_ref], the plain Bigint-pair
+   implementation it replaced, with operands weighted at the bounds of
+   its machine-word fast paths: 0, +-1, +-2^30+-1, +-2^31+-1, +-2^61,
+   +-2^62, max_int, min_int and beyond 2^62. Every operation must give
+   the same value, the same comparison sign and the same encoded bytes,
+   and a value that fits two native ints must be structurally equal to
+   [of_ints] of them (the canonical form). *)
+
+module R = Aqv_ref.Rational_ref
+module Z = Aqv_bigint.Bigint
+
+let pow2 k = Z.shift_left Z.one k
+
+let z_specials =
+  let around k = [ Z.pred (pow2 k); pow2 k; Z.succ (pow2 k) ] in
+  [ Z.zero; Z.one; Z.two; Z.of_int 3; Z.of_int max_int; Z.of_int (max_int - 1) ]
+  @ around 30 @ around 31 @ around 32 @ around 61 @ around 62 @ around 63
+  @ [ pow2 64; Z.of_string "1237940039285380274899124224"; Z.pred (pow2 100) ]
+
+let gen_z =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun z neg -> if neg then Z.neg z else z) (oneofl z_specials) bool);
+        (2, map Z.of_int (int_range (-1000) 1000));
+        ( 2,
+          map2
+            (fun bits width -> Z.of_int (bits asr (62 - width)))
+            (map Int64.to_int int64) (int_range 0 62) );
+        ( 2,
+          (* a magnitude just past a fast-path bound, either sign *)
+          map3
+            (fun k bits neg ->
+              let v = (bits land ((1 lsl k) - 1)) lor (1 lsl k) in
+              Z.of_int (if neg then -v else v))
+            (oneofl [ 29; 30; 31; 60; 61 ])
+            (map Int64.to_int int64) bool );
+        (1, oneofl [ Z.of_int min_int; Z.of_int (min_int + 1) ]);
+        ( 1,
+          map2
+            (fun a b -> Z.mul (Z.of_int a) (Z.of_int b))
+            (map Int64.to_int int64) (map Int64.to_int int64) );
+      ])
+
+(* a value as both implementations build it from one numerator and one
+   non-zero denominator *)
+let qr n d =
+  let d = if Z.is_zero d then Z.one else d in
+  (Q.of_bigints n d, R.of_bigints n d)
+
+let gen_qr = QCheck.Gen.map2 qr gen_z gen_z
+let print_qr (q, _) = Q.to_string q
+let arb_qr = QCheck.make ~print:print_qr gen_qr
+
+(* Two thirds of the pairs share a denominator (the same-denominator
+   fast paths); half of those are twins, +-(a's numerator + k), so two
+   large operands meet and their sum or difference crosses a bound. *)
+let arb_qr_pair =
+  QCheck.make ~print:(QCheck.Print.pair print_qr print_qr)
+    QCheck.Gen.(
+      gen_qr >>= fun ((_, ra) as a) ->
+      let twin k neg =
+        let n = Z.add (R.num ra) (Z.of_int k) in
+        qr (if neg then Z.neg n else n) (R.den ra)
+      in
+      map
+        (fun b -> (a, b))
+        (frequency
+           [
+             (1, gen_qr);
+             (1, map (fun n -> qr n (R.den ra)) gen_z);
+             (1, map2 twin (int_range (-3) 3) bool);
+           ]))
+
+let q_encoded q =
+  let w = Aqv_util.Wire.writer () in
+  Q.encode w q;
+  Aqv_util.Wire.contents w
+
+let r_encoded r =
+  let w = Aqv_util.Wire.writer () in
+  R.encode w r;
+  Aqv_util.Wire.contents w
+
+(* same value, same text, same bytes, canonical form *)
+let agrees q r =
+  Z.equal (Q.num q) (R.num r)
+  && Z.equal (Q.den q) (R.den r)
+  && String.equal (Q.to_string q) (R.to_string r)
+  && String.equal (q_encoded q) (r_encoded r)
+  && q = Q.of_bigints (R.num r) (R.den r)
+  &&
+  match (Z.to_int_opt (R.num r), Z.to_int_opt (R.den r)) with
+  | Some n, Some d when n <> min_int -> q = Q.of_ints n d
+  | _ -> true
+
+let attempt f =
+  match f () with
+  | v -> Ok v
+  | exception Division_by_zero -> Error "Division_by_zero"
+  | exception Failure m -> Error m
+
+let same_outcome fq fr =
+  match (attempt fq, attempt fr) with
+  | Ok q, Ok r -> agrees q r
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let q_oracle_binary =
+  qtest ~count:3000 "binary operations = oracle" arb_qr_pair
+    (fun ((qa, ra), (qb, rb)) ->
+      let both fq fr = same_outcome (fun () -> fq qa qb) (fun () -> fr ra rb) in
+      agrees qa ra && agrees qb rb
+      && both Q.add R.add && both Q.sub R.sub && both Q.mul R.mul && both Q.div R.div
+      && both Q.mediant R.mediant && both Q.average R.average
+      && both Q.min R.min && both Q.max R.max
+      && Int.compare (Q.compare qa qb) 0 = Int.compare (R.compare ra rb) 0
+      && Q.equal qa qb = R.equal ra rb)
+
+let q_oracle_unary =
+  qtest ~count:3000 "unary operations = oracle"
+    (QCheck.pair arb_qr (QCheck.make (QCheck.Gen.map (fun z -> Z.to_int_opt z) gen_z)))
+    (fun ((q, r), v) ->
+      let both fq fr = same_outcome (fun () -> fq q) (fun () -> fr r) in
+      both Q.neg R.neg && both Q.abs R.abs && both Q.inv R.inv
+      && Q.sign q = R.sign r
+      && Float.equal (Q.to_float q) (R.to_float r)
+      && both (fun q -> Q.decode (Aqv_util.Wire.reader (q_encoded q))) (fun r -> r)
+      &&
+      match v with
+      | Some v ->
+        both (fun q -> Q.mul_int q v) (fun r -> R.mul_int r v)
+        && same_outcome (fun () -> Q.of_int v) (fun () -> R.of_int v)
+        && same_outcome
+             (fun () -> Q.of_ints v (Option.value ~default:1 (Z.to_int_opt (Q.den q))))
+             (fun () -> R.of_ints v (Option.value ~default:1 (Z.to_int_opt (R.den r))))
+      | None -> true)
+
+(* Wire forms other than the canonical one, as an untrusted peer may
+   send them: unreduced fractions (scaled by up to 2^31+1), fields
+   padded with up to 9 leading zero bytes, empty fields, every sign byte
+   (only 1 means negative, so a zero may come as "negative zero"), and
+   zero denominators. Both decoders must agree on the value, or refuse
+   with the same [Failure], and leave the reader at the same place. *)
+let q_oracle_decode =
+  let gen =
+    QCheck.Gen.(
+      let field =
+        map3
+          (fun z scale pad ->
+            if pad < 0 then ""
+            else String.make pad '\x00' ^ Z.to_bytes_be (Z.abs (Z.mul z scale)))
+          gen_z
+          (oneofl [ Z.one; Z.two; Z.of_int 7; pow2 31; Z.succ (pow2 31) ])
+          (frequency [ (1, return (-1)); (6, int_bound 9) ])
+      in
+      map3
+        (fun sign n d ->
+          let w = Aqv_util.Wire.writer () in
+          Aqv_util.Wire.u8 w sign;
+          Aqv_util.Wire.bytes w n;
+          Aqv_util.Wire.bytes w (if String.length d mod 5 = 4 then "\x00" else d);
+          Aqv_util.Wire.u8 w 42;
+          Aqv_util.Wire.contents w)
+        (frequency [ (2, return 0); (2, return 1); (1, int_bound 255) ])
+        field field)
+  in
+  qtest ~count:3000 "decode of non-canonical forms = oracle"
+    (QCheck.make ~print:Aqv_util.Hex.encode gen)
+    (fun bytes ->
+      let read decode =
+        let r = Aqv_util.Wire.reader bytes in
+        let v = decode r in
+        (v, Aqv_util.Wire.read_u8 r)
+      in
+      same_outcome (fun () -> fst (read Q.decode)) (fun () -> fst (read R.decode))
+      && attempt (fun () -> snd (read Q.decode)) = attempt (fun () -> snd (read R.decode)))
+
+let q_oracle_decode_garbage =
+  qtest ~count:3000 "decode of arbitrary bytes = oracle"
+    QCheck.(string_gen_of_size Gen.(int_range 0 24) Gen.char)
+    (fun bytes ->
+      same_outcome
+        (fun () -> Q.decode (Aqv_util.Wire.reader bytes))
+        (fun () -> R.decode (Aqv_util.Wire.reader bytes)))
+
+let test_q_zero_den_both_paths () =
+  List.iter
+    (fun num ->
+      let w = Aqv_util.Wire.writer () in
+      Aqv_util.Wire.u8 w 0;
+      Aqv_util.Wire.bytes w num;
+      Aqv_util.Wire.bytes w "\x00\x00";
+      Alcotest.check_raises "zero denominator" (Failure "Rational: zero denominator") (fun () ->
+          ignore (Q.decode (Aqv_util.Wire.reader (Aqv_util.Wire.contents w)))))
+    [ "\x05"; "\x40\x00\x00\x00\x00\x00\x00\x00"; String.make 12 '\xff' ]
+
 (* ------------------------------ linfun ------------------------------ *)
 
 let test_linfun_eval () =
@@ -464,6 +663,11 @@ let () =
           q_mediant_between;
           q_average_between;
           q_encode_roundtrip;
+          q_oracle_binary;
+          q_oracle_unary;
+          q_oracle_decode;
+          q_oracle_decode_garbage;
+          Alcotest.test_case "zero denominator, both paths" `Quick test_q_zero_den_both_paths;
         ] );
       ( "linfun",
         [

@@ -158,6 +158,102 @@ let wire_mixed_roundtrip =
       let s' = Wire.read_bytes r in
       xs' = xs && s' = s && Wire.at_end r)
 
+(* Ints across the whole non-negative range: a random bit pattern cut
+   to a random width, so every varint length from 1 to 9 bytes shows. *)
+let gen_nat =
+  QCheck.Gen.(
+    map2 (fun bits width -> if width >= 62 then bits land max_int else bits land ((1 lsl width) - 1))
+      (map Int64.to_int int64) (int_range 0 62))
+
+let arb_nat = QCheck.make ~print:string_of_int gen_nat
+
+let wire_varint_all_nats =
+  qtest "read_varint . varint = id on [0, max_int]" arb_nat (fun v ->
+      let w = Wire.writer () in
+      Wire.varint w v;
+      let r = Wire.reader (Wire.contents w) in
+      Wire.read_varint r = v && Wire.at_end r)
+
+(* Mostly 9- and 10-byte strings with continuation bits set: the
+   lengths at which a varint reaches bit 62. *)
+let wire_varint_never_negative =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 11 >>= fun n ->
+      map
+        (fun bytes ->
+          String.init n (fun i ->
+              Char.chr (if i < n - 1 then 0x80 lor (bytes.(i) land 0x7f) else bytes.(i))))
+        (array_repeat n (int_bound 255)))
+  in
+  qtest ~count:2000 "no byte string decodes to a negative varint"
+    (QCheck.make ~print:Hex.encode gen)
+    (fun s ->
+      match Wire.read_varint (Wire.reader s) with
+      | v -> v >= 0
+      | exception Failure _ -> true)
+
+let test_wire_varint_bit62 () =
+  let forged = "\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
+  Alcotest.check_raises "bit 62 refused" (Failure "Wire: varint overflow") (fun () ->
+      ignore (Wire.read_varint (Wire.reader forged)));
+  let w = Wire.writer () in
+  Wire.varint w max_int;
+  check Alcotest.int "max_int still reads" max_int (Wire.read_varint (Wire.reader (Wire.contents w)))
+
+(* A length near [max_int] must fail as truncated, not overflow the
+   bounds check and escape from [String.sub]. *)
+let test_wire_huge_length () =
+  let w = Wire.writer () in
+  Wire.u8 w 7;
+  Wire.varint w (max_int - 3);
+  Wire.bytes w "xyz";
+  let r = Wire.reader (Wire.contents w) in
+  ignore (Wire.read_u8 r);
+  Alcotest.check_raises "read_bytes" (Failure "Wire: truncated") (fun () -> ignore (Wire.read_bytes r));
+  let r = Wire.reader (Wire.contents w) in
+  ignore (Wire.read_u8 r);
+  Alcotest.check_raises "read_uint_be" (Failure "Wire: truncated") (fun () ->
+      ignore (Wire.read_uint_be r))
+
+(* [uint_be] writes what [bytes] writes for the minimal big-endian
+   bytes of the value; [read_uint_be] reads it, and padded forms, back. *)
+let be_bytes v =
+  let rec go v acc = if v = 0 then acc else go (v lsr 8) (String.make 1 (Char.chr (v land 0xff)) ^ acc) in
+  if v = 0 then "\x00" else go v ""
+
+let wire_uint_be_roundtrip =
+  qtest "uint_be = bytes of minimal big-endian; read_uint_be reads it and padded forms"
+    QCheck.(pair arb_nat (int_bound 10))
+    (fun (v, pad) ->
+      let w = Wire.writer () in
+      Wire.uint_be w v;
+      let expect = Wire.writer () in
+      Wire.bytes expect (be_bytes v);
+      let padded = Wire.writer () in
+      Wire.bytes padded (String.make pad '\x00' ^ be_bytes v);
+      let r = Wire.reader (Wire.contents padded) in
+      Wire.contents w = Wire.contents expect
+      && Wire.read_uint_be (Wire.reader (Wire.contents w)) = v
+      && Wire.read_uint_be r = v && Wire.at_end r)
+
+let test_wire_uint_be_too_wide () =
+  (* 2^62 and a 9-byte value do not fit: -1, and the field is left to
+     re-read as bytes *)
+  List.iter
+    (fun field ->
+      let w = Wire.writer () in
+      Wire.bytes w field;
+      let r = Wire.reader (Wire.contents w) in
+      check Alcotest.int "does not fit" (-1) (Wire.read_uint_be r);
+      check Alcotest.string "reader unmoved" field (Wire.read_bytes r))
+    [ "\x40\x00\x00\x00\x00\x00\x00\x00"; "\x01\x00\x00\x00\x00\x00\x00\x00\x00" ];
+  let w = Wire.writer () in
+  Wire.bytes w "\x00\x00\x3f\xff\xff\xff\xff\xff\xff\xff";
+  check Alcotest.int "padded max_int fits" max_int (Wire.read_uint_be (Wire.reader (Wire.contents w)));
+  Alcotest.check_raises "negative" (Invalid_argument "Wire.uint_be") (fun () ->
+      Wire.uint_be (Wire.writer ()) (-1))
+
 (* ------------------------------ Pvec -------------------------------- *)
 
 let test_pvec_basics () =
@@ -343,6 +439,12 @@ let () =
           Alcotest.test_case "list roundtrip" `Quick test_wire_list_roundtrip;
           Alcotest.test_case "truncated input" `Quick test_wire_truncated;
           wire_mixed_roundtrip;
+          wire_varint_all_nats;
+          wire_varint_never_negative;
+          Alcotest.test_case "varint bit 62 refused" `Quick test_wire_varint_bit62;
+          Alcotest.test_case "huge length is truncated" `Quick test_wire_huge_length;
+          wire_uint_be_roundtrip;
+          Alcotest.test_case "uint_be too wide" `Quick test_wire_uint_be_too_wide;
         ] );
       ( "pvec",
         [
