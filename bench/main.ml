@@ -983,67 +983,49 @@ let abl_serve_frag () =
              "abl-serve-frag: %s post-republish fragment hit rate is zero" name))
     [ ("one-sig", Ifmh.One_signature); ("multi-sig", Ifmh.Multi_signature) ]
 
-(* Crossing enumeration at scale, with hard-failing deterministic
-   counter laws per dimension. 1-D full builds go through the inversion
-   sweep: pairs given a geometry record = crossings, no chunks, peak =
-   crossings — no pair outside the crossing set is ever touched. A 2-D
-   front-end series (enumeration only) goes through the chunked probe:
-   classified = n(n-1)/2 exactly once each, chunks = ceil(classified /
-   chunk), and never more than crossings + one chunk of pair records
-   live. Across each sweep the peak must stay sub-quadratic: in 1-D
-   below half the pair space, in 2-D below half the classified count
-   and growing less than half as fast as it. Two 1-D shapes bound the
-   story: the default dense lines (crossings a constant ~1/3 of the
-   pair space, so the Merkle back-end dominates the wall) and a sparse
-   variant with intercepts spread over 10^6 (crossings ~0.1% of pairs,
-   the shape where an all-pairs front-end would dominate). The 1-D rows
-   also guard the sweep's back-end: each subdomain boundary applies its
-   FMH leaf changes in one [Mht.set_many], so an adjacent swap rehashes
-   the union of two root paths, about ceil(log2(n+2)) + 1 node hashes
-   (two separate sets paid about 2 ceil(log2(n+2))). A single swap
-   costs between floor(log2(n+2)) and 2 ceil(log2(n+2)) - 1 depending
-   on where the two leaves' paths meet, so the law is on the mean per
+(* Crossing enumeration at scale. Every dimension runs the same
+   antipodal-corner inversion sweep, and only crossing pairs ever get a
+   pair record. 1-D full builds: two shapes bound the story — the
+   default dense lines (crossings a constant ~1/3 of the pair space, so
+   the Merkle back-end dominates the wall) and a sparse variant with
+   intercepts spread over 10^6 (crossings ~0.1% of pairs). These rows
+   guard the sweep's back-end: each subdomain boundary applies its FMH
+   leaf changes in one [Mht.set_many], so an adjacent swap rehashes the
+   union of two root paths, about ceil(log2(n+2)) + 1 node hashes (two
+   separate sets paid about 2 ceil(log2(n+2))). A single swap costs
+   between floor(log2(n+2)) and 2 ceil(log2(n+2)) - 1 depending on
+   where the two leaves' paths meet, so the law is on the mean per
    crossing, within one of ceil(log2(n+2)) + 1, on rows with at least
-   32 crossings. Counters are deterministic, so the guards are immune
-   to runner noise; wall seconds go to JSON only. *)
+   32 crossings. Sparse 2-D and 3-D enumeration-only series (2 and 4
+   antipodal corner pairs) hard-fail at their smallest n unless the
+   crossing count equals the all-pairs reference's ([Crossings_ref],
+   one exact classification per pair). Counters are deterministic, so
+   the guards are immune to runner noise; wall seconds go to JSON
+   only. *)
 let ceil_log2 n =
   let rec go d p = if p >= n then d else go (d + 1) (2 * p) in
   go 0 1
 
 let abl_build_scale () =
-  header "Ablation — crossing enumeration: pair records vs crossings";
-  row "(chunk = %d; 1-D rows are full builds, 2-D rows enumeration only;\n"
-    Crossings.default_chunk;
-  row " peak is the high-water mark of live pair records)\n";
-  row "%-9s %7s | %8s | %11s %10s %10s %7s | %9s\n" "shape" "n" "wall s" "classified"
-    "crossings" "peak" "chunks" "hash_ops";
+  header "Ablation — crossing enumeration: antipodal-corner inversion sweep";
+  row "(1-D rows are full builds, 2-D and 3-D rows enumeration only)\n";
+  row "%-9s %7s | %8s | %10s | %9s\n" "shape" "n" "wall s" "crossings" "hash_ops";
   let fail shape n fmt =
     Printf.ksprintf (fun m -> failwith (Printf.sprintf "abl-build-scale: %s n=%d %s" shape n m)) fmt
   in
   let report shape n wall (s : Metrics.snapshot) =
-    let classified = s.Metrics.build_pairs_classified in
     let crossings = s.Metrics.build_crossings in
-    let peak = s.Metrics.build_peak_pairs in
-    let chunks = s.Metrics.build_pair_chunks in
-    row "%-9s %7d | %8.3f | %11d %10d %10d %7d | %9d\n%!" shape n wall classified crossings
-      peak chunks s.Metrics.hash_ops;
+    row "%-9s %7d | %8.3f | %10d | %9d\n%!" shape n wall crossings s.Metrics.hash_ops;
     json_add
       [
         ("figure", J_str "abl-build-scale");
         ("shape", J_str shape);
         ("n", J_int n);
         ("wall_s", J_num wall);
-        ("pairs_classified", J_int classified);
         ("crossings", J_int crossings);
-        ("peak_pairs", J_int peak);
-        ("chunks", J_int chunks);
-        ("chunk", J_int Crossings.default_chunk);
         ("hash_ops", J_int s.Metrics.hash_ops);
       ];
-    if peak > crossings + Crossings.default_chunk then
-      fail shape n "peak %d pair records exceeds crossings %d + chunk %d" peak crossings
-        Crossings.default_chunk;
-    (classified, crossings, peak, chunks)
+    crossings
   in
   let run_1d shape mk n =
     let table = mk n in
@@ -1052,7 +1034,7 @@ let abl_build_scale () =
       time (fun () -> Ifmh.build ~scheme:Ifmh.Multi_signature table dry_signer)
     in
     let s = Metrics.snapshot () in
-    let classified, crossings, peak, chunks = report shape n wall s in
+    let crossings = report shape n wall s in
     (* sweep node hashes: a dry multi-signature build hashes the n
        records, the first cell's full FMH (n + 1 interior nodes over
        n + 2 leaves), one signing digest per subdomain, and the sweep *)
@@ -1075,66 +1057,43 @@ let abl_build_scale () =
       ];
     if crossings >= 32 && per_crossing > float_of_int (depth + 2) then
       fail shape n "sweep paid %.2f node hashes per crossing, law is ceil(log2(n+2)) + 1 = %d"
-        per_crossing (depth + 1);
-    if classified <> crossings then
-      fail shape n "classified %d pairs, expected the %d crossings" classified crossings;
-    if chunks <> 0 then fail shape n "ran %d chunks, expected none" chunks;
-    if peak <> crossings then fail shape n "peak %d, expected the %d crossings" peak crossings;
-    (n, peak)
-  in
-  let run_2d shape fns =
-    let n = Array.length fns in
-    Metrics.reset ();
-    let cr, wall =
-      time (fun () -> Crossings.enumerate ~pool:(Pool.default ()) (Aqv_num.Domain.unit_box 2) fns)
-    in
-    ignore (Sys.opaque_identity cr);
-    let classified, _, peak, chunks = report shape n wall (Metrics.snapshot ()) in
-    let expect = n * (n - 1) / 2 in
-    if classified <> expect then
-      fail shape n "classified %d pairs, expected %d" classified expect;
-    let expect_chunks =
-      if expect = 0 then 0 else (expect + Crossings.default_chunk - 1) / Crossings.default_chunk
-    in
-    if chunks <> expect_chunks then
-      fail shape n "ran %d chunks, expected %d" chunks expect_chunks;
-    (n, classified, peak)
+        per_crossing (depth + 1)
   in
   (* dense rows share [table_of]'s cache with the other figures *)
-  List.iter (fun n -> ignore (run_1d "dense" table_of (scaled n))) [ 250; 500; 1000 ];
+  List.iter (fun n -> run_1d "dense" table_of (scaled n)) [ 250; 500; 1000 ];
   let sparse n =
     Workload.lines_1d ~intercept_range:1_000_000 ~n
       (Prng.create (Int64.add master_seed (Int64.of_int (7_000_000 + n))))
   in
-  let n, peak =
-    List.fold_left (fun _ n -> run_1d "sparse" sparse (scaled n)) (0, 0) [ 1000; 2000; 4000 ]
-  in
-  if 4 * peak >= n * (n - 1) then
-    fail "sparse" n "peak %d is not below half the %d-pair space" peak (n * (n - 1) / 2);
-  (* the 2-D analogue of the sparse lines: small slopes, intercepts
-     spread over 10^6, so crossings stay a sliver of the pair space.
-     Sized unscaled, so the top row's pair space always spans several
-     chunks. *)
-  let sparse_2d n =
-    let rng = Prng.create (Int64.add master_seed (Int64.of_int (8_000_000 + n))) in
+  List.iter (fun n -> run_1d "sparse" sparse (scaled n)) [ 1000; 2000; 4000 ];
+  (* the d-D analogue of the sparse lines: coefficients in ±1000,
+     intercepts spread over 10^6, so crossings stay a sliver of the pair
+     space. Sized unscaled; the smallest n of each series is also
+     checked against the all-pairs reference. *)
+  let sparse_fns dims offset n =
+    let rng = Prng.create (Int64.add master_seed (Int64.of_int (offset + n))) in
     Array.init n (fun _ ->
-        let a1 = Prng.int_in rng (-1000) 1000 in
-        let a2 = Prng.int_in rng (-1000) 1000 in
-        Aqv_num.Linfun.of_ints [| a1; a2 |] (Prng.int_in rng 0 1_000_000))
+        let coeffs = Array.init dims (fun _ -> Prng.int_in rng (-1000) 1000) in
+        Aqv_num.Linfun.of_ints coeffs (Prng.int_in rng 0 1_000_000))
   in
-  match List.map (fun n -> run_2d "sparse-2d" (sparse_2d n)) [ 300; 600 ] with
-  | [ (_, c_small, p_small); (n, c_big, p_big) ] ->
-    if c_big <= 2 * Crossings.default_chunk then
-      fail "sparse-2d" n "sweep too small to exercise chunking";
-    if 2 * p_big >= c_big then
-      fail "sparse-2d" n "peak %d is not sub-quadratic (classified %d)" p_big c_big;
-    let c_ratio = float_of_int c_big /. float_of_int c_small in
-    let p_ratio = float_of_int p_big /. float_of_int p_small in
-    row "sparse-2d: classified grew %.1fx, peak pair records %.2fx\n" c_ratio p_ratio;
-    if p_ratio >= c_ratio /. 2. then
-      fail "sparse-2d" n "peak grew %.2fx vs classified %.1fx — quadratic front-end" p_ratio
-        c_ratio
-  | _ -> assert false
+  let series shape dims offset ns =
+    let dom = Aqv_num.Domain.unit_box dims in
+    List.iteri
+      (fun k n ->
+        let fns = sparse_fns dims offset n in
+        Metrics.reset ();
+        let cr, wall = time (fun () -> Crossings.enumerate ~pool:(Pool.default ()) dom fns) in
+        ignore (Sys.opaque_identity cr);
+        let crossings = report shape n wall (Metrics.snapshot ()) in
+        if k = 0 then begin
+          let expect = Crossings.count (Aqv_ref.Crossings_ref.enumerate dom fns) in
+          if crossings <> expect then
+            fail shape n "found %d crossings, the all-pairs reference %d" crossings expect
+        end)
+      ns
+  in
+  series "sparse-2d" 2 8_000_000 [ 300; 600; 2400; 9600 ];
+  series "sparse-3d" 3 9_000_000 [ 150; 600; 2400 ]
 
 (* ------------------------- bechamel micros -------------------------- *)
 

@@ -19,7 +19,6 @@ type t = {
   mu : Mutex.t;
   mutable fd : Unix.file_descr option; (* guarded by [mu] *)
   mutable stopped : bool; (* guarded by [mu] *)
-  mutable primary_epoch : int; (* guarded by [mu]; last Hello seen *)
   mutable reconnects : int; (* guarded by [mu] *)
   mutable thread : Thread.t option;
 }
@@ -30,7 +29,6 @@ let locked t f =
 
 let stopped t = locked t (fun () -> t.stopped)
 let epoch t = Ifmh.epoch (Engine.index t.engine)
-let primary_epoch t = locked t (fun () -> t.primary_epoch)
 let reconnects t = locked t (fun () -> t.reconnects)
 
 let send_subscribe fd ~timeout ~from_epoch =
@@ -47,9 +45,7 @@ let send_subscribe fd ~timeout ~from_epoch =
 let apply_frame t reply =
   let cur = epoch t in
   match reply with
-  | Protocol.Hello { epoch } ->
-    locked t (fun () -> t.primary_epoch <- epoch);
-    Ok ()
+  | Protocol.Hello _ -> Ok ()
   | Protocol.Delta_frame { base_epoch; delta } ->
     if Ifmh.delta_epoch delta <= cur then Ok () (* stale, already durable here *)
     else if base_epoch <> cur then
@@ -141,7 +137,6 @@ let start ?(opts = Roundtrip.default_opts) ?(read_timeout = 10.)
       mu = Mutex.create ();
       fd = None;
       stopped = false;
-      primary_epoch = 0;
       reconnects = 0;
       thread = None;
     }

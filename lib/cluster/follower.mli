@@ -41,10 +41,6 @@ val stop : t -> unit
 val epoch : t -> int
 (** The follower engine's current epoch. *)
 
-val primary_epoch : t -> int
-(** Last epoch announced by the primary (0 before the first Hello) —
-    [primary_epoch t - epoch t] is the replication lag in epochs. *)
-
 val reconnects : t -> int
 (** Times the tailing thread redialed after losing the stream. *)
 

@@ -208,9 +208,9 @@ let build_structure ~seed ?prev ~pool table =
   in
   (* one crossing enumeration feeds both consumers: the I-tree
      insertion (shuffled crossing list) and the 1-D sweep (crossing
-     roots are its boundary events). 1-D is an O(n log n + K) inversion
-     sweep, d >= 2 a chunked probe over the pool; only crossing pairs
-     are retained — never Θ(n²) pair records. *)
+     roots are its boundary events). In every dimension it is an
+     inversion sweep per antipodal corner pair of the box, so only
+     crossing pairs ever get a record — never Θ(n²) pair records. *)
   let crossings = Crossings.enumerate ~pool (Table.domain table) (Table.functions table) in
   let itree = Itree.build ~seed ~crossings (Table.domain table) (Table.functions table) in
   (* digest once, in parallel, and thread the array into the sorting

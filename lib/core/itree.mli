@@ -47,12 +47,12 @@ val build :
     the tree's internal shape/depth; [`Lexicographic] exists for the
     depth ablation). The order is the seeded shuffle of the {e crossing
     pair list} (see {!Crossings} for the determinism argument) — never
-    of the full Θ(n²) pair set, which is streamed, not materialized.
+    of the full Θ(n²) pair set, which the enumerator never visits.
     Identical functions (zero difference) induce no split. In dimension
     1, leaf ids number the subdomain intervals left to right.
 
-    [crossings] hands in a pre-enumerated crossing set so one streaming
-    pass feeds both this insertion and the 1-D sweep
+    [crossings] hands in a pre-enumerated crossing set so one
+    enumeration feeds both this insertion and the 1-D sweep
     ({!Ifmh.build_structure} does). Without [crossings], enumeration
     happens here, sequentially. Either way the built tree is
     bit-identical. *)

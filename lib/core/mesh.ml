@@ -339,17 +339,6 @@ let count_signatures table =
   in
   (!nsigs, ncells)
 
-let logical_size_bytes t =
-  let sig_size =
-    match Hashtbl.fold (fun _ rs acc -> match rs with r :: _ -> Some r | [] -> acc) t.runs None with
-    | Some r -> String.length r.signature
-    | None -> 0
-  in
-  (* per-cell sorted list of n record ids (8 bytes each) + bounds,
-     plus all signatures with their span metadata *)
-  let cell_bytes = (t.n * 8) + 32 in
-  (Array.length t.cells * cell_bytes) + (t.signatures * (sig_size + 32))
-
 (* ------------------------- query processing ------------------------ *)
 
 let outside_domain x0 =

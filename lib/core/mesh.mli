@@ -52,10 +52,6 @@ val count_signatures : Aqv_db.Table.t -> int * int
 (** [(signatures, subdomains)] the mesh would need, computed by a crypto-
     free sweep — used to produce the paper-scale series of Fig. 5a. *)
 
-val logical_size_bytes : t -> int
-(** Storage under the paper's model: per-subdomain sorted lists plus all
-    run signatures. *)
-
 (** {1 Query processing and verification} *)
 
 type link = {

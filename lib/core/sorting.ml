@@ -8,9 +8,7 @@ module Table = Aqv_db.Table
 type leaf_lists = { order : int Pvec.t; fmh : Mht.t }
 type t = { entries : leaf_lists array; records : int }
 
-let record_count t = t.records
 let leaf_count t = Array.length t.entries
-let fmh_leaf_count t = t.records + 2
 
 (* Sort record positions by score at [sample], ties by position. *)
 let sorted_positions fns sample =

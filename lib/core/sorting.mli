@@ -57,8 +57,4 @@ val leaf : t -> int -> leaf_lists
 val fmh_root : t -> int -> string
 (** Root commitment of leaf [id]'s FMH-tree. *)
 
-val record_count : t -> int
 val leaf_count : t -> int
-
-val fmh_leaf_count : t -> int
-(** Leaves per FMH-tree: [record_count + 2]. *)

@@ -7,11 +7,6 @@ type change =
   | Delete of int
   | Modify of Record.t
 
-let pp_change ppf = function
-  | Insert r -> Format.fprintf ppf "insert %a" Record.pp r
-  | Delete id -> Format.fprintf ppf "delete #%d" id
-  | Modify r -> Format.fprintf ppf "modify %a" Record.pp r
-
 (* One change over a record list; positions in list order mirror the
    table's array order, so Modify keeps the position and Insert appends
    — the invariant both ends of a delta rely on. *)

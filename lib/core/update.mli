@@ -21,8 +21,6 @@ type change =
   | Delete of int  (** record id *)
   | Modify of Aqv_db.Record.t  (** replaces the record with the same id *)
 
-val pp_change : Format.formatter -> change -> unit
-
 val apply_table : change list -> Aqv_db.Table.t -> Aqv_db.Table.t
 (** @raise Invalid_argument on inserting an existing id, deleting or
     modifying a missing id, emptying the table, or a record that does

@@ -5,7 +5,6 @@ type t = { diff : Linfun.t; side : side }
 
 let above diff = { diff; side = Above }
 let below diff = { diff; side = Below }
-let complement t = { t with side = (match t.side with Above -> Below | Below -> Above) }
 
 let contains t x =
   let v = Linfun.eval t.diff x in

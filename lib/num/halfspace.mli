@@ -13,7 +13,6 @@ type t = { diff : Linfun.t; side : side }
 
 val above : Linfun.t -> t
 val below : Linfun.t -> t
-val complement : t -> t
 
 val contains : t -> Rational.t array -> bool
 (** Half-open semantics: [Above] admits [diff(x) >= 0], [Below] admits

@@ -6,6 +6,7 @@ let chunk_cap = 64 * 1024
 let rec restart_on_eintr f =
   try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f
 
+(* a timeout of 0. disables (blocks forever) *)
 let set_recv_timeout fd s = Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
 let set_send_timeout fd s = Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
 

@@ -9,11 +9,6 @@
 exception Timeout
 (** A read or write exceeded its deadline. *)
 
-val set_recv_timeout : Unix.file_descr -> float -> unit
-(** 0. disables (blocks forever). *)
-
-val set_send_timeout : Unix.file_descr -> float -> unit
-
 val read_frame :
   ?header_timeout:float -> ?body_timeout:float -> Unix.file_descr -> string option
 (** [None] on clean EOF before the first header byte. The body is read

@@ -1,6 +1,8 @@
 module Wire = Aqv_util.Wire
 
 let magic = "AQVWAL1\n"
+(* larger length fields are torn/corrupt; matches the serving layer's
+   64 MiB frame cap *)
 let max_frame_payload = 64 * 1024 * 1024
 
 type frame = { base_epoch : int; delta : string }

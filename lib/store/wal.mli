@@ -28,10 +28,6 @@ type frame = { base_epoch : int; delta : string }
 type t
 (** An open log handle (append mode). *)
 
-val max_frame_payload : int
-(** Upper bound on a frame payload; larger length fields are treated as
-    torn/corrupt. Matches the serving layer's 64 MiB frame cap. *)
-
 val encode_frame : frame -> string
 (** The exact bytes {!append} writes (exposed for tests and forgery
     construction in the attack suite). *)

@@ -278,6 +278,5 @@ let to_float = function
   | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List vs -> Some vs | _ -> None
 let to_obj = function Obj fields -> Some fields | _ -> None

@@ -44,6 +44,5 @@ val to_float : t -> float option
 (** [Float x], or [Int n] widened — JSON has a single number type. *)
 
 val to_str : t -> string option
-val to_bool : t -> bool option
 val to_list : t -> t list option
 val to_obj : t -> (string * t) list option

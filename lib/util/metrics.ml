@@ -14,9 +14,6 @@ type snapshot = {
   locate_sign_tests : int;
   frag_hits : int;
   frag_misses : int;
-  build_pairs_classified : int;
-  build_pair_chunks : int;
-  build_peak_pairs : int;
   build_crossings : int;
 }
 
@@ -35,9 +32,6 @@ let bytes_out = Atomic.make 0
 let locate_sign_tests = Atomic.make 0
 let frag_hits = Atomic.make 0
 let frag_misses = Atomic.make 0
-let build_pairs_classified = Atomic.make 0
-let build_pair_chunks = Atomic.make 0
-let build_peak_pairs = Atomic.make 0
 let build_crossings = Atomic.make 0
 
 let reset () =
@@ -52,9 +46,6 @@ let reset () =
   Atomic.set locate_sign_tests 0;
   Atomic.set frag_hits 0;
   Atomic.set frag_misses 0;
-  Atomic.set build_pairs_classified 0;
-  Atomic.set build_pair_chunks 0;
-  Atomic.set build_peak_pairs 0;
   Atomic.set build_crossings 0
 
 let snapshot () =
@@ -74,9 +65,6 @@ let snapshot () =
     locate_sign_tests = Atomic.get locate_sign_tests;
     frag_hits = Atomic.get frag_hits;
     frag_misses = Atomic.get frag_misses;
-    build_pairs_classified = Atomic.get build_pairs_classified;
-    build_pair_chunks = Atomic.get build_pair_chunks;
-    build_peak_pairs = Atomic.get build_peak_pairs;
     build_crossings = Atomic.get build_crossings;
   }
 
@@ -97,12 +85,6 @@ let diff a b =
     locate_sign_tests = a.locate_sign_tests - b.locate_sign_tests;
     frag_hits = a.frag_hits - b.frag_hits;
     frag_misses = a.frag_misses - b.frag_misses;
-    build_pairs_classified = a.build_pairs_classified - b.build_pairs_classified;
-    build_pair_chunks = a.build_pair_chunks - b.build_pair_chunks;
-    (* a peak is a high-water mark, not a flow: report the later
-       snapshot's mark (benches reset before measuring, so the earlier
-       one is 0 there anyway) *)
-    build_peak_pairs = a.build_peak_pairs;
     build_crossings = a.build_crossings - b.build_crossings;
   }
 
@@ -110,12 +92,10 @@ let pp ppf s =
   Format.fprintf ppf
     "@[<v>hash_ops=%d hash_bytes=%d@ sign_ops=%d verify_ops=%d@ \
      itree_nodes=%d fmh_nodes=%d mesh_cells=%d locate_tests=%d@ \
-     bytes_out=%d@ frags=%d/%d@ \
-     build_pairs=%d chunks=%d peak=%d crossings=%d@]"
+     bytes_out=%d@ frags=%d/%d@ crossings=%d@]"
     s.hash_ops s.hash_bytes s.sign_ops s.verify_ops s.itree_nodes
     s.fmh_nodes s.mesh_cells s.locate_sign_tests s.bytes_out s.frag_hits
-    (s.frag_hits + s.frag_misses)
-    s.build_pairs_classified s.build_pair_chunks s.build_peak_pairs s.build_crossings
+    (s.frag_hits + s.frag_misses) s.build_crossings
 
 let add n v = ignore (Atomic.fetch_and_add n v : int)
 
@@ -132,18 +112,6 @@ let add_bytes_out n = add bytes_out n
 let add_locate_sign_tests n = add locate_sign_tests n
 let add_frag_hit () = Atomic.incr frag_hits
 let add_frag_miss () = Atomic.incr frag_misses
-let add_build_pairs_classified n = add build_pairs_classified n
-let add_build_pair_chunks n = add build_pair_chunks n
 let add_build_crossings n = add build_crossings n
-
-(* high-water mark: keep the maximum ever observed since the last
-   reset. CAS loop only for safety — the enumerator updates it from the
-   sequential path, so contention is nil. *)
-let note_build_peak_pairs v =
-  let rec go () =
-    let cur = Atomic.get build_peak_pairs in
-    if v > cur && not (Atomic.compare_and_set build_peak_pairs cur v) then go ()
-  in
-  go ()
 
 let total_node_visits s = s.itree_nodes + s.fmh_nodes + s.mesh_cells

@@ -48,28 +48,12 @@ type snapshot = {
       (** VO fragments served from the content-addressed fragment
           cache (see [Aqv.Fragment]) instead of being reassembled *)
   frag_misses : int;  (** VO fragments assembled from the index *)
-  build_pairs_classified : int;
-      (** function pairs the crossing enumerator (see [Aqv.Crossings])
-          gave a geometry record, per structure build: in 1-D the K
-          crossings the inversion sweep finds — it never looks at a
-          non-crossing pair; in d >= 2 exactly n(n-1)/2, each probed
-          once regardless of chunking or pool size *)
-  build_pair_chunks : int;
-      (** bounded chunks the d >= 2 probe processed,
-          ceil(n(n-1)/2 / chunk) — the pair index space is never
-          materialized wholesale; 0 in 1-D, where the sweep needs no
-          chunks *)
-  build_peak_pairs : int;
-      (** high-water mark of pair records live at once in the
-          enumerator: at most (retained crossings) + (one chunk),
-          exactly the crossings in 1-D — the
-          O(#crossings + chunk) memory bound, as a deterministic
-          counter. A mark, not a flow: [diff] reports the later
-          snapshot's value *)
   build_crossings : int;
-      (** pairs retained because their hyperplane properly crosses the
-          domain box — the only pairs the I-tree insertion and the 1-D
-          sweep ever see *)
+      (** pairs the crossing enumerator (see [Aqv.Crossings]) found
+          whose hyperplane properly crosses the domain box, per
+          structure build, in any dimension and with or without a pool
+          — the only pairs that ever get a pair record, and the only
+          ones the I-tree insertion and the 1-D sweep see *)
 }
 
 val reset : unit -> unit
@@ -95,12 +79,7 @@ val add_bytes_out : int -> unit
 val add_locate_sign_tests : int -> unit
 val add_frag_hit : unit -> unit
 val add_frag_miss : unit -> unit
-val add_build_pairs_classified : int -> unit
-val add_build_pair_chunks : int -> unit
 val add_build_crossings : int -> unit
-
-val note_build_peak_pairs : int -> unit
-(** Raise the [build_peak_pairs] high-water mark to [v] if above it. *)
 
 val total_node_visits : snapshot -> int
 (** [itree_nodes + fmh_nodes + mesh_cells]: the paper's "server cost". *)

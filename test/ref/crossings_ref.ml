@@ -1,17 +1,31 @@
 (* Reference crossing enumeration for the identity qchecks: one
-   sequential pass over every (i, j), i < j, classifying each pair with
-   the general [Crossings.probe] (any dimension, no chunking, no pool,
-   no 1-D shortcut). [Crossings.enumerate] must return the same pairs
-   with field-by-field equal records. Ticks no build counters. *)
+   sequential pass over every (i, j), i < j, classifying each pair's
+   difference against the domain box with the general
+   [Region.classify] (exact simplex in d >= 2, no pool, no corner
+   sweep). [Crossings.enumerate] must return the same pairs with
+   field-by-field equal records. Ticks no build counters. *)
 
+module Q = Aqv_num.Rational
 module Region = Aqv_num.Region
 module Domain = Aqv_num.Domain
+module Linfun = Aqv_num.Linfun
 open Aqv
+
+let probe ~box ~dim fns i j =
+  let diff = Linfun.sub fns.(i) fns.(j) in
+  if Linfun.is_zero diff then None
+  else
+    match Region.classify box diff with
+    | Region.Split ->
+      let root =
+        if dim = 1 then Some (Q.div (Q.neg (Linfun.const diff)) (Linfun.coeff diff 0)) else None
+      in
+      Some { Crossings.i; j; diff; root }
+    | Region.Pos | Region.Neg -> None
 
 let enumerate dom fns =
   let n = Array.length fns in
-  let total = n * (n - 1) / 2 in
-  let probe = Crossings.probe ~box:(Region.of_domain dom) ~dim:(Domain.dim dom) fns in
+  let probe = probe ~box:(Region.of_domain dom) ~dim:(Domain.dim dom) fns in
   let kept = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
@@ -19,10 +33,4 @@ let enumerate dom fns =
     done
   done;
   let pairs = Array.of_list (List.rev !kept) in
-  {
-    Crossings.pairs;
-    total;
-    chunk = max total 1;
-    chunks = (if total = 0 then 0 else 1);
-    peak_live = total;
-  }
+  { Crossings.pairs; total = Array.length pairs }

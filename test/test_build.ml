@@ -1,11 +1,11 @@
-(* Crossing enumeration (the owner-side pair front-end): the 1-D
-   inversion sweep and the chunked, pool-parallel d >= 2 probe must both
+(* Crossing enumeration (the owner-side pair front-end): the
+   antipodal-corner inversion sweep, sequential or pool-parallel, must
    be bit-identical to the sequential all-pairs reference
-   [Crossings_ref.enumerate], the build counters must obey their exact
-   per-dimension laws, and a full build must serialize identically
-   across pool sizes and insertion orders. CI runs this binary under
-   AQV_DOMAINS=1 and =2 so the default pool exercises both code
-   paths. *)
+   [Crossings_ref.enumerate] in every dimension, the build counter must
+   obey its exact law, and a full build must serialize identically
+   across pool sizes and insertion orders, and to pinned bytes in
+   d >= 2. CI runs this binary under AQV_DOMAINS=1 and =2 so the
+   default pool exercises both code paths. *)
 
 module Q = Aqv_num.Rational
 module Linfun = Aqv_num.Linfun
@@ -35,8 +35,8 @@ let keypair = lazy (Signer.generate ~bits:512 Signer.Rsa (Prng.create 42L))
 (* dense: crossings ~ 35% of pairs; sparse: well under 1%, so the
    crossings are a sliver of the pair space; tie-heavy: slopes and
    intercepts in a handful of integers, so parallel lines and equal
-   values at an endpoint are common; 2-D goes through the chunked
-   [Crossings.probe] instead of the 1-D inversion sweep *)
+   values at an endpoint are common; 2-D and 3-D sweep 2 and 4
+   antipodal corner pairs instead of the 1-D sweep's one *)
 let table_dense n seed = Workload.lines_1d ~n (Prng.create (Int64.of_int (0xD0 + seed)))
 
 let table_sparse n seed =
@@ -48,27 +48,22 @@ let table_ties ~slopes ~intercepts n seed =
 
 let table_2d n seed = Workload.scored ~n ~dims:2 (Prng.create (Int64.of_int (0x2D + seed)))
 
+let table_2d_ties n seed =
+  Workload.scored ~attr_range:4 ~n ~dims:2 (Prng.create (Int64.of_int (0x7D + seed)))
+
+let table_3d n seed = Workload.scored ~n ~dims:3 (Prng.create (Int64.of_int (0x3D + seed)))
+
 let pair_equal (a : Crossings.pair) (b : Crossings.pair) =
   Linfun.equal a.Crossings.diff b.Crossings.diff
   && Option.equal Q.equal a.Crossings.root b.Crossings.root
 
 (* enumerated result == scan reference: same pairs in the same
-   (lexicographic) order, equal records field by field, the
-   per-dimension total and chunk laws (1-D: total = crossings, no
-   chunks; d >= 2: total = n(n-1)/2 in ceil(total/chunk) chunks) — and
-   the high-water mark obeys its O(crossings + chunk) bound *)
+   (lexicographic) order, equal records field by field, each one a
+   crossing, and [total] = the crossing count *)
 let same_as_scan name dom (got : Crossings.t) (scan : Crossings.t) =
-  let dim = Domain.dim dom in
   let box = Region.of_domain dom in
-  let total, chunks =
-    if dim = 1 then (Crossings.count scan, 0)
-    else
-      let t = scan.Crossings.total in
-      (t, (t + got.Crossings.chunk - 1) / got.Crossings.chunk)
-  in
-  check Alcotest.int (name ^ ": total") total got.Crossings.total;
-  check Alcotest.int (name ^ ": chunks") chunks got.Crossings.chunks;
   check Alcotest.int (name ^ ": crossing count") (Crossings.count scan) (Crossings.count got);
+  check Alcotest.int (name ^ ": total") (Crossings.count got) got.Crossings.total;
   Array.iteri
     (fun k (ps : Crossings.pair) ->
       let pg = got.Crossings.pairs.(k) in
@@ -82,48 +77,60 @@ let same_as_scan name dom (got : Crossings.t) (scan : Crossings.t) =
         (Printf.sprintf "%s: pair %d is crossing" name k)
         true
         (Region.classify box pg.Crossings.diff = Region.Split))
-    scan.Crossings.pairs;
-  check Alcotest.bool (name ^ ": peak bound") true
-    (got.Crossings.peak_live <= Crossings.count got + got.Crossings.chunk)
+    scan.Crossings.pairs
 
 (* identity against the reference, sequentially and on the 4- and
    1-domain pools *)
-let enum_identity dom fns chunk =
+let enum_identity dom fns =
   let scan = Crossings_ref.enumerate dom fns in
   List.iter
     (fun (name, pool) ->
       let pool = Option.map Lazy.force pool in
-      same_as_scan name dom (Crossings.enumerate ~chunk ?pool dom fns) scan)
+      same_as_scan name dom (Crossings.enumerate ?pool dom fns) scan)
     [ ("seq", None); ("pool", Some par_pool); ("pool-1", Some seq_pool) ];
   true
 
-let enum_identity_prop mk (n, seed, chunk) =
+let enum_identity_prop mk (n, seed) =
   let t = mk n seed in
-  enum_identity (Table.domain t) (Table.functions t) chunk
+  enum_identity (Table.domain t) (Table.functions t)
 
-let gen_1d = QCheck.(triple (int_range 2 40) (int_range 0 999) (int_range 1 900))
-let gen_2d = QCheck.(triple (int_range 2 14) (int_range 0 999) (int_range 1 120))
+let gen_1d = QCheck.(pair (int_range 2 40) (int_range 0 999))
+let gen_2d = QCheck.(pair (int_range 2 14) (int_range 0 999))
+let gen_3d = QCheck.(pair (int_range 2 10) (int_range 0 999))
 
 (* n <= 28 <= (2 * slopes + 1) * (intercepts + 1), so the distinct
    lines always exist; the first function is appended again, so
    identical lines (a tie at both endpoints) are covered too *)
 let gen_ties =
-  QCheck.(
-    pair
-      (triple (int_range 2 28) (int_range 0 999) (int_range 1 900))
-      (pair (int_range 3 20) (int_range 3 20)))
+  QCheck.(pair (pair (int_range 2 28) (int_range 0 999)) (pair (int_range 3 20) (int_range 3 20)))
 
-let ties_prop dom ((n, seed, chunk), (slopes, intercepts)) =
+let ties_prop dom ((n, seed), (slopes, intercepts)) =
   let fns = Table.functions (table_ties ~slopes ~intercepts n seed) in
-  enum_identity dom (Array.append fns [| fns.(0) |]) chunk
+  enum_identity dom (Array.append fns [| fns.(0) |])
+
+(* tie-heavy d-D functions over a non-unit integer box: coefficients
+   and constants in [-3, 3], so equal values at a corner, hyperplanes
+   through a corner or along a facet, and parallel differences are all
+   common; the first function is appended again *)
+let ties_box_prop dims (n, seed) =
+  let rng = Prng.create (Int64.of_int (0xB0 + seed)) in
+  let dom =
+    Domain.of_ints
+      (List.init dims (fun _ ->
+           let lo = Prng.int_in rng (-3) 2 in
+           (lo, lo + Prng.int_in rng 1 4)))
+  in
+  let fns =
+    Array.init n (fun _ ->
+        Linfun.of_ints (Array.init dims (fun _ -> Prng.int_in rng (-3) 3)) (Prng.int_in rng (-3) 3))
+  in
+  enum_identity dom (Array.append fns [| fns.(0) |])
 
 let enum_identity_dense =
-  qtest ~count:60 "streaming = scan (dense 1-D, any chunk, any pool)" gen_1d
-    (enum_identity_prop table_dense)
+  qtest ~count:60 "sweep = scan (dense 1-D, any pool)" gen_1d (enum_identity_prop table_dense)
 
 let enum_identity_sparse =
-  qtest ~count:60 "streaming = scan (sparse 1-D, any chunk, any pool)" gen_1d
-    (enum_identity_prop table_sparse)
+  qtest ~count:60 "sweep = scan (sparse 1-D, any pool)" gen_1d (enum_identity_prop table_sparse)
 
 let enum_identity_ties =
   qtest ~count:100 "sweep = scan (tie-heavy 1-D, any pool)" gen_ties
@@ -134,79 +141,63 @@ let enum_identity_wide =
     (ties_prop (Domain.of_ints [ (-3, 5) ]))
 
 let enum_identity_2d =
-  qtest ~count:25 "streaming = scan (2-D, any chunk, any pool)" gen_2d
-    (enum_identity_prop table_2d)
+  qtest ~count:25 "sweep = scan (2-D, any pool)" gen_2d (enum_identity_prop table_2d)
 
-(* chunk edges: a 1-pair chunk and a chunk bigger than the pair space,
-   for the chunked 2-D probe and the chunk-free 1-D sweep; [chunk = 0]
-   refused either way; the degenerate single-function table (zero
-   pairs, zero chunks) *)
-let test_chunk_edges () =
+let enum_identity_3d =
+  qtest ~count:25 "sweep = scan (3-D, any pool)" gen_3d (enum_identity_prop table_3d)
+
+let enum_identity_ties_2d =
+  qtest ~count:100 "sweep = scan (tie-heavy 2-D, non-unit box)" gen_2d (ties_box_prop 2)
+
+let enum_identity_ties_3d =
+  qtest ~count:40 "sweep = scan (tie-heavy 3-D, non-unit box)" gen_3d (ties_box_prop 3)
+
+(* edge cases in 1-, 2- and 3-D: no function, one function, and
+   several functions none of which cross — parallel, crossing only on
+   the box's boundary, or all identical *)
+let test_edge_cases () =
+  let none name dom fns =
+    let cr = Crossings.enumerate dom fns in
+    same_as_scan name dom cr (Crossings_ref.enumerate dom fns);
+    check Alcotest.int (name ^ ": no crossings") 0 (Crossings.count cr)
+  in
   List.iter
-    (fun t ->
-      let dom = Table.domain t and fns = Table.functions t in
-      let scan = Crossings_ref.enumerate dom fns in
-      same_as_scan "chunk=1" dom (Crossings.enumerate ~chunk:1 dom fns) scan;
-      same_as_scan "chunk>total" dom (Crossings.enumerate ~chunk:10_000 dom fns) scan;
-      Alcotest.check_raises "chunk=0 refused"
-        (Invalid_argument "Crossings.enumerate: chunk must be >= 1") (fun () ->
-          ignore (Crossings.enumerate ~chunk:0 dom fns));
-      let cr = Crossings.enumerate ~chunk:7 dom [| fns.(0) |] in
-      check Alcotest.int "single fn: total" 0 cr.Crossings.total;
-      check Alcotest.int "single fn: crossings" 0 (Crossings.count cr);
-      check Alcotest.int "single fn: chunks" 0 cr.Crossings.chunks)
-    [ table_dense 12 0; table_2d 8 0 ]
+    (fun dims ->
+      let dom = Domain.of_ints (List.init dims (fun _ -> (-1, 2))) in
+      let f c k = Linfun.of_ints (Array.init dims (fun d -> if d = 0 then k else 1)) c in
+      let name s = Printf.sprintf "%d-D %s" dims s in
+      none (name "empty") dom [||];
+      none (name "one function") dom [| f 0 1 |];
+      none (name "parallel") dom (Array.init 6 (fun c -> f c 1));
+      (* x_0 and 2 x_0 + 1 (plus the same other terms) meet at
+         x_0 = -1, on a facet *)
+      none (name "boundary crossing") dom [| f 0 1; f 1 2 |];
+      none (name "identical") dom (Array.make 4 (f 3 2)))
+    [ 1; 2; 3 ]
 
-(* The build counters are deterministic — exact values, with the
-   per-dimension laws. 1-D: classified = crossings = the scan's count,
-   no chunks, peak = crossings. d >= 2: classified = n(n-1)/2,
-   chunks = ceil(total/chunk), peak <= crossings + chunk. Identical
-   ticks whether or not a pool fans the work out — and the reference
-   ticks none of them. *)
-let counters_exact t ~chunk =
+(* The build counter is deterministic — one exact law in every
+   dimension: build_crossings = count = the reference's count, the
+   same ticks whether or not a pool fans the record building out, and
+   the reference ticks nothing. *)
+let counters_exact t =
   let dom = Table.domain t and fns = Table.functions t in
-  let n = Array.length fns in
-  let total = n * (n - 1) / 2 in
-  let scan = Crossings_ref.enumerate dom fns in
-  let k = Crossings.count scan in
+  let k = Crossings.count (Crossings_ref.enumerate dom fns) in
   Metrics.reset ();
-  let cr = Crossings.enumerate ~chunk dom fns in
+  let cr = Crossings.enumerate dom fns in
   let s = Metrics.snapshot () in
   check Alcotest.int "crossings = scan" k (Crossings.count cr);
   check Alcotest.int "crossings counter" k s.Metrics.build_crossings;
-  if Domain.dim dom = 1 then begin
-    check Alcotest.int "1-D: classified = crossings" k s.Metrics.build_pairs_classified;
-    check Alcotest.int "1-D: no chunks" 0 s.Metrics.build_pair_chunks;
-    check Alcotest.int "1-D: peak = crossings" k s.Metrics.build_peak_pairs
-  end
-  else begin
-    check Alcotest.int "classified = n(n-1)/2" total s.Metrics.build_pairs_classified;
-    check Alcotest.int "chunks = ceil(total/chunk)"
-      ((total + chunk - 1) / chunk)
-      s.Metrics.build_pair_chunks;
-    check Alcotest.bool "peak >= first chunk" true
-      (s.Metrics.build_peak_pairs >= min total chunk)
-  end;
-  check Alcotest.bool "peak <= crossings + chunk" true (s.Metrics.build_peak_pairs <= k + chunk);
   Metrics.reset ();
-  ignore (Crossings.enumerate ~chunk ~pool:(Lazy.force par_pool) dom fns);
-  let sp = Metrics.snapshot () in
-  check Alcotest.int "pool: classified" s.Metrics.build_pairs_classified
-    sp.Metrics.build_pairs_classified;
-  check Alcotest.int "pool: chunks" s.Metrics.build_pair_chunks sp.Metrics.build_pair_chunks;
-  check Alcotest.int "pool: crossings" s.Metrics.build_crossings sp.Metrics.build_crossings;
-  check Alcotest.int "pool: peak" s.Metrics.build_peak_pairs sp.Metrics.build_peak_pairs;
+  ignore (Crossings.enumerate ~pool:(Lazy.force par_pool) dom fns);
+  check Alcotest.int "pool: crossings counter" k (Metrics.snapshot ()).Metrics.build_crossings;
   Metrics.reset ();
   ignore (Crossings_ref.enumerate dom fns);
-  let s0 = Metrics.snapshot () in
-  check Alcotest.int "scan ticks no classified" 0 s0.Metrics.build_pairs_classified;
-  check Alcotest.int "scan ticks no chunks" 0 s0.Metrics.build_pair_chunks;
-  check Alcotest.int "scan ticks no crossings" 0 s0.Metrics.build_crossings;
-  check Alcotest.int "scan ticks no peak" 0 s0.Metrics.build_peak_pairs
+  check Alcotest.int "scan ticks no crossings" 0 (Metrics.snapshot ()).Metrics.build_crossings
 
 let test_counters_exact () =
-  counters_exact (table_dense 40 7) ~chunk:100;
-  counters_exact (table_2d 14 7) ~chunk:10
+  counters_exact (table_dense 40 7);
+  counters_exact (table_2d 14 7);
+  counters_exact (table_3d 10 7)
 
 (* Decomposition is insertion-order independent: the shuffled (default)
    and lexicographic insertion orders build different tree shapes but
@@ -256,6 +247,32 @@ let test_full_build_identity () =
         ])
     [ ("one", Ifmh.One_signature); ("multi", Ifmh.Multi_signature) ]
 
+(* d >= 2 byte identity against fixed constants, not just seq == par:
+   the SHA-256 of [Ifmh.save] for seeded 2-D (one of them tie-heavy)
+   and 3-D tables under both schemes. Any change to which pairs cross,
+   their order, the insertion shuffle or the serialization shows
+   here. *)
+let test_pinned_dims () =
+  let sha s = hex (Aqv_crypto.Sha256.digest s) in
+  List.iter
+    (fun (name, table, scheme, expect) ->
+      let index = Ifmh.build ~scheme table (Lazy.force keypair) in
+      check Alcotest.string name expect (sha (save_bytes index)))
+    [
+      ("2d/one", table_2d 12 3, Ifmh.One_signature,
+        "e0851b5bddb25d25263772324d9c75fd04b53ad67f9ec6c36509f6b674c0f0cc" );
+      ("2d/multi", table_2d 12 3, Ifmh.Multi_signature,
+        "ab4ebd3db86118df3e452b70cbfe5703c52e1194a82baf1112af8d1c22ac31a6" );
+      ("2d-ties/one", table_2d_ties 10 3, Ifmh.One_signature,
+        "76dc0000dffbbd1b4642c1db6bf23a7a40914a546cd86d049aa7e42407318726" );
+      ("2d-ties/multi", table_2d_ties 10 3, Ifmh.Multi_signature,
+        "f758d004ee7542647862b9728bb54e48cf3e2770c632c34d8022071c4329fc8f" );
+      ("3d/one", table_3d 8 3, Ifmh.One_signature,
+        "ca9c3502b4e2fac3c46497ab52301a1f04360ae0cac96f0bf7863d4b80c682d3" );
+      ("3d/multi", table_3d 8 3, Ifmh.Multi_signature,
+        "52afa2906e31509de143f79c42308ec6ca6eb8094b9a8a1bb0bd1e8575ef8455" );
+    ]
+
 let () =
   Alcotest.run "aqv_build"
     [
@@ -266,7 +283,10 @@ let () =
           enum_identity_ties;
           enum_identity_wide;
           enum_identity_2d;
-          Alcotest.test_case "chunk edges" `Quick test_chunk_edges;
+          enum_identity_3d;
+          enum_identity_ties_2d;
+          enum_identity_ties_3d;
+          Alcotest.test_case "edge cases" `Quick test_edge_cases;
         ] );
       ( "counters",
         [
@@ -276,5 +296,6 @@ let () =
         [
           Alcotest.test_case "insertion-order independence" `Quick test_order_independence;
           Alcotest.test_case "full build identity across pools" `Quick test_full_build_identity;
+          Alcotest.test_case "pinned sha256 (2-D, 3-D)" `Quick test_pinned_dims;
         ] );
     ]
