@@ -246,17 +246,12 @@ let fig5c () =
 
 (* ------------------------------ Fig 6 ------------------------------- *)
 
-(* Cold columns serve through [Ifmh.without_fragment_cache], i.e. the
-   pre-cache read path — so the numbers do not depend on which figures
-   ran earlier in the same process. Warm columns run the identical
-   (same-seed) query set twice against a fresh per-row fragment cache
-   and report the second pass, plus that cache's hit/miss counters.
-   Locate columns average the point-location sign tests at the same
+(* Locate columns average the point-location sign tests at the same
    query points: binary search vs the linear-scan reference. *)
 let server_cost_figure ~id ~title ~make_query () =
   header title;
-  row "%8s %6s %10s %10s %10s %9s %10s %8s %9s %10s\n" "n" "S" "mesh" "one-sig"
-    "multi-sig" "one-warm" "multi-warm" "loc-bin" "loc-scan" "frag-h/m";
+  row "%8s %6s %10s %10s %10s %8s %9s\n" "n" "S" "mesh" "one-sig" "multi-sig"
+    "loc-bin" "loc-scan";
   List.iter
     (fun n ->
       let n = scaled n in
@@ -264,18 +259,8 @@ let server_cost_figure ~id ~title ~make_query () =
       let s = Mesh.subdomain_count c.mesh in
       let mk = make_query c.table in
       let mesh = avg_server_cost (Mesh.answer c.mesh) mk in
-      let one = avg_server_cost (Server.answer (Ifmh.without_fragment_cache c.one)) mk in
-      let multi =
-        avg_server_cost (Server.answer (Ifmh.without_fragment_cache c.multi)) mk
-      in
-      let warm index =
-        let idx = Ifmh.drop_fragment_cache index in
-        ignore (avg_server_cost (Server.answer idx) mk);
-        let cost = avg_server_cost (Server.answer idx) mk in
-        (cost, Fragment.counters (Ifmh.fragments idx))
-      in
-      let one_warm, _ = warm c.one in
-      let multi_warm, (fh, fm) = warm c.multi in
+      let one = avg_server_cost (Server.answer c.one) mk in
+      let multi = avg_server_cost (Server.answer c.multi) mk in
       let locate_cost locate =
         let rng = query_rng () in
         let total = ref 0 in
@@ -289,8 +274,8 @@ let server_cost_figure ~id ~title ~make_query () =
       in
       let loc_bin = locate_cost Mesh.locate_cell in
       let loc_scan = locate_cost Mesh_ref.locate_cell_scan in
-      row "%8d %6d %10.1f %10.1f %10.1f %9.1f %10.1f %8.1f %9.1f %6d/%-5d\n%!" n s
-        mesh one multi one_warm multi_warm loc_bin loc_scan fh fm;
+      row "%8d %6d %10.1f %10.1f %10.1f %8.1f %9.1f\n%!" n s mesh one multi loc_bin
+        loc_scan;
       json_add
         [
           ("figure", J_str id);
@@ -299,12 +284,8 @@ let server_cost_figure ~id ~title ~make_query () =
           ("mesh_cost", J_num mesh);
           ("one_sig_cost", J_num one);
           ("multi_sig_cost", J_num multi);
-          ("one_sig_warm_cost", J_num one_warm);
-          ("multi_sig_warm_cost", J_num multi_warm);
           ("locate_sign_tests_binary", J_num loc_bin);
           ("locate_sign_tests_scan", J_num loc_scan);
-          ("frag_hits", J_int fh);
-          ("frag_misses", J_int fm);
         ])
     [ 100; 200; 300; 400; 500 ]
 
@@ -342,15 +323,13 @@ let fig6d () =
   row "(n = %d)\n" n;
   row "%8s %12s %14s %14s\n" "|q|" "mesh" "one-sig" "multi-sig";
   let c = ctx_of n in
-  let one = Ifmh.without_fragment_cache c.one in
-  let multi = Ifmh.without_fragment_cache c.multi in
   List.iter
     (fun frac ->
       let size = max 1 (n * frac / 100) in
       let mk = range_query size in
       let mesh_c = avg_server_cost (Mesh.answer c.mesh) (mk c.table) in
-      let one_c = avg_server_cost (Server.answer one) (mk c.table) in
-      let multi_c = avg_server_cost (Server.answer multi) (mk c.table) in
+      let one_c = avg_server_cost (Server.answer c.one) (mk c.table) in
+      let multi_c = avg_server_cost (Server.answer c.multi) (mk c.table) in
       row "%8d %12.1f %14.1f %14.1f\n%!" size mesh_c one_c multi_c)
     [ 10; 20; 40; 60; 80; 100 ]
 
@@ -614,7 +593,6 @@ let ext_2d () =
       in
       let multi = Ifmh.build ~scheme:Ifmh.Multi_signature table dry_signer in
       let cost index =
-        let index = Ifmh.without_fragment_cache index in
         let rng = query_rng () in
         let total = ref 0 in
         for _ = 1 to 20 do
@@ -872,15 +850,12 @@ let abl_recovery () =
       (Printf.sprintf "abl-recovery: recovery cost grew super-linearly: %.2fx over 16 frames"
          ratio)
 
-(* Serving fast paths, with CI-guarded deterministic counters: point
-   location must grow sub-linearly in the subdomain count S (binary
-   search sign tests vs the linear-scan reference), and the VO fragment
-   cache must keep a nonzero hit rate across a republish (window and
-   constraint fragments not touching the modified record survive the
-   content-keyed purge). Sign tests and fragment counters are
-   deterministic, so the guards are immune to runner noise. *)
-let abl_serve_frag () =
-  header "Ablation — serving fast paths: O(log S) location + fragment cache";
+(* Point location, with a CI-guarded deterministic counter: it must grow
+   sub-linearly in the subdomain count S (binary search sign tests vs
+   the linear-scan reference, and the I-tree descent). Sign tests are
+   deterministic, so the guard is immune to runner noise. *)
+let abl_serve_locate () =
+  header "Ablation — serving: O(log S) point location";
   let probes = 64 in
   row "(location: %d evenly spaced probes; sign tests are deterministic)\n" probes;
   row "%8s %8s | %10s %10s %8s | %10s\n" "n" "S" "mesh-bin" "mesh-scan" "ratio"
@@ -909,7 +884,7 @@ let abl_serve_frag () =
       it;
     json_add
       [
-        ("figure", J_str "abl-serve-frag");
+        ("figure", J_str "abl-serve-locate");
         ("series", J_str "location");
         ("n", J_int n);
         ("subdomains", J_int s);
@@ -925,63 +900,18 @@ let abl_serve_frag () =
   let s_big, bin_big, it_big = location 36 in
   if s_big < 8 * s_small then
     failwith
-      (Printf.sprintf "abl-serve-frag: S grew only %dx (%d -> %d), guard needs >= 8x"
+      (Printf.sprintf "abl-serve-locate: S grew only %dx (%d -> %d), guard needs >= 8x"
          (s_big / max 1 s_small) s_small s_big);
   let ratio name small big =
     let r = float_of_int big /. float_of_int small in
     row "%s sign tests: S %dx -> cost %.2fx\n%!" name (s_big / s_small) r;
     if r >= 3.0 then
       failwith
-        (Printf.sprintf "abl-serve-frag: %s location cost grew %.2fx over %dx subdomains"
+        (Printf.sprintf "abl-serve-locate: %s location cost grew %.2fx over %dx subdomains"
            name r (s_big / s_small))
   in
   ratio "mesh" bin_small bin_big;
-  ratio "itree" it_small it_big;
-  (* fragment cache across a republish: warm a fresh cache with a query
-     set, modify one record through Ifmh.apply (which purges only the
-     dirtied fragments), re-serve the same queries *)
-  let n = scaled 200 in
-  let table = table_of n in
-  row "(republish: n = %d, %d warm queries, 1-record Modify)\n" n
-    queries_per_point;
-  row "%-12s %10s %10s %10s\n" "scheme" "hits" "misses" "hit-rate";
-  List.iter
-    (fun (name, scheme) ->
-      let index = Ifmh.build ~scheme table dry_signer in
-      let rng = query_rng () in
-      let queries =
-        Array.init queries_per_point (fun _ -> topk_query 3 table rng)
-      in
-      Array.iter (fun q -> ignore (Server.answer index q)) queries;
-      let changes =
-        [
-          Update.Modify
-            (Aqv_db.Record.make ~id:0 ~attrs:[| Q.of_int 3; Q.of_int 1 |] ());
-        ]
-      in
-      let updated = Ifmh.apply dry_signer changes index in
-      let h0, m0 = Fragment.counters (Ifmh.fragments updated) in
-      Array.iter (fun q -> ignore (Server.answer updated q)) queries;
-      let h1, m1 = Fragment.counters (Ifmh.fragments updated) in
-      let hits = h1 - h0 and misses = m1 - m0 in
-      let rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-      row "%-12s %10d %10d %10.2f\n%!" name hits misses rate;
-      json_add
-        [
-          ("figure", J_str "abl-serve-frag");
-          ("series", J_str "republish");
-          ("scheme", J_str name);
-          ("n", J_int n);
-          ("queries", J_int queries_per_point);
-          ("frag_hits_post_republish", J_int hits);
-          ("frag_misses_post_republish", J_int misses);
-          ("post_republish_hit_rate", J_num rate);
-        ];
-      if hits = 0 then
-        failwith
-          (Printf.sprintf
-             "abl-serve-frag: %s post-republish fragment hit rate is zero" name))
-    [ ("one-sig", Ifmh.One_signature); ("multi-sig", Ifmh.Multi_signature) ]
+  ratio "itree" it_small it_big
 
 (* Crossing enumeration at scale. Every dimension runs the same
    antipodal-corner inversion sweep, and only crossing pairs ever get a
@@ -1149,15 +1079,7 @@ let micro_tests () =
     Test.make ~name:"rsa512-verify" (Staged.stage (fun () -> kp.Signer.verify d sig_rsa));
     Test.make ~name:"dsa-verify" (Staged.stage (fun () -> kpd.Signer.verify d sig_dsa));
     Test.make ~name:"itree-locate" (Staged.stage (fun () -> Itree.locate (Ifmh.itree c.one) x));
-    Test.make ~name:"ifmh-answer-top3"
-      (Staged.stage
-         (let cold = Ifmh.without_fragment_cache c.one in
-          fun () -> Server.answer cold q3));
-    Test.make ~name:"ifmh-answer-top3-warm"
-      (Staged.stage
-         (let warm = Ifmh.drop_fragment_cache c.one in
-          ignore (Server.answer warm q3);
-          fun () -> Server.answer warm q3));
+    Test.make ~name:"ifmh-answer-top3" (Staged.stage (fun () -> Server.answer c.one q3));
     Test.make ~name:"mesh-answer-top3" (Staged.stage (fun () -> Mesh.answer c.mesh q3));
     Test.make ~name:"client-verify-top3"
       (Staged.stage (fun () ->
@@ -1228,7 +1150,7 @@ let figures =
     ("abl-count", abl_count);
     ("abl-update", abl_update);
     ("abl-recovery", abl_recovery);
-    ("abl-serve-frag", abl_serve_frag);
+    ("abl-serve-locate", abl_serve_locate);
     ("abl-build-scale", abl_build_scale);
     ("ext-2d", ext_2d);
   ]
@@ -1246,7 +1168,7 @@ let () =
       find args
     in
     let only = find_arg "--only" in
-    (* --only accepts a comma-separated list: --only fig6a,abl-serve-frag *)
+    (* --only accepts a comma-separated list: --only fig6a,abl-serve-locate *)
     let wanted id =
       match only with
       | None -> true

@@ -328,7 +328,6 @@ let run_fsck dir json =
     else Printf.printf "fsck %s: FAILED\n  %s\n" dir (Store_error.to_string e);
     exit 1
   | Ok r when json ->
-    let m = Aqv_util.Metrics.snapshot () in
     print_endline
       (json_value
          (jO [
@@ -342,8 +341,6 @@ let run_fsck dir json =
               ("replayed", jI r.Store.r_replayed);
               ("skipped", jI r.Store.r_skipped);
               ("frames_coalesced", jI r.Store.r_replayed);
-              ("frag_hits", jI m.Aqv_util.Metrics.frag_hits);
-              ("frag_misses", jI m.Aqv_util.Metrics.frag_misses);
               ("final_epoch", jI r.Store.r_final_epoch);
               ("torn_tail_bytes", jI r.Store.r_torn_tail_bytes);
             ]))
@@ -356,9 +353,6 @@ let run_fsck dir json =
       r.Store.r_log_frames r.Store.r_replayed r.Store.r_skipped;
     Printf.printf "  replay          %d frame(s) coalesced into one rebuild\n"
       r.Store.r_replayed;
-    (let m = Aqv_util.Metrics.snapshot () in
-     Printf.printf "  fragment cache  %d hit(s) / %d miss(es) (replay serves no VOs)\n"
-       m.Aqv_util.Metrics.frag_hits m.Aqv_util.Metrics.frag_misses);
     Printf.printf "  final epoch     %d\n" r.Store.r_final_epoch;
     if r.Store.r_torn_tail_bytes > 0 then
       Printf.printf "  torn tail       %d byte(s), truncated on next serve\n"
@@ -585,35 +579,18 @@ let run_workload spec_path replicas_override seed_override json_path =
           spec.Spec.republishes - Histogram.count repub_hist - !repub_failures
         in
         if missing > 0 then repub_failures := !repub_failures + missing;
-        (* post-republish probe: replay client 0 against the primary
-           directly (not the router), so the fragment gauges measure
-           one engine's warmed cache — untimed, outside the SLO window *)
-        if spec.Spec.republishes > 0 then ignore (replay ~port:primary_port 0);
         engine)
   in
   let wall = !wall in
   let hist = Array.fold_left Histogram.merge (Histogram.create ()) hists in
   let total = spec.Spec.clients * spec.Spec.requests_per_client in
   let stats = Engine.stats engine in
-  Engine.refresh_frag_stats engine;
-  let frag_rate hits misses =
-    float_of_int hits /. float_of_int (max 1 (hits + misses))
-  in
-  let post_frag =
-    if spec.Spec.republishes > 0 then
-      Some
-        (frag_rate
-           (Stats.get stats "frag_hits_post_republish")
-           (Stats.get stats "frag_misses_post_republish"))
-    else None
-  in
   let measured =
     {
       Spec.throughput_rps = float_of_int total /. wall;
       p50_us = Histogram.percentile_permille hist 500;
       p99_us = Histogram.percentile_permille hist 990;
       p999_us = Histogram.percentile_permille hist 999;
-      post_republish_frag_hit_rate = post_frag;
     }
   in
   let violations = Spec.evaluate_slo spec.Spec.slo measured in
@@ -642,11 +619,6 @@ let run_workload spec_path replicas_override seed_override json_path =
           (fun l ->
             row "p999_us_max" (float_of_int l) (float_of_int measured.Spec.p999_us))
           spec.Spec.slo.Spec.p999_us_max;
-        Option.map
-          (fun l ->
-            row "min_post_republish_frag_hit_rate" l
-              (Option.value post_frag ~default:0.))
-          spec.Spec.slo.Spec.min_post_republish_frag_hit_rate;
       ]
   in
   let topk, range, knn = Workload.Trace.op_counts trace in
@@ -665,11 +637,7 @@ let run_workload spec_path replicas_override seed_override json_path =
       "  republish   %d acked at %.1f Hz open-loop, latency us p50=%d p99=%d\n"
       (Histogram.count repub_hist) spec.Spec.republish_rate_hz
       (Histogram.percentile repub_hist 50)
-      (Histogram.percentile repub_hist 99);
-    Printf.printf "  fragments   %d hits / %d misses post-republish (hit rate %.2f)\n"
-      (Stats.get stats "frag_hits_post_republish")
-      (Stats.get stats "frag_misses_post_republish")
-      (Option.value post_frag ~default:0.)
+      (Histogram.percentile repub_hist 99)
   end;
   if replica_counts <> [] then
     List.iter
@@ -711,12 +679,6 @@ let run_workload spec_path replicas_override seed_override json_path =
                       ("republished", jI (Histogram.count repub_hist));
                       ("republish_us_p50", jI (Histogram.percentile repub_hist 50));
                       ("republish_us_p99", jI (Histogram.percentile repub_hist 99));
-                      ( "frag_hits_post_republish",
-                        jI (Stats.get stats "frag_hits_post_republish") );
-                      ( "frag_misses_post_republish",
-                        jI (Stats.get stats "frag_misses_post_republish") );
-                      ( "post_republish_frag_hit_rate",
-                        jF (Option.value post_frag ~default:0.) );
                       ("deltas_shipped", jI (Stats.get stats "deltas_shipped"));
                       ( "per_replica",
                         jO (List.map (fun (n, c) -> (n, jI c)) replica_counts) );

@@ -29,11 +29,6 @@ type t = {
           attaches signatures by leaf id and never needs them, until
           something asks: then one walk fills it. Racing domains each
           compute the same array, so whichever write lands is right. *)
-  frags : Fragment.t;
-      (** content-addressed VO fragment cache consulted by [Server]
-          assembly; carried (same object) across [apply] so fragments
-          of untouched records keep hitting after a republish — sound
-          because keys commit full content, never structure *)
 }
 
 let scheme t = t.scheme
@@ -42,10 +37,6 @@ let signature_size t = t.signature_size
 let table t = t.table
 let itree t = t.itree
 let sorting t = t.sorting
-let fragments t = t.frags
-let record_digest t pos = t.rdig.(pos)
-let drop_fragment_cache t = { t with frags = Fragment.create () }
-let without_fragment_cache t = { t with frags = Fragment.disabled () }
 
 let root_signature t =
   match t.root_signature with
@@ -228,7 +219,7 @@ type signatures =
   | Sign of (string -> string)
   | Attach of { root : string option; leaves : string array }
 
-let assemble ~scheme ~seed ~epoch ~signature_size ~pool ~frags table itree sorting
+let assemble ~scheme ~seed ~epoch ~signature_size ~pool table itree sorting
     rdig signatures =
   let n_leaves = Table.size table + 2 in
   let index ~root_signature ~leaf_signatures ~leaf_digests =
@@ -244,7 +235,6 @@ let assemble ~scheme ~seed ~epoch ~signature_size ~pool ~frags table itree sorti
       root_signature;
       leaf_signatures;
       leaf_digests = Atomic.make leaf_digests;
-      frags;
     }
   in
   match scheme with
@@ -306,29 +296,15 @@ let build ?(seed = default_seed) ?(epoch = 0) ?pool ~scheme table keypair =
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
   let itree, sorting, rdig = build_structure ~seed ~pool table in
   assemble ~scheme ~seed ~epoch ~signature_size:keypair.Signer.signature_size ~pool
-    ~frags:(Fragment.create ()) table itree sorting rdig (Sign keypair.Signer.sign)
+    table itree sorting rdig (Sign keypair.Signer.sign)
 
 (* ---------------------- incremental maintenance --------------------- *)
-
-(* Fragments dirtied by a change list: entries naming a changed record
-   id, plus everything committing the whole structure. Purged from the
-   carried cache on every apply path — content keys make stale entries
-   unreachable anyway; the purge just frees their slots promptly. *)
-let purge_fragments t changes =
-  Fragment.purge t.frags
-    ~ids:
-      (List.map
-         (function
-           | Update.Insert r | Update.Modify r -> Record.id r
-           | Update.Delete id -> id)
-         changes)
 
 let apply ?epoch ?pool keypair changes t =
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
   let epoch = match epoch with Some e -> e | None -> t.epoch + 1 in
   if epoch < t.epoch then invalid_arg "Ifmh.apply: epoch must not decrease";
   let table = Update.apply_table changes t.table in
-  purge_fragments t changes;
   let itree, sorting, rdig = build_structure ~seed:t.seed ~prev:t ~pool table in
   (* Deterministic signing (PKCS#1-style RSA padding, RFC-6979-style DSA
      nonces) makes signature reuse sound: same digest, same bytes. Only
@@ -346,8 +322,8 @@ let apply ?epoch ?pool keypair changes t =
     match Hashtbl.find_opt cache d with Some s -> s | None -> keypair.Signer.sign d
   in
   assemble ~scheme:t.scheme ~seed:t.seed ~epoch
-    ~signature_size:keypair.Signer.signature_size ~pool ~frags:t.frags table itree
-    sorting rdig (Sign sign)
+    ~signature_size:keypair.Signer.signature_size ~pool table itree sorting rdig
+    (Sign sign)
 
 let insert ?epoch ?pool keypair r t = apply ?epoch ?pool keypair [ Update.Insert r ] t
 let delete ?epoch ?pool keypair id t = apply ?epoch ?pool keypair [ Update.Delete id ] t
@@ -407,12 +383,11 @@ let apply_delta ?pool (d : delta) (t : t) =
     | table -> table
     | exception Invalid_argument m -> failwith ("Ifmh.apply_delta: " ^ m)
   in
-  purge_fragments t d.changes;
   let itree, sorting, rdig = build_structure ~seed:t.seed ~prev:t ~pool table in
   if t.scheme = Multi_signature && Array.length d.leaf_signatures <> Itree.leaf_count itree
   then failwith "Ifmh.apply_delta: signature count mismatch";
   assemble ~scheme:t.scheme ~seed:t.seed ~epoch:d.epoch ~signature_size:t.signature_size
-    ~pool ~frags:t.frags table itree sorting rdig
+    ~pool table itree sorting rdig
     (Attach { root = d.root_signature; leaves = d.leaf_signatures })
 
 (* --------------------------- persistence --------------------------- *)
@@ -464,8 +439,7 @@ let load ?pool r =
   let itree, sorting, rdig = build_structure ~seed ~pool table in
   if scheme = Multi_signature && Array.length leaf_signatures <> Itree.leaf_count itree then
     failwith "Ifmh.load: signature count mismatch";
-  assemble ~scheme ~seed ~epoch ~signature_size ~pool ~frags:(Fragment.create ()) table
-    itree sorting rdig
+  assemble ~scheme ~seed ~epoch ~signature_size ~pool table itree sorting rdig
     (Attach { root = root_signature; leaves = leaf_signatures })
 
 type build_stats = {

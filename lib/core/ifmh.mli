@@ -98,28 +98,6 @@ val modify :
   ?epoch:int -> ?pool:Aqv_par.Pool.pool -> Aqv_crypto.Signer.keypair ->
   Aqv_db.Record.t -> t -> t
 
-val fragments : t -> Fragment.t
-(** The VO fragment cache {!Server} assembly consults. Fresh (and
-    empty) after {!build} and {!load}; carried — same object — across
-    {!apply} and {!apply_delta}, with entries dirtied by the change
-    list purged, so fragments of untouched records keep hitting after a
-    republish. *)
-
-val record_digest : t -> int -> string
-(** The cached digest of the record at the given {e table position}
-    (the per-build digest array; positions are what {!Sorting} orders
-    hold). *)
-
-val drop_fragment_cache : t -> t
-(** The same index with a fresh, empty fragment cache: the next answers
-    assemble every fragment from scratch. Dropping never changes served
-    bytes — tests use this to assert cached == cache-cold identity. *)
-
-val without_fragment_cache : t -> t
-(** The same index with the fragment cache {e disabled} (capacity 0):
-    lookups always miss and nothing is stored — the reference
-    configuration the byte-identity qcheck compares against. *)
-
 type delta
 (** What the owner ships to the storage server after an {!apply}: the
     change list, the new epoch, and the new signatures. The server

@@ -10,60 +10,22 @@ type response = { result : Aqv_db.Record.t list; vo : Vo.t }
 
 (* Build the response for a window (in FMH coordinates, sentinel at 0)
    inside the located leaf: boundary records, FMH range proof, and the
-   scheme-dependent subdomain proof. Shared by [answer] and [rank].
-
-   Every piece goes through the index's [Fragment] cache, keyed by the
-   full content it is a function of (record digests, window position,
-   FMH root, sibling hashes) — so a hit returns exactly the bytes a
-   cold assembly would build, and window fragments keep hitting across
-   republishes that did not touch their records. The epoch-dependent VO
-   fields (epoch, [n_leaves], signature) are always taken from the live
-   index. On a miss, the build ticks the same node-visit counters as an
-   uncached assembly. *)
+   scheme-dependent subdomain proof, all read straight off the index.
+   Shared by [answer] and [rank]. *)
 let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
   let table = Ifmh.table index in
-  let frags = Ifmh.fragments index in
   let order = lists.Sorting.order in
   let n = Pvec.length order in
-  let digest_at pos = Ifmh.record_digest index (Pvec.get order (pos - 1)) in
   let record_at pos =
     Aqv_util.Metrics.add_fmh_nodes 1;
     Table.record table (Pvec.get order (pos - 1))
   in
-  let left_d = if wlo - 1 = 0 then Record.min_sentinel_digest else digest_at (wlo - 1) in
-  let right_d =
-    if whi + 1 = n + 1 then Record.max_sentinel_digest else digest_at (whi + 1)
+  let left = if wlo - 1 = 0 then Vo.Min_sentinel else Vo.Boundary_record (record_at (wlo - 1)) in
+  let right =
+    if whi + 1 = n + 1 then Vo.Max_sentinel else Vo.Boundary_record (record_at (whi + 1))
   in
-  let result_d = List.init (whi - wlo + 1) (fun k -> digest_at (wlo + k)) in
-  let wkey = Fragment.window_key ~window_lo:wlo ~left:left_d ~result:result_d ~right:right_d in
-  let win =
-    match Fragment.find frags wkey with
-    | Some (Fragment.Window w) -> w
-    | Some _ -> assert false (* the key's kind tag rules this out *)
-    | None ->
-      let left =
-        if wlo - 1 = 0 then Vo.Min_sentinel else Vo.Boundary_record (record_at (wlo - 1))
-      in
-      let right =
-        if whi + 1 = n + 1 then Vo.Max_sentinel else Vo.Boundary_record (record_at (whi + 1))
-      in
-      let result = List.init (whi - wlo + 1) (fun k -> record_at (wlo + k)) in
-      let w = { Fragment.left; right; result } in
-      Fragment.add frags wkey (Fragment.Window w);
-      w
-  in
-  let rkey =
-    Fragment.range_key ~fmh_root:(Mht.root lists.Sorting.fmh) ~lo:(wlo - 1) ~hi:(whi + 1)
-  in
-  let fmh_proof =
-    match Fragment.find frags rkey with
-    | Some (Fragment.Range p) -> p
-    | Some _ -> assert false
-    | None ->
-      let p = Mht.range_proof lists.Sorting.fmh ~lo:(wlo - 1) ~hi:(whi + 1) in
-      Fragment.add frags rkey (Fragment.Range p);
-      p
-  in
+  let result = List.init (whi - wlo + 1) (fun k -> record_at (wlo + k)) in
+  let fmh_proof = Mht.range_proof lists.Sorting.fmh ~lo:(wlo - 1) ~hi:(whi + 1) in
   let subdomain, signature =
     match Ifmh.scheme index with
     | Ifmh.One_signature ->
@@ -71,92 +33,45 @@ let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
       (* Annotate the descent root-first. [taken] is structural — which
          child the path continues through — which is exactly the side
          the sign test in [Itree.locate] routed to. *)
-      let annotated =
-        let rec go = function
-          | [] -> []
-          | (node : Itree.node) :: rest ->
-            let next = match rest with n :: _ -> n | [] -> leaf_node in
-            (match node.Itree.kind with
-            | Itree.Leaf _ -> assert false
-            | Itree.Inode inode ->
-              let taken =
-                if inode.Itree.above == next then Halfspace.Above else Halfspace.Below
-              in
-              let sibling =
-                match taken with
-                | Halfspace.Above -> inode.Itree.below.Itree.h
-                | Halfspace.Below -> inode.Itree.above.Itree.h
-              in
-              (inode, taken, sibling) :: go rest)
-        in
-        go path_nodes
+      let rec steps = function
+        | [] -> []
+        | (node : Itree.node) :: rest ->
+          let next = match rest with n :: _ -> n | [] -> leaf_node in
+          (match node.Itree.kind with
+          | Itree.Leaf _ -> assert false
+          | Itree.Inode inode ->
+            let taken, sibling =
+              if inode.Itree.above == next then (Halfspace.Above, inode.Itree.below.Itree.h)
+              else (Halfspace.Below, inode.Itree.above.Itree.h)
+            in
+            (* fetching the sibling hash revisits the node *)
+            Aqv_util.Metrics.add_itree_nodes 1;
+            {
+              Vo.rp = Table.record table inode.Itree.i;
+              rq = Table.record table inode.Itree.j;
+              taken;
+              sibling;
+            }
+            :: steps rest)
       in
-      let pkey =
-        Fragment.one_sig_key
-          (List.map
-             (fun ((inode : Itree.inode), taken, sibling) ->
-               ( Ifmh.record_digest index inode.Itree.i,
-                 Ifmh.record_digest index inode.Itree.j,
-                 taken,
-                 sibling ))
-             annotated)
-      in
-      let proof =
-        match Fragment.find frags pkey with
-        | Some (Fragment.Proof p) -> p
-        | Some _ -> assert false
-        | None ->
-          let steps =
-            List.rev_map
-              (fun ((inode : Itree.inode), taken, sibling) ->
-                (* fetching the sibling hash revisits the node *)
-                Aqv_util.Metrics.add_itree_nodes 1;
-                {
-                  Vo.rp = Table.record table inode.Itree.i;
-                  rq = Table.record table inode.Itree.j;
-                  taken;
-                  sibling;
-                })
-              annotated
-          in
-          let p = Vo.One_sig_path steps in
-          Fragment.add frags pkey (Fragment.Proof p);
-          p
-      in
-      (proof, Ifmh.root_signature index)
+      (Vo.One_sig_path (List.rev (steps path_nodes)), Ifmh.root_signature index)
     | Ifmh.Multi_signature ->
-      let pkey =
-        Fragment.multi_sig_key
-          (List.rev_map
-             (fun (i, j, side) ->
-               (Ifmh.record_digest index i, Ifmh.record_digest index j, side))
-             leaf.Itree.cons)
+      let cons =
+        List.rev_map
+          (fun (i, j, side) -> (Table.record table i, Table.record table j, side))
+          leaf.Itree.cons
       in
-      let proof =
-        match Fragment.find frags pkey with
-        | Some (Fragment.Proof p) -> p
-        | Some _ -> assert false
-        | None ->
-          let cons =
-            List.rev_map
-              (fun (i, j, side) -> (Table.record table i, Table.record table j, side))
-              leaf.Itree.cons
-          in
-          let p = Vo.Multi_sig_constraints cons in
-          Fragment.add frags pkey (Fragment.Proof p);
-          p
-      in
-      (proof, Ifmh.leaf_signature index leaf.Itree.id)
+      (Vo.Multi_sig_constraints cons, Ifmh.leaf_signature index leaf.Itree.id)
   in
   {
-    result = win.Fragment.result;
+    result;
     vo =
       {
         Vo.n_leaves = n + 2;
         epoch = Ifmh.epoch index;
         window_lo = wlo;
-        left = win.Fragment.left;
-        right = win.Fragment.right;
+        left;
+        right;
         fmh_proof;
         subdomain;
         signature;

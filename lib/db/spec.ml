@@ -108,15 +108,14 @@ let validate (s : t) =
   let* () = check (s.replicas >= 1 && s.replicas <= 8) "replicas" "must be in [1, 8]" in
   let* () =
     check
-      (s.slo.min_post_republish_frag_hit_rate = None || s.republishes >= 1)
+      (s.slo.min_post_republish_frag_hit_rate = None)
       "slo.min_post_republish_frag_hit_rate"
-      "requires republishes >= 1"
+      "is retired: the VO fragment cache it measured is gone"
   in
   let* () =
     check
       (s.slo.min_throughput_rps <> None || s.slo.p50_us_max <> None
-     || s.slo.p99_us_max <> None || s.slo.p999_us_max <> None
-      || s.slo.min_post_republish_frag_hit_rate <> None)
+     || s.slo.p99_us_max <> None || s.slo.p999_us_max <> None)
       "slo" "must declare at least one bound"
   in
   Ok s
@@ -189,9 +188,6 @@ let parse_slo v =
     let* p50_us_max = opt_of "p50_us_max" Json.to_int "an integer" in
     let* p99_us_max = opt_of "p99_us_max" Json.to_int "an integer" in
     let* p999_us_max = opt_of "p999_us_max" Json.to_int "an integer" in
-    let* min_post_republish_frag_hit_rate =
-      opt_of "min_post_republish_frag_hit_rate" Json.to_float "a number"
-    in
     let* () =
       match fields.assoc with
       | [] -> Ok ()
@@ -203,7 +199,7 @@ let parse_slo v =
         p50_us_max;
         p99_us_max;
         p999_us_max;
-        min_post_republish_frag_hit_rate;
+        min_post_republish_frag_hit_rate = None;
       }
 
 let of_json json =
@@ -284,8 +280,6 @@ let to_json (s : t) =
         ("p50_us_max", Option.map (fun x -> Json.Int x) s.slo.p50_us_max);
         ("p99_us_max", Option.map (fun x -> Json.Int x) s.slo.p99_us_max);
         ("p999_us_max", Option.map (fun x -> Json.Int x) s.slo.p999_us_max);
-        ( "min_post_republish_frag_hit_rate",
-          Option.map (fun x -> Json.Float x) s.slo.min_post_republish_frag_hit_rate );
       ]
   in
   Json.Obj
@@ -321,7 +315,6 @@ type measured = {
   p50_us : int;
   p99_us : int;
   p999_us : int;
-  post_republish_frag_hit_rate : float option;
 }
 
 type violation = { bound : string; limit : float; actual : float }
@@ -338,9 +331,4 @@ let evaluate_slo (slo : slo) (m : measured) =
   Option.iter (fun lim -> ceiling "p50_us_max" lim m.p50_us) slo.p50_us_max;
   Option.iter (fun lim -> ceiling "p99_us_max" lim m.p99_us) slo.p99_us_max;
   Option.iter (fun lim -> ceiling "p999_us_max" lim m.p999_us) slo.p999_us_max;
-  (match slo.min_post_republish_frag_hit_rate with
-  | Some lim ->
-    let actual = Option.value m.post_republish_frag_hit_rate ~default:0. in
-    if actual < lim then violated "min_post_republish_frag_hit_rate" lim actual
-  | None -> ());
   List.rev !acc

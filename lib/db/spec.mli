@@ -28,7 +28,10 @@ type slo = {
   p99_us_max : int option;
   p999_us_max : int option;
   min_post_republish_frag_hit_rate : float option;
-      (** Requires [republishes >= 1] (validated). *)
+      (** Retired with the VO fragment cache it measured: {!validate}
+          refuses any [Some _] and {!of_json} reads no such key. The
+          field stays only while the benchmark harness builds the
+          record. *)
 }
 (** Declared objectives; every bound is optional but a spec must
     declare at least one. Latency ceilings are integer microseconds,
@@ -93,8 +96,6 @@ type measured = {
   p50_us : int;
   p99_us : int;
   p999_us : int;
-  post_republish_frag_hit_rate : float option;
-      (** [None] when the run drove no republishes. *)
 }
 (** The numbers a run produced, decoupled from how they were measured:
     the gate below is a pure function of this record, so its verdict is
@@ -105,5 +106,4 @@ type violation = { bound : string; limit : float; actual : float }
 
 val evaluate_slo : slo -> measured -> violation list
 (** Pure: no clock, no I/O, deterministic in its arguments. Empty means
-    the gate passes. A declared [min_post_republish_frag_hit_rate]
-    against a run with no republish measurement reads as actual 0. *)
+    the gate passes. *)

@@ -59,10 +59,6 @@ type t = {
   republish_mu : Mutex.t;
   mutable active : int;
   mutable compactor : Thread.t option;  (* guarded by [mu] *)
-  (* fragment-cache counters at the last index swap, guarded by [mu]:
-     the post-republish split reported in stats is rebased on these *)
-  mutable frag_hits_at_swap : int;
-  mutable frag_misses_at_swap : int;
 }
 
 let create config index =
@@ -88,8 +84,6 @@ let create config index =
       republish_mu = Mutex.create ();
       active = 0;
       compactor = None;
-      frag_hits_at_swap = 0;
-      frag_misses_at_swap = 0;
     }
   in
   Stats.set_epoch t.stats (Ifmh.epoch index);
@@ -109,16 +103,7 @@ let index t = Atomic.get t.index
 let swap_index t index' =
   Mutex.lock t.mu;
   let installed = Ifmh.epoch index' > Ifmh.epoch (Atomic.get t.index) in
-  if installed then begin
-    Atomic.set t.index index';
-    (* rebase the post-republish fragment split on the new index's
-       cache (the same carried object after an apply, a fresh one after
-       a snapshot install — either way hits after this point are
-       post-republish hits) *)
-    let h, m = Aqv.Fragment.counters (Ifmh.fragments index') in
-    t.frag_hits_at_swap <- h;
-    t.frag_misses_at_swap <- m
-  end;
+  if installed then Atomic.set t.index index';
   Mutex.unlock t.mu;
   if installed then begin
     Stats.index_swapped t.stats;
@@ -247,22 +232,6 @@ let install_snapshot t index' =
               m "snapshot installed: now serving epoch %d" (Ifmh.epoch index'));
           Ok (Ifmh.epoch index'))
 
-(* Pull-based refresh of the fragment-cache stats gauges: the cache
-   keeps its own race-free counters, so stats are read, never sampled
-   from global metrics. Runs on every Get_stats, on each periodic stats
-   log line and once at shutdown. *)
-let refresh_frag_stats t =
-  let hits, misses = Aqv.Fragment.counters (Ifmh.fragments (Atomic.get t.index)) in
-  let base_h, base_m =
-    Mutex.lock t.mu;
-    let b = (t.frag_hits_at_swap, t.frag_misses_at_swap) in
-    Mutex.unlock t.mu;
-    b
-  in
-  Stats.set_frag_counters t.stats ~hits ~misses
-    ~post_republish_hits:(max 0 (hits - base_h))
-    ~post_republish_misses:(max 0 (misses - base_m))
-
 (* What a session should do with one decoded request: answer it, or
    hand the connection over to the replication publisher. *)
 type action = Reply of string | Handoff of { from_epoch : int option }
@@ -279,7 +248,6 @@ let reply_bytes_for t payload =
     Reply (encode_reply_bytes (Protocol.Refused msg))
   | Protocol.Get_stats ->
     Stats.on_request t.stats `Stats;
-    refresh_frag_stats t;
     Reply (encode_reply_bytes (Protocol.Stats (Stats.to_assoc t.stats)))
   | Protocol.Subscribe { from_epoch } -> (
     Stats.on_request t.stats `Subscribe;
@@ -422,7 +390,6 @@ let stats_logger t =
          let rec loop elapsed =
            if not (Atomic.get t.stopped) then
              if elapsed >= t.config.stats_interval then begin
-               refresh_frag_stats t;
                Log.app (fun m -> m "%a" Stats.pp t.stats);
                loop 0.
              end
@@ -500,5 +467,4 @@ let serve t =
      compaction must not outlive us *)
   Option.iter Thread.join compactor;
   (try Unix.close t.listen_sock with Unix.Unix_error _ -> ());
-  refresh_frag_stats t;
   Log.info (fun m -> m "stopped: %a" Stats.pp t.stats)

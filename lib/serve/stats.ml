@@ -27,10 +27,6 @@ type t = {
   mutable torn_tail_truncations : int;
   mutable frames_coalesced : int;
   mutable compactions : int;
-  mutable frag_hits : int;
-  mutable frag_misses : int;
-  mutable frag_hits_post_republish : int;
-  mutable frag_misses_post_republish : int;
   mutable epoch : int;
   mutable followers_connected : int;
   mutable deltas_shipped : int;
@@ -65,10 +61,6 @@ let create () =
     torn_tail_truncations = 0;
     frames_coalesced = 0;
     compactions = 0;
-    frag_hits = 0;
-    frag_misses = 0;
-    frag_hits_post_republish = 0;
-    frag_misses_post_republish = 0;
     epoch = 0;
     followers_connected = 0;
     deltas_shipped = 0;
@@ -114,13 +106,6 @@ let recovered t ~torn_tail ~coalesced =
       if torn_tail then
         t.torn_tail_truncations <- t.torn_tail_truncations + 1)
 
-let set_frag_counters t ~hits ~misses ~post_republish_hits ~post_republish_misses =
-  locked t (fun () ->
-      t.frag_hits <- hits;
-      t.frag_misses <- misses;
-      t.frag_hits_post_republish <- post_republish_hits;
-      t.frag_misses_post_republish <- post_republish_misses)
-
 let set_epoch t e = locked t (fun () -> t.epoch <- e)
 
 let follower_connected t =
@@ -164,10 +149,6 @@ let to_assoc t =
           ("torn_tail_truncations", t.torn_tail_truncations);
           ("frames_coalesced", t.frames_coalesced);
           ("compactions", t.compactions);
-          ("frag_hits", t.frag_hits);
-          ("frag_misses", t.frag_misses);
-          ("frag_hits_post_republish", t.frag_hits_post_republish);
-          ("frag_misses_post_republish", t.frag_misses_post_republish);
           ("epoch", t.epoch);
           ("followers_connected", t.followers_connected);
           ("deltas_shipped", t.deltas_shipped);
@@ -195,12 +176,10 @@ let pp ppf t =
         t.req_query + t.req_rank + t.req_count + t.req_stats + t.req_republish
       in
       Format.fprintf ppf
-        "req=%d (q=%d r=%d c=%d s=%d bad=%d) refused=%d cache=%d/%d frag=%d/%d \
+        "req=%d (q=%d r=%d c=%d s=%d bad=%d) refused=%d cache=%d/%d \
          conns=%d shed=%d dropped=%d in=%dB out=%dB lat[%a]"
         requests t.req_query t.req_rank t.req_count t.req_stats t.req_malformed
         t.refused t.cache_hits
         (t.cache_hits + t.cache_misses)
-        t.frag_hits
-        (t.frag_hits + t.frag_misses)
         t.conns_accepted t.conns_refused t.sessions_dropped t.bytes_in
         t.bytes_out Histogram.pp t.latency)

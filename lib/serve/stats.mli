@@ -41,21 +41,6 @@ val recovered : t -> torn_tail:bool -> coalesced:int -> unit
     truncated, [coalesced] how many log frames were folded into the
     single recovery rebuild. *)
 
-val set_frag_counters :
-  t ->
-  hits:int ->
-  misses:int ->
-  post_republish_hits:int ->
-  post_republish_misses:int ->
-  unit
-(** Gauges: the serving index's VO fragment-cache counters
-    ({!Aqv.Fragment.counters}, race-free per-cache tallies), plus the
-    same counters rebased at the last {!Engine.swap_index} — the
-    post-republish split a CI guard asserts is nonzero. Refreshed by
-    the engine on every [Get_stats]; exported as ["frag_hits"],
-    ["frag_misses"], ["frag_hits_post_republish"],
-    ["frag_misses_post_republish"]. *)
-
 val compacted : t -> unit
 (** The store rewrote its snapshot and reset the log. *)
 

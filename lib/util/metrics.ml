@@ -30,8 +30,6 @@ let fmh_nodes = Atomic.make 0
 let mesh_cells = Atomic.make 0
 let bytes_out = Atomic.make 0
 let locate_sign_tests = Atomic.make 0
-let frag_hits = Atomic.make 0
-let frag_misses = Atomic.make 0
 let build_crossings = Atomic.make 0
 
 let reset () =
@@ -44,8 +42,6 @@ let reset () =
   Atomic.set mesh_cells 0;
   Atomic.set bytes_out 0;
   Atomic.set locate_sign_tests 0;
-  Atomic.set frag_hits 0;
-  Atomic.set frag_misses 0;
   Atomic.set build_crossings 0
 
 let snapshot () =
@@ -63,8 +59,8 @@ let snapshot () =
     memo_fmh_hits = 0;
     memo_fmh_misses = 0;
     locate_sign_tests = Atomic.get locate_sign_tests;
-    frag_hits = Atomic.get frag_hits;
-    frag_misses = Atomic.get frag_misses;
+    frag_hits = 0;
+    frag_misses = 0;
     build_crossings = Atomic.get build_crossings;
   }
 
@@ -83,8 +79,8 @@ let diff a b =
     memo_fmh_hits = 0;
     memo_fmh_misses = 0;
     locate_sign_tests = a.locate_sign_tests - b.locate_sign_tests;
-    frag_hits = a.frag_hits - b.frag_hits;
-    frag_misses = a.frag_misses - b.frag_misses;
+    frag_hits = 0;
+    frag_misses = 0;
     build_crossings = a.build_crossings - b.build_crossings;
   }
 
@@ -92,10 +88,9 @@ let pp ppf s =
   Format.fprintf ppf
     "@[<v>hash_ops=%d hash_bytes=%d@ sign_ops=%d verify_ops=%d@ \
      itree_nodes=%d fmh_nodes=%d mesh_cells=%d locate_tests=%d@ \
-     bytes_out=%d@ frags=%d/%d@ crossings=%d@]"
+     bytes_out=%d@ crossings=%d@]"
     s.hash_ops s.hash_bytes s.sign_ops s.verify_ops s.itree_nodes
-    s.fmh_nodes s.mesh_cells s.locate_sign_tests s.bytes_out s.frag_hits
-    (s.frag_hits + s.frag_misses) s.build_crossings
+    s.fmh_nodes s.mesh_cells s.locate_sign_tests s.bytes_out s.build_crossings
 
 let add n v = ignore (Atomic.fetch_and_add n v : int)
 
@@ -110,8 +105,6 @@ let add_fmh_nodes n = add fmh_nodes n
 let add_mesh_cells n = add mesh_cells n
 let add_bytes_out n = add bytes_out n
 let add_locate_sign_tests n = add locate_sign_tests n
-let add_frag_hit () = Atomic.incr frag_hits
-let add_frag_miss () = Atomic.incr frag_misses
 let add_build_crossings n = add build_crossings n
 
 let total_node_visits s = s.itree_nodes + s.fmh_nodes + s.mesh_cells

@@ -45,9 +45,10 @@ type snapshot = {
           the counter behind the O(S) vs O(log S) point-location
           figures and the CI sub-linearity guard *)
   frag_hits : int;
-      (** VO fragments served from the content-addressed fragment
-          cache (see [Aqv.Fragment]) instead of being reassembled *)
-  frag_misses : int;  (** VO fragments assembled from the index *)
+      (** Always 0, as is [frag_misses]: the VO fragment cache they
+          counted is retired, and they remain only while the benchmark
+          harness still reads them. *)
+  frag_misses : int;
   build_crossings : int;
       (** pairs the crossing enumerator (see [Aqv.Crossings]) found
           whose hyperplane properly crosses the domain box, per
@@ -77,8 +78,6 @@ val add_fmh_nodes : int -> unit
 val add_mesh_cells : int -> unit
 val add_bytes_out : int -> unit
 val add_locate_sign_tests : int -> unit
-val add_frag_hit : unit -> unit
-val add_frag_miss : unit -> unit
 val add_build_crossings : int -> unit
 
 val total_node_visits : snapshot -> int

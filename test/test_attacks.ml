@@ -381,7 +381,8 @@ let iter_mutants ~seed ~attempts original f =
       mutate ()
     | _ -> ());
     let mutated =
-      if Prng.int rng 4 = 3 then Bytes.sub_string b 0 (1 + Prng.int rng (Bytes.length b - 1))
+      if Prng.int rng 4 = 3 && Bytes.length b > 1 then
+        Bytes.sub_string b 0 (1 + Prng.int rng (Bytes.length b - 1))
       else Bytes.to_string b
     in
     if not (String.equal mutated original) then f mutated
@@ -440,6 +441,100 @@ let test_fuzz_bundle () =
   in
   decoder_fuzz ~seed:97L (encoded Protocol.encode_bundle bundle)
     (fun r -> ignore (Protocol.decode_bundle r))
+
+(* The wire decoders a server or client runs on every frame. Request
+   mutants go on through [Protocol.handle], so a request the decoder
+   lets through must not trip anything further in on a 1-D or a 2-D
+   index; delta mutants go on through [Ifmh.apply_delta]. *)
+let small_index_2d =
+  lazy
+    (Ifmh.build ~scheme:Ifmh.One_signature
+       (Workload.scored ~attr_range:20 ~n:7 ~dims:2 (Prng.create 98L))
+       (Lazy.force keypair))
+
+let small_delta =
+  lazy
+    (let index = Lazy.force small_index in
+     let records = Table.records (Ifmh.table index) in
+     let changes =
+       [
+         Update.Delete (Record.id records.(0));
+         Update.Modify (Record.make ~id:(Record.id records.(1)) ~attrs:(Record.attrs records.(2)) ());
+       ]
+     in
+     Ifmh.delta ~changes (Ifmh.apply (Lazy.force keypair) changes index))
+
+let requests_for index =
+  let table = Ifmh.table index in
+  let rng = Prng.create 99L in
+  let x = Workload.weight_point table rng in
+  let l, u = Workload.range_for_result_size table ~x ~size:3 in
+  let y = snd (Workload.scores_at table x).(0) in
+  [
+    Protocol.Run_query (Query.top_k ~x ~k:3);
+    Protocol.Run_query (Query.range ~x ~l ~u);
+    Protocol.Run_query (Query.knn ~x ~k:3 ~y);
+    Protocol.Run_rank { x; record_id = Record.id (Table.records table).(0) };
+    Protocol.Run_count { x; l; u };
+    Protocol.Get_stats;
+    Protocol.Republish (Lazy.force small_delta);
+    Protocol.Subscribe { from_epoch = None };
+    Protocol.Subscribe { from_epoch = Some 3 };
+  ]
+
+let test_fuzz_requests () =
+  List.iteri
+    (fun i index ->
+      List.iteri
+        (fun j req ->
+          decoder_fuzz
+            ~seed:(Int64.of_int (1_000 + (100 * i) + j))
+            (encoded Protocol.encode_request req)
+            (fun r -> ignore (Protocol.handle index (Protocol.decode_request r))))
+        (requests_for index))
+    [ Lazy.force small_index; Lazy.force small_index_2d ]
+
+let test_fuzz_replies () =
+  let index = Lazy.force small_index in
+  let table = Ifmh.table index in
+  let x = Workload.weight_point table (Prng.create 100L) in
+  let l, u = Workload.range_for_result_size table ~x ~size:3 in
+  let replies =
+    [
+      Protocol.Answer (Server.answer index (Query.top_k ~x ~k:3));
+      Protocol.Rank_answer
+        (Server.rank index ~x ~record_id:(Record.id (Table.records table).(0)));
+      Protocol.Rank_answer None;
+      Protocol.Count_answer (Count.answer index ~x ~l ~u);
+      Protocol.Refused "no";
+      Protocol.Stats [ ("req_query", 3); ("epoch", 1) ];
+      Protocol.Republished 2;
+      Protocol.Hello { epoch = 2 };
+      Protocol.Delta_frame { base_epoch = 0; delta = Lazy.force small_delta };
+      Protocol.Snapshot_frame { index = encoded Ifmh.save index };
+    ]
+  in
+  List.iteri
+    (fun j reply ->
+      decoder_fuzz
+        ~seed:(Int64.of_int (2_000 + j))
+        (encoded Protocol.encode_reply reply)
+        (fun r -> ignore (Protocol.decode_reply r)))
+    replies
+
+let test_fuzz_count () =
+  let index = Lazy.force small_index in
+  let table = Ifmh.table index in
+  let x = Workload.weight_point table (Prng.create 101L) in
+  let l, u = Workload.range_for_result_size table ~x ~size:4 in
+  decoder_fuzz ~seed:102L (encoded Count.encode (Count.answer index ~x ~l ~u))
+    (fun r -> ignore (Count.decode r))
+
+let test_fuzz_delta () =
+  let index = Lazy.force small_index in
+  decoder_fuzz ~seed:103L
+    (encoded Ifmh.encode_delta (Lazy.force small_delta))
+    (fun r -> ignore (Ifmh.apply_delta (Ifmh.decode_delta r) index))
 
 (* --------------------------- durable store -------------------------- *)
 
@@ -988,6 +1083,10 @@ let () =
             (test_fuzz_mutations (Lazy.force index_multi));
           Alcotest.test_case "snapshot decoder mutations" `Quick test_fuzz_snapshot;
           Alcotest.test_case "bundle decoder mutations" `Quick test_fuzz_bundle;
+          Alcotest.test_case "request decoder mutations" `Quick test_fuzz_requests;
+          Alcotest.test_case "reply decoder mutations" `Quick test_fuzz_replies;
+          Alcotest.test_case "count decoder mutations" `Quick test_fuzz_count;
+          Alcotest.test_case "delta decoder mutations" `Quick test_fuzz_delta;
           Alcotest.test_case "one-sig forged varint id" `Quick
             (test_forged_varint_id (Lazy.force index_one));
           Alcotest.test_case "multi-sig forged varint id" `Quick

@@ -449,43 +449,6 @@ let test_republish_over_wire () =
           | Protocol.Refused _ -> ()
           | _ -> Alcotest.fail "expected Refused on replayed delta"))
 
-(* The VO fragment cache is carried across the swap and its counters
-   flow out through Get_stats: after a republish strands every
-   response-cache entry, re-assemblies still hit fragments — two
-   queries at nearby points in the same subdomain share window, range
-   proof, and subdomain proof, so the second one hits post-swap. *)
-let test_frag_stats_over_wire () =
-  let changes, updated = updated_pair () in
-  with_engine (fun _t port ->
-      Roundtrip.with_connection ~port (fun fd ->
-          for k = 2 to 6 do
-            expect_verified_topk k (Roundtrip.ask fd (Protocol.Run_query (topk_query k)))
-          done;
-          (match Roundtrip.ask fd (Protocol.Republish (Ifmh.delta ~changes updated)) with
-          | Protocol.Republished _ -> ()
-          | _ -> Alcotest.fail "expected Republished");
-          (* two distinct request payloads (so the epoch-keyed response
-             cache misses both) in the same subdomain and window *)
-          let x1 = Lazy.force sample_x in
-          let x2 = [| Q.add x1.(0) (Q.of_ints 1 1_000_000_000) |] in
-          List.iter
-            (fun x ->
-              let q = Query.top_k ~x ~k:4 in
-              match Roundtrip.ask fd (Protocol.Run_query q) with
-              | Protocol.Answer resp ->
-                check Alcotest.bool "verifies post-swap" true
-                  (Client.accepts (ctx_of updated) q resp)
-              | _ -> Alcotest.fail "expected Answer")
-            [ x1; x2 ];
-          match Roundtrip.ask fd Protocol.Get_stats with
-          | Protocol.Stats kvs ->
-            let get k = match List.assoc_opt k kvs with Some v -> v | None -> 0 in
-            check Alcotest.bool "frag misses exported" true (get "frag_misses" >= 1);
-            check Alcotest.bool "frag hits exported" true (get "frag_hits" >= 1);
-            check Alcotest.bool "fragments hit after the republish" true
-              (get "frag_hits_post_republish" >= 1)
-          | _ -> Alcotest.fail "expected Stats"))
-
 (* Concurrent clients across a live swap: every reply must verify
    against exactly the bundle of the epoch it claims (a pre-swap reply
    never verifies at the new minimum epoch), no epoch other than the two
@@ -594,8 +557,6 @@ let () =
         [
           Alcotest.test_case "swap is epoch-monotonic" `Quick test_swap_index_monotonic;
           Alcotest.test_case "republish over the wire" `Quick test_republish_over_wire;
-          Alcotest.test_case "fragment stats over the wire" `Quick
-            test_frag_stats_over_wire;
           Alcotest.test_case "concurrent clients across swap" `Quick
             test_swap_under_concurrent_load;
         ] );

@@ -405,15 +405,15 @@ let delta_roundtrip scheme =
 let test_delta_one () = delta_roundtrip Ifmh.One_signature
 let test_delta_multi () = delta_roundtrip Ifmh.Multi_signature
 
-(* --------------------- VO fragment cache identity -------------------- *)
+(* ---------------------- served: apply == rebuild --------------------- *)
 
 let response_bytes resp =
   let w = Wire.writer () in
   Server.encode_response w resp;
   Wire.contents w
 
-(* Same mix as test_core's random_query: the fragment property must hold
-   for every query type, not just top-k. *)
+(* Same mix as test_core's random_query: the property must hold for
+   every query type, not just top-k. *)
 let random_query prng table =
   let x = Workload.weight_point table prng in
   match Prng.int prng 3 with
@@ -427,12 +427,11 @@ let random_query prng table =
     let y = snd scores.(Prng.int prng (Array.length scores)) in
     Query.knn ~x ~k:(Prng.int_in prng 1 (Table.size table + 1)) ~y
 
-(* The PR-7 headline property: the fragment cache must be invisible in
-   served bytes. At every step of a random republish sequence, a warm
-   carried cache (answered twice: populate, then all-hit), a fresh empty
-   cache, and a disabled cache must produce byte-identical encoded
-   responses — and the client must accept them. *)
-let prop_fragment_identity ~dims ~scheme seed =
+(* What a server reads off its index is what it serves: at every step of
+   a random republish sequence, the applied index answers the same query
+   mix with the same reply bytes as a fresh build of the updated table at
+   the same epoch — and the client accepts them. *)
+let prop_served_apply_eq_rebuild ~dims ~scheme seed =
   let prng = Prng.create (Int64.of_int seed) in
   let n = if dims = 1 then 5 + Prng.int prng 10 else 4 + Prng.int prng 4 in
   let table0 =
@@ -448,153 +447,32 @@ let prop_fragment_identity ~dims ~scheme seed =
   let ok = ref true in
   let rounds = 1 + Prng.int prng 3 in
   for _round = 1 to rounds do
-    let cold = Ifmh.drop_fragment_cache !index in
-    let off = Ifmh.without_fragment_cache !index in
-    for _q = 1 to 6 do
-      let query = random_query prng !table in
-      let reference = response_bytes (Server.answer off query) in
-      let first = response_bytes (Server.answer !index query) in
-      let again = response_bytes (Server.answer !index query) in
-      let fresh = response_bytes (Server.answer cold query) in
-      ok :=
-        !ok && String.equal reference first && String.equal reference again
-        && String.equal reference fresh
-        && Result.is_ok (Client.verify ctx query (Server.answer !index query))
-    done;
     let changes = gen_changes ~dims prng !table (1 + Prng.int prng 3) in
     table := Update.apply_table changes !table;
-    index := Ifmh.apply fake_keypair changes !index
+    index := Ifmh.apply fake_keypair changes !index;
+    let rebuilt = Ifmh.build ~scheme ~epoch:(Ifmh.epoch !index) !table fake_keypair in
+    for _q = 1 to 6 do
+      let query = random_query prng !table in
+      let served = Server.answer !index query in
+      ok :=
+        !ok
+        && String.equal (response_bytes served)
+             (response_bytes (Server.answer rebuilt query))
+        && Result.is_ok (Client.verify ctx query served)
+    done
   done;
   !ok
 
-(* Exact, deterministic fragment counters: an answer assembles three
-   fragments (window body, FMH range proof, subdomain proof) — the
-   first assembly misses all three, an identical re-answer hits all
-   three, and the cache object's own counters agree with Metrics. *)
-let test_frag_counters () =
-  let table = Workload.lines_1d ~n:8 (Prng.create 90L) in
-  let index = Ifmh.build ~scheme:Ifmh.One_signature ~epoch:1 table fake_keypair in
-  let q = Query.top_k ~x:(Domain.center (Table.domain table)) ~k:3 in
-  let _, m1 = metrics_during (fun () -> ignore (Server.answer index q)) in
-  check Alcotest.int "first answer misses its 3 fragments" 3 m1.Metrics.frag_misses;
-  check Alcotest.int "no hits on a cold cache" 0 m1.Metrics.frag_hits;
-  let _, m2 = metrics_during (fun () -> ignore (Server.answer index q)) in
-  check Alcotest.int "identical re-answer hits all 3" 3 m2.Metrics.frag_hits;
-  check Alcotest.int "no new misses" 0 m2.Metrics.frag_misses;
-  check
-    Alcotest.(pair int int)
-    "per-cache counters agree" (3, 3)
-    (Fragment.counters (Ifmh.fragments index));
-  (* a disabled cache ticks nothing at all *)
-  let off = Ifmh.without_fragment_cache index in
-  let _, m3 = metrics_during (fun () -> ignore (Server.answer off q)) in
-  check Alcotest.int "disabled: no hits" 0 m3.Metrics.frag_hits;
-  check Alcotest.int "disabled: no misses" 0 m3.Metrics.frag_misses
-
-(* The cache is carried across a republish: after modifying one record,
-   re-running a warm query mix must still hit (window fragments of
-   windows that avoid the modified record survive — that is the point
-   of content keys), and the served bytes must stay identical to a
-   disabled-cache assembly. *)
-let test_frag_post_republish () =
-  let table = Workload.lines_1d ~n:10 (Prng.create 91L) in
-  List.iter
-    (fun scheme ->
-      let index = Ifmh.build ~scheme ~epoch:1 table fake_keypair in
-      let queries =
-        let rng = Prng.create 92L in
-        List.init 20 (fun _ -> random_query rng table)
-      in
-      List.iter (fun q -> ignore (Server.answer index q)) queries;
-      let victim = (Table.records table).(0) in
-      let changes =
-        [ Update.Modify (Record.make ~id:(Record.id victim) ~attrs:[| Q.of_int 3; Q.of_int 1 |] ()) ]
-      in
-      let index' = Ifmh.apply fake_keypair changes index in
-      let off = Ifmh.without_fragment_cache index' in
-      let hits = ref 0 in
-      List.iter
-        (fun q ->
-          let _, m =
-            metrics_during (fun () ->
-                let warm = response_bytes (Server.answer index' q) in
-                let plain = response_bytes (Server.answer off q) in
-                check Alcotest.bool "post-republish bytes identical" true
-                  (String.equal warm plain))
-          in
-          hits := !hits + m.Metrics.frag_hits)
-        queries;
-      if !hits = 0 then
-        Alcotest.failf "%s: no fragment survived the republish"
-          (Ifmh.scheme_name scheme))
-    [ Ifmh.One_signature; Ifmh.Multi_signature ]
-
-(* [purge ~ids] reads what an entry depends on from its value: exactly
-   the windows and multi-sig constraint lists naming a changed id go,
-   with every range proof and one-sig path; everything else stays. *)
-let prop_purge_reads_values seed =
-  let prng = Prng.create (Int64.of_int seed) in
-  let id () = Prng.int prng 12 in
-  let rec_ () = line ~id:(id ()) 1 0 in
-  let boundary () =
-    match Prng.int prng 3 with
-    | 0 -> Vo.Min_sentinel
-    | 1 -> Vo.Max_sentinel
-    | _ -> Vo.Boundary_record (rec_ ())
-  in
-  let side () = if Prng.bool prng then Aqv_num.Halfspace.Above else Aqv_num.Halfspace.Below in
-  let value () =
-    match Prng.int prng 4 with
-    | 0 ->
-      Fragment.Window
-        {
-          Fragment.left = boundary ();
-          right = boundary ();
-          result = List.init (Prng.int prng 4) (fun _ -> rec_ ());
-        }
-    | 1 -> Fragment.Range [ "proof" ]
-    | 2 ->
-      Fragment.Proof
-        (Vo.One_sig_path
-           (List.init (Prng.int prng 3) (fun _ ->
-                { Vo.rp = rec_ (); rq = rec_ (); taken = side (); sibling = "s" })))
-    | _ ->
-      Fragment.Proof
-        (Vo.Multi_sig_constraints
-           (List.init (Prng.int prng 3) (fun _ -> (rec_ (), rec_ (), side ()))))
-  in
-  let entries = List.init 40 (fun k -> (Printf.sprintf "key%d" k, value ())) in
-  let changed = List.init (1 + Prng.int prng 3) (fun _ -> id ()) in
-  let cache = Fragment.create () in
-  List.iter (fun (key, v) -> Fragment.add cache key v) entries;
-  Fragment.purge cache ~ids:changed;
-  let names r = List.mem (Record.id r) changed in
-  let names_boundary = function Vo.Boundary_record r -> names r | _ -> false in
-  let dirtied = function
-    | Fragment.Range _ | Fragment.Proof (Vo.One_sig_path _) -> true
-    | Fragment.Window w ->
-      names_boundary w.Fragment.left || names_boundary w.Fragment.right
-      || List.exists names w.Fragment.result
-    | Fragment.Proof (Vo.Multi_sig_constraints cons) ->
-      List.exists (fun (rp, rq, _) -> names rp || names rq) cons
-  in
-  List.for_all
-    (fun (key, v) -> Option.is_some (Fragment.find cache key) = not (dirtied v))
-    entries
-
-let fragment_tests =
+let served_tests =
   [
-    qtest "served bytes cached = cold = disabled (one-sig, 1-D)" 40 arb_seed
-      (prop_fragment_identity ~dims:1 ~scheme:Ifmh.One_signature);
-    qtest "served bytes cached = cold = disabled (multi-sig, 1-D)" 40 arb_seed
-      (prop_fragment_identity ~dims:1 ~scheme:Ifmh.Multi_signature);
-    qtest "served bytes cached = cold = disabled (one-sig, 2-D)" 25 arb_seed
-      (prop_fragment_identity ~dims:2 ~scheme:Ifmh.One_signature);
-    qtest "served bytes cached = cold = disabled (multi-sig, 2-D)" 25 arb_seed
-      (prop_fragment_identity ~dims:2 ~scheme:Ifmh.Multi_signature);
-    Alcotest.test_case "fragment counters" `Quick test_frag_counters;
-    Alcotest.test_case "fragments survive republish" `Quick test_frag_post_republish;
-    qtest "purge reads the values" 200 arb_seed prop_purge_reads_values;
+    qtest "apply == rebuild (one-sig, 1-D)" 40 arb_seed
+      (prop_served_apply_eq_rebuild ~dims:1 ~scheme:Ifmh.One_signature);
+    qtest "apply == rebuild (multi-sig, 1-D)" 40 arb_seed
+      (prop_served_apply_eq_rebuild ~dims:1 ~scheme:Ifmh.Multi_signature);
+    qtest "apply == rebuild (one-sig, 2-D)" 25 arb_seed
+      (prop_served_apply_eq_rebuild ~dims:2 ~scheme:Ifmh.One_signature);
+    qtest "apply == rebuild (multi-sig, 2-D)" 25 arb_seed
+      (prop_served_apply_eq_rebuild ~dims:2 ~scheme:Ifmh.Multi_signature);
   ]
 
 (* ------------------- exact-tie merge/split fixes -------------------- *)
@@ -717,6 +595,7 @@ let prop_walk_is_per_leaf ~dims seed =
   let table = random_table ~dims prng in
   let epoch = Prng.int prng 5 in
   let index = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch table fake_keypair in
+  let rdig = Array.map Record.digest (Table.records table) in
   let per_leaf, m_per_leaf =
     metrics_during (fun () ->
         Array.to_list
@@ -728,7 +607,7 @@ let prop_walk_is_per_leaf ~dims seed =
                  let cons_digests =
                    List.rev_map
                      (fun (i, j, side) ->
-                       (Ifmh.record_digest index i, Ifmh.record_digest index j, side))
+                       (rdig.(i), rdig.(j), side))
                      lf.Itree.cons
                  in
                  Ifmh.leaf_digest_for_signing ~domain:(Table.domain table) ~cons_digests
@@ -840,7 +719,7 @@ let () =
           Alcotest.test_case "roundtrip one-sig" `Quick test_delta_one;
           Alcotest.test_case "roundtrip multi-sig" `Quick test_delta_multi;
         ] );
-      ("fragments", fragment_tests);
+      ("served", served_tests);
       ( "digests",
         [
           qtest "walk = per-leaf digest (1-D)" 100 arb_seed (prop_walk_is_per_leaf ~dims:1);

@@ -63,12 +63,32 @@ let test_spec_rejects_unknown_field () =
   | Ok s -> (
     match Json.to_obj (Spec.to_json s) with
     | None -> Alcotest.fail "to_json not an object"
-    | Some assoc -> (
-      let doctored = Json.Obj (assoc @ [ ("typo_field", Json.Int 1) ]) in
-      match Spec.of_json doctored with
-      | Error (Spec.Unknown_field "typo_field") -> ()
-      | Ok _ -> Alcotest.fail "unknown field accepted"
-      | Error e -> Alcotest.failf "wrong error: %s" (Spec.error_to_string e)))
+    | Some assoc ->
+      let rejected ~expect doctored =
+        match Spec.of_json doctored with
+        | Error (Spec.Unknown_field f) when f = expect -> ()
+        | Ok _ -> Alcotest.failf "unknown field %s accepted" expect
+        | Error e -> Alcotest.failf "wrong error: %s" (Spec.error_to_string e)
+      in
+      rejected ~expect:"typo_field" (Json.Obj (assoc @ [ ("typo_field", Json.Int 1) ]));
+      (* the retired fragment-cache SLO key is no longer read *)
+      let slo = Option.get (Json.to_obj (List.assoc "slo" assoc)) in
+      rejected ~expect:"slo.min_post_republish_frag_hit_rate"
+        (Json.Obj
+           (List.map
+              (fun (k, v) ->
+                if k = "slo" then
+                  (k, Json.Obj (slo @ [ ("min_post_republish_frag_hit_rate", Json.Float 0.5) ]))
+                else (k, v))
+              assoc));
+      (* and a record that still sets it is refused as retired *)
+      let retired =
+        { s with Spec.slo = { s.Spec.slo with Spec.min_post_republish_frag_hit_rate = Some 0.5 } }
+      in
+      match Spec.validate retired with
+      | Error (Spec.Bad_field ("slo.min_post_republish_frag_hit_rate", _)) -> ()
+      | Ok _ -> Alcotest.fail "retired SLO bound accepted"
+      | Error e -> Alcotest.failf "wrong error: %s" (Spec.error_to_string e))
 
 (* ------------------------------ SLO gate ----------------------------- *)
 
@@ -78,7 +98,7 @@ let slo_all =
     p50_us_max = Some 1_000;
     p99_us_max = Some 10_000;
     p999_us_max = Some 50_000;
-    min_post_republish_frag_hit_rate = Some 0.5;
+    min_post_republish_frag_hit_rate = None;
   }
 
 let good =
@@ -87,7 +107,6 @@ let good =
     p50_us = 800;
     p99_us = 9_000;
     p999_us = 40_000;
-    post_republish_frag_hit_rate = Some 0.8;
   }
 
 let test_gate_satisfied () =
@@ -100,7 +119,6 @@ let test_gate_names_bounds () =
       p50_us = 2_000;
       p99_us = 9_000;
       p999_us = 60_000;
-      post_republish_frag_hit_rate = Some 0.1;
     }
   in
   let v = Spec.evaluate_slo slo_all bad in
@@ -108,20 +126,11 @@ let test_gate_names_bounds () =
   check
     Alcotest.(list string)
     "each broken bound named, in declaration order"
-    [ "min_throughput_rps"; "p50_us_max"; "p999_us_max";
-      "min_post_republish_frag_hit_rate" ]
+    [ "min_throughput_rps"; "p50_us_max"; "p999_us_max" ]
     names;
   let thr = List.find (fun v -> v.Spec.bound = "min_throughput_rps") v in
   check (Alcotest.float 1e-9) "limit" 100. thr.Spec.limit;
   check (Alcotest.float 1e-9) "actual" 10. thr.Spec.actual
-
-let test_gate_missing_frag_reads_zero () =
-  let m = { good with Spec.post_republish_frag_hit_rate = None } in
-  match Spec.evaluate_slo slo_all m with
-  | [ v ] ->
-    check Alcotest.string "bound" "min_post_republish_frag_hit_rate" v.Spec.bound;
-    check (Alcotest.float 1e-9) "actual reads as 0" 0. v.Spec.actual
-  | l -> Alcotest.failf "expected exactly the frag violation, got %d" (List.length l)
 
 let test_gate_pure () =
   (* same inputs, same verdict — no clock, no hidden state *)
@@ -261,7 +270,6 @@ let () =
         [
           Alcotest.test_case "satisfied" `Quick test_gate_satisfied;
           Alcotest.test_case "violations name bounds" `Quick test_gate_names_bounds;
-          Alcotest.test_case "missing frag measurement" `Quick test_gate_missing_frag_reads_zero;
           Alcotest.test_case "pure" `Quick test_gate_pure;
         ] );
       ( "end to end",
