@@ -29,6 +29,7 @@ module Mesh_ref = Aqv_ref.Mesh_ref
 module Store_ref = Aqv_ref.Store_ref
 module Bigint_ref = Aqv_ref.Bigint_ref
 open Aqv
+open Aqv_baseline
 
 let scale =
   match Sys.getenv_opt "AQV_BENCH_SCALE" with

@@ -19,6 +19,7 @@ module Table = Aqv_db.Table
 module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
 open Aqv
+open Aqv_baseline
 open Cmdliner
 
 (* ------------------------------ options ----------------------------- *)

@@ -12,6 +12,7 @@ module Table = Aqv_db.Table
 module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
 open Aqv
+open Aqv_baseline
 
 let table = Workload.lines_1d ~n:40 (Prng.create 99L)
 let keypair = Signer.generate ~bits:512 Signer.Rsa (Prng.create 98L)

@@ -41,146 +41,27 @@ let signature_count t = t.signatures
 
 (* ------------------------------ sweep ------------------------------ *)
 
-(* Shared with [Sorting.build_1d] in spirit; kept separate because the
-   mesh needs adjacency-run bookkeeping, not Merkle snapshots. *)
-let sweep_events table =
-  let fns = Table.functions table in
-  let n = Array.length fns in
-  let dom = Table.domain table in
-  let dlo = Domain.lo dom 0 and dhi = Domain.hi dom 0 in
-  let events = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let diff = Linfun.sub fns.(i) fns.(j) in
-      let a = Linfun.coeff diff 0 and b = Linfun.const diff in
-      if Q.sign a <> 0 then begin
-        let root = Q.div (Q.neg b) a in
-        if Q.compare dlo root < 0 && Q.compare root dhi < 0 then
-          events := (root, i, j) :: !events
-      end
-    done
-  done;
-  let events = Array.of_list !events in
-  Array.sort (fun (a, _, _) (b, _, _) -> Q.compare a b) events;
-  let boundaries =
-    Array.to_list events
-    |> List.map (fun (r, _, _) -> r)
-    |> List.sort_uniq Q.compare
-    |> Array.of_list
-  in
-  (events, boundaries)
+(* The mesh rides [Sorting.sweep_1d], the one 1-D sweep, over the
+   crossing set of [Crossings.enumerate]. *)
+let crossings ?pool ~caller table =
+  if Table.dim table <> 1 then invalid_arg (caller ^ ": 1-D tables only");
+  Crossings.enumerate ?pool (Table.domain table) (Table.functions table)
 
-(* Walk the arrangement left to right, calling [on_cell c lob hib order]
-   for every subdomain (with the current order array) and
-   [on_adjacency_change ~ended ~started cell] when pairs stop/start
-   being adjacent. Returns the number of cells. *)
-let sweep table ~on_cell ~on_adjacency_change =
-  let fns = Table.functions table in
-  let n = Array.length fns in
-  let dom = Table.domain table in
-  let dlo = Domain.lo dom 0 and dhi = Domain.hi dom 0 in
-  let events, boundaries = sweep_events table in
-  let ncells = Array.length boundaries + 1 in
-  let cell_bounds c =
-    let lo = if c = 0 then dlo else boundaries.(c - 1) in
-    let hi = if c = ncells - 1 then dhi else boundaries.(c) in
-    (lo, hi)
-  in
-  let sample c =
-    let lo, hi = cell_bounds c in
-    [| Q.average lo hi |]
-  in
-  (* initial order *)
-  let score0 = Array.map (fun f -> Linfun.eval f (sample 0)) fns in
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = Q.compare score0.(a) score0.(b) in
-      if c <> 0 then c else compare a b)
-    order;
-  let pos = Array.make n 0 in
-  Array.iteri (fun idx p -> pos.(p) <- idx) order;
-  let lob0, hib0 = cell_bounds 0 in
-  on_cell 0 lob0 hib0 order;
-  (* extended token at pair-slot endpoints *)
-  let tmin = n and tmax = n + 1 in
-  let ext i = if i = 0 then tmin else if i = n + 1 then tmax else order.(i - 1) in
-  let pair_at_slot k = (ext k, ext (k + 1)) in
-  let m = Array.length events in
-  let e = ref 0 in
-  for c = 1 to ncells - 1 do
-    let x = boundaries.(c - 1) in
-    let involved = Hashtbl.create 8 in
-    while
-      !e < m
-      && (let r, _, _ = events.(!e) in
-          Q.equal r x)
-    do
-      let _, i, j = events.(!e) in
-      Hashtbl.replace involved i ();
-      Hashtbl.replace involved j ();
-      incr e
-    done;
-    (* group by equal score at x; each group is a contiguous block *)
-    let groups = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun p () ->
-        let v = Q.to_string (Linfun.eval fns.(p) [| x |]) in
-        Hashtbl.replace groups v (p :: Option.value ~default:[] (Hashtbl.find_opt groups v)))
-      involved;
-    (* collect all affected pair slots before rewriting *)
-    let slots = Hashtbl.create 16 in
-    let blocks = ref [] in
-    Hashtbl.iter
-      (fun _ members ->
-        let members = Array.of_list members in
-        let positions = Array.map (fun p -> pos.(p)) members in
-        Array.sort compare positions;
-        let base = positions.(0) in
-        let g = Array.length positions in
-        for k = 1 to g - 1 do
-          if positions.(k) <> base + k then invalid_arg "Mesh.sweep: group not contiguous"
-        done;
-        for k = base to base + g do
-          Hashtbl.replace slots k ()
-        done;
-        blocks := (base, members) :: !blocks)
-      groups;
-    let slot_list = Hashtbl.fold (fun k () acc -> k :: acc) slots [] in
-    let old_pairs = List.map (fun k -> (k, pair_at_slot k)) slot_list in
-    (* rewrite each block by score at the next cell's sample *)
-    let sample_c = sample c in
-    List.iter
-      (fun (base, members) ->
-        let score = Array.map (fun p -> Linfun.eval fns.(p) sample_c) members in
-        let by = Array.init (Array.length members) Fun.id in
-        Array.sort
-          (fun a b ->
-            let cmp = Q.compare score.(a) score.(b) in
-            if cmp <> 0 then cmp else compare members.(a) members.(b))
-          by;
-        Array.iteri
-          (fun slot bidx ->
-            let p = members.(bidx) in
-            let target = base + slot in
-            order.(target) <- p;
-            pos.(p) <- target)
-          by)
-      !blocks;
-    let ended = ref [] and started = ref [] in
-    List.iter
-      (fun (k, old_pair) ->
-        let new_pair = pair_at_slot k in
-        if old_pair <> new_pair then begin
-          ended := old_pair :: !ended;
-          started := new_pair :: !started
-        end)
-      old_pairs;
-    on_adjacency_change ~ended:!ended ~started:!started c;
-    let lob, hib = cell_bounds c in
-    on_cell c lob hib order
-  done;
-  ncells
+(* Pair slot k joins tokens k and k+1 of [MIN; order; MAX]. *)
+let pair_at n order k =
+  let tok i = if i = 0 then n else if i = n + 1 then n + 1 else Pvec.get order (i - 1) in
+  (tok k, tok (k + 1))
+
+(* A boundary read as adjacency changes: a moved position p touches only
+   slots p and p+1, and each such slot whose pair differs from the
+   previous cell's ends the old adjacency and starts the new one.
+   Returns the [(ended, started)] pairs, by slot. *)
+let adjacency_changes n prev order moved =
+  List.concat_map (fun p -> [ p; p + 1 ]) moved
+  |> List.sort_uniq compare
+  |> List.filter_map (fun k ->
+         let ended = pair_at n prev k and started = pair_at n order k in
+         if ended = started then None else Some (ended, started))
 
 (* ------------------------------ build ------------------------------ *)
 
@@ -198,56 +79,47 @@ let span_digest du dv (lo, hi) =
   Sha256.digest_list [ chain_tag; W.contents w ]
 
 let build_with ~pool ~sign table =
-  if Table.dim table <> 1 then invalid_arg "Mesh.build: 1-D tables only";
+  let crossings = crossings ~pool ~caller:"Mesh.build" table in
   let n = Table.size table in
   let rdig = Aqv_par.Pool.parallel_map pool Record.digest (Table.records table) in
   let cells = ref [] in
-  let bounds = Hashtbl.create 64 in
   let open_runs : (int * int, int) Hashtbl.t = Hashtbl.create (2 * n) in
   let runs : (int * int, run list) Hashtbl.t = Hashtbl.create (2 * n) in
-  let tmin = n and tmax = n + 1 in
-  let on_cell c lob hib order =
-    Hashtbl.replace bounds c (lob, hib);
-    cells := (c, lob, hib, Pvec.of_array order) :: !cells;
-    if c = 0 then begin
-      (* open a run for every initial adjacency *)
-      let ext i = if i = 0 then tmin else if i = n + 1 then tmax else order.(i - 1) in
-      for k = 0 to n do
-        Hashtbl.replace open_runs (ext k, ext (k + 1)) 0
-      done
-    end
-  in
   (* The sweep is sequential (each cell's order derives from its left
      neighbour), but the Theta(n^2) signatures are each a pure function
      of (pair, span): record the runs during the sweep, sign them in
-     parallel afterwards, then attach in the original finalize order so
-     the runs table is identical to what inline signing produced. *)
+     parallel afterwards, then attach in finalize order. *)
   let pending = ref [] in
   let finalize pair s e = pending := (pair, s, e) :: !pending in
-  let on_adjacency_change ~ended ~started c =
-    (* bounds of cell c are not registered yet: register via on_cell
-       ordering — adjacency change fires before on_cell c, so ended runs
-       finish at c-1 whose bounds are known *)
-    List.iter
-      (fun pair ->
-        match Hashtbl.find_opt open_runs pair with
-        | Some s ->
-          Hashtbl.remove open_runs pair;
-          finalize pair s (c - 1)
-        | None -> ())
-      ended;
-    List.iter (fun pair -> Hashtbl.replace open_runs pair c) started
+  let on_cell c ~lob ~hib order ~moved =
+    (match !cells with
+    | [] ->
+      (* open a run for every initial adjacency *)
+      for k = 0 to n do
+        Hashtbl.replace open_runs (pair_at n order k) 0
+      done
+    | prev :: _ ->
+      let changes = adjacency_changes n prev.order order moved in
+      (* runs that end here finish at c-1 *)
+      List.iter
+        (fun (pair, _) ->
+          finalize pair (Hashtbl.find open_runs pair) (c - 1);
+          Hashtbl.remove open_runs pair)
+        changes;
+      List.iter (fun (_, pair) -> Hashtbl.replace open_runs pair c) changes);
+    cells := { lob; hib; order } :: !cells
   in
-  let ncells = sweep table ~on_cell ~on_adjacency_change in
+  let ncells = Sorting.sweep_1d crossings table on_cell in
   (* close all remaining runs at the last cell *)
   Hashtbl.iter (fun pair s -> finalize pair s (ncells - 1)) open_runs;
+  let cells = Array.of_list (List.rev !cells) in
   let pending = Array.of_list (List.rev !pending) in
   let signatures =
     Aqv_par.Pool.parallel_map pool
       (fun ((u, v), s, e) ->
-        let lo = fst (Hashtbl.find bounds s) in
-        let hi = snd (Hashtbl.find bounds e) in
-        let d = span_digest (token_digest rdig n u) (token_digest rdig n v) (lo, hi) in
+        let d =
+          span_digest (token_digest rdig n u) (token_digest rdig n v) (cells.(s).lob, cells.(e).hib)
+        in
         (d, sign d))
       pending
   in
@@ -258,15 +130,7 @@ let build_with ~pool ~sign table =
         ({ s; e; digest; signature }
         :: Option.value ~default:[] (Hashtbl.find_opt runs pair)))
     pending;
-  let cell_arr = Array.make ncells None in
-  List.iter (fun (c, lob, hib, order) -> cell_arr.(c) <- Some { lob; hib; order }) !cells;
-  {
-    table;
-    cells = Array.map Option.get cell_arr;
-    runs;
-    n;
-    signatures = Array.length pending;
-  }
+  { table; cells; runs; n; signatures = Array.length pending }
 
 let build ?pool table keypair =
   let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
@@ -326,16 +190,16 @@ let fingerprint t =
   Sha256.digest (W.contents w)
 
 let count_signatures table =
-  if Table.dim table <> 1 then invalid_arg "Mesh.count_signatures: 1-D tables only";
+  let crossings = crossings ~caller:"Mesh.count_signatures" table in
   let n = Table.size table in
-  let nsigs = ref (n + 1) (* the initial adjacencies each end in a signature *) in
+  (* the initial adjacencies and each started one end in one signature *)
+  let nsigs = ref (n + 1) and prev = ref None in
   let ncells =
-    sweep table
-      ~on_cell:(fun _ _ _ _ -> ())
-      ~on_adjacency_change:(fun ~ended:_ ~started c ->
-        ignore c;
-        (* each started run eventually ends in exactly one signature *)
-        nsigs := !nsigs + List.length started)
+    Sorting.sweep_1d crossings table (fun _ ~lob:_ ~hib:_ order ~moved ->
+        Option.iter
+          (fun prev -> nsigs := !nsigs + List.length (adjacency_changes n prev order moved))
+          !prev;
+        prev := Some order)
   in
   (!nsigs, ncells)
 

@@ -6,10 +6,12 @@
     records consecutive in the sorted list is covered by a signature
     over [H(H(r_u) | H(r_v) | B)] where [B] identifies the span of
     consecutive subdomains on which the pair stays adjacent (merging
-    runs is the "mesh" optimization of the original paper). Query
-    processing locates the subdomain by a {e linear scan} and the
-    verification object carries one signature per consecutive pair of
-    the answer — both costs the IFMH-tree is designed to beat.
+    runs is the "mesh" optimization of the original paper). The cells
+    and their sorted lists come from the IFMH-tree's own 1-D sweep,
+    {!Aqv.Sorting.sweep_1d}, over the crossing set of
+    {!Aqv.Crossings.enumerate}. The verification object carries one
+    signature per consecutive pair of the answer — the cost the
+    IFMH-tree is designed to beat.
 
     Only the univariate case is implemented (the configuration of the
     paper's simulation section). *)
@@ -17,10 +19,12 @@
 type t
 
 val build : ?pool:Aqv_par.Pool.pool -> Aqv_db.Table.t -> Aqv_crypto.Signer.keypair -> t
-(** Owner-side construction: sweep the arrangement, maintain adjacency
-    runs, sign each maximal run. The sweep is sequential; the Theta(n^2)
-    run signatures are signed in parallel over [pool] (default
-    {!Aqv_par.Pool.default}), bit-identically to a sequential build.
+(** Owner-side construction: enumerate the crossings (over [pool],
+    ticking [build_crossings]), read each boundary of
+    {!Aqv.Sorting.sweep_1d} as adjacency changes, sign each maximal
+    run. The sweep is sequential; the Theta(n^2) run signatures are
+    signed in parallel over [pool] (default {!Aqv_par.Pool.default}),
+    bit-identically to a sequential build.
     @raise Invalid_argument unless the table is 1-D. *)
 
 val apply :
@@ -49,8 +53,10 @@ val fingerprint : t -> string
     fingerprints. *)
 
 val count_signatures : Aqv_db.Table.t -> int * int
-(** [(signatures, subdomains)] the mesh would need, computed by a crypto-
-    free sweep — used to produce the paper-scale series of Fig. 5a. *)
+(** [(signatures, subdomains)] the mesh would need, computed by the
+    same enumeration and sweep with no hashing or signing — used to
+    produce the paper-scale series of Fig. 5a.
+    @raise Invalid_argument unless the table is 1-D. *)
 
 (** {1 Query processing and verification} *)
 

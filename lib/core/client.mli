@@ -59,9 +59,10 @@ val check_subdomain_proof :
   Vo.subdomain_proof ->
   signature:string ->
   unit
-(** Building block shared with {!Batch} and {!Count}: verify that the
-    FMH root belongs to the subdomain containing [x] under the owner's
-    signature (route re-evaluation or inequality checks included).
+(** Building block shared with {!Aqv_baseline.Batch} and {!Count}:
+    verify that the FMH root belongs to the subdomain containing [x]
+    under the owner's signature (route re-evaluation or inequality
+    checks included).
     @raise Semantics.Reject on any violation. *)
 
 val window_root :
@@ -73,9 +74,10 @@ val window_root :
   right:Vo.boundary ->
   fmh_proof:string list ->
   string
-(** Building block shared with {!Batch}: check that the window and its
-    boundaries fit an [n_leaves]-leaf list (sentinels only at its ends)
-    and rebuild the FMH root they commit to with the range proof.
+(** Building block shared with {!Aqv_baseline.Batch}: check that the
+    window and its boundaries fit an [n_leaves]-leaf list (sentinels
+    only at its ends) and rebuild the FMH root they commit to with the
+    range proof.
     @raise Semantics.Reject [Malformed] on any inconsistency. *)
 
 val boundary_digest : ctx -> Vo.boundary -> string
@@ -101,7 +103,7 @@ val with_memo : ctx -> (ctx -> ('a, 'e) result) -> ('a, 'e) result
     earlier accepted verifications computed, and publish what they
     compute only if [f] returns [Ok]: a rejected reply leaves the memo
     as it was. {!verify} and {!verify_rank} each run in one, as do
-    {!Batch} and {!Count}; outside it, {!window_root},
+    {!Aqv_baseline.Batch} and {!Count}; outside it, {!window_root},
     {!check_subdomain_proof} and {!boundary_digest} hash afresh. *)
 
 type memo_counters = {

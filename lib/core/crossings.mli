@@ -2,8 +2,8 @@
 
     Every structure build needs the function pairs whose hyperplane
     [f_i - f_j = 0] properly crosses the domain box: crossing pairs
-    drive the I-tree insertion and (in 1-D) the sweep's boundary
-    events; non-crossing pairs are no-ops everywhere.
+    drive the I-tree insertion and (in 1-D) the boundaries of
+    {!Sorting.sweep_1d}; non-crossing pairs are no-ops everywhere.
 
     {b One algorithm for every dimension: antipodal-corner inversions.}
     A linear difference takes its maximum and minimum over a box at an
@@ -30,8 +30,10 @@
     crossing pairs' relative order, and the shuffle's draw count is a
     pure function of the crossing count. Every build path
     ({!Ifmh.build}, [apply], [apply_delta], [load], recovery,
-    replication) enumerates through here, so apply == rebuild,
-    parallel == sequential and recovery == hot-swap all still hold.
+    replication, and the signature-mesh baseline's [Mesh.build],
+    [Mesh.apply] and [Mesh.count_signatures]) enumerates through here,
+    so apply == rebuild, parallel == sequential and recovery ==
+    hot-swap all still hold.
 
     {b Counter law} (per call, exact, any dimension, any pool):
     [build_crossings] ticks by the number of crossing pairs. *)

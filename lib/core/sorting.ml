@@ -33,9 +33,9 @@ let fmh_of_order rdig order =
 let leaf t id = t.entries.(id)
 let fmh_root t id = Mht.root t.entries.(id).fmh
 
-(* ------------------------- 1-D sweep build ------------------------- *)
+(* ---------------------------- 1-D sweep ---------------------------- *)
 
-let build_1d ~crossings table itree rdig =
+let sweep_1d crossings table on_cell =
   let fns = Table.functions table in
   let n = Array.length fns in
   let dom = Table.domain table in
@@ -43,8 +43,8 @@ let build_1d ~crossings table itree rdig =
   (* crossing events strictly inside the domain, keyed by root — and in
      1-D a pair crosses the box iff its root lies strictly inside
      (Region.classify on an interval), so the events are exactly the
-     enumerator's crossing set: the sweep's own Θ(n²) pair walk is
-     gone. The strict-inequality filter is kept as a guard only. *)
+     enumerator's crossing set. The strict-inequality filter is kept as
+     a guard only. *)
   let events =
     Array.to_seq crossings.Crossings.pairs
     |> Seq.filter_map (fun (p : Crossings.pair) ->
@@ -55,7 +55,7 @@ let build_1d ~crossings table itree rdig =
     |> Array.of_seq
   in
   if Array.length events <> Crossings.count crossings then
-    invalid_arg "Sorting.build: crossing set inconsistent with 1-D roots";
+    invalid_arg "Sorting.sweep_1d: crossing set inconsistent with 1-D roots";
   Array.sort (fun (a, _, _) (b, _, _) -> Q.compare a b) events;
   (* distinct boundaries: the events are sorted, so one linear scan
      dedups them — re-sorting through List.sort_uniq would pay a second
@@ -83,93 +83,101 @@ let build_1d ~crossings table itree rdig =
     end
   in
   let ncells = Array.length boundaries + 1 in
-  if ncells <> Itree.leaf_count itree then
-    invalid_arg "Sorting.build: tree/sweep cell mismatch";
-  let cell_sample c =
+  let cell_bounds c =
     let lo = if c = 0 then dlo else boundaries.(c - 1) in
     let hi = if c = ncells - 1 then dhi else boundaries.(c) in
-    [| Q.average lo hi |]
+    (lo, hi)
   in
-  let entries = Array.make ncells None in
-  let stash c order fmh = entries.(c) <- Some { order; fmh } in
-  (* initial cell: the only full FMH build of the sweep — every later
-     cell is one [Mht.set_many] over its neighbour, rehashing the union
-     of its moved leaves' root paths: O(g + log n) node hashes for a
-     crossing group of size g, about log n + 1 for a single swap *)
-  let order0 = sorted_positions fns (cell_sample 0) in
+  let lob, hib = cell_bounds 0 in
+  let order = sorted_positions fns [| Q.average lob hib |] in
   let pos = Array.make n 0 in
-  Array.iteri (fun idx p -> pos.(p) <- idx) order0;
-  let cur_order = Array.copy order0 in
-  let pv = ref (Pvec.of_array order0) in
-  let tree = ref (fmh_of_order rdig order0) in
-  stash 0 !pv !tree;
-  (* sweep: process events grouped by boundary *)
+  Array.iteri (fun idx p -> pos.(p) <- idx) order;
+  let pv = ref (Pvec.of_array order) in
+  on_cell 0 ~lob ~hib !pv ~moved:[];
   let m = Array.length events in
   let e = ref 0 in
   for c = 1 to ncells - 1 do
     let x = boundaries.(c - 1) in
-    (* records involved in crossings at x *)
-    let involved = Hashtbl.create 8 in
+    (* positions of the records that cross at x *)
+    let involved = ref [] in
     while
       !e < m
       && (let r, _, _ = events.(!e) in
           Q.equal r x)
     do
       let _, i, j = events.(!e) in
-      Hashtbl.replace involved i ();
-      Hashtbl.replace involved j ();
+      involved := pos.(i) :: pos.(j) :: !involved;
       incr e
     done;
-    (* group involved records by their (equal) score at x: each group
-       occupies contiguous positions and reorders there *)
-    let groups = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun p () ->
-        let v = Q.to_string (Linfun.eval fns.(p) [| x |]) in
-        Hashtbl.replace groups v (p :: Option.value ~default:[] (Hashtbl.find_opt groups v)))
-      involved;
-    let sample = cell_sample c in
-    (* the boundary's FMH leaf changes, applied in one descent below *)
-    let changes = ref [] in
-    Hashtbl.iter
-      (fun _ members ->
-        let members = Array.of_list members in
-        (* current positions of the group: must be contiguous *)
-        let positions = Array.map (fun p -> pos.(p)) members in
-        Array.sort compare positions;
-        let base = positions.(0) in
-        for k = 1 to Array.length positions - 1 do
-          if positions.(k) <> base + k then
-            invalid_arg "Sorting.build: crossing group not contiguous"
-        done;
-        (* new order inside the group: by score at the next cell's
-           sample, ties by position *)
-        let score = Array.map (fun p -> Linfun.eval fns.(p) sample) members in
-        let by = Array.init (Array.length members) Fun.id in
+    let involved =
+      List.sort_uniq compare !involved
+      |> List.map (fun q -> (q, Linfun.eval fns.(order.(q)) [| x |]))
+    in
+    (* the records meeting at one point share their score at x and
+       occupy contiguous positions: cut the ascending positions where
+       that score changes *)
+    let rec groups = function
+      | [] -> []
+      | (base, v) :: rest ->
+        let rec take last = function
+          | (q, v') :: rest when Q.equal v v' ->
+            if q <> last + 1 then invalid_arg "Sorting.sweep_1d: crossing group not contiguous";
+            take q rest
+          | rest -> (last, rest)
+        in
+        let last, rest = take base rest in
+        (base, last) :: groups rest
+    in
+    let lob, hib = cell_bounds c in
+    let sample = [| Q.average lob hib |] in
+    let moved = ref [] in
+    (* each group re-sorts in place by score at the new cell's sample,
+       ties by position *)
+    List.iter
+      (fun (base, last) ->
+        let members =
+          Array.init (last - base + 1) (fun k ->
+              let p = order.(base + k) in
+              (Linfun.eval fns.(p) sample, p))
+        in
         Array.sort
-          (fun a b ->
-            let cmp = Q.compare score.(a) score.(b) in
-            if cmp <> 0 then cmp else compare members.(a) members.(b))
-          by;
+          (fun (sa, a) (sb, b) ->
+            let cmp = Q.compare sa sb in
+            if cmp <> 0 then cmp else compare a b)
+          members;
         Array.iteri
-          (fun slot bidx ->
-            let p = members.(bidx) in
-            let target = base + slot in
-            if cur_order.(target) <> p then begin
-              cur_order.(target) <- p;
-              pos.(p) <- target;
+          (fun k (_, p) ->
+            let target = base + k in
+            if order.(target) <> p then begin
+              order.(target) <- p;
               pv := Pvec.set !pv target p;
-              changes := (target + 1, rdig.(p)) :: !changes
-            end
-            else pos.(p) <- target)
-          by)
-      groups;
-    (* adjacent moved positions share their root paths above their
-       lowest common ancestor: one descent hashes that union once *)
-    tree := Mht.set_many !tree (List.sort (fun (a, _) (b, _) -> compare a b) !changes);
-    stash c !pv !tree
+              moved := target :: !moved
+            end;
+            pos.(p) <- target)
+          members)
+      (groups involved);
+    on_cell c ~lob ~hib !pv ~moved:(List.rev !moved)
   done;
-  Array.map Option.get entries
+  ncells
+
+(* Cell 0 is the only full FMH build of the sweep: every later cell is
+   one [Mht.set_many] over its neighbour, rehashing the union of its
+   moved leaves' root paths — O(g + log n) node hashes for a crossing
+   group of size g, about log n + 1 for a single swap. *)
+let build_1d ~crossings table itree rdig =
+  let entries = ref [] in
+  let ncells =
+    sweep_1d crossings table (fun _ ~lob:_ ~hib:_ order ~moved ->
+        let fmh =
+          match !entries with
+          | [] -> fmh_of_order rdig (Pvec.to_array order)
+          | prev :: _ ->
+            Mht.set_many prev.fmh (List.map (fun p -> (p + 1, rdig.(Pvec.get order p))) moved)
+        in
+        entries := { order; fmh } :: !entries)
+  in
+  if ncells <> Itree.leaf_count itree then invalid_arg "Sorting.build: tree/sweep cell mismatch";
+  Array.of_list (List.rev !entries)
 
 (* ------------------------ general-d build -------------------------- *)
 

@@ -5,15 +5,16 @@
     the order total even for identical functions), bracketed by the
     [min]/[max] sentinels, and committed in a Merkle tree.
 
-    In dimension 1, construction is a left-to-right sweep: crossing a
-    subdomain boundary transposes exactly the records that intersect
-    there, so each snapshot costs O(g + log n) over its neighbour (for
-    a crossing group of size g) thanks to the persistence of
-    {!Aqv_util.Pvec} and {!Aqv_merkle.Mht}: a boundary's moved leaves
-    go to one {!Aqv_merkle.Mht.set_many}, which rehashes the union of
-    their root paths once — about log n + 1 node hashes for the usual
-    single adjacent swap, against 2 log n for two separate sets. The
-    sweep is inherently incremental and stays sequential. In higher
+    In dimension 1, construction consumes {!sweep_1d}, the one
+    left-to-right sweep of the arrangement: crossing a subdomain
+    boundary reorders exactly the records that intersect there, so each
+    snapshot costs O(g + log n) over its neighbour (for a crossing
+    group of size g) thanks to the persistence of {!Aqv_util.Pvec} and
+    {!Aqv_merkle.Mht}: a boundary's moved leaves go to one
+    {!Aqv_merkle.Mht.set_many}, which rehashes the union of their root
+    paths once — about log n + 1 node hashes for the usual single
+    adjacent swap, against 2 log n for two separate sets. The sweep is
+    inherently incremental and stays sequential. In higher
     dimensions each leaf is sorted independently at its witness point,
     so leaves fan out over the {!Aqv_par.Pool} — bit-identically to a
     sequential build.
@@ -43,11 +44,10 @@ val build :
     caller that already hashed the records — {!Ifmh.build} does — need
     not pay for it twice; omitted, the digests are computed here.
 
-    [crossings] supplies the crossing enumerator's crossing set: in
-    1-D the sweep's boundary events are exactly the crossing pairs
-    (each carries its root), so the old private Θ(n²) pair walk is
-    gone. Omitted in 1-D, the set is enumerated here (over [pool]) —
-    bit-identical either way; dimension >= 2 never needs it.
+    [crossings] supplies the crossing enumerator's crossing set, which
+    {!sweep_1d} consumes in 1-D. Omitted in 1-D, the set is enumerated
+    here (over [pool]) — bit-identical either way; dimension >= 2
+    never needs it.
     @raise Invalid_argument if the table and tree disagree or [rdig]
     has the wrong length. *)
 
@@ -58,3 +58,25 @@ val fmh_root : t -> int -> string
 (** Root commitment of leaf [id]'s FMH-tree. *)
 
 val leaf_count : t -> int
+
+val sweep_1d :
+  Crossings.t ->
+  Aqv_db.Table.t ->
+  (int -> lob:Aqv_num.Rational.t -> hib:Aqv_num.Rational.t -> int Aqv_util.Pvec.t ->
+   moved:int list -> unit) ->
+  int
+(** [sweep_1d crossings table on_cell] walks the 1-D arrangement left
+    to right and returns the number of cells. The cell boundaries are
+    the distinct roots of [crossings], the table's crossing set from
+    {!Crossings.enumerate}. For each cell [c], in order, it calls
+    [on_cell c ~lob ~hib order ~moved]: the cell is the half-open
+    interval from [lob] to [hib] (the last one closed); [order] holds
+    the record positions sorted by score at its midpoint, ties by
+    position, as a persistent vector sharing all but the moved slots
+    with cell [c - 1]'s; [moved] lists, ascending, the positions whose
+    record differs from cell [c - 1]'s (none for cell 0). At a boundary
+    only the records crossing there move: each group meeting at one
+    point re-sorts within its contiguous block. This is the one 1-D
+    sweep: {!build} and the signature-mesh baseline both consume it.
+    @raise Invalid_argument if [crossings] does not match the table's
+    1-D roots. *)

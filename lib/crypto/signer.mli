@@ -1,9 +1,10 @@
 (** Unified signature-scheme interface.
 
-    The index builders ({!Aqv.Ifmh}, {!Aqv.Mesh}) are parametric in the
-    signature algorithm: the paper compares RSA and DSA (Fig. 7c). A
-    [keypair] bundles the owner-side signing closure with the user-side
-    verification closure, plus metadata the benches report. *)
+    The index builders ({!Aqv.Ifmh}, {!Aqv_baseline.Mesh}) are
+    parametric in the signature algorithm: the paper compares RSA and
+    DSA (Fig. 7c). A [keypair] bundles the owner-side signing closure
+    with the user-side verification closure, plus metadata the benches
+    report. *)
 
 type algorithm = Rsa | Dsa
 

@@ -9,7 +9,7 @@
 
 module Q = Aqv_num.Rational
 module Metrics = Aqv_util.Metrics
-open Aqv
+open Aqv_baseline
 
 let locate_cell_scan mesh =
   let bounds = Mesh.cell_bounds mesh in

@@ -11,6 +11,7 @@ module Template = Aqv_db.Template
 module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
 open Aqv
+open Aqv_baseline
 
 let check = Alcotest.check
 

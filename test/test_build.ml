@@ -273,6 +273,50 @@ let test_pinned_dims () =
         "52afa2906e31509de143f79c42308ec6ca6eb8094b9a8a1bb0bd1e8575ef8455" );
     ]
 
+(* The one 1-D sweep's contract, checked cell by cell against a
+   from-scratch sort: each cell's order is the sort at the cell's
+   midpoint (ties by position), [moved] is exactly the set of positions
+   whose record differs from the previous cell's, and the cells are the
+   I-tree's leaves, same count and same intervals. The tie-heavy table
+   gets a copy of its first line, so identical functions sit in every
+   order. *)
+let sweep_contract table =
+  let dom = Table.domain table and fns = Table.functions table in
+  let n = Array.length fns in
+  let itree = Itree.build dom fns in
+  let prev = ref None in
+  let on_cell c ~lob ~hib order ~moved =
+    let la, ha = Itree.leaf_interval itree c in
+    check Alcotest.bool (Printf.sprintf "cell %d interval" c) true (Q.equal la lob && Q.equal ha hib);
+    let mid = [| Q.average lob hib |] in
+    let expect = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Q.compare (Linfun.eval fns.(a) mid) (Linfun.eval fns.(b) mid)) expect;
+    let order = Aqv_util.Pvec.to_array order in
+    check Alcotest.(array int) (Printf.sprintf "cell %d order" c) expect order;
+    let differ =
+      match !prev with
+      | None -> []
+      | Some p -> List.filter (fun k -> p.(k) <> order.(k)) (List.init n Fun.id)
+    in
+    check Alcotest.(list int) (Printf.sprintf "cell %d moved" c) differ moved;
+    prev := Some order
+  in
+  let ncells = Sorting.sweep_1d (Crossings.enumerate dom fns) table on_cell in
+  check Alcotest.int "cells = I-tree leaves" (Itree.leaf_count itree) ncells;
+  true
+
+let with_duplicate_line table =
+  let records = Array.to_list (Table.records table) in
+  let copy = Aqv_db.Record.make ~id:1_000_000 ~attrs:(Aqv_db.Record.attrs (List.hd records)) () in
+  Table.make ~records:(records @ [ copy ]) ~template:(Table.template table)
+    ~domain:(Table.domain table)
+
+let sweep_contract_1d =
+  qtest ~count:40 "sweep_1d contract (1-D shapes)" gen_1d (fun (n, seed) ->
+      sweep_contract (table_dense n seed)
+      && sweep_contract (table_sparse n seed)
+      && sweep_contract (with_duplicate_line (table_ties ~slopes:3 ~intercepts:4 (min n 28) seed)))
+
 let () =
   Alcotest.run "aqv_build"
     [
@@ -297,5 +341,6 @@ let () =
           Alcotest.test_case "insertion-order independence" `Quick test_order_independence;
           Alcotest.test_case "full build identity across pools" `Quick test_full_build_identity;
           Alcotest.test_case "pinned sha256 (2-D, 3-D)" `Quick test_pinned_dims;
+          sweep_contract_1d;
         ] );
     ]

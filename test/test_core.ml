@@ -16,6 +16,7 @@ module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
 module Mesh_ref = Aqv_ref.Mesh_ref
 open Aqv
+open Aqv_baseline
 
 let check = Alcotest.check
 
@@ -749,6 +750,36 @@ let test_pinned_bytes () =
   check Alcotest.string "sha256 of every exchanged byte" pinned_bytes_sha256
     (Aqv_util.Hex.encode (Aqv_crypto.Sha256.digest (Aqv_util.Wire.contents w)))
 
+(* The signature mesh pinned the same way: its fingerprint (cells,
+   orders, runs, signatures) under a fake signer that makes each
+   signature a pure function of its digest, and the crypto-free dry
+   run's counts, on a seeded 1-D table and a tie-heavy one (slopes and
+   intercepts in a handful of integers, so crossings share boundaries).
+   A change to the sweep or the run bookkeeping that moved both the
+   build and the dry run at once fails here. *)
+let test_pinned_mesh () =
+  let kp = { (Lazy.force keypair) with Signer.sign = (fun d -> "sig:" ^ d) } in
+  List.iter
+    (fun (name, table, sha, sigs, cells) ->
+      let mesh = Mesh.build table kp in
+      check Alcotest.string (name ^ ": fingerprint") sha
+        (Aqv_util.Hex.encode (Mesh.fingerprint mesh));
+      check Alcotest.int (name ^ ": signatures") sigs (Mesh.signature_count mesh);
+      check Alcotest.int (name ^ ": cells") cells (Mesh.subdomain_count mesh);
+      check Alcotest.(pair int int) (name ^ ": dry run") (sigs, cells) (Mesh.count_signatures table))
+    [
+      ( "lines",
+        Workload.lines_1d ~n:20 (Prng.create 9L),
+        "bb1164cbc8242a569bff0d0bd8485ae420a9c27e6a4adebc56f4cc7ab54d8291",
+        243,
+        75 );
+      ( "ties",
+        Workload.lines_1d ~slope_range:3 ~intercept_range:3 ~n:24 (Prng.create 7L),
+        "2aad0b6750dfdc077aa78e0f74eca7d198c359775e82dbd2ec66dcb6693a3d81",
+        139,
+        10 );
+    ]
+
 let () =
   Alcotest.run "aqv_core"
     [
@@ -807,5 +838,9 @@ let () =
           Alcotest.test_case "dry-run counts" `Quick test_mesh_counts;
           Alcotest.test_case "rejects 2d" `Quick test_mesh_rejects_2d;
         ] );
-      ("bytes", [ Alcotest.test_case "pinned sha256" `Quick test_pinned_bytes ]);
+      ( "bytes",
+        [
+          Alcotest.test_case "pinned sha256" `Quick test_pinned_bytes;
+          Alcotest.test_case "pinned mesh sha256" `Quick test_pinned_mesh;
+        ] );
     ]

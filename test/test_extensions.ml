@@ -14,6 +14,7 @@ module Signer = Aqv_crypto.Signer
 module Frame_io = Aqv_serve.Frame_io
 module Bigint_ref = Aqv_ref.Bigint_ref
 open Aqv
+open Aqv_baseline
 
 let check = Alcotest.check
 

@@ -13,6 +13,7 @@ module Signer = Aqv_crypto.Signer
 module Table = Aqv_db.Table
 module Workload = Aqv_db.Workload
 open Aqv
+open Aqv_baseline
 
 let check = Alcotest.check
 

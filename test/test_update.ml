@@ -20,6 +20,7 @@ module Table = Aqv_db.Table
 module Template = Aqv_db.Template
 module Workload = Aqv_db.Workload
 open Aqv
+open Aqv_baseline
 
 let check = Alcotest.check
 let hex = Aqv_util.Hex.encode

@@ -12,6 +12,7 @@ module Template = Aqv_db.Template
 module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
 open Aqv
+open Aqv_baseline
 
 let raises_invalid name f =
   Alcotest.test_case name `Quick (fun () ->
