@@ -7,6 +7,7 @@
      dune exec bench/main.exe -- --list
      dune exec bench/main.exe -- --only fig6a # one figure
      dune exec bench/main.exe -- --no-micro   # skip bechamel section
+     dune exec bench/main.exe -- --only micro # bechamel section alone
      dune exec bench/main.exe -- --json BENCH.json  # machine-readable rows
      AQV_BENCH_SCALE=2 dune exec bench/main.exe     # larger sweeps
      AQV_DOMAINS=4 dune exec bench/main.exe -- --only fig5b  # par build pool
@@ -1184,7 +1185,7 @@ let () =
           json_add [ ("figure", J_str id); ("wall_s", J_num wall) ]
         end)
       figures;
-    if only = None && not (List.mem "--no-micro" args) then run_micros ();
+    if (only = None && not (List.mem "--no-micro" args)) || wanted "micro" then run_micros ();
     let total_s = Unix.gettimeofday () -. t0 in
     Printf.printf "\ntotal bench time: %.1fs\n" total_s;
     Option.iter (fun path -> write_json path ~total_s) json_path

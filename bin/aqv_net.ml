@@ -439,7 +439,7 @@ let with_rig ~index ~cache_capacity ~max_conns ~replicas f =
   (result, replica_counts)
 
 (* One republish, one connection, one verdict. The connection is opened
-   only once the delta is ready: the owner-side [Ifmh.apply] can outlast
+   only once the delta is ready: an owner-side [Ifmh.apply] can outlast
    the engine's idle_timeout, and a session held open across it gets
    dropped server-side — the drop then surfaces as EPIPE on the next
    write and, uncaught, kills the republisher thread silently. The ack
@@ -506,6 +506,21 @@ let run_workload spec_path replicas_override seed_override json_path =
   let bundle = Protocol.bundle_of_index index keypair.Signer.public in
   let ctx = Protocol.client_ctx bundle in
   let trace = Workload.Trace.generate spec table in
+  (* The owner's side of every republish is fixed by the trace, so it
+     runs here, before the rig and the timed window: [Ifmh.apply]
+     re-signs every leaf, and a republisher computing it in the window
+     held every reader behind the owner's signing. The republisher only
+     sends; [send_republish] times send-to-ack. *)
+  let deltas =
+    let cur = ref index in
+    Array.mapi
+      (fun i (id, attrs) ->
+        let changes = [ Update.Modify (Record.make ~id ~attrs ()) ] in
+        let next = Ifmh.apply ~epoch:(i + 2) keypair changes !cur in
+        cur := next;
+        Ifmh.delta ~changes next)
+      trace.Workload.Trace.republishes
+  in
   let failures = ref 0 and failures_mu = Mutex.create () in
   let repub_hist = Histogram.create () in
   let repub_failures = ref 0 in
@@ -546,19 +561,14 @@ let run_workload spec_path replicas_override seed_override json_path =
            trace *)
         let repub_thread () =
           let rate = spec.Spec.republish_rate_hz in
-          let cur = ref index in
           let t_start = Unix.gettimeofday () in
           Array.iteri
-            (fun i (id, attrs) ->
+            (fun i delta ->
               let due = t_start +. (float_of_int i /. rate) in
               let now = Unix.gettimeofday () in
               if due > now then Thread.delay (due -. now);
-              let changes = [ Update.Modify (Record.make ~id ~attrs ()) ] in
-              let next = Ifmh.apply ~epoch:(i + 2) keypair changes !cur in
-              send_republish ~primary_port ~repub_hist ~repub_failures
-                (Ifmh.delta ~changes next);
-              cur := next)
-            trace.Workload.Trace.republishes
+              send_republish ~primary_port ~repub_hist ~repub_failures delta)
+            deltas
         in
         let t0 = Unix.gettimeofday () in
         let threads =

@@ -454,181 +454,6 @@ let mod_inv a m =
   in
   go a m one zero
 
-(* --- Montgomery exponentiation (odd modulus) --- *)
-
-(* One context per modulus, computed once. It is never mutated after
-   [mont] returns, so every domain signing under one key shares it;
-   all scratch space is allocated per call. *)
-type mont = {
-  mm : int array;  (* modulus limbs, n of them, top limb non-zero *)
-  n0' : int;  (* -m^-1 mod 2^26 *)
-  r2 : int array;  (* R^2 mod m in n limbs, R = 2^(26n): enters the domain in one multiply *)
-  modulus : t;
-}
-
-(* The kernel sums up to 2n limb products (each below 2^52) plus a
-   carry in one native int, which stays below 2^62 for n <= 511 limbs.
-   8192 bits is 316 limbs. *)
-let mont_max_bits = 8192
-
-let mont modulus =
-  if sign modulus <= 0 || is_even modulus || equal modulus one then
-    invalid_arg "Bigint.mont: modulus must be odd and > 1";
-  if bit_length modulus > mont_max_bits then invalid_arg "Bigint.mont: modulus above 8192 bits";
-  let mm = to_mag modulus in
-  let n = Array.length mm in
-  let m0 = mm.(0) in
-  (* Newton iteration for the inverse of m0 modulo 2^26 *)
-  let inv = ref 1 in
-  for _ = 1 to 5 do
-    inv := !inv * (2 - (m0 * !inv)) land mask
-  done;
-  let r2 = Array.make n 0 in
-  let _, r = mag_divmod (mag_shift_left [| 1 |] (2 * n * limb_bits)) mm in
-  Array.blit r 0 r2 0 (Array.length r);
-  { mm; n0' = (base - !inv) land mask; r2; modulus }
-
-(* dst <- a * b * R^-1 mod m, for n-limb a, b < m. Product scanning:
-   column k accumulates every a_j*b_(k-j) and q_j*m_(k-j) in one int
-   and carries lazily, once per column. Columns below n fix the
-   quotient limbs q; column k >= n emits result limb k - n, and no
-   later column reads a limb below k - n + 1, so dst may alias a or b.
-   The result before the final subtract is below 2m. *)
-let mont_mul_into ctx q dst a b =
-  let m = ctx.mm in
-  let n = Array.length m in
-  let n0' = ctx.n0' in
-  let t = ref 0 in
-  for i = 0 to n - 1 do
-    let acc = ref !t in
-    for j = 0 to i - 1 do
-      acc :=
-        !acc
-        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
-        + (Array.unsafe_get q j * Array.unsafe_get m (i - j))
-    done;
-    let s = !acc + (Array.unsafe_get a i * Array.unsafe_get b 0) in
-    let qi = (s land mask) * n0' land mask in
-    Array.unsafe_set q i qi;
-    t := (s + (qi * Array.unsafe_get m 0)) lsr limb_bits
-  done;
-  for i = n to (2 * n) - 1 do
-    let acc = ref !t in
-    for j = i - n + 1 to n - 1 do
-      acc :=
-        !acc
-        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
-        + (Array.unsafe_get q j * Array.unsafe_get m (i - j))
-    done;
-    Array.unsafe_set dst (i - n) (!acc land mask);
-    t := !acc lsr limb_bits
-  done;
-  (* one conditional subtract: t is the carry out of the top limb *)
-  let i = ref (n - 1) in
-  while !i >= 0 && Array.unsafe_get dst !i = Array.unsafe_get m !i do
-    decr i
-  done;
-  if !t <> 0 || !i < 0 || Array.unsafe_get dst !i > Array.unsafe_get m !i then begin
-    let borrow = ref 0 in
-    for k = 0 to n - 1 do
-      let s = Array.unsafe_get dst k - Array.unsafe_get m k - !borrow in
-      Array.unsafe_set dst k (s land mask);
-      borrow := -(s asr limb_bits)
-    done
-  end
-
-let mag_bit e i = (e.(i / limb_bits) lsr (i mod limb_bits)) land 1
-
-(* Above this many exponent bits, a width-5 sliding window (16 odd
-   powers) beats left-to-right square-and-multiply. *)
-let short_exp_bits = 20
-
-let mod_pow_mont ctx ~base:b ~exp =
-  if sign exp < 0 then invalid_arg "Bigint.mod_pow_mont: negative exponent";
-  let e = to_mag exp in
-  let bits = mag_bit_length e in
-  if bits = 0 then one
-  else begin
-    let n = Array.length ctx.mm in
-    let b = if sign b >= 0 && compare b ctx.modulus < 0 then b else erem b ctx.modulus in
-    let q = Array.make n 0 in
-    let x = Array.make n 0 in
-    let bm = to_mag b in
-    Array.blit bm 0 x 0 (Array.length bm);
-    mont_mul_into ctx q x x ctx.r2;
-    let acc = Array.make n 0 in
-    if bits <= short_exp_bits then begin
-      Array.blit x 0 acc 0 n;
-      for i = bits - 2 downto 0 do
-        mont_mul_into ctx q acc acc acc;
-        if mag_bit e i = 1 then mont_mul_into ctx q acc acc x
-      done
-    end
-    else begin
-      (* tbl.(k) = x^(2k+1) *)
-      let tbl = Array.make 16 x in
-      mont_mul_into ctx q acc x x;
-      for k = 1 to 15 do
-        let p = Array.make n 0 in
-        mont_mul_into ctx q p tbl.(k - 1) acc;
-        tbl.(k) <- p
-      done;
-      (* the top bit is set, so the first window seeds acc *)
-      let first = ref true in
-      let i = ref (bits - 1) in
-      while !i >= 0 do
-        if mag_bit e !i = 0 then begin
-          mont_mul_into ctx q acc acc acc;
-          decr i
-        end
-        else begin
-          let l = ref (if !i >= 4 then !i - 4 else 0) in
-          while mag_bit e !l = 0 do
-            incr l
-          done;
-          let w = ref 0 in
-          for k = !i downto !l do
-            w := (!w lsl 1) lor mag_bit e k
-          done;
-          if !first then begin
-            Array.blit tbl.(!w lsr 1) 0 acc 0 n;
-            first := false
-          end
-          else begin
-            for _ = !l to !i do
-              mont_mul_into ctx q acc acc acc
-            done;
-            mont_mul_into ctx q acc acc tbl.(!w lsr 1)
-          end;
-          i := !l - 1
-        end
-      done
-    end;
-    (* leave the domain: multiply by the literal 1 *)
-    Array.fill x 0 n 0;
-    x.(0) <- 1;
-    mont_mul_into ctx q acc acc x;
-    make 1 (mag_normalize acc)
-  end
-
-let mod_pow ~base:b ~exp ~modulus =
-  if sign exp < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
-  if sign modulus <= 0 then invalid_arg "Bigint.mod_pow: modulus <= 0";
-  if equal modulus one then S 0
-  else if is_zero exp then one
-  else if (not (is_even modulus)) && bit_length modulus <= mont_max_bits then
-    mod_pow_mont (mont modulus) ~base:b ~exp
-  else begin
-    let b = erem b modulus in
-    let bl = bit_length exp in
-    let acc = ref one in
-    for i = bl - 1 downto 0 do
-      acc := erem (mul !acc !acc) modulus;
-      if testbit exp i then acc := erem (mul !acc b) modulus
-    done;
-    !acc
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Strings                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -779,3 +604,153 @@ let random_below rng bound =
     if compare v bound < 0 then v else go ()
   in
   go ()
+
+(* ------------------------------------------------------------------ *)
+(* Montgomery exponentiation (odd modulus)                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The Montgomery product runs in C (mont_stubs.c) over native-endian
+   64-bit limbs held in [Bytes.t], 8 bytes a limb, least significant
+   first: [mont_mul dst a b m n0'] sets [dst] to a * b * R^-1 mod m for
+   n-limb a, b < m, R = 2^(64n), n0' = -m^-1 mod 2^64. [dst] may alias
+   [a] or [b]. *)
+external mont_mul : Bytes.t -> Bytes.t -> Bytes.t -> Bytes.t -> (int64[@unboxed]) -> unit
+  = "aqv_mont_mul_byte" "aqv_mont_mul"
+[@@noalloc]
+
+(* One context per modulus, computed once. It is never mutated after
+   [mont] returns, so every domain signing under one key shares it;
+   all scratch space is allocated per call. *)
+type mont = {
+  mm : Bytes.t;  (* modulus, n 64-bit limbs, top limb non-zero *)
+  n0' : int64;  (* -m^-1 mod 2^64 *)
+  r2 : Bytes.t;  (* R^2 mod m, R = 2^(64n): enters the domain in one multiply *)
+  modulus : t;
+}
+
+(* The C kernel keeps its accumulator in a stack array of 128 limbs. *)
+let mont_max_bits = 8192
+
+(* Value <-> n 64-bit limbs, through the big-endian byte conversions:
+   limb i is the big-endian word at byte 8 (n - 1 - i). *)
+let limbs64_of t n =
+  let s = to_bytes_be ~width:(8 * n) t in
+  let dst = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_ne dst (8 * i) (String.get_int64_be s (8 * (n - 1 - i)))
+  done;
+  dst
+
+let of_limbs64 src =
+  let n = Bytes.length src / 8 in
+  let s = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_be s (8 * (n - 1 - i)) (Bytes.get_int64_ne src (8 * i))
+  done;
+  of_bytes_be (Bytes.unsafe_to_string s)
+
+let mont modulus =
+  if sign modulus <= 0 || is_even modulus || equal modulus one then
+    invalid_arg "Bigint.mont: modulus must be odd and > 1";
+  if bit_length modulus > mont_max_bits then invalid_arg "Bigint.mont: modulus above 8192 bits";
+  let n = (bit_length modulus + 63) / 64 in
+  let mm = limbs64_of modulus n in
+  let m0 = Bytes.get_int64_ne mm 0 in
+  (* Newton iteration for the inverse of m0 modulo 2^64: m0 * m0 = 1
+     mod 8, and each step doubles the correct low bits (3 -> 96) *)
+  let inv = ref m0 in
+  for _ = 1 to 5 do
+    inv := Int64.mul !inv (Int64.sub 2L (Int64.mul m0 !inv))
+  done;
+  let r2 = erem (shift_left one (128 * n)) modulus in
+  { mm; n0' = Int64.neg !inv; r2 = limbs64_of r2 n; modulus }
+
+let mag_bit e i = (e.(i / limb_bits) lsr (i mod limb_bits)) land 1
+
+(* Above this many exponent bits, a width-5 sliding window (16 odd
+   powers) beats left-to-right square-and-multiply. *)
+let short_exp_bits = 20
+
+let mod_pow_mont ctx ~base:b ~exp =
+  if sign exp < 0 then invalid_arg "Bigint.mod_pow_mont: negative exponent";
+  let e = to_mag exp in
+  let bits = mag_bit_length e in
+  if bits = 0 then one
+  else begin
+    let m = ctx.mm and n0' = ctx.n0' in
+    let len = Bytes.length m in
+    let b = if sign b >= 0 && compare b ctx.modulus < 0 then b else erem b ctx.modulus in
+    let x = limbs64_of b (len / 8) in
+    mont_mul x x ctx.r2 m n0';
+    let acc = Bytes.create len in
+    if bits <= short_exp_bits then begin
+      Bytes.blit x 0 acc 0 len;
+      for i = bits - 2 downto 0 do
+        mont_mul acc acc acc m n0';
+        if mag_bit e i = 1 then mont_mul acc acc x m n0'
+      done
+    end
+    else begin
+      (* tbl.(k) = x^(2k+1) *)
+      let tbl = Array.make 16 x in
+      mont_mul acc x x m n0';
+      for k = 1 to 15 do
+        let p = Bytes.create len in
+        mont_mul p tbl.(k - 1) acc m n0';
+        tbl.(k) <- p
+      done;
+      (* the top bit is set, so the first window seeds acc *)
+      let first = ref true in
+      let i = ref (bits - 1) in
+      while !i >= 0 do
+        if mag_bit e !i = 0 then begin
+          mont_mul acc acc acc m n0';
+          decr i
+        end
+        else begin
+          let l = ref (if !i >= 4 then !i - 4 else 0) in
+          while mag_bit e !l = 0 do
+            incr l
+          done;
+          let w = ref 0 in
+          for k = !i downto !l do
+            w := (!w lsl 1) lor mag_bit e k
+          done;
+          if !first then begin
+            Bytes.blit tbl.(!w lsr 1) 0 acc 0 len;
+            first := false
+          end
+          else begin
+            for _ = !l to !i do
+              mont_mul acc acc acc m n0'
+            done;
+            mont_mul acc acc tbl.(!w lsr 1) m n0'
+          end;
+          i := !l - 1
+        end
+      done
+    end;
+    (* leave the domain: multiply by the literal 1 *)
+    Bytes.fill x 0 len '\000';
+    Bytes.set_int64_ne x 0 1L;
+    mont_mul acc acc x m n0';
+    of_limbs64 acc
+  end
+
+let mod_pow ~base:b ~exp ~modulus =
+  if sign exp < 0 then invalid_arg "Bigint.mod_pow: negative exponent";
+  if sign modulus <= 0 then invalid_arg "Bigint.mod_pow: modulus <= 0";
+  if equal modulus one then S 0
+  else if is_zero exp then one
+  else if (not (is_even modulus)) && bit_length modulus <= mont_max_bits then
+    mod_pow_mont (mont modulus) ~base:b ~exp
+  else begin
+    let b = erem b modulus in
+    let bl = bit_length exp in
+    let acc = ref one in
+    for i = bl - 1 downto 0 do
+      acc := erem (mul !acc !acc) modulus;
+      if testbit exp i then acc := erem (mul !acc b) modulus
+    done;
+    !acc
+  end

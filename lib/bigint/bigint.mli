@@ -1,10 +1,12 @@
 (** Arbitrary-precision signed integers.
 
-    Pure OCaml: sign + magnitude in base 2^26 limbs, with a native-[int]
-    fast path for small values so that the exact-rational layer built on
-    top stays cheap on typical workloads. Serves two clients: the exact
-    geometry in {!Aqv_num} and the public-key cryptography in
-    {!Aqv_crypto}. *)
+    OCaml sign + magnitude in base 2^26 limbs, with a native-[int] fast
+    path for small values so that the exact-rational layer built on top
+    stays cheap on typical workloads. The one exception is the
+    Montgomery product under {!mod_pow_mont}: a C kernel over 64-bit
+    limbs ([mont_stubs.c]), whose results equal plain
+    square-and-multiply's. Serves two clients: the exact geometry in
+    {!Aqv_num} and the public-key cryptography in {!Aqv_crypto}. *)
 
 type t
 
@@ -87,9 +89,10 @@ val mod_pow : base:t -> exp:t -> modulus:t -> t
     plain square-and-multiply. *)
 
 type mont
-(** Montgomery context of one odd modulus: its limbs, [-m^-1 mod 2^26]
-    and [R^2 mod m]. Immutable, so domains may share it. Build it once
-    per key and reuse it for every exponentiation under that modulus. *)
+(** Montgomery context of one odd modulus [m] of [n] 64-bit limbs: the
+    limbs, [-m^-1 mod 2^64] and [R^2 mod m] for [R = 2^(64n)].
+    Immutable, so domains may share it. Build it once per key and reuse
+    it for every exponentiation under that modulus. *)
 
 val mont : t -> mont
 (** @raise Invalid_argument if the modulus is even, [<= 1], or above
@@ -97,8 +100,10 @@ val mont : t -> mont
 
 val mod_pow_mont : mont -> base:t -> exp:t -> t
 (** [mod_pow_mont c ~base ~exp] is [base^exp mod m] for the context's
-    modulus [m] and [exp >= 0]; [base] may be negative or [>= m].
-    Allocation does not grow with the exponent's length.
+    modulus [m] and [exp >= 0]; [base] may be negative or [>= m]. The
+    base enters the Montgomery domain and the result leaves it once per
+    call; every product in between runs in the C kernel. Allocation
+    does not grow with the exponent's length.
     @raise Invalid_argument on a negative exponent. *)
 
 val mod_inv : t -> t -> t

@@ -1,6 +1,7 @@
 (** RSA signatures (PKCS#1 v1.5-style padding over SHA-256 digests).
 
-    Pure OCaml over {!Aqv_bigint.Bigint}; signing uses the CRT. The paper
+    OCaml over {!Aqv_bigint.Bigint}, whose modular exponentiation runs
+    on one C Montgomery kernel; signing uses the CRT. The paper
     evaluates both RSA and DSA as the data owner's signature algorithm
     (Fig. 7c); key size is a parameter so that the signature-heavy
     baseline stays tractable in simulation. *)

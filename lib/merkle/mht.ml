@@ -84,10 +84,6 @@ let set_many t changes =
   in
   go t 0 changes
 
-let swap_adjacent t i =
-  let a = leaf t i and b = leaf t (i + 1) in
-  set_many t [ (i, b); (i + 1, a) ]
-
 type path_elem = { sibling : string; sibling_on_left : bool }
 
 let auth_path t i =

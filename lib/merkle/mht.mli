@@ -10,11 +10,11 @@
     a verifier reconstruct roots from segments without trusting any
     structural hints.
 
-    Trees are immutable and persistent: {!set}, {!set_many} and
-    {!swap_adjacent} share all untouched nodes, so the owner can
-    snapshot one FMH per subdomain while paying only O(log n) per
-    adjacent transposition — the exact mutation that moving across a
-    subdomain boundary induces.
+    Trees are immutable and persistent: {!set} and {!set_many} share
+    all untouched nodes, so the owner can snapshot one FMH per
+    subdomain while paying only the root paths of the positions that
+    moving across a subdomain boundary changes — one {!set_many} per
+    boundary, O(log n) for an adjacent transposition.
 
     Interior hashes are domain-separated from leaf digests
     ([H("\x03" | left | right)]), preventing leaf/interior confusion. *)
@@ -44,10 +44,6 @@ val set_many : t -> (int * string) list -> t
     2 log n. [set_many t []] is [t].
     @raise Invalid_argument on an out-of-bounds, duplicate or
     unsorted index. *)
-
-val swap_adjacent : t -> int -> t
-(** [swap_adjacent t i] exchanges leaves [i] and [i+1] (one
-    {!set_many}). *)
 
 (** {1 Proofs} *)
 

@@ -34,10 +34,6 @@ let rec set t i v =
     else if i < sl then Node { n with l = set l i v }
     else Node { n with r = set r (i - sl) v }
 
-let swap_adjacent t i =
-  let a = get t i and b = get t (i + 1) in
-  set (set t i b) (i + 1) a
-
 let to_list t =
   let rec go t acc = match t with Leaf v -> v :: acc | Node { l; r; _ } -> go l (go r acc) in
   go t []

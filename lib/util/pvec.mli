@@ -15,8 +15,5 @@ val get : 'a t -> int -> 'a
 (** @raise Invalid_argument if out of bounds. *)
 
 val set : 'a t -> int -> 'a -> 'a t
-val swap_adjacent : 'a t -> int -> 'a t
-(** Exchange elements [i] and [i+1]. *)
-
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list

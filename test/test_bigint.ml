@@ -359,6 +359,49 @@ let test_mod_pow_mont_allocation () =
   check (Alcotest.float 0.) "same words at 64 and 1024 exponent bits" w64 w1024;
   if w1024 >= 1000. then Alcotest.failf "%.0f minor words for one exponentiation" w1024
 
+(* The kernel's 64-bit limb boundaries: odd moduli of exactly 64k - 1,
+   64k and 64k + 1 bits for every k = 1..128 (8193 bits is refused),
+   each with an edge base and an exponent that is 0, 1, short (the
+   square-and-multiply path) or long (the sliding window). *)
+let boundary_modulus rng bits =
+  Z.add (Z.shift_left Z.one (bits - 1)) (Z.succ (Z.shift_left (Z.random_bits rng (bits - 2)) 1))
+
+let boundary_exp rng =
+  match Prng.int rng 4 with
+  | 0 -> Z.zero
+  | 1 -> Z.one
+  | 2 -> Z.random_bits rng (1 + Prng.int rng 20)
+  | _ ->
+    let bits = 21 + Prng.int rng 60 in
+    Z.add (Z.shift_left Z.one (bits - 1)) (Z.random_bits rng (bits - 1))
+
+let boundary_base rng m =
+  match Prng.int rng 6 with
+  | 0 -> Z.zero
+  | 1 -> Z.one
+  | 2 -> Z.pred m
+  | 3 -> Z.add m (Z.random_bits rng (1 + Prng.int rng 200)) (* >= m *)
+  | 4 -> Z.neg (Z.random_bits rng (1 + Prng.int rng (Z.bit_length m + 64)))
+  | _ -> Z.random_below rng m
+
+let prop_mod_pow_mont_limb_boundaries =
+  qtest "mod_pow_mont = mod_pow_plain (64-bit limb boundaries)" ~count:3 QCheck.int (fun seed ->
+      let rng = Prng.create (Int64.of_int seed) in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun bits ->
+              bits > 8192
+              ||
+              let m = boundary_modulus rng bits in
+              let b = boundary_base rng m and e = boundary_exp rng in
+              Z.bit_length m = bits
+              && Z.equal
+                   (Z.mod_pow_mont (Z.mont m) ~base:b ~exp:e)
+                   (Bigint_ref.mod_pow_plain ~base:b ~exp:e ~modulus:m))
+            [ (64 * k) - 1; 64 * k; (64 * k) + 1 ])
+        (List.init 128 (fun i -> i + 1)))
+
 let prop_mod_inv =
   qtest "mod_inv correct when gcd=1" ~count:300
     QCheck.(pair arb_z arb_modulus)
@@ -494,6 +537,7 @@ let () =
           Alcotest.test_case "mont allocation flat" `Quick test_mod_pow_mont_allocation;
           prop_mod_inv;
           Alcotest.test_case "mod_inv not found" `Quick test_mod_inv_not_found;
+          prop_mod_pow_mont_limb_boundaries;
         ] );
       ( "random",
         [

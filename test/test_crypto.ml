@@ -232,6 +232,39 @@ let test_rsa_decode_exponent_range () =
   refuses "e = n" (fun () -> rsa_pub_of n n);
   refuses "e > n" (fun () -> rsa_pub_of n (Z.add n Z.two))
 
+(* A hostile key at the kernel's limit: an odd 8192-bit modulus nobody
+   can factor decodes (the verifier can check against it), and garbage
+   of every shape verifies as [false] without raising; one bit more is
+   refused at decode. *)
+let test_rsa_decode_hostile_8192 () =
+  let rng = Prng.create 8192L in
+  let odd_of_bits bits =
+    Z.add (Z.shift_left Z.one (bits - 1)) (Z.succ (Z.shift_left (Z.random_bits rng (bits - 2)) 1))
+  in
+  let n = odd_of_bits 8192 in
+  let pub = rsa_pub_of n e65537 in
+  let d = Sha256.digest "hostile" in
+  let k = 1024 in
+  let garbage =
+    [
+      String.make k '\000';
+      Z.to_bytes_be ~width:k Z.one;
+      Z.to_bytes_be ~width:k (Z.pred n);
+      Z.to_bytes_be ~width:k (Z.random_below rng n);
+      Z.to_bytes_be ~width:k (Z.random_below rng n);
+      String.make k '\xff' (* >= n *);
+      String.make (k - 1) '\x01' (* wrong length *);
+    ]
+  in
+  List.iteri
+    (fun i s ->
+      match Rsa.verify pub d s with
+      | false -> ()
+      | true -> Alcotest.failf "garbage %d verified" i
+      | exception e -> Alcotest.failf "garbage %d raised %s" i (Printexc.to_string e))
+    garbage;
+  refuses "hostile 8193-bit modulus" (fun () -> rsa_pub_of (odd_of_bits 8193) e65537)
+
 let rsa_sign_verify_many =
   qtest ~count:30 "rsa roundtrip (random messages)" QCheck.string (fun m ->
       let priv, pub = Lazy.force rsa_keys in
@@ -389,6 +422,7 @@ let () =
           Alcotest.test_case "decode refuses exponent out of range" `Quick
             test_rsa_decode_exponent_range;
           rsa_sign_verify_many;
+          Alcotest.test_case "decode hostile 8192-bit modulus" `Quick test_rsa_decode_hostile_8192;
         ] );
       ( "dsa",
         [

@@ -59,20 +59,6 @@ let test_set_persistent () =
   fresh.(4) <- d 99;
   check Alcotest.string "matches rebuild" (reference_root fresh) (Mht.root t')
 
-let test_swap_adjacent () =
-  for n = 2 to 20 do
-    let t = mk n in
-    for i = 0 to n - 2 do
-      let t' = Mht.swap_adjacent t i in
-      let fresh = Array.init n d in
-      let tmp = fresh.(i) in
-      fresh.(i) <- fresh.(i + 1);
-      fresh.(i + 1) <- tmp;
-      if not (String.equal (Mht.root t') (reference_root fresh)) then
-        Alcotest.failf "swap mismatch n=%d i=%d" n i
-    done
-  done
-
 let test_auth_path_all_positions () =
   for n = 1 to 33 do
     let t = mk n in
@@ -220,7 +206,7 @@ let test_set_many_rejects () =
   List.iter
     (fun (i, expect) ->
       let before = Aqv_util.Metrics.snapshot () in
-      ignore (Mht.swap_adjacent t i);
+      ignore (Mht.set_many t [ (i, Mht.leaf t (i + 1)); (i + 1, Mht.leaf t i) ]);
       check Alcotest.int (Printf.sprintf "swap %d/%d of 16" i (i + 1)) expect
         (Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) before).hash_ops)
     [ (6, 4); (7, 7) ]
@@ -248,7 +234,6 @@ let () =
       ( "updates",
         [
           Alcotest.test_case "set persistent" `Quick test_set_persistent;
-          Alcotest.test_case "swap adjacent (all n, i)" `Quick test_swap_adjacent;
           prop_set_then_leaves;
           prop_set_many_is_fold_of_set;
           Alcotest.test_case "set_many rejects bad indices" `Quick test_set_many_rejects;

@@ -270,12 +270,6 @@ let test_pvec_set_persistent () =
   check Alcotest.int "new changed" 99 (Pvec.get v' 1);
   check Alcotest.int "other slots shared" 3 (Pvec.get v' 2)
 
-let test_pvec_swap () =
-  let v = Pvec.of_array [| 1; 2; 3; 4 |] in
-  let v' = Pvec.swap_adjacent v 1 in
-  check Alcotest.(list int) "swapped" [ 1; 3; 2; 4 ] (Pvec.to_list v');
-  check Alcotest.(list int) "original intact" [ 1; 2; 3; 4 ] (Pvec.to_list v)
-
 let test_pvec_bounds () =
   let v = Pvec.of_array [| 1 |] in
   Alcotest.check_raises "get oob" (Invalid_argument "Pvec.get: out of bounds") (fun () ->
@@ -450,7 +444,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_pvec_basics;
           Alcotest.test_case "set persistent" `Quick test_pvec_set_persistent;
-          Alcotest.test_case "swap adjacent" `Quick test_pvec_swap;
           Alcotest.test_case "bounds" `Quick test_pvec_bounds;
           pvec_model;
         ] );
