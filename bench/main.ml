@@ -22,6 +22,7 @@
 module Q = Aqv_num.Rational
 module Prng = Aqv_util.Prng
 module Metrics = Aqv_util.Metrics
+module Json = Aqv_util.Json
 module Signer = Aqv_crypto.Signer
 module Table = Aqv_db.Table
 module Workload = Aqv_db.Workload
@@ -53,52 +54,30 @@ let header title = Printf.printf "\n== %s ==\n%!" title
 
 (* `--json FILE` accumulates machine-readable rows (construction seq/par
    seconds, speedups, per-figure wall time) so successive PRs leave a
-   perf trajectory (BENCH_*.json) instead of scrollback. No JSON
-   dependency in the image: emit by hand. *)
+   perf trajectory (BENCH_*.json) instead of scrollback. *)
 
-type jval = J_num of float | J_int of int | J_str of string
-
-let json_rows : (string * jval) list list ref = ref []
+let json_rows : (string * Json.t) list list ref = ref []
 let json_add fields = json_rows := fields :: !json_rows
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jval_to_string = function
-  | J_num f -> Printf.sprintf "%.6f" f
-  | J_int i -> string_of_int i
-  | J_str s -> Printf.sprintf "\"%s\"" (json_escape s)
+(* JSON has no non-finite numbers: a NaN or infinite ratio is null *)
+let num x = if Float.is_finite x then Json.Float x else Json.Null
 
 let write_json path ~total_s =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": \"aqv-bench-v1\",\n";
-  out "  \"scale\": %.3f,\n" scale;
-  out "  \"domains\": %d,\n" (Pool.size (Pool.default ()));
-  out "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"total_s\": %.3f,\n" total_s;
-  out "  \"rows\": [\n";
   let rows = List.rev !json_rows in
-  List.iteri
-    (fun i fields ->
-      out "    {%s}%s\n"
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (jval_to_string v)) fields))
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ]\n}\n";
-  close_out oc;
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.String "aqv-bench-v1");
+        ("scale", Json.Float scale);
+        ("domains", Json.Int (Pool.size (Pool.default ())));
+        ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
+        ("total_s", num total_s);
+        ("rows", Json.List (List.map (fun fields -> Json.Obj fields) rows));
+      ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n');
   Printf.printf "\nwrote %s (%d rows)\n%!" path (List.length rows)
 
 (* ----------------------------- contexts ----------------------------- *)
@@ -184,13 +163,13 @@ let fig5b () =
         let _, t_par = time (fun () -> build_with par) in
         json_add
           [
-            ("figure", J_str "fig5b");
-            ("n", J_int n);
-            ("scheme", J_str scheme_name);
-            ("domains", J_int domains);
-            ("seq_s", J_num t_seq);
-            ("par_s", J_num t_par);
-            ("speedup", J_num (t_seq /. t_par));
+            ("figure", Json.String "fig5b");
+            ("n", Json.Int n);
+            ("scheme", Json.String scheme_name);
+            ("domains", Json.Int domains);
+            ("seq_s", num t_seq);
+            ("par_s", num t_par);
+            ("speedup", num (t_seq /. t_par));
           ];
         (t_seq, t_par)
       in
@@ -280,14 +259,14 @@ let server_cost_figure ~id ~title ~make_query () =
         loc_scan;
       json_add
         [
-          ("figure", J_str id);
-          ("n", J_int n);
-          ("subdomains", J_int s);
-          ("mesh_cost", J_num mesh);
-          ("one_sig_cost", J_num one);
-          ("multi_sig_cost", J_num multi);
-          ("locate_sign_tests_binary", J_num loc_bin);
-          ("locate_sign_tests_scan", J_num loc_scan);
+          ("figure", Json.String id);
+          ("n", Json.Int n);
+          ("subdomains", Json.Int s);
+          ("mesh_cost", num mesh);
+          ("one_sig_cost", num one);
+          ("multi_sig_cost", num multi);
+          ("locate_sign_tests_binary", num loc_bin);
+          ("locate_sign_tests_scan", num loc_scan);
         ])
     [ 100; 200; 300; 400; 500 ]
 
@@ -707,12 +686,12 @@ let abl_update () =
         (fun (variant, sigs, secs) ->
           json_add
             [
-              ("figure", J_str "abl-update");
-              ("n", J_int n);
-              ("batch", J_int b);
-              ("variant", J_str variant);
-              ("sign_ops", J_int sigs);
-              ("wall_s", J_num secs);
+              ("figure", Json.String "abl-update");
+              ("n", Json.Int n);
+              ("batch", Json.Int b);
+              ("variant", Json.String variant);
+              ("sign_ops", Json.Int sigs);
+              ("wall_s", num secs);
             ])
         [
           ("one-sig-apply", s_one, t_one);
@@ -821,14 +800,14 @@ let abl_recovery () =
         (fun (variant, replayed, coalesced, secs, hashes) ->
           json_add
             [
-              ("figure", J_str "abl-recovery");
-              ("n", J_int n);
-              ("frames", J_int k);
-              ("variant", J_str variant);
-              ("replayed", J_int replayed);
-              ("coalesced", J_int coalesced);
-              ("hash_ops", J_int hashes);
-              ("wall_s", J_num secs);
+              ("figure", Json.String "abl-recovery");
+              ("n", Json.Int n);
+              ("frames", Json.Int k);
+              ("variant", Json.String variant);
+              ("replayed", Json.Int replayed);
+              ("coalesced", Json.Int coalesced);
+              ("hash_ops", Json.Int hashes);
+              ("wall_s", num secs);
             ])
         [
           ("recover", recovery.Store.replayed, recovery.Store.replayed, t_rec, h_rec);
@@ -886,13 +865,13 @@ let abl_serve_locate () =
       it;
     json_add
       [
-        ("figure", J_str "abl-serve-locate");
-        ("series", J_str "location");
-        ("n", J_int n);
-        ("subdomains", J_int s);
-        ("mesh_binary_sign_tests", J_int bin);
-        ("mesh_scan_sign_tests", J_int scan);
-        ("itree_sign_tests", J_int it);
+        ("figure", Json.String "abl-serve-locate");
+        ("series", Json.String "location");
+        ("n", Json.Int n);
+        ("subdomains", Json.Int s);
+        ("mesh_binary_sign_tests", Json.Int bin);
+        ("mesh_scan_sign_tests", Json.Int scan);
+        ("itree_sign_tests", Json.Int it);
       ];
     (s, bin, it)
   in
@@ -950,12 +929,12 @@ let abl_build_scale () =
     row "%-9s %7d | %8.3f | %10d | %9d\n%!" shape n wall crossings s.Metrics.hash_ops;
     json_add
       [
-        ("figure", J_str "abl-build-scale");
-        ("shape", J_str shape);
-        ("n", J_int n);
-        ("wall_s", J_num wall);
-        ("crossings", J_int crossings);
-        ("hash_ops", J_int s.Metrics.hash_ops);
+        ("figure", Json.String "abl-build-scale");
+        ("shape", Json.String shape);
+        ("n", Json.Int n);
+        ("wall_s", num wall);
+        ("crossings", Json.Int crossings);
+        ("hash_ops", Json.Int s.Metrics.hash_ops);
       ];
     crossings
   in
@@ -979,13 +958,13 @@ let abl_build_scale () =
       shape n per_crossing (depth + 1) (depth + 2) (2 * depth);
     json_add
       [
-        ("figure", J_str "abl-build-scale-sweep");
-        ("shape", J_str shape);
-        ("n", J_int n);
-        ("sweep_hashes", J_int sweep);
-        ("crossings", J_int crossings);
-        ("sweep_hashes_per_crossing", J_num per_crossing);
-        ("ceil_log2_leaves", J_int depth);
+        ("figure", Json.String "abl-build-scale-sweep");
+        ("shape", Json.String shape);
+        ("n", Json.Int n);
+        ("sweep_hashes", Json.Int sweep);
+        ("crossings", Json.Int crossings);
+        ("sweep_hashes_per_crossing", num per_crossing);
+        ("ceil_log2_leaves", Json.Int depth);
       ];
     if crossings >= 32 && per_crossing > float_of_int (depth + 2) then
       fail shape n "sweep paid %.2f node hashes per crossing, law is ceil(log2(n+2)) + 1 = %d"
@@ -1182,7 +1161,7 @@ let () =
       (fun (id, run) ->
         if wanted id then begin
           let (), wall = time run in
-          json_add [ ("figure", J_str id); ("wall_s", J_num wall) ]
+          json_add [ ("figure", Json.String id); ("wall_s", num wall) ]
         end)
       figures;
     if (only = None && not (List.mem "--no-micro" args)) || wanted "micro" then run_micros ();

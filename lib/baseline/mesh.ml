@@ -143,8 +143,8 @@ let build ?pool table keypair =
    span) reuses its old signature verbatim; deterministic signing makes
    the result bit-identical to a fresh build (same {!fingerprint}). The
    digest cache is read-only under the pool — tasks stay pure. *)
-let apply ?pool keypair changes t =
-  let pool = match pool with Some p -> p | None -> Aqv_par.Pool.default () in
+let apply keypair changes t =
+  let pool = Aqv_par.Pool.default () in
   let table = Update.apply_table changes t.table in
   let cache = Hashtbl.create (2 * t.signatures) in
   Hashtbl.iter

@@ -27,12 +27,7 @@ val build : ?pool:Aqv_par.Pool.pool -> Aqv_db.Table.t -> Aqv_crypto.Signer.keypa
     bit-identically to a sequential build.
     @raise Invalid_argument unless the table is 1-D. *)
 
-val apply :
-  ?pool:Aqv_par.Pool.pool ->
-  Aqv_crypto.Signer.keypair ->
-  Update.change list ->
-  t ->
-  t
+val apply : Aqv_crypto.Signer.keypair -> Update.change list -> t -> t
 (** Chain-local repair after record-level changes: re-sweep the updated
     arrangement, but create new signatures only for adjacency runs whose
     signing digest (pair record digests + x-span) did not exist in the

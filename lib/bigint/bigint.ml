@@ -17,7 +17,6 @@ type t = S of int | B of { sign : int; mag : int array }
 let zero = S 0
 let one = S 1
 let two = S 2
-let minus_one = S (-1)
 
 (* ------------------------------------------------------------------ *)
 (* Magnitude (int array) primitives. All arrays are little-endian,     *)
@@ -309,10 +308,6 @@ let to_int_opt = function
   | S v -> Some v
   | B _ -> None
 
-let to_int_exn = function
-  | S v -> v
-  | B _ -> failwith "Bigint.to_int_exn: too large"
-
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -510,7 +505,6 @@ let to_string t =
     go (to_mag t);
     (if neg_sign then "-" else "") ^ Buffer.contents buf
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* ------------------------------------------------------------------ *)
 (* Bytes / random                                                      *)

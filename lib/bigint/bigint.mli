@@ -13,13 +13,10 @@ type t
 val zero : t
 val one : t
 val two : t
-val minus_one : t
 
 val of_int : int -> t
 val to_int_opt : t -> int option
 (** [None] if the value does not fit in a native [int]. *)
-
-val to_int_exn : t -> int
 
 val of_string : string -> t
 (** Decimal, with optional leading [-]; or hexadecimal with a [0x]
@@ -27,8 +24,6 @@ val of_string : string -> t
 
 val to_string : t -> string
 (** Decimal rendering. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Comparison} *)
 
@@ -51,13 +46,11 @@ val mul : t -> t -> t
 val succ : t -> t
 val pred : t -> t
 
-val divmod : t -> t -> t * t
-(** [divmod a b] is [(q, r)] with [a = q*b + r], [0 <= |r| < |b|], and
-    [r] carrying the sign of [a] (truncated division).
-    @raise Division_by_zero. *)
-
 val div : t -> t -> t
 val rem : t -> t -> t
+(** Truncated division: [a = div a b * b + rem a b] with
+    [0 <= |rem a b| < |b|], the remainder carrying the sign of [a].
+    @raise Division_by_zero. *)
 
 val erem : t -> t -> t
 (** Euclidean remainder: always in [\[0, |b|)]. *)
@@ -68,15 +61,11 @@ val shift_right : t -> int -> t
     magnitude; sign preserved). *)
 
 val mul_int : t -> int -> t
-val add_int : t -> int -> t
 
 (** {1 Number theory (used by the crypto layer)} *)
 
 val bit_length : t -> int
 (** Number of significant bits of the magnitude; [bit_length zero = 0]. *)
-
-val testbit : t -> int -> bool
-(** Bit [i] of the magnitude. *)
 
 val is_even : t -> bool
 val gcd : t -> t -> t

@@ -13,15 +13,22 @@ type t = {
   engine : Engine.t;
   host : Unix.inet_addr;
   port : int;
-  opts : Roundtrip.opts;
-  read_timeout : float;
-  reconnect_backoff : float;
   mu : Mutex.t;
   mutable fd : Unix.file_descr option; (* guarded by [mu] *)
   mutable stopped : bool; (* guarded by [mu] *)
-  mutable reconnects : int; (* guarded by [mu] *)
   mutable thread : Thread.t option;
 }
+
+(* The wait for the next frame: must exceed the primary's heartbeat
+   interval. *)
+let read_timeout = 10.
+
+(* The delay before redialing a lost stream. *)
+let reconnect_backoff = 0.1
+
+(* Bound on writing the Subscribe and on reading a frame body (and, at
+   bootstrap, a whole frame): the default roundtrip read timeout. *)
+let io_timeout = Roundtrip.default_opts.Roundtrip.read_timeout
 
 let locked t f =
   Mutex.lock t.mu;
@@ -29,7 +36,6 @@ let locked t f =
 
 let stopped t = locked t (fun () -> t.stopped)
 let epoch t = Ifmh.epoch (Engine.index t.engine)
-let reconnects t = locked t (fun () -> t.reconnects)
 
 let send_subscribe fd ~timeout ~from_epoch =
   let w = Wire.writer () in
@@ -77,7 +83,7 @@ let apply_frame t reply =
    then tail frames until EOF, a read timeout (dead primary — the
    heartbeat should have arrived), or an unusable frame. *)
 let tail_once t =
-  let fd = Roundtrip.connect ~opts:t.opts ~host:t.host t.port in
+  let fd = Roundtrip.connect ~host:t.host t.port in
   let abandoned = locked t (fun () ->
       if t.stopped then true else begin t.fd <- Some fd; false end)
   in
@@ -88,12 +94,10 @@ let tail_once t =
         locked t (fun () -> t.fd <- None);
         try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        send_subscribe fd ~timeout:t.opts.Roundtrip.read_timeout
-          ~from_epoch:(Some (epoch t));
+        send_subscribe fd ~timeout:io_timeout ~from_epoch:(Some (epoch t));
         let rec loop () =
           match
-            Frame_io.read_frame ~header_timeout:t.read_timeout
-              ~body_timeout:t.opts.Roundtrip.read_timeout fd
+            Frame_io.read_frame ~header_timeout:read_timeout ~body_timeout:io_timeout fd
           with
           | None -> Log.info (fun m -> m "primary closed the stream")
           | Some payload -> (
@@ -108,38 +112,24 @@ let tail_once t =
         loop ())
 
 let run t =
-  let rec loop first =
+  let rec loop () =
     if not (stopped t) then begin
-      if not first then locked t (fun () -> t.reconnects <- t.reconnects + 1);
       (try tail_once t with
       | (Out_of_memory | Stack_overflow | Assert_failure _) as e -> raise e
       | e ->
         if not (stopped t) then
           Log.info (fun m -> m "replication link down: %s" (Printexc.to_string e)));
       if not (stopped t) then begin
-        Thread.delay t.reconnect_backoff;
-        loop false
+        Thread.delay reconnect_backoff;
+        loop ()
       end
     end
   in
-  loop true
+  loop ()
 
-let start ?(opts = Roundtrip.default_opts) ?(read_timeout = 10.)
-    ?(reconnect_backoff = 0.1) ?(host = Unix.inet_addr_loopback) ~engine ~port () =
+let start ?(host = Unix.inet_addr_loopback) ~engine ~port () =
   let t =
-    {
-      engine;
-      host;
-      port;
-      opts;
-      read_timeout;
-      reconnect_backoff;
-      mu = Mutex.create ();
-      fd = None;
-      stopped = false;
-      reconnects = 0;
-      thread = None;
-    }
+    { engine; host; port; mu = Mutex.create (); fd = None; stopped = false; thread = None }
   in
   t.thread <- Some (Thread.create run t);
   t
@@ -160,15 +150,11 @@ let stop t =
    subscription that asks for a full snapshot, loads it, disconnects.
    The caller publishes it to a fresh store and starts a real engine
    (and then a {!start}ed tail) from there. *)
-let bootstrap ?(opts = Roundtrip.default_opts) ?(host = Unix.inet_addr_loopback)
-    ~port () =
-  Roundtrip.with_connection ~opts ~host ~port (fun fd ->
-      send_subscribe fd ~timeout:opts.Roundtrip.read_timeout ~from_epoch:None;
+let bootstrap ?(host = Unix.inet_addr_loopback) ~port () =
+  Roundtrip.with_connection ~host ~port (fun fd ->
+      send_subscribe fd ~timeout:io_timeout ~from_epoch:None;
       let rec await () =
-        match
-          Frame_io.read_frame ~header_timeout:opts.Roundtrip.read_timeout
-            ~body_timeout:opts.Roundtrip.read_timeout fd
-        with
+        match Frame_io.read_frame ~header_timeout:io_timeout ~body_timeout:io_timeout fd with
         | None -> failwith "Follower: primary closed before sending a snapshot"
         | Some payload -> (
           match Protocol.decode_reply (Wire.reader payload) with

@@ -19,37 +19,17 @@
 
 type t
 
-val start :
-  ?opts:Aqv_serve.Roundtrip.opts ->
-  ?read_timeout:float ->
-  ?reconnect_backoff:float ->
-  ?host:Unix.inet_addr ->
-  engine:Aqv_serve.Engine.t ->
-  port:int ->
-  unit ->
-  t
+val start : ?host:Unix.inet_addr -> engine:Aqv_serve.Engine.t -> port:int -> unit -> t
 (** Spawn the tailing thread against primary [host]:[port] (default
-    127.0.0.1). [read_timeout] (default 10 s) bounds the wait for the
-    next frame and must exceed the primary's heartbeat interval;
-    [reconnect_backoff] (default 0.1 s) is the delay before redialing.
-    The engine should have [accept_republish = false] so only this
-    stream mutates it. *)
+    127.0.0.1). The wait for the next frame is bounded by 10 s, which
+    must exceed the primary's heartbeat interval; a lost stream is
+    redialed after 0.1 s. The engine should have
+    [accept_republish = false] so only this stream mutates it. *)
 
 val stop : t -> unit
 (** Close the live connection, stop the thread, join it. *)
 
-val epoch : t -> int
-(** The follower engine's current epoch. *)
-
-val reconnects : t -> int
-(** Times the tailing thread redialed after losing the stream. *)
-
-val bootstrap :
-  ?opts:Aqv_serve.Roundtrip.opts ->
-  ?host:Unix.inet_addr ->
-  port:int ->
-  unit ->
-  Aqv.Ifmh.t
+val bootstrap : ?host:Unix.inet_addr -> port:int -> unit -> Aqv.Ifmh.t
 (** One-shot full-state fetch for a follower with no local store:
     subscribe with [from_epoch = None], return the snapshot the primary
     sends, disconnect. @raise Failure on refusal or a dead primary. *)

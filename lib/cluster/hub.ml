@@ -129,12 +129,6 @@ let lag t =
         (fun acc sub -> if sub.dropped then acc else acc + Queue.length sub.queue)
         0 t.subscribers)
 
-let subscriber_count t =
-  locked t (fun () ->
-      List.length (List.filter (fun sub -> not sub.dropped) t.subscribers))
-
-let latest_epoch t = locked t (fun () -> Ifmh.epoch t.latest)
-
 let snapshot_frame_locked t =
   let w = Wire.writer () in
   Ifmh.save w t.latest;

@@ -38,23 +38,6 @@ val create :
 val publisher : t -> Aqv_serve.Engine.publisher
 (** The hooks to put in the primary engine's config. *)
 
-val ship : t -> base:Aqv.Ifmh.t -> index:Aqv.Ifmh.t -> Aqv.Ifmh.delta -> unit
-(** Record [index] as latest and enqueue the delta (applies to [base])
-    for every live subscriber. Never blocks: enqueue only. *)
-
-val subscribe : t -> Unix.file_descr -> from_epoch:int option -> unit
-(** Serve one follower connection until it is dropped or the hub
-    stops. Writes frames to [fd] but never closes it — the caller (an
-    engine session) owns the descriptor. *)
-
-val lag : t -> int
-(** Total frames enqueued for live subscribers but not yet written. *)
-
-val subscriber_count : t -> int
-(** Live (not dropped) subscribers — test/ops introspection. *)
-
-val latest_epoch : t -> int
-
 val stop : t -> unit
 (** Wake and release every feeder, stop the heartbeat thread. Call
     before (or while) stopping the engine, so feeder sessions drain. *)

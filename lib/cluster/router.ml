@@ -16,9 +16,7 @@ type replica = {
 
 type t = {
   replicas : replica array;
-  opts : Roundtrip.opts;
   poll_interval : float;
-  idle_timeout : float;
   listen_sock : Unix.file_descr;
   bound_port : int;
   stopped : bool Atomic.t;
@@ -27,6 +25,15 @@ type t = {
   mutable active : int; (* guarded by [mu] *)
   mutable poller : Thread.t option;
 }
+
+(* Replica roundtrips: one attempt each (the poller retries forever and
+   a failed forward moves on to the next candidate), and the read bound
+   for a replica's reply and for writing one back to the client. *)
+let opts = { Roundtrip.default_opts with Roundtrip.attempts = 1 }
+let io_timeout = opts.Roundtrip.read_timeout
+
+(* How long a client session may sit idle between requests. *)
+let idle_timeout = 10.
 
 let locked t f =
   Mutex.lock t.mu;
@@ -39,11 +46,7 @@ let poll_now t =
   Array.iter
     (fun r ->
       let epoch =
-        match
-          Roundtrip.call
-            ~opts:{ t.opts with Roundtrip.attempts = 1 }
-            ~host:r.host ~port:r.port Protocol.Get_stats
-        with
+        match Roundtrip.call ~opts ~host:r.host ~port:r.port Protocol.Get_stats with
         | Protocol.Stats kvs -> (
           match List.assoc_opt "epoch" kvs with Some e -> e | None -> -1)
         | _ | (exception _) -> -1
@@ -63,8 +66,7 @@ let poller_loop t =
     if not (Atomic.get t.stopped) then poll_now t
   done
 
-let create ?(opts = Roundtrip.default_opts) ?(poll_interval = 0.5)
-    ?(idle_timeout = 10.) ?(port = 0) ~replicas () =
+let create ?(poll_interval = 0.5) ?(port = 0) ~replicas () =
   if replicas = [] then invalid_arg "Router.create: no replicas";
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -80,9 +82,7 @@ let create ?(opts = Roundtrip.default_opts) ?(poll_interval = 0.5)
           (List.map
              (fun (host, port) -> { host; port; known_epoch = -1; served = 0 })
              replicas);
-      opts;
       poll_interval;
-      idle_timeout;
       listen_sock = sock;
       bound_port;
       stopped = Atomic.make false;
@@ -144,18 +144,13 @@ let forward t conns payload =
       match conns.(i) with
       | Some fd -> fd
       | None ->
-        let fd =
-          Roundtrip.connect
-            ~opts:{ t.opts with Roundtrip.attempts = 1 }
-            ~host:r.host r.port
-        in
+        let fd = Roundtrip.connect ~opts ~host:r.host r.port in
         conns.(i) <- Some fd;
         fd
     in
-    ignore (Frame_io.write_frame ~timeout:t.opts.Roundtrip.read_timeout fd payload);
+    ignore (Frame_io.write_frame ~timeout:io_timeout fd payload);
     match
-      Frame_io.read_frame ~header_timeout:t.opts.Roundtrip.read_timeout
-        ~body_timeout:t.opts.Roundtrip.read_timeout fd
+      Frame_io.read_frame ~header_timeout:io_timeout ~body_timeout:io_timeout fd
     with
     | Some reply -> reply
     | None -> failwith "Router: replica closed the connection"
@@ -203,13 +198,13 @@ let session t fd =
     (fun () ->
       let rec loop () =
         match
-          Frame_io.read_frame ~header_timeout:t.idle_timeout
-            ~body_timeout:t.opts.Roundtrip.read_timeout fd
+          Frame_io.read_frame ~header_timeout:idle_timeout
+            ~body_timeout:io_timeout fd
         with
         | None -> ()
         | Some payload ->
           let reply = forward t conns payload in
-          ignore (Frame_io.write_frame ~timeout:t.opts.Roundtrip.read_timeout fd reply);
+          ignore (Frame_io.write_frame ~timeout:io_timeout fd reply);
           loop ()
       in
       loop ())

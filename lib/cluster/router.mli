@@ -19,16 +19,15 @@
 type t
 
 val create :
-  ?opts:Aqv_serve.Roundtrip.opts ->
   ?poll_interval:float ->
-  ?idle_timeout:float ->
   ?port:int ->
   replicas:(Unix.inet_addr * int) list ->
   unit ->
   t
 (** Binds (port 0 picks an ephemeral one), polls every replica once
     synchronously, then starts the poller ([poll_interval] default
-    0.5 s). @raise Invalid_argument on an empty replica list. *)
+    0.5 s). A client session idle for 10 s is closed.
+    @raise Invalid_argument on an empty replica list. *)
 
 val serve : t -> unit
 (** Accept loop; blocks until {!stop}, then drains sessions (bounded)

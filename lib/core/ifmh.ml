@@ -33,7 +33,6 @@ type t = {
 
 let scheme t = t.scheme
 let epoch t = t.epoch
-let signature_size t = t.signature_size
 let table t = t.table
 let itree t = t.itree
 let sorting t = t.sorting
@@ -324,10 +323,6 @@ let apply ?epoch ?pool keypair changes t =
   assemble ~scheme:t.scheme ~seed:t.seed ~epoch
     ~signature_size:keypair.Signer.signature_size ~pool table itree sorting rdig
     (Sign sign)
-
-let insert ?epoch ?pool keypair r t = apply ?epoch ?pool keypair [ Update.Insert r ] t
-let delete ?epoch ?pool keypair id t = apply ?epoch ?pool keypair [ Update.Delete id ] t
-let modify ?epoch ?pool keypair r t = apply ?epoch ?pool keypair [ Update.Modify r ] t
 
 (* ------------------------------ deltas ------------------------------ *)
 

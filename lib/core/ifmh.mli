@@ -85,19 +85,6 @@ val apply :
     @raise Invalid_argument on a malformed change list (see
     {!Update.apply_table}) or a decreasing epoch. *)
 
-val insert :
-  ?epoch:int -> ?pool:Aqv_par.Pool.pool -> Aqv_crypto.Signer.keypair ->
-  Aqv_db.Record.t -> t -> t
-
-val delete :
-  ?epoch:int -> ?pool:Aqv_par.Pool.pool -> Aqv_crypto.Signer.keypair ->
-  int -> t -> t
-(** By record id. *)
-
-val modify :
-  ?epoch:int -> ?pool:Aqv_par.Pool.pool -> Aqv_crypto.Signer.keypair ->
-  Aqv_db.Record.t -> t -> t
-
 type delta
 (** What the owner ships to the storage server after an {!apply}: the
     change list, the new epoch, and the new signatures. The server
@@ -114,8 +101,9 @@ val delta_changes : delta -> Update.change list
 val delta_with_changes : Update.change list -> delta -> delta
 (** [d]'s epoch and signatures over a different change list. Coalesced
     recovery folds a whole frame log into one net change list
-    ({!Update.compose_all}) and replays it as a single delta carrying
-    the {e last} frame's epoch and signatures — sound because only the
+    ({!Update.compose}, applied frame by frame) and replays it as a
+    single delta carrying the {e last} frame's epoch and signatures —
+    sound because only the
     final version is served, and its signatures cover the final
     structure regardless of how many rebuilds produced it. *)
 
@@ -132,7 +120,6 @@ val decode_delta : Aqv_util.Wire.reader -> delta
 (** @raise Failure on malformed input. *)
 
 val epoch : t -> int
-val signature_size : t -> int
 
 val scheme : t -> scheme
 val table : t -> Aqv_db.Table.t

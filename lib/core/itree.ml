@@ -11,7 +11,6 @@ and inode = { i : int; j : int; diff : Linfun.t; above : node; below : node }
 
 type t = {
   root : node;
-  functions : Linfun.t array;
   domain : Aqv_num.Domain.t;
   mutable leaf_nodes : node array;
   mutable intersections : int;
@@ -19,8 +18,6 @@ type t = {
 }
 
 let root t = t.root
-let functions t = t.functions
-let domain t = t.domain
 let leaf_count t = Array.length t.leaf_nodes
 let leaves t = t.leaf_nodes
 let node_count t = t.nodes
@@ -122,7 +119,7 @@ let collect_leaves root =
 
 let build ?(seed = 0x17EEL) ?(order = `Shuffled) ?crossings dom fns =
   let root = fresh_leaf (Region.of_domain dom) [] in
-  let t = { root; functions = fns; domain = dom; leaf_nodes = [||]; intersections = 0; nodes = 1 } in
+  let t = { root; domain = dom; leaf_nodes = [||]; intersections = 0; nodes = 1 } in
   (* the crossing enumerator has already reduced the Θ(n²) pair space
      to the crossing pairs — the only pairs whose insertion does
      anything. Callers that enumerated up front (Ifmh.build_structure
@@ -166,11 +163,6 @@ let build ?(seed = 0x17EEL) ?(order = `Shuffled) ?crossings dom fns =
     leaf_nodes;
   t.leaf_nodes <- leaf_nodes;
   t
-
-let leaf_interval t id =
-  match Region.interval_bounds t.leaf_nodes.(id).region with
-  | Some bounds -> bounds
-  | None -> invalid_arg "Itree.leaf_interval: not 1-D"
 
 let depth_fold t ~init ~leaf_at =
   let rec go node d acc =

@@ -58,15 +58,9 @@ val build :
     bit-identical. *)
 
 val root : t -> node
-val functions : t -> Aqv_num.Linfun.t array
-val domain : t -> Aqv_num.Domain.t
 val leaf_count : t -> int
 val leaves : t -> node array
 (** Leaf nodes indexed by leaf id. *)
-
-val leaf_interval : t -> int -> Aqv_num.Rational.t * Aqv_num.Rational.t
-(** 1-D only: the open interval of leaf [id].
-    @raise Invalid_argument in higher dimensions. *)
 
 val node_count : t -> int
 (** Total nodes (internal + leaves). *)

@@ -36,7 +36,7 @@ type request =
   | Republish of Ifmh.delta
       (** Owner → server: replay these changes and serve the new epoch
           (the serving runtime installs it atomically via
-          [Aqv_serve.Engine.swap_index]). Carries the owner's new
+          [Aqv_serve.Engine.republish]). Carries the owner's new
           signatures, never a key. *)
   | Subscribe of { from_epoch : int option }
       (** Follower → primary: turn this connection into a replication

@@ -84,11 +84,6 @@ let insertion_point ~n ~score v =
   in
   go 0 n
 
-let matches t ~score =
-  match t with
-  | Range { l; u; _ } -> Q.compare l score <= 0 && Q.compare score u <= 0
-  | Top_k _ | Knn _ -> invalid_arg "Query.matches: not a value condition"
-
 let window ~n ~score t =
   if n = 0 then None
   else begin

@@ -39,10 +39,6 @@ val window : n:int -> score:(int -> Q.t) -> t -> (int * int) option
 val insertion_point : n:int -> score:(int -> Q.t) -> Q.t -> int
 (** Smallest index whose score is [>= v]; [n] if none. *)
 
-val matches : t -> score:Q.t -> bool
-(** Does a single score satisfy the query's value condition? (Only
-    meaningful for [Range]; raises otherwise.) *)
-
 val encode : Aqv_util.Wire.writer -> t -> unit
 (** Canonical wire encoding, used by the network protocol. *)
 

@@ -49,10 +49,6 @@ val compose : ?exists:(int -> bool) -> change list -> change list -> change list
     emptiness check (in {!apply_table}) matters.
     @raise Invalid_argument on a sequence invalid w.r.t. [exists]. *)
 
-val compose_all : ?exists:(int -> bool) -> change list list -> change list
-(** n-ary {!compose}: fold a whole frame log into one net change list.
-    [compose_all [a; b]] = [compose a b]; [compose_all []] = [[]]. *)
-
 val encode_change : Aqv_util.Wire.writer -> change -> unit
 val decode_change : Aqv_util.Wire.reader -> change
 (** @raise Failure on malformed input. *)

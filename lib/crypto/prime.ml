@@ -24,7 +24,16 @@ let witness ~pow n n1 d s a =
     squares x (s - 1)
   end
 
-let is_prime ?(rounds = 24) rng n =
+(* Random Miller-Rabin bases per test: error probability <= 4^-24. *)
+let rounds = 24
+
+(* Candidates a generator draws before giving up: far more than any
+   sound modexp needs (about bits * ln 2 / 2 odd draws per prime), so
+   running out means the arithmetic underneath is broken. *)
+let max_attempts = 100_000
+
+(* Miller-Rabin with trial division by small primes first. *)
+let is_prime rng n =
   let n = Z.abs n in
   if Z.compare n Z.two < 0 then false
   else begin
@@ -54,18 +63,22 @@ let is_prime ?(rounds = 24) rng n =
     end
   end
 
-let gen_prime ?rounds rng ~bits =
+let gen_prime rng ~bits =
   if bits < 2 then invalid_arg "Prime.gen_prime";
-  let rec go () =
-    let candidate = Z.random_bits rng (bits - 1) in
-    (* force top bit and oddness *)
-    let candidate = Z.add (Z.shift_left Z.one (bits - 1)) candidate in
-    let candidate = if Z.is_even candidate then Z.succ candidate else candidate in
-    if Z.bit_length candidate = bits && is_prime ?rounds rng candidate then candidate else go ()
+  let rec go attempts =
+    if attempts = 0 then failwith "Prime.gen_prime: exhausted"
+    else begin
+      let candidate = Z.random_bits rng (bits - 1) in
+      (* force top bit and oddness *)
+      let candidate = Z.add (Z.shift_left Z.one (bits - 1)) candidate in
+      let candidate = if Z.is_even candidate then Z.succ candidate else candidate in
+      if Z.bit_length candidate = bits && is_prime rng candidate then candidate
+      else go (attempts - 1)
+    end
   in
-  go ()
+  go max_attempts
 
-let gen_safe_candidate ?rounds rng ~bits ~residue ~modulus =
+let gen_safe_candidate rng ~bits ~residue ~modulus =
   if Z.sign modulus <= 0 || Z.compare residue modulus >= 0 || Z.sign residue < 0 then
     invalid_arg "Prime.gen_safe_candidate";
   let lo = Z.shift_left Z.one (bits - 1) in
@@ -76,8 +89,8 @@ let gen_safe_candidate ?rounds rng ~bits ~residue ~modulus =
       (* random multiple of modulus in range, shifted to the residue *)
       let x = Z.add lo (Z.random_below rng (Z.sub hi lo)) in
       let p = Z.add (Z.sub x (Z.erem x modulus)) residue in
-      if Z.compare p lo >= 0 && Z.compare p hi < 0 && is_prime ?rounds rng p then p
+      if Z.compare p lo >= 0 && Z.compare p hi < 0 && is_prime rng p then p
       else go (attempts - 1)
     end
   in
-  go 100_000
+  go max_attempts

@@ -1,15 +1,15 @@
-(** Probabilistic primality testing and prime generation
-    (Miller–Rabin), for RSA and DSA key/parameter generation. *)
+(** Prime generation for RSA and DSA key/parameter generation.
+    Candidates are tested by Miller–Rabin with 24 random bases (error
+    probability <= 4^-24) after trial division by small primes. Each
+    generator draws at most 100 000 candidates. *)
 
-val is_prime : ?rounds:int -> Aqv_util.Prng.t -> Aqv_bigint.Bigint.t -> bool
-(** Miller–Rabin with trial division by small primes first. [rounds]
-    (default 24) random bases; error probability <= 4^-rounds. *)
-
-val gen_prime : ?rounds:int -> Aqv_util.Prng.t -> bits:int -> Aqv_bigint.Bigint.t
-(** Random prime with exactly [bits] bits (top bit set), [bits >= 2]. *)
+val gen_prime : Aqv_util.Prng.t -> bits:int -> Aqv_bigint.Bigint.t
+(** Random prime with exactly [bits] bits (top bit set), [bits >= 2].
+    @raise Failure ["Prime.gen_prime: exhausted"] when no candidate
+    passes, which only a broken modular exponentiation brings about. *)
 
 val gen_safe_candidate :
-  ?rounds:int -> Aqv_util.Prng.t -> bits:int -> residue:Aqv_bigint.Bigint.t -> modulus:Aqv_bigint.Bigint.t -> Aqv_bigint.Bigint.t
+  Aqv_util.Prng.t -> bits:int -> residue:Aqv_bigint.Bigint.t -> modulus:Aqv_bigint.Bigint.t -> Aqv_bigint.Bigint.t
 (** Random prime [p] with [bits] bits such that [p mod modulus = residue].
     Used by DSA parameter generation ([p = 1 (mod q)]).
     @raise Invalid_argument if no candidate can exist. *)

@@ -15,19 +15,28 @@ type pub = { n : Z.t; e : Z.t; nm : Z.mont; k : int }
 
 let e_fixed = Z.of_int 65537
 
+(* Prime pairs drawn before giving up. A sound pair is rejected only
+   when the product is one bit short (for two primes uniform in their
+   range, with probability 2 ln 2 - 1, about 0.39) or shares a factor
+   with e, so sound arithmetic runs out with probability below 2^-170;
+   a broken modular exponentiation that biases the primes low is
+   rejected every time, and must fail in seconds rather than spin. *)
+let max_attempts = 128
+
 let generate ?(bits = 512) rng =
   if bits < 128 then invalid_arg "Rsa.generate: modulus too small";
   if bits > 8192 then invalid_arg "Rsa.generate: modulus above 8192 bits";
   let half = bits / 2 in
-  let rec go () =
+  let rec go attempts =
+    if attempts = 0 then failwith "Rsa.generate: exhausted";
     let p = Prime.gen_prime rng ~bits:half in
     let q = Prime.gen_prime rng ~bits:(bits - half) in
-    if Z.equal p q then go ()
+    if Z.equal p q then go (attempts - 1)
     else begin
       let n = Z.mul p q in
       let p1 = Z.pred p and q1 = Z.pred q in
       let phi = Z.mul p1 q1 in
-      if Z.bit_length n <> bits || not (Z.equal (Z.gcd e_fixed phi) Z.one) then go ()
+      if Z.bit_length n <> bits || not (Z.equal (Z.gcd e_fixed phi) Z.one) then go (attempts - 1)
       else begin
         let d = Z.mod_inv e_fixed phi in
         let k = (bits + 7) / 8 in
@@ -45,7 +54,7 @@ let generate ?(bits = 512) rng =
       end
     end
   in
-  go ()
+  go max_attempts
 
 (* EMSA-PKCS1-v1.5-style encoding of a SHA-256 digest into k bytes:
    00 01 FF..FF 00 <digestinfo> <digest>. *)
@@ -105,6 +114,3 @@ let decode_pub r : pub =
     if k < min_modulus_bytes then failwith "Rsa.decode_pub: modulus too small for digest";
     if Z.compare e Z.two < 0 || Z.compare e n >= 0 then failwith "Rsa.decode_pub: bad exponent";
     { n; e; nm; k }
-
-
-let pub_bits (pub : pub) = Z.bit_length pub.n

@@ -11,7 +11,10 @@ type pub
 
 val generate : ?bits:int -> Aqv_util.Prng.t -> priv * pub
 (** [generate ~bits rng] creates a key pair with a [bits]-bit modulus
-    (default 512). @raise Invalid_argument unless [128 <= bits <= 8192]. *)
+    (default 512). @raise Invalid_argument unless [128 <= bits <= 8192].
+    @raise Failure ["Rsa.generate: exhausted"] after 128 rejected prime
+    pairs, and [Failure] from {!Prime.gen_prime}: either only happens
+    when the modular exponentiation underneath is broken. *)
 
 val sign : priv -> Sha256.digest -> string
 (** Signature bytes, always [bits/8] long. Counted in {!Aqv_util.Metrics}. *)
@@ -21,8 +24,6 @@ val verify : pub -> Sha256.digest -> string -> bool
 
 val signature_size : pub -> int
 (** Bytes per signature (modulus size). *)
-
-val pub_bits : pub -> int
 
 val encode_pub : Aqv_util.Wire.writer -> pub -> unit
 (** Wire form of the public key (modulus and exponent), so verifying

@@ -79,8 +79,6 @@ val validate : t -> (t, error) result
 (** Range-check an already-built spec (the parser calls this; the CLI
     re-calls it after command-line overrides). *)
 
-val of_json : Json.t -> (t, error) result
-val of_string : string -> (t, error) result
 val load : string -> (t, error) result
 (** [load path] reads and parses a spec file. I/O failures surface as
     [Json_error]. *)

@@ -3,7 +3,6 @@ type t = {
   template : Template.t;
   domain : Aqv_num.Domain.t;
   functions : Aqv_num.Linfun.t array;
-  by_id : (int, Record.t) Hashtbl.t;
   pos_by_id : (int, int) Hashtbl.t;
 }
 
@@ -11,16 +10,14 @@ let make ~records ~template ~domain =
   if Template.dim template <> Aqv_num.Domain.dim domain then
     invalid_arg "Table.make: template/domain dimension mismatch";
   let records = Array.of_list records in
-  let by_id = Hashtbl.create (Array.length records) in
   let pos_by_id = Hashtbl.create (Array.length records) in
   Array.iteri
     (fun i r ->
-      if Hashtbl.mem by_id (Record.id r) then invalid_arg "Table.make: duplicate record id";
-      Hashtbl.add by_id (Record.id r) r;
+      if Hashtbl.mem pos_by_id (Record.id r) then invalid_arg "Table.make: duplicate record id";
       Hashtbl.add pos_by_id (Record.id r) i)
     records;
   let functions = Array.map (Template.apply template) records in
-  { records; template; domain; functions; by_id; pos_by_id }
+  { records; template; domain; functions; pos_by_id }
 
 let records t = t.records
 let record t i = t.records.(i)
@@ -29,7 +26,6 @@ let template t = t.template
 let domain t = t.domain
 let dim t = Aqv_num.Domain.dim t.domain
 let functions t = t.functions
-let find_by_id t id = Hashtbl.find_opt t.by_id id
 let position_by_id t id = Hashtbl.find_opt t.pos_by_id id
 
 let pp ppf t =

@@ -24,8 +24,6 @@ val functions : t -> Aqv_num.Linfun.t array
 (** [functions t].(i) is the template applied to [record t i]; computed
     once and cached. Do not mutate. *)
 
-val find_by_id : t -> int -> Record.t option
-
 val position_by_id : t -> int -> int option
 (** Position (array index) of the record with the given id. *)
 

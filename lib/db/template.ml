@@ -4,7 +4,6 @@ module W = Aqv_util.Wire
 type t =
   | Linear_weights of int  (* dims *)
   | Affine_1d
-  | Weighted_subset of int list
 
 let linear_weights ~dims =
   if dims < 1 then invalid_arg "Template.linear_weights";
@@ -12,15 +11,9 @@ let linear_weights ~dims =
 
 let affine_1d = Affine_1d
 
-let weighted_subset ~indices =
-  if indices = [] then invalid_arg "Template.weighted_subset";
-  List.iter (fun i -> if i < 0 then invalid_arg "Template.weighted_subset") indices;
-  Weighted_subset indices
-
 let dim = function
   | Linear_weights d -> d
   | Affine_1d -> 1
-  | Weighted_subset is -> List.length is
 
 let apply t r =
   let need n = if Record.arity r < n then invalid_arg "Template.apply: record arity" in
@@ -31,17 +24,10 @@ let apply t r =
   | Affine_1d ->
     need 2;
     Aqv_num.Linfun.make ~coeffs:[| Record.attr r 0 |] ~const:(Record.attr r 1)
-  | Weighted_subset is ->
-    need (List.fold_left max 0 is + 1);
-    Aqv_num.Linfun.make
-      ~coeffs:(Array.of_list (List.map (Record.attr r) is))
-      ~const:Q.zero
 
 let name = function
   | Linear_weights d -> Printf.sprintf "linear-weights(%d)" d
   | Affine_1d -> "affine-1d"
-  | Weighted_subset is ->
-    Printf.sprintf "weighted-subset(%s)" (String.concat "," (List.map string_of_int is))
 
 let pp ppf t = Format.pp_print_string ppf (name t)
 
@@ -50,13 +36,9 @@ let encode w = function
     W.u8 w 0;
     W.varint w d
   | Affine_1d -> W.u8 w 1
-  | Weighted_subset is ->
-    W.u8 w 2;
-    W.list w (W.varint w) is
 
 let decode r =
   match W.read_u8 r with
   | 0 -> Linear_weights (W.read_varint r)
   | 1 -> Affine_1d
-  | 2 -> Weighted_subset (W.read_list r W.read_varint)
   | _ -> failwith "Template.decode: bad tag"

@@ -16,10 +16,6 @@ val affine_1d : t
 (** [f_r(x) = attr_0 * x + attr_1]: univariate lines, the shape used in
     the paper's illustrations (Fig. 2) and its simulation section. *)
 
-val weighted_subset : indices:int list -> t
-(** Like {!linear_weights} but scoring only the given attribute columns:
-    [f_r(X) = attr_{i_1} * x_1 + ... + attr_{i_k} * x_k]. *)
-
 val dim : t -> int
 (** Number of query variables [d]. *)
 

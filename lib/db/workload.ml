@@ -84,8 +84,6 @@ module Zipf = struct
     done;
     { cum }
 
-  let size t = Array.length t.cum
-
   let sample t rng =
     let n = Array.length t.cum in
     let u = Prng.float rng t.cum.(n - 1) in

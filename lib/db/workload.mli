@@ -51,8 +51,6 @@ module Zipf : sig
       @raise Invalid_argument on [n < 1] or negative/non-finite
       [theta]. *)
 
-  val size : t -> int
-
   val sample : t -> Aqv_util.Prng.t -> int
   (** A rank in [\[0, n)], rank 0 most popular. One [Prng.float] draw,
       then binary search over the cumulative weights — deterministic
@@ -92,10 +90,6 @@ module Trace : sig
   (** Deterministic in [(spec.seed, spec)]: hot set, per-client
       streams, and republish contents each draw from their own derived
       Prng stream. *)
-
-  val to_bytes : t -> string
-  (** Canonical wire encoding of every op and republish — the bytes the
-      determinism tests compare and [sha256_hex] commits to. *)
 
   val op_counts : t -> int * int * int
   (** [(topk, range, knn)] totals across all clients. *)

@@ -51,15 +51,6 @@ let leaves t =
   ignore (go t 0);
   out
 
-let rec set t i d =
-  match t with
-  | Leaf _ -> if i = 0 then Leaf d else invalid_arg "Mht.set: out of bounds"
-  | Node { l; r; _ } ->
-    let sl = size l in
-    if i < 0 then invalid_arg "Mht.set: out of bounds"
-    else if i < sl then node (set l i d) r
-    else node l (set r (i - sl) d)
-
 (* One descent for a whole change set: the sorted changes are split at
    each node's left size, so every node on the union of their root
    paths is rebuilt — and hashed — exactly once. *)

@@ -24,15 +24,11 @@ type t
 val of_digests : string array -> t
 (** @raise Invalid_argument on an empty array. *)
 
-val size : t -> int
 val root : t -> string
 val leaf : t -> int -> string
 (** @raise Invalid_argument if out of bounds. *)
 
 val leaves : t -> string array
-
-val set : t -> int -> string -> t
-(** Replace one leaf digest; O(log n) new nodes. *)
 
 val set_many : t -> (int * string) list -> t
 (** Replace several leaf digests in one descent: [changes] are

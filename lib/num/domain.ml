@@ -51,8 +51,3 @@ let decode r =
   let lo = Aqv_util.Wire.read_array r Q.decode in
   let hi = Array.init (Array.length lo) (fun _ -> Q.decode r) in
   validated ~fail:(fun m -> failwith ("Domain.decode: " ^ m)) lo hi
-
-let equal a b =
-  dim a = dim b
-  && Array.for_all2 Q.equal a.lo b.lo
-  && Array.for_all2 Q.equal a.hi b.hi

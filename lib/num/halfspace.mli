@@ -14,17 +14,5 @@ type t = { diff : Linfun.t; side : side }
 val above : Linfun.t -> t
 val below : Linfun.t -> t
 
-val contains : t -> Rational.t array -> bool
-(** Half-open semantics: [Above] admits [diff(x) >= 0], [Below] admits
-    [diff(x) < 0]. *)
-
-val contains_strictly : t -> Rational.t array -> bool
-(** Open semantics on both sides ([> 0] / [< 0]): membership in the
-    interior. *)
-
 val side_to_int : side -> int
 (** 0 for Above, 1 for Below; used in canonical encodings. *)
-
-val pp : Format.formatter -> t -> unit
-val encode : Aqv_util.Wire.writer -> t -> unit
-val decode : Aqv_util.Wire.reader -> t

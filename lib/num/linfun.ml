@@ -26,8 +26,6 @@ let sub a b =
     const = Q.sub a.const b.const;
   }
 
-let neg t = { coeffs = Array.map Q.neg t.coeffs; const = Q.neg t.const }
-
 let is_zero t = Q.sign t.const = 0 && Array.for_all (fun c -> Q.sign c = 0) t.coeffs
 let is_constant t = Array.for_all (fun c -> Q.sign c = 0) t.coeffs
 
@@ -45,36 +43,11 @@ let compare a b =
     go 0
   end
 
-let equal a b = compare a b = 0
-
-let pp ppf t =
-  let first = ref true in
-  Format.pp_print_string ppf "(";
-  Array.iteri
-    (fun i c ->
-      if Q.sign c <> 0 then begin
-        if not !first then Format.pp_print_string ppf " + ";
-        Format.fprintf ppf "%a*x%d" Q.pp c i;
-        first := false
-      end)
-    t.coeffs;
-  if Q.sign t.const <> 0 || !first then begin
-    if not !first then Format.pp_print_string ppf " + ";
-    Q.pp ppf t.const
-  end;
-  Format.pp_print_string ppf ")"
-
 let encode w t =
   let module W = Aqv_util.Wire in
   W.varint w (dim t);
   Array.iter (Q.encode w) t.coeffs;
   Q.encode w t.const
-
-let decode r =
-  let module W = Aqv_util.Wire in
-  let coeffs = W.read_array r Q.decode in
-  let const = Q.decode r in
-  { coeffs; const }
 
 let digest t =
   let w = Aqv_util.Wire.writer () in

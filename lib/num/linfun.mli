@@ -11,7 +11,6 @@ val make : coeffs:Rational.t array -> const:Rational.t -> t
 val of_ints : int array -> int -> t
 (** Integer coefficients/constant convenience. *)
 
-val dim : t -> int
 val coeff : t -> int -> Rational.t
 val const : t -> Rational.t
 val coeffs : t -> Rational.t array
@@ -24,24 +23,18 @@ val sub : t -> t -> t
 (** Pointwise difference: the function whose zero set is the
     intersection hyperplane of the two arguments. *)
 
-val neg : t -> t
 val is_zero : t -> bool
 (** All coefficients and the constant are zero. *)
 
 val is_constant : t -> bool
 (** All coefficients zero (the constant may not be). *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Structural (lexicographic); a total order usable in maps. *)
-
-val pp : Format.formatter -> t -> unit
 
 val encode : Aqv_util.Wire.writer -> t -> unit
 (** Canonical encoding, used when hashing a function into the
     authenticated structures. *)
-
-val decode : Aqv_util.Wire.reader -> t
 
 val digest : t -> string
 (** SHA-256 of the canonical encoding: the paper's [H(f_i)]. *)

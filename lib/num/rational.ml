@@ -56,7 +56,6 @@ let of_ints p q =
   else if q < 0 then reduce (-p) (-q)
   else reduce p q
 
-let of_bigints = big
 let num = function I { n; _ } -> B.of_int n | Z { num; _ } -> num
 let den = function I { d; _ } -> B.of_int d | Z { den; _ } -> den
 
@@ -145,18 +144,6 @@ let div a b =
     let n = x.n * y.d and d = x.d * y.n in
     if d < 0 then reduce (-n) (-d) else reduce n d
   | _ -> big (B.mul (num a) (den b)) (B.mul (den a) (num b))
-
-let inv = function
-  | I { n = 0; _ } -> raise Division_by_zero
-  | I { n; d } -> if n < 0 then I { n = -d; d = -n } else I { n = d; d = n }
-  | Z { num; den } -> big den num
-
-let mul_int t v = mul t (of_int v)
-
-let mediant a b =
-  match (a, b) with
-  | I x, I y when below lim61 x.n x.d y.n y.d -> reduce (x.n + y.n) (x.d + y.d)
-  | _ -> big (B.add (num a) (num b)) (B.add (den a) (den b))
 
 let average a b =
   match (a, b) with

@@ -18,7 +18,7 @@
     below 2^31 for a product ([mul], [div], [compare] of unequal
     denominators), below 2^30 for a sum of products ([add], [sub] of
     unequal denominators, [average]), and below 2^61 for a plain sum
-    ([add], [sub] over one denominator, [mediant]); each such result is
+    ([add], [sub] over one denominator); each such result is
     below 2^62 and is reduced by a native gcd. Past a bound, or on a
     [Bigint] operand, the operation runs on [Bigint]s and the result is
     brought back to the native form when it fits. Both paths compute
@@ -33,11 +33,6 @@ val minus_one : t
 val of_int : int -> t
 val of_ints : int -> int -> t
 (** [of_ints p q] is p/q. @raise Division_by_zero if [q = 0]. *)
-
-val of_bigints : Aqv_bigint.Bigint.t -> Aqv_bigint.Bigint.t -> t
-val num : t -> Aqv_bigint.Bigint.t
-val den : t -> Aqv_bigint.Bigint.t
-(** Always positive. *)
 
 val of_decimal : string -> t
 (** Parse ["-12.345"]-style decimals (and plain integers).
@@ -63,14 +58,6 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
 (** @raise Division_by_zero. *)
-
-val inv : t -> t
-val mul_int : t -> int -> t
-
-val mediant : t -> t -> t
-(** [(p1+p2)/(q1+q2)]: a value strictly between two distinct rationals,
-    with smaller growth than the arithmetic mean. Used to pick interior
-    sample points of subdomains. *)
 
 val average : t -> t -> t
 

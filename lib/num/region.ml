@@ -8,7 +8,6 @@ type repr =
 
 type t = { domain : Domain.t; cons : Halfspace.t list; repr : repr }
 
-let dim t = Domain.dim t.domain
 let domain t = t.domain
 let constraints t = List.rev t.cons
 
@@ -174,13 +173,3 @@ let classify t diff =
 let interval_bounds t =
   match t.repr with Interval { lo; hi } -> Some (lo, hi) | Poly _ -> None
 
-let contains t x =
-  Domain.contains t.domain x && List.for_all (fun h -> Halfspace.contains h x) t.cons
-
-let pp ppf t =
-  match t.repr with
-  | Interval { lo; hi } -> Format.fprintf ppf "(%a, %a)" Q.pp lo Q.pp hi
-  | Poly { witness } ->
-    Format.fprintf ppf "poly[%d cons, witness (%a)]" (List.length t.cons)
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") Q.pp)
-      (Array.to_list witness)

@@ -18,7 +18,6 @@ type t
 val of_domain : Domain.t -> t
 (** The whole domain box. *)
 
-val dim : t -> int
 val domain : t -> Domain.t
 val constraints : t -> Halfspace.t list
 (** Accumulated half-spaces, outermost first. *)
@@ -42,9 +41,3 @@ val interior_point : t -> Rational.t array
 val interval_bounds : t -> (Rational.t * Rational.t) option
 (** In dimension 1, the open interval [(lo, hi)] the region occupies;
     [None] in higher dimensions. *)
-
-val contains : t -> Rational.t array -> bool
-(** Half-open membership: [Above] constraints admit their boundary,
-    [Below] constraints do not; the domain box is closed. *)
-
-val pp : Format.formatter -> t -> unit

@@ -28,13 +28,9 @@ let create ~capacity =
     mu = Mutex.create ();
   }
 
-let capacity t = t.capacity
-
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let length t = locked t (fun () -> Hashtbl.length t.tbl)
 
 let unlink n =
   n.prev.next <- n.next;
@@ -74,9 +70,3 @@ let add t key value =
           unlink lru;
           Hashtbl.remove t.tbl lru.key
         end)
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      t.sentinel.next <- t.sentinel;
-      t.sentinel.prev <- t.sentinel)

@@ -12,14 +12,9 @@ val create : capacity:int -> t
 (** [capacity <= 0] makes a disabled cache: {!find} always misses and
     {!add} is a no-op. *)
 
-val capacity : t -> int
-val length : t -> int
-
 val find : t -> string -> string option
 (** A hit refreshes the entry's recency. *)
 
 val add : t -> string -> string -> unit
 (** Inserts (or refreshes) the binding, evicting the least recently
     used entry when over capacity. *)
-
-val clear : t -> unit

@@ -16,7 +16,7 @@
       because the index is immutable within an epoch;
     - live index updates: an owner [Protocol.Republish] frame replays a
       signed delta and atomically hot-swaps the served index
-      ({!swap_index}), invalidating cached replies for free via the
+      ({!republish}), invalidating cached replies for free via the
       epoch in the cache key;
     - observability ({!Stats}): request counters, exact-integer latency
       histogram, bytes in/out, cache and shed counters, served in-band
@@ -90,22 +90,13 @@ val port : t -> int
 val stats : t -> Stats.t
 
 val index : t -> Aqv.Ifmh.t
-(** The index currently being served (a snapshot; see {!swap_index}). *)
-
-val swap_index : t -> Aqv.Ifmh.t -> bool
-(** Atomically install a new index for all subsequent requests — the
-    serving half of an owner republish ([Protocol.Republish] frames
-    arrive here after [Aqv.Ifmh.apply_delta]). Returns [false] (and
-    installs nothing) unless the new epoch strictly exceeds the one
-    being served; concurrent swaps serialize, so the served epoch is
-    monotonic. In-flight requests keep the snapshot they started with.
-    The response cache is left alone: keys embed the epoch, so stale
-    entries can never be served at the new epoch. *)
+(** The index currently being served: a snapshot, replaced atomically
+    by {!republish} and {!install_snapshot}. *)
 
 val republish : t -> Aqv.Ifmh.delta -> (int, string) result
 (** The single mutation path, shared by wire [Protocol.Republish] and a
     follower replaying its replication stream: under the republish
-    lock, [apply_delta] → WAL append+fsync → {!swap_index} → ship to
+    lock, [apply_delta] → WAL append+fsync → atomic swap → ship to
     the publisher. [Ok epoch'] only once all of that happened
     (durable-before-ack and durable-before-ship); any failure is
     [Error] with serving state untouched. *)

@@ -30,7 +30,7 @@ val session_dropped : t -> unit
     framing (the cause is logged separately). *)
 
 val index_swapped : t -> unit
-(** A republish installed a new index epoch ({!Engine.swap_index}). *)
+(** A republish or snapshot install swapped in a new index epoch. *)
 
 val log_appended : t -> unit
 (** A delta frame was fsync'd to the write-ahead log before the ack. *)

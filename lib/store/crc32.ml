@@ -7,18 +7,14 @@ let table =
          done;
          !c))
 
-let update crc s pos len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32.update";
+let string s =
   let t = Lazy.force table in
-  let c = ref (crc lxor 0xffffffff) in
-  for i = pos to pos + len - 1 do
+  let c = ref 0xffffffff in
+  for i = 0 to String.length s - 1 do
     c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
          lxor (!c lsr 8)
   done;
   !c lxor 0xffffffff
-
-let string s = update 0 s 0 (String.length s)
 
 let be32 v =
   String.init 4 (fun i -> Char.chr ((v lsr (24 - (8 * i))) land 0xff))

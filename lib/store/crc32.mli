@@ -10,11 +10,6 @@
 val string : string -> int
 (** Checksum of a whole string. *)
 
-val update : int -> string -> int -> int -> int
-(** [update crc s pos len] extends [crc] (a previous {!string}/[update]
-    result, or [0] for the empty prefix) over [s.[pos .. pos+len-1]].
-    [string s = update 0 s 0 (String.length s)]. *)
-
 val be32 : int -> string
 (** Big-endian 4-byte encoding of the low 32 bits. *)
 

@@ -26,9 +26,6 @@ type header = {
   body_bytes : int;  (** size of the [Ifmh.save] image *)
 }
 
-val encode : Aqv.Ifmh.t -> string
-(** The full file contents (magic + payload + CRC) for an index. *)
-
 val write : path:string -> Aqv.Ifmh.t -> unit
 (** Atomic publish: write to a temp file in the same directory, fsync,
     rename over [path], fsync the directory.

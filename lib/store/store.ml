@@ -65,7 +65,7 @@ let publish ?(policy = default_policy) ~dir index =
    served, and the final frame's payload is fully validated by
    [Ifmh.apply_delta]; such a divergence is attributed to the last
    accepted frame. *)
-let replay ?pool ~file index0 frames =
+let replay ~file index0 frames =
   let base_ids = Hashtbl.create 64 in
   Array.iter
     (fun r -> Hashtbl.replace base_ids (Aqv_db.Record.id r) ())
@@ -103,14 +103,15 @@ let replay ?pool ~file index0 frames =
   | Error e -> Error e
   | Ok (_, None, _, skipped) -> Ok (index0, 0, skipped)
   | Ok (changes, Some (li, last), replayed, skipped) -> (
-      match Ifmh.apply_delta ?pool (Ifmh.delta_with_changes changes last) index0 with
+      match Ifmh.apply_delta (Ifmh.delta_with_changes changes last) index0 with
       | exception Failure m -> Error (Error.Replay_failed { file; frame = li; reason = m })
       | exception Invalid_argument m ->
           Error (Error.Replay_failed { file; frame = li; reason = m })
       | index -> Ok (index, replayed, skipped))
 
-let open_dir ?pool ?(policy = default_policy) ?(fault = Fault.create ()) dir =
-  match Snapshot.read ?pool ~fault ~path:(snapshot_path dir) () with
+let open_dir ?(policy = default_policy) dir =
+  let fault = Fault.create () in
+  match Snapshot.read ~fault ~path:(snapshot_path dir) () with
   | Error e -> Error e
   | Ok (index0, hdr) -> (
       let wp = wal_path dir in
@@ -143,7 +144,7 @@ let open_dir ?pool ?(policy = default_policy) ?(fault = Fault.create ()) dir =
               with
               | exception Error.Error e -> Error e
               | () -> (
-              match replay ?pool ~file:wp index0 sc.scanned with
+              match replay ~file:wp index0 sc.scanned with
               | Error e -> Error e
               | Ok (index, replayed, skipped) -> (
                   match
@@ -193,8 +194,6 @@ let maybe_compact t index =
   else false
 
 let log_frames t = Wal.frames t.wal
-let log_bytes t = Wal.size_bytes t.wal
-let dir t = t.dir
 let fault t = t.fault
 let close t = Wal.close t.wal
 
@@ -210,8 +209,8 @@ type report = {
   r_torn_tail_bytes : int;
 }
 
-let fsck ?pool dirname =
-  match Snapshot.read ?pool ~path:(snapshot_path dirname) () with
+let fsck dirname =
+  match Snapshot.read ~path:(snapshot_path dirname) () with
   | Error e -> Error e
   | Ok (index0, hdr) -> (
       let wp = wal_path dirname in
@@ -239,7 +238,7 @@ let fsck ?pool dirname =
               finish ~frames:0 ~replayed:0 ~skipped:0
                 ~torn:sc.valid_bytes ~final:hdr.epoch
             else
-              match replay ?pool ~file:wp index0 sc.scanned with
+              match replay ~file:wp index0 sc.scanned with
               | Error e -> Error e
               | Ok (index, replayed, skipped) ->
                   finish

@@ -51,19 +51,13 @@ type recovery = {
 }
 
 val snapshot_path : string -> string
-val wal_path : string -> string
 
 val publish : ?policy:policy -> dir:string -> Aqv.Ifmh.t -> t
 (** Owner-side initial publish: write the snapshot atomically and start
     a fresh log. Creates [dir] if missing; truncates any previous log.
     @raise Error.Error on IO failure. *)
 
-val open_dir :
-  ?pool:Aqv_par.Pool.pool ->
-  ?policy:policy ->
-  ?fault:Fault.t ->
-  string ->
-  (t * Aqv.Ifmh.t * recovery, Error.t) result
+val open_dir : ?policy:policy -> string -> (t * Aqv.Ifmh.t * recovery, Error.t) result
 (** Recover: validate the snapshot, scan the log, truncate a torn tail,
     replay surviving deltas (coalesced: one rebuild for the whole log).
     Never raises on bad input. *)
@@ -91,8 +85,6 @@ val maybe_compact : t -> Aqv.Ifmh.t -> bool
 (** {!compact} iff {!compaction_due}. Returns whether it compacted. *)
 
 val log_frames : t -> int
-val log_bytes : t -> int
-val dir : t -> string
 
 val fault : t -> Fault.t
 (** The store's fault-injection slot; arm it to make the next IO
@@ -112,7 +104,6 @@ type report = {
   r_torn_tail_bytes : int;
 }
 
-val fsck :
-  ?pool:Aqv_par.Pool.pool -> string -> (report, Error.t) result
+val fsck : string -> (report, Error.t) result
 (** Read-only health check: validates snapshot + log and dry-runs the
     replay without truncating or modifying anything. *)

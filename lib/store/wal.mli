@@ -28,10 +28,6 @@ type frame = { base_epoch : int; delta : string }
 type t
 (** An open log handle (append mode). *)
 
-val encode_frame : frame -> string
-(** The exact bytes {!append} writes (exposed for tests and forgery
-    construction in the attack suite). *)
-
 val create : path:string -> t
 (** Write a fresh log (magic only) via the atomic writer and open it for
     append. Truncates any previous log at [path].

@@ -9,19 +9,3 @@ let encode s =
     Bytes.set b ((2 * i) + 1) hexdigit.[c land 0xf]
   done;
   Bytes.unsafe_to_string b
-
-let nibble c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> invalid_arg "Hex.decode"
-
-let decode h =
-  let n = String.length h in
-  if n mod 2 <> 0 then invalid_arg "Hex.decode";
-  let b = Bytes.create (n / 2) in
-  for i = 0 to (n / 2) - 1 do
-    Bytes.set b i (Char.chr ((nibble h.[2 * i] lsl 4) lor nibble h.[(2 * i) + 1]))
-  done;
-  Bytes.unsafe_to_string b

@@ -1,8 +1,4 @@
-(** Hexadecimal encoding/decoding of byte strings. *)
+(** Hexadecimal encoding of byte strings. *)
 
 val encode : string -> string
 (** [encode s] is the lowercase hex rendering of [s]. *)
-
-val decode : string -> string
-(** [decode h] parses a hex string (case-insensitive).
-    @raise Invalid_argument on odd length or non-hex characters. *)

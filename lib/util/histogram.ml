@@ -74,12 +74,6 @@ let merge a b =
   t.max_value <- max a.max_value b.max_value;
   t
 
-let reset t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.total <- 0;
-  t.sum <- 0;
-  t.max_value <- 0
-
 let pp ppf t =
   Format.fprintf ppf "n=%d max=%d p50=%d p90=%d p99=%d p999=%d" t.total
     t.max_value (percentile t 50) (percentile t 90) (percentile t 99)

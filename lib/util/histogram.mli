@@ -61,7 +61,5 @@ val merge : t -> t -> t
     the property the bench and workload drivers rely on (and
     [test_util] qchecks). *)
 
-val reset : t -> unit
-
 val pp : Format.formatter -> t -> unit
 (** One line: count, max, and p50/p90/p99. *)

@@ -269,7 +269,6 @@ let rec to_string = function
 
 (* ----------------------------- accessors ---------------------------- *)
 
-let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let to_int = function Int n -> Some n | _ -> None
 
 let to_float = function
@@ -278,5 +277,4 @@ let to_float = function
   | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
-let to_list = function List vs -> Some vs | _ -> None
 let to_obj = function Obj fields -> Some fields | _ -> None

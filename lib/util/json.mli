@@ -33,10 +33,6 @@ val to_string : t -> string
 (** Compact single-line rendering.
     @raise Invalid_argument on NaN or infinite [Float]s. *)
 
-val member : string -> t -> t option
-(** Field lookup; [None] when absent or when the value is not an
-    object. *)
-
 val to_int : t -> int option
 (** [Int n] only. *)
 
@@ -44,5 +40,4 @@ val to_float : t -> float option
 (** [Float x], or [Int n] widened — JSON has a single number type. *)
 
 val to_str : t -> string option
-val to_list : t -> t list option
 val to_obj : t -> (string * t) list option

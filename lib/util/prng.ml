@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 step: add the golden gamma, then mix. *)
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -40,13 +38,6 @@ let float t bound =
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let bytes t n =
-  let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set b i (Char.chr (bits t 8))
-  done;
-  Bytes.unsafe_to_string b
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

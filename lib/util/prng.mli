@@ -11,15 +11,9 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)
-
-val next_int64 : t -> int64
-(** Next 64 uniformly random bits. *)
 
 val bits : t -> int -> int
 (** [bits t k] returns a uniformly random integer in [\[0, 2^k)] for
@@ -37,9 +31,6 @@ val float : t -> float -> float
 (** [float t bound] returns a uniform float in [\[0, bound)]. *)
 
 val bool : t -> bool
-
-val bytes : t -> int -> string
-(** [bytes t n] returns [n] uniformly random bytes. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

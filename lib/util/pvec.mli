@@ -16,4 +16,3 @@ val get : 'a t -> int -> 'a
 
 val set : 'a t -> int -> 'a -> 'a t
 val to_array : 'a t -> 'a array
-val to_list : 'a t -> 'a list

@@ -125,5 +125,3 @@ let read_array r f =
   let n = read_varint r in
   if n > String.length r.data - r.pos then failwith "Wire: truncated";
   Array.init n (fun _ -> f r)
-
-let at_end r = r.pos = String.length r.data

@@ -58,5 +58,3 @@ val read_array : reader -> (reader -> 'a) -> 'a array
     Elements are read in order. Every element must cost at least one
     byte: a length larger than the bytes left in the reader fails with
     [Failure "Wire: truncated"] before anything is allocated. *)
-
-val at_end : reader -> bool

@@ -9,6 +9,9 @@
 
 module Z = Aqv_bigint.Bigint
 
+(* Bit [i] of the magnitude. *)
+let testbit t i = not (Z.is_even (Z.shift_right (Z.abs t) i))
+
 let mod_pow_plain ~base ~exp ~modulus =
   if Z.sign exp < 0 then invalid_arg "Bigint_ref.mod_pow_plain: negative exponent";
   if Z.sign modulus <= 0 then invalid_arg "Bigint_ref.mod_pow_plain: modulus <= 0";
@@ -18,14 +21,14 @@ let mod_pow_plain ~base ~exp ~modulus =
     let acc = ref Z.one in
     for i = Z.bit_length exp - 1 downto 0 do
       acc := Z.erem (Z.mul !acc !acc) modulus;
-      if Z.testbit exp i then acc := Z.erem (Z.mul !acc b) modulus
+      if testbit exp i then acc := Z.erem (Z.mul !acc b) modulus
     done;
     !acc
   end
 
 let of_bytes_be s =
   let v = ref Z.zero in
-  String.iter (fun c -> v := Z.add_int (Z.shift_left !v 8) (Char.code c)) s;
+  String.iter (fun c -> v := Z.add (Z.shift_left !v 8) (Z.of_int (Char.code c))) s;
   !v
 
 let to_bytes_be ?width t =
@@ -41,8 +44,8 @@ let to_bytes_be ?width t =
   let b = Bytes.make out_len '\000' in
   let rec fill t i =
     if i >= 0 && not (Z.is_zero t) then begin
-      let q, r = Z.divmod t (Z.of_int 256) in
-      Bytes.set b i (Char.chr (Z.to_int_exn r));
+      let q = Z.div t (Z.of_int 256) and r = Z.rem t (Z.of_int 256) in
+      Bytes.set b i (Char.chr (Option.get (Z.to_int_opt r)));
       fill q (i - 1)
     end
   in

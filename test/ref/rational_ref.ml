@@ -24,7 +24,7 @@ let mk num den =
 
 let zero = { num = Z.zero; den = Z.one }
 let one = { num = Z.one; den = Z.one }
-let minus_one = { num = Z.minus_one; den = Z.one }
+let minus_one = { num = Z.of_int (-1); den = Z.one }
 
 let of_int v = { num = Z.of_int v; den = Z.one }
 let of_ints p q = mk (Z.of_int p) (Z.of_int q)
@@ -87,7 +87,6 @@ let div a b = mk (Z.mul a.num b.den) (Z.mul a.den b.num)
 let inv t = mk t.den t.num
 let mul_int t v = mk (Z.mul_int t.num v) t.den
 
-let mediant a b = mk (Z.add a.num b.num) (Z.add a.den b.den)
 let average a b = mk (Z.add (Z.mul a.num b.den) (Z.mul b.num a.den)) (Z.mul Z.two (Z.mul a.den b.den))
 
 let encode w t =

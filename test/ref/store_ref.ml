@@ -14,6 +14,21 @@ module Wal = Aqv_store.Wal
 module Store = Aqv_store.Store
 open Aqv
 
+(* The log file of a store directory, as [Store] lays it out. *)
+let wal_path dir = Filename.concat dir "wal.log"
+
+(* Append one frame to a store's clean log through [Wal] itself: scan
+   for the valid length, reopen for append, write, close. *)
+let append_frame dir frame =
+  let path = wal_path dir in
+  match Wal.scan ~path () with
+  | Error e -> failwith ("Store_ref.append_frame: " ^ Error.to_string e)
+  | Ok sc ->
+    let wal =
+      Wal.open_append ~path ~bytes:sc.Wal.valid_bytes ~frames:(List.length sc.Wal.scanned)
+    in
+    Fun.protect ~finally:(fun () -> Wal.close wal) (fun () -> Wal.append wal frame)
+
 type recovery = { index : Ifmh.t; final_epoch : int; replayed : int; skipped : int }
 
 let replay ?pool ~file index0 frames =
@@ -38,7 +53,7 @@ let recover ?pool dir =
   match Snapshot.read ?pool ~path:(Store.snapshot_path dir) () with
   | Error e -> Error e
   | Ok (index0, _) -> (
-      let file = Store.wal_path dir in
+      let file = wal_path dir in
       if not (Sys.file_exists file) then replay ~file index0 []
       else
         match Wal.scan ~path:file () with

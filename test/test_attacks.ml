@@ -649,12 +649,8 @@ let test_store_spliced_frame () =
       let delta_b = Ifmh.delta ~changes index_b' in
       let w = Aqv_util.Wire.writer () in
       Ifmh.encode_delta w delta_b;
-      let frame =
-        Wal.encode_frame
-          { Wal.base_epoch = 1; delta = Aqv_util.Wire.contents w }
-      in
-      let wal = Store.wal_path dir in
-      store_write wal (store_read wal ^ frame);
+      Aqv_ref.Store_ref.append_frame dir
+        { Wal.base_epoch = 1; delta = Aqv_util.Wire.contents w };
       expect_recovery_rejects "Replay_failed" dir)
 
 (* a frame claiming a future base epoch: accepting it would let an
@@ -672,11 +668,8 @@ let test_store_epoch_gap () =
       let delta = Ifmh.delta ~changes index6 in
       let w = Aqv_util.Wire.writer () in
       Ifmh.encode_delta w delta;
-      let frame =
-        Wal.encode_frame { Wal.base_epoch = 5; delta = Aqv_util.Wire.contents w }
-      in
-      let wal = Store.wal_path dir in
-      store_write wal (store_read wal ^ frame);
+      Aqv_ref.Store_ref.append_frame dir
+        { Wal.base_epoch = 5; delta = Aqv_util.Wire.contents w };
       expect_recovery_rejects "Epoch_gap" dir)
 
 (* ---------------------------- replication --------------------------- *)
@@ -921,8 +914,8 @@ let noncanonical_copy ~scale ~pad ~sign_byte a =
     (fun q ->
       (* a zero may arrive as "negative zero" *)
       W.u8 w (if Q.sign q < 0 || (Q.sign q = 0 && sign_byte = 255) then 1 else sign_byte);
-      W.bytes w (bytes (Z.abs (Q.num q)));
-      W.bytes w (bytes (Q.den q)))
+      W.bytes w (bytes (Z.abs (Aqv_ref.Num_ref.q_num q)));
+      W.bytes w (bytes (Aqv_ref.Num_ref.q_den q)))
     (Record.attrs a);
   W.bytes w (Record.payload a);
   Record.decode (W.reader (W.contents w))

@@ -433,7 +433,7 @@ let test_follower_crash_reconverge () =
               let oc =
                 open_out_gen
                   [ Open_append; Open_binary ]
-                  0o644 (Store.wal_path fdir)
+                  0o644 (Aqv_ref.Store_ref.wal_path fdir)
               in
               output_string oc garbage;
               close_out oc;
@@ -473,8 +473,24 @@ let rec read_non_hello ?(timeout = 5.) fd =
 
 let subscribe_pair hub ~from_epoch =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let th = Thread.create (fun () -> Hub.subscribe hub a ~from_epoch) () in
+  let th = Thread.create (fun () -> (Hub.publisher hub).Engine.subscribe a ~from_epoch) () in
   (a, b, th)
+
+(* The hub's latest epoch as a subscriber learns it: the epoch of the
+   Hello it is sent first. The probe hangs up at once; the hub drops it
+   at its next write (a heartbeat at the latest), so it is gone by the
+   time this returns. *)
+let hub_latest_epoch hub =
+  let a, b, th = subscribe_pair hub ~from_epoch:None in
+  let epoch =
+    match read_reply b with
+    | Protocol.Hello { epoch } -> epoch
+    | _ -> Alcotest.fail "expected Hello first"
+  in
+  Unix.close b;
+  Thread.join th;
+  Unix.close a;
+  epoch
 
 (* Catch-up mode selection: up to date -> nothing; behind but covered
    by the backlog -> exactly the delta suffix; bootstrap (or past the
@@ -484,8 +500,9 @@ let test_hub_catchup_modes () =
   let index1, steps = gen_chain ~scheme:Ifmh.Multi_signature ~dims:1 prng 2 in
   let final = match List.rev steps with (_, _, u) :: _ -> u | [] -> assert false in
   let hub = Hub.create ~heartbeat_interval:0.2 ~initial:index1 () in
-  List.iter (fun (base, delta, updated) -> Hub.ship hub ~base ~index:updated delta) steps;
-  check Alcotest.int "hub latest" 3 (Hub.latest_epoch hub);
+  let ship = (Hub.publisher hub).Engine.ship in
+  List.iter (fun (base, delta, updated) -> ship ~base ~index:updated delta) steps;
+  check Alcotest.int "hub latest" 3 (hub_latest_epoch hub);
   (* up to date: a Hello, then heartbeats only *)
   let a1, b1, th1 = subscribe_pair hub ~from_epoch:(Some 3) in
   (match read_reply b1 with
@@ -557,17 +574,27 @@ let test_hub_slow_follower () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.setsockopt_int a Unix.SO_SNDBUF 1;
   Unix.setsockopt_int b Unix.SO_RCVBUF 1;
-  let th = Thread.create (fun () -> Hub.subscribe hub a ~from_epoch:(Some 1)) () in
+  (* [subscribe] returns once the hub drops the subscriber *)
+  let dropped = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        (Hub.publisher hub).Engine.subscribe a ~from_epoch:(Some 1);
+        Atomic.set dropped true)
+      ()
+  in
+  (* the Hello is queued as the hub registers the subscriber *)
   check Alcotest.bool "subscriber registered" true
-    (await 5. (fun () -> Hub.subscriber_count hub = 1));
+    (match read_reply b with Protocol.Hello _ -> true | _ -> false);
   (* the subscriber never reads: ship everything; every call returns
      without blocking on the dead weight *)
-  List.iter (fun (base, delta, updated) -> Hub.ship hub ~base ~index:updated delta) steps;
-  check Alcotest.int "hub latest" 9 (Hub.latest_epoch hub);
+  let ship = (Hub.publisher hub).Engine.ship in
+  List.iter (fun (base, delta, updated) -> ship ~base ~index:updated delta) steps;
+  check Alcotest.int "hub latest" 9 (hub_latest_epoch hub);
   check Alcotest.bool "slow follower dropped" true
-    (await 5. (fun () -> Hub.subscriber_count hub = 0));
+    (await 5. (fun () -> Atomic.get dropped));
   Thread.join th;
-  check Alcotest.int "no queued frames for the dead" 0 (Hub.lag hub);
+  check Alcotest.int "no queued frames for the dead" 0 ((Hub.publisher hub).Engine.lag ());
   (* re-subscribe from the stale epoch: the backlog replays the chain *)
   let c, d, th2 = subscribe_pair hub ~from_epoch:(Some 1) in
   let replica = ref index1 in
@@ -649,7 +676,7 @@ let test_router_epoch_minimum () =
       check Alcotest.int "ahead replica served all" 4 a;
       check Alcotest.int "lagging replica served none" 0 b;
       (* the laggard catches up and rejoins the rotation *)
-      check Alcotest.bool "swap" true (Engine.swap_index eb index2);
+      check Alcotest.bool "swap" true (Result.is_ok (Engine.install_snapshot eb index2));
       Router.poll_now router;
       for _ = 1 to 4 do
         check Alcotest.int "still the best epoch" 2 (ask ())

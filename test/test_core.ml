@@ -15,6 +15,8 @@ module Template = Aqv_db.Template
 module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
 module Mesh_ref = Aqv_ref.Mesh_ref
+module Num_ref = Aqv_ref.Num_ref
+module Core_ref = Aqv_ref.Core_ref
 open Aqv
 open Aqv_baseline
 
@@ -130,7 +132,7 @@ let test_itree_1d_structure () =
   check Alcotest.bool "at least one leaf" true (k >= 1);
   let prev_hi = ref (Domain.lo (Table.domain table) 0) in
   for id = 0 to k - 1 do
-    let lo, hi = Itree.leaf_interval tree id in
+    let lo, hi = Core_ref.leaf_interval tree id in
     check Alcotest.bool "contiguous tiling" true (Q.equal lo !prev_hi);
     check Alcotest.bool "nonempty" true (Q.compare lo hi < 0);
     prev_hi := hi
@@ -146,7 +148,7 @@ let test_itree_locate_consistent () =
     let x = Workload.weight_point table rng in
     let _, leaf = Itree.locate tree x in
     let node = (Itree.leaves tree).(leaf.Itree.id) in
-    check Alcotest.bool "leaf region contains x" true (Region.contains node.Itree.region x)
+    check Alcotest.bool "leaf region contains x" true (Num_ref.region_contains node.Itree.region x)
   done
 
 let test_itree_outside_domain () =
@@ -170,7 +172,7 @@ let test_itree_2d () =
     let x = Workload.weight_point table rng in
     let _, leaf = Itree.locate tree x in
     let node = (Itree.leaves tree).(leaf.Itree.id) in
-    check Alcotest.bool "region contains x" true (Region.contains node.Itree.region x)
+    check Alcotest.bool "region contains x" true (Num_ref.region_contains node.Itree.region x)
   done
 
 (* ------------------------------ sorting ----------------------------- *)
@@ -399,7 +401,7 @@ let test_boundary_inputs () =
      edges *)
   let points = ref [ [| Domain.lo dom 0 |]; [| Domain.hi dom 0 |] ] in
   for id = 1 to Itree.leaf_count tree - 1 do
-    let lo, _ = Itree.leaf_interval tree id in
+    let lo, _ = Core_ref.leaf_interval tree id in
     points := [| lo |] :: !points
   done;
   List.iter
@@ -676,7 +678,7 @@ let test_mesh_rejects_2d () =
 let pinned_bytes_sha256 = "bda81398f88a28d6e0549e830bec64d8d368d50c3f0c0f9ace074808f7613c55"
 
 let wide_table () =
-  let big s = Q.of_bigints (Aqv_bigint.Bigint.of_string s) Aqv_bigint.Bigint.one in
+  let big s = Q.of_decimal s in
   let line id a b = Record.make ~id ~attrs:[| a; b |] ~payload:(string_of_int id) () in
   let records =
     [

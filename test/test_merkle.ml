@@ -50,7 +50,7 @@ let test_leaves_roundtrip () =
 
 let test_set_persistent () =
   let t = mk 10 in
-  let t' = Mht.set t 4 (d 99) in
+  let t' = Mht.set_many t [ (4, d 99) ] in
   check Alcotest.string "old unchanged" (d 4) (Mht.leaf t 4);
   check Alcotest.string "new changed" (d 99) (Mht.leaf t' 4);
   check Alcotest.bool "roots differ" false (String.equal (Mht.root t) (Mht.root t'));
@@ -134,7 +134,7 @@ let prop_set_then_leaves =
     QCheck.(pair (int_range 1 50) (pair (int_bound 49) small_nat))
     (fun (n, (i, v)) ->
       let i = i mod n in
-      let t = Mht.set (mk n) i (d (1000 + v)) in
+      let t = Mht.set_many (mk n) [ (i, d (1000 + v)) ] in
       let expect = Array.init n d in
       expect.(i) <- d (1000 + v);
       Mht.leaves t = expect)
@@ -177,7 +177,7 @@ let prop_set_many_is_fold_of_set =
        gen_change_set)
     (fun (n, changes) ->
       let t = mk n in
-      let folded = List.fold_left (fun t (i, v) -> Mht.set t i v) t changes in
+      let folded = List.fold_left (fun t (i, v) -> Mht.set_many t [ (i, v) ]) t changes in
       let before = Aqv_util.Metrics.snapshot () in
       let many = Mht.set_many t changes in
       let hashes = (Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) before).hash_ops in

@@ -8,6 +8,7 @@ module Halfspace = Aqv_num.Halfspace
 module Domain = Aqv_num.Domain
 module Simplex = Aqv_num.Simplex
 module Region = Aqv_num.Region
+module Num_ref = Aqv_ref.Num_ref
 
 let check = Alcotest.check
 let qt = Alcotest.testable Q.pp Q.equal
@@ -65,13 +66,6 @@ let q_compare_total =
   qtest "compare total order" (QCheck.pair arb_q arb_q) (fun (a, b) ->
       Q.compare a b = -Q.compare b a
       && Q.equal a b = (Q.compare a b = 0))
-
-let q_mediant_between =
-  qtest "mediant strictly between" (QCheck.pair arb_q arb_q) (fun (a, b) ->
-      QCheck.assume (not (Q.equal a b));
-      let lo, hi = if Q.compare a b < 0 then (a, b) else (b, a) in
-      let m = Q.mediant lo hi in
-      Q.compare lo m < 0 && Q.compare m hi < 0)
 
 let q_average_between =
   qtest "average strictly between" (QCheck.pair arb_q arb_q) (fun (a, b) ->
@@ -136,7 +130,7 @@ let gen_z =
    non-zero denominator *)
 let qr n d =
   let d = if Z.is_zero d then Z.one else d in
-  (Q.of_bigints n d, R.of_bigints n d)
+  (Num_ref.q_of_bigints n d, R.of_bigints n d)
 
 let gen_qr = QCheck.Gen.map2 qr gen_z gen_z
 let print_qr (q, _) = Q.to_string q
@@ -174,11 +168,11 @@ let r_encoded r =
 
 (* same value, same text, same bytes, canonical form *)
 let agrees q r =
-  Z.equal (Q.num q) (R.num r)
-  && Z.equal (Q.den q) (R.den r)
+  Z.equal (Num_ref.q_num q) (R.num r)
+  && Z.equal (Num_ref.q_den q) (R.den r)
   && String.equal (Q.to_string q) (R.to_string r)
   && String.equal (q_encoded q) (r_encoded r)
-  && q = Q.of_bigints (R.num r) (R.den r)
+  && q = Num_ref.q_of_bigints (R.num r) (R.den r)
   &&
   match (Z.to_int_opt (R.num r), Z.to_int_opt (R.den r)) with
   | Some n, Some d when n <> min_int -> q = Q.of_ints n d
@@ -202,7 +196,7 @@ let q_oracle_binary =
       let both fq fr = same_outcome (fun () -> fq qa qb) (fun () -> fr ra rb) in
       agrees qa ra && agrees qb rb
       && both Q.add R.add && both Q.sub R.sub && both Q.mul R.mul && both Q.div R.div
-      && both Q.mediant R.mediant && both Q.average R.average
+      && both Q.average R.average
       && both Q.min R.min && both Q.max R.max
       && Int.compare (Q.compare qa qb) 0 = Int.compare (R.compare ra rb) 0
       && Q.equal qa qb = R.equal ra rb)
@@ -212,17 +206,17 @@ let q_oracle_unary =
     (QCheck.pair arb_qr (QCheck.make (QCheck.Gen.map (fun z -> Z.to_int_opt z) gen_z)))
     (fun ((q, r), v) ->
       let both fq fr = same_outcome (fun () -> fq q) (fun () -> fr r) in
-      both Q.neg R.neg && both Q.abs R.abs && both Q.inv R.inv
+      both Q.neg R.neg && both Q.abs R.abs && both (Q.div Q.one) R.inv
       && Q.sign q = R.sign r
       && Float.equal (Q.to_float q) (R.to_float r)
       && both (fun q -> Q.decode (Aqv_util.Wire.reader (q_encoded q))) (fun r -> r)
       &&
       match v with
       | Some v ->
-        both (fun q -> Q.mul_int q v) (fun r -> R.mul_int r v)
+        both (fun q -> Q.mul q (Q.of_int v)) (fun r -> R.mul_int r v)
         && same_outcome (fun () -> Q.of_int v) (fun () -> R.of_int v)
         && same_outcome
-             (fun () -> Q.of_ints v (Option.value ~default:1 (Z.to_int_opt (Q.den q))))
+             (fun () -> Q.of_ints v (Option.value ~default:1 (Z.to_int_opt (Num_ref.q_den q))))
              (fun () -> R.of_ints v (Option.value ~default:1 (Z.to_int_opt (R.den r))))
       | None -> true)
 
@@ -310,7 +304,7 @@ let gen_linfun d =
       (list_repeat d gen_q) gen_q)
 
 let arb_linfun d =
-  QCheck.make ~print:(Format.asprintf "%a" Linfun.pp) (gen_linfun d)
+  QCheck.make ~print:(Format.asprintf "%a" Num_ref.linfun_pp) (gen_linfun d)
 
 let linfun_sub_eval =
   qtest "eval (f - g) = eval f - eval g"
@@ -323,12 +317,12 @@ let linfun_encode_roundtrip =
   qtest "wire roundtrip" (arb_linfun 3) (fun f ->
       let w = Aqv_util.Wire.writer () in
       Linfun.encode w f;
-      Linfun.equal f (Linfun.decode (Aqv_util.Wire.reader (Aqv_util.Wire.contents w))))
+      Linfun.compare f (Num_ref.linfun_decode (Aqv_util.Wire.reader (Aqv_util.Wire.contents w))) = 0)
 
 let linfun_digest_injective =
   qtest "distinct functions, distinct digests" ~count:200
     (QCheck.pair (arb_linfun 2) (arb_linfun 2))
-    (fun (f, g) -> Linfun.equal f g = String.equal (Linfun.digest f) (Linfun.digest g))
+    (fun (f, g) -> Linfun.compare f g = 0 = String.equal (Linfun.digest f) (Linfun.digest g))
 
 (* ----------------------------- simplex ------------------------------ *)
 
@@ -557,9 +551,9 @@ let test_region_1d_contains_halfopen () =
   let ra = Option.get (Region.add r (Halfspace.above f)) in
   let rb = Option.get (Region.add r (Halfspace.below f)) in
   let at4 = [| Q.of_int 4 |] in
-  check Alcotest.bool "boundary goes above" true (Region.contains ra at4);
-  check Alcotest.bool "boundary not below" false (Region.contains rb at4);
-  check Alcotest.bool "outside domain" false (Region.contains ra [| Q.of_int 11 |])
+  check Alcotest.bool "boundary goes above" true (Num_ref.region_contains ra at4);
+  check Alcotest.bool "boundary not below" false (Num_ref.region_contains rb at4);
+  check Alcotest.bool "outside domain" false (Num_ref.region_contains ra [| Q.of_int 11 |])
 
 let test_region_2d_classify () =
   let dom = Domain.of_ints [ (0, 1); (0, 1) ] in
@@ -588,7 +582,7 @@ let test_region_2d_interior () =
   let rb = Option.get (Region.add ra (Halfspace.below (Linfun.of_ints [| 2; 0 |] (-1)))) in
   let p = Region.interior_point rb in
   check Alcotest.bool "strictly inside" true
-    (Q.compare p.(0) p.(1) > 0 && Q.sign (Q.sub (Q.mul_int p.(0) 2) Q.one) < 0)
+    (Q.compare p.(0) p.(1) > 0 && Q.sign (Q.sub (Q.mul p.(0) (Q.of_int 2)) Q.one) < 0)
 
 let test_region_2d_empty_intersection () =
   let dom = Domain.of_ints [ (0, 1); (0, 1) ] in
@@ -596,7 +590,7 @@ let test_region_2d_empty_intersection () =
   (* x > y and y > x: empty *)
   let f = Linfun.of_ints [| 1; -1 |] 0 in
   let ra = Option.get (Region.add r (Halfspace.above f)) in
-  check Alcotest.bool "empty" true (Region.add ra (Halfspace.above (Linfun.neg f)) = None)
+  check Alcotest.bool "empty" true (Region.add ra (Halfspace.above (Num_ref.linfun_neg f)) = None)
 
 (* Random cross-check in 2-D: classify vs dense sampling. If sampling
    finds points of both signs, classify must say Split; if classify says
@@ -636,7 +630,7 @@ let region_classify_vs_sampling =
             (* interior sampling only: strict w.r.t. constraints *)
             if
               Domain.contains dom p
-              && List.for_all (fun h -> Halfspace.contains_strictly h p) (Region.constraints r)
+              && List.for_all (fun h -> Num_ref.halfspace_contains_strictly h p) (Region.constraints r)
             then begin
               let s = Q.sign (Linfun.eval f p) in
               if s > 0 then seen_pos := true;
@@ -660,7 +654,6 @@ let () =
           Alcotest.test_case "decode zero denominator" `Quick test_q_decode_zero_den;
           q_field_axioms;
           q_compare_total;
-          q_mediant_between;
           q_average_between;
           q_encode_roundtrip;
           q_oracle_binary;

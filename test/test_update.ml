@@ -191,10 +191,10 @@ let test_change_validation () =
     | exception Invalid_argument _ -> ()
   in
   raises "insert existing id" (fun () ->
-      Ifmh.insert fake_keypair (line ~id:0 1 2) index);
-  raises "delete unknown id" (fun () -> Ifmh.delete fake_keypair 99 index);
+      Ifmh.apply fake_keypair [ Update.Insert (line ~id:0 1 2) ] index);
+  raises "delete unknown id" (fun () -> Ifmh.apply fake_keypair [ Update.Delete 99 ] index);
   raises "modify unknown id" (fun () ->
-      Ifmh.modify fake_keypair (line ~id:99 1 2) index);
+      Ifmh.apply fake_keypair [ Update.Modify (line ~id:99 1 2) ] index);
   raises "decreasing epoch" (fun () ->
       Ifmh.apply ~epoch:(Ifmh.epoch index - 1) fake_keypair [] index);
   raises "emptying the table" (fun () ->
@@ -250,8 +250,10 @@ let prop_compose ~dims seed =
   let via_compose =
     Update.apply_table (Update.compose ~exists (Update.compose ~exists a b) c) table
   in
-  let via_compose_all = Update.apply_table (Update.compose_all ~exists [ a; b; c ]) table in
-  let unvalidated = Update.apply_table (Update.compose_all [ a; b; c ]) table in
+  let via_compose_all =
+    Update.apply_table (List.fold_left (Update.compose ~exists) [] [ a; b; c ]) table
+  in
+  let unvalidated = Update.apply_table (List.fold_left Update.compose [] [ a; b; c ]) table in
   tables_equal sequential via_compose
   && tables_equal sequential via_compose_all
   && tables_equal sequential unvalidated

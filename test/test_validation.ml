@@ -98,13 +98,13 @@ let () =
     [
       ( "bigint",
         [
-          raises_div "divmod by zero" (fun () -> Z.divmod Z.one Z.zero);
+          raises_div "divmod by zero" (fun () -> Z.div Z.one Z.zero);
           raises_invalid "mod_pow negative exponent" (fun () ->
-              Z.mod_pow ~base:Z.two ~exp:Z.minus_one ~modulus:(Z.of_int 7));
+              Z.mod_pow ~base:Z.two ~exp:(Z.of_int (-1)) ~modulus:(Z.of_int 7));
           raises_invalid "mod_pow modulus 0" (fun () ->
               Z.mod_pow ~base:Z.two ~exp:Z.one ~modulus:Z.zero);
           raises_invalid "shift_left negative" (fun () -> Z.shift_left Z.one (-1));
-          raises_invalid "to_bytes_be negative" (fun () -> Z.to_bytes_be Z.minus_one);
+          raises_invalid "to_bytes_be negative" (fun () -> Z.to_bytes_be (Z.of_int (-1)));
           raises_invalid "to_bytes_be width too small" (fun () ->
               Z.to_bytes_be ~width:1 (Z.of_int 100000));
           raises_invalid "random_below zero" (fun () ->
@@ -116,7 +116,7 @@ let () =
         [
           raises_div "rational x/0" (fun () -> Q.of_ints 1 0);
           raises_invalid "of_decimal junk" (fun () -> Q.of_decimal "1.2.3");
-          raises_invalid "domain empty" (fun () -> Domain.make []);
+          raises_invalid "domain empty" (fun () -> Domain.of_ints []);
           raises_invalid "domain inverted" (fun () -> Domain.of_ints [ (3, 1) ]);
           raises_invalid "linfun eval arity" (fun () ->
               Aqv_num.Linfun.eval (Aqv_num.Linfun.of_ints [| 1; 2 |] 0) [| Q.one |]);
@@ -148,7 +148,6 @@ let () =
                 ~x:[| Q.of_ints 1 2 |]
                 ~size:100);
           raises_invalid "template dims 0" (fun () -> Template.linear_weights ~dims:0);
-          raises_invalid "subset empty" (fun () -> Template.weighted_subset ~indices:[]);
         ] );
       ( "core",
         [

@@ -7,6 +7,8 @@
 
 module Json = Aqv_util.Json
 module Spec = Aqv_db.Spec
+module Util_ref = Aqv_ref.Util_ref
+module Db_ref = Aqv_ref.Db_ref
 
 let check = Alcotest.check
 
@@ -40,7 +42,7 @@ let test_spec_roundtrip () =
         Alcotest.failf "%s does not parse: %s" path (Spec.error_to_string e)
       | Ok s -> (
         let emitted = Json.to_string (Spec.to_json s) in
-        match Spec.of_string emitted with
+        match Db_ref.spec_of_string emitted with
         | Error e ->
           Alcotest.failf "%s: emission does not re-parse: %s" path
             (Spec.error_to_string e)
@@ -48,7 +50,7 @@ let test_spec_roundtrip () =
           if s <> s' then Alcotest.failf "%s: round trip changed the spec" path;
           (* and the emission is a fixpoint: parse-emit-parse-emit is
              byte-stable, so canonical bytes can be compared directly *)
-          (match Spec.of_string emitted with
+          (match Db_ref.spec_of_string emitted with
           | Ok s'' ->
             check Alcotest.string
               (Printf.sprintf "%s fixpoint" path)
@@ -65,7 +67,7 @@ let test_spec_rejects_unknown_field () =
     | None -> Alcotest.fail "to_json not an object"
     | Some assoc ->
       let rejected ~expect doctored =
-        match Spec.of_json doctored with
+        match Db_ref.spec_of_json doctored with
         | Error (Spec.Unknown_field f) when f = expect -> ()
         | Ok _ -> Alcotest.failf "unknown field %s accepted" expect
         | Error e -> Alcotest.failf "wrong error: %s" (Spec.error_to_string e)
@@ -164,7 +166,7 @@ let contains hay needle =
 
 (* total field access: absent members read as Null, so the typed
    accessors compose *)
-let mem k j = Option.value (Json.member k j) ~default:Json.Null
+let mem k j = Option.value (Util_ref.json_member k j) ~default:Json.Null
 
 let read_json path =
   let ic = open_in path in
@@ -184,7 +186,7 @@ let test_e2e_pass () =
   let j = read_json report in
   Sys.remove report;
   check Alcotest.(option int) "ok=1" (Some 1) (Json.to_int (mem "ok" j));
-  (match Json.to_list (mem "violations" j) with
+  (match Util_ref.json_to_list (mem "violations" j) with
   | Some [] -> ()
   | _ -> Alcotest.fail "expected an empty violations list");
   (* the report echoes the trace identity the library computes *)
@@ -221,13 +223,13 @@ let test_e2e_violation_names_bound () =
   let j = read_json report in
   Sys.remove report;
   check Alcotest.(option int) "ok=0" (Some 0) (Json.to_int (mem "ok" j));
-  (match Json.to_list (mem "violations" j) with
+  (match Util_ref.json_to_list (mem "violations" j) with
   | Some names ->
     check Alcotest.bool "violations name the bound" true
       (List.exists (fun n -> Json.to_str n = Some "min_throughput_rps") names)
   | None -> Alcotest.fail "violations missing");
   (* the per-bound rows agree with the verdict *)
-  match Json.to_list (mem "slo" j) with
+  match Util_ref.json_to_list (mem "slo" j) with
   | None -> Alcotest.fail "slo rows missing"
   | Some rows ->
     let row =
