@@ -595,12 +595,19 @@ let abl_batch () =
   let c = ctx_of n in
   row "(n = %d, one-signature, m top-k queries at one input)\n" n;
   row "%8s %14s %16s %10s\n" "m" "batched B" "separate B" "saving";
+  (* one RSA signature (the root's), so every batch is verified too *)
+  let kp = Lazy.force rsa_keypair in
+  let one = Ifmh.build ~scheme:Ifmh.One_signature c.table kp in
+  let verifier = verifier_for kp c.table in
   let rng = query_rng () in
   let x = Workload.weight_point c.table rng in
   List.iter
     (fun m ->
       let queries = List.init m (fun k -> Query.top_k ~x ~k:(k + 1)) in
-      let resp = Batch.answer c.one ~x queries in
+      let resp = Batch.answer one ~x queries in
+      (match Batch.verify verifier ~x queries resp with
+      | Ok () -> ()
+      | Error r -> failwith ("abl-batch: batch rejected: " ^ Semantics.rejection_to_string r));
       let batched = Batch.size_bytes resp in
       let separate =
         List.fold_left

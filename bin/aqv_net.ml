@@ -146,12 +146,11 @@ let run_publish n seed scheme epoch dir =
 
 (* ------------------------------- serve ------------------------------ *)
 
-let engine_config port once max_conns cache_capacity idle_timeout read_timeout
+let engine_config port max_conns cache_capacity idle_timeout read_timeout
     write_timeout stats_interval faults =
   {
     Engine.default_config with
     port;
-    once;
     max_conns;
     cache_capacity;
     idle_timeout;
@@ -190,7 +189,7 @@ let open_or_bootstrap dir follow =
     Store.open_dir dir
   | _ -> Store.open_dir dir
 
-let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
+let run_serve dir port max_conns cache_capacity idle_timeout read_timeout
     write_timeout stats_interval fault_spec follow port_file =
   setup_logging ();
   let follow = Option.map parse_hostport follow in
@@ -206,7 +205,7 @@ let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
     let hub = Hub.create ~initial:index () in
     let config =
       {
-        (engine_config port once max_conns cache_capacity idle_timeout
+        (engine_config port max_conns cache_capacity idle_timeout
            read_timeout write_timeout stats_interval fault_spec)
         with
         Engine.store = Some store;
@@ -229,17 +228,15 @@ let run_serve dir port once max_conns cache_capacity idle_timeout read_timeout
     in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     Printf.printf
       "recovered epoch %d (snapshot epoch %d, %d delta(s) replayed, \
        coalesced into one rebuild, %d skipped, %d torn byte(s) truncated)\n"
       recovery.Store.final_epoch recovery.Store.snapshot_epoch
       recovery.Store.replayed recovery.Store.skipped
       recovery.Store.torn_tail_bytes;
-    Printf.printf "serving %d records on 127.0.0.1:%d%s (max %d conns, cache %d)%s\n%!"
+    Printf.printf "serving %d records on 127.0.0.1:%d (max %d conns, cache %d)%s\n%!"
       (Table.size (Ifmh.table index))
       (Engine.port engine)
-      (if once then " (single connection)" else "")
       config.Engine.max_conns config.Engine.cache_capacity
       (match follow with
       | Some (host, port) ->
@@ -260,7 +257,6 @@ let run_route replicas port poll_interval port_file =
   let stop _ = Router.stop router in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Printf.printf "routing 127.0.0.1:%d -> %d replica(s), epochs [%s]\n%!"
     (Router.port router) (List.length replicas)
     (String.concat "; " (List.map string_of_int (Router.epochs router)));
@@ -383,10 +379,6 @@ let run_compact dir =
    dependency order and the router's per-replica request counts are
    returned alongside [f]'s result. *)
 let with_rig ~index ~cache_capacity ~max_conns ~replicas f =
-  (* engines, feeders, and the router all write to sockets the load's
-     clients may already have torn down; a late write must surface as
-     an EPIPE in that one connection, never kill the whole process *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let engine_cfg accept_republish publisher =
     {
       Engine.default_config with
@@ -1029,7 +1021,6 @@ let port_t = Arg.(value & opt int 7464 & info [ "port" ] ~docv:"PORT")
 let records_t = Arg.(value & opt int 100 & info [ "records"; "n" ] ~docv:"N")
 let seed_t = Arg.(value & opt int 42 & info [ "seed" ])
 let epoch_t = Arg.(value & opt int 0 & info [ "epoch" ])
-let once_t = Arg.(value & flag & info [ "once" ] ~doc:"Serve a single connection and exit.")
 
 let max_conns_t =
   Arg.(value & opt int 64 & info [ "max-conns" ] ~doc:"Concurrent connection limit.")
@@ -1129,7 +1120,7 @@ let serve_cmd =
          "Storage server: serve index.bin concurrently (primary, or --follow \
           replica).")
     Term.(
-      const run_serve $ dir_t $ port_t $ once_t $ max_conns_t $ cache_t
+      const run_serve $ dir_t $ port_t $ max_conns_t $ cache_t
       $ idle_timeout_t $ read_timeout_t $ write_timeout_t $ stats_interval_t
       $ fault_t $ follow_t $ port_file_t)
 

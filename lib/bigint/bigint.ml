@@ -323,8 +323,6 @@ let compare a b =
     else mag_compare y.mag x.mag
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic                                                          *)

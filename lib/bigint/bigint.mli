@@ -10,7 +10,6 @@
 
 type t
 
-val zero : t
 val one : t
 val two : t
 
@@ -33,8 +32,6 @@ val sign : t -> int
 (** [-1], [0] or [1]. *)
 
 val is_zero : t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Arithmetic} *)
 

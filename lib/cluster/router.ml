@@ -2,6 +2,7 @@ module Wire = Aqv_util.Wire
 module Protocol = Aqv.Protocol
 module Frame_io = Aqv_serve.Frame_io
 module Roundtrip = Aqv_serve.Roundtrip
+module Listener = Aqv_serve.Listener
 
 let src = Logs.Src.create "aqv.cluster.router" ~doc:"epoch-aware read router"
 
@@ -17,12 +18,9 @@ type replica = {
 type t = {
   replicas : replica array;
   poll_interval : float;
-  listen_sock : Unix.file_descr;
-  bound_port : int;
-  stopped : bool Atomic.t;
+  listener : Listener.t;
   mu : Mutex.t;
   mutable rr : int; (* round-robin cursor; guarded by [mu] *)
-  mutable active : int; (* guarded by [mu] *)
   mutable poller : Thread.t option;
 }
 
@@ -32,8 +30,12 @@ type t = {
 let opts = { Roundtrip.default_opts with Roundtrip.attempts = 1 }
 let io_timeout = opts.Roundtrip.read_timeout
 
-(* How long a client session may sit idle between requests. *)
+(* How long a client session may sit idle between requests, how many
+   sessions run at once (the engine's default bound), and how long a
+   stop waits for them. *)
 let idle_timeout = 10.
+let max_conns = 64
+let drain_timeout = 5.
 
 let locked t f =
   Mutex.lock t.mu;
@@ -56,25 +58,18 @@ let poll_now t =
 
 let poller_loop t =
   let rec sleep remaining =
-    if remaining > 0. && not (Atomic.get t.stopped) then begin
+    if remaining > 0. && not (Listener.stopped t.listener) then begin
       Thread.delay (Float.min 0.05 remaining);
       sleep (remaining -. 0.05)
     end
   in
-  while not (Atomic.get t.stopped) do
+  while not (Listener.stopped t.listener) do
     sleep t.poll_interval;
-    if not (Atomic.get t.stopped) then poll_now t
+    if not (Listener.stopped t.listener) then poll_now t
   done
 
 let create ?(poll_interval = 0.5) ?(port = 0) ~replicas () =
   if replicas = [] then invalid_arg "Router.create: no replicas";
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen sock 64;
-  let bound_port =
-    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
   let t =
     {
       replicas =
@@ -83,12 +78,9 @@ let create ?(poll_interval = 0.5) ?(port = 0) ~replicas () =
              (fun (host, port) -> { host; port; known_epoch = -1; served = 0 })
              replicas);
       poll_interval;
-      listen_sock = sock;
-      bound_port;
-      stopped = Atomic.make false;
+      listener = Listener.create ~port;
       mu = Mutex.create ();
       rr = 0;
-      active = 0;
       poller = None;
     }
   in
@@ -97,7 +89,7 @@ let create ?(poll_interval = 0.5) ?(port = 0) ~replicas () =
   t.poller <- Some (Thread.create poller_loop t);
   t
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 
 let counts t =
   locked t (fun () ->
@@ -209,44 +201,11 @@ let session t fd =
       in
       loop ())
 
-let session_thread t fd =
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      locked t (fun () -> t.active <- t.active - 1))
-    (fun () ->
-      try session t fd with
-      | (Out_of_memory | Stack_overflow | Assert_failure _) as e -> raise e
-      | Frame_io.Timeout | Unix.Unix_error _ | Failure _ -> ())
-
-(* Same select-then-accept shutdown idiom as the engine: signal
-   handlers only flip [stopped]. *)
 let serve t =
-  let rec accept_loop () =
-    if not (Atomic.get t.stopped) then begin
-      let readable =
-        match Unix.select [ t.listen_sock ] [] [] 0.2 with
-        | r, _, _ -> r <> []
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-      in
-      (if readable then
-         match Unix.accept t.listen_sock with
-         | conn, _ ->
-           locked t (fun () -> t.active <- t.active + 1);
-           ignore (Thread.create (fun () -> session_thread t conn) ())
-         | exception
-             Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-           ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  let deadline = Unix.gettimeofday () +. 5. in
-  while locked t (fun () -> t.active) > 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.05
-  done;
+  Listener.serve t.listener ~max_conns ~drain_timeout ~on_shed:ignore
+    ~on_error:(fun e -> Log.info (fun m -> m "session dropped: %s" (Printexc.to_string e)))
+    (session t);
   Option.iter Thread.join t.poller;
-  t.poller <- None;
-  try Unix.close t.listen_sock with Unix.Unix_error _ -> ()
+  t.poller <- None
 
-let stop t = Atomic.set t.stopped true
+let stop t = Listener.stop t.listener

@@ -26,12 +26,18 @@ val create :
   t
 (** Binds (port 0 picks an ephemeral one), polls every replica once
     synchronously, then starts the poller ([poll_interval] default
-    0.5 s). A client session idle for 10 s is closed.
+    0.5 s). Like the engine, it runs on an [Aqv_serve.Listener], so it
+    ignores SIGPIPE process-wide. A client session idle for 10 s is
+    closed.
     @raise Invalid_argument on an empty replica list. *)
 
 val serve : t -> unit
-(** Accept loop; blocks until {!stop}, then drains sessions (bounded)
-    and closes the listening socket. *)
+(** Accept loop ([Aqv_serve.Listener.serve]); blocks until {!stop}.
+    At most 64 client sessions run at once, the engine's default bound:
+    a connection past it gets [Refused "overloaded"] and a close. A
+    session that fails is logged (src ["aqv.cluster.router"], info) and
+    closed. On stop, waits up to 5 s for running sessions, closes the
+    listening socket, and joins the poller. *)
 
 val stop : t -> unit
 (** Idempotent, signal-safe. *)

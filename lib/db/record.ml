@@ -6,7 +6,6 @@ type t = { id : int; attrs : Q.t array; payload : string }
 let make ~id ~attrs ?(payload = "") () = { id; attrs = Array.copy attrs; payload }
 let id t = t.id
 let attr t i = t.attrs.(i)
-let attrs t = Array.copy t.attrs
 let arity t = Array.length t.attrs
 let payload t = t.payload
 

@@ -11,9 +11,6 @@ type t
 val make : id:int -> attrs:Aqv_num.Rational.t array -> ?payload:string -> unit -> t
 val id : t -> int
 val attr : t -> int -> Aqv_num.Rational.t
-val attrs : t -> Aqv_num.Rational.t array
-(** A fresh copy. *)
-
 val arity : t -> int
 val payload : t -> string
 

@@ -23,7 +23,6 @@ val apply : t -> Record.t -> Aqv_num.Linfun.t
 (** Interpret a record as a function.
     @raise Invalid_argument if the record has too few attributes. *)
 
-val name : t -> string
 val pp : Format.formatter -> t -> unit
 
 val encode : Aqv_util.Wire.writer -> t -> unit

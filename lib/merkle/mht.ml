@@ -39,18 +39,6 @@ let rec leaf t i =
     else if i < sl then leaf l i
     else leaf r (i - sl)
 
-let leaves t =
-  let out = Array.make (size t) "" in
-  let rec go t i =
-    match t with
-    | Leaf h ->
-      out.(i) <- h;
-      i + 1
-    | Node { l; r; _ } -> go r (go l i)
-  in
-  ignore (go t 0);
-  out
-
 (* One descent for a whole change set: the sorted changes are split at
    each node's left size, so every node on the union of their root
    paths is rebuilt — and hashed — exactly once. *)

@@ -28,8 +28,6 @@ val root : t -> string
 val leaf : t -> int -> string
 (** @raise Invalid_argument if out of bounds. *)
 
-val leaves : t -> string array
-
 val set_many : t -> (int * string) list -> t
 (** Replace several leaf digests in one descent: [changes] are
     [(index, digest)] pairs in strictly ascending index order. Every

@@ -13,8 +13,6 @@ val of_ints : int array -> int -> t
 
 val coeff : t -> int -> Rational.t
 val const : t -> Rational.t
-val coeffs : t -> Rational.t array
-(** A fresh copy. *)
 
 val eval : t -> Rational.t array -> Rational.t
 (** @raise Invalid_argument on dimension mismatch. *)
@@ -29,12 +27,3 @@ val is_zero : t -> bool
 val is_constant : t -> bool
 (** All coefficients zero (the constant may not be). *)
 
-val compare : t -> t -> int
-(** Structural (lexicographic); a total order usable in maps. *)
-
-val encode : Aqv_util.Wire.writer -> t -> unit
-(** Canonical encoding, used when hashing a function into the
-    authenticated structures. *)
-
-val digest : t -> string
-(** SHA-256 of the canonical encoding: the paper's [H(f_i)]. *)

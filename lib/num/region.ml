@@ -8,7 +8,6 @@ type repr =
 
 type t = { domain : Domain.t; cons : Halfspace.t list; repr : repr }
 
-let domain t = t.domain
 let constraints t = List.rev t.cons
 
 let of_domain d =

@@ -18,7 +18,6 @@ type t
 val of_domain : Domain.t -> t
 (** The whole domain box. *)
 
-val domain : t -> Domain.t
 val constraints : t -> Halfspace.t list
 (** Accumulated half-spaces, outermost first. *)
 

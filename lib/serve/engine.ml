@@ -15,14 +15,12 @@ type publisher = {
 type config = {
   port : int;
   max_conns : int;
-  backlog : int;
   idle_timeout : float;
   read_timeout : float;
   write_timeout : float;
   cache_capacity : int;
   stats_interval : float;
   drain_timeout : float;
-  once : bool;
   faults : Faults.t option;
   store : Aqv_store.Store.t option;
   accept_republish : bool;
@@ -33,14 +31,12 @@ let default_config =
   {
     port = 7464;
     max_conns = 64;
-    backlog = 64;
     idle_timeout = 10.;
     read_timeout = 5.;
     write_timeout = 5.;
     cache_capacity = 1024;
     stats_interval = 0.;
     drain_timeout = 5.;
-    once = false;
     faults = None;
     store = None;
     accept_republish = true;
@@ -50,48 +46,33 @@ let default_config =
 type t = {
   config : config;
   index : Ifmh.t Atomic.t;
-  listen_sock : Unix.file_descr;
-  bound_port : int;
+  listener : Listener.t;
   stats : Stats.t;
   cache : Cache.t;
-  stopped : bool Atomic.t;
   mu : Mutex.t;
   republish_mu : Mutex.t;
-  mutable active : int;
   mutable compactor : Thread.t option;  (* guarded by [mu] *)
 }
 
 let create config index =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, config.port));
-  Unix.listen sock config.backlog;
-  let bound_port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
   let t =
     {
       config;
       index = Atomic.make index;
-      listen_sock = sock;
-      bound_port;
+      listener = Listener.create ~port:config.port;
       stats = Stats.create ();
       cache = Cache.create ~capacity:config.cache_capacity;
-      stopped = Atomic.make false;
       mu = Mutex.create ();
       republish_mu = Mutex.create ();
-      active = 0;
       compactor = None;
     }
   in
   Stats.set_epoch t.stats (Ifmh.epoch index);
   t
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let stats t = t.stats
-let stop t = Atomic.set t.stopped true
+let stop t = Listener.stop t.listener
 let index t = Atomic.get t.index
 
 (* Hot swap: install a new index without restarting. The epoch must
@@ -322,6 +303,7 @@ let send_reply t fd bytes =
       raise Fault_closed)
 
 let session t fd =
+  Stats.conn_accepted t.stats;
   let rec loop () =
     match
       Frame_io.read_frame ~header_timeout:t.config.idle_timeout
@@ -347,48 +329,18 @@ let session t fd =
           ~finally:(fun () -> Stats.follower_disconnected t.stats)
           (fun () -> publisher.subscribe fd ~from_epoch))
   in
-  loop ()
+  try loop () with Fault_closed -> () (* injected fault already counted *)
 
 let drop_session t exn =
   Stats.session_dropped t.stats;
   Log.info (fun m -> m "session dropped: %s" (Printexc.to_string exn))
-
-let session_thread t fd =
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Mutex.lock t.mu;
-      t.active <- t.active - 1;
-      Mutex.unlock t.mu)
-    (fun () ->
-      try session t fd with
-      | (Out_of_memory | Stack_overflow | Assert_failure _) as e ->
-        (* never swallow runtime-fatal conditions *)
-        Log.err (fun m -> m "FATAL in session: %s" (Printexc.to_string e));
-        raise e
-      | Fault_closed -> () (* injected fault already counted *)
-      | Frame_io.Timeout as e -> drop_session t e
-      | Unix.Unix_error _ as e -> drop_session t e
-      | Failure _ as e -> drop_session t e)
-
-let shed t fd =
-  Stats.conn_refused t.stats;
-  ignore
-    (Thread.create
-       (fun () ->
-         (try
-            let bytes = encode_reply_bytes (Protocol.Refused "overloaded") in
-            ignore (Frame_io.write_frame ~timeout:1.0 fd bytes)
-          with _ -> ());
-         try Unix.close fd with Unix.Unix_error _ -> ())
-       ())
 
 let stats_logger t =
   ignore
     (Thread.create
        (fun () ->
          let rec loop elapsed =
-           if not (Atomic.get t.stopped) then
+           if not (Listener.stopped t.listener) then
              if elapsed >= t.config.stats_interval then begin
                Log.app (fun m -> m "%a" Stats.pp t.stats);
                loop 0.
@@ -401,70 +353,16 @@ let stats_logger t =
          loop 0.)
        ())
 
-(* The accept loop polls [stopped] between short selects instead of
-   blocking in accept(2): signal handlers only set the flag, so
-   shutdown needs no pthread-kill / close-from-another-thread games. *)
 let serve t =
   if t.config.stats_interval > 0. then stats_logger t;
-  let rec accept_loop () =
-    if not (Atomic.get t.stopped) then begin
-      let readable =
-        match Unix.select [ t.listen_sock ] [] [] 0.2 with
-        | r, _, _ -> r <> []
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-      in
-      let accepted =
-        if not readable then None
-        else
-          match Unix.accept t.listen_sock with
-          | conn, _ -> Some conn
-          | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-            None
-      in
-      match accepted with
-      | None -> accept_loop ()
-      | Some conn ->
-        let admitted =
-          Mutex.lock t.mu;
-          let ok = t.active < t.config.max_conns in
-          if ok then t.active <- t.active + 1;
-          Mutex.unlock t.mu;
-          ok
-        in
-        if not admitted then begin
-          shed t conn;
-          accept_loop ()
-        end
-        else begin
-          Stats.conn_accepted t.stats;
-          if t.config.once then begin
-            session_thread t conn;
-            stop t
-          end
-          else begin
-            ignore (Thread.create (fun () -> session_thread t conn) ());
-            accept_loop ()
-          end
-        end
-    end
-  in
-  accept_loop ();
-  (* drain in-flight sessions, bounded *)
-  let deadline = Unix.gettimeofday () +. t.config.drain_timeout in
-  Mutex.lock t.mu;
-  while t.active > 0 && Unix.gettimeofday () < deadline do
-    Mutex.unlock t.mu;
-    Thread.delay 0.05;
-    Mutex.lock t.mu
-  done;
-  let leftover = t.active in
-  let compactor = t.compactor in
-  Mutex.unlock t.mu;
-  if leftover > 0 then
-    Log.warn (fun m -> m "drain timeout: %d session(s) still active" leftover);
+  Listener.serve t.listener ~max_conns:t.config.max_conns
+    ~drain_timeout:t.config.drain_timeout
+    ~on_shed:(fun () -> Stats.conn_refused t.stats)
+    ~on_error:(drop_session t) (session t);
   (* the caller closes the store after [serve] returns, so a background
      compaction must not outlive us *)
+  Mutex.lock t.mu;
+  let compactor = t.compactor in
+  Mutex.unlock t.mu;
   Option.iter Thread.join compactor;
-  (try Unix.close t.listen_sock with Unix.Unix_error _ -> ());
   Log.info (fun m -> m "stopped: %a" Stats.pp t.stats)

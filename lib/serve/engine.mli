@@ -1,15 +1,14 @@
 (** Concurrent, observable serving engine for an IFMH index.
 
-    Thread-per-connection over a listening TCP socket: each accepted
-    client gets its own session thread, so one slow or hung client
-    cannot block the others (OCaml systhreads interleave at blocking
-    I/O; query handling itself serializes on the runtime lock, which
-    is the right trade for this CPU-light, I/O-bound protocol). The
-    engine adds what the bare accept loop in [bin/aqv_net.ml] never
-    had:
+    Runs on a {!Listener}: each admitted client gets its own session
+    thread, so one slow or hung client cannot block the others (OCaml
+    systhreads interleave at blocking I/O; query handling itself
+    serializes on the runtime lock, which is the right trade for this
+    CPU-light, I/O-bound protocol). The listener admits [max_conns]
+    sessions; past that a client gets an immediate [Refused
+    "overloaded"] and a close (load shedding, counted as
+    [conns_refused]). On top of it the engine adds:
 
-    - a bounded connection count — beyond [max_conns] the client gets
-      an immediate [Refused "overloaded"] and a close (load shedding);
     - per-connection deadlines — [idle_timeout] to start a frame,
       [read_timeout] mid-frame, [write_timeout] per reply;
     - an LRU response cache keyed by [(request bytes, epoch)], sound
@@ -53,14 +52,12 @@ type publisher = {
 type config = {
   port : int;  (** 0 picks an ephemeral port; see {!port} *)
   max_conns : int;  (** concurrent session limit before shedding *)
-  backlog : int;  (** listen(2) backlog *)
   idle_timeout : float;  (** seconds to wait for a request to start; 0. = forever *)
   read_timeout : float;  (** seconds to finish reading a started frame *)
   write_timeout : float;  (** seconds to write one reply *)
   cache_capacity : int;  (** LRU entries; 0 disables the response cache *)
   stats_interval : float;  (** seconds between stats log lines; 0. disables *)
   drain_timeout : float;  (** max seconds {!serve} waits for drain on stop *)
-  once : bool;  (** serve a single connection, then return *)
   faults : Faults.t option;  (** reply-path fault injection (tests) *)
   store : Aqv_store.Store.t option;
       (** durable store: republishes are logged before the ack. The
@@ -82,7 +79,8 @@ type t
 
 val create : config -> Aqv.Ifmh.t -> t
 (** Binds and listens immediately (so {!port} is known before {!serve}
-    runs). @raise Unix.Unix_error if the port is taken. *)
+    runs), through {!Listener.create}, which also ignores SIGPIPE
+    process-wide. @raise Unix.Unix_error if the port is taken. *)
 
 val port : t -> int
 (** The actually bound port (resolves [port = 0]). *)
@@ -108,11 +106,12 @@ val install_snapshot : t -> Aqv.Ifmh.t -> (int, string) result
     rewrite + log reset — {e before} it is served. *)
 
 val serve : t -> unit
-(** Accept loop; blocks until {!stop}, then drains and closes the
-    listening socket. Per-session failures are logged (src
-    ["aqv.serve"]) and counted, never silently swallowed — and
-    [Out_of_memory], [Stack_overflow], and [Assert_failure] are never
-    caught. *)
+(** {!Listener.serve} with [max_conns] and [drain_timeout]; blocks
+    until {!stop}, then drains, closes the listening socket, and waits
+    for a running background compaction. Per-session failures are
+    logged (src ["aqv.serve"]) and counted as [sessions_dropped], never
+    silently swallowed — and [Out_of_memory], [Stack_overflow], and
+    [Assert_failure] are never caught. *)
 
 val stop : t -> unit
 (** Idempotent, signal-safe: flips a flag the accept loop polls. *)

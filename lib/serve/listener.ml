@@ -1,0 +1,90 @@
+let src = Logs.Src.create "aqv.listener" ~doc:"TCP accept loop under engine and router"
+
+module Log = (val Logs.src_log src : Logs.LOG)
+
+type t = {
+  sock : Unix.file_descr;
+  bound_port : int;
+  stopped : bool Atomic.t;
+  mu : Mutex.t;
+  mutable active : int; (* guarded by [mu] *)
+}
+
+let create ~port =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.listen sock 64;
+  let bound_port =
+    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
+  in
+  { sock; bound_port; stopped = Atomic.make false; mu = Mutex.create (); active = 0 }
+
+let port t = t.bound_port
+let stop t = Atomic.set t.stopped true
+let stopped t = Atomic.get t.stopped
+
+let active t =
+  Mutex.lock t.mu;
+  let n = t.active in
+  Mutex.unlock t.mu;
+  n
+
+(* The framed refusal a shed connection gets: about 25 bytes, which a
+   freshly accepted socket's empty send buffer takes without blocking,
+   so the accept loop writes it itself. *)
+let overloaded =
+  let w = Aqv_util.Wire.writer () in
+  Aqv.Protocol.encode_reply w (Aqv.Protocol.Refused "overloaded");
+  Frame_io.frame (Aqv_util.Wire.contents w)
+
+let session_thread t ~on_error session fd =
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Mutex.lock t.mu;
+      t.active <- t.active - 1;
+      Mutex.unlock t.mu)
+    (fun () ->
+      try session fd with
+      | (Out_of_memory | Stack_overflow | Assert_failure _) as e ->
+        (* never swallow runtime-fatal conditions *)
+        Log.err (fun m -> m "FATAL in session: %s" (Printexc.to_string e));
+        raise e
+      | e -> on_error e)
+
+(* The accept loop polls [stopped] between short selects instead of
+   blocking in accept(2): signal handlers only set the flag, so
+   shutdown needs no pthread-kill / close-from-another-thread games. *)
+let serve t ~max_conns ~drain_timeout ~on_shed ~on_error session =
+  while not (stopped t) do
+    let readable =
+      match Unix.select [ t.sock ] [] [] 0.2 with
+      | r, _, _ -> r <> []
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    in
+    if readable then
+      match Unix.accept t.sock with
+      | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      | conn, _ ->
+        Mutex.lock t.mu;
+        let admitted = t.active < max_conns in
+        if admitted then t.active <- t.active + 1;
+        Mutex.unlock t.mu;
+        if admitted then ignore (Thread.create (session_thread t ~on_error session) conn)
+        else begin
+          on_shed ();
+          Frame_io.write_raw conn overloaded;
+          try Unix.close conn with Unix.Unix_error _ -> ()
+        end
+  done;
+  (* drain in-flight sessions, bounded *)
+  let deadline = Unix.gettimeofday () +. drain_timeout in
+  while active t > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.05
+  done;
+  let leftover = active t in
+  if leftover > 0 then
+    Log.warn (fun m -> m "drain timeout: %d session(s) still active" leftover);
+  try Unix.close t.sock with Unix.Unix_error _ -> ()

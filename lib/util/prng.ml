@@ -12,8 +12,6 @@ let next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next_int64 t }
-
 let bits t k =
   if k < 0 || k > 62 then invalid_arg "Prng.bits";
   if k = 0 then 0

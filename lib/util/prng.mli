@@ -11,10 +11,6 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
 
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of the remainder of [t]'s stream. *)
-
 val bits : t -> int -> int
 (** [bits t k] returns a uniformly random integer in [\[0, 2^k)] for
     [0 <= k <= 62]. *)

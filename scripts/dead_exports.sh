@@ -4,10 +4,11 @@
 # optional argument such a `val` declares must be passed by some caller
 # outside that pair.
 #
-# A file uses `M.x` only if it names the module M (a qualified path, an
-# alias `module A = ... M` or an `open`) and mentions `x`, either
-# unqualified or qualified by M, one of M's nested modules or an alias
-# of M; the name bound by a `val`, `let`, `rec` or `and` is no use. A
+# A file uses `M.x` only if it mentions `x` qualified by M, one of M's
+# nested modules or an alias `module A = ... M` of either, or mentions
+# `x` unqualified while it opens or includes M (`open M`, `let open M
+# in`, a local open `M.( ... )`, `include M`, or the same through an
+# alias); the name bound by a `val`, `let`, `rec` or `and` is no use. A
 # label `?l` counts as passed when `~l` or `?l` follows such a
 # use of `x` within the same call (up to the next `;`, `in`, infix
 # operator or closing bracket). Comments and string literals are
@@ -102,10 +103,27 @@ END {
         while (tok[fi, j + 1] == "." && is_cap(tok[fi, j + 2])) j += 2
         alias[fi, tok[fi, k - 2]] = tok[fi, j]
       }
+      # open M, open! M, let open M in, include M (last component of a
+      # path), and a local open M.( ... ) / M.[ ... ] / M.{ ... }
+      if (t == "open" || t == "include") {
+        j = k + 1
+        if (tok[fi, j] == "!") j++
+        if (is_cap(tok[fi, j])) {
+          while (tok[fi, j + 1] == "." && is_cap(tok[fi, j + 2])) j += 2
+          opened[fi, tok[fi, j]] = 1; opens[fi] = opens[fi] " " tok[fi, j]
+        }
+      }
+      if (is_cap(t) && tok[fi, k + 1] == "." && tok[fi, k + 2] != "" && index("([{", tok[fi, k + 2])) {
+        opened[fi, t] = 1; opens[fi] = opens[fi] " " t
+      }
       q = (k > 2 && tok[fi, k - 1] == "." && is_cap(tok[fi, k - 2])) ? tok[fi, k - 2] : ""
       if (!((fi, t) in occ)) holders[t] = holders[t] " " fi
       occ[fi, t] = occ[fi, t] " " k "/" q
     }
+    # opening an alias opens the module it names
+    no = split(opens[fi], os, " ")
+    for (o = 1; o <= no; o++)
+      if ((fi, os[o]) in alias) opened[fi, alias[fi, os[o]]] = 1
   }
 
   # Exported vals (and their optional labels) of every lib/ interface.
@@ -141,6 +159,8 @@ END {
       for (o = 1; o <= no; o++) {
         split(os[o], kq, "/"); k = kq[1] + 0; q = kq[2]
         if (q != "" && q != m && q != qual && alias[fi, q] != m && alias[fi, q] != qual) continue
+        # an unqualified name counts only where the module is opened
+        if (q == "" && !((fi, qual) in opened)) continue
         # a declaration in an interface, or the name of a definition, is no use
         if (tok[fi, k - 1] == "val" || tok[fi, k - 1] == "let" || tok[fi, k - 1] == "rec" || tok[fi, k - 1] == "and") continue
         if (test_file[fi]) tused = 1; else used = 1

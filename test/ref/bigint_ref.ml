@@ -15,7 +15,7 @@ let testbit t i = not (Z.is_even (Z.shift_right (Z.abs t) i))
 let mod_pow_plain ~base ~exp ~modulus =
   if Z.sign exp < 0 then invalid_arg "Bigint_ref.mod_pow_plain: negative exponent";
   if Z.sign modulus <= 0 then invalid_arg "Bigint_ref.mod_pow_plain: modulus <= 0";
-  if Z.equal modulus Z.one then Z.zero
+  if Z.equal modulus Z.one then Z.of_int 0
   else begin
     let b = Z.erem base modulus in
     let acc = ref Z.one in
@@ -27,7 +27,7 @@ let mod_pow_plain ~base ~exp ~modulus =
   end
 
 let of_bytes_be s =
-  let v = ref Z.zero in
+  let v = ref (Z.of_int 0) in
   String.iter (fun c -> v := Z.add (Z.shift_left !v 8) (Z.of_int (Char.code c))) s;
   !v
 

@@ -14,3 +14,6 @@ let spec_of_string s =
       Spec.load path)
 
 let spec_of_json j = spec_of_string (Aqv_util.Json.to_string j)
+
+(* A record's attributes, one [Record.attr] each. *)
+let record_attrs r = Array.init (Aqv_db.Record.arity r) (Aqv_db.Record.attr r)

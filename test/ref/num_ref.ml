@@ -22,14 +22,27 @@ let q_num_den q =
 let q_num q = fst (q_num_den q)
 let q_den q = snd (q_num_den q)
 
-let linfun_neg f =
-  Linfun.make ~coeffs:(Array.map Q.neg (Linfun.coeffs f)) ~const:(Q.neg (Linfun.const f))
+(* [f - f] is the zero function of [f]'s dimension. *)
+let linfun_neg f = Linfun.sub (Linfun.sub f f) f
 
-(* The inverse of [Linfun.encode]. *)
-let linfun_decode r =
-  let coeffs = Aqv_util.Wire.read_array r Q.decode in
-  let const = Q.decode r in
-  Linfun.make ~coeffs ~const
+(* The dimension of [f]: the length of the one zero vector
+   [Linfun.eval] accepts (it raises [Invalid_argument] on any other). *)
+let linfun_dim f =
+  let rec go d =
+    match Linfun.eval f (Array.make d Q.zero) with
+    | _ -> d
+    | exception Invalid_argument _ -> go (d + 1)
+  in
+  go 0
+
+let linfun_coeffs f = Array.init (linfun_dim f) (Linfun.coeff f)
+
+(* Structural equality: same dimension, coefficients and constant. *)
+let linfun_equal f g =
+  let a = linfun_coeffs f and b = linfun_coeffs g in
+  Array.length a = Array.length b
+  && Array.for_all2 Q.equal a b
+  && Q.equal (Linfun.const f) (Linfun.const g)
 
 let linfun_pp ppf f =
   let first = ref true in
@@ -41,7 +54,7 @@ let linfun_pp ppf f =
         Format.fprintf ppf "%a*x%d" Q.pp c i;
         first := false
       end)
-    (Linfun.coeffs f);
+    (linfun_coeffs f);
   if Q.sign (Linfun.const f) <> 0 || !first then begin
     if not !first then Format.pp_print_string ppf " + ";
     Q.pp ppf (Linfun.const f)
@@ -54,12 +67,12 @@ let halfspace_contains_strictly (h : Halfspace.t) x =
   let v = Linfun.eval h.diff x in
   match h.side with Halfspace.Above -> Q.sign v > 0 | Halfspace.Below -> Q.sign v < 0
 
-(* Half-open membership: [Above] constraints admit their boundary
-   ([diff >= 0]), [Below] constraints do not ([diff < 0]); the domain
-   box is closed. *)
-let region_contains r x =
+(* Half-open membership in a region cut from [domain]: [Above]
+   constraints admit their boundary ([diff >= 0]), [Below] constraints
+   do not ([diff < 0]); the domain box is closed. *)
+let region_contains ~domain r x =
   let inside (h : Halfspace.t) =
     let v = Linfun.eval h.diff x in
     match h.side with Halfspace.Above -> Q.sign v >= 0 | Halfspace.Below -> Q.sign v < 0
   in
-  Domain.contains (Region.domain r) x && List.for_all inside (Region.constraints r)
+  Domain.contains domain x && List.for_all inside (Region.constraints r)

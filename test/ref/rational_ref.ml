@@ -15,14 +15,14 @@ let mk num den =
   let s = Z.sign den in
   if s = 0 then raise Division_by_zero;
   let num, den = if s < 0 then (Z.neg num, Z.neg den) else (num, den) in
-  if Z.is_zero num then { num = Z.zero; den = Z.one }
+  if Z.is_zero num then { num = Z.of_int 0; den = Z.one }
   else begin
     let g = Z.gcd num den in
     if Z.equal g Z.one then { num; den }
     else { num = Z.div num g; den = Z.div den g }
   end
 
-let zero = { num = Z.zero; den = Z.one }
+let zero = { num = Z.of_int 0; den = Z.one }
 let one = { num = Z.one; den = Z.one }
 let minus_one = { num = Z.of_int (-1); den = Z.one }
 

@@ -10,6 +10,7 @@ module Table = Aqv_db.Table
 module Template = Aqv_db.Template
 module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
+module Db_ref = Aqv_ref.Db_ref
 open Aqv
 open Aqv_baseline
 
@@ -86,7 +87,7 @@ let against_index name index () =
     (with_result resp
        (List.mapi
           (fun i r ->
-            if i = 1 then Record.make ~id:(Record.id r) ~attrs:(Record.attrs r) ~payload:"evil" ()
+            if i = 1 then Record.make ~id:(Record.id r) ~attrs:(Db_ref.record_attrs r) ~payload:"evil" ()
             else r)
           resp.Server.result));
 
@@ -460,7 +461,7 @@ let small_delta =
      let changes =
        [
          Update.Delete (Record.id records.(0));
-         Update.Modify (Record.make ~id:(Record.id records.(1)) ~attrs:(Record.attrs records.(2)) ());
+         Update.Modify (Record.make ~id:(Record.id records.(1)) ~attrs:(Db_ref.record_attrs records.(2)) ());
        ]
      in
      Ifmh.delta ~changes (Ifmh.apply (Lazy.force keypair) changes index))
@@ -639,7 +640,7 @@ let test_store_spliced_frame () =
             (Array.to_list
                (Array.map
                   (fun r ->
-                    Record.make ~id:(Record.id r + 500) ~attrs:(Record.attrs r) ())
+                    Record.make ~id:(Record.id r + 500) ~attrs:(Db_ref.record_attrs r) ())
                   (Table.records table_a)))
           ~template:(Table.template table_a) ~domain:(Table.domain table_a)
       in
@@ -825,7 +826,7 @@ let test_memo_same_id_misses index () =
   in
   tamper "same id, other attrs" (fun r -> forged_record (Record.id r));
   tamper "same id, other payload" (fun r ->
-      Record.make ~id:(Record.id r) ~attrs:(Record.attrs r) ~payload:"evil" ());
+      Record.make ~id:(Record.id r) ~attrs:(Db_ref.record_attrs r) ~payload:"evil" ());
   check Alcotest.string "honest reply after the forgeries" "accepted"
     (decision warm query resp)
 
@@ -869,7 +870,7 @@ let test_memo_rejected_leaves_nothing index () =
   let warm = primed query resp in
   let vo = resp.Server.vo in
   let bloated r =
-    Record.make ~id:(Record.id r) ~attrs:(Record.attrs r) ~payload:(String.make 4096 'x') ()
+    Record.make ~id:(Record.id r) ~attrs:(Db_ref.record_attrs r) ~payload:(String.make 4096 'x') ()
   in
   let forged =
     with_vo
@@ -916,7 +917,7 @@ let noncanonical_copy ~scale ~pad ~sign_byte a =
       W.u8 w (if Q.sign q < 0 || (Q.sign q = 0 && sign_byte = 255) then 1 else sign_byte);
       W.bytes w (bytes (Z.abs (Aqv_ref.Num_ref.q_num q)));
       W.bytes w (bytes (Aqv_ref.Num_ref.q_den q)))
-    (Record.attrs a);
+    (Db_ref.record_attrs a);
   W.bytes w (Record.payload a);
   Record.decode (W.reader (W.contents w))
 

@@ -55,7 +55,7 @@ let table_2d_ties n seed =
 let table_3d n seed = Workload.scored ~n ~dims:3 (Prng.create (Int64.of_int (0x3D + seed)))
 
 let pair_equal (a : Crossings.pair) (b : Crossings.pair) =
-  Linfun.compare a.Crossings.diff b.Crossings.diff = 0
+  Aqv_ref.Num_ref.linfun_equal a.Crossings.diff b.Crossings.diff
   && Option.equal Q.equal a.Crossings.root b.Crossings.root
 
 (* enumerated result == scan reference: same pairs in the same
@@ -308,7 +308,8 @@ let sweep_contract table =
 
 let with_duplicate_line table =
   let records = Array.to_list (Table.records table) in
-  let copy = Aqv_db.Record.make ~id:1_000_000 ~attrs:(Aqv_db.Record.attrs (List.hd records)) () in
+  let attrs = Aqv_ref.Db_ref.record_attrs (List.hd records) in
+  let copy = Aqv_db.Record.make ~id:1_000_000 ~attrs () in
   Table.make ~records:(records @ [ copy ]) ~template:(Table.template table)
     ~domain:(Table.domain table)
 

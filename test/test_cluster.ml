@@ -694,6 +694,56 @@ let test_router_epoch_minimum () =
       let _, b'' = served () in
       check Alcotest.bool "survivor serving" true (b'' >= b' + 2))
 
+(* The router's connection bound: 64 idle clients hold every slot, the
+   next connection is shed with [Refused "overloaded"], and closing one
+   idle client frees its slot for a fresh connection. At most 65
+   client sockets are open at once. *)
+let test_router_sheds_past_bound () =
+  let index, _ = gen_chain ~scheme:Ifmh.Multi_signature ~dims:1 (Prng.create 106L) 0 in
+  let engine = Engine.create { Engine.default_config with port = 0; drain_timeout = 2. } index in
+  let eth = Thread.create Engine.serve engine in
+  let router =
+    Router.create ~poll_interval:60. ~replicas:[ (Unix.inet_addr_loopback, Engine.port engine) ] ()
+  in
+  let rth = Thread.create Router.serve router in
+  let port = Router.port router in
+  let idle = ref [] in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter close !idle;
+      Router.stop router;
+      Thread.join rth;
+      Engine.stop engine;
+      Thread.join eth)
+    (fun () ->
+      (* the accept loop takes connections in order, so these 64 hold
+         every slot before the next one is accepted *)
+      for _ = 1 to 64 do
+        idle := Roundtrip.connect port :: !idle
+      done;
+      (match Roundtrip.call ~port Protocol.Get_stats with
+      | Protocol.Refused m -> check Alcotest.string "shed past the bound" "overloaded" m
+      | _ -> Alcotest.fail "expected Refused \"overloaded\" past the bound");
+      (match !idle with
+      | fd :: rest ->
+        close fd;
+        idle := rest
+      | [] -> assert false);
+      (* the closed session releases its slot as soon as its thread
+         sees the EOF *)
+      let deadline = Unix.gettimeofday () +. 5. in
+      let rec served_again () =
+        match Roundtrip.call ~port Protocol.Get_stats with
+        | Protocol.Stats kvs ->
+          check Alcotest.(option int) "served by the replica" (Some 1) (List.assoc_opt "epoch" kvs)
+        | Protocol.Refused "overloaded" when Unix.gettimeofday () < deadline ->
+          Thread.delay 0.01;
+          served_again ()
+        | _ -> Alcotest.fail "expected Stats once a slot was released"
+      in
+      served_again ())
+
 let () =
   Alcotest.run "aqv_cluster"
     [
@@ -721,5 +771,6 @@ let () =
         [
           Alcotest.test_case "epoch-minimum + failover" `Quick
             test_router_epoch_minimum;
+          Alcotest.test_case "connection bound" `Quick test_router_sheds_past_bound;
         ] );
     ]

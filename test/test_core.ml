@@ -148,7 +148,8 @@ let test_itree_locate_consistent () =
     let x = Workload.weight_point table rng in
     let _, leaf = Itree.locate tree x in
     let node = (Itree.leaves tree).(leaf.Itree.id) in
-    check Alcotest.bool "leaf region contains x" true (Num_ref.region_contains node.Itree.region x)
+    check Alcotest.bool "leaf region contains x" true
+      (Num_ref.region_contains ~domain:(Table.domain table) node.Itree.region x)
   done
 
 let test_itree_outside_domain () =
@@ -172,7 +173,8 @@ let test_itree_2d () =
     let x = Workload.weight_point table rng in
     let _, leaf = Itree.locate tree x in
     let node = (Itree.leaves tree).(leaf.Itree.id) in
-    check Alcotest.bool "region contains x" true (Num_ref.region_contains node.Itree.region x)
+    check Alcotest.bool "region contains x" true
+      (Num_ref.region_contains ~domain:(Table.domain table) node.Itree.region x)
   done
 
 (* ------------------------------ sorting ----------------------------- *)

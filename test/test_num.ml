@@ -97,7 +97,7 @@ let pow2 k = Z.shift_left Z.one k
 
 let z_specials =
   let around k = [ Z.pred (pow2 k); pow2 k; Z.succ (pow2 k) ] in
-  [ Z.zero; Z.one; Z.two; Z.of_int 3; Z.of_int max_int; Z.of_int (max_int - 1) ]
+  [ Z.of_int 0; Z.one; Z.two; Z.of_int 3; Z.of_int max_int; Z.of_int (max_int - 1) ]
   @ around 30 @ around 31 @ around 32 @ around 61 @ around 62 @ around 63
   @ [ pow2 64; Z.of_string "1237940039285380274899124224"; Z.pred (pow2 100) ]
 
@@ -312,17 +312,6 @@ let linfun_sub_eval =
     (fun (f, g, (x, y)) ->
       let p = [| x; y |] in
       Q.equal (Linfun.eval (Linfun.sub f g) p) (Q.sub (Linfun.eval f p) (Linfun.eval g p)))
-
-let linfun_encode_roundtrip =
-  qtest "wire roundtrip" (arb_linfun 3) (fun f ->
-      let w = Aqv_util.Wire.writer () in
-      Linfun.encode w f;
-      Linfun.compare f (Num_ref.linfun_decode (Aqv_util.Wire.reader (Aqv_util.Wire.contents w))) = 0)
-
-let linfun_digest_injective =
-  qtest "distinct functions, distinct digests" ~count:200
-    (QCheck.pair (arb_linfun 2) (arb_linfun 2))
-    (fun (f, g) -> Linfun.compare f g = 0 = String.equal (Linfun.digest f) (Linfun.digest g))
 
 (* ----------------------------- simplex ------------------------------ *)
 
@@ -551,9 +540,9 @@ let test_region_1d_contains_halfopen () =
   let ra = Option.get (Region.add r (Halfspace.above f)) in
   let rb = Option.get (Region.add r (Halfspace.below f)) in
   let at4 = [| Q.of_int 4 |] in
-  check Alcotest.bool "boundary goes above" true (Num_ref.region_contains ra at4);
-  check Alcotest.bool "boundary not below" false (Num_ref.region_contains rb at4);
-  check Alcotest.bool "outside domain" false (Num_ref.region_contains ra [| Q.of_int 11 |])
+  check Alcotest.bool "boundary goes above" true (Num_ref.region_contains ~domain:dom ra at4);
+  check Alcotest.bool "boundary not below" false (Num_ref.region_contains ~domain:dom rb at4);
+  check Alcotest.bool "outside domain" false (Num_ref.region_contains ~domain:dom ra [| Q.of_int 11 |])
 
 let test_region_2d_classify () =
   let dom = Domain.of_ints [ (0, 1); (0, 1) ] in
@@ -668,8 +657,6 @@ let () =
           Alcotest.test_case "self difference" `Quick test_linfun_sub_zero;
           Alcotest.test_case "dimension mismatch" `Quick test_linfun_dim_mismatch;
           linfun_sub_eval;
-          linfun_encode_roundtrip;
-          linfun_digest_injective;
         ] );
       ( "simplex",
         [

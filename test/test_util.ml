@@ -52,13 +52,6 @@ let test_prng_float_bounds () =
     if v < 0.0 || v >= 2.5 then Alcotest.failf "out of range: %f" v
   done
 
-let test_prng_split_independent () =
-  let a = Prng.create 5L in
-  let b = Prng.split a in
-  let xa = List.init 8 (fun _ -> Prng.bits a 62) in
-  let xb = List.init 8 (fun _ -> Prng.bits b 62) in
-  check Alcotest.bool "split streams differ" true (xa <> xb)
-
 let test_prng_bytes_len () =
   let r = Prng.create 1L in
   check Alcotest.int "length" 33 (String.length (Util_ref.prng_bytes r 33))
@@ -409,7 +402,6 @@ let () =
           Alcotest.test_case "int_in bounds" `Quick test_prng_int_in_bounds;
           Alcotest.test_case "int covers range" `Quick test_prng_int_covers;
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
-          Alcotest.test_case "split independent" `Quick test_prng_split_independent;
           Alcotest.test_case "bytes length" `Quick test_prng_bytes_len;
           Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
           Alcotest.test_case "invalid args" `Quick test_prng_invalid;
