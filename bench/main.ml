@@ -71,6 +71,7 @@ let write_json path ~total_s =
         ("scale", Json.Float scale);
         ("domains", Json.Int (Pool.size (Pool.default ())));
         ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
+        ("sha256_kernel", Json.String Aqv_crypto.Sha256.kernel);
         ("total_s", num total_s);
         ("rows", Json.List (List.map (fun fields -> Json.Obj fields) rows));
       ]
@@ -1023,6 +1024,8 @@ let micro_tests () =
   let sig_rsa = kp.Signer.sign d in
   let sig_dsa = kpd.Signer.sign d in
   let blob = String.make 1024 'x' in
+  (* an FMH/IMH node hash: a one-byte tag and two child digests *)
+  let node = String.make 65 'x' in
   let n = scaled 200 in
   let c = ctx_of n in
   let rng = query_rng () in
@@ -1062,6 +1065,7 @@ let micro_tests () =
       (Staged.stage (fun () -> Array.map cheap pool_input));
     Test.make ~name:"pool-map-4k-par"
       (Staged.stage (fun () -> Pool.parallel_map pool cheap pool_input));
+    Test.make ~name:"sha256-65B" (Staged.stage (fun () -> Aqv_crypto.Sha256.digest node));
     Test.make ~name:"sha256-1KiB" (Staged.stage (fun () -> Aqv_crypto.Sha256.digest blob));
     Test.make ~name:"rsa512-sign" (Staged.stage (fun () -> kp.Signer.sign d));
     Test.make ~name:"rsa512-verify" (Staged.stage (fun () -> kp.Signer.verify d sig_rsa));
@@ -1163,6 +1167,10 @@ let () =
       | Some o -> List.mem id (String.split_on_char ',' o)
     in
     let json_path = find_arg "--json" in
+    (* hash timings under the SHA-extension and portable kernels differ
+       about 5x: name the one this run measured *)
+    Printf.printf "aqv bench: scale %g, %d domain(s), sha256 kernel %s\n%!" scale
+      (Pool.size (Pool.default ())) Aqv_crypto.Sha256.kernel;
     let t0 = Unix.gettimeofday () in
     List.iter
       (fun (id, run) ->

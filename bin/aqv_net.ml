@@ -630,7 +630,7 @@ let run_workload spec_path replicas_override seed_override json_path =
   Printf.printf "  trace       sha256=%s\n" trace.Workload.Trace.sha256_hex;
   Printf.printf "  mix         %d topk / %d range / %d knn (zipf theta %.2f over %d hot)\n"
     topk range knn spec.Spec.zipf_theta spec.Spec.hot_set;
-  Printf.printf "  wall        %.3f s\n" wall;
+  Printf.printf "  wall        %.3f s (sha256 kernel %s)\n" wall Aqv_crypto.Sha256.kernel;
   Printf.printf "  throughput  %.0f req/s\n" measured.Spec.throughput_rps;
   Printf.printf "  latency us  p50=%d p99=%d p999=%d max=%d\n" measured.Spec.p50_us
     measured.Spec.p99_us measured.Spec.p999_us (Histogram.max_value hist);
@@ -673,6 +673,8 @@ let run_workload spec_path replicas_override seed_override json_path =
                   jO
                     [
                       ("wall_s", jF wall);
+                      (* timings under the two kernels differ ~5x *)
+                      ("sha256_kernel", jS Aqv_crypto.Sha256.kernel);
                       ("throughput_rps", jF measured.Spec.throughput_rps);
                       ("latency_us_p50", jI measured.Spec.p50_us);
                       ("latency_us_p99", jI measured.Spec.p99_us);

@@ -6,6 +6,7 @@ module Z = Aqv_bigint.Bigint
 module Prng = Aqv_util.Prng
 open Aqv_crypto
 module Prime_ref = Aqv_ref.Prime_ref
+module Sha256_ref = Aqv_ref.Sha256_ref
 
 let check = Alcotest.check
 
@@ -22,6 +23,9 @@ let sha_vectors =
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
     ( "The quick brown fox jumps over the lazy dog",
       "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592" );
+    (* 896 bits: the two-block NIST vector *)
+    ( "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1" );
   ]
 
 let test_sha256_vectors () =
@@ -80,6 +84,65 @@ let sha_padding_lengths =
          let ctx = Sha256.init () in
          String.iter (fun c -> Sha256.feed ctx (String.make 1 c)) msg;
          String.equal d1 (Sha256.finalize ctx)))
+
+(* The C kernel against the pure-OCaml oracle (test/ref/sha256_ref.ml).
+   [Sha256.kernel] names the body the one-shot and streaming paths run;
+   [digest_list_portable] runs the other one where this CPU has the SHA
+   extensions, so both bodies meet the oracle on every machine. *)
+
+let random_string rng n = String.init n (fun _ -> Char.chr (Prng.int rng 256))
+
+(* [s] cut at random points into fragments, empty ones included *)
+let random_cuts rng s =
+  let n = String.length s in
+  let rec go pos acc =
+    if pos = n && Prng.int rng 4 > 0 then List.rev acc
+    else
+      let take = if pos = n then 0 else Prng.int rng (min (n - pos) 70 + 1) in
+      go (pos + take) (String.sub s pos take :: acc)
+  in
+  go 0 []
+
+let sha_fragmentations =
+  qtest ~count:20 "kernel = oracle, every length 0-300, random fragments" QCheck.int (fun seed ->
+      let rng = Prng.create (Int64.of_int seed) in
+      for n = 0 to 300 do
+        let parts = random_cuts rng (random_string rng n) in
+        let want = Sha256_ref.digest_list parts in
+        let streamed =
+          let ctx = Sha256.init () in
+          List.iter (Sha256.feed ctx) parts;
+          Sha256.finalize ctx
+        in
+        List.iter
+          (fun (what, got) ->
+            if not (String.equal got want) then
+              Alcotest.failf "%s differs from the oracle at length %d (%d fragments, kernel %s)" what
+                n (List.length parts) Sha256.kernel)
+          [
+            ("digest_list", Sha256.digest_list parts);
+            ("digest_list_portable", Sha256.digest_list_portable parts);
+            ("init/feed/finalize", streamed);
+          ]
+      done;
+      true)
+
+let sha_copy_mid_block =
+  qtest ~count:300 "copy mid-block = oracle"
+    QCheck.(triple (int_bound 200) (int_bound 150) (int_bound 150))
+    (fun (p, a, b) ->
+      let rng = Prng.create (Int64.of_int ((p * 40_000) + (a * 200) + b)) in
+      let prefix = random_string rng p in
+      let sa = random_string rng a and sb = random_string rng b in
+      let ctx = Sha256.init () in
+      Sha256.feed ctx prefix;
+      let other = Sha256.copy ctx in
+      Sha256.feed ctx sa;
+      let da = Sha256.finalize ctx in
+      Sha256.feed other sb;
+      let db = Sha256.finalize other in
+      String.equal da (Sha256_ref.digest (prefix ^ sa))
+      && String.equal db (Sha256_ref.digest (prefix ^ sb)))
 
 (* ------------------------------- HMAC ------------------------------ *)
 
@@ -394,6 +457,8 @@ let () =
           Alcotest.test_case "metrics counted" `Quick test_sha256_counts_metrics;
           Alcotest.test_case "finalize twice" `Quick test_sha256_finalize_twice;
           sha_padding_lengths;
+          sha_fragmentations;
+          sha_copy_mid_block;
         ] );
       ( "hmac",
         [
