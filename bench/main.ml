@@ -1060,7 +1060,10 @@ let micro_tests () =
   in
   let fns = Table.functions hot_table in
   let sa = Aqv_num.Linfun.eval fns.(0) xh and sb = Aqv_num.Linfun.eval fns.(1) xh in
+  let hot_record = Table.record hot_table 0 in
   [
+    (* a run that does nothing: what the clock and the harness cost *)
+    Test.make ~name:"floor" (Staged.stage (fun () -> ()));
     Test.make ~name:"pool-map-4k-seq"
       (Staged.stage (fun () -> Array.map cheap pool_input));
     Test.make ~name:"pool-map-4k-par"
@@ -1093,12 +1096,25 @@ let micro_tests () =
            w));
     Test.make ~name:"reply-decode-hot"
       (Staged.stage (fun () -> Protocol.decode_reply (Aqv_util.Wire.reader hot_bytes)));
+    (* writers are allocated outside the timed loop, fresh for each
+       sample: a row carries a writer's amortized growth to a few tens
+       of KiB, as a wide reply's does, but not its creation *)
+    Test.make_with_resource ~name:"wire-uint_be" Test.multiple
+      ~allocate:Aqv_util.Wire.writer ~free:ignore
+      (Staged.stage (fun w -> Aqv_util.Wire.uint_be w 0x1234_5678));
+    Test.make_with_resource ~name:"record-encode" Test.multiple
+      ~allocate:Aqv_util.Wire.writer ~free:ignore
+      (Staged.stage (fun w -> Aqv_db.Record.encode w hot_record));
   ]
 
 let run_micros () =
   header "Micro-benchmarks (bechamel; ns/run, OLS on monotonic clock)";
   let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
+  (* No [stabilize]: bechamel's default compacts the heap before every
+     sample, which with this process's live indexes costs milliseconds
+     and leaves each sample's few runs on cold caches — a floor of about
+     2 µs under every row. The "floor" row prints what is left. *)
+  let cfg = Benchmark.cfg ~limit:500 ~stabilize:false ~quota:(Time.second 0.5) () in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   List.iter
     (fun test ->

@@ -38,9 +38,9 @@ let stopped t = locked t (fun () -> t.stopped)
 let epoch t = Ifmh.epoch (Engine.index t.engine)
 
 let send_subscribe fd ~timeout ~from_epoch =
-  let w = Wire.writer () in
+  let w = Frame_io.writer () in
   Protocol.encode_request w (Protocol.Subscribe { from_epoch });
-  ignore (Frame_io.write_frame ~timeout fd (Wire.contents w))
+  ignore (Frame_io.write_framed ~timeout fd (Frame_io.framed w))
 
 (* Apply one replication frame to the follower's engine. [Error] means
    the stream is unusable from here (a gap, a bad frame): drop the

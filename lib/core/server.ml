@@ -24,7 +24,10 @@ let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
   let right =
     if whi + 1 = n + 1 then Vo.Max_sentinel else Vo.Boundary_record (record_at (whi + 1))
   in
-  let result = List.init (whi - wlo + 1) (fun k -> record_at (wlo + k)) in
+  (* the window in one walk; the cost model still counts one FMH node
+     per record *)
+  let result = Pvec.map_range order ~lo:(wlo - 1) ~hi:(whi - 1) (Table.record table) in
+  Aqv_util.Metrics.add_fmh_nodes (whi - wlo + 1);
   let fmh_proof = Mht.range_proof lists.Sorting.fmh ~lo:(wlo - 1) ~hi:(whi + 1) in
   let subdomain, signature =
     match Ifmh.scheme index with

@@ -1,7 +1,8 @@
 (** Bounded LRU response cache.
 
     Maps raw request bytes (the caller prefixes the index epoch into the
-    key) to encoded reply bytes. Safe to share across an immutable-per-
+    key) to encoded replies (the engine stores each one framed, so a hit
+    is written as it is). Safe to share across an immutable-per-
     epoch index: two byte-identical requests against the same epoch are
     guaranteed the same reply, so serving the cached bytes is sound.
     Thread-safe; O(1) lookup and insertion with true LRU eviction. *)

@@ -96,10 +96,12 @@ let swap_index t index' =
    ends, but it is not an error of the session machinery itself. *)
 exception Fault_closed
 
-let encode_reply_bytes reply =
-  let w = Wire.writer () in
+(* A reply leaves its writer once, already framed: the cache stores the
+   frame and a hit is one write of it. *)
+let encode_reply_frame reply =
+  let w = Frame_io.writer () in
   Protocol.encode_reply w reply;
-  Wire.contents w
+  Frame_io.framed w
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
@@ -213,11 +215,12 @@ let install_snapshot t index' =
               m "snapshot installed: now serving epoch %d" (Ifmh.epoch index'));
           Ok (Ifmh.epoch index'))
 
-(* What a session should do with one decoded request: answer it, or
-   hand the connection over to the replication publisher. *)
+(* What a session should do with one decoded request: answer it with a
+   framed reply, or hand the connection over to the replication
+   publisher. *)
 type action = Reply of string | Handoff of { from_epoch : int option }
 
-(* Compute (or fetch from cache) the encoded reply for one raw request
+(* Compute (or fetch from cache) the framed reply for one raw request
    payload. Get_stats bypasses the cache — its reply changes with every
    request. Malformed payloads become Refused, uniformly for Failure
    and Invalid_argument (Bytes/array bounds in decoders). *)
@@ -226,17 +229,17 @@ let reply_bytes_for t payload =
   | exception (Failure msg | Invalid_argument msg) ->
     Stats.on_request t.stats `Malformed;
     Stats.on_refused t.stats;
-    Reply (encode_reply_bytes (Protocol.Refused msg))
+    Reply (encode_reply_frame (Protocol.Refused msg))
   | Protocol.Get_stats ->
     Stats.on_request t.stats `Stats;
-    Reply (encode_reply_bytes (Protocol.Stats (Stats.to_assoc t.stats)))
+    Reply (encode_reply_frame (Protocol.Stats (Stats.to_assoc t.stats)))
   | Protocol.Subscribe { from_epoch } -> (
     Stats.on_request t.stats `Subscribe;
     match t.config.publisher with
     | Some _ -> Handoff { from_epoch }
     | None ->
       Stats.on_refused t.stats;
-      Reply (encode_reply_bytes (Protocol.Refused "Engine: replication not enabled")))
+      Reply (encode_reply_frame (Protocol.Refused "Engine: replication not enabled")))
   | Protocol.Republish delta ->
     (* uncached, like Get_stats: a republish mutates serving state *)
     Stats.on_request t.stats `Republish;
@@ -252,7 +255,7 @@ let reply_bytes_for t payload =
           Stats.on_refused t.stats;
           Protocol.Refused msg
     in
-    Reply (encode_reply_bytes reply)
+    Reply (encode_reply_frame reply)
   | request ->
     Stats.on_request t.stats
       (match request with
@@ -266,29 +269,28 @@ let reply_bytes_for t payload =
     let index = Atomic.get t.index in
     let key = string_of_int (Ifmh.epoch index) ^ ":" ^ payload in
     (match Cache.find t.cache key with
-    | Some bytes ->
+    | Some frame ->
       Stats.cache_hit t.stats;
-      Reply bytes
+      Reply frame
     | None ->
       Stats.cache_miss t.stats;
       let reply = Protocol.handle index request in
       (match reply with
       | Protocol.Refused _ -> Stats.on_refused t.stats
       | _ -> ());
-      let bytes = encode_reply_bytes reply in
-      Cache.add t.cache key bytes;
-      Reply bytes)
+      let frame = encode_reply_frame reply in
+      Cache.add t.cache key frame;
+      Reply frame)
 
-let send_reply t fd bytes =
+let send_reply t fd frame =
   let deliver () =
-    let n = Frame_io.write_frame ~timeout:t.config.write_timeout fd bytes in
+    let n = Frame_io.write_framed ~timeout:t.config.write_timeout fd frame in
     Stats.add_bytes_out t.stats n
   in
   match t.config.faults with
   | None -> deliver ()
   | Some f -> (
-    let framed_len = String.length bytes + 4 in
-    match Faults.draw f ~frame_len:framed_len with
+    match Faults.draw f ~frame_len:(String.length frame) with
     | None -> deliver ()
     | Some (Faults.Delay s) ->
       Stats.on_fault t.stats `Delay;
@@ -296,7 +298,7 @@ let send_reply t fd bytes =
       deliver ()
     | Some (Faults.Truncate k) ->
       Stats.on_fault t.stats `Truncate;
-      Frame_io.write_raw fd (String.sub (Frame_io.frame bytes) 0 k);
+      Frame_io.write_raw fd (String.sub frame 0 k);
       raise Fault_closed
     | Some Faults.Drop ->
       Stats.on_fault t.stats `Drop;
@@ -316,8 +318,8 @@ let session t fd =
       let action = reply_bytes_for t payload in
       Stats.observe_latency_us t.stats (now_us () - t0);
       match action with
-      | Reply bytes ->
-        send_reply t fd bytes;
+      | Reply frame ->
+        send_reply t fd frame;
         loop ()
       | Handoff { from_epoch } ->
         (* the connection becomes a one-way replication stream; the

@@ -31,41 +31,42 @@ let read_exact fd buf len =
   in
   go 0
 
+(* The body goes straight into one [Bytes] that starts at no more than
+   [chunk_cap] and at most doubles as the bytes arrive, so a header
+   that claims more than the peer sends never allocates the claim. A
+   body that fits one chunk is read in place and returned uncopied. *)
 let read_frame ?header_timeout ?body_timeout fd =
   Option.iter (set_recv_timeout fd) header_timeout;
   let hdr = Bytes.create 4 in
   match read_exact fd hdr 4 with
   | `Eof -> None
   | `Ok ->
-    let b i = Char.code (Bytes.get hdr i) in
-    let n = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+    let n = Int32.to_int (Bytes.get_int32_be hdr 0) land 0xffff_ffff in
     if n > max_frame then failwith "Frame_io: frame too large";
     Option.iter (set_recv_timeout fd) body_timeout;
-    let buf = Buffer.create (min n chunk_cap) in
-    let chunk = Bytes.create (min (max n 1) chunk_cap) in
-    let rec fill remaining =
-      if remaining > 0 then begin
-        let k = min remaining (Bytes.length chunk) in
-        (match read_exact fd chunk k with
-        | `Ok -> ()
-        | `Eof -> failwith "Frame_io: truncated frame");
-        Buffer.add_subbytes buf chunk 0 k;
-        fill (remaining - k)
+    let rec fill buf off =
+      if off >= n then buf
+      else begin
+        let buf =
+          if off < Bytes.length buf then buf
+          else Bytes.extend buf 0 (min (n - off) (Bytes.length buf))
+        in
+        match read fd buf off (Bytes.length buf - off) with
+        | 0 -> failwith "Frame_io: truncated frame"
+        | k -> fill buf (off + k)
       end
     in
-    fill n;
-    Some (Buffer.contents buf)
+    Some (Bytes.unsafe_to_string (fill (Bytes.create (min n chunk_cap)) 0))
 
-let frame_bytes payload =
-  let n = String.length payload in
+let header n =
   if n > max_frame then failwith "Frame_io: frame too large";
-  let b = Bytes.create (n + 4) in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (n land 0xff));
-  Bytes.blit_string payload 0 b 4 n;
+  let b = Bytes.create 4 in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.unsafe_to_string b
+
+let frame payload = header (String.length payload) ^ payload
+let writer () = Aqv_util.Wire.writer_after 4
+let framed w = Aqv_util.Wire.contents_with_header w (header (Aqv_util.Wire.size w))
 
 let write_all fd s =
   let len = String.length s in
@@ -77,11 +78,10 @@ let write_all fd s =
   in
   go 0
 
-let write_frame ?timeout fd payload =
+let write_framed ?timeout fd framed =
   Option.iter (set_send_timeout fd) timeout;
-  let framed = frame_bytes payload in
   write_all fd framed;
   String.length framed
 
+let write_frame ?timeout fd payload = write_framed ?timeout fd (frame payload)
 let write_raw fd s = try write_all fd s with _ -> ()
-let frame = frame_bytes

@@ -12,24 +12,37 @@ exception Timeout
 val read_frame :
   ?header_timeout:float -> ?body_timeout:float -> Unix.file_descr -> string option
 (** [None] on clean EOF before the first header byte. The body is read
-    in bounded chunks — an attacker-supplied length never causes an
-    eager allocation of the claimed size. [header_timeout] bounds the
-    wait for the frame to start (idle keep-alive), [body_timeout] the
-    rest of the frame; omitted timeouts leave the socket's current
-    setting untouched.
+    into one buffer that starts at no more than 64 KiB and grows only
+    as bytes arrive — an attacker-supplied length never causes an eager
+    allocation of the claimed size. [header_timeout] bounds the wait
+    for the frame to start (idle keep-alive), [body_timeout] the rest
+    of the frame; omitted timeouts leave the socket's current setting
+    untouched.
     @raise Timeout on an expired deadline
     @raise Failure on oversized or truncated frames. *)
 
 val write_frame : ?timeout:float -> Unix.file_descr -> string -> int
-(** Returns total bytes written (payload + 4-byte header).
+(** Frames a payload and writes it. Returns total bytes written
+    (payload + 4-byte header).
     @raise Timeout on an expired deadline
     @raise Failure if the payload exceeds the frame cap. *)
+
+val writer : unit -> Aqv_util.Wire.writer
+(** A {!Aqv_util.Wire} writer that holds back room for the frame
+    header, so what is encoded into it leaves as a frame in one copy
+    ({!framed}). The engine encodes its replies this way and caches the
+    framed strings. *)
+
+val framed : Aqv_util.Wire.writer -> string
+(** The on-wire form (4-byte header + payload) of what was written to
+    a {!writer}.
+    @raise Failure if the payload exceeds the frame cap. *)
+
+val write_framed : ?timeout:float -> Unix.file_descr -> string -> int
+(** Writes a string that is already a frame (from {!framed}) as it is.
+    Returns its length.
+    @raise Timeout on an expired deadline *)
 
 val write_raw : Unix.file_descr -> string -> unit
 (** Best-effort raw write (fault injection's truncated sends): errors
     and short writes are ignored. *)
-
-val frame : string -> string
-(** The on-wire form of a payload: 4-byte header + payload.
-    @raise Failure if the payload exceeds the frame cap. *)
-

@@ -35,9 +35,9 @@ let active t =
    freshly accepted socket's empty send buffer takes without blocking,
    so the accept loop writes it itself. *)
 let overloaded =
-  let w = Aqv_util.Wire.writer () in
+  let w = Frame_io.writer () in
   Aqv.Protocol.encode_reply w (Aqv.Protocol.Refused "overloaded");
-  Frame_io.frame (Aqv_util.Wire.contents w)
+  Frame_io.framed w
 
 let session_thread t ~on_error session fd =
   Fun.protect

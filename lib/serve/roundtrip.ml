@@ -66,9 +66,9 @@ let connect ?(opts = default_opts) ?host port =
       connect_once ?host ~timeout:opts.connect_timeout port)
 
 let ask ?(opts = default_opts) fd request =
-  let w = Wire.writer () in
+  let w = Frame_io.writer () in
   Protocol.encode_request w request;
-  ignore (Frame_io.write_frame ~timeout:opts.read_timeout fd (Wire.contents w));
+  ignore (Frame_io.write_framed ~timeout:opts.read_timeout fd (Frame_io.framed w));
   match
     Frame_io.read_frame ~header_timeout:opts.read_timeout
       ~body_timeout:opts.read_timeout fd

@@ -1,48 +1,87 @@
-type writer = Buffer.t
+(* The writer is a growable byte buffer. Every primitive reserves its
+   worst case once and then stores unchecked; [base] bytes at the front
+   are held back for a header the caller fills last. *)
+type writer = { mutable buf : Bytes.t; mutable len : int; base : int }
 
-let writer () = Buffer.create 256
-let contents w = Buffer.contents w
-let size w = Buffer.length w
+let writer_after base = { buf = Bytes.create (256 + base); len = base; base }
+let writer () = writer_after 0
+let contents w = Bytes.sub_string w.buf w.base (w.len - w.base)
+let size w = w.len - w.base
 
-let u8 w v = Buffer.add_char w (Char.chr (v land 0xff))
+let contents_with_header w header =
+  if String.length header <> w.base then invalid_arg "Wire.contents_with_header";
+  Bytes.blit_string header 0 w.buf 0 w.base;
+  Bytes.sub_string w.buf 0 w.len
+
+let grow w need =
+  let cap = max (w.len + need) (2 * Bytes.length w.buf) in
+  let buf = Bytes.create cap in
+  Bytes.blit w.buf 0 buf 0 w.len;
+  w.buf <- buf
+
+let[@inline] reserve w need = if w.len + need > Bytes.length w.buf then grow w need
+
+(* the most bytes a varint of any 63-bit pattern takes *)
+let varint_max = 9
+
+let[@inline] store buf pos v = Bytes.unsafe_set buf pos (Char.unsafe_chr (v land 0xff))
+
+(* LEB128 of a 63-bit pattern read as unsigned, stored at [pos] with room
+   already reserved; returns the position after it *)
+let store_varint buf pos v =
+  let v = ref v and pos = ref pos in
+  while !v land lnot 0x7f <> 0 do
+    store buf !pos (0x80 lor (!v land 0x7f));
+    v := !v lsr 7;
+    incr pos
+  done;
+  store buf !pos !v;
+  !pos + 1
+
+let u8 w v =
+  reserve w 1;
+  store w.buf w.len v;
+  w.len <- w.len + 1
 
 let varint w v =
   if v < 0 then invalid_arg "Wire.varint";
-  let rec go v =
-    if v < 0x80 then u8 w v
-    else begin
-      u8 w (0x80 lor (v land 0x7f));
-      go (v lsr 7)
-    end
-  in
-  go v
+  reserve w varint_max;
+  w.len <- store_varint w.buf w.len v
 
+(* zigzag: maps 0,-1,1,-2,... to 0,1,2,3,...; the wrapped 63-bit pattern
+   is written with logical shifts so the whole int range round-trips *)
 let int w v =
-  (* zigzag: maps 0,-1,1,-2,... to 0,1,2,3,...; the wrapped 63-bit
-     pattern is written with logical shifts so the whole int range
-     round-trips *)
-  let z = (v lsl 1) lxor (v asr 62) in
-  let rec go z =
-    if z land lnot 0x7f = 0 then u8 w z
-    else begin
-      u8 w (0x80 lor (z land 0x7f));
-      go (z lsr 7)
-    end
-  in
-  go z
+  reserve w varint_max;
+  w.len <- store_varint w.buf w.len ((v lsl 1) lxor (v asr 62))
 
 let bytes w s =
-  varint w (String.length s);
-  Buffer.add_string w s
+  let n = String.length s in
+  reserve w (varint_max + n);
+  let pos = store_varint w.buf w.len n in
+  Bytes.unsafe_blit_string s 0 w.buf pos n;
+  w.len <- pos + n
+
+(* the bytes of a non-negative int's minimal big-endian form, one for 0 *)
+let width v =
+  if v < 0x100 then 1
+  else if v < 0x1_0000 then 2
+  else if v < 0x100_0000 then 3
+  else if v < 0x1_0000_0000 then 4
+  else if v < 0x100_0000_0000 then 5
+  else if v < 0x1_0000_0000_0000 then 6
+  else if v < 0x100_0000_0000_0000 then 7
+  else 8
 
 let uint_be w v =
   if v < 0 then invalid_arg "Wire.uint_be";
-  let rec width v k = if v < 0x100 then k else width (v lsr 8) (k + 1) in
-  let k = width v 1 in
-  varint w k;
-  for i = k - 1 downto 0 do
-    u8 w (v lsr (8 * i))
-  done
+  let k = width v in
+  reserve w (k + 1);
+  let buf = w.buf and pos = w.len in
+  store buf pos k;
+  for i = 1 to k do
+    store buf (pos + i) (v lsr (8 * (k - i)))
+  done;
+  w.len <- pos + k + 1
 
 let list w f xs =
   varint w (List.length xs);
@@ -52,39 +91,76 @@ type reader = { data : string; mutable pos : int }
 
 let reader data = { data; pos = 0 }
 
+let truncated () = failwith "Wire: truncated"
+let overflow () = failwith "Wire: varint overflow"
+
 let read_u8 r =
-  if r.pos >= String.length r.data then failwith "Wire: truncated";
-  let c = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
+  let pos = r.pos in
+  if pos >= String.length r.data then truncated ();
+  r.pos <- pos + 1;
+  Char.code (String.unsafe_get r.data pos)
 
 (* A 9th byte carries bits 56..62; bit 62 is the sign bit of an int,
    so it must be clear, as must the continuation bit: exactly the values
-   [varint] writes. *)
+   [varint] writes. A one-byte varint (every length below 128) takes
+   the first branch. The loop has no call inside, so its state stays in
+   registers, and it raises after it ends: [stop] is 0 while reading,
+   then 1 (done), 2 (truncated) or 3 (overflow). On failure the reader
+   stops after the last byte read, as a byte-at-a-time reader would. *)
 let read_varint r =
-  let rec go shift acc =
-    let b = read_u8 r in
-    if shift = 56 && b > 0x3f then failwith "Wire: varint overflow";
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
+  let data = r.data and pos = r.pos in
+  let len = String.length data in
+  if pos < len && Char.code (String.unsafe_get data pos) < 0x80 then begin
+    r.pos <- pos + 1;
+    Char.code (String.unsafe_get data pos)
+  end
+  else begin
+    let pos = ref pos and shift = ref 0 and acc = ref 0 and stop = ref 0 in
+    while !stop = 0 do
+      if !pos >= len then stop := 2
+      else begin
+        let b = Char.code (String.unsafe_get data !pos) in
+        incr pos;
+        if !shift = 56 && b > 0x3f then stop := 3
+        else begin
+          acc := !acc lor ((b land 0x7f) lsl !shift);
+          if b < 0x80 then stop := 1 else shift := !shift + 7
+        end
+      end
+    done;
+    r.pos <- !pos;
+    match !stop with 1 -> !acc | 2 -> truncated () | _ -> overflow ()
+  end
 
+(* Up to ten bytes: a tenth carries bit 63, which the shift drops. The
+   loop is [read_varint]'s. *)
 let read_int r =
-  let rec go shift acc =
-    if shift > 63 then failwith "Wire: varint overflow";
-    let b = read_u8 r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  let z = go 0 0 in
-  (z lsr 1) lxor (-(z land 1))
+  let data = r.data in
+  let len = String.length data in
+  let pos = ref r.pos and shift = ref 0 and acc = ref 0 and stop = ref 0 in
+  while !stop = 0 do
+    if !shift > 63 then stop := 3
+    else if !pos >= len then stop := 2
+    else begin
+      let b = Char.code (String.unsafe_get data !pos) in
+      incr pos;
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      if b < 0x80 then stop := 1 else shift := !shift + 7
+    end
+  done;
+  r.pos <- !pos;
+  match !stop with
+  | 1 ->
+    let z = !acc in
+    (z lsr 1) lxor (-(z land 1))
+  | 2 -> truncated ()
+  | _ -> overflow ()
 
 (* A field's length prefix, checked against the bytes left (written so
    that a length near [max_int] cannot overflow the check) *)
 let read_length r =
   let n = read_varint r in
-  if n > String.length r.data - r.pos then failwith "Wire: truncated";
+  if n > String.length r.data - r.pos then truncated ();
   n
 
 let read_bytes r =
@@ -115,13 +191,21 @@ let read_uint_be r =
     !v
   end
 
-let read_list r f =
-  let n = read_varint r in
-  List.init n (fun _ -> f r)
+let rec read_elements r f k acc =
+  if k = 0 then List.rev acc else read_elements r f (k - 1) (f r :: acc)
+
+let read_list r f = read_elements r f (read_varint r) []
 
 (* Every element costs at least one byte, so a count larger than the
-   bytes left is a lie: refuse it before [Array.init] allocates it. *)
+   bytes left is a lie: refuse it before the array is allocated. *)
 let read_array r f =
   let n = read_varint r in
-  if n > String.length r.data - r.pos then failwith "Wire: truncated";
-  Array.init n (fun _ -> f r)
+  if n > String.length r.data - r.pos then truncated ();
+  if n = 0 then [||]
+  else begin
+    let a = Array.make n (f r) in
+    for i = 1 to n - 1 do
+      a.(i) <- f r
+    done;
+    a
+  end

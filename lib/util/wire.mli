@@ -1,16 +1,39 @@
 (** Canonical binary encoding.
 
-    Used for two purposes: (1) canonical byte strings fed to the one-way
-    hash when committing to records, functions, and constraint sets; and
-    (2) measuring the size in bytes of verification objects and indexes
-    (the paper's Figures 5c, 8a, 8b). The format is a simple deterministic
-    TLV: varint-length-prefixed fields written in a fixed order. *)
+    Used for three purposes: (1) canonical byte strings fed to the
+    one-way hash when committing to records, functions, and constraint
+    sets; (2) measuring the size in bytes of verification objects and
+    indexes (the paper's Figures 5c, 8a, 8b); and (3) the serving
+    protocol's requests and replies. The format is a simple deterministic
+    TLV: varint-length-prefixed fields written in a fixed order.
+
+    The writer is a growable [Bytes]: each primitive reserves its worst
+    case once and stores its bytes unchecked, a string goes in with one
+    blit, and nothing allocates per field. A writer can hold back bytes
+    at its front for a header (the serving engine's frame header, see
+    [Aqv_serve.Frame_io]), so a reply leaves it once, already framed.
+    The reader checks bounds once per byte of a varint and once per
+    field, and allocates no closures. *)
 
 type writer
 
 val writer : unit -> writer
+
+val writer_after : int -> writer
+(** [writer_after k] is a writer whose first [k] bytes are held back for
+    a header: [size] and [contents] leave them out, and
+    [contents_with_header] fills them in. *)
+
 val contents : writer -> string
+(** The bytes written, without the held-back header. *)
+
+val contents_with_header : writer -> string -> string
+(** [contents_with_header w h] is [h ^ contents w] in one copy, [h]
+    stored over the held-back bytes.
+    @raise Invalid_argument unless [h] is exactly as long as they are. *)
+
 val size : writer -> int
+(** The length of [contents]. *)
 
 val u8 : writer -> int -> unit
 val varint : writer -> int -> unit

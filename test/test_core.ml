@@ -784,6 +784,46 @@ let test_pinned_mesh () =
         10 );
     ]
 
+(* The server-cost counters of each [Server.answer], pinned: per query,
+   [fmh_nodes.itree_nodes.locate_sign_tests] over a seeded mix of top-k,
+   range and KNN queries on a 1-D and a 2-D table under both schemes.
+   A change to how the server reaches the window (one walk instead of a
+   descent per record) must tick the same totals. *)
+let test_pinned_answer_counters () =
+  let kp = Lazy.force keypair in
+  let counters index query =
+    let before = Aqv_util.Metrics.snapshot () in
+    ignore (Server.answer index query);
+    let d = Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) before in
+    Printf.sprintf "%d.%d.%d" d.fmh_nodes d.itree_nodes d.locate_sign_tests
+  in
+  List.iter
+    (fun (name, table, scheme, expect) ->
+      let index = Ifmh.build ~scheme table kp in
+      let rng = Prng.create 404L in
+      let got = List.init 12 (fun _ -> counters index (random_query table rng)) in
+      check Alcotest.string name expect (String.concat " " got))
+    [
+      ( "1-D one-sig",
+        Workload.lines_1d ~n:40 (Prng.create 405L),
+        Ifmh.One_signature,
+        "26.15.7 35.25.12 29.23.11 68.19.9 53.15.7 77.25.12 53.25.12 22.31.15 48.29.14 58.17.8 \
+         93.19.9 35.31.15" );
+      ( "1-D multi-sig",
+        Workload.lines_1d ~n:40 (Prng.create 405L),
+        Ifmh.Multi_signature,
+        "26.8.7 35.13.12 29.12.11 68.10.9 53.8.7 77.13.12 53.13.12 22.16.15 48.15.14 58.9.8 93.10.9 \
+         35.16.15" );
+      ( "2-D one-sig",
+        Workload.scored ~n:8 ~dims:2 (Prng.create 406L),
+        Ifmh.One_signature,
+        "26.11.5 8.13.6 18.11.5 21.11.5 9.13.6 8.5.2 19.13.6 25.11.5 15.11.5 8.9.4 10.13.6 15.11.5" );
+      ( "2-D multi-sig",
+        Workload.scored ~n:8 ~dims:2 (Prng.create 406L),
+        Ifmh.Multi_signature,
+        "26.6.5 8.7.6 18.6.5 21.6.5 9.7.6 8.3.2 19.7.6 25.6.5 15.6.5 8.5.4 10.7.6 15.6.5" );
+    ]
+
 let () =
   Alcotest.run "aqv_core"
     [
@@ -846,5 +886,6 @@ let () =
         [
           Alcotest.test_case "pinned sha256" `Quick test_pinned_bytes;
           Alcotest.test_case "pinned mesh sha256" `Quick test_pinned_mesh;
+          Alcotest.test_case "pinned answer counters" `Quick test_pinned_answer_counters;
         ] );
     ]

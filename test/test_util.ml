@@ -6,8 +6,10 @@ open Aqv_util
 module Util_ref = Aqv_ref.Util_ref
 
 let check = Alcotest.check
-let qtest ?(count = 500) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+(* [long_factor] multiplies [count] under QCHECK_LONG=1 (CI's oracle
+   steps) *)
+let qtest ?(count = 500) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ?long_factor ~name gen prop)
 
 (* ------------------------------- Prng ------------------------------ *)
 
@@ -243,6 +245,221 @@ let test_wire_uint_be_too_wide () =
   Alcotest.check_raises "negative" (Invalid_argument "Wire.uint_be") (fun () ->
       Wire.uint_be (Wire.writer ()) (-1))
 
+(* ----------------------- Wire against its oracle -------------------- *)
+
+(* The codec is held to [Wire_ref], the plain [Buffer] writer and
+   recursive reader it replaced: the same bytes from every sequence of
+   writes, and from every input — valid, truncated, mutated or random —
+   the same values, the same failures and the same final position. *)
+
+module type CODEC = sig
+  type writer
+
+  val writer : unit -> writer
+  val contents : writer -> string
+  val u8 : writer -> int -> unit
+  val varint : writer -> int -> unit
+  val int : writer -> int -> unit
+  val bytes : writer -> string -> unit
+  val uint_be : writer -> int -> unit
+  val list : writer -> ('a -> unit) -> 'a list -> unit
+
+  type reader
+
+  val reader : string -> reader
+  val read_u8 : reader -> int
+  val read_varint : reader -> int
+  val read_int : reader -> int
+  val read_bytes : reader -> string
+  val read_uint_be : reader -> int
+  val read_list : reader -> (reader -> 'a) -> 'a list
+  val read_array : reader -> (reader -> 'a) -> 'a array
+end
+
+(* A field's shape, and a value of that shape. An array is written as a
+   list (a count, then the elements) and read with [read_array]. *)
+type shape = U8 | Varint | Int | Bytes | Uint_be | List of shape | Array of shape
+type value = Num of int | Str of string | Seq of value list
+
+module Run (C : CODEC) = struct
+  let rec write w shape v =
+    match (shape, v) with
+    | U8, Num n -> C.u8 w n
+    | Varint, Num n -> C.varint w n
+    | Int, Num n -> C.int w n
+    | Bytes, Str s -> C.bytes w s
+    | Uint_be, Num n -> C.uint_be w n
+    | (List s | Array s), Seq vs -> C.list w (write w s) vs
+    | _ -> invalid_arg "shape/value mismatch"
+
+  let rec read r = function
+    | U8 -> Num (C.read_u8 r)
+    | Varint -> Num (C.read_varint r)
+    | Int -> Num (C.read_int r)
+    | Bytes -> Str (C.read_bytes r)
+    | Uint_be -> (
+      (* a field too wide for an int is left in place; re-read it as
+         bytes, as [Rational.decode] does, so every read moves on *)
+      match C.read_uint_be r with -1 -> Str (C.read_bytes r) | v -> Num v)
+    | List s -> Seq (C.read_list r (fun r -> read r s))
+    | Array s -> Seq (Array.to_list (C.read_array r (fun r -> read r s)))
+
+  let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+  let encode fields =
+    outcome (fun () ->
+        let w = C.writer () in
+        List.iter (fun (s, v) -> write w s v) fields;
+        C.contents w)
+
+  (* The values read (or the failure), then the bytes left unread. *)
+  let decode shapes input =
+    let r = C.reader input in
+    let got = outcome (fun () -> List.map (read r) shapes) in
+    let rec left k = match C.read_u8 r with _ -> left (k + 1) | exception Failure _ -> k in
+    (got, left 0)
+end
+
+module New = Run (Wire)
+module Ref = Run (Aqv_ref.Wire_ref)
+
+let gen_shape =
+  QCheck.Gen.(
+    fix
+      (fun self depth ->
+        let leaf = oneofl [ U8; Varint; Int; Bytes; Uint_be ] in
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (5, leaf); (1, map (fun s -> List s) (self (depth - 1)));
+              (1, map (fun s -> Array s) (self (depth - 1))) ])
+      2)
+
+(* Mostly valid values, powers of two and their neighbours among them
+   (where a varint or a big-endian field gains a byte), with now and
+   then a negative count or width, which every writer must refuse the
+   same way. *)
+let rec gen_value shape =
+  QCheck.Gen.(
+    let edge = map2 (fun k d -> (1 lsl k) + d) (int_range 0 62) (int_range (-1) 1) in
+    let nat =
+      frequency [ (6, gen_nat); (3, map (fun v -> v land max_int) edge); (1, int_range min_int (-1)) ]
+    in
+    match shape with
+    | U8 -> map (fun n -> Num n) (int_range (-300) 300)
+    | Varint | Uint_be -> map (fun n -> Num n) nat
+    | Int ->
+      map (fun n -> Num n) (oneof [ map Int64.to_int int64; small_signed_int; edge; map Int.neg edge ])
+    | Bytes -> map (fun s -> Str s) (string_size (int_bound 24))
+    | List s | Array s -> map (fun vs -> Seq vs) (list_size (int_bound 5) (gen_value s)))
+
+let gen_fields =
+  QCheck.Gen.(
+    list_size (int_range 1 6) (gen_shape >>= fun s -> map (fun v -> (s, v)) (gen_value s)))
+
+(* The oracle's bytes for the fields (random bytes when it refuses
+   them), then one of: as they are, cut short, bytes overwritten, an
+   oversized length or a 9- or 10-byte varint spliced in, or random. *)
+let gen_input fields =
+  QCheck.Gen.(
+    let bytes =
+      match Ref.encode fields with Ok s -> return s | Error _ -> string_size (int_bound 40)
+    in
+    bytes >>= fun s ->
+    let n = String.length s in
+    let at = int_bound n in
+    let splice piece = map (fun i -> String.sub s 0 i ^ piece ^ String.sub s i (n - i)) at in
+    let long_varint k =
+      map
+        (fun tail -> String.make (k - 1) '\xff' ^ String.make 1 (Char.chr tail))
+        (oneofl [ 0x00; 0x01; 0x3f; 0x40; 0x7f; 0x80; 0xff ])
+    in
+    frequency
+      [
+        (3, return s);
+        (3, map (fun i -> String.sub s 0 i) at);
+        ( 3,
+          map2
+            (fun i c ->
+              if n = 0 then s
+              else String.mapi (fun j x -> if j = i mod n then Char.chr c else x) s)
+            (int_bound 1000) (int_bound 255) );
+        (2, splice "\xff\xff\xff\xff\xff\xff\xff\xff\x3f");
+        (2, splice "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01");
+        (2, long_varint 9 >>= splice);
+        (2, long_varint 10 >>= splice);
+        (1, string_size (int_bound 40));
+      ])
+
+let print_fields fields =
+  String.concat "; "
+    (List.map
+       (fun (_, v) ->
+         let rec pv = function
+           | Num n -> string_of_int n
+           | Str s -> Printf.sprintf "%S" s
+           | Seq vs -> "[" ^ String.concat "," (List.map pv vs) ^ "]"
+         in
+         pv v)
+       fields)
+
+let wire_writer_is_oracle =
+  qtest ~long_factor:20 "writer writes the oracle's bytes"
+    (QCheck.make ~print:print_fields gen_fields)
+    (fun fields ->
+      let got = New.encode fields in
+      (* the same bytes behind a held-back header, which fills in place *)
+      let framed =
+        match
+          let w = Wire.writer_after 4 in
+          List.iter (fun (s, v) -> New.write w s v) fields;
+          (Wire.contents w, Wire.size w, Wire.contents_with_header w "HDR!")
+        with
+        | c, size, whole -> Ok (c, size, whole)
+        | exception e -> Error (Printexc.to_string e)
+      in
+      got = Ref.encode fields
+      &&
+      match (got, framed) with
+      | Ok s, Ok (c, size, whole) -> c = s && size = String.length s && whole = "HDR!" ^ s
+      | Error e, Error e' -> e = e'
+      | _ -> false)
+
+let wire_reader_is_oracle =
+  let gen =
+    QCheck.Gen.(gen_fields >>= fun fields -> map (fun s -> (fields, s)) (gen_input fields))
+  in
+  qtest ~long_factor:20
+    "reader reads what the oracle reads, fails where it fails, stops where it stops"
+    (QCheck.make ~print:(fun (f, s) -> print_fields f ^ " <- " ^ Hex.encode s) gen)
+    (fun (fields, input) ->
+      let shapes = List.map fst fields in
+      New.decode shapes input = Ref.decode shapes input)
+
+(* Every value where a field gains a byte, written both ways *)
+let test_wire_edges_are_oracle () =
+  for k = 0 to 62 do
+    for d = -1 to 1 do
+      let v = (1 lsl k) + d in
+      let fields =
+        [
+          (Int, Num v);
+          (Int, Num (-v));
+          (Varint, Num (v land max_int));
+          (Uint_be, Num (v land max_int));
+        ]
+      in
+      check
+        Alcotest.(result string string)
+        (Printf.sprintf "2^%d%+d" k d) (Ref.encode fields) (New.encode fields)
+    done
+  done
+
+let test_wire_header_length () =
+  Alcotest.check_raises "header must fill the held-back bytes"
+    (Invalid_argument "Wire.contents_with_header") (fun () ->
+      ignore (Wire.contents_with_header (Wire.writer_after 4) "abc"))
+
 (* ------------------------------ Pvec -------------------------------- *)
 
 let test_pvec_basics () =
@@ -265,6 +482,26 @@ let test_pvec_bounds () =
       ignore (Pvec.get v 1));
   Alcotest.check_raises "empty" (Invalid_argument "Pvec.of_array: empty") (fun () ->
       ignore (Pvec.of_array [||]))
+
+let pvec_map_range =
+  qtest ~long_factor:20 "map_range = List.init over get, every lo..hi"
+    QCheck.(array_of_size Gen.(int_range 1 70) small_nat)
+    (fun a ->
+      let n = Array.length a in
+      let v = Pvec.of_array a in
+      let ok = ref true in
+      for lo = 0 to n do
+        for hi = lo - 1 to n - 1 do
+          let expect = List.init (hi - lo + 1) (fun k -> Pvec.get v (lo + k) * 3) in
+          if Pvec.map_range v ~lo ~hi (fun x -> x * 3) <> expect then ok := false
+        done
+      done;
+      let refused lo hi =
+        match Pvec.map_range v ~lo ~hi Fun.id with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      !ok && refused (-1) 0 && refused 0 n && Pvec.map_range v ~lo:n ~hi:(n - 1) Fun.id = [])
 
 let pvec_model =
   qtest ~count:300 "pvec behaves like an array"
@@ -426,12 +663,17 @@ let () =
           Alcotest.test_case "huge length is truncated" `Quick test_wire_huge_length;
           wire_uint_be_roundtrip;
           Alcotest.test_case "uint_be too wide" `Quick test_wire_uint_be_too_wide;
+          wire_writer_is_oracle;
+          Alcotest.test_case "byte-count edges = oracle" `Quick test_wire_edges_are_oracle;
+          wire_reader_is_oracle;
+          Alcotest.test_case "header length checked" `Quick test_wire_header_length;
         ] );
       ( "pvec",
         [
           Alcotest.test_case "basics" `Quick test_pvec_basics;
           Alcotest.test_case "set persistent" `Quick test_pvec_set_persistent;
           Alcotest.test_case "bounds" `Quick test_pvec_bounds;
+          pvec_map_range;
           pvec_model;
         ] );
       ( "histogram",
