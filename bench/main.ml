@@ -1058,6 +1058,24 @@ let micro_tests () =
     Protocol.encode_reply w hot_reply;
     Aqv_util.Wire.contents w
   in
+  (* a ~150-record range reply under a real signature, for the warm
+     client row *)
+  let range_one = Ifmh.build ~scheme:Ifmh.One_signature hot_table kp in
+  let range_q =
+    let l, u =
+      Workload.range_for_result_size hot_table ~x:xh ~size:(min 150 (Table.size hot_table))
+    in
+    Query.range ~x:xh ~l ~u
+  in
+  let range_resp = Server.answer range_one range_q in
+  let warm_verifier table q resp =
+    let warm = verifier_for kp table in
+    (* a ctx's first verification runs memo-free; the second fills it *)
+    for _ = 1 to 2 do
+      if not (Client.accepts warm q resp) then failwith "warm verifier: reply rejected"
+    done;
+    fun () -> Client.verify warm q resp
+  in
   let fns = Table.functions hot_table in
   let sa = Aqv_num.Linfun.eval fns.(0) xh and sb = Aqv_num.Linfun.eval fns.(1) xh in
   let hot_record = Table.record hot_table 0 in
@@ -1080,13 +1098,9 @@ let micro_tests () =
       (Staged.stage (fun () ->
            Client.verify (verifier_for kp small_table) small_q small_resp));
     Test.make ~name:"client-verify-top3-warm"
-      (Staged.stage
-         (let warm = verifier_for kp small_table in
-          (* a ctx's first verification runs memo-free; the second fills it *)
-          for _ = 1 to 2 do
-            ignore (Client.verify warm small_q small_resp)
-          done;
-          fun () -> Client.verify warm small_q small_resp));
+      (Staged.stage (warm_verifier small_table small_q small_resp));
+    Test.make ~name:"client-verify-range-warm"
+      (Staged.stage (warm_verifier hot_table range_q range_resp));
     Test.make ~name:"q-compare" (Staged.stage (fun () -> Q.compare sa sb));
     Test.make ~name:"q-add" (Staged.stage (fun () -> Q.add sa sb));
     Test.make ~name:"reply-encode-hot"

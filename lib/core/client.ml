@@ -6,37 +6,56 @@ module Mht = Aqv_merkle.Mht
 module Record = Aqv_db.Record
 module Template = Aqv_db.Template
 
-(* A verifier's memo of the two pure hash functions it calls most.
-   Every entry maps a value to its digest, under a key that fixes the
-   hashed input exactly:
-   - records by id, and an entry answers only a record [Record.equal] to
-     the one it was computed from — equal records encode, hence hash,
-     identically;
-   - FMH interior nodes by the bytes [l ^ r], the whole of what
+(* A verifier's memo of the two pure hash functions it calls most: one
+   fixed array of slots per function, each slot an immutable entry that
+   carries the whole input its digest was computed from.
+   - A record digest sits at [id land slot_mask] and answers only a
+     record [Record.equal] to its own: equal records encode, hence hash,
+     identically.
+   - An FMH interior node hash sits at a slot read off bytes of its two
+     children and answers only the same [l] and [r], the whole of what
      [Mht.node_hash] hashes after its constant tag.
    So a hit returns exactly the digest a fresh computation would, and no
-   accept/reject decision can depend on what is cached. A table is
-   flushed when full; one mutex because client threads share a ctx. *)
+   accept/reject decision can depend on what is cached; a colliding
+   entry replaces the old one. An empty slot is a constant constructor,
+   which no lookup matches. Client threads and domains share a ctx
+   without a lock: a slot changes by one store of a whole entry, so a
+   racing reader sees an old entry or a new one, each checked in full. *)
+type record_entry = No_record | Rec of { id : int; record : Record.t; digest : string }
+type node_entry = No_node | Node of { l : string; r : string; hash : string }
+
+type tables = { records : record_entry array; nodes : node_entry array }
+
+(* A ctx's first verification runs memo-free, exactly as a one-shot
+   client's does (Fig. 7), so the tables appear with its second: a
+   client that verifies once never allocates them. *)
+type phase = Unused | Used_once | Warm of tables
+
 type memo = {
-  mu : Mutex.t;
-  records : (int, Record.t * string) Hashtbl.t;
-  nodes : (string, string) Hashtbl.t;
-  mutable record_hits : int;
-  mutable record_misses : int;
-  mutable node_hits : int;
-  mutable node_misses : int;
-  used : bool Atomic.t;  (** a verification has run with this memo *)
+  phase : phase Atomic.t;
+  record_hits : int Atomic.t;
+  record_misses : int Atomic.t;
+  node_hits : int Atomic.t;
+  node_misses : int Atomic.t;
 }
 
-(* entries per table *)
-let memo_capacity = 1 lsl 16
+(* slots per array *)
+let slots = 1 lsl 16
+let slot_mask = slots - 1
+
+(* A node's slot mixes two bytes of each child. SHA-256 output is
+   uniform, so any bytes do; a child shorter than a digest (a forged
+   proof entry) skips the memo rather than read past its end. *)
+let digest_bytes = 32
+let node_slot l r = String.get_uint16_le l 0 lxor String.get_uint16_le r 2
 
 (* What one verification computed. It reaches the memo only if the
    verification accepts, so the memo holds authenticated data alone: a
-   forged reply, rejected, neither grows nor evicts it. *)
+   forged reply, rejected, neither adds nor evicts an entry. *)
 type fresh = {
-  mutable fresh_records : (int * (Record.t * string)) list;
-  mutable fresh_nodes : (string * string) list;
+  tables : tables;
+  mutable fresh_records : record_entry list;
+  mutable fresh_nodes : node_entry list;
 }
 
 type ctx = {
@@ -53,88 +72,73 @@ type ctx = {
 let make_ctx ~template ~domain ~verify_signature =
   let memo =
     {
-      mu = Mutex.create ();
-      records = Hashtbl.create 64;
-      nodes = Hashtbl.create 64;
-      record_hits = 0;
-      record_misses = 0;
-      node_hits = 0;
-      node_misses = 0;
-      used = Atomic.make false;
+      phase = Atomic.make Unused;
+      record_hits = Atomic.make 0;
+      record_misses = Atomic.make 0;
+      node_hits = Atomic.make 0;
+      node_misses = Atomic.make 0;
     }
   in
   { template; domain; verify_signature; min_epoch = 0; memo; fresh = None }
 
-let publish memo fresh =
-  let store tbl entries =
-    List.iter
-      (fun (key, v) ->
-        if Hashtbl.length tbl >= memo_capacity && not (Hashtbl.mem tbl key) then
-          Hashtbl.reset tbl;
-        Hashtbl.replace tbl key v)
-      (List.rev entries)
-  in
-  Mutex.protect memo.mu (fun () ->
-      store memo.records fresh.fresh_records;
-      store memo.nodes fresh.fresh_nodes)
+(* [None] for a ctx's first verification, the shared tables after it *)
+let rec tables memo =
+  match Atomic.get memo.phase with
+  | Warm tables -> Some tables
+  | Unused -> if Atomic.compare_and_set memo.phase Unused Used_once then None else tables memo
+  | Used_once ->
+    let t = { records = Array.make slots No_record; nodes = Array.make slots No_node } in
+    ignore (Atomic.compare_and_set memo.phase Used_once (Warm t));
+    tables memo
 
-(* A ctx's first verification runs memo-free, exactly as a one-shot
-   client's does (Fig. 7); later ones look up what accepted ones before
-   them computed. *)
+let publish fresh =
+  let { records; nodes } = fresh.tables in
+  List.iter
+    (function Rec e as entry -> records.(e.id land slot_mask) <- entry | No_record -> ())
+    fresh.fresh_records;
+  List.iter
+    (function Node e as entry -> nodes.(node_slot e.l e.r) <- entry | No_node -> ())
+    fresh.fresh_nodes
+
 let with_memo ctx f =
-  if (not (Atomic.get ctx.memo.used)) && not (Atomic.exchange ctx.memo.used true) then
-    f ctx
-  else
-    let fresh = { fresh_records = []; fresh_nodes = [] } in
+  match tables ctx.memo with
+  | None -> f ctx
+  | Some tables ->
+    let fresh = { tables; fresh_records = []; fresh_nodes = [] } in
     let result = f { ctx with fresh = Some fresh } in
-    if Result.is_ok result then publish ctx.memo fresh;
+    if Result.is_ok result then publish fresh;
     result
 
-(* Lookups lock; hashing runs outside the lock, so threads sharing a
-   ctx hash in parallel. *)
 let record_digest ctx r =
   match ctx.fresh with
   | None -> Record.digest r
   | Some fresh -> (
     let m = ctx.memo and id = Record.id r in
-    let cached =
-      Mutex.protect m.mu (fun () ->
-          match Hashtbl.find_opt m.records id with
-          | Some (r', d) when Record.equal r r' ->
-            m.record_hits <- m.record_hits + 1;
-            Some d
-          | _ ->
-            m.record_misses <- m.record_misses + 1;
-            None)
-    in
-    match cached with
-    | Some d -> d
-    | None ->
-      let d = Record.digest r in
-      fresh.fresh_records <- (id, (r, d)) :: fresh.fresh_records;
-      d)
+    match fresh.tables.records.(id land slot_mask) with
+    | Rec e when e.id = id && Record.equal e.record r ->
+      Atomic.incr m.record_hits;
+      e.digest
+    | _ ->
+      Atomic.incr m.record_misses;
+      let digest = Record.digest r in
+      fresh.fresh_records <- Rec { id; record = r; digest } :: fresh.fresh_records;
+      digest)
 
 let node_hash ctx l r =
   match ctx.fresh with
   | None -> Mht.node_hash l r
   | Some fresh -> (
-    let m = ctx.memo and key = l ^ r in
-    let cached =
-      Mutex.protect m.mu (fun () ->
-          match Hashtbl.find_opt m.nodes key with
-          | Some h ->
-            m.node_hits <- m.node_hits + 1;
-            Some h
-          | None ->
-            m.node_misses <- m.node_misses + 1;
-            None)
-    in
-    match cached with
-    | Some h -> h
-    | None ->
-      let h = Mht.node_hash l r in
-      fresh.fresh_nodes <- (key, h) :: fresh.fresh_nodes;
-      h)
+    let m = ctx.memo in
+    let short = String.length l < digest_bytes || String.length r < digest_bytes in
+    match if short then No_node else fresh.tables.nodes.(node_slot l r) with
+    | Node e when String.equal e.l l && String.equal e.r r ->
+      Atomic.incr m.node_hits;
+      e.hash
+    | _ ->
+      Atomic.incr m.node_misses;
+      let hash = Mht.node_hash l r in
+      if not short then fresh.fresh_nodes <- Node { l; r; hash } :: fresh.fresh_nodes;
+      hash)
 
 type memo_counters = {
   record_hits : int;
@@ -145,13 +149,12 @@ type memo_counters = {
 
 let memo_counters ctx =
   let m = ctx.memo in
-  Mutex.protect m.mu (fun () ->
-      {
-        record_hits = m.record_hits;
-        record_misses = m.record_misses;
-        node_hits = m.node_hits;
-        node_misses = m.node_misses;
-      })
+  {
+    record_hits = Atomic.get m.record_hits;
+    record_misses = Atomic.get m.record_misses;
+    node_hits = Atomic.get m.node_hits;
+    node_misses = Atomic.get m.node_misses;
+  }
 
 let min_epoch ctx = ctx.min_epoch
 let template ctx = ctx.template
@@ -178,6 +181,16 @@ let boundary_digest ctx = function
   | Vo.Max_sentinel -> Record.max_sentinel_digest
   | Vo.Boundary_record r -> record_digest ctx r
 
+(* The side of the intersection of [rp]'s and [rq]'s functions that [x]
+   lies on; a tie counts as above. *)
+let side_at ctx ~x rp rq =
+  let diff =
+    match (Template.apply ctx.template rp, Template.apply ctx.template rq) with
+    | fp, fq -> Linfun.sub fp fq
+    | exception Invalid_argument _ -> raise (Reject Malformed)
+  in
+  if Q.sign (Linfun.eval diff x) >= 0 then Halfspace.Above else Halfspace.Below
+
 (* Verify the subdomain part against a reconstructed FMH root: route or
    constraint checks at [x], then the owner's signature over the scheme's
    digest. Shared with the batch and count verifiers. *)
@@ -187,21 +200,7 @@ let check_subdomain_proof ctx ~x ~fmh_root ~n_leaves ~epoch subdomain ~signature
     let root_hash =
       List.fold_left
         (fun h (s : Vo.path_step) ->
-          let fp =
-            match Template.apply ctx.template s.Vo.rp with
-            | f -> f
-            | exception Invalid_argument _ -> raise (Reject Malformed)
-          in
-          let fq =
-            match Template.apply ctx.template s.Vo.rq with
-            | f -> f
-            | exception Invalid_argument _ -> raise (Reject Malformed)
-          in
-          let diff = Linfun.sub fp fq in
-          let expected =
-            if Q.sign (Linfun.eval diff x) >= 0 then Halfspace.Above else Halfspace.Below
-          in
-          guard (expected = s.Vo.taken) Wrong_subdomain;
+          guard (side_at ctx ~x s.Vo.rp s.Vo.rq = s.Vo.taken) Wrong_subdomain;
           let rp_digest = record_digest ctx s.Vo.rp and rq_digest = record_digest ctx s.Vo.rq in
           match s.Vo.taken with
           | Halfspace.Above ->
@@ -216,20 +215,7 @@ let check_subdomain_proof ctx ~x ~fmh_root ~n_leaves ~epoch subdomain ~signature
          signature)
       Bad_signature
   | Vo.Multi_sig_constraints cons ->
-    List.iter
-      (fun (rp, rq, side) ->
-        let diff =
-          match (Template.apply ctx.template rp, Template.apply ctx.template rq) with
-          | fp, fq -> Linfun.sub fp fq
-          | exception Invalid_argument _ -> raise (Reject Malformed)
-        in
-        let holds =
-          match side with
-          | Halfspace.Above -> Q.sign (Linfun.eval diff x) >= 0
-          | Halfspace.Below -> Q.sign (Linfun.eval diff x) < 0
-        in
-        guard holds Wrong_subdomain)
-      cons;
+    List.iter (fun (rp, rq, side) -> guard (side_at ctx ~x rp rq = side) Wrong_subdomain) cons;
     let cons_digests =
       List.map
         (fun (rp, rq, side) -> (record_digest ctx rp, record_digest ctx rq, side))

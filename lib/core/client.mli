@@ -87,24 +87,28 @@ val boundary_digest : ctx -> Vo.boundary -> string
 (** {1 Digest memo}
 
     Each ctx — and every ctx derived from it by {!with_min_epoch} —
-    shares a bounded memo of record digests (keyed by record id, a hit
-    only for a record {!Aqv_db.Record.equal} to the cached one) and FMH
-    interior node hashes (keyed by the exact hashed bytes). A hit
-    returns exactly what a fresh computation would, so no decision
-    depends on the memo; it only spares the hashing of records and
-    subtrees an earlier verification already hashed. Only accepted
-    verifications add to it, so it holds authenticated data alone. The
-    memo is thread-safe and flushes a table when it is full. *)
+    shares a memo of record digests and FMH interior node hashes: two
+    fixed arrays of 2{^16} slots, each slot an immutable entry holding
+    the whole input its digest was computed from. A record entry sits
+    at its id's low bits and hits only for a record
+    {!Aqv_db.Record.equal} to its own; a node entry sits at a slot read
+    off its two child digests and hits only for the same two children.
+    A hit returns exactly what a fresh computation would, so no decision
+    depends on the memo; a colliding entry replaces the old one, and a
+    child shorter than a digest skips the memo. Only accepted
+    verifications add to it, so it holds authenticated data alone.
+    Threads and domains sharing a ctx use it without a lock. *)
 
 val with_memo : ctx -> (ctx -> ('a, 'e) result) -> ('a, 'e) result
 (** [with_memo ctx f] runs one verification [f] with the memo. A ctx's
-    first verification runs memo-free, so a one-shot client hashes and
-    times exactly as the paper's user does. Later ones look up what
-    earlier accepted verifications computed, and publish what they
-    compute only if [f] returns [Ok]: a rejected reply leaves the memo
-    as it was. {!verify} and {!verify_rank} each run in one, as do
-    {!Aqv_baseline.Batch} and {!Count}; outside it, {!window_root},
-    {!check_subdomain_proof} and {!boundary_digest} hash afresh. *)
+    first verification runs memo-free and allocates no slots, so a
+    one-shot client hashes and times exactly as the paper's user does.
+    Later ones look up what earlier accepted verifications computed,
+    and publish what they compute only if [f] returns [Ok]: a rejected
+    reply leaves the memo as it was. {!verify} and {!verify_rank} each
+    run in one, as do {!Aqv_baseline.Batch} and {!Count}; outside it,
+    {!window_root}, {!check_subdomain_proof} and {!boundary_digest}
+    hash afresh. *)
 
 type memo_counters = {
   record_hits : int;
@@ -114,7 +118,8 @@ type memo_counters = {
 }
 
 val memo_counters : ctx -> memo_counters
-(** Lookups this ctx's memo has answered since {!make_ctx}. *)
+(** Lookups this ctx's memo has answered since {!make_ctx}; a child
+    too short to look up counts as a node miss. *)
 
 val min_epoch : ctx -> int
 val template : ctx -> Aqv_db.Template.t

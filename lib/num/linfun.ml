@@ -12,11 +12,7 @@ let const t = t.const
 
 let eval t x =
   if Array.length x <> Array.length t.coeffs then invalid_arg "Linfun.eval: dimension";
-  let acc = ref t.const in
-  for i = 0 to Array.length x - 1 do
-    if Q.sign t.coeffs.(i) <> 0 then acc := Q.add !acc (Q.mul t.coeffs.(i) x.(i))
-  done;
-  !acc
+  Q.affine t.const t.coeffs x
 
 let sub a b =
   if dim a <> dim b then invalid_arg "Linfun.sub: dimension";

@@ -153,6 +153,31 @@ let average a b =
     let ad = den a and bd = den b in
     big (B.add (B.mul (num a) bd) (B.mul (num b) ad)) (B.mul B.two (B.mul ad bd))
 
+(* [b + a.(0) * x.(0) + ...] over one running native fraction [num/den],
+   unreduced until the end: a term over the running denominator is one
+   add, any other one cross-multiply, both within the bounds above. Past
+   a bound, or at a [Bigint] operand, the terms left are added one
+   [mul] and [add] at a time. *)
+let affine b a x =
+  let len = Array.length a in
+  let rec fold acc i =
+    if i = len then acc
+    else fold (if sign a.(i) = 0 then acc else add acc (mul a.(i) x.(i))) (i + 1)
+  in
+  let rec native num den i =
+    if i = len then reduce num den
+    else
+      match (a.(i), x.(i)) with
+      | I { n = 0; _ }, _ -> native num den (i + 1)
+      | I p, I q when below lim31 p.n p.d q.n q.d ->
+        let tn = p.n * q.n and td = p.d * q.d in
+        if td = den && Stdlib.abs num lor Stdlib.abs tn < lim61 then native (num + tn) den (i + 1)
+        else if below lim30 num den tn td then native ((num * td) + (tn * den)) (den * td) (i + 1)
+        else fold (reduce num den) i
+      | _ -> fold (reduce num den) i
+  in
+  match b with I { n; d } -> native n d 0 | Z _ -> fold b 0
+
 let encode w = function
   | I { n; d } ->
     W.u8 w (if n < 0 then 1 else 0);

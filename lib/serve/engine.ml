@@ -97,9 +97,10 @@ let swap_index t index' =
 exception Fault_closed
 
 (* A reply leaves its writer once, already framed: the cache stores the
-   frame and a hit is one write of it. *)
-let encode_reply_frame reply =
-  let w = Frame_io.writer () in
+   frame and a hit is one write of it. A session encodes every reply
+   into its one writer, which keeps the buffer its largest reply grew. *)
+let encode_reply_frame w reply =
+  Wire.reset w;
   Protocol.encode_reply w reply;
   Frame_io.framed w
 
@@ -221,25 +222,26 @@ let install_snapshot t index' =
 type action = Reply of string | Handoff of { from_epoch : int option }
 
 (* Compute (or fetch from cache) the framed reply for one raw request
-   payload. Get_stats bypasses the cache — its reply changes with every
-   request. Malformed payloads become Refused, uniformly for Failure
-   and Invalid_argument (Bytes/array bounds in decoders). *)
-let reply_bytes_for t payload =
+   payload, encoding into the session's writer [w]. Get_stats bypasses
+   the cache — its reply changes with every request. Malformed payloads
+   become Refused, uniformly for Failure and Invalid_argument
+   (Bytes/array bounds in decoders). *)
+let reply_bytes_for t w payload =
   match Protocol.decode_request (Wire.reader payload) with
   | exception (Failure msg | Invalid_argument msg) ->
     Stats.on_request t.stats `Malformed;
     Stats.on_refused t.stats;
-    Reply (encode_reply_frame (Protocol.Refused msg))
+    Reply (encode_reply_frame w (Protocol.Refused msg))
   | Protocol.Get_stats ->
     Stats.on_request t.stats `Stats;
-    Reply (encode_reply_frame (Protocol.Stats (Stats.to_assoc t.stats)))
+    Reply (encode_reply_frame w (Protocol.Stats (Stats.to_assoc t.stats)))
   | Protocol.Subscribe { from_epoch } -> (
     Stats.on_request t.stats `Subscribe;
     match t.config.publisher with
     | Some _ -> Handoff { from_epoch }
     | None ->
       Stats.on_refused t.stats;
-      Reply (encode_reply_frame (Protocol.Refused "Engine: replication not enabled")))
+      Reply (encode_reply_frame w (Protocol.Refused "Engine: replication not enabled")))
   | Protocol.Republish delta ->
     (* uncached, like Get_stats: a republish mutates serving state *)
     Stats.on_request t.stats `Republish;
@@ -255,7 +257,7 @@ let reply_bytes_for t payload =
           Stats.on_refused t.stats;
           Protocol.Refused msg
     in
-    Reply (encode_reply_frame reply)
+    Reply (encode_reply_frame w reply)
   | request ->
     Stats.on_request t.stats
       (match request with
@@ -278,7 +280,7 @@ let reply_bytes_for t payload =
       (match reply with
       | Protocol.Refused _ -> Stats.on_refused t.stats
       | _ -> ());
-      let frame = encode_reply_frame reply in
+      let frame = encode_reply_frame w reply in
       Cache.add t.cache key frame;
       Reply frame)
 
@@ -306,6 +308,7 @@ let send_reply t fd frame =
 
 let session t fd =
   Stats.conn_accepted t.stats;
+  let w = Frame_io.writer () in
   let rec loop () =
     match
       Frame_io.read_frame ~header_timeout:t.config.idle_timeout
@@ -315,7 +318,7 @@ let session t fd =
     | Some payload -> (
       Stats.add_bytes_in t.stats (String.length payload + 4);
       let t0 = now_us () in
-      let action = reply_bytes_for t payload in
+      let action = reply_bytes_for t w payload in
       Stats.observe_latency_us t.stats (now_us () - t0);
       match action with
       | Reply frame ->

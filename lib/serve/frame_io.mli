@@ -30,12 +30,13 @@ val write_frame : ?timeout:float -> Unix.file_descr -> string -> int
 val writer : unit -> Aqv_util.Wire.writer
 (** A {!Aqv_util.Wire} writer that holds back room for the frame
     header, so what is encoded into it leaves as a frame in one copy
-    ({!framed}). The engine encodes its replies this way and caches the
+    ({!framed}). An engine session encodes all its replies into one,
+    emptied by {!Aqv_util.Wire.reset} before each, and caches the
     framed strings. *)
 
 val framed : Aqv_util.Wire.writer -> string
 (** The on-wire form (4-byte header + payload) of what was written to
-    a {!writer}.
+    a {!writer}, as a copy: the writer can be reset and reused.
     @raise Failure if the payload exceeds the frame cap. *)
 
 val write_framed : ?timeout:float -> Unix.file_descr -> string -> int

@@ -7,6 +7,7 @@ let writer_after base = { buf = Bytes.create (256 + base); len = base; base }
 let writer () = writer_after 0
 let contents w = Bytes.sub_string w.buf w.base (w.len - w.base)
 let size w = w.len - w.base
+let reset w = w.len <- w.base
 
 let contents_with_header w header =
   if String.length header <> w.base then invalid_arg "Wire.contents_with_header";

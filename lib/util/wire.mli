@@ -35,6 +35,10 @@ val contents_with_header : writer -> string -> string
 val size : writer -> int
 (** The length of [contents]. *)
 
+val reset : writer -> unit
+(** Empties the writer for its next use: its buffer, grown to the
+    largest contents so far, and its held-back header stay. *)
+
 val u8 : writer -> int -> unit
 val varint : writer -> int -> unit
 (** Non-negative integer, LEB128. @raise Invalid_argument if negative. *)

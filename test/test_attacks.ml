@@ -1003,6 +1003,189 @@ let test_memo_threads () =
   check Alcotest.bool "the shared memo was hit" true
     ((Client.memo_counters shared).Client.node_hits > 0)
 
+(* The memo law in any order: a sequence of honest and mutated replies,
+   verified in turn on one ctx, is decided reply by reply as a fresh ctx
+   decides it. QCHECK_LONG=1 runs twenty times the count. *)
+let memo_pool =
+  lazy
+    (let t = Lazy.force table and rng = Prng.create 97L in
+     let pool =
+       List.concat_map
+         (fun index ->
+           let query, resp, mutants = decoded_mutants index in
+           let honest_replies =
+             List.init 8 (fun i ->
+                 let x = Workload.weight_point t rng in
+                 let l, u = Workload.range_for_result_size t ~x ~size:(2 + i) in
+                 let q = Query.range ~x ~l ~u in
+                 (q, Server.answer index q))
+           in
+           ((query, resp) :: honest_replies) @ List.map (fun m -> (query, m)) mutants)
+         [ Lazy.force index_one; Lazy.force index_multi ]
+       |> Array.of_list
+     in
+     (pool, Array.map (fun (q, r) -> decision (ctx ()) q r) pool))
+
+let memo_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~long_factor:20 ~name:"warm = fresh in any order"
+       QCheck.(list_of_size Gen.(int_range 1 60) (int_bound 1_000_000))
+       (fun picks ->
+         let pool, expected = Lazy.force memo_pool in
+         let c = ctx () in
+         List.for_all
+           (fun p ->
+             let i = p mod Array.length pool in
+             let q, r = pool.(i) in
+             String.equal expected.(i) (decision c q r))
+           picks))
+
+(* The memo has a fixed number of slots per array, a colliding entry
+   replacing the one before. A stream with more distinct entries than
+   slots: tables of parallel lines (one subdomain, so a build is a sort
+   and one signature), the ids of table [k] being [k * memo_slots + i],
+   so every table's records land in the slots of every other table's.
+   Each table gives a whole-list reply, a half-list range reply and
+   mutants of both: a dropped record, a same-id record, a flipped and a
+   short proof entry. *)
+let memo_slots = 1 lsl 16
+
+let overflow_stream =
+  lazy
+    (let t = Lazy.force table and kp = Lazy.force keypair in
+     let n = 1600 in
+     List.concat_map
+       (fun k ->
+         let records =
+           List.init n (fun i ->
+               Record.make ~id:((k * memo_slots) + i)
+                 ~attrs:[| Q.of_int 7; Q.of_int ((k * 10_000) + (3 * i)) |]
+                 ())
+         in
+         let tk = Table.make ~records ~template:(Table.template t) ~domain:(Table.domain t) in
+         let index = Ifmh.build ~scheme:Ifmh.One_signature tk kp in
+         let x = Workload.weight_point tk (Prng.create (Int64.of_int (500 + k))) in
+         let whole = Query.top_k ~x ~k:n in
+         let half =
+           let l, u = Workload.range_for_result_size tk ~x ~size:(n / 2) in
+           Query.range ~x ~l ~u
+         in
+         let rw = Server.answer index whole and rh = Server.answer index half in
+         let proof = rh.Server.vo.Vo.fmh_proof in
+         let with_proof p = with_vo rh { rh.Server.vo with Vo.fmh_proof = p } in
+         let flip s = String.mapi (fun i c -> if i = 5 then Char.chr (Char.code c lxor 1) else c) s in
+         [
+           (whole, rw);
+           (half, rh);
+           (whole, with_result rw (drop_nth 700 rw.Server.result));
+           ( whole,
+             with_result rw
+               (List.mapi
+                  (fun i r ->
+                    if i = 300 then
+                      Record.make ~id:(Record.id r) ~attrs:(Db_ref.record_attrs r) ~payload:"x" ()
+                    else r)
+                  rw.Server.result) );
+           (half, with_proof (flip (List.hd proof) :: List.tl proof));
+           (half, with_proof (String.sub (List.hd proof) 0 7 :: List.tl proof));
+         ])
+       (List.init 32 Fun.id)
+     |> Array.of_list)
+
+let test_memo_overflow () =
+  let stream = Lazy.force overflow_stream in
+  let expected = Array.map (fun (q, r) -> decision (ctx ()) q r) stream in
+  check Alcotest.bool "honest and forged replies" true
+    (Array.mem "accepted" expected && Array.exists (( <> ) "accepted") expected);
+  let shared = ctx () in
+  for pass = 1 to 2 do
+    Array.iteri
+      (fun i (q, r) ->
+        check Alcotest.string
+          (Printf.sprintf "pass %d reply %d" pass i)
+          expected.(i) (decision shared q r))
+      stream
+  done;
+  let c = Client.memo_counters shared in
+  check Alcotest.bool "more node inputs than slots" true (c.Client.node_misses > memo_slots);
+  check Alcotest.bool "the memo still hit" true (c.Client.node_hits > 0 && c.Client.record_hits > 0)
+
+(* The memo takes no lock: two domains verify the overflowing stream on
+   one ctx, each from its own offset, and every decision is a fresh
+   ctx's. *)
+let test_memo_domains () =
+  let stream = Lazy.force overflow_stream in
+  let n = Array.length stream in
+  let expected = Array.map (fun (q, r) -> decision (ctx ()) q r) stream in
+  let shared = ctx () in
+  let verifier k () =
+    Array.init n (fun i ->
+        let j = (i + (k * n / 2)) mod n in
+        let q, r = stream.(j) in
+        (j, decision shared q r))
+  in
+  let domains = List.init 2 (fun k -> Domain.spawn (verifier k)) in
+  List.iteri
+    (fun k d ->
+      Array.iter
+        (fun (j, got) ->
+          check Alcotest.string (Printf.sprintf "domain %d reply %d" k j) expected.(j) got)
+        (Domain.join d))
+    domains;
+  check Alcotest.bool "the shared memo was hit" true
+    ((Client.memo_counters shared).Client.node_hits > 0)
+
+(* An empty slot matches nothing, and an input too short to index a
+   slot skips the memo: proof entries of 0 to 31 bytes, on a warm ctx,
+   are decided as a fresh ctx decides them and miss every time; records
+   whose ids fall in empty slots, or in a filled slot under another id,
+   miss and get their own digest. *)
+let test_memo_empty_and_short index () =
+  let query, resp = honest index in
+  let warm = primed query resp in
+  let vo = resp.Server.vo in
+  let node_misses () = (Client.memo_counters warm).Client.node_misses in
+  List.iter
+    (fun len ->
+      let forged =
+        with_vo resp
+          { vo with Vo.fmh_proof = String.sub (List.hd vo.Vo.fmh_proof) 0 len :: List.tl vo.Vo.fmh_proof }
+      in
+      for _ = 1 to 2 do
+        let before = node_misses () in
+        check Alcotest.string
+          (Printf.sprintf "%d-byte proof entry: warm = fresh" len)
+          (decision (ctx ()) query forged) (decision warm query forged);
+        check Alcotest.bool (Printf.sprintf "%d-byte proof entry missed" len) true
+          (node_misses () > before)
+      done)
+    (List.init 32 Fun.id);
+  let r0 = List.hd resp.Server.result in
+  List.iter
+    (fun (name, r) ->
+      let counts () =
+        let c = Client.memo_counters warm in
+        (c.Client.record_hits, c.Client.record_misses)
+      in
+      let h0, m0 = counts () in
+      (* an [Error] result publishes nothing, so each probe sees the
+         warm memo as it was *)
+      let digest =
+        match Client.with_memo warm (fun c -> Error (Client.boundary_digest c (Vo.Boundary_record r))) with
+        | Error d -> d
+        | Ok () -> Alcotest.fail "unreachable"
+      in
+      check Alcotest.string (name ^ ": own digest") (Record.digest r) digest;
+      check Alcotest.(pair int int) (name ^ ": one miss, no hit") (h0, m0 + 1) (counts ()))
+    [
+      ("empty record, id 0", Record.make ~id:0 ~attrs:[||] ());
+      ("empty record, empty slot", Record.make ~id:(memo_slots - 1) ~attrs:[||] ());
+      ("max_int id", Record.make ~id:max_int ~attrs:[||] ());
+      ( "a cached record's twin, one slot over",
+        Record.make ~id:(Record.id r0 + memo_slots) ~attrs:(Db_ref.record_attrs r0)
+          ~payload:(Record.payload r0) () );
+    ]
+
 (* A record id whose 9th varint byte sets bit 62 used to decode as a
    negative int; re-encoding it for the digest then raised
    [Invalid_argument] out of [Client.verify]. The forged reply must end
@@ -1125,5 +1308,12 @@ let () =
             (test_memo_rejected_leaves_nothing (Lazy.force index_one));
           Alcotest.test_case "multi-sig forgery kept out" `Quick
             (test_memo_rejected_leaves_nothing (Lazy.force index_multi));
+          Alcotest.test_case "more entries than slots" `Quick test_memo_overflow;
+          Alcotest.test_case "two domains share one ctx" `Quick test_memo_domains;
+          Alcotest.test_case "one-sig short inputs" `Quick
+            (test_memo_empty_and_short (Lazy.force index_one));
+          Alcotest.test_case "multi-sig short inputs" `Quick
+            (test_memo_empty_and_short (Lazy.force index_multi));
+          memo_law;
         ] );
     ]

@@ -313,6 +313,59 @@ let linfun_sub_eval =
       let p = [| x; y |] in
       Q.equal (Linfun.eval (Linfun.sub f g) p) (Q.sub (Linfun.eval f p) (Linfun.eval g p)))
 
+(* [Linfun.eval] sums native terms over one denominator and reduces
+   once. It must give the value, in the same canonical form and with the
+   same bytes, that a fold of [Q.mul] and [Q.add] over the terms gives:
+   for I- and Z-form operands at the fast-path bounds, for weights over
+   one shared denominator (as [Workload.weight_point] draws them), and
+   for the functions both templates make of a record. *)
+let folded f x =
+  let acc = ref (Linfun.const f) in
+  Array.iteri (fun i xi -> acc := Q.add !acc (Q.mul (Linfun.coeff f i) xi)) x;
+  !acc
+
+let arb_eval_case =
+  let open QCheck.Gen in
+  let module Template = Aqv_db.Template in
+  let v =
+    frequency
+      [
+        (3, map fst gen_qr);
+        (2, gen_q);
+        (2, map (fun k -> Q.of_ints k 1009) (int_range (-3000) 3000));
+        (1, return Q.zero);
+      ]
+  in
+  let applied template attrs =
+    Template.apply template (Aqv_db.Record.make ~id:0 ~attrs:(Array.of_list attrs) ())
+  in
+  let case =
+    frequency
+      [
+        (2, map2 (fun attrs x -> (applied Template.affine_1d attrs, [ x ])) (list_repeat 2 v) v);
+        ( 2,
+          int_range 1 4 >>= fun d ->
+          map2
+            (fun attrs x -> (applied (Template.linear_weights ~dims:d) attrs, x))
+            (list_repeat d v) (list_repeat d v) );
+        ( 1,
+          int_range 0 4 >>= fun d ->
+          map3
+            (fun cs c x -> (Linfun.make ~coeffs:(Array.of_list cs) ~const:c, x))
+            (list_repeat d v) v (list_repeat d v) );
+      ]
+  in
+  QCheck.make
+    ~print:(fun (f, x) ->
+      Format.asprintf "%a at (%s)" Num_ref.linfun_pp f (String.concat ", " (List.map Q.to_string x)))
+    case
+
+let linfun_eval_fold =
+  qtest ~count:3000 "eval = term-by-term fold" arb_eval_case (fun (f, x) ->
+      let x = Array.of_list x in
+      let got = Linfun.eval f x and want = folded f x in
+      got = want && String.equal (q_encoded got) (q_encoded want))
+
 (* ----------------------------- simplex ------------------------------ *)
 
 let q = Q.of_int
@@ -657,6 +710,7 @@ let () =
           Alcotest.test_case "self difference" `Quick test_linfun_sub_zero;
           Alcotest.test_case "dimension mismatch" `Quick test_linfun_dim_mismatch;
           linfun_sub_eval;
+          linfun_eval_fold;
         ] );
       ( "simplex",
         [

@@ -373,6 +373,53 @@ let test_stats_and_cache_over_wire () =
             check Alcotest.bool "bytes out counted" true (get "bytes_out" > 0)
           | _ -> Alcotest.fail "expected Stats"))
 
+(* A session encodes every reply into one writer, reset per reply: each
+   reply, longer or shorter than the one before it, must be the bytes a
+   fresh writer gives. The cache is off, so every reply is encoded. *)
+let test_session_writer_reuse () =
+  let index = Lazy.force index and x = Lazy.force sample_x in
+  let encoded f v =
+    let w = Wire.writer () in
+    f w v;
+    Wire.contents w
+  in
+  let range size =
+    let l, u = Workload.range_for_result_size (Lazy.force table) ~x ~size in
+    Protocol.Run_query (Query.range ~x ~l ~u)
+  in
+  let asked request =
+    (encoded Protocol.encode_request request, Protocol.handle index request)
+  in
+  let junk =
+    match Protocol.decode_request (Wire.reader "\xff") with
+    | exception (Failure msg | Invalid_argument msg) -> ("\xff", Protocol.Refused msg)
+    | _ -> Alcotest.fail "junk tag decoded"
+  in
+  let exchanges =
+    [
+      asked (range 30);
+      asked (Protocol.Run_query (topk_query 2));
+      junk;
+      asked (range 12);
+      asked (Protocol.Run_rank { x; record_id = 5 });
+      asked (range 35);
+      asked (Protocol.Run_query (topk_query 1));
+      junk;
+    ]
+  in
+  with_engine ~config:{ Engine.default_config with Engine.cache_capacity = 0 } (fun _ port ->
+      Roundtrip.with_connection ~port (fun fd ->
+          List.iteri
+            (fun i (payload, reply) ->
+              ignore (Frame_io.write_frame fd payload);
+              match Frame_io.read_frame ~header_timeout:5. ~body_timeout:5. fd with
+              | Some got ->
+                check Alcotest.string
+                  (Printf.sprintf "reply %d = fresh encode" i)
+                  (encoded Protocol.encode_reply reply) got
+              | None -> Alcotest.fail "connection closed")
+            exchanges))
+
 let test_fault_injection_never_corrupts () =
   let faults =
     Faults.create ~seed:909L ~delay_permille:100 ~max_delay_ms:5
@@ -553,6 +600,7 @@ let () =
           Alcotest.test_case "fault injection never corrupts" `Quick
             test_fault_injection_never_corrupts;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
+          Alcotest.test_case "one writer per session" `Quick test_session_writer_reuse;
         ] );
       ( "hot-swap",
         [
