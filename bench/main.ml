@@ -1016,6 +1016,24 @@ let abl_build_scale () =
 
 (* ------------------------- bechamel micros -------------------------- *)
 
+(* A row whose every run needs an input no run has touched before: a
+   record, or a reply's records, whose bytes are not yet cached.
+   Bechamel hands every run of a sample the same resource, so these rows
+   are timed here: 101 batches of fresh inputs, each made outside the
+   clock and encoded under it ([start] runs first, untimed), and the
+   median time per input. Returns the thunk that prints the row. *)
+let fresh_row name ~batch ~make ~start run () =
+  let per_input =
+    Array.init 101 (fun _ ->
+        let inputs = Array.init batch (fun _ -> make ()) in
+        start ();
+        let t0 = Unix.gettimeofday () in
+        Array.iter run inputs;
+        (Unix.gettimeofday () -. t0) /. float_of_int batch)
+  in
+  Array.sort Float.compare per_input;
+  row "%-24s %14.0f ns/run\n%!" name (1e9 *. per_input.(50))
+
 let micro_tests () =
   let open Bechamel in
   let kp = Lazy.force rsa_keypair in
@@ -1079,7 +1097,15 @@ let micro_tests () =
   let fns = Table.functions hot_table in
   let sa = Aqv_num.Linfun.eval fns.(0) xh and sb = Aqv_num.Linfun.eval fns.(1) xh in
   let hot_record = Table.record hot_table 0 in
-  [
+  ignore (Aqv_db.Record.digest hot_record);
+  let fresh_record () =
+    Aqv_db.Record.make ~id:(Aqv_db.Record.id hot_record)
+      ~attrs:(Array.init (Aqv_db.Record.arity hot_record) (Aqv_db.Record.attr hot_record))
+      ~payload:(Aqv_db.Record.payload hot_record) ()
+  in
+  (* hot_reply as a client decodes it: the same bytes, no record filled *)
+  let cold_reply () = Protocol.decode_reply (Aqv_util.Wire.reader hot_bytes) in
+  ( [
     (* a run that does nothing: what the clock and the harness cost *)
     Test.make ~name:"floor" (Staged.stage (fun () -> ()));
     Test.make ~name:"pool-map-4k-seq"
@@ -1116,10 +1142,21 @@ let micro_tests () =
     Test.make_with_resource ~name:"wire-uint_be" Test.multiple
       ~allocate:Aqv_util.Wire.writer ~free:ignore
       (Staged.stage (fun w -> Aqv_util.Wire.uint_be w 0x1234_5678));
+    (* a record keeps its bytes after its first encode or digest: the
+       index's records (hot_record, hot_reply's) are filled by the build,
+       decoded and freshly made ones are not *)
     Test.make_with_resource ~name:"record-encode" Test.multiple
       ~allocate:Aqv_util.Wire.writer ~free:ignore
       (Staged.stage (fun w -> Aqv_db.Record.encode w hot_record));
-  ]
+  ],
+    let w = Aqv_util.Wire.writer () in
+    [
+      fresh_row "record-encode-fresh" ~batch:1000 ~make:fresh_record
+        ~start:(fun () -> Aqv_util.Wire.reset w)
+        (fun r -> Aqv_db.Record.encode w r);
+      fresh_row "reply-encode-cold" ~batch:20 ~make:cold_reply ~start:ignore (fun reply ->
+          Protocol.encode_reply (Aqv_util.Wire.writer ()) reply);
+    ] )
 
 let run_micros () =
   header "Micro-benchmarks (bechamel; ns/run, OLS on monotonic clock)";
@@ -1130,6 +1167,7 @@ let run_micros () =
      2 µs under every row. The "floor" row prints what is left. *)
   let cfg = Benchmark.cfg ~limit:500 ~stabilize:false ~quota:(Time.second 0.5) () in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
+  let tests, fresh_rows = micro_tests () in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances test in
@@ -1146,7 +1184,8 @@ let run_micros () =
             | _ -> row "%-24s %14s\n%!" name "n/a")
           | exception _ -> row "%-24s %14s\n%!" name "n/a")
         results)
-    (micro_tests ())
+    tests;
+  List.iter (fun print_row -> print_row ()) fresh_rows
 
 (* ------------------------------ driver ------------------------------ *)
 

@@ -354,7 +354,9 @@ let verify ~template ~domain ~verify_signature query (resp : response) =
        top-k/KNN answer must exhibit both sentinels *)
     let count = List.length resp.result in
     let n_for_semantics =
-      if vo.left = Vo.Min_sentinel && vo.right = Vo.Max_sentinel then count else max_int
+      match (vo.left, vo.right) with
+      | Vo.Min_sentinel, Vo.Max_sentinel -> count
+      | _ -> max_int
     in
     Semantics.check_window ~template ~x ~n:n_for_semantics ~query ~left:vo.left
       ~right:vo.right ~result:resp.result

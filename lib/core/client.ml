@@ -1,5 +1,4 @@
 module Q = Aqv_num.Rational
-module Linfun = Aqv_num.Linfun
 module Halfspace = Aqv_num.Halfspace
 module Domain = Aqv_num.Domain
 module Mht = Aqv_merkle.Mht
@@ -13,14 +12,20 @@ module Template = Aqv_db.Template
      record [Record.equal] to its own: equal records encode, hence hash,
      identically.
    - An FMH interior node hash sits at a slot read off bytes of its two
-     children and answers only the same [l] and [r], the whole of what
-     [Mht.node_hash] hashes after its constant tag.
+     children, or at the slot beside it (the two differ in the lowest
+     bit), and answers only the same [l] and [r], the whole of what
+     [Mht.node_hash] hashes after its constant tag. Two ways keep two
+     nodes of one reply that share a slot from evicting each other on
+     every publish.
    So a hit returns exactly the digest a fresh computation would, and no
    accept/reject decision can depend on what is cached; a colliding
-   entry replaces the old one. An empty slot is a constant constructor,
-   which no lookup matches. Client threads and domains share a ctx
-   without a lock: a slot changes by one store of a whole entry, so a
-   racing reader sees an old entry or a new one, each checked in full. *)
+   record replaces the old one, and a node fills an empty way of its
+   pair or else moves the entry at its slot to the other way. An empty
+   slot is a constant constructor, which no lookup matches. Client
+   threads and domains share a ctx without a lock: a slot changes by
+   one store of a whole entry, so a racing reader sees an old entry or
+   a new one, each checked in full (mid-move, an entry may show in both
+   ways or in neither: a duplicate or a miss, never a wrong hash). *)
 type record_entry = No_record | Rec of { id : int; record : Record.t; digest : string }
 type node_entry = No_node | Node of { l : string; r : string; hash : string }
 
@@ -91,13 +96,25 @@ let rec tables memo =
     ignore (Atomic.compare_and_set memo.phase Used_once (Warm t));
     tables memo
 
+(* A node goes to its slot [i] if that is empty, else to [i lxor 1] if
+   that is; with both full, the entry at [i] moves over and the node
+   takes [i], so the last two nodes published to a pair both stay. *)
+let publish_node nodes i entry =
+  let j = i lxor 1 in
+  match (nodes.(i), nodes.(j)) with
+  | No_node, _ -> nodes.(i) <- entry
+  | _, No_node -> nodes.(j) <- entry
+  | old, _ ->
+    nodes.(j) <- old;
+    nodes.(i) <- entry
+
 let publish fresh =
   let { records; nodes } = fresh.tables in
   List.iter
     (function Rec e as entry -> records.(e.id land slot_mask) <- entry | No_record -> ())
     fresh.fresh_records;
   List.iter
-    (function Node e as entry -> nodes.(node_slot e.l e.r) <- entry | No_node -> ())
+    (function Node e as entry -> publish_node nodes (node_slot e.l e.r) entry | No_node -> ())
     fresh.fresh_nodes
 
 let with_memo ctx f =
@@ -124,20 +141,31 @@ let record_digest ctx r =
       fresh.fresh_records <- Rec { id; record = r; digest } :: fresh.fresh_records;
       digest)
 
+(* the hash at slot [i] if its entry is the node [l], [r], else [""]
+   (a hash is never empty) *)
+let node_at nodes i l r =
+  match nodes.(i) with
+  | Node e when String.equal e.l l && String.equal e.r r -> e.hash
+  | _ -> ""
+
+let find_node nodes l r =
+  let i = node_slot l r in
+  match node_at nodes i l r with "" -> node_at nodes (i lxor 1) l r | hash -> hash
+
 let node_hash ctx l r =
   match ctx.fresh with
   | None -> Mht.node_hash l r
   | Some fresh -> (
     let m = ctx.memo in
     let short = String.length l < digest_bytes || String.length r < digest_bytes in
-    match if short then No_node else fresh.tables.nodes.(node_slot l r) with
-    | Node e when String.equal e.l l && String.equal e.r r ->
-      Atomic.incr m.node_hits;
-      e.hash
-    | _ ->
+    match if short then "" else find_node fresh.tables.nodes l r with
+    | "" ->
       Atomic.incr m.node_misses;
       let hash = Mht.node_hash l r in
       if not short then fresh.fresh_nodes <- Node { l; r; hash } :: fresh.fresh_nodes;
+      hash
+    | hash ->
+      Atomic.incr m.node_hits;
       hash)
 
 type memo_counters = {
@@ -184,12 +212,12 @@ let boundary_digest ctx = function
 (* The side of the intersection of [rp]'s and [rq]'s functions that [x]
    lies on; a tie counts as above. *)
 let side_at ctx ~x rp rq =
-  let diff =
-    match (Template.apply ctx.template rp, Template.apply ctx.template rq) with
-    | fp, fq -> Linfun.sub fp fq
+  let score r =
+    match Template.score ctx.template r x with
+    | s -> s
     | exception Invalid_argument _ -> raise (Reject Malformed)
   in
-  if Q.sign (Linfun.eval diff x) >= 0 then Halfspace.Above else Halfspace.Below
+  if Q.compare (score rp) (score rq) >= 0 then Halfspace.Above else Halfspace.Below
 
 (* Verify the subdomain part against a reconstructed FMH root: route or
    constraint checks at [x], then the owner's signature over the scheme's

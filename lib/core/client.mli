@@ -92,10 +92,13 @@ val boundary_digest : ctx -> Vo.boundary -> string
     the whole input its digest was computed from. A record entry sits
     at its id's low bits and hits only for a record
     {!Aqv_db.Record.equal} to its own; a node entry sits at a slot read
-    off its two child digests and hits only for the same two children.
-    A hit returns exactly what a fresh computation would, so no decision
-    depends on the memo; a colliding entry replaces the old one, and a
-    child shorter than a digest skips the memo. Only accepted
+    off its two child digests (bytes 0–1 of the left xor bytes 2–3 of
+    the right), or at the slot beside it, and hits only for the same two
+    children. A hit returns exactly what a fresh computation would, so
+    no decision depends on the memo. A colliding record replaces the old
+    one; a node fills an empty way of its pair of slots, or else moves
+    the entry at its own slot to the other way. A child shorter than a
+    digest skips the memo. Only accepted
     verifications add to it, so it holds authenticated data alone.
     Threads and domains sharing a ctx use it without a lock. *)
 

@@ -1,7 +1,6 @@
 module Q = Aqv_num.Rational
 module W = Aqv_util.Wire
 module Mht = Aqv_merkle.Mht
-module Linfun = Aqv_num.Linfun
 module Record = Aqv_db.Record
 module Template = Aqv_db.Template
 
@@ -82,8 +81,8 @@ let verify_memoized ctx ~x ~l ~u resp =
     let score_of = function
       | Vo.Min_sentinel | Vo.Max_sentinel -> None
       | Vo.Boundary_record r ->
-        (match Template.apply (Client.template ctx) r with
-        | f -> Some (Linfun.eval f x)
+        (match Template.score (Client.template ctx) r x with
+        | s -> Some s
         | exception Invalid_argument _ -> raise (Reject Malformed))
     in
     (* outer records strictly outside the range *)

@@ -26,6 +26,10 @@ let encode_bundle w b =
 let decode_bundle r =
   let template = Aqv_db.Template.decode r in
   let domain = Aqv_num.Domain.decode r in
+  (* a template that cannot score the domain's points would only show
+     later, as every reply rejected [Malformed] *)
+  if Aqv_db.Template.dim template <> Aqv_num.Domain.dim domain then
+    failwith "Protocol.decode_bundle: template and domain dimensions differ";
   let public = Signer.decode_public r in
   let epoch = W.read_varint r in
   { template; domain; public; epoch }

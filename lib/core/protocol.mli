@@ -19,7 +19,8 @@ type bundle = {
 val bundle_of_index : Ifmh.t -> Aqv_crypto.Signer.public -> bundle
 val encode_bundle : Aqv_util.Wire.writer -> bundle -> unit
 val decode_bundle : Aqv_util.Wire.reader -> bundle
-(** @raise Failure on malformed input. *)
+(** @raise Failure on malformed input, a template whose dimension is not
+    the domain's included. *)
 
 val client_ctx : bundle -> Client.ctx
 (** Verification context that also requires the bundle's epoch. *)

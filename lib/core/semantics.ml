@@ -1,5 +1,4 @@
 module Q = Aqv_num.Rational
-module Linfun = Aqv_num.Linfun
 module Template = Aqv_db.Template
 
 type rejection =
@@ -43,8 +42,8 @@ let dist_to y = function
 
 let check_window ~template ~x ~n ~query ~left ~right ~result =
   let score_of r =
-    match Template.apply template r with
-    | f -> Fin (Linfun.eval f x)
+    match Template.score template r x with
+    | s -> Fin s
     | exception Invalid_argument _ -> raise (Reject Malformed)
   in
   let count = List.length result in
@@ -80,8 +79,9 @@ let check_window ~template ~x ~n ~query ~left ~right ~result =
     guard (gt_fin right_score u) Boundary_violation
   | Query.Top_k { k; _ } ->
     guard (count = min k n) Count_mismatch;
-    guard (right = Vo.Max_sentinel) Boundary_violation;
-    if count = n then guard (left = Vo.Min_sentinel) Boundary_violation
+    guard (match right with Vo.Max_sentinel -> true | _ -> false) Boundary_violation;
+    if count = n then
+      guard (match left with Vo.Min_sentinel -> true | _ -> false) Boundary_violation
   | Query.Knn { k; y; _ } ->
     guard (count = min k n) Count_mismatch;
     let dmax =

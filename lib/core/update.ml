@@ -28,7 +28,7 @@ let apply_table changes table =
   let records =
     List.fold_left apply_one (Array.to_list (Table.records table)) changes
   in
-  if records = [] then invalid_arg "Update: change list empties the table";
+  if List.is_empty records then invalid_arg "Update: change list empties the table";
   Table.make ~records ~template:(Table.template table) ~domain:(Table.domain table)
 
 (* ----------------------------- compose ----------------------------- *)

@@ -1,16 +1,23 @@
 module Q = Aqv_num.Rational
 module W = Aqv_util.Wire
 
-type t = { id : int; attrs : Q.t array; payload : string }
+(* [bytes] is the canonical encoding of the other three fields, or [""]
+   until the first [encode] or [digest] fills it (an encoding is never
+   empty: it holds at least an id, a count and a payload length). *)
+type t = { id : int; attrs : Q.t array; payload : string; mutable bytes : string }
 
-let make ~id ~attrs ?(payload = "") () = { id; attrs = Array.copy attrs; payload }
+let make ~id ~attrs ?(payload = "") () = { id; attrs = Array.copy attrs; payload; bytes = "" }
 let id t = t.id
 let attr t i = t.attrs.(i)
 let arity t = Array.length t.attrs
 let payload t = t.payload
 
+let affine t ~const x =
+  if Array.length x > Array.length t.attrs then invalid_arg "Record.affine: arity";
+  Q.affine const t.attrs x
+
 let equal a b =
-  a.id = b.id && a.payload = b.payload
+  a.id = b.id && String.equal a.payload b.payload
   && Array.length a.attrs = Array.length b.attrs
   && Array.for_all2 Q.equal a.attrs b.attrs
 
@@ -20,24 +27,38 @@ let pp ppf t =
     (Array.to_list t.attrs)
     (if t.payload = "" then "" else " " ^ t.payload)
 
-let encode w t =
+(* Field by field, from the record's own fields: the bytes are canonical
+   by construction, whatever bytes the record was decoded from. *)
+let encode_fields t =
+  let w = W.writer () in
   W.varint w t.id;
   W.varint w (Array.length t.attrs);
   Array.iter (Q.encode w) t.attrs;
-  W.bytes w t.payload
+  W.bytes w t.payload;
+  W.contents w
+
+(* The field is read once: see the interface for why a racing fill is
+   harmless. *)
+let bytes t =
+  let b = t.bytes in
+  if String.length b > 0 then b
+  else begin
+    let b = encode_fields t in
+    t.bytes <- b;
+    b
+  end
+
+let encode w t = W.raw w (bytes t)
 
 let decode r =
   let id = W.read_varint r in
   let attrs = W.read_array r Q.decode in
   let payload = W.read_bytes r in
-  { id; attrs; payload }
+  { id; attrs; payload; bytes = "" }
 
 (* Domain-separation tags keep record commitments, the min sentinel and
    the max sentinel in disjoint digest spaces. *)
-let digest t =
-  let w = W.writer () in
-  encode w t;
-  Aqv_crypto.Sha256.digest_list [ "\x00"; W.contents w ]
+let digest t = Aqv_crypto.Sha256.digest_list [ "\x00"; bytes t ]
 
 let min_sentinel_digest = Aqv_crypto.Sha256.digest "\x01AQV_MIN"
 let max_sentinel_digest = Aqv_crypto.Sha256.digest "\x02AQV_MAX"

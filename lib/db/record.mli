@@ -4,7 +4,27 @@
     and an opaque payload (the rest of the tuple — name, address, ...).
     The authenticated structures commit to whole records through
     {!digest}; query results ship whole records so users can recompute
-    the commitments. *)
+    the commitments.
+
+    {b Cached bytes.} Both {!encode} and {!digest} are functions of the
+    record's canonical encoding, which never changes once the record
+    exists. A record keeps that encoding in one private field, empty
+    after {!make} and {!decode}; the first {!encode} or {!digest} fills
+    it from the record's own fields, never from the bytes it was decoded
+    from, so it is canonical by construction. Every later {!encode} is
+    one blit and every later {!digest} hashes the kept bytes: a record
+    held by the server's index is encoded once, not once per reply.
+    {!equal} and {!pp} ignore the field. Compare records with {!equal}
+    only: polymorphic [=], [compare] or [Hashtbl.hash] on a record, or
+    on a value that holds one, would read the field too.
+
+    Threads and domains share records without a lock. The field is read
+    once per call and written by one store of a whole, immutable string.
+    Two calls that race to fill it each encode the same fields and store
+    equal strings, and a racing reader sees either the empty field,
+    which it fills again, or one of those whole strings. So every call
+    returns the same bytes, whichever store it saw or lost. (A [Lazy.t]
+    would not do: forcing one from two domains at once raises.) *)
 
 type t
 
@@ -14,18 +34,31 @@ val attr : t -> int -> Aqv_num.Rational.t
 val arity : t -> int
 val payload : t -> string
 
+val affine : t -> const:Aqv_num.Rational.t -> Aqv_num.Rational.t array -> Aqv_num.Rational.t
+(** [affine r ~const x] is [const + attr r 0 * x.(0) + ... +
+    attr r (n-1) * x.(n-1)] for [n = Array.length x], read from the
+    attributes in place ({!Aqv_num.Rational.affine}); attributes past
+    [n] are not read. [Template.score] is built on it.
+    @raise Invalid_argument if [arity r < n]. *)
+
 val equal : t -> t -> bool
+(** Same id, attributes and payload; the cached bytes play no part. *)
+
 val pp : Format.formatter -> t -> unit
 
 val encode : Aqv_util.Wire.writer -> t -> unit
-(** Canonical encoding; input to {!digest}. *)
+(** Canonical encoding, the input to {!digest}: the id and the attribute
+    count as varints, each attribute ({!Aqv_num.Rational.encode}), then
+    the payload as a length-prefixed string. Written with one blit of
+    the cached bytes, filling them first if empty. *)
 
 val decode : Aqv_util.Wire.reader -> t
+(** A fresh record, its cached bytes empty: decoding costs no encode. *)
 
 val digest : t -> string
-(** The paper's [H(r_i)]: SHA-256 of the canonical encoding, with a
-    domain-separation tag distinguishing records from the [min]/[max]
-    sentinels. *)
+(** The paper's [H(r_i)]: SHA-256 of a domain-separation tag and the
+    canonical encoding (the cached bytes, filled first if empty), the
+    tag distinguishing records from the [min]/[max] sentinels. *)
 
 val min_sentinel_digest : string
 val max_sentinel_digest : string

@@ -25,6 +25,16 @@ let apply t r =
     need 2;
     Aqv_num.Linfun.make ~coeffs:[| Record.attr r 0 |] ~const:(Record.attr r 1)
 
+let score t r x =
+  if Array.length x <> dim t then invalid_arg "Template.score: dimension";
+  match t with
+  | Linear_weights d ->
+    if Record.arity r < d then invalid_arg "Template.score: record arity";
+    Record.affine r ~const:Q.zero x
+  | Affine_1d ->
+    if Record.arity r < 2 then invalid_arg "Template.score: record arity";
+    Record.affine r ~const:(Record.attr r 1) x
+
 let name = function
   | Linear_weights d -> Printf.sprintf "linear-weights(%d)" d
   | Affine_1d -> "affine-1d"
@@ -39,6 +49,9 @@ let encode w = function
 
 let decode r =
   match W.read_u8 r with
-  | 0 -> Linear_weights (W.read_varint r)
+  | 0 ->
+    let d = W.read_varint r in
+    if d < 1 then failwith "Template.decode: no dimensions";
+    Linear_weights d
   | 1 -> Affine_1d
   | _ -> failwith "Template.decode: bad tag"

@@ -23,7 +23,16 @@ val apply : t -> Record.t -> Aqv_num.Linfun.t
 (** Interpret a record as a function.
     @raise Invalid_argument if the record has too few attributes. *)
 
+val score : t -> Record.t -> Aqv_num.Rational.t array -> Aqv_num.Rational.t
+(** [score t r x] is [Linfun.eval (apply t r) x], read from the record's
+    attributes in place ({!Record.affine}): no function is built.
+    @raise Invalid_argument if the record has too few attributes or [x]
+    is not [dim t] long. *)
+
 val pp : Format.formatter -> t -> unit
 
 val encode : Aqv_util.Wire.writer -> t -> unit
+
 val decode : Aqv_util.Wire.reader -> t
+(** @raise Failure on a bad tag or a linear-weights template with no
+    dimensions. *)

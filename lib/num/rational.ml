@@ -159,7 +159,7 @@ let average a b =
    a bound, or at a [Bigint] operand, the terms left are added one
    [mul] and [add] at a time. *)
 let affine b a x =
-  let len = Array.length a in
+  let len = Array.length x in
   let rec fold acc i =
     if i = len then acc
     else fold (if sign a.(i) = 0 then acc else add acc (mul a.(i) x.(i))) (i + 1)

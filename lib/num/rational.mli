@@ -63,11 +63,12 @@ val average : t -> t -> t
 
 val affine : t -> t array -> t array -> t
 (** [affine b a x] is [b + a.(0) * x.(0) + ... + a.(n-1) * x.(n-1)] for
-    [n = Array.length a] ([x] must be at least as long). Native terms are
-    summed over one running denominator and reduced once, at the end,
-    within the bounds above; from the first term past a bound on, terms
-    go through {!mul} and {!add}. Either way the result is the one a
-    term-by-term fold gives. *)
+    [n = Array.length x]; [a] must be at least as long, and its entries
+    past [n] are not read. Native terms are summed over one running
+    denominator and reduced once, at the end, within the bounds above;
+    from the first term past a bound on, terms go through {!mul} and
+    {!add}. Either way the result is the one a term-by-term fold
+    gives. *)
 
 val encode : Aqv_util.Wire.writer -> t -> unit
 (** Canonical wire encoding: a sign byte (1 for negative, else 0), then

@@ -62,6 +62,12 @@ let bytes w s =
   Bytes.unsafe_blit_string s 0 w.buf pos n;
   w.len <- pos + n
 
+let raw w s =
+  let n = String.length s in
+  reserve w n;
+  Bytes.unsafe_blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
 (* the bytes of a non-negative int's minimal big-endian form, one for 0 *)
 let width v =
   if v < 0x100 then 1

@@ -49,6 +49,11 @@ val int : writer -> int -> unit
 val bytes : writer -> string -> unit
 (** Length-prefixed byte string. *)
 
+val raw : writer -> string -> unit
+(** The string's bytes as they are, with no length prefix: one blit.
+    For bytes that are already an encoding (a record's cached bytes,
+    see [Aqv_db.Record]). *)
+
 val uint_be : writer -> int -> unit
 (** Non-negative integer as a length-prefixed big-endian byte string:
     the minimal bytes of its magnitude, one zero byte for zero. The same

@@ -756,6 +756,38 @@ let test_replication_tampered_delta () =
     | Ok () -> Alcotest.fail "tampered delta produced an accepted answer"
     | Error _ -> ())
 
+(* A record too short for the template, or a query point of the wrong
+   dimension, ends in [Malformed], never in an escaping
+   [Invalid_argument]: in the subdomain proof, whose side tests run
+   before the signature is checked, and in the window re-check. *)
+let test_unscorable index () =
+  let query, resp = honest index in
+  let short r = Record.make ~id:(Record.id r) ~attrs:[| Record.attr r 0 |] () in
+  let vo = resp.Server.vo in
+  let subdomain =
+    match vo.Vo.subdomain with
+    | Vo.One_sig_path (s :: rest) -> Vo.One_sig_path ({ s with Vo.rp = short s.Vo.rp } :: rest)
+    | Vo.Multi_sig_constraints ((rp, rq, side) :: rest) ->
+      Vo.Multi_sig_constraints ((short rp, rq, side) :: rest)
+    | _ -> Alcotest.fail "the honest reply proves no side test"
+  in
+  expect_reject_as "short record in the subdomain proof" Client.Malformed query
+    (with_vo resp { vo with Vo.subdomain });
+  let window ~x result =
+    match
+      Semantics.check_window ~template:(Table.template (Lazy.force table)) ~x
+        ~n:(vo.Vo.n_leaves - 2) ~query ~left:vo.Vo.left ~right:vo.Vo.right ~result
+    with
+    | () -> "accepted"
+    | exception Semantics.Reject r -> Semantics.rejection_to_string r
+  in
+  let x = Query.x query and result = resp.Server.result in
+  let malformed = Semantics.rejection_to_string Semantics.Malformed in
+  check Alcotest.string "honest window" "accepted" (window ~x result);
+  check Alcotest.string "short record in the window" malformed
+    (window ~x (short (List.hd result) :: List.tl result));
+  check Alcotest.string "x of the wrong dimension" malformed (window ~x:(Array.append x x) result)
+
 (* ------------------------- client digest memo ----------------------- *)
 
 (* A ctx memoizes record digests and FMH node hashes across the replies
@@ -1186,6 +1218,58 @@ let test_memo_empty_and_short index () =
           ~payload:(Record.payload r0) () );
     ]
 
+(* Node entries live in pairs of slots, [i] and [i lxor 1], where [i]
+   mixes bytes 0-1 of the left child with bytes 2-3 of the right. Two
+   nodes of one window built to share [i] both stay: verifying the same
+   window again on a warm ctx hits every node. The window is the first
+   record of a two-record list: its leaves are the min sentinel, [r1]
+   and [r2], and its one proof entry, the max sentinel's place, is
+   chosen to put the node over [r2] and it at the slot of the node over
+   the min sentinel and [r1], and the root node outside that pair. *)
+let test_memo_two_way_nodes () =
+  let slot l r = String.get_uint16_le l 0 lxor String.get_uint16_le r 2 in
+  let r1 = Record.make ~id:1 ~attrs:[| Q.of_int 1; Q.of_int 2 |] ()
+  and r2 = Record.make ~id:2 ~attrs:[| Q.of_int 3; Q.of_int 4 |] () in
+  let l0 = Record.min_sentinel_digest and l1 = Record.digest r1 and l2 = Record.digest r2 in
+  let shared = slot l0 l1 in
+  let entry k =
+    let b = Bytes.make 32 '\x00' in
+    Bytes.set_uint16_le b 2 (shared lxor String.get_uint16_le l2 0);
+    Bytes.set_uint16_le b 4 k;
+    Bytes.to_string b
+  in
+  let node = Aqv_merkle.Mht.node_hash in
+  let root_of p = node (node l0 l1) (node l2 p) in
+  (* the root node in neither way of the shared pair *)
+  let p =
+    let rec find k =
+      let p = entry k in
+      if slot (node l0 l1) (node l2 p) lor 1 = shared lor 1 then find (k + 1) else p
+    in
+    find 0
+  in
+  check Alcotest.int "two nodes built to share a slot" (slot l0 l1) (slot l2 p);
+  let warm = ctx () in
+  let verify_window () =
+    Client.with_memo warm (fun c ->
+        Ok
+          (Client.window_root c ~n_leaves:4 ~window_lo:1 ~left:Vo.Min_sentinel ~result:[ r1 ]
+             ~right:(Vo.Boundary_record r2) ~fmh_proof:[ p ]))
+  in
+  let counts () =
+    let c = Client.memo_counters warm in
+    (c.Client.node_hits, c.Client.node_misses)
+  in
+  (* memo-free, then filling, then warm *)
+  for pass = 1 to 3 do
+    let hits, misses = counts () in
+    (match verify_window () with
+    | Ok root -> check Alcotest.string (Printf.sprintf "pass %d root" pass) (root_of p) root
+    | Error () -> Alcotest.fail "unreachable");
+    if pass = 3 then
+      check Alcotest.(pair int int) "every node hits on the warm pass" (hits + 3, misses) (counts ())
+  done
+
 (* A record id whose 9th varint byte sets bit 62 used to decode as a
    negative int; re-encoding it for the digest then raised
    [Invalid_argument] out of [Client.verify]. The forged reply must end
@@ -1228,6 +1312,8 @@ let () =
             (against_index "one-sig" (Lazy.force index_one));
           Alcotest.test_case "top-k count" `Quick (test_topk_count (Lazy.force index_one));
           Alcotest.test_case "knn shift" `Quick (test_knn_shift (Lazy.force index_one));
+          Alcotest.test_case "unscorable record or point" `Quick
+            (test_unscorable (Lazy.force index_one));
         ] );
       ( "ifmh-multi-signature",
         [
@@ -1235,6 +1321,8 @@ let () =
             (against_index "multi-sig" (Lazy.force index_multi));
           Alcotest.test_case "top-k count" `Quick (test_topk_count (Lazy.force index_multi));
           Alcotest.test_case "knn shift" `Quick (test_knn_shift (Lazy.force index_multi));
+          Alcotest.test_case "unscorable record or point" `Quick
+            (test_unscorable (Lazy.force index_multi));
         ] );
       ( "keys-and-domains",
         [
@@ -1315,5 +1403,6 @@ let () =
           Alcotest.test_case "multi-sig short inputs" `Quick
             (test_memo_empty_and_short (Lazy.force index_multi));
           memo_law;
+          Alcotest.test_case "two nodes sharing a slot both stay" `Quick test_memo_two_way_nodes;
         ] );
     ]

@@ -48,6 +48,165 @@ let test_sentinel_digests_distinct () =
     (not (String.equal (Record.digest r) Record.min_sentinel_digest)
     && not (String.equal (Record.digest r) Record.max_sentinel_digest))
 
+(* --------------------------- record bytes --------------------------- *)
+
+(* A record keeps its canonical encoding once the first [encode] or
+   [digest] has made it. Whatever state that cache is in, [encode] must
+   write the bytes the field-by-field oracle writes and [digest] must
+   hash them, and a decoded record must re-encode from its fields, not
+   from the bytes it came in. *)
+
+module W = Aqv_util.Wire
+module Z = Aqv_bigint.Bigint
+module Record_ref = Aqv_ref.Record_ref
+
+(* [long_factor] multiplies [count] under QCHECK_LONG=1 (CI's oracle
+   steps) *)
+let qtest ?(count = 500) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ?long_factor ~name gen prop)
+
+(* a non-zero integer of up to 51 decimal digits, either sign *)
+let gen_z =
+  QCheck.Gen.(
+    map3
+      (fun lead rest neg ->
+        let z = Z.of_string (string_of_int lead ^ rest) in
+        if neg then Z.neg z else z)
+      (int_range 1 9)
+      (string_size ~gen:numeral (int_bound 50))
+      bool)
+
+(* Attributes of every encoded shape: small fractions, values at the
+   native bounds, and numerators or denominators past a machine word *)
+let gen_attr =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map2 Q.of_ints (int_range (-1000) 1000) (int_range 1 1009));
+        (1, map Q.of_int (map Int64.to_int int64));
+        (1, oneofl [ Q.of_int max_int; Q.of_int min_int; Q.of_ints max_int (max_int - 1) ]);
+        (3, map2 Aqv_ref.Num_ref.q_of_bigints gen_z gen_z);
+      ])
+
+let gen_fields =
+  QCheck.Gen.(
+    triple
+      (oneof [ small_nat; map (fun v -> v land max_int) (map Int64.to_int int64) ])
+      (array_size (int_bound 6) gen_attr)
+      (string_size (int_bound 40)))
+
+let print_fields (id, attrs, payload) =
+  Printf.sprintf "#%d(%s) %S" id
+    (String.concat ", " (Array.to_list (Array.map Q.to_string attrs)))
+    payload
+
+let encoded r =
+  let w = W.writer () in
+  Record.encode w r;
+  W.contents w
+
+let record_bytes_are_oracle =
+  qtest ~long_factor:20 "encode writes the oracle's bytes, digest hashes them, in every cache state"
+    (QCheck.make ~print:print_fields gen_fields)
+    (fun (id, attrs, payload) ->
+      let fresh () = Record.make ~id ~attrs ~payload () in
+      let want = Record_ref.bytes (fresh ()) in
+      let digest = Aqv_crypto.Sha256.digest ("\x00" ^ want) in
+      (* empty, then filled by the encode before it *)
+      let r = fresh () in
+      let empty_then_filled = encoded r = want && encoded r = want && Record.digest r = digest in
+      (* filled by [digest] *)
+      let r = fresh () in
+      let after_digest = Record.digest r = digest && encoded r = want && Record.digest r = digest in
+      (* behind other bytes, a held-back header among them *)
+      let r = fresh () in
+      let appended =
+        let w = W.writer_after 2 in
+        W.varint w 300;
+        Record.encode w r;
+        Record.encode w r;
+        W.contents w = "\xac\x02" ^ want ^ want
+      in
+      (* decoded from the oracle's bytes: fresh, then filled *)
+      let r = Record.decode (W.reader want) in
+      let decoded = Record.digest r = digest && encoded r = want in
+      empty_then_filled && after_digest && appended && decoded)
+
+(* 1/2 as the wire may carry it: canonical, padded with a leading zero
+   byte, unreduced, and under a sign byte other than 0 or 1. A record
+   decoded from any of them encodes (and hashes) its fields' canonical
+   bytes, never the bytes it was decoded from. *)
+let test_record_bytes_not_received () =
+  let half_forms =
+    [
+      ("\x00", "\x01", "\x02");
+      ("\x00", "\x00\x01", "\x02");
+      ("\x00", "\x02", "\x04");
+      ("\x07", "\x01", "\x02");
+    ]
+  in
+  let canonical = Record_ref.bytes (Record.make ~id:5 ~attrs:[| Q.of_ints 1 2 |] ~payload:"p" ()) in
+  List.iteri
+    (fun i (sign, num, den) ->
+      let received =
+        let w = W.writer () in
+        W.varint w 5;
+        W.varint w 1;
+        W.raw w sign;
+        W.bytes w num;
+        W.bytes w den;
+        W.bytes w "p";
+        W.contents w
+      in
+      let r = Record.decode (W.reader received) in
+      check Alcotest.string (Printf.sprintf "form %d encodes canonically" i) canonical (encoded r);
+      check Alcotest.string (Printf.sprintf "form %d hashes canonically" i)
+        (Aqv_crypto.Sha256.digest ("\x00" ^ canonical))
+        (Record.digest r);
+      if i > 0 then
+        check Alcotest.bool (Printf.sprintf "form %d is not canonical" i) false
+          (String.equal received canonical))
+    half_forms
+
+(* Two domains encode the same fresh records at once, each filling
+   caches the other may be filling: both write the oracle's bytes. *)
+let test_record_bytes_domains () =
+  let rng = Random.State.make [| 0x5eed |] in
+  let fields = QCheck.Gen.generate ~rand:rng ~n:2000 gen_fields in
+  let records =
+    Array.of_list (List.map (fun (id, attrs, payload) -> Record.make ~id ~attrs ~payload ()) fields)
+  in
+  let want = Array.map Record_ref.bytes records in
+  let encoder () = Array.map (fun r -> (encoded r, Record.digest r)) records in
+  let a = Domain.spawn encoder and b = Domain.spawn encoder in
+  let a = Domain.join a and b = Domain.join b in
+  Array.iteri
+    (fun i want ->
+      let (ga, da), (gb, db) = (a.(i), b.(i)) in
+      check Alcotest.string (Printf.sprintf "record %d, domain a" i) want ga;
+      check Alcotest.string (Printf.sprintf "record %d, domain b" i) want gb;
+      check Alcotest.string (Printf.sprintf "record %d, digests" i) da db)
+    want
+
+(* [equal] reads the fields alone: a record with its bytes cached equals
+   one without, both ways, and a cache does not make unequal records
+   equal. *)
+let record_equal_ignores_cache =
+  qtest "equal does not depend on the cached bytes"
+    (QCheck.make ~print:(fun (a, b) -> print_fields a ^ " / " ^ print_fields b)
+       (QCheck.Gen.pair gen_fields gen_fields))
+    (fun ((id, attrs, payload), other) ->
+      let fresh (id, attrs, payload) = Record.make ~id ~attrs ~payload () in
+      let a = fresh (id, attrs, payload) and a' = fresh (id, attrs, payload) in
+      let b = fresh other in
+      let same = Record.equal a b in
+      ignore (Record.digest a);
+      ignore (encoded b);
+      Record.equal a a' && Record.equal a' a
+      && Record.equal a b = same
+      && Record.equal b a = same
+      && same = String.equal (Record_ref.bytes a) (Record_ref.bytes b))
+
 (* ----------------------------- template ----------------------------- *)
 
 let test_template_linear_weights () =
@@ -308,6 +467,13 @@ let () =
           Alcotest.test_case "wire roundtrip" `Quick test_record_roundtrip;
           Alcotest.test_case "digest sensitivity" `Quick test_record_digest_sensitivity;
           Alcotest.test_case "sentinels distinct" `Quick test_sentinel_digests_distinct;
+        ] );
+      ( "record bytes",
+        [
+          record_bytes_are_oracle;
+          Alcotest.test_case "never the received bytes" `Quick test_record_bytes_not_received;
+          Alcotest.test_case "two domains, one set of records" `Quick test_record_bytes_domains;
+          record_equal_ignores_cache;
         ] );
       ( "template",
         [

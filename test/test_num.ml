@@ -366,6 +366,46 @@ let linfun_eval_fold =
       let got = Linfun.eval f x and want = folded f x in
       got = want && String.equal (q_encoded got) (q_encoded want))
 
+(* [Template.score] reads a record's attributes in place; it must give
+   what evaluating the function [Template.apply] builds gives, value and
+   bytes, for both templates and for records with more attributes than
+   the template reads. *)
+let arb_score_case =
+  let open QCheck.Gen in
+  let module Template = Aqv_db.Template in
+  let v =
+    frequency
+      [
+        (3, map fst gen_qr);
+        (2, gen_q);
+        (2, map (fun k -> Q.of_ints k 1009) (int_range (-3000) 3000));
+        (1, return Q.zero);
+      ]
+  in
+  let case template need =
+    int_range 0 3 >>= fun extra ->
+    map2
+      (fun attrs x ->
+        (template, Aqv_db.Record.make ~id:0 ~attrs:(Array.of_list attrs) (), Array.of_list x))
+      (list_repeat (need + extra) v)
+      (list_repeat (Template.dim template) v)
+  in
+  QCheck.make
+    ~print:(fun (t, r, x) ->
+      Format.asprintf "%a on %a at (%s)" Template.pp t Aqv_db.Record.pp r
+        (String.concat ", " (Array.to_list (Array.map Q.to_string x))))
+    (frequency
+       [
+         (2, case Template.affine_1d 2);
+         (2, int_range 1 4 >>= fun d -> case (Template.linear_weights ~dims:d) d);
+       ])
+
+let template_score_is_eval =
+  qtest ~count:3000 "score = eval (apply ...)" arb_score_case (fun (t, r, x) ->
+      let module Template = Aqv_db.Template in
+      let got = Template.score t r x and want = Linfun.eval (Template.apply t r) x in
+      Q.equal got want && String.equal (q_encoded got) (q_encoded want))
+
 (* ----------------------------- simplex ------------------------------ *)
 
 let q = Q.of_int
@@ -711,6 +751,7 @@ let () =
           Alcotest.test_case "dimension mismatch" `Quick test_linfun_dim_mismatch;
           linfun_sub_eval;
           linfun_eval_fold;
+          template_score_is_eval;
         ] );
       ( "simplex",
         [

@@ -425,6 +425,23 @@ let wire_writer_is_oracle =
       | Error e, Error e' -> e = e'
       | _ -> false)
 
+(* [raw] appends a string's bytes as they are, after the oracle's
+   fields and across the writer's growth *)
+let wire_raw_appends =
+  qtest ~long_factor:20 "raw appends its bytes unprefixed"
+    (QCheck.make
+       ~print:(fun (f, s) -> print_fields f ^ " ++ " ^ Hex.encode s)
+       QCheck.Gen.(pair gen_fields (string_size (int_bound 2000))))
+    (fun (fields, s) ->
+      match Ref.encode fields with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok prefix ->
+        let w = Wire.writer_after 3 in
+        List.iter (fun (shape, v) -> New.write w shape v) fields;
+        Wire.raw w s;
+        Wire.raw w "";
+        Wire.contents w = prefix ^ s && Wire.size w = String.length prefix + String.length s)
+
 let wire_reader_is_oracle =
   let gen =
     QCheck.Gen.(gen_fields >>= fun fields -> map (fun s -> (fields, s)) (gen_input fields))
@@ -666,6 +683,7 @@ let () =
           wire_writer_is_oracle;
           Alcotest.test_case "byte-count edges = oracle" `Quick test_wire_edges_are_oracle;
           wire_reader_is_oracle;
+          wire_raw_appends;
           Alcotest.test_case "header length checked" `Quick test_wire_header_length;
         ] );
       ( "pvec",

@@ -73,6 +73,25 @@ let splice s ~sub ~by =
   let k = find 0 in
   String.sub s 0 k ^ by ^ String.sub s (k + n) (String.length s - k - n)
 
+(* A bundle whose template cannot score the domain's points: every
+   reply verified under it would be rejected [Malformed], so the bundle
+   itself must be refused. *)
+let unscorable_bundles =
+  let bundle () =
+    Protocol.bundle_of_index (Lazy.force index) (Lazy.force keypair).Signer.public
+  in
+  [
+    raises_failure "Template.decode linear-weights of no dimensions" (fun () ->
+        Template.decode (Aqv_util.Wire.reader "\x00\x00"));
+    raises_failure "Protocol.decode_bundle linear-weights of no dimensions" (fun () ->
+        let bytes = encoded Protocol.encode_bundle (bundle ()) in
+        let good = encoded Template.encode (bundle ()).Protocol.template in
+        Protocol.decode_bundle (Aqv_util.Wire.reader (splice bytes ~sub:good ~by:"\x00\x00")));
+    raises_failure "Protocol.decode_bundle template and domain dimensions differ" (fun () ->
+        let b = { (bundle ()) with Protocol.template = Template.linear_weights ~dims:2 } in
+        Protocol.decode_bundle (Aqv_util.Wire.reader (encoded Protocol.encode_bundle b)));
+  ]
+
 let decode_tests =
   let good_domain () = encoded Domain.encode (Table.domain (Lazy.force table)) in
   List.concat_map
@@ -92,6 +111,7 @@ let decode_tests =
             Ifmh.load (Aqv_util.Wire.reader (splice bytes ~sub:(good_domain ()) ~by:bad)));
       ])
     bad_domains
+  @ unscorable_bundles
 
 let () =
   Alcotest.run "aqv_validation"
