@@ -46,14 +46,14 @@
      aqv_net workload --spec workloads/smoke.json --json out.json
          declarative traffic model: expand the spec's seed-fixed query
          trace (zipfian hot-set popularity, mixed top-k/range/KNN,
-         open-loop republishes), replay it against the in-process
-         primary/follower/router rig, and gate on the spec's declared
-         SLOs — non-zero exit on any violation
+         open-loop republishes), replay it against a spawned `serve`
+         (plus `serve --follow` replicas and a `route` in front), and
+         gate on the spec's declared SLOs — non-zero exit on any violation
 
      aqv_net selftest
-         fork a server, run owner + client against it (including cache
-         and stats checks and a SIGTERM graceful-shutdown check), exit
-         non-zero on any failure
+         spawn a server, then followers and a router, and run owner +
+         client against them (cache, stats, crash recovery, failover,
+         SIGTERM drain), exit non-zero on any failure
 
    The server process never sees a private key; the user process never
    sees the database — only the owner's 100-odd-byte bundle. *)
@@ -368,67 +368,151 @@ let run_compact dir =
     Printf.printf "compacted %s: snapshot now at epoch %d (%d log frame(s) folded in)\n"
       dir recovery.Store.final_epoch frames
 
-(* -------------------------------- rig ------------------------------- *)
+(* ----------------------------- processes ---------------------------- *)
 
-(* Shared in-process serving rig: a primary engine (with a hub when
-   replicas > 1), follower engines tailing its delta stream, and an
-   epoch-aware router in front — the same topology `aqv_net selftest`
-   stands up out-of-process. [f ~engine ~primary_port ~port] runs the
-   load against the front door [port] (the router when replicas > 1,
-   the primary otherwise); once it returns, the rig is torn down in
-   dependency order and the router's per-replica request counts are
-   returned alongside [f]'s result. *)
-let with_rig ~index ~cache_capacity ~max_conns ~replicas f =
-  let engine_cfg accept_republish publisher =
-    {
-      Engine.default_config with
-      port = 0;
-      cache_capacity;
-      max_conns;
-      accept_republish;
-      publisher;
-    }
+(* [workload] and [selftest] stand their topology up one way: each role
+   is a child process running the real CLI command, via exec, not fork.
+   The OCaml 5 runtime forbids Unix.fork once any domain has been
+   spawned, and this process builds indexes through the parallel pool;
+   exec is also the honest test, since each child recovers its store
+   exactly like a production `aqv_net serve`. Ports come back via
+   --port-file. A child's stdout goes to our stderr, so our stdout
+   carries only our own report. *)
+
+(* A topology's temp dir (stores, port files) and its children not yet
+   reaped, newest first. *)
+type scratch = { base : string; mutable live : int list }
+
+type child = { pid : int; port : int }
+
+let loopback c = "127.0.0.1:" ^ string_of_int c.port
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* Wait for [pid] to exit, and SIGKILL it if it has not within 10 s (a
+   SIGTERM drain is bounded at 5 s). *)
+let reap pid =
+  let rec wait deadline =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait deadline
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.02;
+      wait deadline
+    | 0, _ ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      wait infinity
+    | _, status -> status
   in
-  let hub = if replicas > 1 then Some (Hub.create ~initial:index ()) else None in
-  let engine = Engine.create (engine_cfg true (Option.map Hub.publisher hub)) index in
-  let server = Thread.create Engine.serve engine in
-  let primary_port = Engine.port engine in
-  (* follower engines share the just-built index as their bootstrap
-     state (no store: the rig measures serving, not fsync) and tail the
-     primary like any out-of-process replica would *)
-  let follower_engines =
-    List.init (replicas - 1) (fun _ -> Engine.create (engine_cfg false None) index)
+  wait (Unix.gettimeofday () +. 10.)
+
+(* Signal child [pid] and reap it; the status says how it ended. *)
+let stop ?(signal = Sys.sigterm) sc pid =
+  sc.live <- List.filter (( <> ) pid) sc.live;
+  Unix.kill pid signal;
+  reap pid
+
+(* Run [f] on a fresh temp dir. However [f] ends, by a return or a
+   raise, every child still live gets SIGTERM and is reaped, and the
+   dir is removed. A caller that exits non-zero does so after
+   [with_scratch] returns: [exit] skips a [finally]. SIGINT and SIGTERM
+   raise, so they unwind through the cleanup too. SIGPIPE is ignored
+   so that a child that dies surfaces as EPIPE in the writer rather
+   than killing us before the cleanup. *)
+let with_scratch f =
+  let break _ = raise Sys.Break in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle break);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle break);
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sc = { base = Filename.temp_dir "aqv" "net"; live = [] } in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun pid -> ignore (stop sc pid)) sc.live;
+      rm_rf sc.base)
+    (fun () -> f sc)
+
+(* Spawn role [name] running [args] on an ephemeral port, and poll (no
+   fixed sleep) for the port it reports in the port file "port.<name>".
+   Recovering a large store rebuilds its whole structure (about 20 s
+   for read-heavy's 2 000 records), hence the long bound; a child that
+   exits first fails at once. *)
+let start sc name args =
+  let port_file = Filename.concat sc.base ("port." ^ name) in
+  (try Sys.remove port_file with Sys_error _ -> ());
+  flush stdout;
+  flush stderr;
+  let pid =
+    Unix.create_process Sys.executable_name
+      (Array.of_list
+         ((Filename.basename Sys.executable_name :: args)
+         @ [ "--port"; "0"; "--port-file"; port_file ]))
+      Unix.stdin Unix.stderr Unix.stderr
   in
-  let follower_servers = List.map (fun e -> Thread.create Engine.serve e) follower_engines in
+  sc.live <- pid :: sc.live;
+  let deadline = Unix.gettimeofday () +. 300. in
+  let rec poll () =
+    match int_of_string (String.trim (read_file port_file)) with
+    | port -> { pid; port }
+    | exception _ ->
+      if fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 then begin
+        sc.live <- List.filter (( <> ) pid) sc.live;
+        failwith ("aqv_net: " ^ name ^ " exited before publishing its port")
+      end
+      else if Unix.gettimeofday () > deadline then
+        failwith ("aqv_net: " ^ name ^ " published no port in 300 s")
+      else begin
+        Unix.sleepf 0.02;
+        poll ()
+      end
+  in
+  poll ()
+
+(* `serve` over the store dir [name] in the scratch dir; a replica of
+   [follow] when given. *)
+let start_serve ?follow ?(args = []) sc name =
+  start sc name
+    ([ "serve"; "--dir"; Filename.concat sc.base name ]
+    @ (match follow with Some p -> [ "--follow"; loopback p ] | None -> [])
+    @ args)
+
+(* One counter of a server's in-band stats; -1 when it is absent or the
+   server cannot be reached. *)
+let gauge port key =
+  match Roundtrip.call ~port Protocol.Get_stats with
+  | Protocol.Stats kvs -> Option.value (List.assoc_opt key kvs) ~default:(-1)
+  | _ | (exception _) -> -1
+
+(* Poll a server's gauge until [key] reaches [target]: how convergence
+   is awaited without fixed sleeps. *)
+let await_gauge port key target =
+  let deadline = Unix.gettimeofday () +. 20. in
+  let rec poll () =
+    if gauge port key >= target then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Unix.sleepf 0.05;
+      poll ()
+    end
+  in
+  poll ()
+
+(* [n] followers of [primary] (store dirs f1..fn), then a router in
+   front of the primary and them. [converged] says whether every
+   follower reached [epoch] before the router started. *)
+let start_replicas ?args sc ~primary ~epoch n =
   let followers =
-    List.map (fun e -> Follower.start ~engine:e ~port:primary_port ()) follower_engines
+    List.init n (fun i -> start_serve ?args ~follow:primary sc (Printf.sprintf "f%d" (i + 1)))
   in
+  let converged = List.for_all (fun f -> await_gauge f.port "epoch" epoch) followers in
   let router =
-    if replicas > 1 then
-      Some
-        (Router.create ~poll_interval:0.1
-           ~replicas:
-             (List.map
-                (fun p -> (Unix.inet_addr_loopback, p))
-                (primary_port :: List.map Engine.port follower_engines))
-           ())
-    else None
+    start sc "router"
+      [ "route"; "--replicas"; String.concat "," (List.map loopback (primary :: followers)) ]
   in
-  let router_server = Option.map (fun r -> Thread.create Router.serve r) router in
-  let port = match router with Some r -> Router.port r | None -> primary_port in
-  let result = f ~engine ~primary_port ~port in
-  let replica_counts =
-    match router with Some r -> Router.counts r | None -> []
-  in
-  Option.iter Router.stop router;
-  Option.iter Thread.join router_server;
-  List.iter Follower.stop followers;
-  Option.iter Hub.stop hub;
-  List.iter Engine.stop follower_engines;
-  Engine.stop engine;
-  Thread.join server;
-  List.iter Thread.join follower_servers;
-  (result, replica_counts)
+  (followers, router, converged)
 
 (* One republish, one connection, one verdict. The connection is opened
    only once the delta is ready: an owner-side [Ifmh.apply] can outlast
@@ -456,10 +540,12 @@ let send_republish ~primary_port ~repub_hist ~repub_failures delta =
 
 (* Declarative traffic-model runner: load a [Spec.t], expand its
    bit-reproducible trace (hot set, zipfian per-client op streams,
-   republish contents — all fixed by the spec seed), replay it against
-   the in-process rig, and gate the measured numbers on the spec's
-   declared SLOs. Exit 2 on a bad spec, 1 on an SLO violation or a
-   verification failure, 0 when the gate passes.
+   republish contents — all fixed by the spec seed), publish the
+   spec's index to a temp store, spawn a primary `serve` on it (with
+   followers and a router in front when the spec asks for replicas),
+   replay the trace against the front door, and gate the measured
+   numbers on the spec's declared SLOs. Exit 2 on a bad spec, 1 on an
+   SLO violation or a verification failure, 0 when the gate passes.
 
    The JSON report keeps every wall-clock-dependent number inside the
    "measured" object and the per-bound "actual" fields; everything else
@@ -499,7 +585,7 @@ let run_workload spec_path replicas_override seed_override json_path =
   let ctx = Protocol.client_ctx bundle in
   let trace = Workload.Trace.generate spec table in
   (* The owner's side of every republish is fixed by the trace, so it
-     runs here, before the rig and the timed window: [Ifmh.apply]
+     runs here, before the servers and the timed window: [Ifmh.apply]
      re-signs every leaf, and a republisher computing it in the window
      held every reader behind the owner's signing. The republisher only
      sends; [send_republish] times send-to-ack. *)
@@ -517,13 +603,25 @@ let run_workload spec_path replicas_override seed_override json_path =
   let repub_hist = Histogram.create () in
   let repub_failures = ref 0 in
   let hists = Array.make spec.Spec.clients (Histogram.create ()) in
-  let wall = ref 0. in
-  let engine, replica_counts =
-    with_rig ~index ~cache_capacity:256 ~max_conns:(spec.Spec.clients + 8)
-      ~replicas:spec.Spec.replicas (fun ~engine ~primary_port ~port ->
+  let wall, deltas_shipped, replica_counts =
+    with_scratch (fun sc ->
+        ignore (publish_to (Filename.concat sc.base "primary") index keypair);
+        let args = [ "--max-conns"; string_of_int (spec.Spec.clients + 8) ] in
+        let primary = start_serve ~args sc "primary" in
+        (* the front door: the router when replicas > 1, the primary
+           otherwise; [replicas] is what the router spreads reads over *)
+        let port, replicas =
+          if spec.Spec.replicas = 1 then (primary.port, [])
+          else
+            let followers, router, converged =
+              start_replicas ~args sc ~primary ~epoch:1 (spec.Spec.replicas - 1)
+            in
+            if not converged then failwith "aqv_net: a follower never reached epoch 1";
+            (router.port, primary :: followers)
+        in
         (* replay client [i]'s pre-generated op stream; every reply is
            verified, every latency observed *)
-        let replay ~port i =
+        let replay i =
           let hist = Histogram.create () in
           Roundtrip.with_connection ~port (fun fd ->
               Array.iter
@@ -559,20 +657,20 @@ let run_workload spec_path replicas_override seed_override json_path =
               let due = t_start +. (float_of_int i /. rate) in
               let now = Unix.gettimeofday () in
               if due > now then Thread.delay (due -. now);
-              send_republish ~primary_port ~repub_hist ~repub_failures delta)
+              send_republish ~primary_port:primary.port ~repub_hist ~repub_failures delta)
             deltas
         in
         let t0 = Unix.gettimeofday () in
         let threads =
           List.init spec.Spec.clients (fun i ->
-              Thread.create (fun () -> hists.(i) <- replay ~port i) ())
+              Thread.create (fun () -> hists.(i) <- replay i) ())
         in
         let republisher =
           if spec.Spec.republishes > 0 then Some (Thread.create repub_thread ())
           else None
         in
         List.iter Thread.join threads;
-        wall := Unix.gettimeofday () -. t0;
+        let wall = Unix.gettimeofday () -. t0 in
         Option.iter Thread.join republisher;
         (* a republisher that died early can never fake a PASS: every
            scheduled update that was neither acked nor already counted
@@ -581,12 +679,12 @@ let run_workload spec_path replicas_override seed_override json_path =
           spec.Spec.republishes - Histogram.count repub_hist - !repub_failures
         in
         if missing > 0 then repub_failures := !repub_failures + missing;
-        engine)
+        ( wall,
+          gauge primary.port "deltas_shipped",
+          List.map (fun r -> (loopback r, gauge r.port "req_query")) replicas ))
   in
-  let wall = !wall in
   let hist = Array.fold_left Histogram.merge (Histogram.create ()) hists in
   let total = spec.Spec.clients * spec.Spec.requests_per_client in
-  let stats = Engine.stats engine in
   let measured =
     {
       Spec.throughput_rps = float_of_int total /. wall;
@@ -596,7 +694,9 @@ let run_workload spec_path replicas_override seed_override json_path =
     }
   in
   let violations = Spec.evaluate_slo spec.Spec.slo measured in
-  let all_failures = !failures + !repub_failures in
+  (* a client whose connection died (its server gone) leaves ops
+     unobserved; each is a failure, so a lost child cannot fake a PASS *)
+  let all_failures = !failures + !repub_failures + (total - Histogram.count hist) in
   let gate_ok = violations = [] && all_failures = 0 in
   (* one row per declared bound, violated or not, for the report *)
   let slo_rows =
@@ -683,7 +783,7 @@ let run_workload spec_path replicas_override seed_override json_path =
                       ("republished", jI (Histogram.count repub_hist));
                       ("republish_us_p50", jI (Histogram.percentile repub_hist 50));
                       ("republish_us_p99", jI (Histogram.percentile repub_hist 99));
-                      ("deltas_shipped", jI (Stats.get stats "deltas_shipped"));
+                      ("deltas_shipped", jI deltas_shipped);
                       ( "per_replica",
                         jO (List.map (fun (n, c) -> (n, jI c)) replica_counts) );
                       ("verify_failures", jI all_failures);
@@ -718,90 +818,12 @@ let run_workload spec_path replicas_override seed_override json_path =
 
 (* ------------------------------ selftest ---------------------------- *)
 
-(* Child processes run the real CLI commands via exec, not fork: the
-   OCaml 5 runtime forbids Unix.fork once any domain has been spawned,
-   and this process builds indexes through the parallel pool — exec is
-   also the honest test, since each child recovers its store exactly
-   like a production `aqv_net serve`. Ports come back via --port-file. *)
-let spawn args =
-  flush stdout;
-  flush stderr;
-  Unix.create_process Sys.executable_name
-    (Array.of_list (Filename.basename Sys.executable_name :: args))
-    Unix.stdin Unix.stdout Unix.stderr
-
-let spawn_serve ?follow dir port_file =
-  (try Sys.remove port_file with Sys_error _ -> ());
-  spawn
-    ([ "serve"; "--dir"; dir; "--port"; "0"; "--port-file"; port_file ]
-    @ match follow with
-      | Some port -> [ "--follow"; "127.0.0.1:" ^ string_of_int port ]
-      | None -> [])
-
-let spawn_route replica_ports port_file =
-  (try Sys.remove port_file with Sys_error _ -> ());
-  spawn
-    [
-      "route";
-      "--replicas";
-      String.concat ","
-        (List.map (fun p -> "127.0.0.1:" ^ string_of_int p) replica_ports);
-      "--port";
-      "0";
-      "--port-file";
-      port_file;
-    ]
-
-(* no fixed sleep: poll for the child's port file, bounded *)
-let await_port port_file =
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec poll () =
-    match int_of_string (String.trim (read_file port_file)) with
-    | port -> port
-    | exception _ ->
-      if Unix.gettimeofday () > deadline then
-        failwith "selftest: server never published its port"
-      else begin
-        Unix.sleepf 0.02;
-        poll ()
-      end
-  in
-  poll ()
-
-(* Poll a server's Get_stats until [key] reaches [target] — how the
-   selftest awaits follower convergence without fixed sleeps. *)
-let await_gauge ?(deadline_s = 20.) port key target =
-  let deadline = Unix.gettimeofday () +. deadline_s in
-  let rec poll () =
-    let v =
-      match Roundtrip.call ~port Protocol.Get_stats with
-      | Protocol.Stats kvs -> (
-        match List.assoc_opt key kvs with Some v -> v | None -> -1)
-      | _ | (exception _) -> -1
-    in
-    if v >= target then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf 0.05;
-      poll ()
-    end
-  in
-  poll ()
-
-let run_selftest () =
-  setup_logging ();
-  let base = Filename.temp_file "aqv" "net" in
-  Sys.remove base;
-  Unix.mkdir base 0o755;
-  let dir = Filename.concat base "primary" in
-  Unix.mkdir dir 0o755;
+let selftest sc =
+  let dir = Filename.concat sc.base "primary" in
   let keypair, index = build_index 60 42 Ifmh.Multi_signature 1 in
   let _bundle_bytes = publish_to dir index keypair in
   Printf.printf "published: 60 records, multi-signature, epoch 1 -> %s\n" dir;
-  flush stdout;
-  let port_file = Filename.concat base "port.primary" in
-  let pid = spawn_serve dir port_file in
-  let port = await_port port_file in
+  let primary = start_serve sc "primary" in
   let bundle =
     Protocol.decode_bundle (Wire.reader (read_file (Filename.concat dir "bundle.bin")))
   in
@@ -814,7 +836,7 @@ let run_selftest () =
       Printf.printf "  %-32s FAILED\n" label
   in
   (* Roundtrip retries until the freshly bound server accepts *)
-  let ask request = Roundtrip.call ~port request in
+  let ask request = Roundtrip.call ~port:primary.port request in
   let x = [| Q.of_decimal "0.37" |] in
   (* top-k over the wire — twice, so the second hit comes from the
      response cache and must still verify bit-for-bit *)
@@ -851,15 +873,11 @@ let run_selftest () =
   | Protocol.Refused _ -> Printf.printf "  %-32s ok\n" "out-of-domain refused"
   | _ -> expect_verified "out-of-domain refused" false);
   (* in-band stats must reflect the workload above *)
-  (match ask Protocol.Get_stats with
-  | Protocol.Stats kvs ->
-    let get k = match List.assoc_opt k kvs with Some v -> v | None -> 0 in
-    expect_verified "stats: requests counted"
-      (get "req_query" >= 3 && get "req_rank" >= 1 && get "req_count" >= 1);
-    expect_verified "stats: cache hit+miss"
-      (get "cache_hits" >= 1 && get "cache_misses" >= 1);
-    expect_verified "stats: latency recorded" (get "latency_us_count" >= 5)
-  | _ -> expect_verified "stats over TCP" false);
+  let get k = gauge primary.port k in
+  expect_verified "stats: requests counted"
+    (get "req_query" >= 3 && get "req_rank" >= 1 && get "req_count" >= 1);
+  expect_verified "stats: cache hit+miss" (get "cache_hits" >= 1 && get "cache_misses" >= 1);
+  expect_verified "stats: latency recorded" (get "latency_us_count" >= 5);
   (* durability: republish epoch 2, confirm it hit the log, then kill
      the server without mercy and restart from the store — recovery
      must land on the acked epoch, and the client insists on it *)
@@ -870,38 +888,22 @@ let run_selftest () =
   (match ask (Protocol.Republish (Ifmh.delta ~changes index2)) with
   | Protocol.Republished 2 -> Printf.printf "  %-32s ok\n" "republish acked (epoch 2)"
   | _ -> expect_verified "republish acked (epoch 2)" false);
-  (match ask Protocol.Get_stats with
-  | Protocol.Stats kvs ->
-    let get k = match List.assoc_opt k kvs with Some v -> v | None -> 0 in
-    expect_verified "stats: delta logged before ack" (get "log_appends" >= 1)
-  | _ -> expect_verified "stats: delta logged before ack" false);
-  Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
-  let pid2 = spawn_serve dir port_file in
-  let port2 = await_port port_file in
+  expect_verified "stats: delta logged before ack" (get "log_appends" >= 1);
+  ignore (stop ~signal:Sys.sigkill sc primary.pid);
+  let primary2 = start_serve sc "primary" in
+  let port2 = primary2.port in
   let ask2 request = Roundtrip.call ~port:port2 request in
   let ctx2 = Client.with_min_epoch ctx 2 in
   (match ask2 (Protocol.Run_query q1) with
   | Protocol.Answer resp ->
     expect_verified "kill -9, restart: epoch 2 served" (Client.accepts ctx2 q1 resp)
   | _ -> expect_verified "kill -9, restart: epoch 2 served" false);
-  (match ask2 Protocol.Get_stats with
-  | Protocol.Stats kvs ->
-    let get k = match List.assoc_opt k kvs with Some v -> v | None -> 0 in
-    expect_verified "stats: recovery counted" (get "recoveries" = 1)
-  | _ -> expect_verified "stats: recovery counted" false);
+  expect_verified "stats: recovery counted" (gauge port2 "recoveries" = 1);
   (* --- replication topology: primary + two followers + router --- *)
-  let fdir1 = Filename.concat base "f1" and fdir2 = Filename.concat base "f2" in
-  let pf1 = Filename.concat base "port.f1" and pf2 = Filename.concat base "port.f2" in
-  let pidf1 = spawn_serve ~follow:port2 fdir1 pf1 in
-  let pidf2 = spawn_serve ~follow:port2 fdir2 pf2 in
-  let portf1 = await_port pf1 and portf2 = await_port pf2 in
-  expect_verified "followers bootstrapped (epoch 2)"
-    (await_gauge portf1 "epoch" 2 && await_gauge portf2 "epoch" 2);
-  let pfr = Filename.concat base "port.router" in
-  let pidr = spawn_route [ port2; portf1; portf2 ] pfr in
-  let portr = await_port pfr in
-  (match Roundtrip.call ~port:portr (Protocol.Run_query q1) with
+  let followers, router, converged = start_replicas sc ~primary:primary2 ~epoch:2 2 in
+  expect_verified "followers bootstrapped (epoch 2)" converged;
+  let f1 = List.nth followers 0 and f2 = List.nth followers 1 in
+  (match Roundtrip.call ~port:router.port (Protocol.Run_query q1) with
   | Protocol.Answer resp ->
     expect_verified "verified read via router" (Client.accepts ctx2 q1 resp)
   | _ -> expect_verified "verified read via router" false);
@@ -913,7 +915,7 @@ let run_selftest () =
     List.init 2 (fun _ ->
         Thread.create
           (fun () ->
-            Roundtrip.with_connection ~port:portr (fun fd ->
+            Roundtrip.with_connection ~port:router.port (fun fd ->
                 while not (Atomic.get load_stop) do
                   match Roundtrip.ask fd (Protocol.Run_query q1) with
                   | Protocol.Answer resp ->
@@ -946,7 +948,7 @@ let run_selftest () =
   expect_verified "routed reads verified under load"
     (!load_failures = 0 && !load_ok > 0);
   expect_verified "followers converged (epoch 5)"
-    (await_gauge portf1 "epoch" 5 && await_gauge portf2 "epoch" 5);
+    (await_gauge f1.port "epoch" 5 && await_gauge f2.port "epoch" 5);
   let ctx5 = Client.with_min_epoch ctx 5 in
   (* each follower serves the owner's epoch-5 index, verifiably *)
   List.iter
@@ -954,18 +956,17 @@ let run_selftest () =
       match Roundtrip.call ~port:p (Protocol.Run_query q1) with
       | Protocol.Answer resp -> expect_verified label (Client.accepts ctx5 q1 resp)
       | _ -> expect_verified label false)
-    [ ("follower 1 serves epoch 5", portf1); ("follower 2 serves epoch 5", portf2) ];
+    [ ("follower 1 serves epoch 5", f1.port); ("follower 2 serves epoch 5", f2.port) ];
   (* a replica must refuse wire republishes: only the stream mutates it *)
   (match
-     Roundtrip.call ~port:portf1
+     Roundtrip.call ~port:f1.port
        (Protocol.Republish (Ifmh.delta ~changes:[] !cur))
    with
   | Protocol.Refused _ -> Printf.printf "  %-32s ok\n" "replica refuses wire republish"
   | _ -> expect_verified "replica refuses wire republish" false);
   (* kill -9 one follower mid-topology: the router fails over, the
      primary keeps shipping, and a restart recovers + re-subscribes *)
-  Unix.kill pidf1 Sys.sigkill;
-  ignore (Unix.waitpid [] pidf1);
+  ignore (stop ~signal:Sys.sigkill sc f1.pid);
   let changes6 =
     [ Update.Modify (Record.make ~id:6 ~attrs:[| Q.of_int 66; Q.of_int 6 |] ()) ]
   in
@@ -981,40 +982,38 @@ let run_selftest () =
      legitimately route to the follower — whose correctly signed
      epoch-5 answer the min-epoch-6 client would reject. Once the
      follower actually serves 6, any routing choice verifies. *)
-  ignore (await_gauge portf2 "epoch" 6);
-  (match Roundtrip.call ~port:portr (Protocol.Run_query q1) with
+  ignore (await_gauge f2.port "epoch" 6);
+  (match Roundtrip.call ~port:router.port (Protocol.Run_query q1) with
   | Protocol.Answer resp ->
     expect_verified "router fails over dead follower" (Client.accepts ctx6 q1 resp)
   | _ -> expect_verified "router fails over dead follower" false);
-  let pidf1' = spawn_serve ~follow:port2 fdir1 pf1 in
-  let portf1' = await_port pf1 in
+  let f1' = start_serve ~follow:primary2 sc "f1" in
   expect_verified "killed follower recovers + catches up (epoch 6)"
-    (await_gauge portf1' "epoch" 6);
-  (match Roundtrip.call ~port:portf1' (Protocol.Run_query q1) with
+    (await_gauge f1'.port "epoch" 6);
+  (match Roundtrip.call ~port:f1'.port (Protocol.Run_query q1) with
   | Protocol.Answer resp ->
     expect_verified "restarted follower verifies" (Client.accepts ctx6 q1 resp)
   | _ -> expect_verified "restarted follower verifies" false);
-  (match ask2 Protocol.Get_stats with
-  | Protocol.Stats kvs ->
-    let get k = match List.assoc_opt k kvs with Some v -> v | None -> 0 in
-    expect_verified "stats: deltas shipped" (get "deltas_shipped" >= 4)
-  | _ -> expect_verified "stats: deltas shipped" false);
+  expect_verified "stats: deltas shipped" (gauge port2 "deltas_shipped" >= 4);
   (* graceful shutdown: SIGTERM must drain and exit 0, everywhere *)
-  let graceful label pid =
-    Unix.kill pid Sys.sigterm;
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> Printf.printf "  %-32s ok\n" label
+  let graceful label c =
+    match stop sc c.pid with
+    | Unix.WEXITED 0 -> Printf.printf "  %-32s ok\n" label
     | _ -> expect_verified label false
   in
-  graceful "graceful shutdown: router" pidr;
-  graceful "graceful shutdown: follower 1" pidf1';
-  graceful "graceful shutdown: follower 2" pidf2;
-  graceful "graceful shutdown: primary" pid2;
-  if !failures = 0 then print_endline "selftest: ALL OK"
-  else begin
-    Printf.printf "selftest: %d failure(s)\n" !failures;
+  graceful "graceful shutdown: router" router;
+  graceful "graceful shutdown: follower 1" f1';
+  graceful "graceful shutdown: follower 2" f2;
+  graceful "graceful shutdown: primary" primary2;
+  !failures
+
+let run_selftest () =
+  setup_logging ();
+  match with_scratch selftest with
+  | 0 -> print_endline "selftest: ALL OK"
+  | failures ->
+    Printf.printf "selftest: %d failure(s)\n" failures;
     exit 1
-  end
 
 (* ----------------------------- cmdliner ----------------------------- *)
 
@@ -1180,8 +1179,8 @@ let workload_cmd =
   Cmd.v
     (Cmd.info "workload"
        ~doc:
-         "Run a declarative workload spec against the in-process rig and \
-          gate on its declared SLOs (non-zero exit on violation).")
+         "Run a declarative workload spec against spawned server processes \
+          and gate on its declared SLOs (non-zero exit on violation).")
     Term.(
       const run_workload $ spec_t $ workload_replicas_t $ workload_seed_t
       $ workload_json_t)

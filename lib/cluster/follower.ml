@@ -135,14 +135,16 @@ let start ?(host = Unix.inet_addr_loopback) ~engine ~port () =
   t
 
 let stop t =
-  let fd = locked t (fun () ->
+  (* Shutting the live socket down wakes a blocked read with EOF. Only
+     [tail_once] closes it: a close here would race that close, and the
+     second one could hit a number another thread has reused meanwhile.
+     [t.fd] is cleared under [mu] before that close, so holding [mu]
+     here keeps the number live while we shut it down. *)
+  locked t (fun () ->
       t.stopped <- true;
-      let fd = t.fd in
-      t.fd <- None;
-      fd)
-  in
-  (* closing the live fd interrupts a blocked read immediately *)
-  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fd;
+      Option.iter
+        (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+        t.fd);
   Option.iter Thread.join t.thread;
   t.thread <- None
 

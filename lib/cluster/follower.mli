@@ -27,7 +27,7 @@ val start : ?host:Unix.inet_addr -> engine:Aqv_serve.Engine.t -> port:int -> uni
     [accept_republish = false] so only this stream mutates it. *)
 
 val stop : t -> unit
-(** Close the live connection, stop the thread, join it. *)
+(** Shut the live connection down, stop the thread, join it. *)
 
 val bootstrap : ?host:Unix.inet_addr -> port:int -> unit -> Aqv.Ifmh.t
 (** One-shot full-state fetch for a follower with no local store:

@@ -168,8 +168,6 @@ let to_assoc t =
           (fun (b, c) -> (Printf.sprintf "latency_us_le_%d" b, c))
           (Histogram.buckets t.latency))
 
-let get t key = match List.assoc_opt key (to_assoc t) with Some v -> v | None -> 0
-
 let pp ppf t =
   locked t (fun () ->
       let requests =

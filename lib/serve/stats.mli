@@ -69,9 +69,5 @@ val to_assoc : t -> (string * int) list
     [latency_us_count], [latency_us_max], [latency_us_p50/p90/p99] and
     one [latency_us_le_<bound>] entry per non-empty bucket. *)
 
-val get : t -> string -> int
-(** [get t key] is the current value of one counter from {!to_assoc}
-    (0 if absent) — convenience for tests and in-process probes. *)
-
 val pp : Format.formatter -> t -> unit
 (** One-line summary for the periodic log. *)

@@ -35,6 +35,9 @@ open Aqv
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 let check = Alcotest.check
+
+(* one counter of an engine's stats, 0 if absent *)
+let stat s key = Option.value (List.assoc_opt key (Stats.to_assoc s)) ~default:0
 let hex = Aqv_util.Hex.encode
 
 (* Deterministic fake signer (see test_store.ml): signature identity is
@@ -226,7 +229,7 @@ let test_follower_identity (scheme, dims, seed) () =
             (fun () ->
               check Alcotest.bool "follower connected" true
                 (await 10. (fun () ->
-                     Stats.get (Engine.stats primary.n_engine) "followers_connected"
+                     stat (Engine.stats primary.n_engine) "followers_connected"
                      = 1));
               let tbl = ref table and index = ref index1 in
               for step = 1 to steps do
@@ -249,9 +252,9 @@ let test_follower_identity (scheme, dims, seed) () =
                   (hex (node_image follower))
               done;
               check Alcotest.int "deltas shipped" steps
-                (Stats.get (Engine.stats primary.n_engine) "deltas_shipped");
+                (stat (Engine.stats primary.n_engine) "deltas_shipped");
               check Alcotest.int "epoch gauge tracks" (steps + 1)
-                (Stats.get (Engine.stats follower.n_engine) "epoch");
+                (stat (Engine.stats follower.n_engine) "epoch");
               (* both replicas answer over the wire and export the epoch
                  they serve *)
               List.iter
@@ -361,7 +364,7 @@ let test_snapshot_install () =
                   check Alcotest.int "follower log reset" 0
                     (Store.log_frames follower.n_store);
                   check Alcotest.int "compaction counted" 1
-                    (Stats.get (Engine.stats follower.n_engine) "compactions");
+                    (stat (Engine.stats follower.n_engine) "compactions");
                   (* the stream continues with plain deltas from here *)
                   republish ();
                   check Alcotest.bool "delta after snapshot" true
@@ -456,7 +459,59 @@ let test_follower_crash_reconverge () =
                 (hex (save_bytes !index))
                 (hex (node_image !follower));
               check Alcotest.int "no snapshot was needed" 0
-                (Stats.get (Engine.stats !follower.n_engine) "compactions"))))
+                (stat (Engine.stats !follower.n_engine) "compactions"))))
+
+(* --------------------- follower stop closes once --------------------- *)
+
+(* [Follower.stop] must leave the close of the stream's fd to the
+   tailing thread: were both to close it, a number another thread was
+   handed in between would be closed under that thread. Stop a tailing
+   follower over and over while a second thread opens, uses and closes
+   pipes; no pipe op may see EBADF. *)
+let test_follower_stop_closes_once () =
+  with_dir (fun pdir ->
+      with_dir (fun fdir ->
+          let table = gen_table ~dims:1 (Prng.create 121L) in
+          let index1 = Ifmh.build ~scheme:Ifmh.One_signature ~epoch:1 table fake_keypair in
+          let hub = Hub.create ~heartbeat_interval:0.02 ~initial:index1 () in
+          let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
+          let follower =
+            start_node ~accept_republish:false ~store:(Store.publish ~dir:fdir index1) index1
+          in
+          let ebadf = Atomic.make 0 and churning = Atomic.make true in
+          let on_ebadf f = try f () with Unix.Unix_error (Unix.EBADF, _, _) -> Atomic.incr ebadf in
+          let churn () =
+            let buf = Bytes.create 1 in
+            while Atomic.get churning do
+              let r, w = Unix.pipe () in
+              (* non-blocking: a read end closed under us and reused
+                 for a socket must not hang the test *)
+              on_ebadf (fun () ->
+                  Unix.set_nonblock r;
+                  ignore (Unix.write_substring w "x" 0 1);
+                  try ignore (Unix.read r buf 0 1)
+                  with Unix.Unix_error (Unix.EAGAIN, _, _) -> ());
+              on_ebadf (fun () -> Unix.close r);
+              on_ebadf (fun () -> Unix.close w)
+            done
+          in
+          let churner = Thread.create churn () in
+          Fun.protect
+            ~finally:(fun () ->
+              Atomic.set churning false;
+              Thread.join churner;
+              stop_node primary;
+              stop_node follower)
+            (fun () ->
+              for i = 1 to 200 do
+                let tail =
+                  Follower.start ~engine:follower.n_engine
+                    ~port:(Engine.port primary.n_engine) ()
+                in
+                Thread.delay (0.001 *. float_of_int (i mod 4));
+                Follower.stop tail
+              done;
+              check Alcotest.int "no pipe op saw EBADF" 0 (Atomic.get ebadf))))
 
 (* ------------------------------ hub --------------------------------- *)
 
@@ -761,6 +816,7 @@ let () =
           Alcotest.test_case "snapshot install" `Quick test_snapshot_install;
           Alcotest.test_case "crash + reconverge" `Quick
             test_follower_crash_reconverge;
+          Alcotest.test_case "stop closes once" `Quick test_follower_stop_closes_once;
         ] );
       ( "hub",
         [

@@ -24,6 +24,9 @@ open Aqv
 
 let check = Alcotest.check
 
+(* one counter of an engine's stats, 0 if absent *)
+let stat s key = Option.value (List.assoc_opt key (Stats.to_assoc s)) ~default:0
+
 (* ---------------------------- fixtures ------------------------------ *)
 
 let keypair = lazy (Signer.generate ~bits:512 Signer.Rsa (Prng.create 900L))
@@ -233,7 +236,7 @@ let test_concurrent_sessions () =
         ~finally:(fun () -> try Unix.close a with Unix.Unix_error _ -> ())
         (fun () ->
           ignore (Unix.write_substring a "\x00\x00" 0 2);
-          await "A accepted" (fun () -> Stats.get (Engine.stats t) "conns_accepted" >= 1);
+          await "A accepted" (fun () -> stat (Engine.stats t) "conns_accepted" >= 1);
           (* client B must still get a verified reply within its deadline *)
           let t0 = Unix.gettimeofday () in
           let opts = { Roundtrip.default_opts with read_timeout = 3.; attempts = 2 } in
@@ -254,7 +257,7 @@ let test_stalled_session_reaped () =
           ignore (Unix.write_substring a "\x00\x00" 0 2);
           (* the server must reap the stalled session on its own *)
           await "stalled session dropped" (fun () ->
-              Stats.get (Engine.stats t) "sessions_dropped" >= 1);
+              stat (Engine.stats t) "sessions_dropped" >= 1);
           (* and a misbehaving client costs nobody else anything *)
           expect_verified_topk 3
             (Roundtrip.call ~port (Protocol.Run_query (topk_query 3)))))
@@ -266,12 +269,12 @@ let test_overload_shedding () =
       Fun.protect
         ~finally:(fun () -> try Unix.close a with Unix.Unix_error _ -> ())
         (fun () ->
-          await "A accepted" (fun () -> Stats.get (Engine.stats t) "conns_accepted" >= 1);
+          await "A accepted" (fun () -> stat (Engine.stats t) "conns_accepted" >= 1);
           match Roundtrip.call ~port (Protocol.Run_query (topk_query 2)) with
           | Protocol.Refused m ->
             check Alcotest.string "load shed reply" "overloaded" m;
             check Alcotest.bool "shed counted" true
-              (Stats.get (Engine.stats t) "conns_refused" >= 1)
+              (stat (Engine.stats t) "conns_refused" >= 1)
           | _ -> Alcotest.fail "expected Refused \"overloaded\""))
 
 let test_malformed_frames_refused_inline () =
@@ -332,7 +335,7 @@ let test_zero_denominator_refused () =
             | _ -> Alcotest.fail "zero denominator not refused")
           | None -> Alcotest.fail "connection closed on zero denominator");
           check Alcotest.int "counted as malformed" 1
-            (Stats.get (Engine.stats t) "req_malformed");
+            (stat (Engine.stats t) "req_malformed");
           (* the same session keeps serving *)
           expect_verified_topk 3 (Roundtrip.ask fd (Protocol.Run_query (topk_query 3)))))
 
@@ -346,7 +349,7 @@ let test_oversized_frame_drops_session () =
              close — and stay alive for everyone else *)
           ignore (Unix.write_substring a (header_of ((64 * 1024 * 1024) + 1)) 0 4);
           await "oversized frame dropped" (fun () ->
-              Stats.get (Engine.stats t) "sessions_dropped" >= 1);
+              stat (Engine.stats t) "sessions_dropped" >= 1);
           expect_verified_topk 3
             (Roundtrip.call ~port (Protocol.Run_query (topk_query 3)))))
 
@@ -437,13 +440,13 @@ let test_fault_injection_never_corrupts () =
       done;
       let stats = Engine.stats t in
       let injected =
-        Stats.get stats "faults_delay"
-        + Stats.get stats "faults_truncate"
-        + Stats.get stats "faults_drop"
+        stat stats "faults_delay"
+        + stat stats "faults_truncate"
+        + stat stats "faults_drop"
       in
       check Alcotest.bool "faults actually fired" true (injected >= 1);
       check Alcotest.bool "cache served hits despite faults" true
-        (Stats.get stats "cache_hits" >= 1))
+        (stat stats "cache_hits" >= 1))
 
 (* ----------------------------- hot swap ----------------------------- *)
 
@@ -475,15 +478,15 @@ let test_republish_over_wire () =
           expect_verified_topk 4 (Roundtrip.ask fd (Protocol.Run_query (topk_query 4)));
           expect_verified_topk 4 (Roundtrip.ask fd (Protocol.Run_query (topk_query 4)));
           check Alcotest.bool "cache warm" true
-            (Stats.get (Engine.stats t) "cache_hits" >= 1);
+            (stat (Engine.stats t) "cache_hits" >= 1);
           (* the owner ships the delta in-band *)
           (match Roundtrip.ask fd (Protocol.Republish (Ifmh.delta ~changes updated)) with
           | Protocol.Republished e -> check Alcotest.int "served epoch" 4 e
           | _ -> Alcotest.fail "expected Republished");
           check Alcotest.bool "swap counted" true
-            (Stats.get (Engine.stats t) "index_swaps" >= 1);
+            (stat (Engine.stats t) "index_swaps" >= 1);
           check Alcotest.bool "republish counted" true
-            (Stats.get (Engine.stats t) "req_republish" >= 1);
+            (stat (Engine.stats t) "req_republish" >= 1);
           (* the very query cached pre-swap now answers from the new
              index: the epoch in the cache key strands the old entry *)
           (match Roundtrip.ask fd (Protocol.Run_query (topk_query 4)) with
@@ -536,7 +539,7 @@ let test_swap_under_concurrent_load () =
       in
       let threads = List.init 4 (fun i -> Thread.create worker i) in
       await "some pre-swap traffic" (fun () ->
-          Stats.get (Engine.stats t) "req_query" >= 8);
+          stat (Engine.stats t) "req_query" >= 8);
       (match Roundtrip.call ~port (Protocol.Republish (Ifmh.delta ~changes updated)) with
       | Protocol.Republished 4 -> Atomic.set swapped true
       | _ -> Alcotest.fail "republish failed");

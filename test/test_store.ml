@@ -31,6 +31,9 @@ module Roundtrip = Aqv_serve.Roundtrip
 open Aqv
 
 let check = Alcotest.check
+
+(* one counter of an engine's stats, 0 if absent *)
+let stat s key = Option.value (List.assoc_opt key (Stats.to_assoc s)) ~default:0
 let hex = Aqv_util.Hex.encode
 
 (* Deterministic fake signer (see test_update.ml): signature identity is
@@ -656,9 +659,9 @@ let test_engine_durable_before_ack () =
           | _ -> Alcotest.fail "expected Refused on injected write failure");
           check Alcotest.int "epoch unchanged" 1 (Ifmh.epoch (Engine.index engine));
           check Alcotest.int "no log append counted" 0
-            (Stats.get (Engine.stats engine) "log_appends");
+            (stat (Engine.stats engine) "log_appends");
           check Alcotest.int "refusal counted" 1
-            (Stats.get (Engine.stats engine) "replies_refused");
+            (stat (Engine.stats engine) "replies_refused");
           (* 2: same delta, healthy store -> logged, swapped, acked *)
           (match Roundtrip.call ~port (Protocol.Republish delta) with
           | Protocol.Republished 2 -> ()
@@ -666,7 +669,7 @@ let test_engine_durable_before_ack () =
           check Alcotest.bool "swap visible" true
             (await 2. (fun () -> Ifmh.epoch (Engine.index engine) = 2));
           check Alcotest.int "log append counted" 1
-            (Stats.get (Engine.stats engine) "log_appends");
+            (stat (Engine.stats engine) "log_appends");
           check Alcotest.int "frame durable" 1 (Store.log_frames store);
           (* 3: recovery from that store serves the acked bytes *)
           let served = save_bytes (Engine.index engine) in
@@ -730,7 +733,7 @@ let test_engine_background_compaction () =
           (* the ack does not wait for the snapshot rewrite: compaction
              lands in the background shortly after and resets the log *)
           check Alcotest.bool "compaction happened" true
-            (await 2. (fun () -> Stats.get (Engine.stats engine) "compactions" = 1));
+            (await 2. (fun () -> stat (Engine.stats engine) "compactions" = 1));
           check Alcotest.bool "log reset" true
             (await 2. (fun () -> Store.log_frames store = 0));
           match Store.open_dir ~policy dir with

@@ -2,7 +2,8 @@
    every checked-in workloads/*.json, the pure SLO gate on synthetic
    measurements, and the `aqv_net workload` command end to end — a
    satisfied spec exits 0 with ok=1, a violated bound exits non-zero
-   and names itself in the JSON report; and `aqv_net publish` into an
+   and names itself in the JSON report, and neither run leaves a
+   spawned server or a temp file behind; and `aqv_net publish` into an
    uncreatable directory exits 1 with the store error. *)
 
 module Json = Aqv_util.Json
@@ -141,10 +142,14 @@ let test_gate_pure () =
 
 (* ----------------------------- end to end ---------------------------- *)
 
-let run_aqv_net args =
+let run_aqv_net ?tmpdir args =
   let out = Filename.temp_file "aqv_workload" ".out" in
+  let env =
+    match tmpdir with Some d -> "TMPDIR=" ^ Filename.quote d ^ " " | None -> ""
+  in
   let cmd =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote aqv_net) args (Filename.quote out)
+    Printf.sprintf "%s%s %s > %s 2>&1" env (Filename.quote aqv_net) args
+      (Filename.quote out)
   in
   let code =
     match Unix.system cmd with
@@ -157,7 +162,7 @@ let run_aqv_net args =
   Sys.remove out;
   (code, text)
 
-let run_workload_cmd args = run_aqv_net ("workload " ^ args)
+let run_workload_cmd ?tmpdir args = run_aqv_net ?tmpdir ("workload " ^ args)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -174,15 +179,43 @@ let read_json path =
   close_in ic;
   Json.parse_exn s
 
+(* A fresh TMPDIR for one `workload` run: the spawned servers' stores
+   and port files live under it, so once the command exits it must be
+   empty, and no live process may name it on its command line. *)
+let fresh_tmpdir () =
+  let d = Filename.temp_file "aqv_workload" ".tmp" in
+  Sys.remove d;
+  Unix.mkdir d 0o755;
+  d
+
+let check_nothing_left tmpdir =
+  check Alcotest.(list string) "temp dir left empty" []
+    (Array.to_list (Sys.readdir tmpdir));
+  let naming =
+    Sys.readdir "/proc" |> Array.to_list
+    |> List.filter (fun pid ->
+           match
+             In_channel.with_open_bin
+               (Filename.concat (Filename.concat "/proc" pid) "cmdline")
+               In_channel.input_all
+           with
+           | cmdline -> contains cmdline tmpdir
+           | exception Sys_error _ -> false)
+  in
+  check Alcotest.(list string) "no process names the temp dir" [] naming;
+  Unix.rmdir tmpdir
+
 let test_e2e_pass () =
   let report = Filename.temp_file "aqv_workload" ".json" in
+  let tmpdir = fresh_tmpdir () in
   let code, text =
-    run_workload_cmd
+    run_workload_cmd ~tmpdir
       (Printf.sprintf "--spec %s --json %s"
          (Filename.quote (Filename.concat workloads_dir "smoke.json"))
          (Filename.quote report))
   in
   if code <> 0 then Alcotest.failf "smoke spec failed (exit %d):\n%s" code text;
+  check_nothing_left tmpdir;
   let j = read_json report in
   Sys.remove report;
   check Alcotest.(option int) "ok=1" (Some 1) (Json.to_int (mem "ok" j));
@@ -212,14 +245,16 @@ let test_e2e_violation_names_bound () =
   output_string oc (Json.to_string (Spec.to_json impossible));
   close_out oc;
   let report = Filename.temp_file "aqv_workload" ".json" in
+  let tmpdir = fresh_tmpdir () in
   let code, text =
-    run_workload_cmd
+    run_workload_cmd ~tmpdir
       (Printf.sprintf "--spec %s --json %s" (Filename.quote spec_file)
          (Filename.quote report))
   in
   Sys.remove spec_file;
   if code = 0 then Alcotest.failf "impossible SLO passed:\n%s" text;
   check Alcotest.int "exit 1, not a crash" 1 code;
+  check_nothing_left tmpdir;
   let j = read_json report in
   Sys.remove report;
   check Alcotest.(option int) "ok=0" (Some 0) (Json.to_int (mem "ok" j));
