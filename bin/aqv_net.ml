@@ -185,8 +185,19 @@ let open_or_bootstrap dir follow =
     Printf.printf "bootstrapping from %s:%d ...\n%!" (Unix.string_of_inet_addr host) port;
     let index = Follower.bootstrap ~host ~port () in
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    Store.close (Store.publish ~dir index);
-    Store.open_dir dir
+    (* serve the index just loaded: reopening the store would load the
+       snapshot it wrote a second time *)
+    let epoch = Ifmh.epoch index in
+    Ok
+      ( Store.publish ~dir index,
+        index,
+        {
+          Store.snapshot_epoch = epoch;
+          final_epoch = epoch;
+          replayed = 0;
+          skipped = 0;
+          torn_tail_bytes = 0;
+        } )
   | _ -> Store.open_dir dir
 
 let run_serve dir port max_conns cache_capacity idle_timeout read_timeout
@@ -838,15 +849,16 @@ let selftest sc =
   (* Roundtrip retries until the freshly bound server accepts *)
   let ask request = Roundtrip.call ~port:primary.port request in
   let x = [| Q.of_decimal "0.37" |] in
-  (* top-k over the wire — twice, so the second hit comes from the
-     response cache and must still verify bit-for-bit *)
+  (* top-k over the wire three times: the second ask stores the reply
+     in the response cache, the third is served from it and must still
+     verify bit-for-bit *)
   let q1 = Query.top_k ~x ~k:5 in
   List.iter
     (fun label ->
       match ask (Protocol.Run_query q1) with
       | Protocol.Answer resp -> expect_verified label (Client.accepts ctx q1 resp)
       | _ -> expect_verified label false)
-    [ "top-5 over TCP"; "top-5 again (cached)" ];
+    [ "top-5 over TCP"; "top-5 again"; "top-5 again (cached)" ];
   (* range *)
   let q2 = Query.range ~x ~l:(Q.of_int 100) ~u:(Q.of_int 600) in
   (match ask (Protocol.Run_query q2) with

@@ -1,6 +1,14 @@
 (* Classic hashtable + doubly-linked recency list, most recent at the
    head. The sentinel node closes the ring so unlink/push need no
-   option cases. *)
+   option cases.
+
+   In front of it sits a doorkeeper: a fixed array of key fingerprints
+   ([Hashtbl.hash key] at slot [hash land door_mask]). A miss is cached
+   only when its fingerprint already sits in its slot, that is on the
+   key's second offer; any other miss just records the fingerprint. So
+   one-off requests never evict the replies that come back, and cost a
+   hash and a store instead of a node and a table entry. A collision can
+   only admit a reply early: the table is still keyed by the full key. *)
 
 type node = {
   key : string;
@@ -13,8 +21,11 @@ type t = {
   capacity : int;
   tbl : (string, node) Hashtbl.t;
   sentinel : node;
+  door : int array;  (* fingerprints seen once; -1 = empty *)
   mu : Mutex.t;
 }
+
+let door_mask = (1 lsl 14) - 1
 
 let make_sentinel () =
   let rec s = { key = ""; value = ""; prev = s; next = s } in
@@ -25,6 +36,7 @@ let create ~capacity =
     capacity;
     tbl = Hashtbl.create (max 16 (min capacity 4096));
     sentinel = make_sentinel ();
+    door = (if capacity > 0 then Array.make (door_mask + 1) (-1) else [||]);
     mu = Mutex.create ();
   }
 
@@ -53,20 +65,32 @@ let find t key =
           push_front t n;
           Some n.value)
 
+(* true on the key's second offer; otherwise remembers its fingerprint *)
+let admit t key =
+  let h = Hashtbl.hash key in
+  let slot = h land door_mask in
+  t.door.(slot) = h
+  || begin
+    t.door.(slot) <- h;
+    false
+  end
+
 let add t key value =
   if t.capacity > 0 then
     locked t (fun () ->
-        (match Hashtbl.find_opt t.tbl key with
+        match Hashtbl.find_opt t.tbl key with
         | Some n ->
           n.value <- value;
           unlink n;
           push_front t n
         | None ->
-          let rec n = { key; value; prev = n; next = n } in
-          Hashtbl.replace t.tbl key n;
-          push_front t n);
-        if Hashtbl.length t.tbl > t.capacity then begin
-          let lru = t.sentinel.prev in
-          unlink lru;
-          Hashtbl.remove t.tbl lru.key
-        end)
+          if admit t key then begin
+            let rec n = { key; value; prev = n; next = n } in
+            Hashtbl.replace t.tbl key n;
+            push_front t n;
+            if Hashtbl.length t.tbl > t.capacity then begin
+              let lru = t.sentinel.prev in
+              unlink lru;
+              Hashtbl.remove t.tbl lru.key
+            end
+          end)

@@ -12,7 +12,8 @@
     - per-connection deadlines — [idle_timeout] to start a frame,
       [read_timeout] mid-frame, [write_timeout] per reply;
     - an LRU response cache keyed by [(request bytes, epoch)], sound
-      because the index is immutable within an epoch;
+      because the index is immutable within an epoch, that stores a
+      reply on the second request for it ({!Cache.add});
     - live index updates: an owner [Protocol.Republish] frame replays a
       signed delta and atomically hot-swaps the served index
       ({!republish}), invalidating cached replies for free via the
@@ -55,7 +56,9 @@ type config = {
   idle_timeout : float;  (** seconds to wait for a request to start; 0. = forever *)
   read_timeout : float;  (** seconds to finish reading a started frame *)
   write_timeout : float;  (** seconds to write one reply *)
-  cache_capacity : int;  (** LRU entries; 0 disables the response cache *)
+  cache_capacity : int;
+      (** LRU entries; a reply is stored on its key's second request
+          ({!Cache.add}); 0 disables the response cache *)
   stats_interval : float;  (** seconds between stats log lines; 0. disables *)
   drain_timeout : float;  (** max seconds {!serve} waits for drain on stop *)
   faults : Faults.t option;  (** reply-path fault injection (tests) *)

@@ -105,27 +105,51 @@ let test_histogram_merge () =
 
 (* ------------------------------ cache ------------------------------- *)
 
+(* [add] is an offer: a key is stored on its second offer *)
+let add_twice c k v =
+  Cache.add c k v;
+  Cache.add c k v
+
 let test_cache_lru () =
   let c = Cache.create ~capacity:2 in
-  Cache.add c "a" "1";
-  Cache.add c "b" "2";
+  add_twice c "a" "1";
+  add_twice c "b" "2";
   check Alcotest.(option string) "a cached" (Some "1") (Cache.find c "a");
   (* touching "a" makes "b" the LRU entry; adding "c" evicts it *)
-  Cache.add c "c" "3";
+  add_twice c "c" "3";
   check Alcotest.(option string) "b evicted" None (Cache.find c "b");
   check Alcotest.(option string) "a kept" (Some "1") (Cache.find c "a");
   check Alcotest.(option string) "c kept" (Some "3") (Cache.find c "c");
   check Alcotest.int "bounded" 2
     (List.length (List.filter_map (Cache.find c) [ "a"; "b"; "c" ]));
-  Cache.add c "a" "9";
+  add_twice c "a" "9";
   check Alcotest.(option string) "value refreshed" (Some "9") (Cache.find c "a")
 
 let test_cache_disabled () =
   let c = Cache.create ~capacity:0 in
-  Cache.add c "k" "v";
+  add_twice c "k" "v";
   check Alcotest.(option string) "disabled cache never hits" None (Cache.find c "k");
   check Alcotest.int "disabled cache stays empty" 0
     (List.length (List.filter_map (Cache.find c) [ "k" ]))
+
+let test_cache_second_offer () =
+  let c = Cache.create ~capacity:4 in
+  Cache.add c "k" "v";
+  check Alcotest.(option string) "first offer not cached" None (Cache.find c "k");
+  Cache.add c "k" "v";
+  check Alcotest.(option string) "second offer cached" (Some "v") (Cache.find c "k");
+  Cache.add c "k" "w";
+  check Alcotest.(option string) "a cached key is refreshed" (Some "w") (Cache.find c "k")
+
+let test_cache_one_off_flood () =
+  let c = Cache.create ~capacity:4 in
+  add_twice c "repeater" "r";
+  let flood = List.init 10_000 (Printf.sprintf "one-off-%d") in
+  List.iter (fun k -> Cache.add c k "x") flood;
+  check Alcotest.(option string) "repeater survives the flood" (Some "r")
+    (Cache.find c "repeater");
+  check Alcotest.int "no one-off cached" 0
+    (List.length (List.filter_map (Cache.find c) flood))
 
 (* ------------------------------ faults ------------------------------ *)
 
@@ -356,8 +380,10 @@ let test_oversized_frame_drops_session () =
 let test_stats_and_cache_over_wire () =
   with_engine (fun _ port ->
       Roundtrip.with_connection ~port (fun fd ->
-          expect_verified_topk 5 (Roundtrip.ask fd (Protocol.Run_query (topk_query 5)));
-          expect_verified_topk 5 (Roundtrip.ask fd (Protocol.Run_query (topk_query 5)));
+          (* the first two asks store the reply, the third hits it *)
+          for _ = 1 to 3 do
+            expect_verified_topk 5 (Roundtrip.ask fd (Protocol.Run_query (topk_query 5)))
+          done;
           let x = Lazy.force sample_x in
           (match Roundtrip.ask fd (Protocol.Run_rank { x; record_id = 3 }) with
           | Protocol.Rank_answer (Some resp) ->
@@ -474,9 +500,11 @@ let test_republish_over_wire () =
   let changes, updated = updated_pair () in
   with_engine (fun t port ->
       Roundtrip.with_connection ~port (fun fd ->
-          (* warm the cache at the served epoch *)
-          expect_verified_topk 4 (Roundtrip.ask fd (Protocol.Run_query (topk_query 4)));
-          expect_verified_topk 4 (Roundtrip.ask fd (Protocol.Run_query (topk_query 4)));
+          (* warm the cache at the served epoch: the second ask stores
+             the reply, the third hits it *)
+          for _ = 1 to 3 do
+            expect_verified_topk 4 (Roundtrip.ask fd (Protocol.Run_query (topk_query 4)))
+          done;
           check Alcotest.bool "cache warm" true
             (stat (Engine.stats t) "cache_hits" >= 1);
           (* the owner ships the delta in-band *)
@@ -548,6 +576,58 @@ let test_swap_under_concurrent_load () =
         (Atomic.get failures);
       check Alcotest.bool "post-swap replies observed" true (Atomic.get saw_new >= 1))
 
+(* The cache never changes a reply: one request stream, with repeats
+   and an epoch swap at a drawn position, gets byte-identical replies
+   from an engine with the default 1024-entry cache and from one with
+   none. *)
+let cache_law_requests =
+  lazy
+    (let table = Lazy.force table and x = Lazy.force sample_x in
+     let range size =
+       let l, u = Workload.range_for_result_size table ~x ~size in
+       [ Protocol.Run_query (Query.range ~x ~l ~u); Protocol.Run_count { x; l; u } ]
+     in
+     let w = Wire.writer () in
+     List.map
+       (fun request ->
+         Wire.reset w;
+         Protocol.encode_request w request;
+         Wire.contents w)
+       (List.init 4 (fun k -> Protocol.Run_query (topk_query (k + 1)))
+       @ range 5 @ range 12
+       @ [ Protocol.Run_rank { x; record_id = 3 }; Protocol.Run_rank { x; record_id = 7 } ])
+     |> Array.of_list)
+
+let updated_index = lazy (snd (updated_pair ()))
+
+let replies_of ~cache_capacity ~swap_at stream =
+  let payloads = Lazy.force cache_law_requests in
+  with_engine ~config:{ Engine.default_config with Engine.cache_capacity } (fun t port ->
+      Roundtrip.with_connection ~port (fun fd ->
+          List.mapi
+            (fun i r ->
+              if i = swap_at then
+                ignore (Result.get_ok (Engine.install_snapshot t (Lazy.force updated_index)));
+              ignore (Frame_io.write_frame fd payloads.(r));
+              match Frame_io.read_frame ~header_timeout:5. ~body_timeout:5. fd with
+              | Some reply -> reply
+              | None -> Alcotest.fail "connection closed")
+            stream))
+
+(* No shrinker: every case stands up two engines, so shrinking a
+   failure would take about a minute; the first counterexample is
+   printed as found. *)
+let test_cache_never_changes_a_reply =
+  let pool = Array.length (Lazy.force cache_law_requests) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:6 ~long_factor:20 ~name:"cache never changes a reply"
+       (QCheck.make
+          ~print:QCheck.Print.(pair (list int) int)
+          QCheck.Gen.(pair (list_size (int_range 1 40) (int_bound (pool - 1))) (int_bound 40)))
+       (fun (stream, swap_at) ->
+         replies_of ~cache_capacity:1024 ~swap_at stream
+         = replies_of ~cache_capacity:0 ~swap_at stream))
+
 let test_graceful_drain () =
   let t = Engine.create { Engine.default_config with Engine.port = 0 } (Lazy.force index) in
   let th = Thread.create Engine.serve t in
@@ -573,6 +653,8 @@ let () =
         [
           Alcotest.test_case "lru eviction" `Quick test_cache_lru;
           Alcotest.test_case "capacity 0 disables" `Quick test_cache_disabled;
+          Alcotest.test_case "admitted on second offer" `Quick test_cache_second_offer;
+          Alcotest.test_case "one-off flood keeps repeater" `Quick test_cache_one_off_flood;
         ] );
       ( "faults",
         [
@@ -611,5 +693,6 @@ let () =
           Alcotest.test_case "republish over the wire" `Quick test_republish_over_wire;
           Alcotest.test_case "concurrent clients across swap" `Quick
             test_swap_under_concurrent_load;
+          test_cache_never_changes_a_reply;
         ] );
     ]

@@ -142,6 +142,24 @@ let test_gate_pure () =
 
 (* ----------------------------- end to end ---------------------------- *)
 
+(* A child of [Unix.system] inherits every descriptor that is not
+   close-on-exec, Alcotest's copy of the runner's stdout among them: a
+   server the command leaked would hold that pipe open, and whatever
+   reads the runner's output would wait for it instead of seeing the
+   failure. So every descriptor above stderr is marked first, and a
+   leaked child holds only the command's redirected output file. *)
+let close_on_exec_above_stderr () =
+  Array.iter
+    (fun name ->
+      match int_of_string_opt name with
+      | Some fd when fd > 2 -> (
+        (* a descriptor is an int on Unix; the listing's own is closed
+           by now *)
+        try Unix.set_close_on_exec (Obj.magic fd : Unix.file_descr)
+        with Unix.Unix_error _ -> ())
+      | _ -> ())
+    (Sys.readdir "/proc/self/fd")
+
 let run_aqv_net ?tmpdir args =
   let out = Filename.temp_file "aqv_workload" ".out" in
   let env =
@@ -151,6 +169,7 @@ let run_aqv_net ?tmpdir args =
     Printf.sprintf "%s%s %s > %s 2>&1" env (Filename.quote aqv_net) args
       (Filename.quote out)
   in
+  close_on_exec_above_stderr ();
   let code =
     match Unix.system cmd with
     | Unix.WEXITED n -> n
