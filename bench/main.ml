@@ -1032,7 +1032,7 @@ let fresh_row name ~batch ~make ~start run () =
         (Unix.gettimeofday () -. t0) /. float_of_int batch)
   in
   Array.sort Float.compare per_input;
-  row "%-24s %14.0f ns/run\n%!" name (1e9 *. per_input.(50))
+  row "%-28s %14.0f ns/run\n%!" name (1e9 *. per_input.(50))
 
 let micro_tests () =
   let open Bechamel in
@@ -1097,6 +1097,15 @@ let micro_tests () =
   let fns = Table.functions hot_table in
   let sa = Aqv_num.Linfun.eval fns.(0) xh and sb = Aqv_num.Linfun.eval fns.(1) xh in
   let hot_record = Table.record hot_table 0 in
+  (* two hot-read-shaped records scored at xh = t/1009: reduced as
+     Template.score returns them, or unreduced as the client compares
+     them *)
+  let tpl = Table.template hot_table and other_record = Table.record hot_table 1 in
+  let range_window () =
+    let vo = range_resp.Server.vo in
+    Semantics.check_window ~template:tpl ~x:xh ~n:(vo.Vo.n_leaves - 2) ~query:range_q
+      ~left:vo.Vo.left ~right:vo.Vo.right ~result:range_resp.Server.result
+  in
   ignore (Aqv_db.Record.digest hot_record);
   let fresh_record () =
     Aqv_db.Record.make ~id:(Aqv_db.Record.id hot_record)
@@ -1129,6 +1138,18 @@ let micro_tests () =
       (Staged.stage (warm_verifier hot_table range_q range_resp));
     Test.make ~name:"q-compare" (Staged.stage (fun () -> Q.compare sa sb));
     Test.make ~name:"q-add" (Staged.stage (fun () -> Q.add sa sb));
+    Test.make ~name:"score-compare-reduced"
+      (Staged.stage (fun () ->
+           Q.compare
+             (Aqv_db.Template.score tpl hot_record xh)
+             (Aqv_db.Template.score tpl other_record xh)));
+    Test.make ~name:"score-compare-native"
+      (Staged.stage (fun () ->
+           Q.compare_unreduced
+             (Aqv_db.Template.score_unreduced tpl hot_record xh)
+             (Aqv_db.Template.score_unreduced tpl other_record xh)));
+    (* the semantics re-check of client-verify-range-warm's reply alone *)
+    Test.make ~name:"client-semantics-range-warm" (Staged.stage range_window);
     Test.make ~name:"reply-encode-hot"
       (Staged.stage (fun () ->
            let w = Aqv_util.Wire.writer () in
@@ -1180,9 +1201,9 @@ let run_micros () =
           with
           | ols ->
             (match Analyze.OLS.estimates ols with
-            | Some [ est ] -> row "%-24s %14.0f ns/run\n%!" name est
-            | _ -> row "%-24s %14s\n%!" name "n/a")
-          | exception _ -> row "%-24s %14s\n%!" name "n/a")
+            | Some [ est ] -> row "%-28s %14.0f ns/run\n%!" name est
+            | _ -> row "%-28s %14s\n%!" name "n/a")
+          | exception _ -> row "%-28s %14s\n%!" name "n/a")
         results)
     tests;
   List.iter (fun print_row -> print_row ()) fresh_rows

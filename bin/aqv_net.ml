@@ -758,9 +758,11 @@ let run_workload spec_path replicas_override seed_override json_path =
       replica_counts;
   Printf.printf "  verify      %d failure(s)\n" all_failures;
   let memo = Client.memo_counters ctx in
-  Printf.printf "  digest memo records %d hits / %d misses, FMH nodes %d hits / %d misses\n"
+  Printf.printf
+    "  digest memo records %d hits / %d misses, FMH nodes %d hits / %d misses, signatures %d \
+     hits / %d misses\n"
     memo.Client.record_hits memo.Client.record_misses memo.Client.node_hits
-    memo.Client.node_misses;
+    memo.Client.node_misses memo.Client.signature_hits memo.Client.signature_misses;
   List.iter
     (fun (bound, limit, actual, ok) ->
       Printf.printf "  slo         %-34s limit %-12.6g actual %-12.6g %s\n" bound
@@ -805,6 +807,8 @@ let run_workload spec_path replicas_override seed_override json_path =
                             ("record_misses", jI memo.Client.record_misses);
                             ("node_hits", jI memo.Client.node_hits);
                             ("node_misses", jI memo.Client.node_misses);
+                            ("signature_hits", jI memo.Client.signature_hits);
+                            ("signature_misses", jI memo.Client.signature_misses);
                           ] );
                     ] );
                 ( "slo",

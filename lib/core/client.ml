@@ -5,9 +5,10 @@ module Mht = Aqv_merkle.Mht
 module Record = Aqv_db.Record
 module Template = Aqv_db.Template
 
-(* A verifier's memo of the two pure hash functions it calls most: one
-   fixed array of slots per function, each slot an immutable entry that
-   carries the whole input its digest was computed from.
+(* A verifier's memo of the two pure hash functions it calls most, and
+   of the owner's signature check: one fixed array of slots per
+   function, each slot an immutable entry that carries the whole input
+   its result was computed from.
    - A record digest sits at [id land slot_mask] and answers only a
      record [Record.equal] to its own: equal records encode, hence hash,
      identically.
@@ -17,19 +18,30 @@ module Template = Aqv_db.Template
      [Mht.node_hash] hashes after its constant tag. Two ways keep two
      nodes of one reply that share a slot from evicting each other on
      every publish.
-   So a hit returns exactly the digest a fresh computation would, and no
+   - A signature sits at a slot read off two bytes of the digest it
+     signs, and answers only the same digest and the same signature
+     bytes. The digest is computed here, from the reply, so a hit
+     answers exactly the pair a fresh [verify_signature] call would be
+     asked about; only pairs that call accepted are ever stored.
+   So a hit returns exactly the result a fresh computation would, and no
    accept/reject decision can depend on what is cached; a colliding
-   record replaces the old one, and a node fills an empty way of its
-   pair or else moves the entry at its slot to the other way. An empty
-   slot is a constant constructor, which no lookup matches. Client
+   record or signature replaces the old one, and a node fills an empty
+   way of its pair or else moves the entry at its slot to the other
+   way. An empty slot is a constant constructor, which no lookup
+   matches. Client
    threads and domains share a ctx without a lock: a slot changes by
    one store of a whole entry, so a racing reader sees an old entry or
    a new one, each checked in full (mid-move, an entry may show in both
    ways or in neither: a duplicate or a miss, never a wrong hash). *)
 type record_entry = No_record | Rec of { id : int; record : Record.t; digest : string }
 type node_entry = No_node | Node of { l : string; r : string; hash : string }
+type signature_entry = No_signature | Sig of { digest : string; signature : string }
 
-type tables = { records : record_entry array; nodes : node_entry array }
+type tables = {
+  records : record_entry array;
+  nodes : node_entry array;
+  signatures : signature_entry array;
+}
 
 (* A ctx's first verification runs memo-free, exactly as a one-shot
    client's does (Fig. 7), so the tables appear with its second: a
@@ -42,17 +54,26 @@ type memo = {
   record_misses : int Atomic.t;
   node_hits : int Atomic.t;
   node_misses : int Atomic.t;
+  signature_hits : int Atomic.t;
+  signature_misses : int Atomic.t;
 }
 
-(* slots per array *)
+(* slots per record and node array *)
 let slots = 1 lsl 16
 let slot_mask = slots - 1
+
+(* A client meets one signature per subdomain it queries (one in all
+   under one-signature), far fewer than records or nodes. *)
+let signature_slots = 1 lsl 12
 
 (* A node's slot mixes two bytes of each child. SHA-256 output is
    uniform, so any bytes do; a child shorter than a digest (a forged
    proof entry) skips the memo rather than read past its end. *)
 let digest_bytes = 32
 let node_slot l r = String.get_uint16_le l 0 lxor String.get_uint16_le r 2
+
+(* a signing digest is a SHA-256 output computed here, never shorter *)
+let signature_slot digest = String.get_uint16_le digest 0 land (signature_slots - 1)
 
 (* What one verification computed. It reaches the memo only if the
    verification accepts, so the memo holds authenticated data alone: a
@@ -61,6 +82,7 @@ type fresh = {
   tables : tables;
   mutable fresh_records : record_entry list;
   mutable fresh_nodes : node_entry list;
+  mutable fresh_signatures : signature_entry list;
 }
 
 type ctx = {
@@ -82,6 +104,8 @@ let make_ctx ~template ~domain ~verify_signature =
       record_misses = Atomic.make 0;
       node_hits = Atomic.make 0;
       node_misses = Atomic.make 0;
+      signature_hits = Atomic.make 0;
+      signature_misses = Atomic.make 0;
     }
   in
   { template; domain; verify_signature; min_epoch = 0; memo; fresh = None }
@@ -92,7 +116,13 @@ let rec tables memo =
   | Warm tables -> Some tables
   | Unused -> if Atomic.compare_and_set memo.phase Unused Used_once then None else tables memo
   | Used_once ->
-    let t = { records = Array.make slots No_record; nodes = Array.make slots No_node } in
+    let t =
+      {
+        records = Array.make slots No_record;
+        nodes = Array.make slots No_node;
+        signatures = Array.make signature_slots No_signature;
+      }
+    in
     ignore (Atomic.compare_and_set memo.phase Used_once (Warm t));
     tables memo
 
@@ -109,19 +139,23 @@ let publish_node nodes i entry =
     nodes.(i) <- entry
 
 let publish fresh =
-  let { records; nodes } = fresh.tables in
+  let { records; nodes; signatures } = fresh.tables in
   List.iter
     (function Rec e as entry -> records.(e.id land slot_mask) <- entry | No_record -> ())
     fresh.fresh_records;
   List.iter
     (function Node e as entry -> publish_node nodes (node_slot e.l e.r) entry | No_node -> ())
-    fresh.fresh_nodes
+    fresh.fresh_nodes;
+  List.iter
+    (function
+      | Sig e as entry -> signatures.(signature_slot e.digest) <- entry | No_signature -> ())
+    fresh.fresh_signatures
 
 let with_memo ctx f =
   match tables ctx.memo with
   | None -> f ctx
   | Some tables ->
-    let fresh = { tables; fresh_records = []; fresh_nodes = [] } in
+    let fresh = { tables; fresh_records = []; fresh_nodes = []; fresh_signatures = [] } in
     let result = f { ctx with fresh = Some fresh } in
     if Result.is_ok result then publish fresh;
     result
@@ -168,11 +202,30 @@ let node_hash ctx l r =
       Atomic.incr m.node_hits;
       hash)
 
+(* [verify_signature digest signature], or [true] for a pair an earlier
+   accepted verification saw it accept *)
+let signature_ok ctx digest signature =
+  match ctx.fresh with
+  | None -> ctx.verify_signature digest signature
+  | Some fresh -> (
+    let m = ctx.memo in
+    match fresh.tables.signatures.(signature_slot digest) with
+    | Sig e when String.equal e.digest digest && String.equal e.signature signature ->
+      Atomic.incr m.signature_hits;
+      true
+    | _ ->
+      Atomic.incr m.signature_misses;
+      let ok = ctx.verify_signature digest signature in
+      if ok then fresh.fresh_signatures <- Sig { digest; signature } :: fresh.fresh_signatures;
+      ok)
+
 type memo_counters = {
   record_hits : int;
   record_misses : int;
   node_hits : int;
   node_misses : int;
+  signature_hits : int;
+  signature_misses : int;
 }
 
 let memo_counters ctx =
@@ -182,6 +235,8 @@ let memo_counters ctx =
     record_misses = Atomic.get m.record_misses;
     node_hits = Atomic.get m.node_hits;
     node_misses = Atomic.get m.node_misses;
+    signature_hits = Atomic.get m.signature_hits;
+    signature_misses = Atomic.get m.signature_misses;
   }
 
 let min_epoch ctx = ctx.min_epoch
@@ -212,12 +267,9 @@ let boundary_digest ctx = function
 (* The side of the intersection of [rp]'s and [rq]'s functions that [x]
    lies on; a tie counts as above. *)
 let side_at ctx ~x rp rq =
-  let score r =
-    match Template.score ctx.template r x with
-    | s -> s
-    | exception Invalid_argument _ -> raise (Reject Malformed)
-  in
-  if Q.compare (score rp) (score rq) >= 0 then Halfspace.Above else Halfspace.Below
+  let sp = score ctx.template rp x in
+  if Q.compare_unreduced sp (score ctx.template rq x) >= 0 then Halfspace.Above
+  else Halfspace.Below
 
 (* Verify the subdomain part against a reconstructed FMH root: route or
    constraint checks at [x], then the owner's signature over the scheme's
@@ -238,9 +290,7 @@ let check_subdomain_proof ctx ~x ~fmh_root ~n_leaves ~epoch subdomain ~signature
         fmh_root steps
     in
     guard
-      (ctx.verify_signature
-         (Ifmh.root_digest_for_signing ~root_hash ~n_leaves ~epoch)
-         signature)
+      (signature_ok ctx (Ifmh.root_digest_for_signing ~root_hash ~n_leaves ~epoch) signature)
       Bad_signature
   | Vo.Multi_sig_constraints cons ->
     List.iter (fun (rp, rq, side) -> guard (side_at ctx ~x rp rq = side) Wrong_subdomain) cons;
@@ -253,7 +303,7 @@ let check_subdomain_proof ctx ~x ~fmh_root ~n_leaves ~epoch subdomain ~signature
       Ifmh.leaf_digest_for_signing ~domain:ctx.domain ~cons_digests ~fmh_root ~n_leaves
         ~epoch
     in
-    guard (ctx.verify_signature digest signature) Bad_signature
+    guard (signature_ok ctx digest signature) Bad_signature
 
 let window_root ctx ~n_leaves ~window_lo:wlo ~left ~result ~right ~fmh_proof =
   let n = n_leaves - 2 in

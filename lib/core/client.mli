@@ -43,8 +43,9 @@ val verify : ctx -> Query.t -> Server.response -> (unit, rejection) result
     inequality checking, signature verification, and query-semantics
     re-execution. Hash and signature operations tick
     {!Aqv_util.Metrics} — the paper's user-cost metrics (Fig. 7).
-    [hash_ops] counts digests actually computed: a ctx that already
-    verified replies reuses memoized digests and computes fewer, so
+    [hash_ops] and [verify_ops] count digests and signature checks
+    actually computed: a ctx that already verified replies reuses
+    memoized ones and computes fewer, so
     per-query user cost is measured with a fresh {!make_ctx}, whose
     first verification uses no memo. *)
 
@@ -87,17 +88,26 @@ val boundary_digest : ctx -> Vo.boundary -> string
 (** {1 Digest memo}
 
     Each ctx — and every ctx derived from it by {!with_min_epoch} —
-    shares a memo of record digests and FMH interior node hashes: two
-    fixed arrays of 2{^16} slots, each slot an immutable entry holding
-    the whole input its digest was computed from. A record entry sits
+    shares a memo of record digests, FMH interior node hashes and owner
+    signatures: two fixed arrays of 2{^16} slots and one of 2{^12}, each
+    slot an immutable entry holding the whole input its result was
+    computed from. A record entry sits
     at its id's low bits and hits only for a record
     {!Aqv_db.Record.equal} to its own; a node entry sits at a slot read
     off its two child digests (bytes 0–1 of the left xor bytes 2–3 of
     the right), or at the slot beside it, and hits only for the same two
-    children. A hit returns exactly what a fresh computation would, so
-    no decision depends on the memo. A colliding record replaces the old
-    one; a node fills an empty way of its pair of slots, or else moves
-    the entry at its own slot to the other way. A child shorter than a
+    children. A signature entry sits at a slot read off bytes 0–1 of the
+    digest it signs and hits only for the same digest and the same
+    signature bytes; it holds only pairs [verify_signature] accepted.
+    That digest is recomputed from each reply (from the FMH root, the
+    subdomain proof, [n_leaves] and the epoch), so a hit answers exactly
+    the question a fresh [verify_signature] call would be asked, and a
+    reply that changes any signed byte, or the signature, misses and is
+    checked afresh. A hit returns exactly what a fresh computation
+    would, so no decision depends on the memo. A colliding record replaces the old
+    one, as does a colliding signature; a node fills an empty way of its
+    pair of slots, or else moves the entry at its own slot to the other
+    way. A child shorter than a
     digest skips the memo. Only accepted
     verifications add to it, so it holds authenticated data alone.
     Threads and domains sharing a ctx use it without a lock. *)
@@ -111,13 +121,15 @@ val with_memo : ctx -> (ctx -> ('a, 'e) result) -> ('a, 'e) result
     reply leaves the memo as it was. {!verify} and {!verify_rank} each
     run in one, as do {!Aqv_baseline.Batch} and {!Count}; outside it,
     {!window_root}, {!check_subdomain_proof} and {!boundary_digest}
-    hash afresh. *)
+    hash and check signatures afresh. *)
 
 type memo_counters = {
   record_hits : int;
   record_misses : int;
   node_hits : int;
   node_misses : int;
+  signature_hits : int;
+  signature_misses : int;
 }
 
 val memo_counters : ctx -> memo_counters

@@ -2,7 +2,6 @@ module Q = Aqv_num.Rational
 module W = Aqv_util.Wire
 module Mht = Aqv_merkle.Mht
 module Record = Aqv_db.Record
-module Template = Aqv_db.Template
 
 type anchor = { boundary : Vo.boundary; path : Mht.path_elem list }
 
@@ -80,18 +79,16 @@ let verify_memoized ctx ~x ~l ~u resp =
     let count = ir - il - 1 in
     let score_of = function
       | Vo.Min_sentinel | Vo.Max_sentinel -> None
-      | Vo.Boundary_record r ->
-        (match Template.score (Client.template ctx) r x with
-        | s -> Some s
-        | exception Invalid_argument _ -> raise (Reject Malformed))
+      | Vo.Boundary_record r -> Some (score (Client.template ctx) r x)
     in
+    let l = Q.to_unreduced l and u = Q.to_unreduced u in
     (* outer records strictly outside the range *)
     (match score_of resp.louter.boundary with
     | None -> ()
-    | Some s -> guard (Q.compare s l < 0) Boundary_violation);
+    | Some s -> guard (Q.compare_unreduced s l < 0) Boundary_violation);
     (match score_of resp.router.boundary with
     | None -> ()
-    | Some s -> guard (Q.compare s u > 0) Boundary_violation);
+    | Some s -> guard (Q.compare_unreduced s u > 0) Boundary_violation);
     (* inner anchors: the window's first and last member are in range;
        interior membership follows from the committed order *)
     (match (resp.inner, count) with
@@ -104,7 +101,7 @@ let verify_memoized ctx ~x ~l ~u resp =
       guard (ili = il + 1 && iri = ir - 1) Malformed;
       let in_range a =
         match score_of a.boundary with
-        | Some s -> Q.compare l s <= 0 && Q.compare s u <= 0
+        | Some s -> Q.compare_unreduced l s <= 0 && Q.compare_unreduced s u <= 0
         | None -> false (* sentinels never match a value condition *)
       in
       guard (in_range linner) Boundary_violation;

@@ -25,27 +25,27 @@ exception Reject of rejection
 
 let guard cond reason = if not cond then raise (Reject reason)
 
-type ext_score = Neg_inf | Fin of Q.t | Pos_inf
+(* A record's score at [x], unreduced: every order and range check
+   compares scores and nothing else, so none pays for a gcd. *)
+let score template r x =
+  match Template.score_unreduced template r x with
+  | s -> s
+  | exception Invalid_argument _ -> raise (Reject Malformed)
+
+type ext_score = Neg_inf | Fin of Q.unreduced | Pos_inf
 
 let le a b =
   match (a, b) with
   | Neg_inf, _ | _, Pos_inf -> true
   | _, Neg_inf | Pos_inf, _ -> false
-  | Fin x, Fin y -> Q.compare x y <= 0
-
-let lt_fin a v = match a with Neg_inf -> true | Pos_inf -> false | Fin x -> Q.compare x v < 0
-let gt_fin a v = match a with Pos_inf -> true | Neg_inf -> false | Fin x -> Q.compare x v > 0
+  | Fin x, Fin y -> Q.compare_unreduced x y <= 0
 
 let dist_to y = function
   | Neg_inf | Pos_inf -> Pos_inf
-  | Fin s -> Fin (Q.abs (Q.sub s y))
+  | Fin s -> Fin (Q.to_unreduced (Q.abs (Q.sub (Q.of_unreduced s) y)))
 
 let check_window ~template ~x ~n ~query ~left ~right ~result =
-  let score_of r =
-    match Template.score template r x with
-    | s -> Fin s
-    | exception Invalid_argument _ -> raise (Reject Malformed)
-  in
+  let score_of r = Fin (score template r x) in
   let count = List.length result in
   let left_score =
     match left with
@@ -69,14 +69,10 @@ let check_window ~template ~x ~n ~query ~left ~right ~result =
   guard (ordered left_score window_scores) Order_violation;
   match query with
   | Query.Range { l; u; _ } ->
-    List.iter
-      (fun s ->
-        match s with
-        | Fin v -> guard (Q.compare l v <= 0 && Q.compare v u <= 0) Boundary_violation
-        | Neg_inf | Pos_inf -> raise (Reject Malformed))
-      window_scores;
-    guard (lt_fin left_score l) Boundary_violation;
-    guard (gt_fin right_score u) Boundary_violation
+    let l = Fin (Q.to_unreduced l) and u = Fin (Q.to_unreduced u) in
+    List.iter (fun s -> guard (le l s && le s u) Boundary_violation) window_scores;
+    guard (not (le l left_score)) Boundary_violation;
+    guard (not (le right_score u)) Boundary_violation
   | Query.Top_k { k; _ } ->
     guard (count = min k n) Count_mismatch;
     guard (match right with Vo.Max_sentinel -> true | _ -> false) Boundary_violation;
@@ -88,7 +84,7 @@ let check_window ~template ~x ~n ~query ~left ~right ~result =
       List.fold_left
         (fun acc s ->
           match dist_to y s with
-          | Fin d -> (match acc with Fin a when Q.compare a d >= 0 -> acc | _ -> Fin d)
+          | Fin _ as d -> if le d acc then acc else d
           | Neg_inf | Pos_inf -> raise (Reject Malformed))
         Neg_inf window_scores
     in

@@ -20,6 +20,17 @@ exception Reject of rejection
 val guard : bool -> rejection -> unit
 (** @raise Reject when the condition fails. *)
 
+val score :
+  Aqv_db.Template.t -> Aqv_db.Record.t -> Aqv_num.Rational.t array -> Aqv_num.Rational.unreduced
+(** [score template r x] is {!Aqv_db.Template.score_unreduced}: [r]'s
+    score at [x], unreduced, for {!Aqv_num.Rational.compare_unreduced}.
+    Two such scores, or one and a bound lifted by
+    {!Aqv_num.Rational.to_unreduced}, compare exactly as the reduced
+    scores do, so every order, range and side check decides as it would
+    on {!Aqv_db.Template.score}.
+    @raise Reject [Malformed] if [r] cannot be scored at [x] (too few
+    attributes, or [x] of the wrong dimension). *)
+
 val check_window :
   template:Aqv_db.Template.t ->
   x:Aqv_num.Rational.t array ->
@@ -33,5 +44,7 @@ val check_window :
     scores are non-decreasing across [left; result; right]; every result
     record satisfies the query; the boundaries prove completeness
     (strictly outside the range, the max sentinel for top-k, no nearer
-    neighbour for KNN).
+    neighbour for KNN). Every record is scored, and an unscorable one
+    rejected as [Malformed], before any comparison; order and range
+    checks compare unreduced scores ({!score}).
     @raise Reject on any violation. *)

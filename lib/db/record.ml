@@ -14,7 +14,7 @@ let payload t = t.payload
 
 let affine t ~const x =
   if Array.length x > Array.length t.attrs then invalid_arg "Record.affine: arity";
-  Q.affine const t.attrs x
+  Q.affine_unreduced const t.attrs x
 
 let equal a b =
   a.id = b.id && String.equal a.payload b.payload

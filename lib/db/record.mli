@@ -34,11 +34,13 @@ val attr : t -> int -> Aqv_num.Rational.t
 val arity : t -> int
 val payload : t -> string
 
-val affine : t -> const:Aqv_num.Rational.t -> Aqv_num.Rational.t array -> Aqv_num.Rational.t
+val affine :
+  t -> const:Aqv_num.Rational.t -> Aqv_num.Rational.t array -> Aqv_num.Rational.unreduced
 (** [affine r ~const x] is [const + attr r 0 * x.(0) + ... +
-    attr r (n-1) * x.(n-1)] for [n = Array.length x], read from the
-    attributes in place ({!Aqv_num.Rational.affine}); attributes past
-    [n] are not read. [Template.score] is built on it.
+    attr r (n-1) * x.(n-1)] for [n = Array.length x], unreduced, read
+    from the attributes in place ({!Aqv_num.Rational.affine_unreduced});
+    attributes past [n] are not read. [Template.score] and
+    [Template.score_unreduced] are built on it.
     @raise Invalid_argument if [arity r < n]. *)
 
 val equal : t -> t -> bool

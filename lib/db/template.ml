@@ -25,7 +25,7 @@ let apply t r =
     need 2;
     Aqv_num.Linfun.make ~coeffs:[| Record.attr r 0 |] ~const:(Record.attr r 1)
 
-let score t r x =
+let score_unreduced t r x =
   if Array.length x <> dim t then invalid_arg "Template.score: dimension";
   match t with
   | Linear_weights d ->
@@ -34,6 +34,8 @@ let score t r x =
   | Affine_1d ->
     if Record.arity r < 2 then invalid_arg "Template.score: record arity";
     Record.affine r ~const:(Record.attr r 1) x
+
+let score t r x = Q.of_unreduced (score_unreduced t r x)
 
 let name = function
   | Linear_weights d -> Printf.sprintf "linear-weights(%d)" d

@@ -29,6 +29,19 @@ val score : t -> Record.t -> Aqv_num.Rational.t array -> Aqv_num.Rational.t
     @raise Invalid_argument if the record has too few attributes or [x]
     is not [dim t] long. *)
 
+val score_unreduced :
+  t -> Record.t -> Aqv_num.Rational.t array -> Aqv_num.Rational.unreduced
+(** [score t r x] before its final reduction, for a caller that only
+    compares scores: for all records [a], [b] and any [q],
+    [Rational.compare_unreduced (score_unreduced t a x) (score_unreduced
+    t b x) = Rational.compare (score t a x) (score t b x)], and
+    [Rational.compare_unreduced (score_unreduced t a x)
+    (Rational.to_unreduced q) = Rational.compare (score t a x) q]. It
+    skips the gcd that puts [score] in canonical form, and the compare
+    of two such scores is one integer compare over a shared
+    denominator, or a cross-multiplication ({!Aqv_num.Rational.compare_unreduced}).
+    @raise Invalid_argument exactly where [score] does. *)
+
 val pp : Format.formatter -> t -> unit
 
 val encode : Aqv_util.Wire.writer -> t -> unit

@@ -153,30 +153,44 @@ let average a b =
     let ad = den a and bd = den b in
     big (B.add (B.mul (num a) bd) (B.mul (num b) ad)) (B.mul B.two (B.mul ad bd))
 
+(* A value not yet reduced: either form of [t], but an [I] may share a
+   factor between [n] and [d] ([d > 0], neither [min_int], as in [t]).
+   [compare] never relies on reduction, so it orders these exactly. *)
+type unreduced = t
+
+let to_unreduced q = q
+let of_unreduced = function I { n; d } -> reduce n d | Z _ as q -> q
+let compare_unreduced = compare
+
 (* [b + a.(0) * x.(0) + ...] over one running native fraction [num/den],
-   unreduced until the end: a term over the running denominator is one
-   add, any other one cross-multiply, both within the bounds above. Past
-   a bound, or at a [Bigint] operand, the terms left are added one
-   [mul] and [add] at a time. *)
-let affine b a x =
-  let len = Array.length x in
-  let rec fold acc i =
-    if i = len then acc
-    else fold (if sign a.(i) = 0 then acc else add acc (mul a.(i) x.(i))) (i + 1)
-  in
-  let rec native num den i =
-    if i = len then reduce num den
-    else
-      match (a.(i), x.(i)) with
-      | I { n = 0; _ }, _ -> native num den (i + 1)
-      | I p, I q when below lim31 p.n p.d q.n q.d ->
-        let tn = p.n * q.n and td = p.d * q.d in
-        if td = den && Stdlib.abs num lor Stdlib.abs tn < lim61 then native (num + tn) den (i + 1)
-        else if below lim30 num den tn td then native ((num * td) + (tn * den)) (den * td) (i + 1)
-        else fold (reduce num den) i
-      | _ -> fold (reduce num den) i
-  in
-  match b with I { n; d } -> native n d 0 | Z _ -> fold b 0
+   left unreduced: a term over the running denominator is one add, any
+   other one cross-multiply, both within the bounds above. Past a bound,
+   or at a [Bigint] operand, the terms left are added one [mul] and
+   [add] at a time. Top-level functions, not local closures: a score is
+   computed per record per verification, and a closure is an allocation
+   each time. *)
+let rec affine_fold a x acc i =
+  if i = Array.length x then acc
+  else affine_fold a x (if sign a.(i) = 0 then acc else add acc (mul a.(i) x.(i))) (i + 1)
+
+let rec affine_native a x num den i =
+  if i = Array.length x then I { n = num; d = den }
+  else
+    match (a.(i), x.(i)) with
+    | I { n = 0; _ }, _ -> affine_native a x num den (i + 1)
+    | I p, I q when below lim31 p.n p.d q.n q.d ->
+      let tn = p.n * q.n and td = p.d * q.d in
+      if td = den && Stdlib.abs num lor Stdlib.abs tn < lim61 then
+        affine_native a x (num + tn) den (i + 1)
+      else if below lim30 num den tn td then
+        affine_native a x ((num * td) + (tn * den)) (den * td) (i + 1)
+      else affine_fold a x (reduce num den) i
+    | _ -> affine_fold a x (reduce num den) i
+
+let affine_unreduced b a x =
+  match b with I { n; d } -> affine_native a x n d 0 | Z _ -> affine_fold a x b 0
+
+let affine b a x = of_unreduced (affine_unreduced b a x)
 
 let encode w = function
   | I { n; d } ->

@@ -64,11 +64,35 @@ val average : t -> t -> t
 val affine : t -> t array -> t array -> t
 (** [affine b a x] is [b + a.(0) * x.(0) + ... + a.(n-1) * x.(n-1)] for
     [n = Array.length x]; [a] must be at least as long, and its entries
-    past [n] are not read. Native terms are summed over one running
-    denominator and reduced once, at the end, within the bounds above;
-    from the first term past a bound on, terms go through {!mul} and
-    {!add}. Either way the result is the one a term-by-term fold
-    gives. *)
+    past [n] are not read. It is {!of_unreduced} of {!affine_unreduced}:
+    the result is the one a term-by-term fold gives. *)
+
+(** {1 Unreduced values}
+
+    A value whose native numerator and denominator may share a factor:
+    what {!affine} computes before its final gcd. Where a value is only
+    compared, the gcd is waste. *)
+
+type unreduced
+
+val affine_unreduced : t -> t array -> t array -> unreduced
+(** [affine_unreduced b a x] is the value of [affine b a x]. Native terms
+    are summed over one running denominator, within the bounds above,
+    and left unreduced; from the first term past a bound on, terms go
+    through {!mul} and {!add}. *)
+
+val to_unreduced : t -> unreduced
+(** The same value; costs nothing. *)
+
+val of_unreduced : unreduced -> t
+(** The same value in canonical form. *)
+
+val compare_unreduced : unreduced -> unreduced -> int
+(** [compare_unreduced a b] is [compare (of_unreduced a) (of_unreduced
+    b)], without reducing either: two native values over one denominator
+    compare by one integer compare, other native values with every
+    magnitude below 2{^31} by cross-multiplication, and the rest by a
+    {!Aqv_bigint.Bigint} cross-multiplication. No floats. *)
 
 val encode : Aqv_util.Wire.writer -> t -> unit
 (** Canonical wire encoding: a sign byte (1 for negative, else 0), then

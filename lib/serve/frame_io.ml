@@ -43,7 +43,8 @@ let read_frame ?header_timeout ?body_timeout fd =
   | `Ok ->
     let n = Int32.to_int (Bytes.get_int32_be hdr 0) land 0xffff_ffff in
     if n > max_frame then failwith "Frame_io: frame too large";
-    Option.iter (set_recv_timeout fd) body_timeout;
+    (* a body deadline equal to the header's is already set *)
+    if body_timeout <> header_timeout then Option.iter (set_recv_timeout fd) body_timeout;
     let rec fill buf off =
       if off >= n then buf
       else begin

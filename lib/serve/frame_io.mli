@@ -17,7 +17,8 @@ val read_frame :
     allocation of the claimed size. [header_timeout] bounds the wait
     for the frame to start (idle keep-alive), [body_timeout] the rest
     of the frame; omitted timeouts leave the socket's current setting
-    untouched.
+    untouched, and a [body_timeout] equal to [header_timeout] is not
+    set a second time.
     @raise Timeout on an expired deadline
     @raise Failure on oversized or truncated frames. *)
 

@@ -1270,6 +1270,68 @@ let test_memo_two_way_nodes () =
       check Alcotest.(pair int int) "every node hits on the warm pass" (hits + 3, misses) (counts ())
   done
 
+(* The signature table holds only (digest, signature) pairs that
+   verified, keyed by the digest the client recomputes from the reply. A
+   reply whose signature has one byte flipped is rejected as
+   [Bad_signature] every time, and leaves the table as it was: the flip
+   misses again on a repeat (it was not stored), and the honest reply
+   still hits (it was not evicted). *)
+let flip_signature_byte resp =
+  let vo = resp.Server.vo in
+  let s = vo.Vo.signature in
+  let i = String.length s / 2 in
+  with_vo resp
+    { vo with Vo.signature = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s }
+
+let signature_counts ctx =
+  let c = Client.memo_counters ctx in
+  (c.Client.signature_hits, c.Client.signature_misses)
+
+let test_signature_memo_rejected index () =
+  let query, resp = honest index in
+  let warm = primed query resp in
+  let forged = flip_signature_byte resp in
+  let bad = Client.rejection_to_string Client.Bad_signature in
+  for _ = 1 to 2 do
+    let hits, misses = signature_counts warm in
+    check Alcotest.string "flipped signature byte" bad (decision warm query forged);
+    check Alcotest.(pair int int) "checked afresh, not stored" (hits, misses + 1)
+      (signature_counts warm)
+  done;
+  let hits, misses = signature_counts warm in
+  check Alcotest.string "honest reply" "accepted" (decision warm query resp);
+  check Alcotest.(pair int int) "the honest pair still hits" (hits + 1, misses)
+    (signature_counts warm)
+
+(* A warm ctx that holds an authentic pair still rejects a reply that
+   reuses it: asked at a point outside the proven subdomain, the side
+   checks fail before the signature is looked up; with one signature
+   byte flipped, the pair differs and is checked afresh. Each decision
+   is a fresh ctx's. *)
+let test_signature_memo_reuse index () =
+  let query, resp = honest index in
+  let warm = primed query resp in
+  let t = Lazy.force table in
+  let l, u = match query with Query.Range { l; u; _ } -> (l, u) | _ -> assert false in
+  let rng = Prng.create 98L in
+  let wrong = Client.rejection_to_string Client.Wrong_subdomain in
+  let rec outside tries =
+    if tries = 0 then Alcotest.fail "no point outside the subdomain"
+    else
+      let q = Query.range ~x:(Workload.weight_point t rng) ~l ~u in
+      if decision (ctx ()) q resp = wrong then q else outside (tries - 1)
+  in
+  let elsewhere = outside 1000 in
+  let before = signature_counts warm in
+  check Alcotest.string "x outside the subdomain" wrong (decision warm elsewhere resp);
+  check Alcotest.(pair int int) "rejected before the signature" before (signature_counts warm);
+  let forged = flip_signature_byte resp in
+  check Alcotest.string "flipped signature byte: warm = fresh"
+    (decision (ctx ()) query forged) (decision warm query forged);
+  check Alcotest.string "flipped signature byte" (Client.rejection_to_string Client.Bad_signature)
+    (decision warm query forged);
+  check Alcotest.string "honest reply" "accepted" (decision warm query resp)
+
 (* A record id whose 9th varint byte sets bit 62 used to decode as a
    negative int; re-encoding it for the digest then raised
    [Invalid_argument] out of [Client.verify]. The forged reply must end
@@ -1404,5 +1466,13 @@ let () =
             (test_memo_empty_and_short (Lazy.force index_multi));
           memo_law;
           Alcotest.test_case "two nodes sharing a slot both stay" `Quick test_memo_two_way_nodes;
+          Alcotest.test_case "one-sig bad signature not stored" `Quick
+            (test_signature_memo_rejected (Lazy.force index_one));
+          Alcotest.test_case "multi-sig bad signature not stored" `Quick
+            (test_signature_memo_rejected (Lazy.force index_multi));
+          Alcotest.test_case "one-sig held pair reused" `Quick
+            (test_signature_memo_reuse (Lazy.force index_one));
+          Alcotest.test_case "multi-sig held pair reused" `Quick
+            (test_signature_memo_reuse (Lazy.force index_multi));
         ] );
     ]

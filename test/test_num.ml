@@ -406,6 +406,126 @@ let template_score_is_eval =
       let got = Template.score t r x and want = Linfun.eval (Template.apply t r) x in
       Q.equal got want && String.equal (q_encoded got) (q_encoded want))
 
+(* The client orders records by [Template.score_unreduced] and
+   [Rational.compare_unreduced]: one integer compare over a shared
+   denominator, a native cross-multiplication below 2^31, a [Bigint]
+   one past it. Every way must order two records, and a record and a
+   bound, exactly as [Rational.compare] orders their reduced scores.
+   Cases cover both templates, weights over one shared denominator (as
+   [Workload.weight_point] draws them) and over distinct ones,
+   negatives, ties between records with different attributes, operands
+   at 2^30 and 2^31 +- 1, and [Bigint] attributes and inputs; a record
+   one attribute short must raise where [Template.score] does.
+   QCHECK_LONG=1 runs twenty times the count. *)
+let arb_compare_case =
+  let open QCheck.Gen in
+  let module Template = Aqv_db.Template in
+  let module Record = Aqv_db.Record in
+  let edge =
+    oneofl [ 1 lsl 30; (1 lsl 31) - 1; 1 lsl 31; (1 lsl 31) + 1 ] >>= fun e ->
+    oneofl [ 1; -1 ] >>= fun s ->
+    oneofl [ 1; 3; 1009; (1 lsl 31) - 1; e ] >>= fun d ->
+    bool >|= fun over -> if over then Q.of_ints (s * e) d else Q.of_ints s e
+  in
+  let bigint =
+    map2
+      (fun k r -> Q.of_decimal (Printf.sprintf "%s%d.%025d" (if k < 0 then "-" else "") (abs k) r))
+      (int_range (-999) 999) (int_bound 1_000_000)
+  in
+  let v =
+    frequency
+      [
+        (3, map fst gen_qr);
+        (3, gen_q);
+        (3, map (fun k -> Q.of_ints k 1009) (int_range (-3000) 3000));
+        (2, edge);
+        (1, bigint);
+        (1, return Q.zero);
+      ]
+  in
+  let weights d =
+    frequency
+      [
+        (3, list_repeat d (map (fun k -> Q.of_ints k 1009) (int_range 1 1008)));
+        (2, list_repeat d v);
+      ]
+  in
+  (* a template, the attributes it reads, and whether it is affine *)
+  let template =
+    frequency
+      [
+        (1, return (Template.affine_1d, 2, true));
+        (1, int_range 1 3 >|= fun d -> (Template.linear_weights ~dims:d, d, false));
+      ]
+  in
+  (* [b] scores as [a] at [x] from other attributes where the template
+     allows it *)
+  let tie affine a x =
+    let a = Array.of_list a and x = Array.of_list x in
+    map
+      (fun s ->
+        let b = Array.copy a in
+        if affine then begin
+          b.(0) <- Q.add a.(0) s;
+          b.(1) <- Q.sub a.(1) (Q.mul s x.(0))
+        end
+        else if Array.length x >= 2 then begin
+          b.(0) <- Q.add a.(0) (Q.mul s x.(1));
+          b.(1) <- Q.sub a.(1) (Q.mul s x.(0))
+        end;
+        Array.to_list b)
+      v
+  in
+  let case =
+    template >>= fun (t, need, affine) ->
+    weights (Template.dim t) >>= fun x ->
+    int_range (-1) 2 >>= fun extra ->
+    list_repeat (need + max extra 0) v >>= fun a ->
+    frequency [ (3, list_repeat (need + max extra 0) v); (2, tie affine a x); (1, return a) ]
+    >>= fun b ->
+    let short = if extra < 0 then List.tl else Fun.id in
+    let ra = Record.make ~id:1 ~attrs:(Array.of_list (short a)) ()
+    and rb = Record.make ~id:2 ~attrs:(Array.of_list b) () in
+    let x = Array.of_list x in
+    frequency
+      [
+        (3, v);
+        ( 2,
+          return
+            (match Template.score t rb x with s -> s | exception Invalid_argument _ -> Q.zero) );
+      ]
+    >|= fun q -> (t, ra, rb, x, q)
+  in
+  QCheck.make
+    ~print:(fun (t, a, b, x, q) ->
+      Format.asprintf "%a on %a, %a at (%s) against %a" Template.pp t Record.pp a Record.pp b
+        (String.concat ", " (Array.to_list (Array.map Q.to_string x)))
+        Q.pp q)
+    case
+
+let score_compare_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:3000 ~long_factor:20
+       ~name:"compare_unreduced = reduced compare" arb_compare_case
+       (fun (t, a, b, x, q) ->
+         let module Template = Aqv_db.Template in
+         let sgn c = Int.compare c 0 in
+         let qu = Q.to_unreduced q in
+         match Template.score t a x with
+         | exception Invalid_argument _ -> (
+           match Template.score_unreduced t a x with
+           | exception Invalid_argument _ -> true
+           | _ -> false)
+         | sa ->
+           let sb = Template.score t b x in
+           let ua = Template.score_unreduced t a x and ub = Template.score_unreduced t b x in
+           sgn (Q.compare_unreduced ua ub) = sgn (Q.compare sa sb)
+           && sgn (Q.compare_unreduced ub ua) = sgn (Q.compare sb sa)
+           && sgn (Q.compare_unreduced ua qu) = sgn (Q.compare sa q)
+           && sgn (Q.compare_unreduced qu ub) = sgn (Q.compare q sb)
+           && Q.equal (Q.of_unreduced ua) sa
+           && Q.equal (Q.of_unreduced qu) q))
+
 (* ----------------------------- simplex ------------------------------ *)
 
 let q = Q.of_int
@@ -753,6 +873,7 @@ let () =
           linfun_eval_fold;
           template_score_is_eval;
         ] );
+      ("scores", [ score_compare_law ]);
       ( "simplex",
         [
           Alcotest.test_case "basic max" `Quick test_simplex_basic_max;
