@@ -408,11 +408,19 @@ let fig7a () =
   fig7_rows () ~show:(fun size (tm, _, _) (tone, _, _) (tmulti, _, _) ->
       row "%8d %12.2f %14.2f %14.2f\n%!" size (tm *. 1000.) (tone *. 1000.) (tmulti *. 1000.))
 
+let fig7_fail figure size fmt =
+  Printf.ksprintf (fun m -> failwith (Printf.sprintf "%s: |q|=%d %s" figure size m)) fmt
+
+(* Hard-fails on the paper's twist (EXPERIMENTS, Fig 7b): the mesh
+   hashes less than either IFMH scheme at every |q|. Hash counts are
+   deterministic, so the law is immune to runner noise. *)
 let fig7b () =
   header "Fig 7b — hash operations during verification vs result size";
   row "%8s %12s %14s %14s\n" "|q|" "mesh" "one-sig" "multi-sig";
   fig7_rows () ~show:(fun size (_, hm, _) (_, ho, _) (_, hu, _) ->
-      row "%8d %12d %14d %14d\n%!" size hm ho hu)
+      row "%8d %12d %14d %14d\n%!" size hm ho hu;
+      if hm >= ho || hm >= hu then
+        fig7_fail "fig7b" size "mesh hashes %d, not below one-sig %d and multi-sig %d" hm ho hu)
 
 let fig7c () =
   header "Fig 7c — signature verification time, RSA vs DSA";
@@ -445,12 +453,18 @@ let fig7c () =
       ("multi-sig DSA", c.rmulti_dsa, kpd);
     ]
 
+(* Hard-fails unless the mesh checks |q|+1 signatures (one per
+   consecutive pair, boundaries included) and each IFMH scheme exactly 1
+   (EXPERIMENTS, Fig 7d); signature counts are deterministic. *)
 let fig7d () =
   header "Fig 7d — total verification time incl. signature ops (ms)";
   row "%8s %12s %14s %14s %12s\n" "|q|" "mesh" "one-sig" "multi-sig" "mesh #sigs";
-  fig7_rows () ~show:(fun size (tm, _, vm) (tone, _, _) (tmulti, _, _) ->
+  fig7_rows () ~show:(fun size (tm, _, vm) (tone, _, vo) (tmulti, _, vu) ->
       row "%8d %12.2f %14.2f %14.2f %12d\n%!" size (tm *. 1000.) (tone *. 1000.)
-        (tmulti *. 1000.) vm)
+        (tmulti *. 1000.) vm;
+      if vm <> size + 1 || vo <> 1 || vu <> 1 then
+        fig7_fail "fig7d" size "signature checks: mesh %d (law %d), one-sig %d, multi-sig %d (law 1)"
+          vm (size + 1) vo vu)
 
 (* ------------------------------ Fig 8 ------------------------------- *)
 
@@ -589,35 +603,6 @@ let ext_2d () =
         (Itree.leaf_count (Ifmh.itree one))
         t_build (cost one) (cost multi))
     [ 6; 9; 12; 15 ]
-
-let abl_batch () =
-  header "Ablation — batched queries: shared vs per-query subdomain proofs";
-  let n = scaled 300 in
-  let c = ctx_of n in
-  row "(n = %d, one-signature, m top-k queries at one input)\n" n;
-  row "%8s %14s %16s %10s\n" "m" "batched B" "separate B" "saving";
-  (* one RSA signature (the root's), so every batch is verified too *)
-  let kp = Lazy.force rsa_keypair in
-  let one = Ifmh.build ~scheme:Ifmh.One_signature c.table kp in
-  let verifier = verifier_for kp c.table in
-  let rng = query_rng () in
-  let x = Workload.weight_point c.table rng in
-  List.iter
-    (fun m ->
-      let queries = List.init m (fun k -> Query.top_k ~x ~k:(k + 1)) in
-      let resp = Batch.answer one ~x queries in
-      (match Batch.verify verifier ~x queries resp with
-      | Ok () -> ()
-      | Error r -> failwith ("abl-batch: batch rejected: " ^ Semantics.rejection_to_string r));
-      let batched = Batch.size_bytes resp in
-      let separate =
-        List.fold_left
-          (fun acc (sr : Server.response) -> acc + Vo.size_bytes sr.Server.vo)
-          0 (Batch.to_responses resp)
-      in
-      row "%8d %14d %16d %9.0f%%\n%!" m batched separate
-        (100. *. (1. -. (float_of_int batched /. float_of_int separate))))
-    [ 1; 2; 4; 8; 16 ]
 
 let abl_count () =
   header "Ablation — verifiable COUNT vs full range retrieval (bytes on the wire)";
@@ -1228,7 +1213,6 @@ let figures =
     ("abl-montgomery", abl_montgomery);
     ("abl-depth", abl_depth);
     ("abl-correlation", abl_correlation);
-    ("abl-batch", abl_batch);
     ("abl-count", abl_count);
     ("abl-update", abl_update);
     ("abl-recovery", abl_recovery);

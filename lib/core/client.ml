@@ -88,6 +88,7 @@ type fresh = {
 type ctx = {
   template : Template.t;
   domain : Domain.t;
+  leaf_prefix : Ifmh.leaf_signing_prefix;  (** the domain's part of a leaf signing digest *)
   verify_signature : string -> string -> bool;
   min_epoch : int;
   memo : memo;
@@ -108,7 +109,8 @@ let make_ctx ~template ~domain ~verify_signature =
       signature_misses = Atomic.make 0;
     }
   in
-  { template; domain; verify_signature; min_epoch = 0; memo; fresh = None }
+  let leaf_prefix = Ifmh.leaf_signing_prefix domain in
+  { template; domain; leaf_prefix; verify_signature; min_epoch = 0; memo; fresh = None }
 
 (* [None] for a ctx's first verification, the shared tables after it *)
 let rec tables memo =
@@ -273,7 +275,7 @@ let side_at ctx ~x rp rq =
 
 (* Verify the subdomain part against a reconstructed FMH root: route or
    constraint checks at [x], then the owner's signature over the scheme's
-   digest. Shared with the batch and count verifiers. *)
+   digest. Shared with the count verifier. *)
 let check_subdomain_proof ctx ~x ~fmh_root ~n_leaves ~epoch subdomain ~signature =
   match subdomain with
   | Vo.One_sig_path steps ->
@@ -300,7 +302,7 @@ let check_subdomain_proof ctx ~x ~fmh_root ~n_leaves ~epoch subdomain ~signature
         cons
     in
     let digest =
-      Ifmh.leaf_digest_for_signing ~domain:ctx.domain ~cons_digests ~fmh_root ~n_leaves
+      Ifmh.leaf_digest_for_signing ~prefix:ctx.leaf_prefix ~cons_digests ~fmh_root ~n_leaves
         ~epoch
     in
     guard (signature_ok ctx digest signature) Bad_signature

@@ -60,10 +60,9 @@ val check_subdomain_proof :
   Vo.subdomain_proof ->
   signature:string ->
   unit
-(** Building block shared with {!Aqv_baseline.Batch} and {!Count}:
-    verify that the FMH root belongs to the subdomain containing [x]
-    under the owner's signature (route re-evaluation or inequality
-    checks included).
+(** Step 1b of {!verify}, shared with {!Count}: verify that the FMH
+    root belongs to the subdomain containing [x] under the owner's
+    signature (route re-evaluation or inequality checks included).
     @raise Semantics.Reject on any violation. *)
 
 val window_root :
@@ -75,10 +74,9 @@ val window_root :
   right:Vo.boundary ->
   fmh_proof:string list ->
   string
-(** Building block shared with {!Aqv_baseline.Batch}: check that the
-    window and its boundaries fit an [n_leaves]-leaf list (sentinels
-    only at its ends) and rebuild the FMH root they commit to with the
-    range proof.
+(** Step 1a of {!verify}: check that the window and its boundaries fit
+    an [n_leaves]-leaf list (sentinels only at its ends) and rebuild the
+    FMH root they commit to with the range proof.
     @raise Semantics.Reject [Malformed] on any inconsistency. *)
 
 val boundary_digest : ctx -> Vo.boundary -> string
@@ -119,7 +117,7 @@ val with_memo : ctx -> (ctx -> ('a, 'e) result) -> ('a, 'e) result
     Later ones look up what earlier accepted verifications computed,
     and publish what they compute only if [f] returns [Ok]: a rejected
     reply leaves the memo as it was. {!verify} and {!verify_rank} each
-    run in one, as do {!Aqv_baseline.Batch} and {!Count}; outside it,
+    run in one, as does {!Count}; outside it,
     {!window_root}, {!check_subdomain_proof} and {!boundary_digest}
     hash and check signatures afresh. *)
 

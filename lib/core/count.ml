@@ -1,7 +1,6 @@
 module Q = Aqv_num.Rational
 module W = Aqv_util.Wire
 module Mht = Aqv_merkle.Mht
-module Record = Aqv_db.Record
 
 type anchor = { boundary : Vo.boundary; path : Mht.path_elem list }
 
@@ -17,16 +16,15 @@ type response = {
 
 let answer index ~x ~l ~u =
   if Q.compare l u > 0 then invalid_arg "Count.answer: l > u";
-  (* reuse the range machinery for window location and subdomain proof *)
-  let query = Query.range ~x ~l ~u in
-  let resp = Server.answer index query in
+  (* reuse the range machinery for window location and subdomain proof;
+     its one descent also yields the FMH-tree the anchors' paths come from *)
+  let at = Server.locate index x in
+  let resp = Server.answer_at index at (Query.range ~x ~l ~u) in
   let vo = resp.Server.vo in
   let count = List.length resp.Server.result in
   let wlo = vo.Vo.window_lo in
   let whi = wlo + count - 1 in
-  let _, leaf = Itree.locate (Ifmh.itree index) x in
-  let lists = Sorting.leaf (Ifmh.sorting index) leaf.Itree.id in
-  let fmh = lists.Sorting.fmh in
+  let fmh = at.Server.lists.Sorting.fmh in
   let anchor_of boundary pos = { boundary; path = Mht.auth_path fmh pos } in
   let inner =
     if count = 0 then None
@@ -117,112 +115,53 @@ let verify_memoized ctx ~x ~l ~u resp =
 let verify ctx ~x ~l ~u resp =
   Client.with_memo ctx (fun ctx -> verify_memoized ctx ~x ~l ~u resp)
 
+let encode_anchor w a =
+  Vo.encode_boundary w a.boundary;
+  W.list w
+    (fun (e : Mht.path_elem) ->
+      W.u8 w (if e.Mht.sibling_on_left then 1 else 0);
+      W.bytes w e.Mht.sibling)
+    a.path
+
+let decode_anchor r =
+  let boundary = Vo.decode_boundary r in
+  let path =
+    W.read_list r (fun r ->
+        let sibling_on_left = W.read_u8 r = 1 in
+        let sibling = W.read_bytes r in
+        { Mht.sibling; sibling_on_left })
+  in
+  { boundary; path }
+
 let encode w resp =
   W.varint w resp.n_leaves;
   W.varint w resp.epoch;
-  let enc_boundary = function
-    | Vo.Min_sentinel -> W.u8 w 0
-    | Vo.Max_sentinel -> W.u8 w 1
-    | Vo.Boundary_record r ->
-      W.u8 w 2;
-      Record.encode w r
-  in
-  let enc_anchor a =
-    enc_boundary a.boundary;
-    W.list w
-      (fun (e : Mht.path_elem) ->
-        W.u8 w (if e.Mht.sibling_on_left then 1 else 0);
-        W.bytes w e.Mht.sibling)
-      a.path
-  in
-  enc_anchor resp.louter;
-  enc_anchor resp.router;
+  encode_anchor w resp.louter;
+  encode_anchor w resp.router;
   (match resp.inner with
   | None -> W.u8 w 0
   | Some (a, b) ->
     W.u8 w 1;
-    enc_anchor a;
-    enc_anchor b);
-  (match resp.subdomain with
-  | Vo.One_sig_path steps ->
-    W.u8 w 0;
-    W.list w
-      (fun (s : Vo.path_step) ->
-        Record.encode w s.Vo.rp;
-        Record.encode w s.Vo.rq;
-        W.u8 w (Aqv_num.Halfspace.side_to_int s.Vo.taken);
-        W.bytes w s.Vo.sibling)
-      steps
-  | Vo.Multi_sig_constraints cons ->
-    W.u8 w 1;
-    W.list w
-      (fun (rp, rq, side) ->
-        Record.encode w rp;
-        Record.encode w rq;
-        W.u8 w (Aqv_num.Halfspace.side_to_int side))
-      cons);
+    encode_anchor w a;
+    encode_anchor w b);
+  Vo.encode_subdomain w resp.subdomain;
   W.bytes w resp.signature
 
 let decode r =
   let n_leaves = W.read_varint r in
   let epoch = W.read_varint r in
-  let dec_boundary r =
-    match W.read_u8 r with
-    | 0 -> Vo.Min_sentinel
-    | 1 -> Vo.Max_sentinel
-    | 2 -> Vo.Boundary_record (Record.decode r)
-    | _ -> failwith "Count: bad boundary tag"
-  in
-  let dec_anchor r =
-    let boundary = dec_boundary r in
-    let path =
-      W.read_list r (fun r ->
-          let sibling_on_left = W.read_u8 r = 1 in
-          let sibling = W.read_bytes r in
-          { Mht.sibling; sibling_on_left })
-    in
-    { boundary; path }
-  in
-  let louter = dec_anchor r in
-  let router = dec_anchor r in
+  let louter = decode_anchor r in
+  let router = decode_anchor r in
   let inner =
     match W.read_u8 r with
     | 0 -> None
     | 1 ->
-      let a = dec_anchor r in
-      let b = dec_anchor r in
+      let a = decode_anchor r in
+      let b = decode_anchor r in
       Some (a, b)
     | _ -> failwith "Count: bad inner tag"
   in
-  let subdomain =
-    match W.read_u8 r with
-    | 0 ->
-      Vo.One_sig_path
-        (W.read_list r (fun r ->
-             let rp = Record.decode r in
-             let rq = Record.decode r in
-             let taken =
-               match W.read_u8 r with
-               | 0 -> Aqv_num.Halfspace.Above
-               | 1 -> Aqv_num.Halfspace.Below
-               | _ -> failwith "Count: bad side"
-             in
-             let sibling = W.read_bytes r in
-             { Vo.rp; rq; taken; sibling }))
-    | 1 ->
-      Vo.Multi_sig_constraints
-        (W.read_list r (fun r ->
-             let rp = Record.decode r in
-             let rq = Record.decode r in
-             let side =
-               match W.read_u8 r with
-               | 0 -> Aqv_num.Halfspace.Above
-               | 1 -> Aqv_num.Halfspace.Below
-               | _ -> failwith "Count: bad side"
-             in
-             (rp, rq, side)))
-    | _ -> failwith "Count: bad subdomain tag"
-  in
+  let subdomain = Vo.decode_subdomain r in
   let signature = W.read_bytes r in
   { n_leaves; epoch; louter; router; inner; subdomain; signature }
 

@@ -68,18 +68,25 @@ let root_digest_for_signing ~root_hash ~n_leaves ~epoch =
   Sha256.digest_list [ root_sign_tag; root_hash; meta_bytes_of n_leaves epoch ]
 
 (* A leaf signing digest hashes tag | domain | one entry per
-   constraint, root first | FMH root | meta. *)
+   constraint, root first | FMH root | meta. The tag and the domain are
+   the same for every leaf of an index, so they are encoded once. *)
+type leaf_signing_prefix = string
+
+let leaf_signing_prefix domain =
+  let w = Aqv_util.Wire.writer () in
+  Aqv_util.Wire.raw w leaf_sign_tag;
+  Aqv_num.Domain.encode w domain;
+  Aqv_util.Wire.contents w
+
 let write_cons_entry w (dp, dq, side) =
   Aqv_util.Wire.bytes w dp;
   Aqv_util.Wire.bytes w dq;
   Aqv_util.Wire.u8 w (Halfspace.side_to_int side)
 
-let leaf_digest_for_signing ~domain ~cons_digests ~fmh_root ~n_leaves ~epoch =
+let leaf_digest_for_signing ~prefix ~cons_digests ~fmh_root ~n_leaves ~epoch =
   let w = Aqv_util.Wire.writer () in
-  Aqv_num.Domain.encode w domain;
   List.iter (write_cons_entry w) cons_digests;
-  Sha256.digest_list
-    [ leaf_sign_tag; Aqv_util.Wire.contents w; fmh_root; meta_bytes_of n_leaves epoch ]
+  Sha256.digest_list [ prefix; Aqv_util.Wire.contents w; fmh_root; meta_bytes_of n_leaves epoch ]
 
 (* Every leaf signing digest of a multi-signature index, in one
    sequential I-tree walk. A leaf's constraints are exactly the inodes
@@ -116,12 +123,9 @@ let leaf_signing_digests ~domain ~n_leaves ~epoch itree sorting rdig =
       go n.Itree.below below (len + String.length below_entry)
   in
   let ctx = Sha256.init () in
-  let w = Aqv_util.Wire.writer () in
-  Aqv_num.Domain.encode w domain;
-  let prefix = Aqv_util.Wire.contents w in
-  Sha256.feed ctx leaf_sign_tag;
+  let prefix = leaf_signing_prefix domain in
   Sha256.feed ctx prefix;
-  go (Itree.root itree) ctx (String.length leaf_sign_tag + String.length prefix);
+  go (Itree.root itree) ctx (String.length prefix);
   out
 
 (* Bottom-up hash propagation over the I-tree (paper step 3). The two

@@ -147,8 +147,13 @@ val leaf_signing_digest : t -> int -> string
     the owner signed.
     @raise Invalid_argument under the one-signature scheme. *)
 
+type leaf_signing_prefix
+
+val leaf_signing_prefix : Aqv_num.Domain.t -> leaf_signing_prefix
+(** The domain's part of every leaf signing digest; a verifier makes it once. *)
+
 val leaf_digest_for_signing :
-  domain:Aqv_num.Domain.t ->
+  prefix:leaf_signing_prefix ->
   cons_digests:(string * string * Aqv_num.Halfspace.side) list ->
   fmh_root:string ->
   n_leaves:int ->

@@ -8,11 +8,30 @@ module Table = Aqv_db.Table
 
 type response = { result : Aqv_db.Record.t list; vo : Vo.t }
 
+type located = {
+  path : Itree.node list;
+  leaf : Itree.leaf;
+  lists : Sorting.leaf_lists;
+  score : int -> Q.t;
+}
+
+let locate index x =
+  let fns = Table.functions (Ifmh.table index) in
+  let path, leaf = Itree.locate (Ifmh.itree index) x in
+  let lists = Sorting.leaf (Ifmh.sorting index) leaf.Itree.id in
+  let order = lists.Sorting.order in
+  (* every probe into the sorted list models an FMH-tree descent *)
+  let score i =
+    Aqv_util.Metrics.add_fmh_nodes 1;
+    Linfun.eval fns.(Pvec.get order i) x
+  in
+  { path; leaf; lists; score }
+
 (* Build the response for a window (in FMH coordinates, sentinel at 0)
    inside the located leaf: boundary records, FMH range proof, and the
    scheme-dependent subdomain proof, all read straight off the index.
-   Shared by [answer] and [rank]. *)
-let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
+   Shared by [answer_at] and [rank]. *)
+let assemble index { path; leaf; lists; _ } (wlo, whi) =
   let table = Ifmh.table index in
   let order = lists.Sorting.order in
   let n = Pvec.length order in
@@ -57,7 +76,7 @@ let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
             }
             :: steps rest)
       in
-      (Vo.One_sig_path (List.rev (steps path_nodes)), Ifmh.root_signature index)
+      (Vo.One_sig_path (List.rev (steps path)), Ifmh.root_signature index)
     | Ifmh.Multi_signature ->
       let cons =
         List.rev_map
@@ -81,56 +100,41 @@ let assemble index path_nodes (leaf : Itree.leaf) lists (wlo, whi) =
       };
   }
 
-let answer index query =
-  let table = Ifmh.table index in
-  let fns = Table.functions table in
-  let x = Query.x query in
-  let path_nodes, leaf = Itree.locate (Ifmh.itree index) x in
-  let lists = Sorting.leaf (Ifmh.sorting index) leaf.Itree.id in
-  let order = lists.Sorting.order in
-  let n = Pvec.length order in
-  (* every probe into the sorted list models an FMH-tree descent *)
-  let score i =
-    Aqv_util.Metrics.add_fmh_nodes 1;
-    Linfun.eval fns.(Pvec.get order i) x
-  in
+let answer_at index at query =
+  let n = Pvec.length at.lists.Sorting.order in
   let window =
-    match Query.window ~n ~score query with
+    match Query.window ~n ~score:at.score query with
     | Some (a, b) -> (a + 1, b + 1)
     | None ->
       (* empty range answer: boundaries are the two records around the
          insertion point of l *)
       let l = match query with Query.Range { l; _ } -> l | _ -> assert false in
-      let ins = Query.insertion_point ~n ~score l in
+      let ins = Query.insertion_point ~n ~score:at.score l in
       (ins + 1, ins)
   in
-  assemble index path_nodes leaf lists window
+  assemble index at window
+
+let answer index query = answer_at index (locate index (Query.x query)) query
 
 let rank index ~x ~record_id =
   let table = Ifmh.table index in
   match Table.position_by_id table record_id with
   | None -> None
   | Some target ->
-    let fns = Table.functions table in
-    let path_nodes, leaf = Itree.locate (Ifmh.itree index) x in
-    let lists = Sorting.leaf (Ifmh.sorting index) leaf.Itree.id in
-    let order = lists.Sorting.order in
+    let at = locate index x in
+    let order = at.lists.Sorting.order in
     let n = Pvec.length order in
-    let score i =
-      Aqv_util.Metrics.add_fmh_nodes 1;
-      Linfun.eval fns.(Pvec.get order i) x
-    in
-    let s = Linfun.eval fns.(target) x in
+    let s = Linfun.eval (Table.functions table).(target) x in
     (* the record sits in the contiguous tie group of its score *)
     let rec find i =
-      if i >= n || Q.compare (score i) s > 0 then
+      if i >= n || Q.compare (at.score i) s > 0 then
         (* exact scores can only miss if the structures are corrupt *)
         invalid_arg "Server.rank: record not found in its subdomain order"
       else if Pvec.get order i = target then i
       else find (i + 1)
     in
-    let i = find (Query.insertion_point ~n ~score s) in
-    Some (assemble index path_nodes leaf lists (i + 1, i + 1))
+    let i = find (Query.insertion_point ~n ~score:at.score s) in
+    Some (assemble index at (i + 1, i + 1))
 
 let response_result_size resp =
   let w = Aqv_util.Wire.writer () in

@@ -12,8 +12,22 @@ type response = {
 }
 
 val answer : Ifmh.t -> Query.t -> response
-(** @raise Invalid_argument if the query input is outside the owner's
+(** [answer_at index (locate index (Query.x query)) query].
+    @raise Invalid_argument if the query input is outside the owner's
     domain or has the wrong dimension. *)
+
+type located = {
+  path : Itree.node list;  (** the I-tree descent, root first *)
+  leaf : Itree.leaf;  (** the subdomain containing the input *)
+  lists : Sorting.leaf_lists;  (** its sorted order and FMH-tree *)
+  score : int -> Aqv_num.Rational.t;  (** score at a position; ticks one FMH node *)
+}
+
+val locate : Ifmh.t -> Aqv_num.Rational.t array -> located
+(** Where an input lands: one I-tree descent. @raise Invalid_argument as {!answer}. *)
+
+val answer_at : Ifmh.t -> located -> Query.t -> response
+(** A caller that needs the leaf too ({!Count}) locates once. *)
 
 val rank : Ifmh.t -> x:Aqv_num.Rational.t array -> record_id:int -> response option
 (** Authenticated rank query (an extension beyond the paper's three

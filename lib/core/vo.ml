@@ -40,13 +40,41 @@ let decode_boundary r =
   | 2 -> Boundary_record (Record.decode r)
   | _ -> failwith "Vo: bad boundary tag"
 
-let encode_side w side = W.u8 w (Halfspace.side_to_int side)
+(* a multi-sig constraint, and a one-sig path step less its sibling *)
+let encode_constraint w rp rq side =
+  Record.encode w rp;
+  Record.encode w rq;
+  W.u8 w (Halfspace.side_to_int side)
 
-let decode_side r =
+let decode_constraint r =
+  let rp = Record.decode r in
+  let rq = Record.decode r in
   match W.read_u8 r with
-  | 0 -> Halfspace.Above
-  | 1 -> Halfspace.Below
+  | 0 -> (rp, rq, Halfspace.Above)
+  | 1 -> (rp, rq, Halfspace.Below)
   | _ -> failwith "Vo: bad side tag"
+
+let encode_subdomain w = function
+  | One_sig_path steps ->
+    W.u8 w 0;
+    W.list w
+      (fun s ->
+        encode_constraint w s.rp s.rq s.taken;
+        W.bytes w s.sibling)
+      steps
+  | Multi_sig_constraints cons ->
+    W.u8 w 1;
+    W.list w (fun (rp, rq, side) -> encode_constraint w rp rq side) cons
+
+let decode_subdomain r =
+  match W.read_u8 r with
+  | 0 ->
+    One_sig_path
+      (W.read_list r (fun r ->
+           let rp, rq, taken = decode_constraint r in
+           { rp; rq; taken; sibling = W.read_bytes r }))
+  | 1 -> Multi_sig_constraints (W.read_list r decode_constraint)
+  | _ -> failwith "Vo: bad subdomain tag"
 
 let encode w t =
   W.varint w t.n_leaves;
@@ -55,24 +83,7 @@ let encode w t =
   encode_boundary w t.left;
   encode_boundary w t.right;
   W.list w (W.bytes w) t.fmh_proof;
-  (match t.subdomain with
-  | One_sig_path steps ->
-    W.u8 w 0;
-    W.list w
-      (fun s ->
-        Record.encode w s.rp;
-        Record.encode w s.rq;
-        encode_side w s.taken;
-        W.bytes w s.sibling)
-      steps
-  | Multi_sig_constraints cons ->
-    W.u8 w 1;
-    W.list w
-      (fun (rp, rq, side) ->
-        Record.encode w rp;
-        Record.encode w rq;
-        encode_side w side)
-      cons);
+  encode_subdomain w t.subdomain;
   W.bytes w t.signature
 
 let decode r =
@@ -82,25 +93,7 @@ let decode r =
   let left = decode_boundary r in
   let right = decode_boundary r in
   let fmh_proof = W.read_list r W.read_bytes in
-  let subdomain =
-    match W.read_u8 r with
-    | 0 ->
-      One_sig_path
-        (W.read_list r (fun r ->
-             let rp = Record.decode r in
-             let rq = Record.decode r in
-             let taken = decode_side r in
-             let sibling = W.read_bytes r in
-             { rp; rq; taken; sibling }))
-    | 1 ->
-      Multi_sig_constraints
-        (W.read_list r (fun r ->
-             let rp = Record.decode r in
-             let rq = Record.decode r in
-             let side = decode_side r in
-             (rp, rq, side)))
-    | _ -> failwith "Vo: bad subdomain tag"
-  in
+  let subdomain = decode_subdomain r in
   let signature = W.read_bytes r in
   { n_leaves; epoch; window_lo; left; right; fmh_proof; subdomain; signature }
 

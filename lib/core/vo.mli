@@ -48,6 +48,13 @@ val encode : Aqv_util.Wire.writer -> t -> unit
 val decode : Aqv_util.Wire.reader -> t
 (** @raise Failure on malformed input. *)
 
+val encode_boundary : Aqv_util.Wire.writer -> boundary -> unit
+val decode_boundary : Aqv_util.Wire.reader -> boundary
+val encode_subdomain : Aqv_util.Wire.writer -> subdomain_proof -> unit
+val decode_subdomain : Aqv_util.Wire.reader -> subdomain_proof
+(** The parts of {!encode} that {!Count} ships too, in the same bytes.
+    @raise Failure on malformed input. *)
+
 val size_bytes : t -> int
 (** Size of the canonical encoding — the paper's communication-overhead
     metric (Fig. 8). Also ticks the bytes-out counter in

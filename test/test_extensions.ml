@@ -14,7 +14,6 @@ module Signer = Aqv_crypto.Signer
 module Frame_io = Aqv_serve.Frame_io
 module Bigint_ref = Aqv_ref.Bigint_ref
 open Aqv
-open Aqv_baseline
 
 let check = Alcotest.check
 
@@ -235,83 +234,6 @@ let test_epoch_multi_sig () =
   | Ok () -> Alcotest.fail "stale replay accepted"
   | Error r -> Alcotest.failf "wrong rejection: %s" (Client.rejection_to_string r)
 
-(* ------------------------------ batch ------------------------------- *)
-
-let test_batch_verifies () =
-  let t = Lazy.force table in
-  let rng = Prng.create 524L in
-  List.iter
-    (fun index ->
-      let c = ctx () in
-      for _ = 1 to 10 do
-        let x = Workload.weight_point t rng in
-        let l, u = Workload.range_for_result_size t ~x ~size:4 in
-        let queries =
-          [
-            Query.top_k ~x ~k:3;
-            Query.range ~x ~l ~u;
-            Query.knn ~x ~k:2 ~y:(Q.of_int 400);
-          ]
-        in
-        let resp = Batch.answer index ~x queries in
-        (match Batch.verify c ~x queries resp with
-        | Ok () -> ()
-        | Error r -> Alcotest.failf "batch rejected: %s" (Semantics.rejection_to_string r));
-        (* expansion into standalone responses also verifies *)
-        List.iter2
-          (fun q sr -> check Alcotest.bool "expanded verifies" true (Client.accepts c q sr))
-          queries (Batch.to_responses resp)
-      done)
-    [ Lazy.force index_one; Lazy.force index_multi ]
-
-let test_batch_saves_bytes () =
-  let t = Lazy.force table in
-  let x = Workload.weight_point t (Prng.create 525L) in
-  let queries = List.init 5 (fun k -> Query.top_k ~x ~k:(k + 1)) in
-  let index = Lazy.force index_one in
-  let resp = Batch.answer index ~x queries in
-  let batched = Batch.size_bytes resp in
-  let separate =
-    List.fold_left
-      (fun acc sr -> acc + Vo.size_bytes sr.Server.vo)
-      0 (Batch.to_responses resp)
-  in
-  check Alcotest.bool "batch smaller than separate VOs" true (batched < separate)
-
-let test_batch_tamper () =
-  let t = Lazy.force table in
-  let x = Workload.weight_point t (Prng.create 526L) in
-  let queries = [ Query.top_k ~x ~k:2; Query.top_k ~x ~k:4 ] in
-  let index = Lazy.force index_one in
-  let resp = Batch.answer index ~x queries in
-  let c = ctx () in
-  (* drop an item *)
-  (match Batch.verify c ~x queries { resp with Batch.items = [ List.hd resp.Batch.items ] } with
-  | Ok () -> Alcotest.fail "dropped item accepted"
-  | Error _ -> ());
-  (* swap items against the query order *)
-  (match
-     Batch.verify c ~x queries { resp with Batch.items = List.rev resp.Batch.items }
-   with
-  | Ok () -> Alcotest.fail "swapped items accepted"
-  | Error _ -> ());
-  (* drop a record from an item *)
-  let cripple = function
-    | { Batch.result = _ :: rest; _ } as item -> { item with Batch.result = rest }
-    | item -> item
-  in
-  match Batch.verify c ~x queries { resp with Batch.items = List.map cripple resp.Batch.items } with
-  | Ok () -> Alcotest.fail "crippled item accepted"
-  | Error _ -> ()
-
-let test_batch_wrong_x () =
-  let t = Lazy.force table in
-  let x = Workload.weight_point t (Prng.create 527L) in
-  let x2 = Workload.weight_point t (Prng.create 528L) in
-  Alcotest.check_raises "mismatched input"
-    (Invalid_argument "Batch.answer: mismatched query input") (fun () ->
-      ignore (Batch.answer (Lazy.force index_one) ~x [ Query.top_k ~x:x2 ~k:1 ]))
-
 (* ------------------------------ count ------------------------------- *)
 
 let reference_count t x l u =
@@ -400,6 +322,28 @@ let test_count_vo_smaller_than_range_vo () =
   let range_total = Vo.size_bytes rresp.Server.vo + Server.response_result_size rresp in
   check Alcotest.bool "count proof much smaller than shipping the records" true
     (Count.size_bytes cresp * 2 < range_total)
+
+(* One I-tree descent per COUNT: the anchors' paths come from the leaf
+   the range answer located, so the sign tests equal a range query's. *)
+let test_count_locates_once () =
+  let t = Lazy.force table in
+  let rng = Prng.create 534L in
+  let sign_tests f =
+    let before = Aqv_util.Metrics.snapshot () in
+    ignore (f ());
+    (Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) before).Aqv_util.Metrics.locate_sign_tests
+  in
+  List.iter
+    (fun index ->
+      for _ = 1 to 10 do
+        let x = Workload.weight_point t rng in
+        let l, u = Workload.range_for_result_size t ~x ~size:6 in
+        let range = sign_tests (fun () -> Server.answer index (Query.range ~x ~l ~u)) in
+        check Alcotest.bool "the range query descends" true (range > 0);
+        check Alcotest.int "sign tests" range
+          (sign_tests (fun () -> Count.answer index ~x ~l ~u))
+      done)
+    [ Lazy.force index_one; Lazy.force index_multi ]
 
 
 (* --------------------------- persistence ---------------------------- *)
@@ -593,19 +537,13 @@ let () =
           Alcotest.test_case "accept and reject" `Quick test_epoch_accept_and_reject;
           Alcotest.test_case "multi-sig stale replay" `Quick test_epoch_multi_sig;
         ] );
-      ( "batch",
-        [
-          Alcotest.test_case "verifies" `Quick test_batch_verifies;
-          Alcotest.test_case "saves bytes" `Quick test_batch_saves_bytes;
-          Alcotest.test_case "tamper rejected" `Quick test_batch_tamper;
-          Alcotest.test_case "wrong x rejected" `Quick test_batch_wrong_x;
-        ] );
       ( "count",
         [
           Alcotest.test_case "matches reference" `Quick test_count_matches_reference;
           Alcotest.test_case "empty and full" `Quick test_count_empty_and_full;
           Alcotest.test_case "tamper rejected" `Quick test_count_tamper;
           Alcotest.test_case "smaller than range VO" `Quick test_count_vo_smaller_than_range_vo;
+          Alcotest.test_case "locates once" `Quick test_count_locates_once;
         ] );
       ( "persistence",
         [

@@ -613,7 +613,9 @@ let prop_walk_is_per_leaf ~dims seed =
                        (rdig.(i), rdig.(j), side))
                      lf.Itree.cons
                  in
-                 Ifmh.leaf_digest_for_signing ~domain:(Table.domain table) ~cons_digests
+                 Ifmh.leaf_digest_for_signing
+                   ~prefix:(Ifmh.leaf_signing_prefix (Table.domain table))
+                   ~cons_digests
                    ~fmh_root:(Sorting.fmh_root (Ifmh.sorting index) lf.Itree.id)
                    ~n_leaves:(Table.size table + 2) ~epoch)
              (Itree.leaves (Ifmh.itree index))))

@@ -177,8 +177,6 @@ let () =
               Query.range ~x:[| Q.one |] ~l:Q.one ~u:Q.zero);
           raises_invalid "count l>u" (fun () ->
               Count.answer (Lazy.force index) ~x:[| Q.of_ints 1 2 |] ~l:Q.one ~u:Q.zero);
-          raises_invalid "batch empty" (fun () ->
-              Batch.answer (Lazy.force index) ~x:[| Q.of_ints 1 2 |] []);
           raises_invalid "mesh 2d" (fun () ->
               Mesh.count_signatures (Workload.scored ~n:3 ~dims:2 (Prng.create 1L)));
           raises_invalid "answer outside domain" (fun () ->
