@@ -10,9 +10,9 @@
          truncate a torn log tail, replay surviving deltas), then serve
          framed requests through the concurrent Aqv_serve.Engine
          (bounded connections, per-connection deadlines, LRU response
-         cache, graceful shutdown on SIGINT/SIGTERM, periodic stats
-         log). Accepted republishes are fsync'd to wal.log before the
-         ack, so a crashed server restarts at the last acked epoch.
+         cache, graceful shutdown on SIGINT/SIGTERM). Accepted
+         republishes are fsync'd to wal.log before the ack, so a
+         crashed server restarts at the last acked epoch.
          Every server is also a replication primary: followers can
          Subscribe and tail its durably-acked deltas.
 
@@ -146,20 +146,6 @@ let run_publish n seed scheme epoch dir =
 
 (* ------------------------------- serve ------------------------------ *)
 
-let engine_config port max_conns cache_capacity idle_timeout read_timeout
-    write_timeout stats_interval faults =
-  {
-    Engine.default_config with
-    port;
-    max_conns;
-    cache_capacity;
-    idle_timeout;
-    read_timeout;
-    write_timeout;
-    stats_interval;
-    faults;
-  }
-
 (* "host:port" (or a bare port, meaning loopback) for --follow and
    --replicas *)
 let parse_hostport s =
@@ -200,8 +186,7 @@ let open_or_bootstrap dir follow =
         } )
   | _ -> Store.open_dir dir
 
-let run_serve dir port max_conns cache_capacity idle_timeout read_timeout
-    write_timeout stats_interval fault_spec follow port_file =
+let run_serve dir port max_conns faults follow port_file =
   setup_logging ();
   let follow = Option.map parse_hostport follow in
   match open_or_bootstrap dir follow with
@@ -216,10 +201,11 @@ let run_serve dir port max_conns cache_capacity idle_timeout read_timeout
     let hub = Hub.create ~initial:index () in
     let config =
       {
-        (engine_config port max_conns cache_capacity idle_timeout
-           read_timeout write_timeout stats_interval fault_spec)
-        with
-        Engine.store = Some store;
+        Engine.default_config with
+        port;
+        max_conns;
+        faults;
+        store = Some store;
         accept_republish = Option.is_none follow;
         publisher = Some (Hub.publisher hub);
       }
@@ -261,10 +247,10 @@ let run_serve dir port max_conns cache_capacity idle_timeout read_timeout
 
 (* ------------------------------- route ------------------------------ *)
 
-let run_route replicas port poll_interval port_file =
+let run_route replicas port port_file =
   setup_logging ();
   let replicas = List.map parse_hostport (String.split_on_char ',' replicas) in
-  let router = Router.create ~poll_interval ~port ~replicas () in
+  let router = Router.create ~port ~replicas () in
   let stop _ = Router.stop router in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
@@ -1042,21 +1028,6 @@ let epoch_t = Arg.(value & opt int 0 & info [ "epoch" ])
 let max_conns_t =
   Arg.(value & opt int 64 & info [ "max-conns" ] ~doc:"Concurrent connection limit.")
 
-let cache_t =
-  Arg.(value & opt int 1024 & info [ "cache" ] ~doc:"Response cache entries (0 disables).")
-
-let idle_timeout_t =
-  Arg.(value & opt float 10. & info [ "idle-timeout" ] ~doc:"Seconds to await a request.")
-
-let read_timeout_t =
-  Arg.(value & opt float 5. & info [ "read-timeout" ] ~doc:"Seconds to finish a frame.")
-
-let write_timeout_t =
-  Arg.(value & opt float 5. & info [ "write-timeout" ] ~doc:"Seconds to write a reply.")
-
-let stats_interval_t =
-  Arg.(value & opt float 60. & info [ "stats-interval" ] ~doc:"Stats log period (0 off).")
-
 let fault_t =
   let doc =
     "Fault injection for robustness drills: SEED:DELAY:TRUNC:DROP \
@@ -1121,11 +1092,6 @@ let replicas_t =
     & info [ "replicas" ] ~docv:"HOST:PORT,..."
         ~doc:"Comma-separated replica addresses to route over.")
 
-let poll_interval_t =
-  Arg.(
-    value & opt float 0.5
-    & info [ "poll-interval" ] ~docv:"S" ~doc:"Seconds between replica epoch polls.")
-
 let publish_cmd =
   Cmd.v (Cmd.info "publish" ~doc:"Owner: build and write index.bin + bundle.bin.")
     Term.(const run_publish $ records_t $ seed_t $ scheme_t $ epoch_t $ dir_t)
@@ -1137,15 +1103,13 @@ let serve_cmd =
          "Storage server: serve index.bin concurrently (primary, or --follow \
           replica).")
     Term.(
-      const run_serve $ dir_t $ port_t $ max_conns_t $ cache_t
-      $ idle_timeout_t $ read_timeout_t $ write_timeout_t $ stats_interval_t
-      $ fault_t $ follow_t $ port_file_t)
+      const run_serve $ dir_t $ port_t $ max_conns_t $ fault_t $ follow_t $ port_file_t)
 
 let route_cmd =
   Cmd.v
     (Cmd.info "route"
        ~doc:"Epoch-aware front door: fan verified reads out over replicas.")
-    Term.(const run_route $ replicas_t $ port_t $ poll_interval_t $ port_file_t)
+    Term.(const run_route $ replicas_t $ port_t $ port_file_t)
 
 let query_cmd =
   Cmd.v (Cmd.info "query" ~doc:"Data user: send a query, verify the reply.")

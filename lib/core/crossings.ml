@@ -5,7 +5,7 @@ module Metrics = Aqv_util.Metrics
 module Pool = Aqv_par.Pool
 
 type pair = { i : int; j : int; diff : Linfun.t; root : Q.t option }
-type t = { pairs : pair array; total : int }
+type t = { pairs : pair array; total : int; by_root : int array array }
 
 let count t = Array.length t.pairs
 
@@ -105,5 +105,27 @@ let enumerate ?pool dom fns =
     | Some p when Pool.size p > 1 -> Pool.parallel_init p k record
     | _ -> Array.init k record
   in
+  (* 1-D: the pair indices sorted by root — stably, so ties keep index
+     order — and cut where the root changes; both the I-tree build and
+     the sweep walk this one order. The roots are gathered into one
+     array first: reached through their pair records, the 705 k roots
+     of the read-heavy table sorted in 2.1 s instead of 0.76 s, on cache
+     misses. *)
+  let by_root =
+    if not one_d then [||]
+    else begin
+      let root = Array.map (fun p -> Option.get p.root) pairs in
+      let order = Array.init k Fun.id in
+      Array.stable_sort (fun a b -> Q.compare root.(a) root.(b)) order;
+      let groups = ref [] and stop = ref k in
+      for s = k - 1 downto 0 do
+        if s = 0 || not (Q.equal root.(order.(s - 1)) root.(order.(s))) then begin
+          groups := Array.sub order s (!stop - s) :: !groups;
+          stop := s
+        end
+      done;
+      Array.of_list !groups
+    end
+  in
   Metrics.add_build_crossings k;
-  { pairs; total = k }
+  { pairs; total = k; by_root }

@@ -50,6 +50,14 @@ type pair = {
 type t = {
   pairs : pair array;  (** crossing pairs, lexicographic by [(i, j)] *)
   total : int;  (** the crossing count, = {!count} *)
+  by_root : int array array;
+      (** 1-D only, empty in d >= 2: every index into [pairs], sorted
+          by root with ties by index, cut into one group per distinct
+          root — the cell boundaries of {!Sorting.sweep_1d}, left to
+          right, and the keys of the 1-D {!Itree.build}. Deterministic
+          like [pairs]: a stable sort of the lexicographic indices by
+          exact root, so the order is a pure function of (functions,
+          domain) and never of the pool. *)
 }
 
 val count : t -> int

@@ -200,11 +200,12 @@ let build_structure ~seed ?prev ~pool table =
       in
       fun i -> match reused.(i) with Some d -> d | None -> Record.digest records.(i)
   in
-  (* one crossing enumeration feeds both consumers: the I-tree
-     insertion (shuffled crossing list) and the 1-D sweep (crossing
-     roots are its boundary events). In every dimension it is an
-     inversion sweep per antipodal corner pair of the box, so only
-     crossing pairs ever get a record — never Θ(n²) pair records. *)
+  (* one crossing enumeration feeds both consumers: the I-tree (the
+     shuffled crossing list, and in 1-D its root groups) and the 1-D
+     sweep (the root groups are its boundaries). In every dimension it
+     is an inversion sweep per antipodal corner pair of the box, so
+     only crossing pairs ever get a record — never Θ(n²) pair
+     records. *)
   let crossings = Crossings.enumerate ~pool (Table.domain table) (Table.functions table) in
   let itree = Itree.build ~seed ~crossings (Table.domain table) (Table.functions table) in
   (* digest once, in parallel, and thread the array into the sorting

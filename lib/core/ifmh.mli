@@ -42,7 +42,7 @@ val build :
     parallelizes the embarrassingly parallel stages — record digesting,
     per-subdomain sorting and FMH construction in dimension >= 2,
     per-leaf signing under [Multi_signature], and hash propagation over
-    the root's two subtrees. I-tree insertion and the 1-D sweep are
+    the root's two subtrees. The I-tree build and the 1-D sweep are
     inherently incremental and stay sequential. The result is
     bit-identical to a sequential build ([pool] of size 1): same root
     hash, same signatures, same {!save} bytes — parallelism never

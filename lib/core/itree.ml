@@ -25,14 +25,27 @@ let intersection_count t = t.intersections
 
 let fresh_leaf region cons = { region; h = ""; kind = Leaf { id = -1; cons } }
 
+(* Split a leaf by a crossing pair's hyperplane into its [above] and
+   [below] halves, each carving its side onto the leaf's constraint
+   list. The caller knows the hyperplane properly crosses the leaf. *)
+let split t node cons ({ i; j; diff; _ } : Crossings.pair) =
+  let half h =
+    match Region.add node.region h with Some r -> r | None -> assert false (* a proper split *)
+  in
+  let above = fresh_leaf (half (Halfspace.above diff)) ((i, j, Halfspace.Above) :: cons) in
+  let below = fresh_leaf (half (Halfspace.below diff)) ((i, j, Halfspace.Below) :: cons) in
+  node.kind <- Inode { i; j; diff; above; below };
+  t.nodes <- t.nodes + 2;
+  (above, below)
+
 (* Insert a crossing pair: split every leaf whose region its hyperplane
    properly crosses. The enumerator retained the pair because it
    crosses the whole domain box, so the root — whose region is the box
    — is known to classify Split without asking again. *)
-let insert t ({ i; j; diff; _ } : Crossings.pair) =
+let insert t (p : Crossings.pair) =
   let split_any = ref false in
   let rec go ~known node =
-    match (match known with Some c -> c | None -> Region.classify node.region diff) with
+    match (match known with Some c -> c | None -> Region.classify node.region p.diff) with
     | Region.Pos | Region.Neg -> ()
     | Region.Split ->
       (match node.kind with
@@ -40,70 +53,11 @@ let insert t ({ i; j; diff; _ } : Crossings.pair) =
         go ~known:None n.above;
         go ~known:None n.below
       | Leaf lf ->
-        let region_a =
-          match Region.add node.region (Halfspace.above diff) with
-          | Some r -> r
-          | None -> assert false (* classify said Split *)
-        in
-        let region_b =
-          match Region.add node.region (Halfspace.below diff) with
-          | Some r -> r
-          | None -> assert false
-        in
-        let above = fresh_leaf region_a ((i, j, Halfspace.Above) :: lf.cons) in
-        let below = fresh_leaf region_b ((i, j, Halfspace.Below) :: lf.cons) in
-        node.kind <- Inode { i; j; diff; above; below };
-        t.nodes <- t.nodes + 2;
+        ignore (split t node lf.cons p);
         split_any := true)
   in
   go ~known:(Some Region.Split) t.root;
   if !split_any then t.intersections <- t.intersections + 1
-
-(* 1-D fast insertion. The generic [insert] classifies the pair's
-   difference against every visited node's region; on intervals that
-   re-derives the pair's root — an exact division — at each node. But
-   the 1-D descent only ever asks "is our root left or right of an
-   earlier split's root", so a shadow of the tree caching those roots
-   answers every step with one comparison. [left]/[right] are interval
-   order; which of them is the real node's [above] child depends on the
-   slope sign. Reaching a real leaf means the root is strictly inside
-   its interval (every comparison on the way down was strict) — exactly
-   [Region.classify]'s Split on that leaf — so split it as [insert]
-   would, building the identical regions and constraint lists. A root
-   equal to an earlier split's stops the descent: the generic walk
-   classifies both children Pos/Neg there and splits nothing. *)
-type shadow = SLeaf of node | SNode of { r : Q.t; left : shadow ref; right : shadow ref }
-
-let insert_1d t shadow ({ i; j; diff; root } : Crossings.pair) =
-  let r = match root with Some r -> r | None -> invalid_arg "Itree.insert_1d: no root" in
-  let rec go s =
-    match !s with
-    | SNode { r = rn; left; right } ->
-      let c = Q.compare r rn in
-      if c < 0 then go left else if c > 0 then go right
-    | SLeaf node ->
-      let lf = match node.kind with Leaf lf -> lf | Inode _ -> assert false in
-      let region_a =
-        match Region.add node.region (Halfspace.above diff) with
-        | Some rg -> rg
-        | None -> assert false (* the root is strictly inside *)
-      in
-      let region_b =
-        match Region.add node.region (Halfspace.below diff) with
-        | Some rg -> rg
-        | None -> assert false
-      in
-      let above = fresh_leaf region_a ((i, j, Halfspace.Above) :: lf.cons) in
-      let below = fresh_leaf region_b ((i, j, Halfspace.Below) :: lf.cons) in
-      node.kind <- Inode { i; j; diff; above; below };
-      t.nodes <- t.nodes + 2;
-      t.intersections <- t.intersections + 1;
-      let sa = ref (SLeaf above) and sb = ref (SLeaf below) in
-      (* above covers the right side of the root iff the slope is positive *)
-      let left, right = if Q.sign (Linfun.coeff diff 0) > 0 then (sb, sa) else (sa, sb) in
-      s := SNode { r; left; right }
-  in
-  go shadow
 
 let collect_leaves root =
   let acc = ref [] in
@@ -116,6 +70,57 @@ let collect_leaves root =
   in
   go root;
   !acc
+
+(* The 1-D tree without inserting. Inserting pair after pair descends
+   by root and stops at an equal root, so what it grows is the BST of
+   the distinct roots in order of first arrival: the treap keyed by
+   root whose priority is the insertion rank of the root's first pair,
+   least on top, each node split by that first pair. The roots arrive
+   sorted ([Crossings.by_root]), so one stack pass links the treap —
+   each root pops the later-ranked roots to its left and hangs them as
+   its left subtree — and one walk from the top materialises it with
+   the splits insertion would make, numbering leaves left to right. *)
+let build_1d t (cr : Crossings.t) rank =
+  let groups = cr.by_root in
+  let g = Array.length groups in
+  let first =
+    Array.map
+      (fun members ->
+        Array.fold_left (fun best p -> if rank.(p) < rank.(best) then p else best) members.(0) members)
+      groups
+  in
+  let left = Array.make g (-1) and right = Array.make g (-1) in
+  let stack = Array.make g 0 and top = ref 0 in
+  for x = 0 to g - 1 do
+    let popped = ref (-1) in
+    while !top > 0 && rank.(first.(stack.(!top - 1))) > rank.(first.(x)) do
+      decr top;
+      popped := stack.(!top)
+    done;
+    left.(x) <- !popped;
+    if !top > 0 then right.(stack.(!top - 1)) <- x;
+    stack.(!top) <- x;
+    incr top
+  done;
+  let leaf_nodes = Array.make (g + 1) t.root and next = ref 0 in
+  let rec grow node x =
+    match node.kind with
+    | Inode _ -> assert false
+    | Leaf lf when x < 0 ->
+      lf.id <- !next;
+      leaf_nodes.(!next) <- node;
+      incr next
+    | Leaf lf ->
+      let p = cr.pairs.(first.(x)) in
+      let above, below = split t node lf.cons p in
+      (* above covers the right side of the root iff the slope is positive *)
+      let lo, hi = if Q.sign (Linfun.coeff p.diff 0) > 0 then (below, above) else (above, below) in
+      grow lo left.(x);
+      grow hi right.(x)
+  in
+  grow t.root (if g = 0 then -1 else stack.(0));
+  t.intersections <- g;
+  t.leaf_nodes <- leaf_nodes
 
 let build ?(seed = 0x17EEL) ?(order = `Shuffled) ?crossings dom fns =
   let root = fresh_leaf (Region.of_domain dom) [] in
@@ -133,35 +138,25 @@ let build ?(seed = 0x17EEL) ?(order = `Shuffled) ?crossings dom fns =
      the shape depends only on the crossing pairs' relative order — and
      deterministic: the list arrives in canonical lexicographic order
      and the shuffle's draws depend only on its length, both pure
-     functions of (functions, domain). *)
-  let pairs = Array.copy cr.Crossings.pairs in
+     functions of (functions, domain). [inserted.(s)] is the index of
+     the pair inserted s-th. *)
+  let inserted = Array.init (Crossings.count cr) Fun.id in
   (match order with
-  | `Shuffled -> Aqv_util.Prng.shuffle (Aqv_util.Prng.create seed) pairs
+  | `Shuffled -> Aqv_util.Prng.shuffle (Aqv_util.Prng.create seed) inserted
   | `Lexicographic -> ());
-  if Aqv_num.Domain.dim dom = 1 then Array.iter (insert_1d t (ref (SLeaf root))) pairs
-  else Array.iter (insert t) pairs;
-  let leaf_nodes = Array.of_list (collect_leaves root) in
-  (* in 1-D, order leaves left to right so leaf ids align with the
-     sweep's subdomain indices *)
   if Aqv_num.Domain.dim dom = 1 then begin
-    (* decorate-sort-undecorate: the comparator runs Θ(m log m) times,
-       so extract each leaf's lower bound once instead of paying the
-       [interval_bounds] match (and its allocation) per comparison *)
-    let keyed =
-      Array.map
-        (fun nd ->
-          match Region.interval_bounds nd.region with
-          | Some (lo, _) -> (lo, nd)
-          | None -> assert false)
-        leaf_nodes
-    in
-    Array.sort (fun (la, _) (lb, _) -> Q.compare la lb) keyed;
-    Array.iteri (fun idx (_, nd) -> leaf_nodes.(idx) <- nd) keyed
+    let rank = Array.make (Array.length inserted) 0 in
+    Array.iteri (fun s p -> rank.(p) <- s) inserted;
+    build_1d t cr rank
+  end
+  else begin
+    Array.iter (fun p -> insert t cr.pairs.(p)) inserted;
+    let leaf_nodes = Array.of_list (collect_leaves root) in
+    Array.iteri
+      (fun idx node -> match node.kind with Leaf lf -> lf.id <- idx | Inode _ -> assert false)
+      leaf_nodes;
+    t.leaf_nodes <- leaf_nodes
   end;
-  Array.iteri
-    (fun idx node -> match node.kind with Leaf lf -> lf.id <- idx | Inode _ -> assert false)
-    leaf_nodes;
-  t.leaf_nodes <- leaf_nodes;
   t
 
 let depth_fold t ~init ~leaf_at =

@@ -5,7 +5,9 @@
     [Below] sides. Leaves are subdomains on which the functions admit a
     fixed total order. Construction follows the paper's insertion
     algorithm: every intersecting pair is inserted from the root,
-    splitting exactly the leaves its hyperplane properly crosses.
+    splitting exactly the leaves its hyperplane properly crosses (in
+    dimension 1, the same tree is built from the sorted roots; see
+    {!build}).
 
     Nodes carry a mutable hash slot (initially invalid) so {!Ifmh} can
     turn the structure into an IMH-tree by bottom-up propagation. *)
@@ -48,8 +50,16 @@ val build :
     depth ablation). The order is the seeded shuffle of the {e crossing
     pair list} (see {!Crossings} for the determinism argument) — never
     of the full Θ(n²) pair set, which the enumerator never visits.
-    Identical functions (zero difference) induce no split. In dimension
-    1, leaf ids number the subdomain intervals left to right.
+    Identical functions (zero difference) induce no split.
+
+    In dimension 1 nothing is inserted: the tree is built in O(K) for K
+    crossings as the treap of the distinct roots ({!Crossings.t}'s
+    [by_root]), each keyed by the insertion rank of its first pair and
+    split by that pair, least rank on top. Sequential insertion descends
+    by root and stops at an equal root, so it grows exactly this tree —
+    the same pair, side, region and constraint list at every node;
+    [test/ref/itree_ref.ml] holds the insertion as the oracle. Leaf ids
+    number the subdomain intervals left to right.
 
     [crossings] hands in a pre-enumerated crossing set so one
     enumeration feeds both this insertion and the 1-D sweep

@@ -40,48 +40,19 @@ let sweep_1d crossings table on_cell =
   let n = Array.length fns in
   let dom = Table.domain table in
   let dlo = Aqv_num.Domain.lo dom 0 and dhi = Aqv_num.Domain.hi dom 0 in
-  (* crossing events strictly inside the domain, keyed by root — and in
-     1-D a pair crosses the box iff its root lies strictly inside
-     (Region.classify on an interval), so the events are exactly the
-     enumerator's crossing set. The strict-inequality filter is kept as
-     a guard only. *)
-  let events =
-    Array.to_seq crossings.Crossings.pairs
-    |> Seq.filter_map (fun (p : Crossings.pair) ->
-           match p.Crossings.root with
-           | Some root when Q.compare dlo root < 0 && Q.compare root dhi < 0 ->
-             Some (root, p.Crossings.i, p.Crossings.j)
-           | _ -> None)
-    |> Array.of_seq
-  in
-  if Array.length events <> Crossings.count crossings then
-    invalid_arg "Sorting.sweep_1d: crossing set inconsistent with 1-D roots";
-  Array.sort (fun (a, _, _) (b, _, _) -> Q.compare a b) events;
-  (* distinct boundaries: the events are sorted, so one linear scan
-     dedups them — re-sorting through List.sort_uniq would pay a second
-     Θ(m log m) pass of exact-rational comparisons *)
-  let boundaries =
-    let m = Array.length events in
-    if m = 0 then [||]
-    else begin
-      let distinct = ref 1 in
-      for k = 1 to m - 1 do
-        let p, _, _ = events.(k - 1) and r, _, _ = events.(k) in
-        if Q.compare p r <> 0 then incr distinct
-      done;
-      let first, _, _ = events.(0) in
-      let out = Array.make !distinct first in
-      let w = ref 0 in
-      for k = 1 to m - 1 do
-        let p, _, _ = events.(k - 1) and r, _, _ = events.(k) in
-        if Q.compare p r <> 0 then begin
-          incr w;
-          out.(!w) <- r
-        end
-      done;
-      out
-    end
-  in
+  (* the cell boundaries are the distinct crossing roots, left to right:
+     the enumerator's root groups. In 1-D a pair crosses the box iff
+     its root lies strictly inside (Region.classify on an interval), so
+     the outermost roots are checked as a guard only. *)
+  let groups = crossings.Crossings.by_root in
+  let root_of group = Option.get crossings.Crossings.pairs.(group.(0)).Crossings.root in
+  let boundaries = Array.map root_of groups in
+  let nb = Array.length boundaries in
+  if
+    Array.fold_left (fun acc group -> acc + Array.length group) 0 groups
+    <> Crossings.count crossings
+    || (nb > 0 && (Q.compare boundaries.(0) dlo <= 0 || Q.compare dhi boundaries.(nb - 1) <= 0))
+  then invalid_arg "Sorting.sweep_1d: crossing set inconsistent with 1-D roots";
   let ncells = Array.length boundaries + 1 in
   let cell_bounds c =
     let lo = if c = 0 then dlo else boundaries.(c - 1) in
@@ -94,23 +65,16 @@ let sweep_1d crossings table on_cell =
   Array.iteri (fun idx p -> pos.(p) <- idx) order;
   let pv = ref (Pvec.of_array order) in
   on_cell 0 ~lob ~hib !pv ~moved:[];
-  let m = Array.length events in
-  let e = ref 0 in
   for c = 1 to ncells - 1 do
     let x = boundaries.(c - 1) in
     (* positions of the records that cross at x *)
-    let involved = ref [] in
-    while
-      !e < m
-      && (let r, _, _ = events.(!e) in
-          Q.equal r x)
-    do
-      let _, i, j = events.(!e) in
-      involved := pos.(i) :: pos.(j) :: !involved;
-      incr e
-    done;
     let involved =
-      List.sort_uniq compare !involved
+      Array.fold_left
+        (fun acc p ->
+          let { Crossings.i; j; _ } = crossings.Crossings.pairs.(p) in
+          pos.(i) :: pos.(j) :: acc)
+        [] groups.(c - 1)
+      |> List.sort_uniq compare
       |> List.map (fun q -> (q, Linfun.eval fns.(order.(q)) [| x |]))
     in
     (* the records meeting at one point share their score at x and
@@ -166,8 +130,15 @@ let sweep_1d crossings table on_cell =
    group of size g, about log n + 1 for a single swap. *)
 let build_1d ~crossings table itree rdig =
   let entries = ref [] in
+  (* entry c serves leaf id c, so leaf c must be cell c *)
+  let mismatch () = invalid_arg "Sorting.build: tree/sweep cell mismatch" in
   let ncells =
-    sweep_1d crossings table (fun _ ~lob:_ ~hib:_ order ~moved ->
+    sweep_1d crossings table (fun c ~lob ~hib order ~moved ->
+        (if c >= Itree.leaf_count itree then mismatch ()
+         else
+           match Aqv_num.Region.interval_bounds (Itree.leaves itree).(c).Itree.region with
+           | Some (lo, hi) when Q.equal lo lob && Q.equal hi hib -> ()
+           | _ -> mismatch ());
         let fmh =
           match !entries with
           | [] -> fmh_of_order rdig (Pvec.to_array order)
@@ -176,7 +147,7 @@ let build_1d ~crossings table itree rdig =
         in
         entries := { order; fmh } :: !entries)
   in
-  if ncells <> Itree.leaf_count itree then invalid_arg "Sorting.build: tree/sweep cell mismatch";
+  if ncells <> Itree.leaf_count itree then mismatch ();
   Array.of_list (List.rev !entries)
 
 (* ------------------------ general-d build -------------------------- *)
@@ -209,7 +180,7 @@ let build ?pool ?rdig ?crossings table itree =
     if Table.dim table = 1 then begin
       (* the sweep consumes the crossing enumerator's crossing set;
          callers that enumerated up front (Ifmh.build_structure) share
-         that one pass with the I-tree insertion *)
+         that one pass with the I-tree build *)
       let crossings =
         match crossings with
         | Some c -> c

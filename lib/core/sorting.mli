@@ -48,8 +48,9 @@ val build :
     {!sweep_1d} consumes in 1-D. Omitted in 1-D, the set is enumerated
     here (over [pool]) — bit-identical either way; dimension >= 2
     never needs it.
-    @raise Invalid_argument if the table and tree disagree or [rdig]
-    has the wrong length. *)
+    @raise Invalid_argument if the table and tree disagree (in 1-D,
+    leaf [c] must span sweep cell [c]) or [rdig] has the wrong
+    length. *)
 
 val leaf : t -> int -> leaf_lists
 (** Lists for I-tree leaf [id]. *)
@@ -68,7 +69,9 @@ val sweep_1d :
 (** [sweep_1d crossings table on_cell] walks the 1-D arrangement left
     to right and returns the number of cells. The cell boundaries are
     the distinct roots of [crossings], the table's crossing set from
-    {!Crossings.enumerate}. For each cell [c], in order, it calls
+    {!Crossings.enumerate}: the sweep walks its root groups
+    ([by_root], already sorted — the sweep sorts no events) and moves
+    each group's records at its boundary. For each cell [c], in order, it calls
     [on_cell c ~lob ~hib order ~moved]: the cell is the half-open
     interval from [lob] to [hib] (the last one closed); [order] holds
     the record positions sorted by score at its midpoint, ties by

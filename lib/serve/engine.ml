@@ -17,9 +17,7 @@ type config = {
   max_conns : int;
   idle_timeout : float;
   read_timeout : float;
-  write_timeout : float;
   cache_capacity : int;
-  stats_interval : float;
   drain_timeout : float;
   faults : Faults.t option;
   store : Aqv_store.Store.t option;
@@ -33,9 +31,7 @@ let default_config =
     max_conns = 64;
     idle_timeout = 10.;
     read_timeout = 5.;
-    write_timeout = 5.;
     cache_capacity = 1024;
-    stats_interval = 0.;
     drain_timeout = 5.;
     faults = None;
     store = None;
@@ -284,9 +280,12 @@ let reply_bytes_for t w payload =
       Cache.add t.cache key frame;
       Reply frame)
 
+(* seconds to write one reply *)
+let write_timeout = 5.
+
 let send_reply t fd frame =
   let deliver () =
-    let n = Frame_io.write_framed ~timeout:t.config.write_timeout fd frame in
+    let n = Frame_io.write_framed ~timeout:write_timeout fd frame in
     Stats.add_bytes_out t.stats n
   in
   match t.config.faults with
@@ -340,26 +339,7 @@ let drop_session t exn =
   Stats.session_dropped t.stats;
   Log.info (fun m -> m "session dropped: %s" (Printexc.to_string exn))
 
-let stats_logger t =
-  ignore
-    (Thread.create
-       (fun () ->
-         let rec loop elapsed =
-           if not (Listener.stopped t.listener) then
-             if elapsed >= t.config.stats_interval then begin
-               Log.app (fun m -> m "%a" Stats.pp t.stats);
-               loop 0.
-             end
-             else begin
-               Thread.delay 0.25;
-               loop (elapsed +. 0.25)
-             end
-         in
-         loop 0.)
-       ())
-
 let serve t =
-  if t.config.stats_interval > 0. then stats_logger t;
   Listener.serve t.listener ~max_conns:t.config.max_conns
     ~drain_timeout:t.config.drain_timeout
     ~on_shed:(fun () -> Stats.conn_refused t.stats)

@@ -10,7 +10,7 @@
     [conns_refused]). On top of it the engine adds:
 
     - per-connection deadlines — [idle_timeout] to start a frame,
-      [read_timeout] mid-frame, [write_timeout] per reply;
+      [read_timeout] mid-frame, 5 s to write a reply;
     - an LRU response cache keyed by [(request bytes, epoch)], sound
       because the index is immutable within an epoch, that stores a
       reply on the second request for it ({!Cache.add});
@@ -20,7 +20,7 @@
       epoch in the cache key;
     - observability ({!Stats}): request counters, exact-integer latency
       histogram, bytes in/out, cache and shed counters, served in-band
-      via [Protocol.Get_stats] and as a periodic log line;
+      via [Protocol.Get_stats];
     - graceful shutdown: {!stop} stops accepting and drains in-flight
       sessions (bounded by [drain_timeout]);
     - deterministic fault injection ({!Faults}) on the reply path, for
@@ -55,11 +55,9 @@ type config = {
   max_conns : int;  (** concurrent session limit before shedding *)
   idle_timeout : float;  (** seconds to wait for a request to start; 0. = forever *)
   read_timeout : float;  (** seconds to finish reading a started frame *)
-  write_timeout : float;  (** seconds to write one reply *)
   cache_capacity : int;
       (** LRU entries; a reply is stored on its key's second request
           ({!Cache.add}); 0 disables the response cache *)
-  stats_interval : float;  (** seconds between stats log lines; 0. disables *)
   drain_timeout : float;  (** max seconds {!serve} waits for drain on stop *)
   faults : Faults.t option;  (** reply-path fault injection (tests) *)
   store : Aqv_store.Store.t option;
@@ -74,9 +72,9 @@ type config = {
 }
 
 val default_config : config
-(** Port 7464, 64 connections, 10 s idle, 5 s read, 5 s write, 1024
-    cache entries, no periodic log, 5 s drain, no faults, no store,
-    republish accepted, no publisher. *)
+(** Port 7464, 64 connections, 10 s idle, 5 s read, 1024 cache
+    entries, 5 s drain, no faults, no store, republish accepted, no
+    publisher. *)
 
 type t
 

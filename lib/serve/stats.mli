@@ -4,7 +4,8 @@
     histogram (integer microseconds, {!Aqv_util.Histogram}), bytes
     in/out, cache and connection counters, and fault-injection tallies.
     Exported over the wire as the flat [(key, value)] list carried by
-    [Protocol.Stats], and as a one-line periodic log. *)
+    [Protocol.Stats], and as the one-line log the engine writes on
+    stop. *)
 
 type t
 
@@ -70,4 +71,4 @@ val to_assoc : t -> (string * int) list
     one [latency_us_le_<bound>] entry per non-empty bucket. *)
 
 val pp : Format.formatter -> t -> unit
-(** One-line summary for the periodic log. *)
+(** One-line summary for the engine's stop log. *)

@@ -3,7 +3,8 @@
    difference against the domain box with the general
    [Region.classify] (exact simplex in d >= 2, no pool, no corner
    sweep). [Crossings.enumerate] must return the same pairs with
-   field-by-field equal records. Ticks no build counters. *)
+   field-by-field equal records, and the same 1-D root groups. Ticks no
+   build counters. *)
 
 module Q = Aqv_num.Rational
 module Region = Aqv_num.Region
@@ -33,4 +34,17 @@ let enumerate dom fns =
     done
   done;
   let pairs = Array.of_list (List.rev !kept) in
-  { Crossings.pairs; total = Array.length pairs }
+  (* one group per distinct root, ascending, each listing the indices
+     with that root in index order *)
+  let indexed = List.mapi (fun k (p : Crossings.pair) -> (k, p.Crossings.root)) (Array.to_list pairs) in
+  let by_root =
+    List.filter_map snd indexed
+    |> List.sort_uniq Q.compare
+    |> List.map (fun r ->
+           List.filter_map
+             (fun (k, r') -> if Option.equal Q.equal r' (Some r) then Some k else None)
+             indexed
+           |> Array.of_list)
+    |> Array.of_list
+  in
+  { Crossings.pairs; total = Array.length pairs; by_root }

@@ -10,6 +10,7 @@
 module Q = Aqv_num.Rational
 module Linfun = Aqv_num.Linfun
 module Region = Aqv_num.Region
+module Halfspace = Aqv_num.Halfspace
 module Domain = Aqv_num.Domain
 module Prng = Aqv_util.Prng
 module Metrics = Aqv_util.Metrics
@@ -19,13 +20,15 @@ module Signer = Aqv_crypto.Signer
 module Table = Aqv_db.Table
 module Workload = Aqv_db.Workload
 module Crossings_ref = Aqv_ref.Crossings_ref
+module Itree_ref = Aqv_ref.Itree_ref
 module Core_ref = Aqv_ref.Core_ref
 open Aqv
 
 let check = Alcotest.check
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+(* [long_factor] multiplies [count] under QCHECK_LONG=1 *)
+let qtest ?(count = 100) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ?long_factor ~name gen prop)
 
 (* 4 explicit domains regardless of AQV_DOMAINS: the identity claim is
    about any pool size, not the machine's. *)
@@ -78,7 +81,10 @@ let same_as_scan name dom (got : Crossings.t) (scan : Crossings.t) =
         (Printf.sprintf "%s: pair %d is crossing" name k)
         true
         (Region.classify box pg.Crossings.diff = Region.Split))
-    scan.Crossings.pairs
+    scan.Crossings.pairs;
+  check
+    Alcotest.(array (array int))
+    (name ^ ": root groups") scan.Crossings.by_root got.Crossings.by_root
 
 (* identity against the reference, sequentially and on the 4- and
    1-domain pools *)
@@ -217,6 +223,59 @@ let test_order_independence () =
       (Q.equal la lb && Q.equal ha hb)
   done
 
+(* The 1-D tree law: [Itree.build] — the treap of the sorted crossing
+   roots — is the tree sequential insertion grows ([Itree_ref]), node
+   for node: the same pair at every internal node with the same child
+   above, the same region (constraints and interval) everywhere, the
+   same leaf ids and constraint lists, and the same counts and depths.
+   Dense, sparse and tie-heavy tables (many pairs per root, an
+   identical line appended), under several seeds and under the
+   lexicographic order. *)
+let same_tree name (got : Itree.t) (want : Itree_ref.t) =
+  let fail what = Alcotest.failf "%s: %s" name what in
+  let bounds (nd : Itree.node) = Region.interval_bounds nd.Itree.region in
+  let rec walk path (a : Itree.node) (b : Itree.node) =
+    let ca = Region.constraints a.Itree.region and cb = Region.constraints b.Itree.region in
+    if
+      not
+        (List.equal
+           (fun (x : Halfspace.t) (y : Halfspace.t) ->
+             x.Halfspace.side = y.Halfspace.side
+             && Aqv_ref.Num_ref.linfun_equal x.Halfspace.diff y.Halfspace.diff)
+           ca cb)
+    then fail (path ^ " constraints");
+    (match (bounds a, bounds b) with
+    | Some (la, ha), Some (lb, hb) when Q.equal la lb && Q.equal ha hb -> ()
+    | _ -> fail (path ^ " interval"));
+    match (a.Itree.kind, b.Itree.kind) with
+    | Itree.Leaf la, Itree.Leaf lb ->
+      if la.Itree.id <> lb.Itree.id then fail (path ^ " leaf id");
+      if la.Itree.cons <> lb.Itree.cons then fail (path ^ " cons")
+    | Itree.Inode na, Itree.Inode nb ->
+      if (na.Itree.i, na.Itree.j) <> (nb.Itree.i, nb.Itree.j) then fail (path ^ " pair");
+      walk (path ^ "a") na.Itree.above nb.Itree.above;
+      walk (path ^ "b") na.Itree.below nb.Itree.below
+    | _ -> fail (path ^ " leaf/inode")
+  in
+  walk "root." (Itree.root got) want.Itree_ref.root;
+  check Alcotest.int (name ^ ": leaf count") (Array.length want.Itree_ref.leaves) (Itree.leaf_count got);
+  let leaf (nd : Itree.node) =
+    match nd.Itree.kind with
+    | Itree.Leaf lf -> (lf.Itree.id, lf.Itree.cons)
+    | Itree.Inode _ -> fail "inode among the leaves"
+  in
+  Array.iteri
+    (fun id nd ->
+      let gid, gcons = leaf (Itree.leaves got).(id) and _, wcons = leaf nd in
+      if gid <> id || gcons <> wcons then fail (Printf.sprintf "leaf %d" id))
+    want.Itree_ref.leaves;
+  check Alcotest.int (name ^ ": nodes") want.Itree_ref.nodes (Itree.node_count got);
+  check Alcotest.int (name ^ ": intersections") want.Itree_ref.intersections
+    (Itree.intersection_count got);
+  check Alcotest.int (name ^ ": max depth") (Itree_ref.max_depth want) (Itree.max_depth got);
+  check (Alcotest.float 0.) (name ^ ": average leaf depth") (Itree_ref.average_leaf_depth want)
+    (Itree.average_leaf_depth got)
+
 let save_bytes index =
   let w = Wire.writer () in
   Ifmh.save w index;
@@ -319,6 +378,38 @@ let sweep_contract_1d =
       && sweep_contract (table_sparse n seed)
       && sweep_contract (with_duplicate_line (table_ties ~slopes:3 ~intercepts:4 (min n 28) seed)))
 
+(* the default seed, two drawn ones and the lexicographic order *)
+let tree_law seed table =
+  let dom = Table.domain table and fns = Table.functions table in
+  List.iter
+    (fun (name, seed, order) ->
+      same_tree name (Itree.build ?seed ~order dom fns) (Itree_ref.build ?seed ~order dom fns))
+    [
+      ("default seed", None, `Shuffled);
+      (Printf.sprintf "seed %d" seed, Some (Int64.of_int seed), `Shuffled);
+      (Printf.sprintf "seed %d" (seed + 1), Some (Int64.of_int (seed + 1)), `Shuffled);
+      ("lexicographic", None, `Lexicographic);
+    ];
+  true
+
+let gen_tree_seed = QCheck.int_range 0 1_000_000
+
+let tree_law_dense =
+  qtest ~count:30 ~long_factor:20 "1-D tree = sequential insertion (dense)"
+    QCheck.(pair gen_1d gen_tree_seed)
+    (fun ((n, seed), s) -> tree_law s (table_dense n seed))
+
+let tree_law_sparse =
+  qtest ~count:30 ~long_factor:20 "1-D tree = sequential insertion (sparse)"
+    QCheck.(pair gen_1d gen_tree_seed)
+    (fun ((n, seed), s) -> tree_law s (table_sparse n seed))
+
+let tree_law_ties =
+  qtest ~count:30 ~long_factor:20 "1-D tree = sequential insertion (tie-heavy)"
+    QCheck.(pair gen_ties gen_tree_seed)
+    (fun (((n, seed), (slopes, intercepts)), s) ->
+      tree_law s (with_duplicate_line (table_ties ~slopes ~intercepts n seed)))
+
 let () =
   Alcotest.run "aqv_build"
     [
@@ -345,4 +436,5 @@ let () =
           Alcotest.test_case "pinned sha256 (2-D, 3-D)" `Quick test_pinned_dims;
           sweep_contract_1d;
         ] );
+      ("tree law", [ tree_law_dense; tree_law_sparse; tree_law_ties ]);
     ]
