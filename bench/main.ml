@@ -903,9 +903,13 @@ let abl_serve_locate () =
    32 crossings. Sparse 2-D and 3-D enumeration-only series (2 and 4
    antipodal corner pairs) hard-fail at their smallest n unless the
    crossing count equals the all-pairs reference's ([Crossings_ref],
-   one exact classification per pair). Counters are deterministic, so
-   the guards are immune to runner noise; wall seconds go to JSON
-   only. *)
+   one exact classification per pair). 1-D rows also count the sweep's
+   boundaries, those where exactly one pair crosses, and the positions
+   moved over all cells, and hard-fail unless every single-pair
+   boundary moves exactly two positions (a two-record group is always
+   a swap); the built [Sorting.t]'s heap size is printed beside them,
+   ungated. Counters are deterministic, so the guards are immune to
+   runner noise; wall seconds go to JSON only. *)
 let ceil_log2 n =
   let rec go d p = if p >= n then d else go (d + 1) (2 * p) in
   go 0 1
@@ -913,13 +917,15 @@ let ceil_log2 n =
 let abl_build_scale () =
   header "Ablation — crossing enumeration: antipodal-corner inversion sweep";
   row "(1-D rows are full builds, 2-D and 3-D rows enumeration only)\n";
-  row "%-9s %7s | %8s | %10s | %9s\n" "shape" "n" "wall s" "crossings" "hash_ops";
+  row "(boundaries, single-pair boundaries, moved positions and Sorting.t heap on 1-D rows only)\n";
+  row "%-9s %7s | %8s | %10s | %9s | %10s | %8s | %9s | %7s\n" "shape" "n" "wall s" "crossings"
+    "hash_ops" "boundaries" "single" "moved" "heap MB";
   let fail shape n fmt =
     Printf.ksprintf (fun m -> failwith (Printf.sprintf "abl-build-scale: %s n=%d %s" shape n m)) fmt
   in
-  let report shape n wall (s : Metrics.snapshot) =
+  let report ?(extra = "") shape n wall (s : Metrics.snapshot) =
     let crossings = s.Metrics.build_crossings in
-    row "%-9s %7d | %8.3f | %10d | %9d\n%!" shape n wall crossings s.Metrics.hash_ops;
+    row "%-9s %7d | %8.3f | %10d | %9d%s\n%!" shape n wall crossings s.Metrics.hash_ops extra;
     json_add
       [
         ("figure", Json.String "abl-build-scale");
@@ -931,6 +937,21 @@ let abl_build_scale () =
       ];
     crossings
   in
+  (* untimed, after the build's counters are read *)
+  let sweep_moves shape n table =
+    let crossings = Crossings.enumerate (Table.domain table) (Table.functions table) in
+    let groups = crossings.Crossings.by_root in
+    let single = Array.fold_left (fun k g -> if Array.length g = 1 then k + 1 else k) 0 groups in
+    let moved_total = ref 0 in
+    let on_cell c ~lob:_ ~hib:_ _ ~moved =
+      let m = List.length moved in
+      moved_total := !moved_total + m;
+      if c > 0 && Array.length groups.(c - 1) = 1 && m <> 2 then
+        fail shape n "single-pair boundary %d moved %d positions, not 2" (c - 1) m
+    in
+    ignore (Sorting.sweep_1d crossings table on_cell);
+    (Array.length groups, single, !moved_total)
+  in
   let run_1d shape mk n =
     let table = mk n in
     Metrics.reset ();
@@ -938,7 +959,13 @@ let abl_build_scale () =
       time (fun () -> Ifmh.build ~scheme:Ifmh.Multi_signature table dry_signer)
     in
     let s = Metrics.snapshot () in
-    let crossings = report shape n wall s in
+    let boundaries, single, moved = sweep_moves shape n table in
+    let heap_mb =
+      float_of_int (Obj.reachable_words (Obj.repr (Ifmh.sorting idx)) * (Sys.word_size / 8))
+      /. 1e6
+    in
+    let extra = Printf.sprintf " | %10d | %8d | %9d | %7.1f" boundaries single moved heap_mb in
+    let crossings = report ~extra shape n wall s in
     (* sweep node hashes: a dry multi-signature build hashes the n
        records, the first cell's full FMH (n + 1 interior nodes over
        n + 2 leaves), one signing digest per subdomain, and the sweep *)
@@ -958,6 +985,10 @@ let abl_build_scale () =
         ("crossings", Json.Int crossings);
         ("sweep_hashes_per_crossing", num per_crossing);
         ("ceil_log2_leaves", Json.Int depth);
+        ("boundaries", Json.Int boundaries);
+        ("single_pair_boundaries", Json.Int single);
+        ("moved_positions", Json.Int moved);
+        ("sorting_heap_mb", num heap_mb);
       ];
     if crossings >= 32 && per_crossing > float_of_int (depth + 2) then
       fail shape n "sweep paid %.2f node hashes per crossing, law is ceil(log2(n+2)) + 1 = %d"

@@ -63,6 +63,23 @@ let adjacency_changes n prev order moved =
          let ended = pair_at n prev k and started = pair_at n order k in
          if ended = started then None else Some (ended, started))
 
+(* The sweep lends each cell's order only for its callback: keep every
+   cell's as a persistent vector sharing all but the moved slots with its
+   neighbour's, and read each boundary as adjacency changes. *)
+let sweep_cells crossings table on_cell =
+  let n = Table.size table in
+  let prev = ref None in
+  Sorting.sweep_1d crossings table (fun c ~lob ~hib order ~moved ->
+      let cell_order, changes =
+        match !prev with
+        | None -> (Pvec.of_array order, [])
+        | Some before ->
+          let after = List.fold_left (fun v p -> Pvec.set v p order.(p)) before moved in
+          (after, adjacency_changes n before after moved)
+      in
+      prev := Some cell_order;
+      on_cell c ~lob ~hib cell_order ~changes)
+
 (* ------------------------------ build ------------------------------ *)
 
 let token_digest rdig n tok =
@@ -91,25 +108,24 @@ let build_with ~pool ~sign table =
      parallel afterwards, then attach in finalize order. *)
   let pending = ref [] in
   let finalize pair s e = pending := (pair, s, e) :: !pending in
-  let on_cell c ~lob ~hib order ~moved =
-    (match !cells with
-    | [] ->
+  let on_cell c ~lob ~hib order ~changes =
+    if c = 0 then
       (* open a run for every initial adjacency *)
       for k = 0 to n do
         Hashtbl.replace open_runs (pair_at n order k) 0
       done
-    | prev :: _ ->
-      let changes = adjacency_changes n prev.order order moved in
+    else begin
       (* runs that end here finish at c-1 *)
       List.iter
         (fun (pair, _) ->
           finalize pair (Hashtbl.find open_runs pair) (c - 1);
           Hashtbl.remove open_runs pair)
         changes;
-      List.iter (fun (_, pair) -> Hashtbl.replace open_runs pair c) changes);
+      List.iter (fun (_, pair) -> Hashtbl.replace open_runs pair c) changes
+    end;
     cells := { lob; hib; order } :: !cells
   in
-  let ncells = Sorting.sweep_1d crossings table on_cell in
+  let ncells = sweep_cells crossings table on_cell in
   (* close all remaining runs at the last cell *)
   Hashtbl.iter (fun pair s -> finalize pair s (ncells - 1)) open_runs;
   let cells = Array.of_list (List.rev !cells) in
@@ -193,13 +209,10 @@ let count_signatures table =
   let crossings = crossings ~caller:"Mesh.count_signatures" table in
   let n = Table.size table in
   (* the initial adjacencies and each started one end in one signature *)
-  let nsigs = ref (n + 1) and prev = ref None in
+  let nsigs = ref (n + 1) in
   let ncells =
-    Sorting.sweep_1d crossings table (fun _ ~lob:_ ~hib:_ order ~moved ->
-        Option.iter
-          (fun prev -> nsigs := !nsigs + List.length (adjacency_changes n prev order moved))
-          !prev;
-        prev := Some order)
+    sweep_cells crossings table (fun _ ~lob:_ ~hib:_ _ ~changes ->
+        nsigs := !nsigs + List.length changes)
   in
   (!nsigs, ncells)
 

@@ -24,8 +24,7 @@ let answer index ~x ~l ~u =
   let count = List.length resp.Server.result in
   let wlo = vo.Vo.window_lo in
   let whi = wlo + count - 1 in
-  let fmh = at.Server.lists.Sorting.fmh in
-  let anchor_of boundary pos = { boundary; path = Mht.auth_path fmh pos } in
+  let anchor_of boundary pos = { boundary; path = Mht.auth_path at.Server.fmh pos } in
   let inner =
     if count = 0 then None
     else begin

@@ -1,7 +1,6 @@
 module Q = Aqv_num.Rational
 module Linfun = Aqv_num.Linfun
 module Halfspace = Aqv_num.Halfspace
-module Pvec = Aqv_util.Pvec
 module Mht = Aqv_merkle.Mht
 module Record = Aqv_db.Record
 module Table = Aqv_db.Table
@@ -11,33 +10,31 @@ type response = { result : Aqv_db.Record.t list; vo : Vo.t }
 type located = {
   path : Itree.node list;
   leaf : Itree.leaf;
-  lists : Sorting.leaf_lists;
+  fmh : int Mht.t;
   score : int -> Q.t;
 }
 
 let locate index x =
   let fns = Table.functions (Ifmh.table index) in
   let path, leaf = Itree.locate (Ifmh.itree index) x in
-  let lists = Sorting.leaf (Ifmh.sorting index) leaf.Itree.id in
-  let order = lists.Sorting.order in
-  (* every probe into the sorted list models an FMH-tree descent *)
+  let fmh = Sorting.leaf (Ifmh.sorting index) leaf.Itree.id in
+  (* every probe into the sorted list is an FMH-tree descent *)
   let score i =
     Aqv_util.Metrics.add_fmh_nodes 1;
-    Linfun.eval fns.(Pvec.get order i) x
+    Linfun.eval fns.(Mht.value fmh (i + 1)) x
   in
-  { path; leaf; lists; score }
+  { path; leaf; fmh; score }
 
 (* Build the response for a window (in FMH coordinates, sentinel at 0)
    inside the located leaf: boundary records, FMH range proof, and the
    scheme-dependent subdomain proof, all read straight off the index.
    Shared by [answer_at] and [rank]. *)
-let assemble index { path; leaf; lists; _ } (wlo, whi) =
+let assemble index { path; leaf; fmh; _ } (wlo, whi) =
   let table = Ifmh.table index in
-  let order = lists.Sorting.order in
-  let n = Pvec.length order in
+  let n = Table.size table in
   let record_at pos =
     Aqv_util.Metrics.add_fmh_nodes 1;
-    Table.record table (Pvec.get order (pos - 1))
+    Table.record table (Mht.value fmh pos)
   in
   let left = if wlo - 1 = 0 then Vo.Min_sentinel else Vo.Boundary_record (record_at (wlo - 1)) in
   let right =
@@ -45,9 +42,9 @@ let assemble index { path; leaf; lists; _ } (wlo, whi) =
   in
   (* the window in one walk; the cost model still counts one FMH node
      per record *)
-  let result = Pvec.map_range order ~lo:(wlo - 1) ~hi:(whi - 1) (Table.record table) in
+  let result = Mht.map_range fmh ~lo:wlo ~hi:whi (Table.record table) in
   Aqv_util.Metrics.add_fmh_nodes (whi - wlo + 1);
-  let fmh_proof = Mht.range_proof lists.Sorting.fmh ~lo:(wlo - 1) ~hi:(whi + 1) in
+  let fmh_proof = Mht.range_proof fmh ~lo:(wlo - 1) ~hi:(whi + 1) in
   let subdomain, signature =
     match Ifmh.scheme index with
     | Ifmh.One_signature ->
@@ -101,7 +98,7 @@ let assemble index { path; leaf; lists; _ } (wlo, whi) =
   }
 
 let answer_at index at query =
-  let n = Pvec.length at.lists.Sorting.order in
+  let n = Table.size (Ifmh.table index) in
   let window =
     match Query.window ~n ~score:at.score query with
     | Some (a, b) -> (a + 1, b + 1)
@@ -122,19 +119,18 @@ let rank index ~x ~record_id =
   | None -> None
   | Some target ->
     let at = locate index x in
-    let order = at.lists.Sorting.order in
-    let n = Pvec.length order in
+    let n = Table.size table in
     let s = Linfun.eval (Table.functions table).(target) x in
     (* the record sits in the contiguous tie group of its score *)
-    let rec find i =
-      if i >= n || Q.compare (at.score i) s > 0 then
+    let rec find pos =
+      if pos > n || Q.compare (at.score (pos - 1)) s > 0 then
         (* exact scores can only miss if the structures are corrupt *)
         invalid_arg "Server.rank: record not found in its subdomain order"
-      else if Pvec.get order i = target then i
-      else find (i + 1)
+      else if Mht.value at.fmh pos = target then pos
+      else find (pos + 1)
     in
-    let i = find (Query.insertion_point ~n ~score:at.score s) in
-    Some (assemble index at (i + 1, i + 1))
+    let pos = find (Query.insertion_point ~n ~score:at.score s + 1) in
+    Some (assemble index at (pos, pos))
 
 let response_result_size resp =
   let w = Aqv_util.Wire.writer () in

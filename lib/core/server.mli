@@ -19,8 +19,9 @@ val answer : Ifmh.t -> Query.t -> response
 type located = {
   path : Itree.node list;  (** the I-tree descent, root first *)
   leaf : Itree.leaf;  (** the subdomain containing the input *)
-  lists : Sorting.leaf_lists;  (** its sorted order and FMH-tree *)
-  score : int -> Aqv_num.Rational.t;  (** score at a position; ticks one FMH node *)
+  fmh : int Aqv_merkle.Mht.t;  (** its FMH-tree, which holds the sorted list ({!Sorting.leaf}) *)
+  score : int -> Aqv_num.Rational.t;
+      (** score at sorted position [i] (FMH leaf [i + 1]); ticks one FMH node *)
 }
 
 val locate : Ifmh.t -> Aqv_num.Rational.t array -> located

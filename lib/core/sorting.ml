@@ -1,14 +1,13 @@
 module Q = Aqv_num.Rational
 module Linfun = Aqv_num.Linfun
-module Pvec = Aqv_util.Pvec
 module Mht = Aqv_merkle.Mht
 module Record = Aqv_db.Record
 module Table = Aqv_db.Table
 
-type leaf_lists = { order : int Pvec.t; fmh : Mht.t }
-type t = { entries : leaf_lists array; records : int }
+(* One FMH-tree per I-tree leaf, by leaf id *)
+type t = int Mht.t array
 
-let leaf_count t = Array.length t.entries
+let leaf_count = Array.length
 
 (* Sort record positions by score at [sample], ties by position. *)
 let sorted_positions fns sample =
@@ -21,17 +20,17 @@ let sorted_positions fns sample =
     idx;
   idx
 
+(* Leaf k + 1 commits the record at sorted position k and holds its
+   table position; the sentinels at both ends hold -1. *)
 let fmh_of_order rdig order =
   let n = Array.length order in
-  let digests = Array.make (n + 2) Record.min_sentinel_digest in
-  digests.(n + 1) <- Record.max_sentinel_digest;
-  for k = 0 to n - 1 do
-    digests.(k + 1) <- rdig.(order.(k))
-  done;
-  Mht.of_digests digests
+  Mht.init (n + 2) (fun k ->
+      if k = 0 then (Record.min_sentinel_digest, -1)
+      else if k = n + 1 then (Record.max_sentinel_digest, -1)
+      else (rdig.(order.(k - 1)), order.(k - 1)))
 
-let leaf t id = t.entries.(id)
-let fmh_root t id = Mht.root t.entries.(id).fmh
+let leaf t id = t.(id)
+let fmh_root t id = Mht.root t.(id)
 
 (* ---------------------------- 1-D sweep ---------------------------- *)
 
@@ -63,8 +62,7 @@ let sweep_1d crossings table on_cell =
   let order = sorted_positions fns [| Q.average lob hib |] in
   let pos = Array.make n 0 in
   Array.iteri (fun idx p -> pos.(p) <- idx) order;
-  let pv = ref (Pvec.of_array order) in
-  on_cell 0 ~lob ~hib !pv ~moved:[];
+  on_cell 0 ~lob ~hib order ~moved:[];
   for c = 1 to ncells - 1 do
     let x = boundaries.(c - 1) in
     (* positions of the records that cross at x *)
@@ -114,19 +112,19 @@ let sweep_1d crossings table on_cell =
             let target = base + k in
             if order.(target) <> p then begin
               order.(target) <- p;
-              pv := Pvec.set !pv target p;
               moved := target :: !moved
             end;
             pos.(p) <- target)
           members)
       (groups involved);
-    on_cell c ~lob ~hib !pv ~moved:(List.rev !moved)
+    on_cell c ~lob ~hib order ~moved:(List.rev !moved)
   done;
   ncells
 
 (* Cell 0 is the only full FMH build of the sweep: every later cell is
-   one [Mht.set_many] over its neighbour, rehashing the union of its
-   moved leaves' root paths — O(g + log n) node hashes for a crossing
+   one [Mht.set_many] over its neighbour, giving each moved leaf its new
+   record's digest and position and rehashing the union of their root
+   paths — O(g + log n) node hashes for a crossing
    group of size g, about log n + 1 for a single swap. *)
 let build_1d ~crossings table itree rdig =
   let entries = ref [] in
@@ -141,11 +139,11 @@ let build_1d ~crossings table itree rdig =
            | _ -> mismatch ());
         let fmh =
           match !entries with
-          | [] -> fmh_of_order rdig (Pvec.to_array order)
+          | [] -> fmh_of_order rdig order
           | prev :: _ ->
-            Mht.set_many prev.fmh (List.map (fun p -> (p + 1, rdig.(Pvec.get order p))) moved)
+            Mht.set_many prev (List.map (fun k -> (k + 1, rdig.(order.(k)), order.(k))) moved)
         in
-        entries := { order; fmh } :: !entries)
+        entries := fmh :: !entries)
   in
   if ncells <> Itree.leaf_count itree then mismatch ();
   Array.of_list (List.rev !entries)
@@ -159,8 +157,7 @@ let build_nd ~pool table itree rdig =
   let fns = Table.functions table in
   Aqv_par.Pool.parallel_map pool
     (fun (node : Itree.node) ->
-      let order = sorted_positions fns (Aqv_num.Region.interior_point node.Itree.region) in
-      { order = Pvec.of_array order; fmh = fmh_of_order rdig order })
+      fmh_of_order rdig (sorted_positions fns (Aqv_num.Region.interior_point node.Itree.region)))
     (Itree.leaves itree)
 
 let build ?pool ?rdig ?crossings table itree =
@@ -176,18 +173,15 @@ let build ?pool ?rdig ?crossings table itree =
       d
     | None -> Aqv_par.Pool.parallel_map pool Record.digest (Table.records table)
   in
-  let entries =
-    if Table.dim table = 1 then begin
-      (* the sweep consumes the crossing enumerator's crossing set;
-         callers that enumerated up front (Ifmh.build_structure) share
-         that one pass with the I-tree build *)
-      let crossings =
-        match crossings with
-        | Some c -> c
-        | None -> Crossings.enumerate ~pool (Table.domain table) (Table.functions table)
-      in
-      build_1d ~crossings table itree rdig
-    end
-    else build_nd ~pool table itree rdig
-  in
-  { entries; records = Table.size table }
+  if Table.dim table = 1 then begin
+    (* the sweep consumes the crossing enumerator's crossing set;
+       callers that enumerated up front (Ifmh.build_structure) share
+       that one pass with the I-tree build *)
+    let crossings =
+      match crossings with
+      | Some c -> c
+      | None -> Crossings.enumerate ~pool (Table.domain table) (Table.functions table)
+    in
+    build_1d ~crossings table itree rdig
+  end
+  else build_nd ~pool table itree rdig

@@ -1,13 +1,13 @@
-type t =
-  | Leaf of string
-  | Node of { h : string; size : int; l : t; r : t }
+type 'a t =
+  | Leaf of { h : string; v : 'a }
+  | Node of { h : string; size : int; l : 'a t; r : 'a t }
 
 let interior_tag = "\x03"
 
 let node_hash l r = Aqv_crypto.Sha256.digest_list [ interior_tag; l; r ]
 
 let size = function Leaf _ -> 1 | Node n -> n.size
-let root = function Leaf h -> h | Node n -> n.h
+let root = function Leaf { h; _ } | Node { h; _ } -> h
 
 let node l r = Node { h = node_hash (root l) (root r); size = size l + size r; l; r }
 
@@ -18,11 +18,10 @@ let split_point n =
   let rec go p = if p * 2 < n then go (p * 2) else p in
   go 1
 
-let of_digests digests =
-  let n = Array.length digests in
-  if n = 0 then invalid_arg "Mht.of_digests: empty";
+let init n f =
+  if n < 1 then invalid_arg "Mht.init: empty";
   let rec build lo n =
-    if n = 1 then Leaf digests.(lo)
+    if n = 1 then (let h, v = f lo in Leaf { h; v })
     else begin
       let p = split_point n in
       node (build lo p) (build (lo + p) (n - p))
@@ -30,14 +29,32 @@ let of_digests digests =
   in
   build 0 n
 
-let rec leaf t i =
+let rec find t i =
   match t with
-  | Leaf h -> if i = 0 then h else invalid_arg "Mht.leaf: out of bounds"
+  | Leaf _ as l -> if i = 0 then l else invalid_arg "Mht: leaf index out of bounds"
   | Node { l; r; _ } ->
     let sl = size l in
-    if i < 0 then invalid_arg "Mht.leaf: out of bounds"
-    else if i < sl then leaf l i
-    else leaf r (i - sl)
+    if i < 0 then invalid_arg "Mht: leaf index out of bounds"
+    else if i < sl then find l i
+    else find r (i - sl)
+
+let leaf t i = root (find t i)
+let value t i = match find t i with Leaf { v; _ } -> v | Node _ -> assert false
+
+(* Right to left over the subtrees that meet [lo, hi], consing onto the
+   values already mapped; [off] is the index of [t]'s first leaf. *)
+let rec map_range_onto t off ~lo ~hi f acc =
+  match t with
+  | Leaf { v; _ } -> f v :: acc
+  | Node { l; r; _ } ->
+    let mid = off + size l in
+    let acc = if hi >= mid then map_range_onto r mid ~lo ~hi f acc else acc in
+    if lo < mid then map_range_onto l off ~lo ~hi f acc else acc
+
+let map_range t ~lo ~hi f =
+  if lo > hi then []
+  else if lo < 0 || hi >= size t then invalid_arg "Mht.map_range: out of bounds"
+  else map_range_onto t 0 ~lo ~hi f []
 
 (* One descent for a whole change set: the sorted changes are split at
    each node's left size, so every node on the union of their root
@@ -46,7 +63,7 @@ let set_many t changes =
   let n = size t in
   ignore
     (List.fold_left
-       (fun prev (i, _) ->
+       (fun prev (i, _, _) ->
          if i <= prev || i >= n then
            invalid_arg "Mht.set_many: index out of bounds, repeated or unsorted";
          i)
@@ -54,11 +71,11 @@ let set_many t changes =
   let rec go t off changes =
     match (changes, t) with
     | [], _ -> t
-    | [ (_, d) ], Leaf _ -> Leaf d
+    | [ (_, h, v) ], Leaf _ -> Leaf { h; v }
     | _, Leaf _ -> assert false
     | _, Node { l; r; _ } ->
       let mid = off + size l in
-      let left, right = List.partition (fun (i, _) -> i < mid) changes in
+      let left, right = List.partition (fun (i, _, _) -> i < mid) changes in
       node (go l off left) (go r mid right)
   in
   go t 0 changes

@@ -10,32 +10,45 @@
     a verifier reconstruct roots from segments without trusting any
     structural hints.
 
-    Trees are immutable and persistent: {!set} and {!set_many} share
-    all untouched nodes, so the owner can snapshot one FMH per
-    subdomain while paying only the root paths of the positions that
-    moving across a subdomain boundary changes — one {!set_many} per
-    boundary, O(log n) for an adjacent transposition.
+    Each leaf carries an unhashed value beside its digest (an FMH leaf
+    holds the table position of the record it commits), so a sorted
+    list and its tree are one object.
+
+    Trees are immutable and persistent: {!set_many} shares all
+    untouched nodes, so the owner can snapshot one FMH per subdomain
+    while paying only the root paths of the positions that moving
+    across a subdomain boundary changes — one {!set_many} per boundary,
+    O(log n) for an adjacent transposition.
 
     Interior hashes are domain-separated from leaf digests
     ([H("\x03" | left | right)]), preventing leaf/interior confusion. *)
 
-type t
+type 'a t
 
-val of_digests : string array -> t
-(** @raise Invalid_argument on an empty array. *)
+val init : int -> (int -> string * 'a) -> 'a t
+(** [init n f]: leaf [i] holds the digest and value [f i]. @raise Invalid_argument if [n < 1]. *)
 
-val root : t -> string
-val leaf : t -> int -> string
-(** @raise Invalid_argument if out of bounds. *)
+val root : 'a t -> string
 
-val set_many : t -> (int * string) list -> t
-(** Replace several leaf digests in one descent: [changes] are
-    [(index, digest)] pairs in strictly ascending index order. Every
-    node on the union of the changed leaves' root paths is rehashed
-    once, so the result equals folding {!set} over [changes] at a
-    fraction of the hashing when the paths share ancestors — two
-    adjacent leaves cost about log n + 1 node hashes instead of
-    2 log n. [set_many t []] is [t].
+val leaf : 'a t -> int -> string
+(** Leaf [i]'s digest. @raise Invalid_argument if out of bounds. *)
+
+val value : 'a t -> int -> 'a
+(** Leaf [i]'s value. @raise Invalid_argument if out of bounds. *)
+
+val map_range : 'a t -> lo:int -> hi:int -> ('a -> 'b) -> 'b list
+(** [f] of the values of leaves [lo..hi], in index order, in one walk
+    (not a {!value} per leaf), applied from [hi] down to [lo]. Empty
+    when [lo > hi].
+    @raise Invalid_argument if a non-empty range is out of bounds. *)
+
+val set_many : 'a t -> (int * string * 'a) list -> 'a t
+(** Replace several leaves in one descent: [changes] are
+    [(index, digest, value)] triples in strictly ascending index order.
+    Every node on the union of the changed leaves' root paths is
+    rehashed once: two adjacent leaves cost about log n + 1 node hashes
+    instead of the 2 log n of two single-leaf calls. [set_many t []] is
+    [t].
     @raise Invalid_argument on an out-of-bounds, duplicate or
     unsorted index. *)
 
@@ -43,7 +56,7 @@ val set_many : t -> (int * string) list -> t
 
 type path_elem = { sibling : string; sibling_on_left : bool }
 
-val auth_path : t -> int -> path_elem list
+val auth_path : 'a t -> int -> path_elem list
 (** Leaf-to-root sibling chain for one leaf. Visited nodes are counted
     in {!Aqv_util.Metrics} as FMH-node traversals. *)
 
@@ -57,7 +70,7 @@ val index_of_path : n:int -> path:path_elem list -> int option
     makes single-leaf proofs positional — the basis of verifiable rank
     and count queries. *)
 
-val range_proof : t -> lo:int -> hi:int -> string list
+val range_proof : 'a t -> lo:int -> hi:int -> string list
 (** Digests of the maximal subtrees {e outside} [\[lo, hi\]], in
     left-to-right traversal order: together with the leaf digests of
     the range they determine the root. *)

@@ -25,21 +25,6 @@ let rec get t i =
     else if i < sl then get l i
     else get r (i - sl)
 
-(* Right to left over the subtrees that meet [lo, hi], consing onto the
-   elements already mapped; [off] is the index of [t]'s first element. *)
-let rec map_range_onto t off ~lo ~hi f acc =
-  match t with
-  | Leaf v -> f v :: acc
-  | Node { l; r; _ } ->
-    let mid = off + length l in
-    let acc = if hi >= mid then map_range_onto r mid ~lo ~hi f acc else acc in
-    if lo < mid then map_range_onto l off ~lo ~hi f acc else acc
-
-let map_range t ~lo ~hi f =
-  if lo > hi then []
-  else if lo < 0 || hi >= length t then invalid_arg "Pvec.map_range: out of bounds"
-  else map_range_onto t 0 ~lo ~hi f []
-
 let rec set t i v =
   match t with
   | Leaf _ -> if i = 0 then Leaf v else invalid_arg "Pvec.set: out of bounds"
@@ -49,8 +34,4 @@ let rec set t i v =
     else if i < sl then Node { n with l = set l i v }
     else Node { n with r = set r (i - sl) v }
 
-let to_list t =
-  let rec go t acc = match t with Leaf v -> v :: acc | Node { l; r; _ } -> go l (go r acc) in
-  go t []
-
-let to_array t = Array.of_list (to_list t)
+let to_array t = Array.init (length t) (get t)

@@ -351,7 +351,7 @@ let sweep_contract table =
     let mid = [| Q.average lob hib |] in
     let expect = Array.init n Fun.id in
     Array.stable_sort (fun a b -> Q.compare (Linfun.eval fns.(a) mid) (Linfun.eval fns.(b) mid)) expect;
-    let order = Aqv_util.Pvec.to_array order in
+    let order = Array.copy order in
     check Alcotest.(array int) (Printf.sprintf "cell %d order" c) expect order;
     let differ =
       match !prev with
@@ -373,7 +373,7 @@ let with_duplicate_line table =
     ~domain:(Table.domain table)
 
 let sweep_contract_1d =
-  qtest ~count:40 "sweep_1d contract (1-D shapes)" gen_1d (fun (n, seed) ->
+  qtest ~count:40 ~long_factor:20 "sweep_1d contract (1-D shapes)" gen_1d (fun (n, seed) ->
       sweep_contract (table_dense n seed)
       && sweep_contract (table_sparse n seed)
       && sweep_contract (with_duplicate_line (table_ties ~slopes:3 ~intercepts:4 (min n 28) seed)))

@@ -8,7 +8,7 @@ module Linfun = Aqv_num.Linfun
 module Domain = Aqv_num.Domain
 module Region = Aqv_num.Region
 module Prng = Aqv_util.Prng
-module Pvec = Aqv_util.Pvec
+module Mht = Aqv_merkle.Mht
 module Record = Aqv_db.Record
 module Table = Aqv_db.Table
 module Template = Aqv_db.Template
@@ -196,9 +196,20 @@ let sorting_matches_bruteforce table =
             let c = Q.compare score.(a) score.(b) in
             if c <> 0 then c else compare a b)
           expect;
-        let got = Pvec.to_array (Sorting.leaf sorting lf.Itree.id).Sorting.order in
+        let fmh = Sorting.leaf sorting lf.Itree.id in
+        let n = Array.length fns in
+        let got = Array.init n (fun k -> Mht.value fmh (k + 1)) in
         if got <> expect then
-          Alcotest.failf "leaf %d: order mismatch" lf.Itree.id)
+          Alcotest.failf "leaf %d: order mismatch" lf.Itree.id;
+        (* each leaf commits the record whose position it holds; the
+           sentinels hold none *)
+        if Mht.value fmh 0 <> -1 || Mht.value fmh (n + 1) <> -1 then
+          Alcotest.failf "leaf %d: sentinel holds a position" lf.Itree.id;
+        for pos = 1 to n do
+          let d = Record.digest (Table.record table (Mht.value fmh pos)) in
+          if not (String.equal (Mht.leaf fmh pos) d) then
+            Alcotest.failf "leaf %d: FMH leaf %d commits another record" lf.Itree.id pos
+        done)
     (Itree.leaves tree)
 
 let test_sorting_1d () =

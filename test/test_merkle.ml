@@ -7,11 +7,13 @@ module Sha256 = Aqv_crypto.Sha256
 
 let check = Alcotest.check
 
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+(* [long_factor] multiplies [count] under QCHECK_LONG=1 *)
+let qtest ?(count = 300) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ?long_factor ~name gen prop)
 
 let d i = Sha256.digest (Printf.sprintf "leaf-%d" i)
-let mk n = Mht.of_digests (Array.init n d)
+let of_digests leaves = Mht.init (Array.length leaves) (fun i -> (leaves.(i), i))
+let mk n = of_digests (Array.init n d)
 
 (* Naive reference: recompute the root from a full leaf array using the
    same split rule (largest power of two below n). *)
@@ -31,18 +33,18 @@ let reference_root leaves =
 let test_matches_reference () =
   for n = 1 to 40 do
     let leaves = Array.init n d in
-    let t = Mht.of_digests leaves in
+    let t = of_digests leaves in
     if not (String.equal (Mht.root t) (reference_root leaves)) then
       Alcotest.failf "root mismatch at n=%d" n
   done
 
 let test_empty_rejected () =
-  Alcotest.check_raises "empty" (Invalid_argument "Mht.of_digests: empty") (fun () ->
-      ignore (Mht.of_digests [||]))
+  Alcotest.check_raises "empty" (Invalid_argument "Mht.init: empty") (fun () ->
+      ignore (of_digests [||]))
 
 let test_leaves_roundtrip () =
   let leaves = Array.init 13 d in
-  let t = Mht.of_digests leaves in
+  let t = of_digests leaves in
   check Alcotest.(array string) "leaves" leaves (Array.init 13 (Mht.leaf t));
   for i = 0 to 12 do
     check Alcotest.string "leaf i" leaves.(i) (Mht.leaf t i)
@@ -50,7 +52,7 @@ let test_leaves_roundtrip () =
 
 let test_set_persistent () =
   let t = mk 10 in
-  let t' = Mht.set_many t [ (4, d 99) ] in
+  let t' = Mht.set_many t [ (4, d 99, 99) ] in
   check Alcotest.string "old unchanged" (d 4) (Mht.leaf t 4);
   check Alcotest.string "new changed" (d 99) (Mht.leaf t' 4);
   check Alcotest.bool "roots differ" false (String.equal (Mht.root t) (Mht.root t'));
@@ -134,7 +136,7 @@ let prop_set_then_leaves =
     QCheck.(pair (int_range 1 50) (pair (int_bound 49) small_nat))
     (fun (n, (i, v)) ->
       let i = i mod n in
-      let t = Mht.set_many (mk n) [ (i, d (1000 + v)) ] in
+      let t = Mht.set_many (mk n) [ (i, d (1000 + v), v) ] in
       let expect = Array.init n d in
       expect.(i) <- d (1000 + v);
       Array.init n (Mht.leaf t) = expect)
@@ -166,18 +168,18 @@ let gen_change_set =
     | 2 -> return (List.sort_uniq compare [ 0; n - 1 ])
     | _ -> map (List.sort_uniq compare) (list_size (int_range 1 12) (int_bound (n - 1))))
     >>= fun idxs ->
-    map (fun v -> (n, List.map (fun i -> (i, d (5000 + i + v))) idxs)) small_nat)
+    map (fun v -> (n, List.map (fun i -> (i, d (5000 + i + v), i + v)) idxs)) small_nat)
 
 let prop_set_many_is_fold_of_set =
   qtest ~count:300 "set_many = fold of set"
     (QCheck.make
        ~print:(fun (n, cs) ->
          Printf.sprintf "n=%d [%s]" n
-           (String.concat ";" (List.map (fun (i, _) -> string_of_int i) cs)))
+           (String.concat ";" (List.map (fun (i, _, _) -> string_of_int i) cs)))
        gen_change_set)
     (fun (n, changes) ->
       let t = mk n in
-      let folded = List.fold_left (fun t (i, v) -> Mht.set_many t [ (i, v) ]) t changes in
+      let folded = List.fold_left (fun t c -> Mht.set_many t [ c ]) t changes in
       let before = Aqv_util.Metrics.snapshot () in
       let many = Mht.set_many t changes in
       let hashes = (Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) before).hash_ops in
@@ -186,19 +188,69 @@ let prop_set_many_is_fold_of_set =
       && List.for_all
            (fun i -> Mht.auth_path folded i = Mht.auth_path many i)
            (List.init n Fun.id)
-      && hashes = union_path_nodes n (List.map fst changes))
+      && hashes = union_path_nodes n (List.map (fun (i, _, _) -> i) changes))
+
+(* Leaf values ride the tree: after any sequence of change sets,
+   [value], [leaf] and [map_range] over every [lo..hi] read the model
+   array the same changes were written to, and the root is a fresh
+   build's of that array. *)
+let gen_change_sequence =
+  QCheck.Gen.(
+    int_range 1 70 >>= fun n ->
+    let change_set =
+      list_size (int_bound 6) (pair (int_bound (n - 1)) small_nat) >|= fun cs ->
+      List.sort_uniq (fun (i, _) (j, _) -> compare i j) cs
+      |> List.map (fun (i, v) -> (i, d (7000 + v), v))
+    in
+    pair (return n) (list_size (int_bound 8) change_set))
+
+let prop_values_follow_model =
+  qtest ~count:100 ~long_factor:20 "set_many sequences = model array"
+    (QCheck.make
+       ~print:(fun (n, steps) -> Printf.sprintf "n=%d, %d change sets" n (List.length steps))
+       gen_change_sequence)
+    (fun (n, steps) ->
+      let model = Array.init n (fun i -> (d i, i)) in
+      let t =
+        List.fold_left
+          (fun t changes ->
+            List.iter (fun (i, h, v) -> model.(i) <- (h, v)) changes;
+            Mht.set_many t changes)
+          (mk n) steps
+      in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        if Mht.value t i <> snd model.(i) || not (String.equal (Mht.leaf t i) (fst model.(i)))
+        then ok := false
+      done;
+      for lo = 0 to n do
+        for hi = lo - 1 to n - 1 do
+          let expect = List.init (hi - lo + 1) (fun k -> snd model.(lo + k) * 3) in
+          if Mht.map_range t ~lo ~hi (fun v -> v * 3) <> expect then ok := false
+        done
+      done;
+      let refused lo hi =
+        match Mht.map_range t ~lo ~hi Fun.id with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      !ok
+      && refused (-1) 0
+      && refused 0 n
+      && Mht.map_range t ~lo:n ~hi:(n - 1) Fun.id = []
+      && String.equal (Mht.root t) (Mht.root (Mht.init n (fun i -> model.(i)))))
 
 let test_set_many_rejects () =
   let t = mk 9 in
   let rejects name changes =
     match Mht.set_many t changes with
-    | (_ : Mht.t) -> Alcotest.failf "%s: expected Invalid_argument" name
+    | (_ : int Mht.t) -> Alcotest.failf "%s: expected Invalid_argument" name
     | exception Invalid_argument _ -> ()
   in
-  rejects "negative" [ (-1, d 1) ];
-  rejects "past the end" [ (3, d 1); (9, d 2) ];
-  rejects "duplicate" [ (4, d 1); (4, d 2) ];
-  rejects "unsorted" [ (5, d 1); (2, d 2) ];
+  rejects "negative" [ (-1, d 1, 1) ];
+  rejects "past the end" [ (3, d 1, 1); (9, d 2, 2) ];
+  rejects "duplicate" [ (4, d 1, 1); (4, d 2, 2) ];
+  rejects "unsorted" [ (5, d 1, 1); (2, d 2, 2) ];
   (* an adjacent swap rehashes the union of two root paths once: 4
      hashes for siblings in a 16-leaf tree, 7 when the paths meet only
      at the root — two separate sets paid 8 either way *)
@@ -206,7 +258,7 @@ let test_set_many_rejects () =
   List.iter
     (fun (i, expect) ->
       let before = Aqv_util.Metrics.snapshot () in
-      ignore (Mht.set_many t [ (i, Mht.leaf t (i + 1)); (i + 1, Mht.leaf t i) ]);
+      ignore (Mht.set_many t [ (i, Mht.leaf t (i + 1), i + 1); (i + 1, Mht.leaf t i, i) ]);
       check Alcotest.int (Printf.sprintf "swap %d/%d of 16" i (i + 1)) expect
         (Aqv_util.Metrics.diff (Aqv_util.Metrics.snapshot ()) before).hash_ops)
     [ (6, 4); (7, 7) ]
@@ -236,6 +288,7 @@ let () =
           Alcotest.test_case "set persistent" `Quick test_set_persistent;
           prop_set_then_leaves;
           prop_set_many_is_fold_of_set;
+          prop_values_follow_model;
           Alcotest.test_case "set_many rejects bad indices" `Quick test_set_many_rejects;
         ] );
       ( "proofs",

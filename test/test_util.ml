@@ -481,7 +481,6 @@ let test_wire_header_length () =
 
 let test_pvec_basics () =
   let v = Pvec.of_array [| 10; 20; 30; 40; 50 |] in
-  check Alcotest.int "length" 5 (Pvec.length v);
   check Alcotest.int "get" 30 (Pvec.get v 2);
   check Alcotest.(list int) "to_list" [ 10; 20; 30; 40; 50 ] (Util_ref.pvec_to_list v);
   check Alcotest.(array int) "to_array" [| 10; 20; 30; 40; 50 |] (Pvec.to_array v)
@@ -499,26 +498,6 @@ let test_pvec_bounds () =
       ignore (Pvec.get v 1));
   Alcotest.check_raises "empty" (Invalid_argument "Pvec.of_array: empty") (fun () ->
       ignore (Pvec.of_array [||]))
-
-let pvec_map_range =
-  qtest ~long_factor:20 "map_range = List.init over get, every lo..hi"
-    QCheck.(array_of_size Gen.(int_range 1 70) small_nat)
-    (fun a ->
-      let n = Array.length a in
-      let v = Pvec.of_array a in
-      let ok = ref true in
-      for lo = 0 to n do
-        for hi = lo - 1 to n - 1 do
-          let expect = List.init (hi - lo + 1) (fun k -> Pvec.get v (lo + k) * 3) in
-          if Pvec.map_range v ~lo ~hi (fun x -> x * 3) <> expect then ok := false
-        done
-      done;
-      let refused lo hi =
-        match Pvec.map_range v ~lo ~hi Fun.id with
-        | _ -> false
-        | exception Invalid_argument _ -> true
-      in
-      !ok && refused (-1) 0 && refused 0 n && Pvec.map_range v ~lo:n ~hi:(n - 1) Fun.id = [])
 
 let pvec_model =
   qtest ~count:300 "pvec behaves like an array"
@@ -691,7 +670,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_pvec_basics;
           Alcotest.test_case "set persistent" `Quick test_pvec_set_persistent;
           Alcotest.test_case "bounds" `Quick test_pvec_bounds;
-          pvec_map_range;
           pvec_model;
         ] );
       ( "histogram",
