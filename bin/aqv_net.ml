@@ -31,8 +31,9 @@
          anything, so client verification spans it unchanged.
 
      aqv_net fsck --dir /tmp/aqv
-         read-only store health check: validate snapshot + log, dry-run
-         the replay, report epochs and any torn tail
+         the read half of serve's recovery: validate snapshot + log,
+         run the same replay, report what a restart would recover (any
+         torn tail included) and write nothing
 
      aqv_net compact --dir /tmp/aqv
          fold the delta log into a fresh snapshot at the current epoch
@@ -161,30 +162,18 @@ let parse_hostport s =
     (addr, port)
 
 (* A follower with an empty --dir bootstraps its store from the
-   primary: fetch a full snapshot over the wire, publish it locally
-   (durable before serving, like any publish), then recover from our
-   own store as usual — the recovery path stays the only way an index
-   reaches the engine. *)
+   primary: fetch a full snapshot over the wire and publish it locally
+   (durable before serving, like any publish; [Store.publish] creates
+   the dir). It serves the index just fetched (reopening the store
+   would load the snapshot it wrote a second time), and there is no
+   recovery to report. *)
 let open_or_bootstrap dir follow =
   match (follow, Sys.file_exists (Store.snapshot_path dir)) with
   | Some (host, port), false ->
     Printf.printf "bootstrapping from %s:%d ...\n%!" (Unix.string_of_inet_addr host) port;
     let index = Follower.bootstrap ~host ~port () in
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    (* serve the index just loaded: reopening the store would load the
-       snapshot it wrote a second time *)
-    let epoch = Ifmh.epoch index in
-    Ok
-      ( Store.publish ~dir index,
-        index,
-        {
-          Store.snapshot_epoch = epoch;
-          final_epoch = epoch;
-          replayed = 0;
-          skipped = 0;
-          torn_tail_bytes = 0;
-        } )
-  | _ -> Store.open_dir dir
+    Ok (Store.publish ~dir index, index, None)
+  | _ -> Result.map (fun (store, index, r) -> (store, index, Some r)) (Store.open_dir dir)
 
 let run_serve dir port max_conns faults follow port_file =
   setup_logging ();
@@ -211,9 +200,17 @@ let run_serve dir port max_conns faults follow port_file =
       }
     in
     let engine = Engine.create config index in
-    Stats.recovered (Engine.stats engine)
-      ~torn_tail:(recovery.Store.torn_tail_bytes > 0)
-      ~coalesced:recovery.Store.replayed;
+    (match recovery with
+    | None -> Printf.printf "bootstrapped at epoch %d\n" (Ifmh.epoch index)
+    | Some r ->
+      Stats.recovered (Engine.stats engine)
+        ~torn_tail:(r.Store.torn_tail_bytes > 0)
+        ~coalesced:r.Store.replayed;
+      Printf.printf
+        "recovered epoch %d (snapshot epoch %d, %d delta(s) replayed, \
+         coalesced into one rebuild, %d skipped, %d torn byte(s) truncated)\n"
+        r.Store.final_epoch r.Store.snapshot_epoch r.Store.replayed r.Store.skipped
+        r.Store.torn_tail_bytes);
     let follower =
       Option.map
         (fun (host, port) -> Follower.start ~host ~engine ~port ())
@@ -225,12 +222,6 @@ let run_serve dir port max_conns faults follow port_file =
     in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    Printf.printf
-      "recovered epoch %d (snapshot epoch %d, %d delta(s) replayed, \
-       coalesced into one rebuild, %d skipped, %d torn byte(s) truncated)\n"
-      recovery.Store.final_epoch recovery.Store.snapshot_epoch
-      recovery.Store.replayed recovery.Store.skipped
-      recovery.Store.torn_tail_bytes;
     Printf.printf "serving %d records on 127.0.0.1:%d (max %d conns, cache %d)%s\n%!"
       (Table.size (Ifmh.table index))
       (Engine.port engine)
@@ -326,30 +317,30 @@ let run_fsck dir json =
          (jO [
               ("dir", jS dir);
               ("ok", jI 1);
-              ("scheme", jS (Ifmh.scheme_name r.Store.r_scheme));
-              ("snapshot_epoch", jI r.Store.r_snapshot_epoch);
-              ("snapshot_bytes", jI r.Store.r_snapshot_bytes);
-              ("n_leaves", jI r.Store.r_n_leaves);
-              ("log_frames", jI r.Store.r_log_frames);
-              ("replayed", jI r.Store.r_replayed);
-              ("skipped", jI r.Store.r_skipped);
-              ("frames_coalesced", jI r.Store.r_replayed);
-              ("final_epoch", jI r.Store.r_final_epoch);
-              ("torn_tail_bytes", jI r.Store.r_torn_tail_bytes);
+              ("scheme", jS (Ifmh.scheme_name r.Store.scheme));
+              ("snapshot_epoch", jI r.Store.snapshot_epoch);
+              ("snapshot_bytes", jI r.Store.snapshot_bytes);
+              ("n_leaves", jI r.Store.n_leaves);
+              ("log_frames", jI r.Store.log_frames);
+              ("replayed", jI r.Store.replayed);
+              ("skipped", jI r.Store.skipped);
+              ("frames_coalesced", jI r.Store.replayed);
+              ("final_epoch", jI r.Store.final_epoch);
+              ("torn_tail_bytes", jI r.Store.torn_tail_bytes);
             ]))
   | Ok r ->
     Printf.printf "fsck %s: OK\n" dir;
-    Printf.printf "  scheme          %s\n" (Ifmh.scheme_name r.Store.r_scheme);
+    Printf.printf "  scheme          %s\n" (Ifmh.scheme_name r.Store.scheme);
     Printf.printf "  snapshot        epoch %d, %d bytes, %d leaves\n"
-      r.Store.r_snapshot_epoch r.Store.r_snapshot_bytes r.Store.r_n_leaves;
+      r.Store.snapshot_epoch r.Store.snapshot_bytes r.Store.n_leaves;
     Printf.printf "  log             %d frame(s): %d replayable, %d stale\n"
-      r.Store.r_log_frames r.Store.r_replayed r.Store.r_skipped;
+      r.Store.log_frames r.Store.replayed r.Store.skipped;
     Printf.printf "  replay          %d frame(s) coalesced into one rebuild\n"
-      r.Store.r_replayed;
-    Printf.printf "  final epoch     %d\n" r.Store.r_final_epoch;
-    if r.Store.r_torn_tail_bytes > 0 then
+      r.Store.replayed;
+    Printf.printf "  final epoch     %d\n" r.Store.final_epoch;
+    if r.Store.torn_tail_bytes > 0 then
       Printf.printf "  torn tail       %d byte(s), truncated on next serve\n"
-        r.Store.r_torn_tail_bytes
+        r.Store.torn_tail_bytes
 
 let run_compact dir =
   setup_logging ();
@@ -905,6 +896,9 @@ let selftest sc =
   let followers, router, converged = start_replicas sc ~primary:primary2 ~epoch:2 2 in
   expect_verified "followers bootstrapped (epoch 2)" converged;
   let f1 = List.nth followers 0 and f2 = List.nth followers 1 in
+  (* a follower bootstrapped over the wire recovered nothing *)
+  expect_verified "stats: bootstrap not a recovery"
+    (gauge f1.port "recoveries" = 0 && gauge port2 "recoveries" = 1);
   (match Roundtrip.call ~port:router.port (Protocol.Run_query q1) with
   | Protocol.Answer resp ->
     expect_verified "verified read via router" (Client.accepts ctx2 q1 resp)

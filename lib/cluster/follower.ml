@@ -19,15 +19,15 @@ type t = {
   mutable thread : Thread.t option;
 }
 
-(* The wait for the next frame: must exceed the primary's heartbeat
-   interval. *)
+(* The wait for the next frame on a replication stream, the bootstrap's
+   included: must exceed the primary's heartbeat interval. *)
 let read_timeout = 10.
 
 (* The delay before redialing a lost stream. *)
 let reconnect_backoff = 0.1
 
-(* Bound on writing the Subscribe and on reading a frame body (and, at
-   bootstrap, a whole frame): the default roundtrip read timeout. *)
+(* Bound on writing the Subscribe and on reading a frame body: the
+   default roundtrip read timeout. *)
 let io_timeout = Roundtrip.default_opts.Roundtrip.read_timeout
 
 let locked t f =
@@ -41,6 +41,16 @@ let send_subscribe fd ~timeout ~from_epoch =
   let w = Frame_io.writer () in
   Protocol.encode_request w (Protocol.Subscribe { from_epoch });
   ignore (Frame_io.write_framed ~timeout fd (Frame_io.framed w))
+
+(* Read and decode the next frame of a replication stream: [None] at
+   EOF, [Error] for an undecodable frame. *)
+let next_reply fd =
+  match Frame_io.read_frame ~header_timeout:read_timeout ~body_timeout:io_timeout fd with
+  | None -> None
+  | Some payload -> (
+    match Protocol.decode_reply (Wire.reader payload) with
+    | exception (Failure msg | Invalid_argument msg) -> Some (Error msg)
+    | reply -> Some (Ok reply))
 
 (* Apply one replication frame to the follower's engine. [Error] means
    the stream is unusable from here (a gap, a bad frame): drop the
@@ -96,18 +106,13 @@ let tail_once t =
       (fun () ->
         send_subscribe fd ~timeout:io_timeout ~from_epoch:(Some (epoch t));
         let rec loop () =
-          match
-            Frame_io.read_frame ~header_timeout:read_timeout ~body_timeout:io_timeout fd
-          with
+          match next_reply fd with
           | None -> Log.info (fun m -> m "primary closed the stream")
-          | Some payload -> (
-            match Protocol.decode_reply (Wire.reader payload) with
-            | exception (Failure msg | Invalid_argument msg) ->
-              Log.warn (fun m -> m "bad replication frame: %s" msg)
-            | reply -> (
-              match apply_frame t reply with
-              | Ok () -> loop ()
-              | Error msg -> Log.warn (fun m -> m "dropping stream: %s" msg)))
+          | Some (Error msg) -> Log.warn (fun m -> m "bad replication frame: %s" msg)
+          | Some (Ok reply) -> (
+            match apply_frame t reply with
+            | Ok () -> loop ()
+            | Error msg -> Log.warn (fun m -> m "dropping stream: %s" msg))
         in
         loop ())
 
@@ -156,13 +161,12 @@ let bootstrap ?(host = Unix.inet_addr_loopback) ~port () =
   Roundtrip.with_connection ~host ~port (fun fd ->
       send_subscribe fd ~timeout:io_timeout ~from_epoch:None;
       let rec await () =
-        match Frame_io.read_frame ~header_timeout:io_timeout ~body_timeout:io_timeout fd with
+        match next_reply fd with
         | None -> failwith "Follower: primary closed before sending a snapshot"
-        | Some payload -> (
-          match Protocol.decode_reply (Wire.reader payload) with
-          | Protocol.Snapshot_frame { index } -> Ifmh.load (Wire.reader index)
-          | Protocol.Hello _ -> await ()
-          | Protocol.Refused msg -> failwith ("Follower: primary refused: " ^ msg)
-          | _ -> failwith "Follower: unexpected reply during bootstrap")
+        | Some (Error msg) -> failwith ("Follower: bad bootstrap frame: " ^ msg)
+        | Some (Ok (Protocol.Snapshot_frame { index })) -> Ifmh.load (Wire.reader index)
+        | Some (Ok (Protocol.Hello _)) -> await ()
+        | Some (Ok (Protocol.Refused msg)) -> failwith ("Follower: primary refused: " ^ msg)
+        | Some (Ok _) -> failwith "Follower: unexpected reply during bootstrap"
       in
       await ())

@@ -7,7 +7,7 @@ type header = {
   scheme : Ifmh.scheme;
   epoch : int;
   n_leaves : int;
-  body_bytes : int;
+  file_bytes : int;
 }
 
 let scheme_tag = function
@@ -90,7 +90,7 @@ let read ?pool ?fault ~path () =
                           scheme;
                           epoch;
                           n_leaves = nl;
-                          body_bytes = String.length body;
+                          file_bytes = len;
                         }
                       in
                       let mismatch reason =

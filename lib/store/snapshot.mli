@@ -23,7 +23,7 @@ type header = {
   scheme : Aqv.Ifmh.scheme;
   epoch : int;
   n_leaves : int;
-  body_bytes : int;  (** size of the [Ifmh.save] image *)
+  file_bytes : int;  (** size of the whole snapshot file *)
 }
 
 val write : path:string -> Aqv.Ifmh.t -> unit

@@ -16,7 +16,11 @@ type t = {
 }
 
 type recovery = {
+  scheme : Ifmh.scheme;
+  n_leaves : int;
+  snapshot_bytes : int;
   snapshot_epoch : int;
+  log_frames : int;
   final_epoch : int;
   replayed : int;
   skipped : int;
@@ -109,61 +113,51 @@ let replay ~file index0 frames =
           Error (Error.Replay_failed { file; frame = li; reason = m })
       | index -> Ok (index, replayed, skipped))
 
-let open_dir ?(policy = default_policy) dir =
-  let fault = Fault.create () in
-  match Snapshot.read ~fault ~path:(snapshot_path dir) () with
-  | Error e -> Error e
-  | Ok (index0, hdr) -> (
-      let wp = wal_path dir in
-      let fresh torn =
-        match Wal.create ~path:wp with
-        | exception Error.Error e -> Error e
-        | wal ->
-            Ok
-              ( { dir; policy; fault; wal },
-                index0,
-                {
-                  snapshot_epoch = hdr.epoch;
-                  final_epoch = hdr.epoch;
-                  replayed = 0;
-                  skipped = 0;
-                  torn_tail_bytes = torn;
-                } )
-      in
-      if not (Sys.file_exists wp) then fresh 0
-      else
-        match Wal.scan ~fault ~path:wp () with
-        | Error e -> Error e
-        | Ok sc ->
-            if sc.valid_bytes < 8 then
-              (* Interrupted create: even the magic is torn. *)
-              fresh sc.valid_bytes
-            else
-              match
-                if sc.torn_bytes > 0 then Wal.truncate ~path:wp sc.valid_bytes
-              with
-              | exception Error.Error e -> Error e
-              | () -> (
-              match replay ~file:wp index0 sc.scanned with
-              | Error e -> Error e
-              | Ok (index, replayed, skipped) -> (
-                  match
-                    Wal.open_append ~path:wp ~bytes:sc.valid_bytes
-                      ~frames:(List.length sc.scanned)
-                  with
-                  | exception Error.Error e -> Error e
-                  | wal ->
-                      Ok
-                        ( { dir; policy; fault; wal },
-                          index,
-                          {
-                            snapshot_epoch = hdr.epoch;
-                            final_epoch = Ifmh.epoch index;
-                            replayed;
-                            skipped;
-                            torn_tail_bytes = sc.torn_bytes;
-                          } ))))
+(* The read half of start-up, shared by [open_dir] and [fsck]: read the
+   snapshot, scan the log (a missing one scans as empty) and replay it.
+   Writes nothing. *)
+let read_dir dir =
+  let ( let* ) = Result.bind in
+  let file = wal_path dir in
+  let* index0, hdr = Snapshot.read ~path:(snapshot_path dir) () in
+  let* sc =
+    if Sys.file_exists file then Wal.scan ~path:file ()
+    else Ok { Wal.scanned = []; valid_bytes = 0; torn_bytes = 0 }
+  in
+  let* index, replayed, skipped = replay ~file index0 sc.scanned in
+  Ok
+    ( index,
+      sc,
+      {
+        scheme = hdr.scheme;
+        n_leaves = hdr.n_leaves;
+        snapshot_bytes = hdr.file_bytes;
+        snapshot_epoch = hdr.epoch;
+        log_frames = List.length sc.scanned;
+        final_epoch = Ifmh.epoch index;
+        replayed;
+        skipped;
+        torn_tail_bytes = sc.torn_bytes;
+      } )
 
+(* The write half: the only repairs recovery makes. A log without its
+   magic (missing, or an interrupted create) is recreated; a torn tail
+   is cut off. *)
+let open_dir ?(policy = default_policy) dir =
+  match read_dir dir with
+  | Error e -> Error e
+  | Ok (index, sc, recovery) -> (
+      let path = wal_path dir in
+      match
+        if sc.valid_bytes = 0 then Wal.create ~path
+        else (
+          if sc.torn_bytes > 0 then Wal.truncate ~path sc.valid_bytes;
+          Wal.open_append ~path ~bytes:sc.valid_bytes ~frames:recovery.log_frames)
+      with
+      | exception Error.Error e -> Error e
+      | wal -> Ok ({ dir; policy; fault = Fault.create (); wal }, index, recovery))
+
+let fsck dir = Result.map (fun (_, _, recovery) -> recovery) (read_dir dir)
 
 let append t ~base delta =
   let w = Wire.writer () in
@@ -196,52 +190,3 @@ let maybe_compact t index =
 let log_frames t = Wal.frames t.wal
 let fault t = t.fault
 let close t = Wal.close t.wal
-
-type report = {
-  r_scheme : Ifmh.scheme;
-  r_snapshot_epoch : int;
-  r_final_epoch : int;
-  r_n_leaves : int;
-  r_snapshot_bytes : int;
-  r_log_frames : int;
-  r_replayed : int;
-  r_skipped : int;
-  r_torn_tail_bytes : int;
-}
-
-let fsck dirname =
-  match Snapshot.read ~path:(snapshot_path dirname) () with
-  | Error e -> Error e
-  | Ok (index0, hdr) -> (
-      let wp = wal_path dirname in
-      let finish ~frames ~replayed ~skipped ~torn ~final =
-        Ok
-          {
-            r_scheme = hdr.scheme;
-            r_snapshot_epoch = hdr.epoch;
-            r_final_epoch = final;
-            r_n_leaves = hdr.n_leaves;
-            r_snapshot_bytes = Ioutil.file_size (snapshot_path dirname);
-            r_log_frames = frames;
-            r_replayed = replayed;
-            r_skipped = skipped;
-            r_torn_tail_bytes = torn;
-          }
-      in
-      if not (Sys.file_exists wp) then
-        finish ~frames:0 ~replayed:0 ~skipped:0 ~torn:0 ~final:hdr.epoch
-      else
-        match Wal.scan ~path:wp () with
-        | Error e -> Error e
-        | Ok sc -> (
-            if sc.valid_bytes < 8 then
-              finish ~frames:0 ~replayed:0 ~skipped:0
-                ~torn:sc.valid_bytes ~final:hdr.epoch
-            else
-              match replay ~file:wp index0 sc.scanned with
-              | Error e -> Error e
-              | Ok (index, replayed, skipped) ->
-                  finish
-                    ~frames:(List.length sc.scanned)
-                    ~replayed ~skipped ~torn:sc.torn_bytes
-                    ~final:(Ifmh.epoch index)))

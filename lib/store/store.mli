@@ -43,11 +43,15 @@ val default_policy : policy
     for itself — see bench [abl-recovery]. *)
 
 type recovery = {
+  scheme : Aqv.Ifmh.scheme;
+  n_leaves : int;  (** records + 2 sentinels *)
+  snapshot_bytes : int;  (** size of [index.bin] *)
   snapshot_epoch : int;
+  log_frames : int;  (** complete frames in the log, stale ones included *)
   final_epoch : int;  (** epoch after replay — what the engine serves *)
   replayed : int;  (** frames folded into the single recovery rebuild *)
   skipped : int;  (** stale frames below the snapshot epoch (torn compaction) *)
-  torn_tail_bytes : int;  (** garbage truncated from the log tail *)
+  torn_tail_bytes : int;  (** garbage past the last complete frame *)
 }
 
 val snapshot_path : string -> string
@@ -58,9 +62,11 @@ val publish : ?policy:policy -> dir:string -> Aqv.Ifmh.t -> t
     @raise Error.Error on IO failure. *)
 
 val open_dir : ?policy:policy -> string -> (t * Aqv.Ifmh.t * recovery, Error.t) result
-(** Recover: validate the snapshot, scan the log, truncate a torn tail,
-    replay surviving deltas (coalesced: one rebuild for the whole log).
-    Never raises on bad input. *)
+(** Recover: validate the snapshot, scan the log, replay surviving
+    deltas (coalesced: one rebuild for the whole log) — the read half,
+    {!fsck} — then make the only repairs: truncate a torn tail, or
+    recreate a log that is missing or whose magic is torn. Nothing is
+    written unless the read half succeeds. Never raises on bad input. *)
 
 val append : t -> base:Aqv.Ifmh.t -> Aqv.Ifmh.delta -> unit
 (** Log one accepted delta ([base] is the index it applies to; its
@@ -92,18 +98,7 @@ val fault : t -> Fault.t
 
 val close : t -> unit
 
-type report = {
-  r_scheme : Aqv.Ifmh.scheme;
-  r_snapshot_epoch : int;
-  r_final_epoch : int;
-  r_n_leaves : int;
-  r_snapshot_bytes : int;
-  r_log_frames : int;
-  r_replayed : int;
-  r_skipped : int;
-  r_torn_tail_bytes : int;
-}
-
-val fsck : string -> (report, Error.t) result
-(** Read-only health check: validates snapshot + log and dry-runs the
-    replay without truncating or modifying anything. *)
+val fsck : string -> (recovery, Error.t) result
+(** The read half of {!open_dir}: the same checks, the same replay and
+    the same [recovery] (or the same error), but nothing is truncated,
+    recreated or opened for writing. *)

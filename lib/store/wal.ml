@@ -67,37 +67,31 @@ let append ?fault t frame =
   if t.poisoned then
     io_error t.path "poisoned by an earlier failed append; reopen to recover";
   let data = encode_frame frame in
-  match Option.bind fault Fault.take_write with
-  | Some Fault.Fail_write -> io_error t.path "injected write failure"
-  | Some (Fault.Torn_write n) ->
-      (* A crash mid-append: some prefix reaches the disk and the
-         caller never hears back. Unlike a live partial-write failure,
-         the garbage must STAY on disk (it is the artifact recovery
-         exists to truncate), so instead of rolling back we poison the
-         handle — a real crashed process could not append either. *)
-      let n = min n (String.length data) in
-      write_all t data n;
-      (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
-      t.poisoned <- true;
-      io_error t.path "injected torn write"
-  | Some (Fault.Bit_flip k) ->
-      (* Silent media corruption: the write "succeeds". *)
-      let data = flip_bit k data in
-      let n = String.length data in
-      write_all t data n;
-      (try Unix.fsync t.fd with Unix.Unix_error (e, _, _) ->
-        rollback t;
-        io_error t.path (Unix.error_message e));
-      t.size_bytes <- t.size_bytes + n;
-      t.frames <- t.frames + 1
-  | Some (Fault.Short_read _) | None ->
-      let n = String.length data in
-      write_all t data n;
-      (try Unix.fsync t.fd with Unix.Unix_error (e, _, _) ->
-        rollback t;
-        io_error t.path (Unix.error_message e));
-      t.size_bytes <- t.size_bytes + n;
-      t.frames <- t.frames + 1
+  let data =
+    match Option.bind fault Fault.take_write with
+    | Some Fault.Fail_write -> io_error t.path "injected write failure"
+    | Some (Fault.Torn_write n) ->
+        (* A crash mid-append: some prefix reaches the disk and the
+           caller never hears back. Unlike a live partial-write failure,
+           the garbage must STAY on disk (it is the artifact recovery
+           exists to truncate), so instead of rolling back we poison the
+           handle — a real crashed process could not append either. *)
+        write_all t data (min n (String.length data));
+        (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
+        t.poisoned <- true;
+        io_error t.path "injected torn write"
+    | Some (Fault.Bit_flip k) ->
+        (* Silent media corruption: the write "succeeds". *)
+        flip_bit k data
+    | Some (Fault.Short_read _) | None -> data
+  in
+  let n = String.length data in
+  write_all t data n;
+  (try Unix.fsync t.fd with Unix.Unix_error (e, _, _) ->
+    rollback t;
+    io_error t.path (Unix.error_message e));
+  t.size_bytes <- t.size_bytes + n;
+  t.frames <- t.frames + 1
 
 let size_bytes t = t.size_bytes
 let frames t = t.frames
@@ -118,7 +112,7 @@ let scan ?fault ~path () =
       if len < mlen then
         if String.equal data (String.sub magic 0 len) then
           (* Interrupted create: nothing usable, recreate. *)
-          Ok { scanned = []; valid_bytes = len; torn_bytes = 0 }
+          Ok { scanned = []; valid_bytes = 0; torn_bytes = len }
         else Error (Error.Bad_magic { file = path; found = data })
       else if not (String.equal (String.sub data 0 mlen) magic) then
         Error (Error.Bad_magic { file = path; found = String.sub data 0 mlen })

@@ -63,7 +63,7 @@ type scan_result = {
   valid_bytes : int;  (** prefix length covering magic + those frames *)
   torn_bytes : int;  (** trailing garbage past [valid_bytes] *)
 }
-(** [valid_bytes < 8] means even the magic is torn (interrupted
+(** [valid_bytes = 0] means even the magic is torn (interrupted
     {!create}): the caller should recreate the log. *)
 
 val scan :

@@ -249,6 +249,31 @@ let test_wal_roundtrip () =
             check Alcotest.string "delta bytes" a.Wal.delta b.Wal.delta)
           frames sc.Wal.scanned)
 
+(* A short read of the log is a torn tail, never corruption: the frames
+   read in full are scanned, the rest is reported as truncatable. *)
+let test_wal_short_read () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "wal.log" in
+      let wal = Wal.create ~path in
+      List.iter (Wal.append wal)
+        [ { Wal.base_epoch = 1; delta = "first delta" }; { base_epoch = 2; delta = "second" } ];
+      Wal.close wal;
+      let len = Aqv_store.Ioutil.file_size path in
+      let scan_short n =
+        let fault = Fault.create () in
+        Fault.arm fault (Fault.Short_read n);
+        match Wal.scan ~fault ~path () with
+        | Error e -> Alcotest.failf "short scan failed: %s" (Serror.to_string e)
+        | Ok sc -> sc
+      in
+      let sc = scan_short (len - 3) in
+      check Alcotest.int "first frame scanned" 1 (List.length sc.Wal.scanned);
+      check Alcotest.int "rest is a torn tail" (len - 3) (sc.Wal.valid_bytes + sc.Wal.torn_bytes);
+      let sc = scan_short 3 in
+      check Alcotest.int "torn magic: nothing valid" 0 sc.Wal.valid_bytes;
+      check Alcotest.int "torn magic: all torn" 3 sc.Wal.torn_bytes;
+      check Alcotest.int "file untouched" len (Aqv_store.Ioutil.file_size path))
+
 (* Coalesced recovery ([Store.open_dir]) against the frame-by-frame
    reference replay in test/ref: the same bytes, final epoch, replayed
    and skipped counts. The reference reads first, since [open_dir]
@@ -615,6 +640,107 @@ let test_fault_bit_flip () =
       Store.close store;
       expect_error "Checksum_mismatch" (Store.open_dir dir |> Result.map (fun _ -> ())))
 
+(* ------------------------------- fsck ------------------------------- *)
+
+let recovery_t =
+  Alcotest.testable
+    (fun ppf (r : Store.recovery) ->
+      Format.fprintf ppf
+        "{%s; %d leaves; snapshot %d B at epoch %d; %d frame(s); final epoch %d; \
+         replayed %d; skipped %d; torn %d}"
+        (Ifmh.scheme_name r.scheme) r.n_leaves r.snapshot_bytes r.snapshot_epoch
+        r.log_frames r.final_epoch r.replayed r.skipped r.torn_tail_bytes)
+    ( = )
+
+let error_t = Alcotest.testable (Fmt.of_to_string Serror.to_string) ( = )
+
+(* Every file of a directory, by name, with its bytes. *)
+let dir_image dir =
+  List.map
+    (fun f -> (f, read_file (Filename.concat dir f)))
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+(* [Store.fsck] is the read half of [Store.open_dir]: it must leave
+   every byte of the directory in place, and the [open_dir] that
+   follows must return the same recovery, or the same error. Returns
+   fsck's verdict. *)
+let fsck_agrees dir =
+  let before = dir_image dir in
+  let verdict = Store.fsck dir in
+  check Alcotest.bool "fsck wrote nothing" true (before = dir_image dir);
+  let opened =
+    Result.map
+      (fun (store, _, recovery) ->
+        Store.close store;
+        recovery)
+      (Store.open_dir dir)
+  in
+  check (Alcotest.result recovery_t error_t) "fsck = open_dir" opened verdict;
+  verdict
+
+let fsck_ok dir =
+  match fsck_agrees dir with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "fsck failed: %s" (Serror.to_string e)
+
+let test_fsck_clean () =
+  with_dir (fun dir ->
+      let _ = seed_store ~dims:1 ~scheme:Ifmh.Multi_signature (Prng.create 81L) dir 3 in
+      let r = fsck_ok dir in
+      check Alcotest.int "snapshot epoch" 1 r.Store.snapshot_epoch;
+      check Alcotest.int "final epoch" 4 r.Store.final_epoch;
+      check Alcotest.int "log frames" 3 r.Store.log_frames;
+      check Alcotest.int "replayed" 3 r.Store.replayed;
+      check Alcotest.int "skipped" 0 r.Store.skipped;
+      check Alcotest.int "no torn tail" 0 r.Store.torn_tail_bytes;
+      check Alcotest.int "snapshot bytes"
+        (Aqv_store.Ioutil.file_size (Store.snapshot_path dir))
+        r.Store.snapshot_bytes)
+
+let test_fsck_torn_tail () =
+  with_dir (fun dir ->
+      let _ = seed_store ~dims:1 ~scheme:Ifmh.One_signature (Prng.create 82L) dir 2 in
+      let wal_path = Store_ref.wal_path dir in
+      let clean = read_file wal_path in
+      write_file wal_path (clean ^ "garbage");
+      let r = fsck_ok dir in
+      check Alcotest.int "torn bytes reported" 7 r.Store.torn_tail_bytes;
+      check Alcotest.int "frames before the tear replayed" 2 r.Store.replayed;
+      (* the open_dir inside fsck_agrees truncated what fsck reported *)
+      check Alcotest.string "open_dir truncated the tail" (hex clean)
+        (hex (read_file wal_path));
+      (* a log whose magic is torn: fsck reports it, open_dir recreates it *)
+      write_file wal_path (String.sub clean 0 5);
+      let r = fsck_ok dir in
+      check Alcotest.int "torn magic reported" 5 r.Store.torn_tail_bytes;
+      check Alcotest.int "no frames" 0 r.Store.log_frames;
+      check Alcotest.string "open_dir recreated the log" (hex "AQVWAL1\n")
+        (hex (read_file wal_path)))
+
+let test_fsck_stale_frames () =
+  with_dir (fun dir ->
+      let prng = Prng.create 83L in
+      let table = gen_table ~dims:1 prng in
+      let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
+      let store = Store.publish ~dir index1 in
+      let changes = gen_changes ~dims:1 prng table 2 in
+      let index2 = Ifmh.apply fake_keypair changes index1 in
+      Store.append store ~base:index1 (Ifmh.delta ~changes index2);
+      Store.close store;
+      (* interrupted compaction: snapshot advanced, log not reset *)
+      Snapshot.write ~path:(Store.snapshot_path dir) index2;
+      let r = fsck_ok dir in
+      check Alcotest.int "stale frame skipped" 1 r.Store.skipped;
+      check Alcotest.int "nothing replayed" 0 r.Store.replayed;
+      check Alcotest.int "stale frame still counted" 1 r.Store.log_frames;
+      check Alcotest.int "snapshot epoch served" 2 r.Store.final_epoch)
+
+let test_fsck_epoch_gap () =
+  with_dir (fun dir ->
+      let _ = seed_store ~dims:1 ~scheme:Ifmh.Multi_signature (Prng.create 84L) dir 1 in
+      Store_ref.append_frame dir { Wal.base_epoch = 7; delta = "bogus" };
+      expect_error "Epoch_gap" (fsck_agrees dir))
+
 (* ----------------- durable-before-ack over the wire ----------------- *)
 
 let await deadline_s pred =
@@ -755,7 +881,11 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "typed errors" `Quick test_snapshot_errors;
         ] );
-      ("wal", [ Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip ]);
+      ( "wal",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
+          Alcotest.test_case "short read" `Quick test_wal_short_read;
+        ] );
       ("torn-tail", torn_tail_tests);
       ( "recovery",
         [
@@ -775,6 +905,13 @@ let () =
           Alcotest.test_case "failed append" `Quick test_fault_fail_write;
           Alcotest.test_case "torn append" `Quick test_fault_torn_write;
           Alcotest.test_case "bit flip" `Quick test_fault_bit_flip;
+        ] );
+      ( "fsck",
+        [
+          Alcotest.test_case "clean store" `Quick test_fsck_clean;
+          Alcotest.test_case "torn tail" `Quick test_fsck_torn_tail;
+          Alcotest.test_case "stale frames" `Quick test_fsck_stale_frames;
+          Alcotest.test_case "epoch gap" `Quick test_fsck_epoch_gap;
         ] );
       ( "engine",
         [
