@@ -84,15 +84,8 @@ open Cmdliner
 (* Every file this CLI publishes goes through the store's atomic
    temp+rename writer: a crash mid-write can never leave a torn
    index.bin or bundle.bin for a later [serve --dir] to trip over. *)
-let write_file path contents =
-  Aqv_store.Ioutil.atomic_write_file ~path contents
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = really_input_string ic n in
-  close_in ic;
-  b
+let write_file path contents = Aqv_store.Io.(write_file unix ~path contents)
+let read_file = Aqv_store.Io.unix.read
 
 (* transport failures (server down, every retry exhausted) are user
    errors at the CLI surface, not internal ones *)
@@ -141,7 +134,7 @@ let run_publish n seed scheme epoch dir =
   in
   Printf.printf "published: %d records, %s, epoch %d\n" n (Ifmh.scheme_name scheme) epoch;
   Printf.printf "  index.bin  %d bytes (checksummed snapshot, for the storage server)\n"
-    (Aqv_store.Ioutil.file_size (Store.snapshot_path dir));
+    (String.length (read_file (Store.snapshot_path dir)));
   Printf.printf "  wal.log    fresh (accepted republishes land here)\n";
   Printf.printf "  bundle.bin %d bytes (for data users)\n" bundle_bytes
 

@@ -35,11 +35,11 @@ let encode index =
   let payload = Wire.contents w in
   magic ^ payload ^ Crc32.be32 (Crc32.string payload)
 
-let write ~path index = Ioutil.atomic_write_file ~path (encode index)
+let write ~io ~path index = Io.write_file io ~path (encode index)
 
-let read ?pool ?fault ~path () =
-  match Ioutil.read_file ?fault path with
-  | exception Sys_error m -> Error (Error.Io_error { file = path; reason = m })
+let read ?pool ~io ~path () =
+  match io.Io.read path with
+  | exception Unix.Unix_error (e, _, _) -> Error (Io.read_error path e)
   | data -> (
       let len = String.length data in
       let mlen = String.length magic in

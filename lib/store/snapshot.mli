@@ -16,7 +16,7 @@
     snapshot whose frame disagrees with its contents is rejected with
     {!Error.Header_mismatch} instead of being served.
 
-    {!write} goes through temp-file + [Sys.rename]: a crash mid-publish
+    {!write} goes through temp-file + rename: a crash mid-publish
     leaves either the old snapshot or the new one, never a torn file. *)
 
 type header = {
@@ -26,14 +26,14 @@ type header = {
   file_bytes : int;  (** size of the whole snapshot file *)
 }
 
-val write : path:string -> Aqv.Ifmh.t -> unit
+val write : io:Io.t -> path:string -> Aqv.Ifmh.t -> unit
 (** Atomic publish: write to a temp file in the same directory, fsync,
     rename over [path], fsync the directory.
     @raise Error.Error ([Io_error]) on failure. *)
 
 val read :
   ?pool:Aqv_par.Pool.pool ->
-  ?fault:Fault.t ->
+  io:Io.t ->
   path:string ->
   unit ->
   (Aqv.Ifmh.t * header, Error.t) result

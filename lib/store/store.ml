@@ -8,12 +8,7 @@ type policy = { max_log_frames : int; max_log_bytes : int }
    than under the old frame-by-frame replay (64 frames / 16 MiB). *)
 let default_policy = { max_log_frames = 256; max_log_bytes = 64 * 1024 * 1024 }
 
-type t = {
-  dir : string;
-  policy : policy;
-  fault : Fault.t;
-  mutable wal : Wal.t;
-}
+type t = { dir : string; policy : policy; io : Io.t; wal : Wal.t }
 
 type recovery = {
   scheme : Ifmh.scheme;
@@ -30,18 +25,10 @@ type recovery = {
 let snapshot_path dir = Filename.concat dir "index.bin"
 let wal_path dir = Filename.concat dir "wal.log"
 
-let publish ?(policy = default_policy) ~dir index =
-  (match Sys.is_directory dir with
-  | true -> ()
-  | false -> Error.fail (Error.Io_error { file = dir; reason = "not a directory" })
-  | exception Sys_error _ -> (
-      match Unix.mkdir dir 0o755 with
-      | exception Unix.Unix_error (e, _, _) ->
-          Error.fail (Error.Io_error { file = dir; reason = Unix.error_message e })
-      | () -> ()));
-  Snapshot.write ~path:(snapshot_path dir) index;
-  let wal = Wal.create ~path:(wal_path dir) in
-  { dir; policy; fault = Fault.create (); wal }
+let publish ?(policy = default_policy) ?(io = Io.unix) ~dir index =
+  if not (io.exists dir) then Io.guard dir (fun () -> io.mkdir dir);
+  Snapshot.write ~io ~path:(snapshot_path dir) index;
+  { dir; policy; io; wal = Wal.create ~io ~path:(wal_path dir) }
 
 (* Replay the validated log over the snapshot image, coalesced:
    applying frame by frame would cost one full structure rebuild per
@@ -116,12 +103,12 @@ let replay ~file index0 frames =
 (* The read half of start-up, shared by [open_dir] and [fsck]: read the
    snapshot, scan the log (a missing one scans as empty) and replay it.
    Writes nothing. *)
-let read_dir dir =
+let read_dir io dir =
   let ( let* ) = Result.bind in
   let file = wal_path dir in
-  let* index0, hdr = Snapshot.read ~path:(snapshot_path dir) () in
+  let* index0, hdr = Snapshot.read ~io ~path:(snapshot_path dir) () in
   let* sc =
-    if Sys.file_exists file then Wal.scan ~path:file ()
+    if io.exists file then Wal.scan ~io ~path:file
     else Ok { Wal.scanned = []; valid_bytes = 0; torn_bytes = 0 }
   in
   let* index, replayed, skipped = replay ~file index0 sc.scanned in
@@ -143,39 +130,31 @@ let read_dir dir =
 (* The write half: the only repairs recovery makes. A log without its
    magic (missing, or an interrupted create) is recreated; a torn tail
    is cut off. *)
-let open_dir ?(policy = default_policy) dir =
-  match read_dir dir with
+let open_dir ?(policy = default_policy) ?(io = Io.unix) dir =
+  match read_dir io dir with
   | Error e -> Error e
   | Ok (index, sc, recovery) -> (
       let path = wal_path dir in
       match
-        if sc.valid_bytes = 0 then Wal.create ~path
-        else (
-          if sc.torn_bytes > 0 then Wal.truncate ~path sc.valid_bytes;
-          Wal.open_append ~path ~bytes:sc.valid_bytes ~frames:recovery.log_frames)
+        if sc.valid_bytes = 0 then Wal.create ~io ~path else Wal.open_append ~io ~path sc
       with
       | exception Error.Error e -> Error e
-      | wal -> Ok ({ dir; policy; fault = Fault.create (); wal }, index, recovery))
+      | wal -> Ok ({ dir; policy; io; wal }, index, recovery))
 
-let fsck dir = Result.map (fun (_, _, recovery) -> recovery) (read_dir dir)
+let fsck ?(io = Io.unix) dir =
+  Result.map (fun (_, _, recovery) -> recovery) (read_dir io dir)
 
 let append t ~base delta =
   let w = Wire.writer () in
   Ifmh.encode_delta w delta;
-  Wal.append ~fault:t.fault t.wal
-    { base_epoch = Ifmh.epoch base; delta = Wire.contents w }
+  Wal.append t.wal { base_epoch = Ifmh.epoch base; delta = Wire.contents w }
 
+(* The snapshot, directory fsync included, is durable before the log is
+   cut: if any step of the write fails, the old log is untouched and
+   stays appendable (its frames chain on from either snapshot). *)
 let compact t index =
-  Snapshot.write ~path:(snapshot_path t.dir) index;
-  (* Swap in the fresh log before touching the old handle: Wal.create
-     publishes atomically (temp + rename), so if it raises — disk full —
-     the old log is intact and the store stays appendable, merely
-     overdue for compaction. Closing first would leave t.wal holding a
-     dead fd and refuse every republish until restart. *)
-  let fresh = Wal.create ~path:(wal_path t.dir) in
-  let old = t.wal in
-  t.wal <- fresh;
-  Wal.close old
+  Snapshot.write ~io:t.io ~path:(snapshot_path t.dir) index;
+  Wal.reset t.wal
 
 let compaction_due t =
   Wal.frames t.wal >= t.policy.max_log_frames
@@ -188,5 +167,4 @@ let maybe_compact t index =
   else false
 
 let log_frames t = Wal.frames t.wal
-let fault t = t.fault
 let close t = Wal.close t.wal

@@ -26,7 +26,10 @@
 
     Compaction rewrites the snapshot at the current epoch, then resets
     the log. A crash between those two steps is benign: recovery skips
-    log frames whose base epoch predates the snapshot. *)
+    log frames whose base epoch predates the snapshot.
+
+    Every file operation goes through one {!Io.t}: [?io] defaults to
+    {!Io.unix}; tests pass fault-injecting or in-memory ones. *)
 
 type t
 
@@ -56,12 +59,13 @@ type recovery = {
 
 val snapshot_path : string -> string
 
-val publish : ?policy:policy -> dir:string -> Aqv.Ifmh.t -> t
+val publish : ?policy:policy -> ?io:Io.t -> dir:string -> Aqv.Ifmh.t -> t
 (** Owner-side initial publish: write the snapshot atomically and start
     a fresh log. Creates [dir] if missing; truncates any previous log.
     @raise Error.Error on IO failure. *)
 
-val open_dir : ?policy:policy -> string -> (t * Aqv.Ifmh.t * recovery, Error.t) result
+val open_dir :
+  ?policy:policy -> ?io:Io.t -> string -> (t * Aqv.Ifmh.t * recovery, Error.t) result
 (** Recover: validate the snapshot, scan the log, replay surviving
     deltas (coalesced: one rebuild for the whole log) — the read half,
     {!fsck} — then make the only repairs: truncate a torn tail, or
@@ -71,17 +75,17 @@ val open_dir : ?policy:policy -> string -> (t * Aqv.Ifmh.t * recovery, Error.t) 
 val append : t -> base:Aqv.Ifmh.t -> Aqv.Ifmh.delta -> unit
 (** Log one accepted delta ([base] is the index it applies to; its
     epoch becomes the frame's base epoch). Fsync'd before returning.
-    @raise Error.Error ([Io_error]) on failure, including injected
-    faults — in which case the caller must NOT ack. A failed append
-    rolls the log back to its last durable frame (see {!Wal.append}),
-    so a retry is safe; if the log simulated a crash (torn write) or
-    the rollback failed, every later append is refused until the store
-    is reopened through {!open_dir} recovery. *)
+    @raise Error.Error ([Io_error]) on failure — in which case the
+    caller must NOT ack. A failed append rolls the log back to its last
+    durable frame (see {!Wal.append}), so a retry is safe; if the
+    rollback failed, every later append is refused until the store is
+    reopened through {!open_dir} recovery. *)
 
 val compact : t -> Aqv.Ifmh.t -> unit
-(** Rewrite the snapshot at [index]'s epoch (atomic), then reset the
-    log. If resetting the log fails, the old log is kept and the store
-    stays appendable. @raise Error.Error on IO failure. *)
+(** Rewrite the snapshot at [index]'s epoch (atomic, directory fsync
+    included), then reset the log in place. If the snapshot write fails
+    at any step, the log is not touched and the store stays appendable.
+    @raise Error.Error on IO failure. *)
 
 val compaction_due : t -> bool
 (** Whether the policy says the log should be folded into a snapshot.
@@ -92,13 +96,9 @@ val maybe_compact : t -> Aqv.Ifmh.t -> bool
 
 val log_frames : t -> int
 
-val fault : t -> Fault.t
-(** The store's fault-injection slot; arm it to make the next IO
-    operation fail (tests only). *)
-
 val close : t -> unit
 
-val fsck : string -> (recovery, Error.t) result
+val fsck : ?io:Io.t -> string -> (recovery, Error.t) result
 (** The read half of {!open_dir}: the same checks, the same replay and
     the same [recovery] (or the same error), but nothing is truncated,
     recreated or opened for writing. *)

@@ -7,9 +7,15 @@ let max_frame_payload = 64 * 1024 * 1024
 
 type frame = { base_epoch : int; delta : string }
 
+type scan_result = {
+  scanned : frame list;
+  valid_bytes : int;
+  torn_bytes : int;
+}
+
 type t = {
   path : string;
-  fd : Unix.file_descr;
+  file : Io.file;
   mutable size_bytes : int;
   mutable frames : int;
   mutable poisoned : bool;
@@ -26,21 +32,29 @@ let encode_frame f =
 
 let io_error path e = Error.fail (Error.Io_error { file = path; reason = e })
 
-let open_append ~path ~bytes ~frames =
-  match Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
-  | exception Unix.Unix_error (e, _, _) -> io_error path (Unix.error_message e)
-  | fd -> { path; fd; size_bytes = bytes; frames; poisoned = false }
+let open_append ~io ~path sc =
+  let file = Io.guard path (fun () -> io.Io.open_file path Io.Append) in
+  let t =
+    {
+      path;
+      file;
+      size_bytes = sc.valid_bytes;
+      frames = List.length sc.scanned;
+      poisoned = false;
+    }
+  in
+  if sc.torn_bytes > 0 then (
+    match file.truncate sc.valid_bytes with
+    | () -> ( try file.fsync () with Unix.Unix_error _ -> ())
+    | exception Unix.Unix_error (e, _, _) ->
+        (try file.close () with Unix.Unix_error _ -> ());
+        io_error path (Unix.error_message e));
+  t
 
-let create ~path =
-  Ioutil.atomic_write_file ~path magic;
-  open_append ~path ~bytes:(String.length magic) ~frames:0
-
-let flip_bit k s =
-  let b = Bytes.of_string s in
-  let i = k / 8 and j = k mod 8 in
-  if i < Bytes.length b then
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl j)));
-  Bytes.to_string b
+let create ~io ~path =
+  Io.write_file io ~path magic;
+  open_append ~io ~path
+    { scanned = []; valid_bytes = String.length magic; torn_bytes = 0 }
 
 (* A failed append may leave a partial frame past the last good offset
    (ENOSPC mid-write, a failed fsync). The engine's contract turns such
@@ -52,60 +66,46 @@ let flip_bit k s =
    back to the last good offset; if even that fails, poison the handle
    so every later append is refused until recovery rescans the log. *)
 let rollback t =
-  match Unix.ftruncate t.fd t.size_bytes with
+  match t.file.truncate t.size_bytes with
   | () -> ()
   | exception Unix.Unix_error _ -> t.poisoned <- true
 
-let write_all t data n =
-  match Unix.write_substring t.fd data 0 n with
-  | exception Unix.Unix_error (e, _, _) ->
-      rollback t;
-      io_error t.path (Unix.error_message e)
-  | w -> if w <> n then (rollback t; io_error t.path "short write")
-
-let append ?fault t frame =
+let refuse_if_poisoned t =
   if t.poisoned then
-    io_error t.path "poisoned by an earlier failed append; reopen to recover";
+    io_error t.path "poisoned by an earlier failed append; reopen to recover"
+
+let append t frame =
+  refuse_if_poisoned t;
   let data = encode_frame frame in
-  let data =
-    match Option.bind fault Fault.take_write with
-    | Some Fault.Fail_write -> io_error t.path "injected write failure"
-    | Some (Fault.Torn_write n) ->
-        (* A crash mid-append: some prefix reaches the disk and the
-           caller never hears back. Unlike a live partial-write failure,
-           the garbage must STAY on disk (it is the artifact recovery
-           exists to truncate), so instead of rolling back we poison the
-           handle — a real crashed process could not append either. *)
-        write_all t data (min n (String.length data));
-        (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
-        t.poisoned <- true;
-        io_error t.path "injected torn write"
-    | Some (Fault.Bit_flip k) ->
-        (* Silent media corruption: the write "succeeds". *)
-        flip_bit k data
-    | Some (Fault.Short_read _) | None -> data
-  in
-  let n = String.length data in
-  write_all t data n;
-  (try Unix.fsync t.fd with Unix.Unix_error (e, _, _) ->
-    rollback t;
-    io_error t.path (Unix.error_message e));
-  t.size_bytes <- t.size_bytes + n;
+  (try
+     t.file.write data;
+     t.file.fsync ()
+   with Unix.Unix_error (e, _, _) ->
+     rollback t;
+     io_error t.path (Unix.error_message e));
+  t.size_bytes <- t.size_bytes + String.length data;
   t.frames <- t.frames + 1
+
+(* Compaction's log reset, in place: cut the log back to its magic and
+   fsync. The caller has made a snapshot covering every frame durable
+   first; until the cut is durable, recovery skips those frames as
+   stale. If the cut fails the log is unchanged; if only the fsync
+   fails, the next append's fsync makes the cut durable. *)
+let reset t =
+  refuse_if_poisoned t;
+  let m = String.length magic in
+  Io.guard t.path (fun () -> t.file.truncate m);
+  t.size_bytes <- m;
+  t.frames <- 0;
+  Io.guard t.path t.file.fsync
 
 let size_bytes t = t.size_bytes
 let frames t = t.frames
-let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+let close t = try t.file.close () with Unix.Unix_error _ -> ()
 
-type scan_result = {
-  scanned : frame list;
-  valid_bytes : int;
-  torn_bytes : int;
-}
-
-let scan ?fault ~path () =
-  match Ioutil.read_file ?fault path with
-  | exception Sys_error m -> Error (Error.Io_error { file = path; reason = m })
+let scan ~io ~path =
+  match io.Io.read path with
+  | exception Unix.Unix_error (e, _, _) -> Error (Io.read_error path e)
   | data ->
       let len = String.length data in
       let mlen = String.length magic in
@@ -163,16 +163,3 @@ let scan ?fault ~path () =
                     go ({ base_epoch; delta } :: acc) (n + 1) (pos + 8 + plen)
         in
         go [] 0 mlen
-
-let truncate ~path n =
-  match Unix.openfile path [ Unix.O_WRONLY ] 0o644 with
-  | exception Unix.Unix_error (e, _, _) -> io_error path (Unix.error_message e)
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match Unix.ftruncate fd n with
-          | exception Unix.Unix_error (e, _, _) ->
-              io_error path (Unix.error_message e)
-          | () -> (
-              try Unix.fsync fd with Unix.Unix_error _ -> ()))

@@ -25,39 +25,6 @@
 
 type frame = { base_epoch : int; delta : string }
 
-type t
-(** An open log handle (append mode). *)
-
-val create : path:string -> t
-(** Write a fresh log (magic only) via the atomic writer and open it for
-    append. Truncates any previous log at [path].
-    @raise Error.Error ([Io_error]) on failure. *)
-
-val open_append : path:string -> bytes:int -> frames:int -> t
-(** Open an existing, already-validated log for append. [bytes] and
-    [frames] seed the size accounting ({!size_bytes}, {!frames}) and
-    must come from a prior {!scan}.
-    @raise Error.Error ([Io_error]) on failure. *)
-
-val append : ?fault:Fault.t -> t -> frame -> unit
-(** Frame, write, fsync. A failed append never leaves the handle
-    pointing past garbage: a partial write (ENOSPC, failed fsync) is
-    rolled back by truncating the file to the last good offset, so a
-    retry appends at a clean boundary; if the rollback itself fails the
-    handle is {e poisoned} and every later append is refused until the
-    log is reopened through a recovery scan — otherwise a retried,
-    acked frame could sit after garbage that recovery truncates away.
-
-    Honors an armed write fault: [Fail_write] raises before writing;
-    [Torn_write] simulates a crash mid-append — the torn prefix stays
-    on disk for recovery to truncate and the handle is poisoned (a
-    crashed process cannot append either); [Bit_flip] silently
-    corrupts. @raise Error.Error ([Io_error]) on failure. *)
-
-val size_bytes : t -> int
-val frames : t -> int
-val close : t -> unit
-
 type scan_result = {
   scanned : frame list;  (** complete, checksummed frames, in order *)
   valid_bytes : int;  (** prefix length covering magic + those frames *)
@@ -66,10 +33,38 @@ type scan_result = {
 (** [valid_bytes = 0] means even the magic is torn (interrupted
     {!create}): the caller should recreate the log. *)
 
-val scan :
-  ?fault:Fault.t -> path:string -> unit -> (scan_result, Error.t) result
+val scan : io:Io.t -> path:string -> (scan_result, Error.t) result
 (** Read-only validation pass over the whole log. *)
 
-val truncate : path:string -> int -> unit
-(** Cut the file to the given length (drop a torn tail) and fsync.
+type t
+(** An open log handle (append mode). *)
+
+val create : io:Io.t -> path:string -> t
+(** Write a fresh log (magic only) via the atomic writer and open it for
+    append. Replaces any previous log at [path].
     @raise Error.Error ([Io_error]) on failure. *)
+
+val open_append : io:Io.t -> path:string -> scan_result -> t
+(** Open a log for append from its {!scan} (which must have found the
+    magic: [valid_bytes > 0]), which seeds the size accounting
+    ({!size_bytes}, {!frames}); a torn tail is cut off first.
+    @raise Error.Error ([Io_error]) on failure. *)
+
+val append : t -> frame -> unit
+(** Frame, write, fsync. A failed append never leaves the handle
+    pointing past garbage: a partial write (ENOSPC, failed fsync) is
+    rolled back by truncating the file to the last good offset, so a
+    retry appends at a clean boundary; if the rollback itself fails the
+    handle is {e poisoned} and every later append is refused until the
+    log is reopened through a recovery scan — otherwise a retried,
+    acked frame could sit after garbage that recovery truncates away.
+    @raise Error.Error ([Io_error]) on failure. *)
+
+val reset : t -> unit
+(** Compaction: truncate the log to its magic, in place, and fsync. Call
+    only once a snapshot covering every frame is durable. Refused on a
+    poisoned handle. @raise Error.Error ([Io_error]) on failure. *)
+
+val size_bytes : t -> int
+val frames : t -> int
+val close : t -> unit

@@ -12,6 +12,7 @@ module Error = Aqv_store.Error
 module Snapshot = Aqv_store.Snapshot
 module Wal = Aqv_store.Wal
 module Store = Aqv_store.Store
+module Io = Aqv_store.Io
 open Aqv
 
 (* The log file of a store directory, as [Store] lays it out. *)
@@ -21,12 +22,10 @@ let wal_path dir = Filename.concat dir "wal.log"
    for the valid length, reopen for append, write, close. *)
 let append_frame dir frame =
   let path = wal_path dir in
-  match Wal.scan ~path () with
+  match Wal.scan ~io:Io.unix ~path with
   | Error e -> failwith ("Store_ref.append_frame: " ^ Error.to_string e)
   | Ok sc ->
-    let wal =
-      Wal.open_append ~path ~bytes:sc.Wal.valid_bytes ~frames:(List.length sc.Wal.scanned)
-    in
+    let wal = Wal.open_append ~io:Io.unix ~path sc in
     Fun.protect ~finally:(fun () -> Wal.close wal) (fun () -> Wal.append wal frame)
 
 type recovery = { index : Ifmh.t; final_epoch : int; replayed : int; skipped : int }
@@ -50,12 +49,12 @@ let replay ?pool ~file index0 frames =
   go 0 index0 0 0 frames
 
 let recover ?pool dir =
-  match Snapshot.read ?pool ~path:(Store.snapshot_path dir) () with
+  match Snapshot.read ?pool ~io:Io.unix ~path:(Store.snapshot_path dir) () with
   | Error e -> Error e
   | Ok (index0, _) -> (
       let file = wal_path dir in
       if not (Sys.file_exists file) then replay ~file index0 []
       else
-        match Wal.scan ~path:file () with
+        match Wal.scan ~io:Io.unix ~path:file with
         | Error e -> Error e
         | Ok sc -> replay ?pool ~file index0 sc.Wal.scanned)

@@ -20,7 +20,8 @@ module Table = Aqv_db.Table
 module Workload = Aqv_db.Workload
 module Crc32 = Aqv_store.Crc32
 module Serror = Aqv_store.Error
-module Fault = Aqv_store.Fault
+module Fault = Aqv_ref.Fault_io
+module Io = Aqv_store.Io
 module Snapshot = Aqv_store.Snapshot
 module Wal = Aqv_store.Wal
 module Store = Aqv_store.Store
@@ -175,8 +176,8 @@ let test_snapshot_roundtrip () =
         (fun scheme ->
           let index = Ifmh.build ~scheme ~epoch:3 table fake_keypair in
           let path = Filename.concat dir "snap.bin" in
-          Snapshot.write ~path index;
-          match Snapshot.read ~path () with
+          Snapshot.write ~io:Io.unix ~path index;
+          match Snapshot.read ~io:Io.unix ~path () with
           | Error e -> Alcotest.failf "read failed: %s" (Serror.to_string e)
           | Ok (back, hdr) ->
             check Alcotest.string "byte-identical" (hex (save_bytes index))
@@ -193,29 +194,29 @@ let test_snapshot_errors () =
       let table = Workload.lines_1d ~n:8 (Prng.create 52L) in
       let index = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
       let path = Filename.concat dir "snap.bin" in
-      Snapshot.write ~path index;
+      Snapshot.write ~io:Io.unix ~path index;
       let good = read_file path in
       (* missing *)
-      expect_error "Io_error" (Snapshot.read ~path:(Filename.concat dir "no") ());
+      expect_error "Io_error" (Snapshot.read ~io:Io.unix ~path:(Filename.concat dir "no") ());
       (* bad magic *)
       write_file path ("XXVSNP1\n" ^ String.sub good 8 (String.length good - 8));
-      expect_error "Bad_magic" (Snapshot.read ~path ());
+      expect_error "Bad_magic" (Snapshot.read ~io:Io.unix ~path ());
       (* truncated body: drop the tail *)
       write_file path (String.sub good 0 (String.length good - 24));
-      expect_error "Truncated" (Snapshot.read ~path ());
+      expect_error "Truncated" (Snapshot.read ~io:Io.unix ~path ());
       (* bit flip in the body *)
       let flipped = Bytes.of_string good in
       let mid = String.length good / 2 in
       Bytes.set flipped mid (Char.chr (Char.code good.[mid] lxor 0x10));
       write_file path (Bytes.to_string flipped);
-      expect_error "Checksum_mismatch" (Snapshot.read ~path ());
+      expect_error "Checksum_mismatch" (Snapshot.read ~io:Io.unix ~path ());
       (* short read via injected fault *)
       write_file path good;
       let fault = Fault.create () in
       Fault.arm fault (Fault.Short_read (String.length good - 5));
-      expect_error "Truncated" (Snapshot.read ~fault ~path ());
+      expect_error "Truncated" (Snapshot.read ~io:(Fault.wrap fault Io.unix) ~path ());
       (* and the pristine file still reads back fine *)
-      match Snapshot.read ~path () with
+      match Snapshot.read ~io:Io.unix ~path () with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "pristine read failed: %s" (Serror.to_string e))
 
@@ -224,7 +225,7 @@ let test_snapshot_errors () =
 let test_wal_roundtrip () =
   with_dir (fun dir ->
       let path = Filename.concat dir "wal.log" in
-      let wal = Wal.create ~path in
+      let wal = Wal.create ~io:Io.unix ~path in
       let frames =
         [
           { Wal.base_epoch = 1; delta = "first delta" };
@@ -235,10 +236,10 @@ let test_wal_roundtrip () =
       List.iter (Wal.append wal) frames;
       check Alcotest.int "frames counted" 3 (Wal.frames wal);
       check Alcotest.int "bytes counted"
-        (Aqv_store.Ioutil.file_size path)
+        (String.length (read_file path))
         (Wal.size_bytes wal);
       Wal.close wal;
-      match Wal.scan ~path () with
+      match Wal.scan ~io:Io.unix ~path with
       | Error e -> Alcotest.failf "scan failed: %s" (Serror.to_string e)
       | Ok sc ->
         check Alcotest.int "all frames scanned" 3 (List.length sc.Wal.scanned);
@@ -254,15 +255,15 @@ let test_wal_roundtrip () =
 let test_wal_short_read () =
   with_dir (fun dir ->
       let path = Filename.concat dir "wal.log" in
-      let wal = Wal.create ~path in
+      let wal = Wal.create ~io:Io.unix ~path in
       List.iter (Wal.append wal)
         [ { Wal.base_epoch = 1; delta = "first delta" }; { base_epoch = 2; delta = "second" } ];
       Wal.close wal;
-      let len = Aqv_store.Ioutil.file_size path in
+      let len = String.length (read_file path) in
       let scan_short n =
         let fault = Fault.create () in
         Fault.arm fault (Fault.Short_read n);
-        match Wal.scan ~fault ~path () with
+        match Wal.scan ~io:(Fault.wrap fault Io.unix) ~path with
         | Error e -> Alcotest.failf "short scan failed: %s" (Serror.to_string e)
         | Ok sc -> sc
       in
@@ -272,7 +273,7 @@ let test_wal_short_read () =
       let sc = scan_short 3 in
       check Alcotest.int "torn magic: nothing valid" 0 sc.Wal.valid_bytes;
       check Alcotest.int "torn magic: all torn" 3 sc.Wal.torn_bytes;
-      check Alcotest.int "file untouched" len (Aqv_store.Ioutil.file_size path))
+      check Alcotest.int "file untouched" len (String.length (read_file path)))
 
 (* Coalesced recovery ([Store.open_dir]) against the frame-by-frame
    reference replay in test/ref: the same bytes, final epoch, replayed
@@ -318,7 +319,7 @@ let prop_torn_tail ~dims ~scheme seed =
       let ok = ref true in
       for cut = 0 to len do
         write_file wal_path (String.sub full 0 cut);
-        (match Wal.scan ~path:wal_path () with
+        (match Wal.scan ~io:Io.unix ~path:wal_path with
         | Error e ->
           ok := false;
           Printf.printf "scan at cut %d errored: %s\n" cut (Serror.to_string e)
@@ -449,7 +450,7 @@ let test_recovery_skips_stale_frames () =
       Store.append store ~base:index1 (Ifmh.delta ~changes index2);
       Store.close store;
       (* crash mid-compaction: snapshot advances, log keeps the frame *)
-      Snapshot.write ~path:(Store.snapshot_path dir) index2;
+      Snapshot.write ~io:Io.unix ~path:(Store.snapshot_path dir) index2;
       match Store.open_dir dir with
       | Error e -> Alcotest.failf "recovery failed: %s" (Serror.to_string e)
       | Ok (store, index, recovery) ->
@@ -483,7 +484,7 @@ let test_coalesce_skips_stale_frame () =
       Store.close store;
       (* crash mid-compaction: the snapshot already carries epoch 2, the
          log still holds the epoch-1 frame ahead of the live one *)
-      Snapshot.write ~path:(Store.snapshot_path dir) index2;
+      Snapshot.write ~io:Io.unix ~path:(Store.snapshot_path dir) index2;
       match recover_vs_ref dir with
       | Error msg -> Alcotest.fail msg
       | Ok (index, recovery) ->
@@ -568,12 +569,13 @@ let test_fault_fail_write () =
       let prng = Prng.create 66L in
       let table = gen_table ~dims:1 prng in
       let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
-      let store = Store.publish ~dir index1 in
+      let fault = Fault.create () in
+      let store = Store.publish ~io:(Fault.wrap fault Io.unix) ~dir index1 in
       let changes = gen_changes ~dims:1 prng table 1 in
       let index2 = Ifmh.apply fake_keypair changes index1 in
       let log_size () = (Unix.stat (Store_ref.wal_path dir)).Unix.st_size in
       let bytes_before = log_size () in
-      Fault.arm (Store.fault store) Fault.Fail_write;
+      Fault.arm fault Fault.Fail_write;
       (match Store.append store ~base:index1 (Ifmh.delta ~changes index2) with
       | () -> Alcotest.fail "append with armed fault must raise"
       | exception Serror.Error (Serror.Io_error _) -> ());
@@ -588,10 +590,11 @@ let test_fault_torn_write () =
       let prng = Prng.create 67L in
       let table = gen_table ~dims:1 prng in
       let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
-      let store = Store.publish ~dir index1 in
+      let fault = Fault.create () in
+      let store = Store.publish ~io:(Fault.wrap fault Io.unix) ~dir index1 in
       let changes = gen_changes ~dims:1 prng table 1 in
       let index2 = Ifmh.apply fake_keypair changes index1 in
-      Fault.arm (Store.fault store) (Fault.Torn_write 13);
+      Fault.arm fault (Fault.Torn_write 13);
       (match Store.append store ~base:index1 (Ifmh.delta ~changes index2) with
       | () -> Alcotest.fail "torn append must raise"
       | exception Serror.Error (Serror.Io_error _) -> ());
@@ -631,11 +634,12 @@ let test_fault_bit_flip () =
       let prng = Prng.create 68L in
       let table = gen_table ~dims:1 prng in
       let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
-      let store = Store.publish ~dir index1 in
+      let fault = Fault.create () in
+      let store = Store.publish ~io:(Fault.wrap fault Io.unix) ~dir index1 in
       let changes = gen_changes ~dims:1 prng table 1 in
       let index2 = Ifmh.apply fake_keypair changes index1 in
       (* flip a payload bit (frame layout: 4B len, 4B crc, payload) *)
-      Fault.arm (Store.fault store) (Fault.Bit_flip (8 * 10));
+      Fault.arm fault (Fault.Bit_flip (8 * 10));
       Store.append store ~base:index1 (Ifmh.delta ~changes index2);
       Store.close store;
       expect_error "Checksum_mismatch" (Store.open_dir dir |> Result.map (fun _ -> ())))
@@ -694,7 +698,7 @@ let test_fsck_clean () =
       check Alcotest.int "skipped" 0 r.Store.skipped;
       check Alcotest.int "no torn tail" 0 r.Store.torn_tail_bytes;
       check Alcotest.int "snapshot bytes"
-        (Aqv_store.Ioutil.file_size (Store.snapshot_path dir))
+        (String.length (read_file (Store.snapshot_path dir)))
         r.Store.snapshot_bytes)
 
 let test_fsck_torn_tail () =
@@ -728,7 +732,7 @@ let test_fsck_stale_frames () =
       Store.append store ~base:index1 (Ifmh.delta ~changes index2);
       Store.close store;
       (* interrupted compaction: snapshot advanced, log not reset *)
-      Snapshot.write ~path:(Store.snapshot_path dir) index2;
+      Snapshot.write ~io:Io.unix ~path:(Store.snapshot_path dir) index2;
       let r = fsck_ok dir in
       check Alcotest.int "stale frame skipped" 1 r.Store.skipped;
       check Alcotest.int "nothing replayed" 0 r.Store.replayed;
@@ -740,6 +744,210 @@ let test_fsck_epoch_gap () =
       let _ = seed_store ~dims:1 ~scheme:Ifmh.Multi_signature (Prng.create 84L) dir 1 in
       Store_ref.append_frame dir { Wal.base_epoch = 7; delta = "bogus" };
       expect_error "Epoch_gap" (fsck_agrees dir))
+
+(* -------------------------- crash explorer -------------------------- *)
+
+(* Every crash point of a store run, on the recording in-memory file
+   system of test/ref: after each operation the run issued, and for
+   every disk state the crash model allows, [Store.fsck] (which must
+   write nothing) and [Store.open_dir] agree, and they recover an epoch
+   between the last acked and the last attempted one, with the bytes of
+   the owner's index at that epoch. A typed error is allowed only for a
+   crash before [Store.publish] returned. QCHECK_LONG=1 cuts each
+   unsynced write at every byte, not at a handful of points. *)
+
+module Mem_io = Aqv_ref.Mem_io
+
+let every_byte = List.mem (Sys.getenv_opt "QCHECK_LONG") [ Some "1"; Some "true" ]
+let store_dir = "/store"
+
+type step = Append | Failed_append | Compact
+
+type run = {
+  log : Mem_io.op array;
+  marks : (int * int option * int) list;
+      (** after each change, in order: operations issued so far, the
+          last acked epoch and the last attempted one *)
+  images : string array;  (** the owner's save bytes; epoch e at e - 1 *)
+}
+
+(* Publish the owner's epoch-1 index, then run [steps] over the
+   in-memory store: an append acks the owner's next epoch, a failed
+   append is refused by an injected write fault, a compaction folds the
+   log at the acked epoch. With [dir_fsync_fails = i], the i-th
+   directory fsync fails; only then may publish or compaction raise. *)
+let drive ?dir_fsync_fails prng steps =
+  let table = gen_table ~dims:1 prng in
+  let n = List.length steps in
+  let indexes = Array.make (n + 1) (Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair) in
+  let deltas =
+    let tbl = ref table in
+    Array.init n (fun i ->
+        let changes = gen_changes ~dims:1 prng !tbl (1 + Prng.int prng 2) in
+        indexes.(i + 1) <- Ifmh.apply fake_keypair changes indexes.(i);
+        tbl := Update.apply_table changes !tbl;
+        Ifmh.delta ~changes indexes.(i + 1))
+  in
+  let mem = Mem_io.create () in
+  Option.iter (Mem_io.fail_dir_fsync mem) dir_fsync_fails;
+  let fault = Fault.create () in
+  let io = Fault.wrap fault (Mem_io.io mem) in
+  let marks = ref [] and acked = ref None and attempted = ref 1 in
+  let mark () = marks := (Mem_io.op_count mem, !acked, !attempted) :: !marks in
+  let may_fail = Option.is_some dir_fsync_fails in
+  mark ();
+  (match Store.publish ~io ~dir:store_dir indexes.(0) with
+  | exception Serror.Error _ when may_fail -> ()
+  | store ->
+    acked := Some 1;
+    mark ();
+    List.iter
+      (fun step ->
+        let e = Option.get !acked in
+        match step with
+        | Compact -> (
+          try Store.compact store indexes.(e - 1) with Serror.Error _ when may_fail -> ())
+        | Append | Failed_append -> (
+          let refused = step = Failed_append in
+          attempted := max !attempted (e + 1);
+          mark ();
+          if refused then Fault.arm fault Fault.Fail_write;
+          match Store.append store ~base:indexes.(e - 1) deltas.(e - 1) with
+          | () when refused -> Alcotest.fail "append with an armed fault must raise"
+          | () ->
+            acked := Some (e + 1);
+            mark ()
+          | exception Serror.Error _ when refused -> ()))
+      steps);
+  { log = Mem_io.ops mem; marks = List.rev !marks; images = Array.map save_bytes indexes }
+
+(* fsck and open_dir on fresh copies of one crash image: their common
+   verdict (the recovered epoch and bytes, or the typed error), or why
+   they differ. *)
+let recover_image img =
+  let fs () = Mem_io.of_image ~dirs:[ store_dir ] img in
+  let m = fs () in
+  let checked = Store.fsck ~io:(Mem_io.io m) store_dir in
+  let describe = function
+    | Ok r -> Printf.sprintf "epoch %d" r.Store.final_epoch
+    | Error e -> Serror.to_string e
+  in
+  if Mem_io.op_count m > 0 then Error "fsck wrote to the disk"
+  else
+    match Store.open_dir ~io:(Mem_io.io (fs ())) store_dir with
+    | Ok (store, index, r) when checked = Ok r ->
+      Store.close store;
+      Ok (Ok (r.Store.final_epoch, save_bytes index))
+    | Error e when checked = Error e -> Ok (Error e)
+    | opened ->
+      Error
+        (Printf.sprintf "fsck: %s; open_dir: %s" (describe checked)
+           (describe (Result.map (fun (_, _, r) -> r) opened)))
+
+(* Explore every crash point of [run]; returns the failures, first
+   first, with the number of crash states checked. *)
+let explore ~model run =
+  let memo = Hashtbl.create 256 and failures = ref [] and states = ref 0 in
+  for k = 0 to Array.length run.log do
+    let _, acked, attempted =
+      List.fold_left (fun m ((c, _, _) as m') -> if c <= k then m' else m) (List.hd run.marks) run.marks
+    in
+    List.iter
+      (fun img ->
+        incr states;
+        let verdict =
+          match Hashtbl.find_opt memo img with
+          | Some v -> v
+          | None ->
+            let v = recover_image img in
+            Hashtbl.add memo img v;
+            v
+        in
+        let fail msg =
+          failures :=
+            Printf.sprintf "crash after op %d of %d (acked %s, attempted %d): %s" k
+              (Array.length run.log)
+              (Option.fold ~none:"none" ~some:string_of_int acked)
+              attempted msg
+            :: !failures
+        in
+        match (verdict, acked) with
+        | Error msg, _ -> fail msg
+        | Ok (Error e), Some _ -> fail ("typed error after publish returned: " ^ Serror.to_string e)
+        | Ok (Error _), None -> ()
+        | Ok (Ok (e, bytes)), _ ->
+          if e < Option.value acked ~default:1 || e > attempted then
+            fail (Printf.sprintf "recovered epoch %d" e)
+          else if not (String.equal bytes run.images.(e - 1)) then
+            fail (Printf.sprintf "epoch %d bytes differ from the owner's index" e))
+      (Mem_io.crash_states ~model ~every_byte run.log k)
+  done;
+  (List.rev !failures, !states)
+
+let expect_explored what run (failures, states) =
+  Printf.printf "%s: %d operations, %d crash states\n" what (Array.length run.log) states;
+  match failures with
+  | [] -> ()
+  | first :: _ ->
+    Alcotest.failf "%s: %d of %d crash states fail; first: %s" what (List.length failures)
+      states first
+
+(* publish -> 3 appends -> compact -> 2 appends *)
+let fixed_run = [ Append; Append; Append; Compact; Append; Append ]
+
+let test_explore model () =
+  let run = drive (Prng.create 91L) fixed_run in
+  check Alcotest.int "six epochs acked" 6
+    (match List.rev run.marks with (_, Some e, _) :: _ -> e | _ -> 0);
+  expect_explored "fixed run" run (explore ~model run)
+
+(* Each directory fsync of the run fails once in turn. A failed fsync of
+   the compacted snapshot's directory must stop compaction before the
+   log reset: if the reset went ahead, a crash that keeps the truncated
+   log but not the snapshot rename would lose every frame acked since
+   publish. The appends after it must still be acked. *)
+let test_explore_dir_fsync_fails () =
+  let dir_fsyncs =
+    Array.fold_left
+      (fun n op -> match op with Mem_io.Fsync_dir _ -> n + 1 | _ -> n)
+      0 (drive (Prng.create 91L) fixed_run).log
+  in
+  for i = 0 to dir_fsyncs - 1 do
+    let run = drive ~dir_fsync_fails:i (Prng.create 91L) fixed_run in
+    expect_explored
+      (Printf.sprintf "directory fsync %d fails" i)
+      run
+      (explore ~model:Mem_io.Reordering run)
+  done
+
+let arb_run =
+  QCheck.make
+    ~print:(fun (seed, steps) ->
+      Printf.sprintf "seed %d: %s" seed
+        (String.concat " "
+           (List.map
+              (function Append -> "append" | Failed_append -> "failed-append" | Compact -> "compact")
+              steps)))
+    QCheck.Gen.(
+      pair (int_bound 1_000_000)
+        (list_size (int_range 2 8) (oneofl [ Append; Append; Failed_append; Compact ])))
+
+let explorer_tests =
+  [
+    Alcotest.test_case "fixed run, reordering model" `Quick (test_explore Mem_io.Reordering);
+    Alcotest.test_case "fixed run, in-order model" `Quick (test_explore Mem_io.In_order);
+    Alcotest.test_case "a directory fsync fails" `Quick test_explore_dir_fsync_fails;
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2 ~long_factor:10 ~name:"random runs, both models" arb_run
+         (fun (seed, steps) ->
+           let run = drive (Prng.create (Int64.of_int seed)) steps in
+           List.for_all
+             (fun model ->
+               let failures, _ = explore ~model run in
+               List.iter print_endline failures;
+               failures = [])
+             [ Mem_io.Reordering; Mem_io.In_order ]));
+  ]
 
 (* ----------------- durable-before-ack over the wire ----------------- *)
 
@@ -760,7 +968,8 @@ let test_engine_durable_before_ack () =
       let prng = Prng.create 69L in
       let table = gen_table ~dims:1 prng in
       let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
-      let store = Store.publish ~dir index1 in
+      let fault = Fault.create () in
+      let store = Store.publish ~io:(Fault.wrap fault Io.unix) ~dir index1 in
       let config =
         { Engine.default_config with port = 0; store = Some store; drain_timeout = 2. }
       in
@@ -777,7 +986,7 @@ let test_engine_durable_before_ack () =
           let index2 = Ifmh.apply fake_keypair changes index1 in
           let delta = Ifmh.delta ~changes index2 in
           (* 1: append fails -> Refused, no ack, serving state untouched *)
-          Fault.arm (Store.fault store) Fault.Fail_write;
+          Fault.arm fault Fault.Fail_write;
           (match Roundtrip.call ~port (Protocol.Republish delta) with
           | Protocol.Refused m ->
             check Alcotest.bool "refusal names the store" true
@@ -813,7 +1022,7 @@ let test_engine_durable_before_ack () =
           let changes2 = gen_changes ~dims:1 prng table2 1 in
           let index3 = Ifmh.apply fake_keypair changes2 index2 in
           let delta2 = Ifmh.delta ~changes:changes2 index3 in
-          Fault.arm (Store.fault store) (Fault.Torn_write 11);
+          Fault.arm fault (Fault.Torn_write 11);
           (match Roundtrip.call ~port (Protocol.Republish delta2) with
           | Protocol.Refused _ -> ()
           | _ -> Alcotest.fail "expected Refused on torn append");
@@ -913,6 +1122,7 @@ let () =
           Alcotest.test_case "stale frames" `Quick test_fsck_stale_frames;
           Alcotest.test_case "epoch gap" `Quick test_fsck_epoch_gap;
         ] );
+      ("crash explorer", explorer_tests);
       ( "engine",
         [
           Alcotest.test_case "durable-before-ack" `Quick
