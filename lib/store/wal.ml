@@ -70,12 +70,9 @@ let rollback t =
   | () -> ()
   | exception Unix.Unix_error _ -> t.poisoned <- true
 
-let refuse_if_poisoned t =
-  if t.poisoned then
-    io_error t.path "poisoned by an earlier failed append; reopen to recover"
-
 let append t frame =
-  refuse_if_poisoned t;
+  if t.poisoned then
+    io_error t.path "poisoned by an earlier failed append; reopen to recover";
   let data = encode_frame frame in
   (try
      t.file.write data;
@@ -90,14 +87,15 @@ let append t frame =
    fsync. The caller has made a snapshot covering every frame durable
    first; until the cut is durable, recovery skips those frames as
    stale. If the cut fails the log is unchanged; if only the fsync
-   fails, the next append's fsync makes the cut durable. *)
+   fails, the next append's fsync makes the cut durable. A durable cut
+   leaves no garbage behind, so it also lifts a poisoning. *)
 let reset t =
-  refuse_if_poisoned t;
   let m = String.length magic in
   Io.guard t.path (fun () -> t.file.truncate m);
   t.size_bytes <- m;
   t.frames <- 0;
-  Io.guard t.path t.file.fsync
+  Io.guard t.path t.file.fsync;
+  t.poisoned <- false
 
 let size_bytes t = t.size_bytes
 let frames t = t.frames

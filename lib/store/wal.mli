@@ -56,14 +56,15 @@ val append : t -> frame -> unit
     rolled back by truncating the file to the last good offset, so a
     retry appends at a clean boundary; if the rollback itself fails the
     handle is {e poisoned} and every later append is refused until the
-    log is reopened through a recovery scan — otherwise a retried,
+    log is reopened through a recovery scan or {!reset} — otherwise a retried,
     acked frame could sit after garbage that recovery truncates away.
     @raise Error.Error ([Io_error]) on failure. *)
 
 val reset : t -> unit
 (** Compaction: truncate the log to its magic, in place, and fsync. Call
-    only once a snapshot covering every frame is durable. Refused on a
-    poisoned handle. @raise Error.Error ([Io_error]) on failure. *)
+    only once a snapshot covering every frame is durable. Once the cut is
+    durable the handle is no longer poisoned.
+    @raise Error.Error ([Io_error]) on failure. *)
 
 val size_bytes : t -> int
 val frames : t -> int

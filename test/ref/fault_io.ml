@@ -20,6 +20,11 @@ type t = { mutable armed : action option; mutable crashed : bool }
 let create () = { armed = None; crashed = false }
 let arm t a = t.armed <- Some a
 
+(* The file system comes back after a torn write while the process's
+   handles keep their state: what the store itself does with a handle
+   whose rollback failed is then observable. *)
+let revive t = t.crashed <- false
+
 (* Consume the armed action if [pick] takes it: an armed [Short_read]
    survives an intervening write, and a write fault a read. *)
 let take t pick =

@@ -600,7 +600,10 @@ let test_fault_torn_write () =
       | exception Serror.Error (Serror.Io_error _) -> ());
       (* the handle is now poisoned: a retried append would land AFTER
          the garbage, get acked, and then recovery would truncate the
-         acked frame away with the garbage — so it must be refused *)
+         acked frame away with the garbage — so it must be refused.
+         The file system comes back first, so the refusal is the log
+         handle's own and not the crashed wrapper's. *)
+      Fault.revive fault;
       (match Store.append store ~base:index1 (Ifmh.delta ~changes index2) with
       | () -> Alcotest.fail "append after torn write must be refused"
       | exception Serror.Error (Serror.Io_error _) -> ());
@@ -628,6 +631,40 @@ let test_fault_torn_write () =
           check Alcotest.int "retried epoch recovered" 2 recovery.Store.final_epoch;
           check Alcotest.string "retried bytes recovered" (hex (save_bytes index2))
             (hex (save_bytes index)))
+
+(* A compaction's durable log cut removes the garbage a failed rollback
+   left, so it lifts the poisoning: the store is appendable again
+   without a restart (a follower installing a snapshot relies on this). *)
+let test_fault_compact_unpoisons () =
+  with_dir (fun dir ->
+      let prng = Prng.create 71L in
+      let table = gen_table ~dims:1 prng in
+      let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
+      let fault = Fault.create () in
+      let store = Store.publish ~io:(Fault.wrap fault Io.unix) ~dir index1 in
+      let changes = gen_changes ~dims:1 prng table 1 in
+      let index2 = Ifmh.apply fake_keypair changes index1 in
+      let delta = Ifmh.delta ~changes index2 in
+      Fault.arm fault (Fault.Torn_write 13);
+      (match Store.append store ~base:index1 delta with
+      | () -> Alcotest.fail "torn append must raise"
+      | exception Serror.Error (Serror.Io_error _) -> ());
+      Fault.revive fault;
+      (match Store.append store ~base:index1 delta with
+      | () -> Alcotest.fail "append on a poisoned log must be refused"
+      | exception Serror.Error (Serror.Io_error _) -> ());
+      Store.compact store index1;
+      Store.append store ~base:index1 delta;
+      check Alcotest.int "append after compaction lands" 1 (Store.log_frames store);
+      Store.close store;
+      match Store.open_dir dir with
+      | Error e -> Alcotest.failf "recovery failed: %s" (Serror.to_string e)
+      | Ok (store, index, recovery) ->
+        Store.close store;
+        check Alcotest.int "garbage cut by the compaction" 0 recovery.Store.torn_tail_bytes;
+        check Alcotest.int "appended epoch recovered" 2 recovery.Store.final_epoch;
+        check Alcotest.string "appended bytes recovered" (hex (save_bytes index2))
+          (hex (save_bytes index)))
 
 let test_fault_bit_flip () =
   with_dir (fun dir ->
@@ -1026,6 +1063,7 @@ let test_engine_durable_before_ack () =
           (match Roundtrip.call ~port (Protocol.Republish delta2) with
           | Protocol.Refused _ -> ()
           | _ -> Alcotest.fail "expected Refused on torn append");
+          Fault.revive fault;
           (match Roundtrip.call ~port (Protocol.Republish delta2) with
           | Protocol.Refused _ -> ()
           | _ -> Alcotest.fail "expected Refused from poisoned log");
@@ -1113,6 +1151,8 @@ let () =
         [
           Alcotest.test_case "failed append" `Quick test_fault_fail_write;
           Alcotest.test_case "torn append" `Quick test_fault_torn_write;
+          Alcotest.test_case "compaction lifts poisoning" `Quick
+            test_fault_compact_unpoisons;
           Alcotest.test_case "bit flip" `Quick test_fault_bit_flip;
         ] );
       ( "fsck",
