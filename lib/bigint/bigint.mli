@@ -4,8 +4,10 @@
     path for small values so that the exact-rational layer built on top
     stays cheap on typical workloads. The one exception is the
     Montgomery product under {!mod_pow_mont}: a C kernel over 64-bit
-    limbs ([mont_stubs.c]), whose results equal plain
-    square-and-multiply's. Serves two clients: the exact geometry in
+    limbs ([mont_stubs.c]), one body that the compiler also unrolls for
+    a constant 4 and 8 limbs (RSA-512's CRT halves, its modulus and
+    DSA's p), whose results equal plain square-and-multiply's at every
+    size. Serves two clients: the exact geometry in
     {!Aqv_num} and the public-key cryptography in {!Aqv_crypto}. *)
 
 type t

@@ -10,7 +10,14 @@
    accumulator stays below a + m < 2m, so one limb above n holds its
    carry and one conditional subtract finishes.
    The accumulator lives on the C stack, so dst may alias a or b and the
-   function allocates nothing on the OCaml heap ([@@noalloc]). */
+   function allocates nothing on the OCaml heap ([@@noalloc]).
+
+   The body is written once, in [mont_mul_n]. [aqv_mont_mul] inlines it
+   with a constant n for the limb counts our keys use (4: RSA-512's CRT
+   halves and keygen's 256-bit primes; 8: the 512-bit RSA modulus and
+   DSA's p), so the compiler unrolls both loops and keeps the operands
+   in registers, and with the runtime n for every other size. It is the
+   same algorithm on every path. */
 
 #include <stdint.h>
 #include <string.h>
@@ -21,18 +28,16 @@
 
 typedef unsigned __int128 u128;
 
-value aqv_mont_mul(value vdst, value va, value vb, value vm, int64_t vn0)
+static inline __attribute__((always_inline)) void
+mont_mul_n(uint64_t *d, const uint64_t *a, const uint64_t *b, const uint64_t *m,
+           uint64_t n0, size_t n)
 {
-  const uint64_t *a = (const uint64_t *)Bytes_val(va);
-  const uint64_t *b = (const uint64_t *)Bytes_val(vb);
-  const uint64_t *m = (const uint64_t *)Bytes_val(vm);
-  const uint64_t n0 = (uint64_t)vn0;
-  const size_t n = caml_string_length(vm) / 8;
   uint64_t t[MONT_MAX_LIMBS];
   uint64_t top = 0; /* limb n of the accumulator */
   size_t i, j;
 
   memset(t, 0, n * sizeof(uint64_t));
+#pragma GCC unroll 8
   for (i = 0; i < n; i++) {
     const uint64_t bi = b[i];
     u128 s, u;
@@ -44,6 +49,7 @@ value aqv_mont_mul(value vdst, value va, value vb, value vm, int64_t vn0)
     q = (uint64_t)s * n0;
     u = (u128)q * m[0] + (uint64_t)s;
     cm = (uint64_t)(u >> 64);
+#pragma GCC unroll 8
     for (j = 1; j < n; j++) {
       s = (u128)a[j] * bi + t[j] + ca;
       ca = (uint64_t)(s >> 64);
@@ -60,12 +66,11 @@ value aqv_mont_mul(value vdst, value va, value vb, value vm, int64_t vn0)
     i = n;
     while (i > 0 && t[i - 1] == m[i - 1]) i--;
     if (i > 0 && t[i - 1] < m[i - 1]) {
-      memcpy(Bytes_val(vdst), t, n * sizeof(uint64_t));
-      return Val_unit;
+      memcpy(d, t, n * sizeof(uint64_t));
+      return;
     }
   }
   {
-    uint64_t *d = (uint64_t *)Bytes_val(vdst);
     uint64_t borrow = 0;
     for (j = 0; j < n; j++) {
       const uint64_t x = t[j], y = m[j];
@@ -73,6 +78,22 @@ value aqv_mont_mul(value vdst, value va, value vb, value vm, int64_t vn0)
       borrow = (x < y) | ((x == y) & borrow);
       d[j] = r;
     }
+  }
+}
+
+value aqv_mont_mul(value vdst, value va, value vb, value vm, int64_t vn0)
+{
+  uint64_t *d = (uint64_t *)Bytes_val(vdst);
+  const uint64_t *a = (const uint64_t *)Bytes_val(va);
+  const uint64_t *b = (const uint64_t *)Bytes_val(vb);
+  const uint64_t *m = (const uint64_t *)Bytes_val(vm);
+  const uint64_t n0 = (uint64_t)vn0;
+  const size_t n = caml_string_length(vm) / 8;
+
+  switch (n) {
+  case 4: mont_mul_n(d, a, b, m, n0, 4); break;
+  case 8: mont_mul_n(d, a, b, m, n0, 8); break;
+  default: mont_mul_n(d, a, b, m, n0, n); break;
   }
   return Val_unit;
 }

@@ -13,8 +13,9 @@ module Util_ref = Aqv_ref.Util_ref
 let check = Alcotest.check
 let zt = Alcotest.testable (fun ppf z -> Format.pp_print_string ppf (Z.to_string z)) Z.equal
 
-let qtest ?(count = 1000) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+(* [long_factor] multiplies [count] under QCHECK_LONG=1 *)
+let qtest ?(count = 1000) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ?long_factor ~name gen prop)
 
 (* Generator for bigints of widely varying magnitude. *)
 let gen_z =
@@ -301,7 +302,7 @@ let gen_edge_base rng m =
   | _ -> Z.random_below rng m
 
 let prop_mod_pow_mont_edges =
-  qtest "mod_pow_mont = mod_pow_plain (edge cases)" ~count:400 QCheck.int (fun seed ->
+  qtest "mod_pow_mont = mod_pow_plain (edge cases)" ~count:400 ~long_factor:20 QCheck.int (fun seed ->
       let rng = Prng.create (Int64.of_int seed) in
       let m = gen_odd_modulus rng in
       let e = gen_edge_exp rng in
@@ -386,7 +387,8 @@ let boundary_base rng m =
   | _ -> Z.random_below rng m
 
 let prop_mod_pow_mont_limb_boundaries =
-  qtest "mod_pow_mont = mod_pow_plain (64-bit limb boundaries)" ~count:3 QCheck.int (fun seed ->
+  qtest "mod_pow_mont = mod_pow_plain (64-bit limb boundaries)" ~count:3 ~long_factor:5
+    QCheck.int (fun seed ->
       let rng = Prng.create (Int64.of_int seed) in
       List.for_all
         (fun k ->
@@ -402,6 +404,79 @@ let prop_mod_pow_mont_limb_boundaries =
                    (Bigint_ref.mod_pow_plain ~base:b ~exp:e ~modulus:m))
             [ (64 * k) - 1; 64 * k; (64 * k) + 1 ])
         (List.init 128 (fun i -> i + 1)))
+
+(* The kernel runs its one body with a constant limb count for 4 and 8
+   limbs (RSA-512's CRT halves, its modulus and DSA's p) and with the
+   runtime count otherwise. Hold each shape to the plain oracle through
+   the sliding window: moduli of 193-256 and 449-512 bits, and of
+   257-320 bits (5 limbs, the runtime count), each with an exponent as
+   long as the modulus (or all ones) and an edge base. Half the moduli
+   sit just below R = 2^(64n), where the accumulator's top word and the
+   final subtract are busiest. *)
+let specialized_modulus rng =
+  let lo, hi = match Prng.int rng 3 with 0 -> (193, 256) | 1 -> (449, 512) | _ -> (257, 320) in
+  if Prng.bool rng then boundary_modulus rng (lo + Prng.int rng (hi - lo + 1))
+  else Z.sub (Z.shift_left Z.one hi) (Z.succ (Z.shift_left (Z.random_bits rng (Prng.int rng 40)) 1))
+
+let prop_mod_pow_mont_specialized =
+  qtest "mod_pow_mont = mod_pow_plain (4, 5 and 8 limbs, long exponents)" ~count:150
+    ~long_factor:20 QCheck.int (fun seed ->
+      let rng = Prng.create (Int64.of_int seed) in
+      let m = specialized_modulus rng in
+      let bits = Z.bit_length m in
+      let e =
+        if Prng.int rng 4 = 0 then Z.pred (Z.shift_left Z.one bits)
+        else Z.add (Z.shift_left Z.one (bits - 1)) (Z.random_bits rng (bits - 1))
+      in
+      let b = boundary_base rng m in
+      Z.equal (Z.mod_pow_mont (Z.mont m) ~base:b ~exp:e)
+        (Bigint_ref.mod_pow_plain ~base:b ~exp:e ~modulus:m))
+
+(* The kernel's final subtract t - m passes a borrow through a limb
+   where t and m are equal only when t - m has an all-ones limb: about
+   2^-64 a product on random operands, which no random test reaches. Aim
+   at it. With exp = 1, mod_pow_mont's first product is
+   b * (R^2 mod m) * R^-1, whose accumulator before the subtract is
+   Montgomery's t = (b * r2 + Q * m) / R, Q = -b * r2 * m^-1 mod R,
+   computed here in Bigint. Pick t = m + D with D's limb 1 all ones and
+   a carry out of limb 0 (so t's limb 1 equals m's and limb 0 borrows),
+   b = D * R^-1 mod m, and keep the b whose t lands at m + D rather than
+   at D. For 4, 5 and 8 limbs. *)
+let test_mont_subtract_borrow () =
+  let rng = Prng.create 45L in
+  let w = Z.shift_left Z.one 64 in
+  let limb v j = Z.erem (Z.shift_right v (64 * j)) w in
+  List.iter
+    (fun limbs ->
+      let r = Z.shift_left Z.one (64 * limbs) in
+      (* m in [R/2, 5R/8), so that m + D stays below R: no top word *)
+      let m =
+        Z.add (Z.shift_right r 1) (Z.succ (Z.shift_left (Z.random_bits rng ((64 * limbs) - 5)) 1))
+      in
+      let r_inv = Z.mod_inv r m and m_inv = Z.mod_inv m r in
+      let r2 = Z.erem (Z.mul r r) m in
+      let hits = ref 0 and tries = ref 0 in
+      while !hits < 8 && !tries < 500 do
+        incr tries;
+        let d0 = Z.sub (Z.pred w) (Z.random_below rng (limb m 0)) in
+        let d =
+          Z.add d0
+            (Z.add (Z.shift_left (Z.pred w) 64)
+               (Z.shift_left (Z.random_bits rng ((64 * limbs) - 131)) 128))
+        in
+        let b = Z.erem (Z.mul d r_inv) m in
+        let br2 = Z.mul b r2 in
+        let t = Z.div (Z.add br2 (Z.mul (Z.erem (Z.neg (Z.mul br2 m_inv)) r) m)) r in
+        if Z.equal t (Z.add m d) then begin
+          incr hits;
+          if not (Z.equal (limb t 1) (limb m 1) && Z.compare (limb t 0) (limb m 0) < 0) then
+            Alcotest.failf "%d limbs: t does not borrow through limb 1" limbs;
+          check zt (Printf.sprintf "%d limbs: b^1" limbs) b
+            (Z.mod_pow_mont (Z.mont m) ~base:b ~exp:Z.one)
+        end
+      done;
+      check Alcotest.int (Printf.sprintf "%d limbs: aimed products" limbs) 8 !hits)
+    [ 4; 5; 8 ]
 
 let prop_mod_inv =
   qtest "mod_inv correct when gcd=1" ~count:300
@@ -539,6 +614,8 @@ let () =
           prop_mod_inv;
           Alcotest.test_case "mod_inv not found" `Quick test_mod_inv_not_found;
           prop_mod_pow_mont_limb_boundaries;
+          prop_mod_pow_mont_specialized;
+          Alcotest.test_case "mont final subtract borrow" `Quick test_mont_subtract_borrow;
         ] );
       ( "random",
         [

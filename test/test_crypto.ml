@@ -5,13 +5,15 @@
 module Z = Aqv_bigint.Bigint
 module Prng = Aqv_util.Prng
 open Aqv_crypto
+module Bigint_ref = Aqv_ref.Bigint_ref
 module Prime_ref = Aqv_ref.Prime_ref
 module Sha256_ref = Aqv_ref.Sha256_ref
 
 let check = Alcotest.check
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+(* [long_factor] multiplies [count] under QCHECK_LONG=1 *)
+let qtest ?(count = 200) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ?long_factor ~name gen prop)
 
 (* ------------------------------ SHA-256 ----------------------------- *)
 
@@ -270,11 +272,15 @@ let refuses what f =
   | _ -> Alcotest.failf "%s: accepted" what
   | exception Failure _ -> ()
 
-let real_rsa_modulus () =
-  let _, pub = Lazy.force rsa_keys in
+(* A public key's modulus and exponent, read back from its wire form *)
+let rsa_pub_parts pub =
   let w = Aqv_util.Wire.writer () in
   Rsa.encode_pub w pub;
-  Z.of_bytes_be (Aqv_util.Wire.read_bytes (Aqv_util.Wire.reader (Aqv_util.Wire.contents w)))
+  let r = Aqv_util.Wire.reader (Aqv_util.Wire.contents w) in
+  let n = Z.of_bytes_be (Aqv_util.Wire.read_bytes r) in
+  (n, Z.of_bytes_be (Aqv_util.Wire.read_bytes r))
+
+let real_rsa_modulus () = fst (rsa_pub_parts (snd (Lazy.force rsa_keys)))
 
 let e65537 = Z.of_int 65537
 
@@ -333,6 +339,33 @@ let rsa_sign_verify_many =
       let priv, pub = Lazy.force rsa_keys in
       let d = Sha256.digest m in
       Rsa.verify pub d (Rsa.sign priv d))
+
+(* Fresh RSA-512 and RSA-1024 keys: s^e mod n by plain
+   square-and-multiply ([Bigint_ref.mod_pow_plain], no Montgomery
+   kernel) must give back the PKCS#1 v1.5 encoding of the digest,
+   written out here from RFC 8017 section 9.2. Key generation, the CRT
+   halves (4 and 8 limbs) and the prime tests all run on the kernel.
+   Not shrunk: on a broken kernel key generation runs its attempts out,
+   seconds a case. *)
+let pkcs1_sha256 k digest =
+  let t = "\x30\x31\x30\x0d\x06\x09\x60\x86\x48\x01\x65\x03\x04\x02\x01\x05\x00\x04\x20" ^ digest in
+  "\x00\x01" ^ String.make (k - String.length t - 3) '\xff' ^ "\x00" ^ t
+
+let rsa_plain_oracle =
+  qtest ~count:5 ~long_factor:20 "rsa s^e = PKCS#1 encoding (plain modexp, fresh keys)"
+    (QCheck.set_shrink QCheck.Shrink.nil QCheck.int) (fun seed ->
+      List.for_all
+        (fun bits ->
+          let priv, pub = Rsa.generate ~bits (Prng.create (Int64.of_int seed)) in
+          let n, e = rsa_pub_parts pub in
+          let d = Sha256.digest (string_of_int seed) in
+          let s = Rsa.sign priv d in
+          let k = bits / 8 in
+          String.length s = k
+          && String.equal (pkcs1_sha256 k d)
+               (Z.to_bytes_be ~width:k
+                  (Bigint_ref.mod_pow_plain ~base:(Z.of_bytes_be s) ~exp:e ~modulus:n)))
+        [ 512; 1024 ])
 
 (* ------------------------------- DSA -------------------------------- *)
 
@@ -487,6 +520,7 @@ let () =
           Alcotest.test_case "decode refuses exponent out of range" `Quick
             test_rsa_decode_exponent_range;
           rsa_sign_verify_many;
+          rsa_plain_oracle;
           Alcotest.test_case "decode hostile 8192-bit modulus" `Quick test_rsa_decode_hostile_8192;
         ] );
       ( "dsa",
