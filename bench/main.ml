@@ -1054,7 +1054,7 @@ let fresh_row name ~batch ~make ~start run () =
         (Unix.gettimeofday () -. t0) /. float_of_int batch)
   in
   Array.sort Float.compare per_input;
-  row "%-28s %14.0f ns/run\n%!" name (1e9 *. per_input.(50))
+  row "%-30s %14.0f ns/run\n%!" name (1e9 *. per_input.(50))
 
 let micro_tests () =
   let open Bechamel in
@@ -1108,13 +1108,43 @@ let micro_tests () =
     Query.range ~x:xh ~l ~u
   in
   let range_resp = Server.answer range_one range_q in
-  let warm_verifier table q resp =
+  (* the same window under multi-signature: both perfbench workloads are *)
+  let range_multi = Ifmh.build ~scheme:Ifmh.Multi_signature hot_table kp in
+  let range_multi_resp = Server.answer range_multi range_q in
+  let warm_ctx table q resp =
     let warm = verifier_for kp table in
     (* a ctx's first verification runs memo-free; the second fills it *)
     for _ = 1 to 2 do
       if not (Client.accepts warm q resp) then failwith "warm verifier: reply rejected"
     done;
+    warm
+  in
+  let warm_verifier table q resp =
+    let warm = warm_ctx table q resp in
     fun () -> Client.verify warm q resp
+  in
+  (* the stages of client-verify-range-warm, each on a warm ctx of its
+     own and in a memo scope of its own, as [Client.verify] runs them:
+     the FMH root of the window, then the subdomain proof and signature
+     under it (then the semantics re-check, timed below) *)
+  let range_vo = range_resp.Server.vo in
+  let range_root ctx =
+    Client.window_root ctx ~n_leaves:range_vo.Vo.n_leaves ~window_lo:range_vo.Vo.window_lo
+      ~left:range_vo.Vo.left ~result:range_resp.Server.result ~right:range_vo.Vo.right
+      ~fmh_proof:range_vo.Vo.fmh_proof
+  in
+  let window_root_stage =
+    let warm = warm_ctx hot_table range_q range_resp in
+    fun () -> Client.with_memo warm (fun c -> Ok (range_root c))
+  in
+  let subdomain_stage =
+    let warm = warm_ctx hot_table range_q range_resp in
+    let fmh_root = range_root warm in
+    fun () ->
+      Client.with_memo warm (fun c ->
+          Ok
+            (Client.check_subdomain_proof c ~x:xh ~fmh_root ~n_leaves:range_vo.Vo.n_leaves
+               ~epoch:range_vo.Vo.epoch range_vo.Vo.subdomain ~signature:range_vo.Vo.signature))
   in
   let fns = Table.functions hot_table in
   let sa = Aqv_num.Linfun.eval fns.(0) xh and sb = Aqv_num.Linfun.eval fns.(1) xh in
@@ -1158,6 +1188,10 @@ let micro_tests () =
       (Staged.stage (warm_verifier small_table small_q small_resp));
     Test.make ~name:"client-verify-range-warm"
       (Staged.stage (warm_verifier hot_table range_q range_resp));
+    Test.make ~name:"client-window-root-warm" (Staged.stage window_root_stage);
+    Test.make ~name:"client-subdomain-proof-warm" (Staged.stage subdomain_stage);
+    Test.make ~name:"client-verify-range-multi-warm"
+      (Staged.stage (warm_verifier hot_table range_q range_multi_resp));
     Test.make ~name:"q-compare" (Staged.stage (fun () -> Q.compare sa sb));
     Test.make ~name:"q-add" (Staged.stage (fun () -> Q.add sa sb));
     Test.make ~name:"score-compare-reduced"
@@ -1223,9 +1257,9 @@ let run_micros () =
           with
           | ols ->
             (match Analyze.OLS.estimates ols with
-            | Some [ est ] -> row "%-28s %14.0f ns/run\n%!" name est
-            | _ -> row "%-28s %14s\n%!" name "n/a")
-          | exception _ -> row "%-28s %14s\n%!" name "n/a")
+            | Some [ est ] -> row "%-30s %14.0f ns/run\n%!" name est
+            | _ -> row "%-30s %14s\n%!" name "n/a")
+          | exception _ -> row "%-30s %14s\n%!" name "n/a")
         results)
     tests;
   List.iter (fun print_row -> print_row ()) fresh_rows

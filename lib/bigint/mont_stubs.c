@@ -88,7 +88,9 @@ value aqv_mont_mul(value vdst, value va, value vb, value vm, int64_t vn0)
   const uint64_t *b = (const uint64_t *)Bytes_val(vb);
   const uint64_t *m = (const uint64_t *)Bytes_val(vm);
   const uint64_t n0 = (uint64_t)vn0;
-  const size_t n = caml_string_length(vm) / 8;
+  /* caml_string_length(vm) / 8, without a call into the runtime */
+  const mlsize_t bsize = Bosize_val(vm);
+  const size_t n = (bsize - 1 - (unsigned char)Byte(vm, bsize - 1)) / 8;
 
   switch (n) {
   case 4: mont_mul_n(d, a, b, m, n0, 4); break;

@@ -18,24 +18,33 @@ module Template = Aqv_db.Template
      [Mht.node_hash] hashes after its constant tag. Two ways keep two
      nodes of one reply that share a slot from evicting each other on
      every publish.
-   - A signature sits at a slot read off two bytes of the digest it
-     signs, and answers only the same digest and the same signature
-     bytes. The digest is computed here, from the reply, so a hit
-     answers exactly the pair a fresh [verify_signature] call would be
-     asked about; only pairs that call accepted are ever stored.
+   - A signature sits, two-way too, at a slot read off the root it
+     signs, and answers only the same signature over the same signing
+     inputs: scheme, root, [n_leaves], epoch and, under multi-signature,
+     each constraint's record digests and side. With the domain, which
+     every ctx of a memo shares, they fix the signing digest, so a hit
+     answers exactly what a fresh [verify_signature] call would be asked,
+     without the hash; only pairs that call accepted are ever stored.
    So a hit returns exactly the result a fresh computation would, and no
    accept/reject decision can depend on what is cached; a colliding
-   record or signature replaces the old one, and a node fills an empty
-   way of its pair or else moves the entry at its slot to the other
-   way. An empty slot is a constant constructor, which no lookup
-   matches. Client
+   record replaces the old one, and a node or a signature fills an
+   empty way of its pair or else moves the entry at its slot to the
+   other way. An empty slot is a constant constructor, which no lookup
+   matches. The digests an entry holds mostly come back from other
+   entries, so strings are compared by address first. Client
    threads and domains share a ctx without a lock: a slot changes by
    one store of a whole entry, so a racing reader sees an old entry or
    a new one, each checked in full (mid-move, an entry may show in both
    ways or in neither: a duplicate or a miss, never a wrong hash). *)
 type record_entry = No_record | Rec of { id : int; record : Record.t; digest : string }
 type node_entry = No_node | Node of { l : string; r : string; hash : string }
-type signature_entry = No_signature | Sig of { digest : string; signature : string }
+
+(* what a signature covers besides its root, [n_leaves] and epoch *)
+type signed = One_sig | Multi_sig of (string * string * Halfspace.side) list
+
+type signature_entry =
+  | No_signature
+  | Sig of { signed : signed; root : string; n_leaves : int; epoch : int; signature : string }
 
 type tables = {
   records : record_entry array;
@@ -48,23 +57,18 @@ type tables = {
    client that verifies once never allocates them. *)
 type phase = Unused | Used_once | Warm of tables
 
-type memo = {
-  phase : phase Atomic.t;
-  record_hits : int Atomic.t;
-  record_misses : int Atomic.t;
-  node_hits : int Atomic.t;
-  node_misses : int Atomic.t;
-  signature_hits : int Atomic.t;
-  signature_misses : int Atomic.t;
-}
+(* lookup counts, indexed in the order of [memo_counters]' fields *)
+let record_hit, record_miss, node_hit, node_miss, signature_hit, signature_miss = (0, 1, 2, 3, 4, 5)
+
+type memo = { phase : phase Atomic.t; counts : int Atomic.t array }
 
 (* slots per record and node array *)
 let slots = 1 lsl 16
 let slot_mask = slots - 1
 
 (* A client meets one signature per subdomain it queries (one in all
-   under one-signature), far fewer than records or nodes. *)
-let signature_slots = 1 lsl 12
+   under one-signature): fewer than records or nodes, but thousands. *)
+let signature_slots = 1 lsl 14
 
 (* A node's slot mixes two bytes of each child. SHA-256 output is
    uniform, so any bytes do; a child shorter than a digest (a forged
@@ -72,18 +76,21 @@ let signature_slots = 1 lsl 12
 let digest_bytes = 32
 let node_slot l r = String.get_uint16_le l 0 lxor String.get_uint16_le r 2
 
-(* a signing digest is a SHA-256 output computed here, never shorter *)
-let signature_slot digest = String.get_uint16_le digest 0 land (signature_slots - 1)
+(* a signed IMH or FMH root is a SHA-256 output computed here *)
+let signature_slot root = String.get_uint16_le root 0 land (signature_slots - 1)
 
-(* What one verification computed. It reaches the memo only if the
-   verification accepts, so the memo holds authenticated data alone: a
-   forged reply, rejected, neither adds nor evicts an entry. *)
+(* What one verification computed, and its lookup counts (added to the
+   ctx's either way). It reaches the memo only if the verification
+   accepts, so the memo holds authenticated data alone. *)
 type fresh = {
   tables : tables;
   mutable fresh_records : record_entry list;
   mutable fresh_nodes : node_entry list;
   mutable fresh_signatures : signature_entry list;
+  counts : int array;
 }
+
+let tick fresh i = fresh.counts.(i) <- fresh.counts.(i) + 1
 
 type ctx = {
   template : Template.t;
@@ -98,17 +105,7 @@ type ctx = {
 }
 
 let make_ctx ~template ~domain ~verify_signature =
-  let memo =
-    {
-      phase = Atomic.make Unused;
-      record_hits = Atomic.make 0;
-      record_misses = Atomic.make 0;
-      node_hits = Atomic.make 0;
-      node_misses = Atomic.make 0;
-      signature_hits = Atomic.make 0;
-      signature_misses = Atomic.make 0;
-    }
-  in
+  let memo = { phase = Atomic.make Unused; counts = Array.init 6 (fun _ -> Atomic.make 0) } in
   let leaf_prefix = Ifmh.leaf_signing_prefix domain in
   { template; domain; leaf_prefix; verify_signature; min_epoch = 0; memo; fresh = None }
 
@@ -128,17 +125,18 @@ let rec tables memo =
     ignore (Atomic.compare_and_set memo.phase Used_once (Warm t));
     tables memo
 
-(* A node goes to its slot [i] if that is empty, else to [i lxor 1] if
-   that is; with both full, the entry at [i] moves over and the node
-   takes [i], so the last two nodes published to a pair both stay. *)
-let publish_node nodes i entry =
+(* An entry goes to its slot [i] if that is [empty], else to [i lxor 1]
+   if that is; with both full, the entry at [i] moves over and the new
+   one takes [i], so the last two published to a pair both stay. *)
+let publish_two_way slots empty i entry =
   let j = i lxor 1 in
-  match (nodes.(i), nodes.(j)) with
-  | No_node, _ -> nodes.(i) <- entry
-  | _, No_node -> nodes.(j) <- entry
-  | old, _ ->
-    nodes.(j) <- old;
-    nodes.(i) <- entry
+  let old = slots.(i) in
+  if old == empty then slots.(i) <- entry
+  else if slots.(j) == empty then slots.(j) <- entry
+  else begin
+    slots.(j) <- old;
+    slots.(i) <- entry
+  end
 
 let publish fresh =
   let { records; nodes; signatures } = fresh.tables in
@@ -146,33 +144,42 @@ let publish fresh =
     (function Rec e as entry -> records.(e.id land slot_mask) <- entry | No_record -> ())
     fresh.fresh_records;
   List.iter
-    (function Node e as entry -> publish_node nodes (node_slot e.l e.r) entry | No_node -> ())
+    (function
+      | Node e as entry -> publish_two_way nodes No_node (node_slot e.l e.r) entry
+      | No_node -> ())
     fresh.fresh_nodes;
   List.iter
     (function
-      | Sig e as entry -> signatures.(signature_slot e.digest) <- entry | No_signature -> ())
+      | Sig e as entry -> publish_two_way signatures No_signature (signature_slot e.root) entry
+      | No_signature -> ())
     fresh.fresh_signatures
 
 let with_memo ctx f =
   match tables ctx.memo with
   | None -> f ctx
   | Some tables ->
-    let fresh = { tables; fresh_records = []; fresh_nodes = []; fresh_signatures = [] } in
-    let result = f { ctx with fresh = Some fresh } in
+    let counts = Array.make 6 0 in
+    let fresh = { tables; fresh_records = []; fresh_nodes = []; fresh_signatures = []; counts } in
+    let add_counts () =
+      Array.iteri (fun i n -> if n > 0 then ignore (Atomic.fetch_and_add ctx.memo.counts.(i) n)) counts
+    in
+    let result = Fun.protect ~finally:add_counts (fun () -> f { ctx with fresh = Some fresh }) in
     if Result.is_ok result then publish fresh;
     result
+
+let same a b = a == b || String.equal a b
 
 let record_digest ctx r =
   match ctx.fresh with
   | None -> Record.digest r
   | Some fresh -> (
-    let m = ctx.memo and id = Record.id r in
+    let id = Record.id r in
     match fresh.tables.records.(id land slot_mask) with
     | Rec e when e.id = id && Record.equal e.record r ->
-      Atomic.incr m.record_hits;
+      tick fresh record_hit;
       e.digest
     | _ ->
-      Atomic.incr m.record_misses;
+      tick fresh record_miss;
       let digest = Record.digest r in
       fresh.fresh_records <- Rec { id; record = r; digest } :: fresh.fresh_records;
       digest)
@@ -181,7 +188,7 @@ let record_digest ctx r =
    (a hash is never empty) *)
 let node_at nodes i l r =
   match nodes.(i) with
-  | Node e when String.equal e.l l && String.equal e.r r -> e.hash
+  | Node e when same e.l l && same e.r r -> e.hash
   | _ -> ""
 
 let find_node nodes l r =
@@ -192,34 +199,56 @@ let node_hash ctx l r =
   match ctx.fresh with
   | None -> Mht.node_hash l r
   | Some fresh -> (
-    let m = ctx.memo in
     let short = String.length l < digest_bytes || String.length r < digest_bytes in
     match if short then "" else find_node fresh.tables.nodes l r with
     | "" ->
-      Atomic.incr m.node_misses;
+      tick fresh node_miss;
       let hash = Mht.node_hash l r in
       if not short then fresh.fresh_nodes <- Node { l; r; hash } :: fresh.fresh_nodes;
       hash
     | hash ->
-      Atomic.incr m.node_hits;
+      tick fresh node_hit;
       hash)
 
-(* [verify_signature digest signature], or [true] for a pair an earlier
-   accepted verification saw it accept *)
-let signature_ok ctx digest signature =
+let same_cons = List.equal (fun (ap, aq, aside) (bp, bq, bside) ->
+    aside = bside && same ap bp && same aq bq)
+
+(* whether [entry] holds [key]'s signature over the same inputs *)
+let holds entry key =
+  match (entry, key) with
+  | Sig e, Sig k ->
+    e.n_leaves = k.n_leaves && e.epoch = k.epoch && same e.root k.root
+    && String.equal e.signature k.signature
+    && (match (e.signed, k.signed) with
+       | One_sig, One_sig -> true
+       | Multi_sig a, Multi_sig b -> same_cons a b
+       | _ -> false)
+  | _ -> false
+
+(* [verify_signature] over the signing digest of these inputs, or
+   [true] if an earlier accepted verification saw it accept them *)
+let signature_ok ctx ~signed ~root ~n_leaves ~epoch signature =
+  let check () =
+    ctx.verify_signature
+      (match signed with
+      | One_sig -> Ifmh.root_digest_for_signing ~root_hash:root ~n_leaves ~epoch
+      | Multi_sig cons_digests ->
+        Ifmh.leaf_digest_for_signing ~prefix:ctx.leaf_prefix ~cons_digests ~fmh_root:root
+          ~n_leaves ~epoch)
+      signature
+  in
   match ctx.fresh with
-  | None -> ctx.verify_signature digest signature
-  | Some fresh -> (
-    let m = ctx.memo in
-    match fresh.tables.signatures.(signature_slot digest) with
-    | Sig e when String.equal e.digest digest && String.equal e.signature signature ->
-      Atomic.incr m.signature_hits;
-      true
-    | _ ->
-      Atomic.incr m.signature_misses;
-      let ok = ctx.verify_signature digest signature in
-      if ok then fresh.fresh_signatures <- Sig { digest; signature } :: fresh.fresh_signatures;
-      ok)
+  | None -> check ()
+  | Some fresh ->
+    let key = Sig { signed; root; n_leaves; epoch; signature } in
+    let sigs = fresh.tables.signatures and i = signature_slot root in
+    if holds sigs.(i) key || holds sigs.(i lxor 1) key then (tick fresh signature_hit; true)
+    else begin
+      tick fresh signature_miss;
+      let ok = check () in
+      if ok then fresh.fresh_signatures <- key :: fresh.fresh_signatures;
+      ok
+    end
 
 type memo_counters = {
   record_hits : int;
@@ -231,14 +260,14 @@ type memo_counters = {
 }
 
 let memo_counters ctx =
-  let m = ctx.memo in
+  let count i = Atomic.get ctx.memo.counts.(i) in
   {
-    record_hits = Atomic.get m.record_hits;
-    record_misses = Atomic.get m.record_misses;
-    node_hits = Atomic.get m.node_hits;
-    node_misses = Atomic.get m.node_misses;
-    signature_hits = Atomic.get m.signature_hits;
-    signature_misses = Atomic.get m.signature_misses;
+    record_hits = count record_hit;
+    record_misses = count record_miss;
+    node_hits = count node_hit;
+    node_misses = count node_miss;
+    signature_hits = count signature_hit;
+    signature_misses = count signature_miss;
   }
 
 let min_epoch ctx = ctx.min_epoch
@@ -292,7 +321,7 @@ let check_subdomain_proof ctx ~x ~fmh_root ~n_leaves ~epoch subdomain ~signature
         fmh_root steps
     in
     guard
-      (signature_ok ctx (Ifmh.root_digest_for_signing ~root_hash ~n_leaves ~epoch) signature)
+      (signature_ok ctx ~signed:One_sig ~root:root_hash ~n_leaves ~epoch signature)
       Bad_signature
   | Vo.Multi_sig_constraints cons ->
     List.iter (fun (rp, rq, side) -> guard (side_at ctx ~x rp rq = side) Wrong_subdomain) cons;
@@ -301,11 +330,15 @@ let check_subdomain_proof ctx ~x ~fmh_root ~n_leaves ~epoch subdomain ~signature
         (fun (rp, rq, side) -> (record_digest ctx rp, record_digest ctx rq, side))
         cons
     in
-    let digest =
-      Ifmh.leaf_digest_for_signing ~prefix:ctx.leaf_prefix ~cons_digests ~fmh_root ~n_leaves
-        ~epoch
-    in
-    guard (signature_ok ctx digest signature) Bad_signature
+    guard
+      (signature_ok ctx ~signed:(Multi_sig cons_digests) ~root:fmh_root ~n_leaves ~epoch
+         signature)
+      Bad_signature
+
+(* the window's leaf digests, then [right]'s: one list, built in order *)
+let[@tail_mod_cons] rec leaf_digests ctx right = function
+  | [] -> [ boundary_digest ctx right ]
+  | r :: rest -> record_digest ctx r :: leaf_digests ctx right rest
 
 let window_root ctx ~n_leaves ~window_lo:wlo ~left ~result ~right ~fmh_proof =
   let n = n_leaves - 2 in
@@ -320,10 +353,7 @@ let window_root ctx ~n_leaves ~window_lo:wlo ~left ~result ~right ~fmh_proof =
   | Vo.Max_sentinel -> guard (whi + 1 = n + 1) Malformed
   | Vo.Min_sentinel -> raise (Reject Malformed)
   | Vo.Boundary_record _ -> guard (whi + 1 <= n) Malformed);
-  let leaves =
-    (boundary_digest ctx left :: List.map (record_digest ctx) result)
-    @ [ boundary_digest ctx right ]
-  in
+  let leaves = boundary_digest ctx left :: leaf_digests ctx right result in
   match
     Mht.root_of_range ~node_hash:(node_hash ctx) ~n:n_leaves ~lo:(wlo - 1)
       ~leaves ~proof:fmh_proof

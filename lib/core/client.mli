@@ -87,28 +87,27 @@ val boundary_digest : ctx -> Vo.boundary -> string
 
     Each ctx — and every ctx derived from it by {!with_min_epoch} —
     shares a memo of record digests, FMH interior node hashes and owner
-    signatures: two fixed arrays of 2{^16} slots and one of 2{^12}, each
+    signatures: two fixed arrays of 2{^16} slots and one of 2{^14}, each
     slot an immutable entry holding the whole input its result was
-    computed from. A record entry sits
-    at its id's low bits and hits only for a record
-    {!Aqv_db.Record.equal} to its own; a node entry sits at a slot read
-    off its two child digests (bytes 0–1 of the left xor bytes 2–3 of
-    the right), or at the slot beside it, and hits only for the same two
-    children. A signature entry sits at a slot read off bytes 0–1 of the
-    digest it signs and hits only for the same digest and the same
-    signature bytes; it holds only pairs [verify_signature] accepted.
-    That digest is recomputed from each reply (from the FMH root, the
-    subdomain proof, [n_leaves] and the epoch), so a hit answers exactly
-    the question a fresh [verify_signature] call would be asked, and a
+    computed from. A record entry sits at its id's low bits and hits
+    only for a record {!Aqv_db.Record.equal} to its own; a node entry
+    sits at a slot read off its two child digests (bytes 0–1 of the left
+    xor bytes 2–3 of the right), or at the slot beside it, and hits only
+    for the same two children. A signature entry sits at a slot read off
+    bytes 0–1 of the root it signs (IMH or FMH), or beside it, and hits
+    only for the same signature bytes over the same signing inputs: the
+    scheme, the root, [n_leaves], the epoch and (multi-signature) each
+    constraint's two record digests and side, which with the domain fix
+    the signing digest. So a hit answers exactly the question a fresh
+    [verify_signature] call would be asked, without hashing it, and a
     reply that changes any signed byte, or the signature, misses and is
-    checked afresh. A hit returns exactly what a fresh computation
-    would, so no decision depends on the memo. A colliding record replaces the old
-    one, as does a colliding signature; a node fills an empty way of its
-    pair of slots, or else moves the entry at its own slot to the other
-    way. A child shorter than a
-    digest skips the memo. Only accepted
-    verifications add to it, so it holds authenticated data alone.
-    Threads and domains sharing a ctx use it without a lock. *)
+    checked afresh; only accepted pairs are held. A hit returns exactly
+    what a fresh computation would, so no decision depends on the memo.
+    A colliding record replaces the old one; a node or a signature fills
+    an empty way of its pair of slots, or else moves the entry at its
+    own slot to the other way. A child shorter than a digest skips the
+    memo. Only accepted verifications add to it, so it holds
+    authenticated data alone. Threads and domains share it without a lock. *)
 
 val with_memo : ctx -> (ctx -> ('a, 'e) result) -> ('a, 'e) result
 (** [with_memo ctx f] runs one verification [f] with the memo. A ctx's
@@ -131,8 +130,8 @@ type memo_counters = {
 }
 
 val memo_counters : ctx -> memo_counters
-(** Lookups this ctx's memo has answered since {!make_ctx}; a child
-    too short to look up counts as a node miss. *)
+(** Lookups this ctx's memo has answered since {!make_ctx}, added once
+    per verification; a child too short to look up is a node miss. *)
 
 val min_epoch : ctx -> int
 val template : ctx -> Aqv_db.Template.t

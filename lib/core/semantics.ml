@@ -44,33 +44,51 @@ let dist_to y = function
   | Neg_inf | Pos_inf -> Pos_inf
   | Fin s -> Fin (Q.to_unreduced (Q.abs (Q.sub (Q.of_unreduced s) y)))
 
+(* Scores [rs] in order, each once, checking that none falls below the
+   one before ([prev] first); returns the last. After a fall it still
+   scores the rest: an unscorable record anywhere is [Malformed] first. *)
+let rec scan template x prev = function
+  | [] -> prev
+  | r :: rest ->
+    let s = Fin (score template r x) in
+    if le prev s then scan template x s rest
+    else begin
+      List.iter (fun r -> ignore (score template r x)) rest;
+      raise (Reject Order_violation)
+    end
+
 let check_window ~template ~x ~n ~query ~left ~right ~result =
-  let score_of r = Fin (score template r x) in
   let count = List.length result in
   let left_score =
     match left with
     | Vo.Min_sentinel -> Neg_inf
-    | Vo.Boundary_record r -> score_of r
+    | Vo.Boundary_record r -> Fin (score template r x)
     | Vo.Max_sentinel -> raise (Reject Malformed)
   in
   let right_score =
     match right with
     | Vo.Max_sentinel -> Pos_inf
-    | Vo.Boundary_record r -> score_of r
+    | Vo.Boundary_record r -> Fin (score template r x)
     | Vo.Min_sentinel -> raise (Reject Malformed)
   in
-  let window_scores = List.map score_of result in
-  (* the committed order is non-decreasing at every point of the
-     subdomain, so any shipped window must be non-decreasing at x *)
-  let rec ordered prev = function
-    | [] -> le prev right_score
-    | s :: rest -> le prev s && ordered s rest
+  (* the window's first and last scores; an empty one has [left_score] *)
+  let first, last =
+    match result with
+    | [] -> (left_score, left_score)
+    | r :: rest ->
+      let s = Fin (score template r x) in
+      (s, scan template x s rest)
   in
-  guard (ordered left_score window_scores) Order_violation;
+  (* the committed order is non-decreasing at every point of the
+     subdomain, so any shipped window must be non-decreasing at x. Past
+     this check it is, so a bound on each record is a bound on its ends:
+     it lies in [l, u] iff they do, and its farthest score from y is one
+     of them (|s - y| is convex in s). *)
+  guard (le left_score first && le last right_score) Order_violation;
   match query with
   | Query.Range { l; u; _ } ->
     let l = Fin (Q.to_unreduced l) and u = Fin (Q.to_unreduced u) in
-    List.iter (fun s -> guard (le l s && le s u) Boundary_violation) window_scores;
+    guard (count = 0 || (le l first && le last u)) Boundary_violation;
     guard (not (le l left_score)) Boundary_violation;
     guard (not (le right_score u)) Boundary_violation
   | Query.Top_k { k; _ } ->
@@ -80,13 +98,7 @@ let check_window ~template ~x ~n ~query ~left ~right ~result =
       guard (match left with Vo.Min_sentinel -> true | _ -> false) Boundary_violation
   | Query.Knn { k; y; _ } ->
     guard (count = min k n) Count_mismatch;
-    let dmax =
-      List.fold_left
-        (fun acc s ->
-          match dist_to y s with
-          | Fin _ as d -> if le d acc then acc else d
-          | Neg_inf | Pos_inf -> raise (Reject Malformed))
-        Neg_inf window_scores
-    in
+    let d_first = dist_to y first and d_last = dist_to y last in
+    let dmax = if count = 0 then Neg_inf else if le d_first d_last then d_last else d_first in
     guard (le dmax (dist_to y left_score)) Boundary_violation;
     guard (le dmax (dist_to y right_score)) Boundary_violation

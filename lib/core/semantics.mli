@@ -44,7 +44,7 @@ val check_window :
     scores are non-decreasing across [left; result; right]; every result
     record satisfies the query; the boundaries prove completeness
     (strictly outside the range, the max sentinel for top-k, no nearer
-    neighbour for KNN). Every record is scored, and an unscorable one
-    rejected as [Malformed], before any comparison; order and range
-    checks compare unreduced scores ({!score}).
+    neighbour for KNN). One pass scores each record once and checks the
+    order; an unscorable record anywhere is [Malformed], then any order
+    violation beats any bound one, checked on the ordered window's ends.
     @raise Reject on any violation. *)

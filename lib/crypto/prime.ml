@@ -27,10 +27,15 @@ let witness ~pow n n1 d s a =
 (* Random Miller-Rabin bases per test: error probability <= 4^-24. *)
 let rounds = 24
 
-(* Candidates a generator draws before giving up: far more than any
-   sound modexp needs (about bits * ln 2 / 2 odd draws per prime), so
-   running out means the arithmetic underneath is broken. *)
-let max_attempts = 100_000
+(* Candidates a generator draws before giving up, so that broken
+   arithmetic underneath (a modexp that fails every prime) fails fast
+   rather than spinning. A b-bit odd draw is prime with probability
+   about p = 2 / (b ln 2), so A draws all miss with probability
+   (1 - p)^A < e^(-pA). With A = 32b that is e^(-64 / ln 2) = 2^-133,
+   below 2^-128 at every size: sound arithmetic never runs out. A
+   draw of [gen_safe_candidate] may be even, which halves p, so it gets
+   twice the draws. *)
+let max_attempts ~bits = 32 * bits
 
 (* Miller-Rabin with trial division by small primes first. *)
 let is_prime rng n =
@@ -76,7 +81,7 @@ let gen_prime rng ~bits =
       else go (attempts - 1)
     end
   in
-  go max_attempts
+  go (max_attempts ~bits)
 
 let gen_safe_candidate rng ~bits ~residue ~modulus =
   if Z.sign modulus <= 0 || Z.compare residue modulus >= 0 || Z.sign residue < 0 then
@@ -93,4 +98,4 @@ let gen_safe_candidate rng ~bits ~residue ~modulus =
       else go (attempts - 1)
     end
   in
-  go max_attempts
+  go (2 * max_attempts ~bits)

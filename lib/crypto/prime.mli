@@ -1,7 +1,8 @@
 (** Prime generation for RSA and DSA key/parameter generation.
     Candidates are tested by Miller–Rabin with 24 random bases (error
-    probability <= 4^-24) after trial division by small primes. Each
-    generator draws at most 100 000 candidates. *)
+    probability <= 4^-24) after trial division by small primes. A
+    generator draws at most 32 ([gen_prime]) or 64 candidates per bit:
+    sound arithmetic runs out with probability below 2^-128. *)
 
 val gen_prime : Aqv_util.Prng.t -> bits:int -> Aqv_bigint.Bigint.t
 (** Random prime with exactly [bits] bits (top bit set), [bits >= 2].

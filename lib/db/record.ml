@@ -17,9 +17,10 @@ let affine t ~const x =
   Q.affine_unreduced const t.attrs x
 
 let equal a b =
-  a.id = b.id && String.equal a.payload b.payload
-  && Array.length a.attrs = Array.length b.attrs
-  && Array.for_all2 Q.equal a.attrs b.attrs
+  a == b
+  || a.id = b.id && String.equal a.payload b.payload
+     && Array.length a.attrs = Array.length b.attrs
+     && Array.for_all2 Q.equal a.attrs b.attrs
 
 let pp ppf t =
   Format.fprintf ppf "#%d(%a)%s" t.id
@@ -50,9 +51,17 @@ let bytes t =
 
 let encode w t = W.raw w (bytes t)
 
+(* One or two attributes go straight into an array literal, without
+   [Wire.read_array]'s [Array.make] and closure calls. *)
+let decode_attrs r =
+  match W.read_length r with
+  | 1 -> [| Q.decode r |]
+  | 2 -> let a = Q.decode r in [| a; Q.decode r |]
+  | n -> Array.init n (fun _ -> Q.decode r)
+
 let decode r =
   let id = W.read_varint r in
-  let attrs = W.read_array r Q.decode in
+  let attrs = decode_attrs r in
   let payload = W.read_bytes r in
   { id; attrs; payload; bytes = "" }
 

@@ -205,19 +205,21 @@ let encode w = function
 (* Wire input is untrusted: any sign byte other than 1 means
    non-negative, fields may be padded or unreduced, and a zero
    denominator is malformed input, reported like every other decode
-   error, not [Division_by_zero]. *)
-let decode_big r negative num =
+   error, not [Division_by_zero]. A field past the native range is read
+   again as [Bigint] bytes. *)
+let decode_big r num =
   let den = B.of_bytes_be (W.read_bytes r) in
   if B.is_zero den then failwith "Rational: zero denominator";
-  big (if negative then B.neg num else num) den
+  big num den
 
 let decode r =
-  let negative = W.read_u8 r = 1 in
-  let n = W.read_uint_be r in
-  if n < 0 then decode_big r negative (B.of_bytes_be (W.read_bytes r))
-  else begin
+  match W.read_signed_uint_be r with
+  | n when n = min_int ->
+    let negative = W.read_u8 r = 1 in
+    let num = B.of_bytes_be (W.read_bytes r) in
+    decode_big r (if negative then B.neg num else num)
+  | n ->
     let d = W.read_uint_be r in
-    if d > 0 then reduce (if negative then -n else n) d
+    if d > 0 then reduce n d
     else if d = 0 then failwith "Rational: zero denominator"
-    else decode_big r negative (B.of_int n)
-  end
+    else decode_big r (B.of_int n)

@@ -101,7 +101,7 @@ let reader data = { data; pos = 0 }
 let truncated () = failwith "Wire: truncated"
 let overflow () = failwith "Wire: varint overflow"
 
-let read_u8 r =
+let[@inline] read_u8 r =
   let pos = r.pos in
   if pos >= String.length r.data then truncated ();
   r.pos <- pos + 1;
@@ -114,7 +114,7 @@ let read_u8 r =
    registers, and it raises after it ends: [stop] is 0 while reading,
    then 1 (done), 2 (truncated) or 3 (overflow). On failure the reader
    stops after the last byte read, as a byte-at-a-time reader would. *)
-let read_varint r =
+let[@inline] read_varint r =
   let data = r.data and pos = r.pos in
   let len = String.length data in
   if pos < len && Char.code (String.unsafe_get data pos) < 0x80 then begin
@@ -165,7 +165,7 @@ let read_int r =
 
 (* A field's length prefix, checked against the bytes left (written so
    that a length near [max_int] cannot overflow the check) *)
-let read_length r =
+let[@inline] read_length r =
   let n = read_varint r in
   if n > String.length r.data - r.pos then truncated ();
   n
@@ -176,7 +176,7 @@ let read_bytes r =
   r.pos <- r.pos + n;
   s
 
-let read_uint_be r =
+let[@inline] read_uint_be r =
   let start = r.pos in
   let n = read_length r in
   let stop = r.pos + n in
@@ -198,16 +198,25 @@ let read_uint_be r =
     !v
   end
 
-let rec read_elements r f k acc =
-  if k = 0 then List.rev acc else read_elements r f (k - 1) (f r :: acc)
+let read_signed_uint_be r =
+  let start = r.pos in
+  let negative = read_u8 r = 1 in
+  let v = read_uint_be r in
+  if v < 0 then (r.pos <- start; min_int) else if negative then -v else v
 
-let read_list r f = read_elements r f (read_varint r) []
+(* built in order, in constant stack, with no reversed copy *)
+let[@tail_mod_cons] rec read_elements r f k =
+  if k = 0 then []
+  else
+    let x = f r in
+    x :: read_elements r f (k - 1)
+
+let read_list r f = read_elements r f (read_varint r)
 
 (* Every element costs at least one byte, so a count larger than the
    bytes left is a lie: refuse it before the array is allocated. *)
 let read_array r f =
-  let n = read_varint r in
-  if n > String.length r.data - r.pos then truncated ();
+  let n = read_length r in
   if n = 0 then [||]
   else begin
     let a = Array.make n (f r) in

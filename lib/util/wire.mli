@@ -83,6 +83,15 @@ val read_uint_be : reader -> int
     [max_int]; otherwise returns [-1] and leaves the reader where it
     was, so the caller can re-read the field with [read_bytes]. *)
 
+val read_signed_uint_be : reader -> int
+(** A sign byte (1: negative, any other: non-negative) then a
+    [read_uint_be] field, as a signed int; [min_int], with the reader
+    left before the sign byte, when the magnitude exceeds [max_int]. *)
+
+val read_length : reader -> int
+(** A [varint] count or length no larger than the bytes left, as
+    [read_bytes] and [read_array] read theirs. *)
+
 val read_list : reader -> (reader -> 'a) -> 'a list
 
 val read_array : reader -> (reader -> 'a) -> 'a array

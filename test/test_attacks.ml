@@ -60,6 +60,62 @@ let with_vo resp vo = { resp with Server.vo }
 
 (* ------------------------- IFMH, both schemes ----------------------- *)
 
+(* Every tampering of an honest reply [resp] that [against_index]
+   checks, named, with the rejection it must get where one is pinned.
+   Each is applied only where the reply has the records it needs. The
+   reference law feeds them to both verifiers too. *)
+let tampers resp =
+  let vo = resp.Server.vo and result = resp.Server.result in
+  let count = List.length result in
+  let result_case name ?expect min_count f =
+    if count >= min_count then [ (name, expect, with_result resp (f result)) ] else []
+  in
+  let at i f = List.mapi (fun j r -> if j = i then f r else r) in
+  let flip_first_byte d =
+    let d' = Bytes.of_string d in
+    Bytes.set d' 0 (Char.chr (Char.code (Bytes.get d' 0) lxor 1));
+    Bytes.to_string d'
+  in
+  List.concat
+    [
+      (* Case 1 of §4.1: drop a middle record *)
+      result_case "drop middle record" 3 (drop_nth 2);
+      (* drop the first / last record without fixing the VO *)
+      result_case "drop first record" 1 (drop_nth 0);
+      result_case "drop last record" 1 (drop_nth (count - 1));
+      (* substitute a record body (same id, different attributes) *)
+      result_case "substitute record" 3 (at 2 (fun r -> forged_record (Record.id r)));
+      (* tamper with a payload only *)
+      result_case "tamper payload" 2
+        (at 1 (fun r -> Record.make ~id:(Record.id r) ~attrs:(Db_ref.record_attrs r) ~payload:"evil" ()));
+      (* reorder two records *)
+      result_case "reorder records" 2 (function a :: b :: rest -> b :: a :: rest | l -> l);
+      (* duplicate a record (and keep the count plausible by dropping another) *)
+      result_case "duplicate record" 2 (function a :: _ :: rest -> a :: a :: rest | l -> l);
+      [
+        (* Case 2 of §4.1: forge a boundary record *)
+        ("forge left boundary", None,
+          with_vo resp { vo with Vo.left = Vo.Boundary_record (forged_record 999) });
+        ("forge right boundary", None,
+          with_vo resp { vo with Vo.right = Vo.Boundary_record (forged_record 998) });
+        (* pretend the window sits elsewhere *)
+        ("shift window_lo", None, with_vo resp { vo with Vo.window_lo = vo.Vo.window_lo + 1 });
+        (* lie about the database size *)
+        ("inflate n_leaves", None, with_vo resp { vo with Vo.n_leaves = vo.Vo.n_leaves + 1 });
+        ("deflate n_leaves", None, with_vo resp { vo with Vo.n_leaves = vo.Vo.n_leaves - 1 });
+      ];
+      (* corrupt the FMH range proof *)
+      (match vo.Vo.fmh_proof with
+      | d :: rest ->
+        [ ("corrupt fmh proof", None, with_vo resp { vo with Vo.fmh_proof = flip_first_byte d :: rest }) ]
+      | [] -> []);
+      (* flip a signature bit *)
+      (let s = Bytes.of_string vo.Vo.signature in
+       Bytes.set s 3 (Char.chr (Char.code (Bytes.get s 3) lxor 8));
+       [ ("flip signature bit", Some Client.Bad_signature,
+           with_vo resp { vo with Vo.signature = Bytes.to_string s }) ]);
+    ]
+
 let against_index name index () =
   ignore name;
   let query, resp = honest index in
@@ -69,74 +125,12 @@ let against_index name index () =
   | Ok () -> ()
   | Error r -> Alcotest.failf "honest response rejected: %s" (Client.rejection_to_string r));
 
-  (* Case 1 of §4.1: drop a middle record *)
-  expect_reject "drop middle record" query (with_result resp (drop_nth 2 resp.Server.result));
-
-  (* drop the first / last record without fixing the VO *)
-  expect_reject "drop first record" query (with_result resp (drop_nth 0 resp.Server.result));
-  expect_reject "drop last record" query
-    (with_result resp (drop_nth (List.length resp.Server.result - 1) resp.Server.result));
-
-  (* substitute a record body (same id, different attributes) *)
-  expect_reject "substitute record" query
-    (with_result resp
-       (List.mapi (fun i r -> if i = 2 then forged_record (Record.id r) else r) resp.Server.result));
-
-  (* tamper with a payload only *)
-  expect_reject "tamper payload" query
-    (with_result resp
-       (List.mapi
-          (fun i r ->
-            if i = 1 then Record.make ~id:(Record.id r) ~attrs:(Db_ref.record_attrs r) ~payload:"evil" ()
-            else r)
-          resp.Server.result));
-
-  (* reorder two records *)
-  (let swapped =
-     match resp.Server.result with
-     | a :: b :: rest -> b :: a :: rest
-     | _ -> assert false
-   in
-   expect_reject "reorder records" query (with_result resp swapped));
-
-  (* duplicate a record (and keep the count plausible by dropping another) *)
-  (let dup =
-     match resp.Server.result with
-     | a :: _ :: rest -> a :: a :: rest
-     | _ -> assert false
-   in
-   expect_reject "duplicate record" query (with_result resp dup));
-
-  (* Case 2 of §4.1: forge a boundary record *)
-  expect_reject "forge left boundary" query
-    (with_vo resp { resp.Server.vo with Vo.left = Vo.Boundary_record (forged_record 999) });
-  expect_reject "forge right boundary" query
-    (with_vo resp { resp.Server.vo with Vo.right = Vo.Boundary_record (forged_record 998) });
-
-  (* pretend the window sits elsewhere *)
-  expect_reject "shift window_lo" query
-    (with_vo resp { resp.Server.vo with Vo.window_lo = resp.Server.vo.Vo.window_lo + 1 });
-
-  (* lie about the database size *)
-  expect_reject "inflate n_leaves" query
-    (with_vo resp { resp.Server.vo with Vo.n_leaves = resp.Server.vo.Vo.n_leaves + 1 });
-  expect_reject "deflate n_leaves" query
-    (with_vo resp { resp.Server.vo with Vo.n_leaves = resp.Server.vo.Vo.n_leaves - 1 });
-
-  (* corrupt the FMH range proof *)
-  (match resp.Server.vo.Vo.fmh_proof with
-  | d :: rest ->
-    let d' = Bytes.of_string d in
-    Bytes.set d' 0 (Char.chr (Char.code (Bytes.get d' 0) lxor 1));
-    expect_reject "corrupt fmh proof" query
-      (with_vo resp { resp.Server.vo with Vo.fmh_proof = Bytes.to_string d' :: rest })
-  | [] -> ());
-
-  (* flip a signature bit *)
-  (let s = Bytes.of_string resp.Server.vo.Vo.signature in
-   Bytes.set s 3 (Char.chr (Char.code (Bytes.get s 3) lxor 8));
-   expect_reject_as "flip signature bit" Client.Bad_signature query
-     (with_vo resp { resp.Server.vo with Vo.signature = Bytes.to_string s }));
+  List.iter
+    (fun (name, expect, tampered) ->
+      match expect with
+      | None -> expect_reject name query tampered
+      | Some reason -> expect_reject_as name reason query tampered)
+    (tampers resp);
 
   (* answer a *different* (narrower) query and present it for the original *)
   (let x = Query.x query in
@@ -1365,6 +1359,186 @@ let test_forged_varint_id index () =
   check Alcotest.bool ("forged id refused: " ^ outcome) true
     (outcome <> "accepted" && outcome <> "other reply")
 
+(* ------------------- reference verifier law ------------------------ *)
+
+(* [Client.verify] and [Client.verify_rank] decide every reply as the
+   reference verifier (test/ref/verify_ref.ml) does: they accept exactly
+   when it does, and when both reject, the client names the reference's
+   first failed check. The replies: honest answers, answers to another
+   query at the same point or another, every tampering above (with
+   unscorable and re-payloaded proof records), random byte mutations
+   that still decode, relabelled epochs and answers of an older epoch. Each is decided by
+   a fresh ctx and by one warm ctx that sees the whole sequence, under a
+   minimum epoch drawn per reply. Tables: 1-D, 2-D and tie-heavy 1-D,
+   each under both schemes, at epoch 1 and, after one update, epoch 2. *)
+module Verify_ref = Aqv_ref.Verify_ref
+
+type law_index = { law_name : string; law_table : Table.t; versions : Ifmh.t array }
+
+let law_indexes =
+  lazy
+    (let kp = Lazy.force keypair in
+     let tables =
+       [
+         ("1-D", Workload.lines_1d ~n:10 (Prng.create 0x1DL));
+         ("2-D", Workload.scored ~n:6 ~dims:2 (Prng.create 0x2DL));
+         ("tie-heavy", Workload.lines_1d ~slope_range:3 ~intercept_range:3 ~n:10 (Prng.create 0x71L));
+       ]
+     in
+     List.concat_map
+       (fun (name, t) ->
+         List.map
+           (fun scheme ->
+             let v1 = Ifmh.build ~scheme ~epoch:1 t kp in
+             let moved = Record.make ~id:0 ~attrs:[| Q.of_int 7; Q.of_int 11 |] () in
+             let v2 = Ifmh.apply kp [ Update.Modify moved ] v1 in
+             {
+               law_name = name ^ " " ^ Ifmh.scheme_name scheme;
+               law_table = t;
+               versions = [| v1; v2 |];
+             })
+           [ Ifmh.One_signature; Ifmh.Multi_signature ])
+       tables
+     |> Array.of_list)
+
+type law_ask = Verify of Query.t | Rank of Aqv_num.Rational.t array * int
+
+(* 1-3 bit flips or a truncation of [s], as [iter_mutants] makes them *)
+let mutant rng s =
+  let b = Bytes.of_string s in
+  for _ = 0 to Prng.int rng 3 do
+    let i = Prng.int rng (Bytes.length b) in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Prng.int rng 8)))
+  done;
+  if Prng.int rng 4 = 0 then Bytes.sub_string b 0 (Prng.int rng (Bytes.length b))
+  else Bytes.to_string b
+
+let law_case li rng ~points =
+  let t = li.law_table in
+  let n = Table.size t in
+  let x = points.(Prng.int rng (Array.length points)) in
+  let scores = Workload.scores_at t x in
+  let score_at i = snd scores.(i mod n) in
+  let ask ?(x = x) () =
+    match Prng.int rng 4 with
+    | 0 -> Verify (Query.top_k ~x ~k:(1 + Prng.int rng (n + 1)))
+    | 1 ->
+      let a = score_at (Prng.int rng n) and b = score_at (Prng.int rng n) in
+      let l, u = if Q.compare a b <= 0 then (a, b) else (b, a) in
+      (* bounds on a score or between two: both ties and strict ones *)
+      let l = if Prng.bool rng then l else Q.sub l (Q.of_ints 1 7) in
+      Verify (Query.range ~x ~l ~u:(if Prng.bool rng then u else Q.add u (Q.of_ints 1 5)))
+    | 2 -> Verify (Query.knn ~x ~k:(1 + Prng.int rng n) ~y:(Q.add (score_at (Prng.int rng n)) (Q.of_ints 1 3)))
+    | _ -> Rank (x, Record.id (Table.record t (Prng.int rng n)))
+  in
+  let answer index = function
+    | Verify q -> Some (Server.answer index q)
+    | Rank (x, record_id) -> Server.rank index ~x ~record_id
+  in
+  let version = li.versions.(Prng.int rng 2) in
+  let asked = ask () in
+  let honest = answer version asked in
+  let reply =
+    match (honest, Prng.int rng 10) with
+    | None, _ -> None
+    | Some r, (0 | 1 | 2 | 3) -> Some r
+    | Some _, 4 ->
+      (* an answer to another question, at the same point or another *)
+      if Prng.bool rng then answer version (ask ())
+      else answer version (ask ~x:(Workload.weight_point t rng) ())
+    | Some r, (5 | 6) ->
+      (* against_index's tamperings; a record too short to score, in the
+         window or in the subdomain proof; and a proof record with the
+         same attributes and another payload, which passes the side test
+         and changes only the signing digest *)
+      let short r = Record.make ~id:(Record.id r) ~attrs:[| Record.attr r 0 |] () in
+      let evil r = Record.make ~id:(Record.id r) ~attrs:(Db_ref.record_attrs r) ~payload:"evil" () in
+      let proof_record f =
+        let vo = r.Server.vo in
+        match vo.Vo.subdomain with
+        | Vo.Multi_sig_constraints ((rp, rq, side) :: rest) ->
+          [ with_vo r { vo with Vo.subdomain = Vo.Multi_sig_constraints ((rp, f rq, side) :: rest) } ]
+        | Vo.One_sig_path (st :: rest) ->
+          [ with_vo r { vo with Vo.subdomain = Vo.One_sig_path ({ st with Vo.rq = f st.Vo.rq } :: rest) } ]
+        | _ -> []
+      in
+      let all =
+        List.map (fun (_, _, tampered) -> tampered) (tampers r)
+        @ (match r.Server.result with
+          | a :: rest -> [ with_result r (short a :: rest) ]
+          | [] -> [])
+        @ proof_record short @ proof_record evil
+      in
+      Some (List.nth all (Prng.int rng (List.length all)))
+    | Some r, 7 ->
+      let vo = r.Server.vo in
+      Some (with_vo r { vo with Vo.epoch = vo.Vo.epoch + 1 - (2 * Prng.int rng 2) })
+    | Some r, 8 ->
+      let bytes = encoded Server.encode_response r in
+      let rec decodable tries =
+        if tries = 0 then Some r
+        else
+          match Server.decode_response (Aqv_util.Wire.reader (mutant rng bytes)) with
+          | exception (Failure _ | Invalid_argument _) -> decodable (tries - 1)
+          | m -> Some m
+      in
+      decodable 20
+    | Some _, _ -> answer li.versions.(0) asked
+  in
+  Option.map (fun r -> (asked, r)) reply
+
+let ref_decision checks =
+  match Verify_ref.first_failure checks with
+  | None -> "accepted"
+  | Some c -> Client.rejection_to_string c.Verify_ref.reject
+
+let client_decision ctx asked resp =
+  match asked with
+  | Verify q -> decision ctx q resp
+  | Rank (x, record_id) -> (
+    match Client.verify_rank ctx ~x ~record_id resp with
+    | Ok _ -> "accepted"
+    | Error r -> Client.rejection_to_string r)
+
+let reference_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~long_factor:20 ~name:"client = reference, fresh and warm"
+       QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+       (fun (pick, seed) ->
+         let indexes = Lazy.force law_indexes in
+         let li = indexes.(pick mod Array.length indexes) in
+         let t = li.law_table and kp = Lazy.force keypair in
+         let rng = Prng.create (Int64.of_int seed) in
+         let make () =
+           Client.make_ctx ~template:(Table.template t) ~domain:(Table.domain t)
+             ~verify_signature:kp.Signer.verify
+         in
+         let warm = make () in
+         (* a few points, so that the warm ctx meets a subdomain again *)
+         let points = Array.init 3 (fun _ -> Workload.weight_point t rng) in
+         List.for_all
+           (fun _ ->
+             match law_case li rng ~points with
+             | None -> true
+             | Some (asked, resp) ->
+               let min_epoch = [| 0; 1; 2 |].(Prng.int rng 3) in
+               let reference =
+                 Verify_ref.make ~template:(Table.template t) ~domain:(Table.domain t)
+                   ~verify_signature:kp.Signer.verify ~min_epoch
+               in
+               let expected =
+                 ref_decision
+                   (match asked with
+                   | Verify q -> Verify_ref.verify reference q resp
+                   | Rank (x, record_id) -> Verify_ref.verify_rank reference ~x ~record_id resp)
+               in
+               let fresh = client_decision (Client.with_min_epoch (make ()) min_epoch) asked resp
+               and warm = client_decision (Client.with_min_epoch warm min_epoch) asked resp in
+               String.equal expected fresh && String.equal expected warm
+               || QCheck.Test.fail_reportf "%s: reference %S, fresh ctx %S, warm ctx %S"
+                    li.law_name expected fresh warm)
+           (List.init 40 Fun.id)))
+
 let () =
   Alcotest.run "aqv_attacks"
     [
@@ -1475,4 +1649,5 @@ let () =
           Alcotest.test_case "multi-sig held pair reused" `Quick
             (test_signature_memo_reuse (Lazy.force index_multi));
         ] );
+      ("reference verifier", [ reference_law ]);
     ]

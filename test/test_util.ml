@@ -228,6 +228,38 @@ let wire_uint_be_roundtrip =
       && Wire.read_uint_be (Wire.reader (Wire.contents w)) = v
       && Wire.read_uint_be r = v && Util_ref.wire_at_end r)
 
+(* A sign byte then a [read_uint_be] field, in one call: the same value
+   (negated after a sign byte of 1), failure and final position as the
+   two reads, and [min_int] with the reader back at the sign byte where
+   the field does not fit. *)
+let wire_signed_uint_be =
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun sign len body -> String.make 1 (Char.chr sign) ^ String.make 1 (Char.chr len) ^ body)
+        (oneofl [ 0; 1; 2; 255 ]) (int_bound 11) (string_size ~gen:(oneofl [ '\000'; '\001'; '\063'; '\064'; '\255' ]) (int_bound 11)))
+  in
+  let rec left r n = match Wire.read_u8 r with _ -> left r (n + 1) | exception Failure _ -> n in
+  qtest "read_signed_uint_be = read_u8 then read_uint_be" (QCheck.make ~print:String.escaped gen)
+    (fun s ->
+      let two = Wire.reader s and one = Wire.reader s in
+      let expected =
+        match
+          let negative = Wire.read_u8 two = 1 in
+          (negative, Wire.read_uint_be two)
+        with
+        | _, -1 -> Ok min_int
+        | negative, v -> Ok (if negative then -v else v)
+        | exception Failure m -> Error m
+      in
+      let got = match Wire.read_signed_uint_be one with v -> Ok v | exception Failure m -> Error m in
+      got = expected
+      &&
+      match got with
+      | Ok v when v = min_int -> left one 0 = String.length s
+      | Ok _ -> left one 0 = left two 0
+      | Error _ -> true)
+
 let test_wire_uint_be_too_wide () =
   (* 2^62 and a 9-byte value do not fit: -1, and the field is left to
      re-read as bytes *)
@@ -658,6 +690,7 @@ let () =
           Alcotest.test_case "varint bit 62 refused" `Quick test_wire_varint_bit62;
           Alcotest.test_case "huge length is truncated" `Quick test_wire_huge_length;
           wire_uint_be_roundtrip;
+          wire_signed_uint_be;
           Alcotest.test_case "uint_be too wide" `Quick test_wire_uint_be_too_wide;
           wire_writer_is_oracle;
           Alcotest.test_case "byte-count edges = oracle" `Quick test_wire_edges_are_oracle;
