@@ -1146,6 +1146,42 @@ let micro_tests () =
             (Client.check_subdomain_proof c ~x:xh ~fmh_root ~n_leaves:range_vo.Vo.n_leaves
                ~epoch:range_vo.Vo.epoch range_vo.Vo.subdomain ~signature:range_vo.Vo.signature))
   in
+  (* 400 distinct replies of the multi-signature range row's shape, each
+     at a point of its own, decoded twice: the ctx is warmed on the
+     server's own response objects, and the rows run all first copies,
+     then all second ones. A record hit then always compares attributes
+     ([Record.equal]) after reaching the entry, the record and its
+     payload, as on a freshly decoded reply; no hit stops at [==]. *)
+  let stream_verifier =
+    let srng = Prng.create 0x5EE7L in
+    let replies =
+      Array.init 400 (fun _ ->
+          let x = Workload.weight_point hot_table srng in
+          let l, u =
+            Workload.range_for_result_size hot_table ~x ~size:(min 150 (Table.size hot_table))
+          in
+          let q = Query.range ~x ~l ~u in
+          (q, Server.answer range_multi q))
+    in
+    let warm = verifier_for kp hot_table in
+    for _ = 1 to 2 do
+      Array.iter
+        (fun (q, resp) ->
+          if not (Client.accepts warm q resp) then failwith "stream verifier: reply rejected")
+        replies
+    done;
+    let decoded (q, resp) =
+      let w = Aqv_util.Wire.writer () in
+      Server.encode_response w resp;
+      (q, Server.decode_response (Aqv_util.Wire.reader (Aqv_util.Wire.contents w)))
+    in
+    let copies = Array.append (Array.map decoded replies) (Array.map decoded replies) in
+    let next = ref 0 in
+    fun () ->
+      let q, resp = copies.(!next) in
+      next := (!next + 1) mod Array.length copies;
+      Client.verify warm q resp
+  in
   let fns = Table.functions hot_table in
   let sa = Aqv_num.Linfun.eval fns.(0) xh and sb = Aqv_num.Linfun.eval fns.(1) xh in
   let hot_record = Table.record hot_table 0 in
@@ -1188,6 +1224,7 @@ let micro_tests () =
       (Staged.stage (warm_verifier small_table small_q small_resp));
     Test.make ~name:"client-verify-range-warm"
       (Staged.stage (warm_verifier hot_table range_q range_resp));
+    Test.make ~name:"client-verify-stream-warm" (Staged.stage stream_verifier);
     Test.make ~name:"client-window-root-warm" (Staged.stage window_root_stage);
     Test.make ~name:"client-subdomain-proof-warm" (Staged.stage subdomain_stage);
     Test.make ~name:"client-verify-range-multi-warm"

@@ -71,7 +71,6 @@ module Workload = Aqv_db.Workload
 module Signer = Aqv_crypto.Signer
 module Engine = Aqv_serve.Engine
 module Roundtrip = Aqv_serve.Roundtrip
-module Faults = Aqv_serve.Faults
 module Stats = Aqv_serve.Stats
 module Store = Aqv_store.Store
 module Store_error = Aqv_store.Error
@@ -168,7 +167,7 @@ let open_or_bootstrap dir follow =
     Ok (Store.publish ~dir index, index, None)
   | _ -> Result.map (fun (store, index, r) -> (store, index, Some r)) (Store.open_dir dir)
 
-let run_serve dir port max_conns faults follow port_file =
+let run_serve dir port max_conns follow port_file =
   setup_logging ();
   let follow = Option.map parse_hostport follow in
   match open_or_bootstrap dir follow with
@@ -186,7 +185,6 @@ let run_serve dir port max_conns faults follow port_file =
         Engine.default_config with
         port;
         max_conns;
-        faults;
         store = Some store;
         accept_republish = Option.is_none follow;
         publisher = Some (Hub.publisher hub);
@@ -1015,30 +1013,6 @@ let epoch_t = Arg.(value & opt int 0 & info [ "epoch" ])
 let max_conns_t =
   Arg.(value & opt int 64 & info [ "max-conns" ] ~doc:"Concurrent connection limit.")
 
-let fault_t =
-  let doc =
-    "Fault injection for robustness drills: SEED:DELAY:TRUNC:DROP \
-     (probabilities in permille)."
-  in
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ seed; d; tr; dr ] -> (
-      try
-        Ok
-          (Some
-             (Faults.create ~seed:(Int64.of_string seed)
-                ~delay_permille:(int_of_string d)
-                ~truncate_permille:(int_of_string tr)
-                ~drop_permille:(int_of_string dr) ()))
-      with _ -> Error (`Msg "bad --faults spec"))
-    | _ -> Error (`Msg "expected SEED:DELAY:TRUNC:DROP")
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "none"
-    | Some f -> Faults.pp ppf f
-  in
-  Arg.(value & opt (conv (parse, print)) None & info [ "faults" ] ~doc ~docv:"SPEC")
-
 let scheme_t =
   let c = Arg.enum [ ("one", `One); ("multi", `Multi) ] in
   Arg.(value & opt c `One & info [ "scheme" ])
@@ -1090,7 +1064,7 @@ let serve_cmd =
          "Storage server: serve index.bin concurrently (primary, or --follow \
           replica).")
     Term.(
-      const run_serve $ dir_t $ port_t $ max_conns_t $ fault_t $ follow_t $ port_file_t)
+      const run_serve $ dir_t $ port_t $ max_conns_t $ follow_t $ port_file_t)
 
 let route_cmd =
   Cmd.v

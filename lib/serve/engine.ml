@@ -19,7 +19,6 @@ type config = {
   read_timeout : float;
   cache_capacity : int;
   drain_timeout : float;
-  faults : Faults.t option;
   store : Aqv_store.Store.t option;
   accept_republish : bool;
   publisher : publisher option;
@@ -33,7 +32,6 @@ let default_config =
     read_timeout = 5.;
     cache_capacity = 1024;
     drain_timeout = 5.;
-    faults = None;
     store = None;
     accept_republish = true;
     publisher = None;
@@ -87,10 +85,6 @@ let swap_index t index' =
     Stats.set_epoch t.stats (Ifmh.epoch index')
   end;
   installed
-
-(* Raised internally when fault injection kills the reply: the session
-   ends, but it is not an error of the session machinery itself. *)
-exception Fault_closed
 
 (* A reply leaves its writer once, already framed: the cache stores the
    frame and a hit is one write of it. A session encodes every reply
@@ -284,26 +278,8 @@ let reply_bytes_for t w payload =
 let write_timeout = 5.
 
 let send_reply t fd frame =
-  let deliver () =
-    let n = Frame_io.write_framed ~timeout:write_timeout fd frame in
-    Stats.add_bytes_out t.stats n
-  in
-  match t.config.faults with
-  | None -> deliver ()
-  | Some f -> (
-    match Faults.draw f ~frame_len:(String.length frame) with
-    | None -> deliver ()
-    | Some (Faults.Delay s) ->
-      Stats.on_fault t.stats `Delay;
-      Thread.delay s;
-      deliver ()
-    | Some (Faults.Truncate k) ->
-      Stats.on_fault t.stats `Truncate;
-      Frame_io.write_raw fd (String.sub frame 0 k);
-      raise Fault_closed
-    | Some Faults.Drop ->
-      Stats.on_fault t.stats `Drop;
-      raise Fault_closed)
+  let n = Frame_io.write_framed ~timeout:write_timeout fd frame in
+  Stats.add_bytes_out t.stats n
 
 let session t fd =
   Stats.conn_accepted t.stats;
@@ -333,7 +309,7 @@ let session t fd =
           ~finally:(fun () -> Stats.follower_disconnected t.stats)
           (fun () -> publisher.subscribe fd ~from_epoch))
   in
-  try loop () with Fault_closed -> () (* injected fault already counted *)
+  loop ()
 
 let drop_session t exn =
   Stats.session_dropped t.stats;

@@ -23,8 +23,6 @@
       via [Protocol.Get_stats];
     - graceful shutdown: {!stop} stops accepting and drains in-flight
       sessions (bounded by [drain_timeout]);
-    - deterministic fault injection ({!Faults}) on the reply path, for
-      robustness tests;
     - optional durability: with a [store], every accepted republish is
       appended and fsync'd to the write-ahead log {e before} the
       [Republished] ack goes out (durable-before-ack) — an append
@@ -33,7 +31,11 @@
     - optional replication: with a [publisher], every durably-acked
       delta is handed to it strictly after the WAL fsync
       (durable-before-ship), and [Protocol.Subscribe] sessions are
-      handed over to it wholesale ({!publisher}). *)
+      handed over to it wholesale ({!publisher}).
+
+    The engine has no fault-injection hook: tests inject network
+    faults with a frame-forwarding proxy that can sit on any link
+    (client session, router leg, replication stream). *)
 
 type publisher = {
   subscribe : Unix.file_descr -> from_epoch:int option -> unit;
@@ -59,7 +61,6 @@ type config = {
       (** LRU entries; a reply is stored on its key's second request
           ({!Cache.add}); 0 disables the response cache *)
   drain_timeout : float;  (** max seconds {!serve} waits for drain on stop *)
-  faults : Faults.t option;  (** reply-path fault injection (tests) *)
   store : Aqv_store.Store.t option;
       (** durable store: republishes are logged before the ack. The
           engine borrows the handle; the caller closes it. *)
@@ -73,7 +74,7 @@ type config = {
 
 val default_config : config
 (** Port 7464, 64 connections, 10 s idle, 5 s read, 1024 cache
-    entries, 5 s drain, no faults, no store, republish accepted, no
+    entries, 5 s drain, no store, republish accepted, no
     publisher. *)
 
 type t

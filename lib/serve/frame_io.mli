@@ -46,5 +46,5 @@ val write_framed : ?timeout:float -> Unix.file_descr -> string -> int
     @raise Timeout on an expired deadline *)
 
 val write_raw : Unix.file_descr -> string -> unit
-(** Best-effort raw write (fault injection's truncated sends): errors
-    and short writes are ignored. *)
+(** Best-effort raw write (the listener's overload refusal, written
+    from the accept loop): errors and short writes are ignored. *)

@@ -2,7 +2,6 @@ module Histogram = Aqv_util.Histogram
 
 type request_kind =
   [ `Query | `Rank | `Count | `Stats | `Republish | `Subscribe | `Malformed ]
-type fault_kind = [ `Delay | `Truncate | `Drop ]
 
 type t = {
   mu : Mutex.t;
@@ -31,9 +30,6 @@ type t = {
   mutable followers_connected : int;
   mutable deltas_shipped : int;
   mutable follower_lag_frames : int;
-  mutable faults_delay : int;
-  mutable faults_truncate : int;
-  mutable faults_drop : int;
   latency : Histogram.t;
 }
 
@@ -65,9 +61,6 @@ let create () =
     followers_connected = 0;
     deltas_shipped = 0;
     follower_lag_frames = 0;
-    faults_delay = 0;
-    faults_truncate = 0;
-    faults_drop = 0;
     latency = Histogram.create ();
   }
 
@@ -117,13 +110,6 @@ let follower_disconnected t =
 let delta_shipped t = locked t (fun () -> t.deltas_shipped <- t.deltas_shipped + 1)
 let set_follower_lag t n = locked t (fun () -> t.follower_lag_frames <- n)
 
-let on_fault t kind =
-  locked t (fun () ->
-      match kind with
-      | `Delay -> t.faults_delay <- t.faults_delay + 1
-      | `Truncate -> t.faults_truncate <- t.faults_truncate + 1
-      | `Drop -> t.faults_drop <- t.faults_drop + 1)
-
 let to_assoc t =
   locked t (fun () ->
       let counters =
@@ -153,9 +139,6 @@ let to_assoc t =
           ("followers_connected", t.followers_connected);
           ("deltas_shipped", t.deltas_shipped);
           ("follower_lag_frames", t.follower_lag_frames);
-          ("faults_delay", t.faults_delay);
-          ("faults_truncate", t.faults_truncate);
-          ("faults_drop", t.faults_drop);
           ("latency_us_count", Histogram.count t.latency);
           ("latency_us_max", Histogram.max_value t.latency);
           ("latency_us_p50", Histogram.percentile t.latency 50);

@@ -2,7 +2,7 @@
 
     One {!t} per {!Engine.t}: request counts by type, a latency
     histogram (integer microseconds, {!Aqv_util.Histogram}), bytes
-    in/out, cache and connection counters, and fault-injection tallies.
+    in/out, cache, connection, store and replication counters.
     Exported over the wire as the flat [(key, value)] list carried by
     [Protocol.Stats], and as the one-line log the engine writes on
     stop. *)
@@ -11,7 +11,6 @@ type t
 
 type request_kind =
   [ `Query | `Rank | `Count | `Stats | `Republish | `Subscribe | `Malformed ]
-type fault_kind = [ `Delay | `Truncate | `Drop ]
 
 val create : unit -> t
 
@@ -62,8 +61,6 @@ val set_follower_lag : t -> int -> unit
 (** Gauge: total frames sitting in subscriber queues, i.e. shipped but
     not yet written to a follower's socket (["follower_lag_frames"]).
     Refreshed on every ship and heartbeat. *)
-
-val on_fault : t -> fault_kind -> unit
 
 val to_assoc : t -> (string * int) list
 (** Stable snapshot: every counter, then the latency histogram as

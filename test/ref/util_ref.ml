@@ -30,3 +30,33 @@ let pvec_to_list v = Array.to_list (Pvec.to_array v)
 (* Field lookup; [None] when absent or when the value is not an object. *)
 let json_member key = function Json.Obj fields -> List.assoc_opt key fields | _ -> None
 let json_to_list = function Json.List vs -> Some vs | _ -> None
+
+(* The byte-level fuzzers' mutation rule: [attempts] mutants of
+   [original], 1-3 bit flips and/or a truncation each, drawn from
+   [seed], skipping any that came out byte-identical. *)
+let iter_mutants ~seed ~attempts original f =
+  let rng = Prng.create seed in
+  for _ = 1 to attempts do
+    let b = Bytes.of_string original in
+    let mutate () =
+      let i = Prng.int rng (Bytes.length b) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Prng.int rng 8)))
+    in
+    (* 1-3 byte flips, or a truncation *)
+    (match Prng.int rng 4 with
+    | 0 -> mutate ()
+    | 1 ->
+      mutate ();
+      mutate ()
+    | 2 ->
+      mutate ();
+      mutate ();
+      mutate ()
+    | _ -> ());
+    let mutated =
+      if Prng.int rng 4 = 3 && Bytes.length b > 1 then
+        Bytes.sub_string b 0 (1 + Prng.int rng (Bytes.length b - 1))
+      else Bytes.to_string b
+    in
+    if not (String.equal mutated original) then f mutated
+  done

@@ -65,6 +65,44 @@ let leaf_digest = function
   | Vo.Max_sentinel -> Record.max_sentinel_digest
   | Vo.Boundary_record r -> Record.digest r
 
+(* Step 3 of §3.3: [fmh_root] is the root the owner signed for the
+   subdomain that contains [x]. *)
+let signed t check ~x ~fmh_root ~n_leaves ~epoch subdomain ~signature =
+  (* a constraint [(rp, rq, side)] holds at [x] when [x] lies on [side]
+     of the intersection of the two functions, a tie counting as above *)
+  let on_side (rp, rq, side) =
+    match (score t rp x, score t rq x) with
+    | Some sp, Some sq ->
+      check "constraint records scorable" Client.Malformed true;
+      let at = if Q.compare sp sq >= 0 then Halfspace.Above else Halfspace.Below in
+      check "x on the constraint's side" Client.Wrong_subdomain (at = side)
+    | _ -> check "constraint records scorable" Client.Malformed false
+  in
+  let digest =
+    match subdomain with
+    | Vo.One_sig_path steps ->
+      let root_hash =
+        List.fold_left
+          (fun h (s : Vo.path_step) ->
+            on_side (s.Vo.rp, s.Vo.rq, s.Vo.taken);
+            let rp_digest = Record.digest s.Vo.rp and rq_digest = Record.digest s.Vo.rq in
+            match s.Vo.taken with
+            | Halfspace.Above ->
+              Ifmh.inode_digest ~rp_digest ~rq_digest ~above:h ~below:s.Vo.sibling
+            | Halfspace.Below ->
+              Ifmh.inode_digest ~rp_digest ~rq_digest ~above:s.Vo.sibling ~below:h)
+          fmh_root steps
+      in
+      Ifmh.root_digest_for_signing ~root_hash ~n_leaves ~epoch
+    | Vo.Multi_sig_constraints cons ->
+      List.iter on_side cons;
+      Ifmh.leaf_digest_for_signing
+        ~prefix:(Ifmh.leaf_signing_prefix t.domain)
+        ~cons_digests:(List.map (fun (rp, rq, side) -> (Record.digest rp, Record.digest rq, side)) cons)
+        ~fmh_root ~n_leaves ~epoch
+  in
+  check "owner's signature" Client.Bad_signature (t.verify_signature digest signature)
+
 (* Steps 1-3 of §3.3: the reply's window is a contiguous run of the
    list signed for the subdomain that contains [x]. *)
 let authenticate t check ~x (resp : Server.response) =
@@ -96,40 +134,8 @@ let authenticate t check ~x (resp : Server.response) =
   in
   check "FMH root rebuilt" Client.Malformed (fmh_root <> None);
   let fmh_root = Option.get fmh_root in
-  (* a constraint [(rp, rq, side)] holds at [x] when [x] lies on [side]
-     of the intersection of the two functions, a tie counting as above *)
-  let on_side (rp, rq, side) =
-    match (score t rp x, score t rq x) with
-    | Some sp, Some sq ->
-      check "constraint records scorable" Client.Malformed true;
-      let at = if Q.compare sp sq >= 0 then Halfspace.Above else Halfspace.Below in
-      check "x on the constraint's side" Client.Wrong_subdomain (at = side)
-    | _ -> check "constraint records scorable" Client.Malformed false
-  in
-  let digest =
-    match vo.Vo.subdomain with
-    | Vo.One_sig_path steps ->
-      let root_hash =
-        List.fold_left
-          (fun h (s : Vo.path_step) ->
-            on_side (s.Vo.rp, s.Vo.rq, s.Vo.taken);
-            let rp_digest = Record.digest s.Vo.rp and rq_digest = Record.digest s.Vo.rq in
-            match s.Vo.taken with
-            | Halfspace.Above ->
-              Ifmh.inode_digest ~rp_digest ~rq_digest ~above:h ~below:s.Vo.sibling
-            | Halfspace.Below ->
-              Ifmh.inode_digest ~rp_digest ~rq_digest ~above:s.Vo.sibling ~below:h)
-          fmh_root steps
-      in
-      Ifmh.root_digest_for_signing ~root_hash ~n_leaves:vo.Vo.n_leaves ~epoch:vo.Vo.epoch
-    | Vo.Multi_sig_constraints cons ->
-      List.iter on_side cons;
-      Ifmh.leaf_digest_for_signing
-        ~prefix:(Ifmh.leaf_signing_prefix t.domain)
-        ~cons_digests:(List.map (fun (rp, rq, side) -> (Record.digest rp, Record.digest rq, side)) cons)
-        ~fmh_root ~n_leaves:vo.Vo.n_leaves ~epoch:vo.Vo.epoch
-  in
-  check "owner's signature" Client.Bad_signature (t.verify_signature digest vo.Vo.signature);
+  signed t check ~x ~fmh_root ~n_leaves:vo.Vo.n_leaves ~epoch:vo.Vo.epoch vo.Vo.subdomain
+    ~signature:vo.Vo.signature;
   n
 
 (* Step 4: re-run the query on the authenticated window, record by
@@ -185,3 +191,80 @@ let verify_rank t ~x ~record_id resp =
       match resp.Server.result with
       | [ r ] -> check "the record asked about" Client.Boundary_violation (Record.id r = record_id)
       | _ -> check "one record" Client.Count_mismatch false)
+
+(* [Count.verify]: four anchors, each a boundary with a positional
+   path, resolve to one FMH root. The outer two lie just outside
+   [\[l, u\]] and their positions give the count; the inner two, present
+   iff the count is not zero, are the window's first and last members,
+   next to the outer ones and inside the range. Returns the checks and,
+   when every check passed, the certified count. *)
+let count t ~x ~l ~u (resp : Count.response) =
+  let certified = ref None in
+  let checks =
+    run (fun check ->
+        check "range bounds ordered" Client.Malformed (Q.compare l u <= 0);
+        check "epoch fresh" Client.Stale_epoch (resp.Count.epoch >= t.min_epoch);
+        check "query point in the domain" Client.Outside_domain
+          (Array.length x = Domain.dim t.domain && Domain.contains t.domain x);
+        let n_leaves = resp.Count.n_leaves in
+        check "list holds a record" Client.Malformed (n_leaves - 2 >= 1);
+        let resolve name (a : Count.anchor) =
+          let pos = Mht.index_of_path ~n:n_leaves ~path:a.Count.path in
+          check (name ^ " anchor has a position") Client.Malformed (pos <> None);
+          (Mht.root_of_path ~leaf:(leaf_digest a.Count.boundary) ~path:a.Count.path, Option.get pos)
+        in
+        let root, il = resolve "left outer" resp.Count.louter in
+        let root_r, ir = resolve "right outer" resp.Count.router in
+        check "outer anchors share one root" Client.Malformed (String.equal root root_r);
+        check "outer positions ordered" Client.Malformed (il < ir && ir <= n_leaves - 1);
+        check "left outer anchor in place" Client.Malformed
+          (match resp.Count.louter.Count.boundary with
+          | Vo.Min_sentinel -> il = 0
+          | Vo.Boundary_record _ -> il >= 1
+          | Vo.Max_sentinel -> false);
+        check "right outer anchor in place" Client.Malformed
+          (match resp.Count.router.Count.boundary with
+          | Vo.Max_sentinel -> ir = n_leaves - 1
+          | Vo.Boundary_record _ -> ir <= n_leaves - 2
+          | Vo.Min_sentinel -> false);
+        (* a record anchor's score, checked scorable; [None] for a sentinel *)
+        let scored name (a : Count.anchor) =
+          match a.Count.boundary with
+          | Vo.Boundary_record r ->
+            let s = score t r x in
+            check (name ^ " record scorable") Client.Malformed (s <> None);
+            s
+          | Vo.Min_sentinel | Vo.Max_sentinel -> None
+        in
+        Option.iter
+          (fun s -> check "left outer record below l" Client.Boundary_violation (Q.compare s l < 0))
+          (scored "left outer" resp.Count.louter);
+        Option.iter
+          (fun s -> check "right outer record above u" Client.Boundary_violation (Q.compare s u > 0))
+          (scored "right outer" resp.Count.router);
+        let count = ir - il - 1 in
+        (match resp.Count.inner with
+        | None -> check "inner anchors for a nonzero count" Client.Count_mismatch (count = 0)
+        | Some (first, last) ->
+          check "no inner anchors for a zero count" Client.Count_mismatch (count > 0);
+          let root_f, i_f = resolve "first inner" first in
+          let root_l, i_l = resolve "last inner" last in
+          check "inner anchors share the root" Client.Malformed
+            (String.equal root_f root && String.equal root_l root);
+          check "inner anchors next to the outer ones" Client.Malformed
+            (i_f = il + 1 && i_l = ir - 1);
+          (* a sentinel never satisfies a value condition *)
+          let in_range name a =
+            match scored name a with
+            | Some s ->
+              check (name ^ " record in range") Client.Boundary_violation
+                (Q.compare l s <= 0 && Q.compare s u <= 0)
+            | None -> check (name ^ " anchor is a record") Client.Boundary_violation false
+          in
+          in_range "first inner" first;
+          in_range "last inner" last);
+        signed t check ~x ~fmh_root:root ~n_leaves ~epoch:resp.Count.epoch resp.Count.subdomain
+          ~signature:resp.Count.signature;
+        certified := Some count)
+  in
+  (checks, !certified)

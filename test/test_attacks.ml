@@ -354,35 +354,8 @@ let test_update_replay scheme () =
 
 (* ------------------------- byte-level fuzzer ------------------------ *)
 
-(* [attempts] mutants of [original] — 1-3 bit flips and/or a
-   truncation each, drawn from [seed] — skipping any that came out
-   byte-identical *)
-let iter_mutants ~seed ~attempts original f =
-  let rng = Prng.create seed in
-  for _ = 1 to attempts do
-    let b = Bytes.of_string original in
-    let mutate () =
-      let i = Prng.int rng (Bytes.length b) in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Prng.int rng 8)))
-    in
-    (* 1-3 byte flips, or a truncation *)
-    (match Prng.int rng 4 with
-    | 0 -> mutate ()
-    | 1 ->
-      mutate ();
-      mutate ()
-    | 2 ->
-      mutate ();
-      mutate ();
-      mutate ()
-    | _ -> ());
-    let mutated =
-      if Prng.int rng 4 = 3 && Bytes.length b > 1 then
-        Bytes.sub_string b 0 (1 + Prng.int rng (Bytes.length b - 1))
-      else Bytes.to_string b
-    in
-    if not (String.equal mutated original) then f mutated
-  done
+(* the mutation rule every decoder fuzz test shares (test/ref/util_ref.ml) *)
+let iter_mutants = Aqv_ref.Util_ref.iter_mutants
 
 let encoded enc v =
   let w = Aqv_util.Wire.writer () in
@@ -1539,6 +1512,143 @@ let reference_law =
                     li.law_name expected fresh warm)
            (List.init 40 Fun.id)))
 
+(* [Count.verify] decides every count reply as [Verify_ref.count] does,
+   and certifies the count the reference certifies. The replies: honest
+   answers; the answer for another range at the same point; an anchor's
+   boundary swapped with another anchor's or replaced by a sentinel;
+   one anchor taken from the answer for another range; one path cut
+   short; an inner anchor exchanged with the outer one next to it;
+   bounds asked in the wrong order; random byte mutations that still
+   decode. Each is decided by a fresh ctx and by one warm ctx that sees
+   the whole sequence, under a minimum epoch drawn per reply, on the
+   tables and versions of the law above. *)
+let count_anchors (r : Count.response) =
+  match r.Count.inner with
+  | None -> [ r.Count.louter; r.Count.router ]
+  | Some (first, last) -> [ r.Count.louter; r.Count.router; first; last ]
+
+let with_anchors (r : Count.response) = function
+  | [ louter; router ] -> { r with Count.louter; router; inner = None }
+  | [ louter; router; first; last ] -> { r with Count.louter; router; inner = Some (first, last) }
+  | _ -> invalid_arg "with_anchors"
+
+let count_case li rng ~points =
+  let t = li.law_table in
+  let n = Table.size t in
+  let x = points.(Prng.int rng (Array.length points)) in
+  let scores = Workload.scores_at t x in
+  let score_at () = snd scores.(Prng.int rng n) in
+  (* bounds on a score or between two: both ties and strict ones *)
+  let bounds () =
+    let a = score_at () and b = score_at () in
+    let l, u = if Q.compare a b <= 0 then (a, b) else (b, a) in
+    ( (if Prng.bool rng then l else Q.sub l (Q.of_ints 1 7)),
+      if Prng.bool rng then u else Q.add u (Q.of_ints 1 5) )
+  in
+  let version = li.versions.(Prng.int rng 2) in
+  let l, u = bounds () in
+  let honest = Count.answer version ~x ~l ~u in
+  let other =
+    let l', u' = bounds () in
+    Count.answer version ~x ~l:l' ~u:u'
+  in
+  let anchors = Array.of_list (count_anchors honest) in
+  let pick () = Prng.int rng (Array.length anchors) in
+  let rebuilt () = with_anchors honest (Array.to_list anchors) in
+  let reply =
+    match Prng.int rng 9 with
+    | 0 | 1 -> honest
+    | 2 -> other
+    | 3 ->
+      let i = pick () in
+      (match Prng.int rng 3 with
+      | 0 -> anchors.(i) <- { (anchors.(i)) with Count.boundary = Vo.Min_sentinel }
+      | 1 -> anchors.(i) <- { (anchors.(i)) with Count.boundary = Vo.Max_sentinel }
+      | _ ->
+        let j = pick () in
+        let bi = anchors.(i).Count.boundary in
+        anchors.(i) <- { (anchors.(i)) with Count.boundary = anchors.(j).Count.boundary };
+        anchors.(j) <- { (anchors.(j)) with Count.boundary = bi });
+      rebuilt ()
+    | 4 ->
+      let theirs = Array.of_list (count_anchors other) in
+      let i = pick () in
+      if i < Array.length theirs then anchors.(i) <- theirs.(i);
+      rebuilt ()
+    | 5 ->
+      let i = pick () in
+      (match anchors.(i).Count.path with
+      | [] -> ()
+      | _ :: rest as path ->
+        let path = if Prng.bool rng then rest else List.filteri (fun k _ -> k < List.length path - 1) path in
+        anchors.(i) <- { (anchors.(i)) with Count.path });
+      rebuilt ()
+    | 6 ->
+      if Array.length anchors = 4 then begin
+        let k = Prng.int rng 2 in
+        let outer = anchors.(k) in
+        anchors.(k) <- anchors.(k + 2);
+        anchors.(k + 2) <- outer
+      end;
+      rebuilt ()
+    | 7 ->
+      let bytes = encoded Count.encode honest in
+      let rec decodable tries =
+        if tries = 0 then honest
+        else
+          match Count.decode (Aqv_util.Wire.reader (mutant rng bytes)) with
+          | exception (Failure _ | Invalid_argument _) -> decodable (tries - 1)
+          | m -> m
+      in
+      decodable 20
+    | _ -> honest
+  in
+  (* the last case asks with the bounds in the wrong order *)
+  let l, u = if Prng.int rng 9 = 0 then (u, l) else (l, u) in
+  (x, l, u, reply)
+
+let count_decision ctx ~x ~l ~u resp =
+  match Count.verify ctx ~x ~l ~u resp with
+  | Ok c -> Printf.sprintf "accepted %d" c
+  | Error r -> Client.rejection_to_string r
+
+let ref_count_decision (checks, certified) =
+  match (Verify_ref.first_failure checks, certified) with
+  | Some c, _ -> Client.rejection_to_string c.Verify_ref.reject
+  | None, Some c -> Printf.sprintf "accepted %d" c
+  | None, None -> "accepted, no count"
+
+let count_reference_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~long_factor:20 ~name:"count = reference, fresh and warm"
+       QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+       (fun (pick, seed) ->
+         let indexes = Lazy.force law_indexes in
+         let li = indexes.(pick mod Array.length indexes) in
+         let t = li.law_table and kp = Lazy.force keypair in
+         let rng = Prng.create (Int64.of_int seed) in
+         let make () =
+           Client.make_ctx ~template:(Table.template t) ~domain:(Table.domain t)
+             ~verify_signature:kp.Signer.verify
+         in
+         let warm = make () in
+         let points = Array.init 3 (fun _ -> Workload.weight_point t rng) in
+         List.for_all
+           (fun _ ->
+             let x, l, u, resp = count_case li rng ~points in
+             let min_epoch = [| 0; 1; 2 |].(Prng.int rng 3) in
+             let reference =
+               Verify_ref.make ~template:(Table.template t) ~domain:(Table.domain t)
+                 ~verify_signature:kp.Signer.verify ~min_epoch
+             in
+             let expected = ref_count_decision (Verify_ref.count reference ~x ~l ~u resp) in
+             let fresh = count_decision (Client.with_min_epoch (make ()) min_epoch) ~x ~l ~u resp
+             and warm = count_decision (Client.with_min_epoch warm min_epoch) ~x ~l ~u resp in
+             String.equal expected fresh && String.equal expected warm
+             || QCheck.Test.fail_reportf "%s: reference %S, fresh ctx %S, warm ctx %S"
+                  li.law_name expected fresh warm)
+           (List.init 40 Fun.id)))
+
 let () =
   Alcotest.run "aqv_attacks"
     [
@@ -1649,5 +1759,5 @@ let () =
           Alcotest.test_case "multi-sig held pair reused" `Quick
             (test_signature_memo_reuse (Lazy.force index_multi));
         ] );
-      ("reference verifier", [ reference_law ]);
+      ("reference verifier", [ reference_law; count_reference_law ]);
     ]

@@ -8,9 +8,10 @@
    (replication == recovery == hot-swap). Around it: hub catch-up mode
    selection (nothing / backlog suffix / snapshot), slow-follower
    backpressure (drop, never stall the primary), follower crash with a
-   torn WAL tail + re-subscribe + reconverge, and epoch-minimum
-   routing with failover. CI runs this binary under AQV_DOMAINS=1
-   and =2. *)
+   torn WAL tail + re-subscribe + reconverge, epoch-minimum routing
+   with failover, and all of it at once under seeded network faults
+   on the replication stream and the client link. CI runs this binary
+   under AQV_DOMAINS=1 and =2. *)
 
 module Prng = Aqv_util.Prng
 module Wire = Aqv_util.Wire
@@ -29,6 +30,7 @@ module Roundtrip = Aqv_serve.Roundtrip
 module Hub = Aqv_cluster.Hub
 module Follower = Aqv_cluster.Follower
 module Router = Aqv_cluster.Router
+module Fault_net = Aqv_ref.Fault_net
 open Aqv
 
 (* feeders write to sockets whose peers tests close deliberately *)
@@ -158,12 +160,13 @@ type node = {
   mutable n_stopped : bool;
 }
 
-let start_node ?hub ?(accept_republish = true) ~store index =
+let start_node ?hub ?(accept_republish = true) ?(port = 0) ?(drain_timeout = 2.)
+    ~store index =
   let config =
     {
       Engine.default_config with
-      port = 0;
-      drain_timeout = 2.;
+      port;
+      drain_timeout;
       store = Some store;
       accept_republish;
       publisher = Option.map Hub.publisher hub;
@@ -799,6 +802,200 @@ let test_router_sheds_past_bound () =
       in
       served_again ())
 
+(* -------------------------- composed faults ------------------------- *)
+
+(* The whole cluster at once, with seeded faults on two links. A
+   primary (store + hub) takes the owner's republishes on a clean link;
+   a follower tails it through proxy A, which delays, truncates and
+   drops replication frames; a router over both serves verifying
+   clients through proxy B, which does the same to replies. Mid-run the
+   follower is stopped and restarted from its own store, on its old
+   port so the router finds it again. What must hold:
+   - every reply a client accepts is byte-identical to
+     [Protocol.handle] on the owner's index at that reply's epoch;
+   - the primary serves the owner's last acked epoch;
+   - once the owner is done, the follower converges to the primary's
+     bytes;
+   - both proxies fired every kind of fault.
+   The run lasts until the owner is done and both proxies have fired
+   every kind, bounded by a deadline. *)
+
+let composed_deltas = 6
+
+(* per-mille rates for both proxies: about one frame in five is hit *)
+let composed_schedule seed =
+  Fault_net.schedule ~seed ~delay_permille:100 ~max_delay_ms:5 ~truncate_permille:60
+    ~drop_permille:60 ()
+
+let fired_every_kind proxy =
+  let c = Fault_net.counts proxy in
+  c.Fault_net.delays >= 1 && c.Fault_net.truncates >= 1 && c.Fault_net.drops >= 1
+
+(* One request through proxy B on a fresh connection: the raw reply
+   bytes, or [None] when a fault or a restart cut the exchange. *)
+let ask_raw ~port payload =
+  match Roundtrip.connect ~opts:{ Roundtrip.default_opts with attempts = 2 } port with
+  | exception Failure _ -> None
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        match
+          ignore (Frame_io.write_frame ~timeout:2. fd payload);
+          Frame_io.read_frame ~header_timeout:2. ~body_timeout:2. fd
+        with
+        | reply -> reply
+        | exception e when Roundtrip.transient e -> None)
+
+let encoded f v =
+  let w = Wire.writer () in
+  f w v;
+  Wire.contents w
+
+let run_composed_faults seed =
+  with_dir (fun pdir ->
+      with_dir (fun fdir ->
+          let prng = Prng.create seed in
+          let scheme =
+            if Int64.rem seed 2L = 0L then Ifmh.Multi_signature else Ifmh.One_signature
+          in
+          let index1, steps = gen_chain ~scheme ~dims:1 prng composed_deltas in
+          let last_epoch = composed_deltas + 1 in
+          (* the owner's index at every epoch, computed before the run *)
+          let owner = Array.of_list (index1 :: List.map (fun (_, _, u) -> u) steps) in
+          let bundle = Protocol.bundle_of_index index1 Signer.Unverifiable in
+          let ctx =
+            Client.make_ctx ~template:bundle.Protocol.template ~domain:bundle.Protocol.domain
+              ~verify_signature:fake_keypair.Signer.verify
+          in
+          let table = Ifmh.table index1 in
+          let x = Aqv_num.Domain.center (Table.domain table) in
+          let queries =
+            let l, u = Workload.range_for_result_size table ~x ~size:2 in
+            Array.of_list
+              (Query.range ~x ~l ~u :: List.init 3 (fun k -> Query.top_k ~x ~k:(k + 1)))
+          in
+          let hub = Hub.create ~heartbeat_interval:0.01 ~initial:index1 () in
+          let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
+          let proxy_a =
+            Fault_net.start ~upstream:(Engine.port primary.n_engine)
+              (composed_schedule (Int64.add seed 1L))
+          in
+          let follower =
+            ref
+              (start_node ~accept_republish:false ~drain_timeout:0.2
+                 ~store:(Store.publish ~dir:fdir index1) index1)
+          in
+          let follower_port = Engine.port !follower.n_engine in
+          let tail =
+            ref (Follower.start ~engine:!follower.n_engine ~port:(Fault_net.port proxy_a) ())
+          in
+          let router =
+            Router.create ~poll_interval:0.05
+              ~replicas:
+                [
+                  (Unix.inet_addr_loopback, Engine.port primary.n_engine);
+                  (Unix.inet_addr_loopback, follower_port);
+                ]
+              ()
+          in
+          let rth = Thread.create Router.serve router in
+          let proxy_b =
+            Fault_net.start ~upstream:(Router.port router) (composed_schedule (Int64.add seed 2L))
+          in
+          let running = Atomic.make true in
+          let accepted = Atomic.make 0 and wrong = Atomic.make 0 in
+          let client i =
+            let prng = Prng.create (Int64.add seed (Int64.of_int (10 + i))) in
+            while Atomic.get running do
+              let q = queries.(Prng.int prng (Array.length queries)) in
+              let request = Protocol.Run_query q in
+              let payload = encoded Protocol.encode_request request in
+              (match ask_raw ~port:(Fault_net.port proxy_b) payload with
+              | None -> ()
+              | Some bytes -> (
+                match Protocol.decode_reply (Wire.reader bytes) with
+                | Protocol.Answer resp when Client.accepts ctx q resp ->
+                  let e = resp.Server.vo.Vo.epoch in
+                  if
+                    e >= 1 && e <= last_epoch
+                    && String.equal bytes
+                         (encoded Protocol.encode_reply (Protocol.handle owner.(e - 1) request))
+                  then Atomic.incr accepted
+                  else Atomic.incr wrong
+                | _ | (exception (Failure _ | Invalid_argument _)) -> ()));
+              Thread.delay 0.002
+            done
+          in
+          let clients = List.init 2 (fun i -> Thread.create client i) in
+          let stop_clients () =
+            if Atomic.exchange running false then List.iter Thread.join clients
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              stop_clients ();
+              Fault_net.stop proxy_b;
+              Router.stop router;
+              Thread.join rth;
+              Follower.stop !tail;
+              Fault_net.stop proxy_a;
+              stop_node primary;
+              stop_node !follower)
+            (fun () ->
+              List.iteri
+                (fun i (_, delta, updated) ->
+                  Thread.delay 0.08;
+                  (match
+                     Roundtrip.call ~port:(Engine.port primary.n_engine)
+                       (Protocol.Republish delta)
+                   with
+                  | Protocol.Republished e ->
+                    check Alcotest.int "acked epoch" (Ifmh.epoch updated) e
+                  | _ -> Alcotest.fail "expected Republished");
+                  if i = (composed_deltas / 2) - 1 then begin
+                    (* stop the follower and restart it from its store *)
+                    Follower.stop !tail;
+                    stop_node !follower;
+                    let store, recovered, _ = expect_recovered fdir in
+                    check Alcotest.string "follower recovers the owner's bytes"
+                      (hex (save_bytes owner.(Ifmh.epoch recovered - 1)))
+                      (hex (save_bytes recovered));
+                    follower :=
+                      start_node ~accept_republish:false ~port:follower_port
+                        ~drain_timeout:0.2 ~store recovered;
+                    tail :=
+                      Follower.start ~engine:!follower.n_engine
+                        ~port:(Fault_net.port proxy_a) ()
+                  end)
+                steps;
+              check Alcotest.int "primary serves the last acked epoch" last_epoch
+                (node_epoch primary);
+              check Alcotest.string "primary = owner"
+                (hex (save_bytes owner.(last_epoch - 1)))
+                (hex (node_image primary));
+              check Alcotest.bool "follower converges" true
+                (await 10. (fun () -> node_epoch !follower = last_epoch));
+              check Alcotest.string "follower = primary" (hex (node_image primary))
+                (hex (node_image !follower));
+              check Alcotest.bool "proxy A fired every kind of fault" true
+                (await 10. (fun () -> fired_every_kind proxy_a));
+              check Alcotest.bool "proxy B fired every kind of fault" true
+                (await 10. (fun () -> fired_every_kind proxy_b));
+              check Alcotest.bool "clients accepted replies" true
+                (await 10. (fun () -> Atomic.get accepted >= 20));
+              stop_clients ();
+              check Alcotest.int "every accepted reply is the owner's" 0 (Atomic.get wrong);
+              true)))
+
+(* No shrinker: a case is a timed run of the whole cluster; the seed of
+   a failure is printed as found. QCHECK_LONG=1 runs eight seeds. *)
+let test_composed_faults =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1 ~long_factor:8
+       ~name:"primary, follower and router under seeded faults"
+       (QCheck.make ~print:Int64.to_string QCheck.Gen.(map Int64.of_int (int_bound 1_000_000)))
+       run_composed_faults)
+
 let () =
   Alcotest.run "aqv_cluster"
     [
@@ -829,4 +1026,5 @@ let () =
             test_router_epoch_minimum;
           Alcotest.test_case "connection bound" `Quick test_router_sheds_past_bound;
         ] );
+      ("composed faults", [ test_composed_faults ]);
     ]

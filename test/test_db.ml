@@ -459,6 +459,30 @@ let test_spec_valid_parses () =
     check Alcotest.int "default replicas" 1 s.Spec.replicas
   | Error e -> Alcotest.failf "valid spec rejected: %s" (Spec.error_to_string e)
 
+(* Byte mutants of every checked-in spec (workloads/*.json, which the
+   test's dune deps copy next to the build's test directory) through
+   [Spec.load]: each gives [Ok] or a typed [Error], never an
+   exception. *)
+let test_spec_fuzz () =
+  let dir = Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "workloads" in
+  let specs = List.filter (fun f -> Filename.check_suffix f ".json") (Array.to_list (Sys.readdir dir)) in
+  check Alcotest.bool "specs found" true (specs <> []);
+  let path = Filename.temp_file "aqv-spec" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iteri
+        (fun i name ->
+          let original = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
+          Aqv_ref.Util_ref.iter_mutants ~seed:(Int64.of_int (700 + i)) ~attempts:200 original
+            (fun mutated ->
+              Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc mutated);
+              match Spec.load path with
+              | Ok _ | Error _ -> ()
+              | exception e ->
+                Alcotest.failf "%s mutant %S raised %s" name mutated (Printexc.to_string e)))
+        specs)
+
 let () =
   Alcotest.run "aqv_db"
     [
@@ -510,5 +534,6 @@ let () =
           Alcotest.test_case "mix not normalized" `Quick test_spec_mix_not_normalized;
           Alcotest.test_case "unknown query type" `Quick test_spec_unknown_query_type;
           Alcotest.test_case "valid spec parses" `Quick test_spec_valid_parses;
+          Alcotest.test_case "byte mutants load or fail typed" `Quick test_spec_fuzz;
         ] );
     ]

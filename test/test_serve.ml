@@ -1,6 +1,7 @@
 (* Tests for the serving runtime (lib/serve) and the protocol framing
    hardening that rides with it: exact-integer histograms, the LRU
-   response cache, deterministic fault injection, edge cases of the
+   response cache, deterministic fault injection through the test-side
+   frame proxy ([Aqv_ref.Fault_net]), edge cases of the
    [Frame_io] framer every serving component runs (truncated / oversized
    / junk — must fail cleanly, never hang or over-allocate), and the
    concurrent engine itself (interleaving, per-connection deadlines,
@@ -18,7 +19,7 @@ module Engine = Aqv_serve.Engine
 module Roundtrip = Aqv_serve.Roundtrip
 module Frame_io = Aqv_serve.Frame_io
 module Cache = Aqv_serve.Cache
-module Faults = Aqv_serve.Faults
+module Fault_net = Aqv_ref.Fault_net
 module Stats = Aqv_serve.Stats
 open Aqv
 
@@ -156,15 +157,15 @@ let test_cache_one_off_flood () =
 let test_faults_deterministic () =
   let draw_all seed =
     let f =
-      Faults.create ~seed ~delay_permille:100 ~truncate_permille:150
+      Fault_net.schedule ~seed ~delay_permille:100 ~truncate_permille:150
         ~drop_permille:150 ()
     in
     List.init 200 (fun _ ->
-        match Faults.draw f ~frame_len:64 with
+        match Fault_net.draw f ~frame_len:64 with
         | None -> "n"
-        | Some (Faults.Delay d) -> Printf.sprintf "d%f" d
-        | Some (Faults.Truncate k) -> Printf.sprintf "t%d" k
-        | Some Faults.Drop -> "x")
+        | Some (Fault_net.Delay d) -> Printf.sprintf "d%f" d
+        | Some (Fault_net.Truncate k) -> Printf.sprintf "t%d" k
+        | Some Fault_net.Drop -> "x")
   in
   check
     Alcotest.(list string)
@@ -175,13 +176,13 @@ let test_faults_deterministic () =
   check Alcotest.bool "some clean sends" true (List.mem "n" trace)
 
 let test_faults_bounds () =
-  let f = Faults.create ~seed:1L ~truncate_permille:1000 () in
+  let f = Fault_net.schedule ~seed:1L ~truncate_permille:1000 () in
   for _ = 1 to 100 do
-    match Faults.draw f ~frame_len:10 with
-    | Some (Faults.Truncate k) -> assert (k >= 0 && k < 10)
+    match Fault_net.draw f ~frame_len:10 with
+    | Some (Fault_net.Truncate k) -> assert (k >= 0 && k < 10)
     | _ -> Alcotest.fail "expected Truncate"
   done;
-  (match Faults.create ~seed:1L ~drop_permille:2000 () with
+  (match Fault_net.schedule ~seed:1L ~drop_permille:2000 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad permille accepted")
 
@@ -449,30 +450,34 @@ let test_session_writer_reuse () =
               | None -> Alcotest.fail "connection closed")
             exchanges))
 
+(* The engine's replies pass through a seeded frame proxy that
+   delays, truncates and drops them; the client retries through it. *)
 let test_fault_injection_never_corrupts () =
   let faults =
-    Faults.create ~seed:909L ~delay_permille:100 ~max_delay_ms:5
+    Fault_net.schedule ~seed:909L ~delay_permille:100 ~max_delay_ms:5
       ~truncate_permille:120 ~drop_permille:120 ()
   in
-  let config = { Engine.default_config with faults = Some faults } in
-  with_engine ~config (fun t port ->
-      let opts = { Roundtrip.default_opts with attempts = 12; backoff = 0.01 } in
-      (* repeated identical queries: any cached corruption would come
-         back verbatim and fail client verification *)
-      for i = 0 to 29 do
-        let k = 2 + (i mod 2) in
-        expect_verified_topk k
-          (Roundtrip.call ~opts ~port (Protocol.Run_query (topk_query k)))
-      done;
-      let stats = Engine.stats t in
-      let injected =
-        stat stats "faults_delay"
-        + stat stats "faults_truncate"
-        + stat stats "faults_drop"
-      in
-      check Alcotest.bool "faults actually fired" true (injected >= 1);
-      check Alcotest.bool "cache served hits despite faults" true
-        (stat stats "cache_hits" >= 1))
+  with_engine (fun t port ->
+      let proxy = Fault_net.start ~upstream:port faults in
+      Fun.protect
+        ~finally:(fun () -> Fault_net.stop proxy)
+        (fun () ->
+          let port = Fault_net.port proxy in
+          let opts = { Roundtrip.default_opts with attempts = 12; backoff = 0.01 } in
+          (* repeated identical queries: any cached corruption would come
+             back verbatim and fail client verification *)
+          for i = 0 to 29 do
+            let k = 2 + (i mod 2) in
+            expect_verified_topk k
+              (Roundtrip.call ~opts ~port (Protocol.Run_query (topk_query k)))
+          done;
+          let fired = Fault_net.counts proxy in
+          let injected =
+            fired.Fault_net.delays + fired.Fault_net.truncates + fired.Fault_net.drops
+          in
+          check Alcotest.bool "faults actually fired" true (injected >= 1);
+          check Alcotest.bool "cache served hits despite faults" true
+            (stat (Engine.stats t) "cache_hits" >= 1)))
 
 (* ----------------------------- hot swap ----------------------------- *)
 

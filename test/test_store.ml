@@ -26,6 +26,7 @@ module Snapshot = Aqv_store.Snapshot
 module Wal = Aqv_store.Wal
 module Store = Aqv_store.Store
 module Store_ref = Aqv_ref.Store_ref
+module Util_ref = Aqv_ref.Util_ref
 module Engine = Aqv_serve.Engine
 module Stats = Aqv_serve.Stats
 module Roundtrip = Aqv_serve.Roundtrip
@@ -782,6 +783,55 @@ let test_fsck_epoch_gap () =
       Store_ref.append_frame dir { Wal.base_epoch = 7; delta = "bogus" };
       expect_error "Epoch_gap" (fsck_agrees dir))
 
+(* --------------------------- payload fuzz --------------------------- *)
+
+(* The decoders behind the log's CRC: byte mutants of each payload of a
+   3-frame log, written back with their length and CRC recomputed so
+   that the scan hands them to replay. [Store.fsck] and then
+   [Store.open_dir] must each give [Ok] or a typed error, never another
+   exception, and agree. *)
+let wal_payloads log =
+  let rec go pos acc =
+    if pos >= String.length log then List.rev acc
+    else
+      let len = Crc32.read_be32 log pos in
+      go (pos + 8 + len) (String.sub log (pos + 8) len :: acc)
+  in
+  go (String.length "AQVWAL1\n") []
+
+let wal_frame payload =
+  Crc32.be32 (String.length payload) ^ Crc32.be32 (Crc32.string payload) ^ payload
+
+let test_wal_payload_fuzz () =
+  with_dir (fun dir ->
+      let _ = seed_store ~dims:1 ~scheme:Ifmh.Multi_signature (Prng.create 85L) dir 3 in
+      let wal_path = Store_ref.wal_path dir and snapshot_path = Store.snapshot_path dir in
+      let log = read_file wal_path and snapshot = read_file snapshot_path in
+      let payloads = wal_payloads log in
+      check Alcotest.int "three frames" 3 (List.length payloads);
+      let verdicts = Hashtbl.create 8 in
+      List.iteri
+        (fun i payload ->
+          Util_ref.iter_mutants ~seed:(Int64.of_int (850 + i)) ~attempts:40 payload (fun mutated ->
+              write_file snapshot_path snapshot;
+              write_file wal_path
+                (String.concat ""
+                   ("AQVWAL1\n"
+                   :: List.mapi (fun j p -> wal_frame (if j = i then mutated else p)) payloads));
+              let verdict =
+                match fsck_agrees dir with
+                | Ok r -> Printf.sprintf "Ok at epoch %d" r.Store.final_epoch
+                | Error e -> err_name e
+                | exception e ->
+                  Alcotest.failf "frame %d mutant %s raised %s" i (hex mutated)
+                    (Printexc.to_string e)
+              in
+              Hashtbl.replace verdicts verdict ()))
+        payloads;
+      (* the mutants reached the replay: some were refused by it *)
+      check Alcotest.bool "some mutants refused at replay" true
+        (Hashtbl.mem verdicts "Decode_failed" || Hashtbl.mem verdicts "Replay_failed"))
+
 (* -------------------------- crash explorer -------------------------- *)
 
 (* Every crash point of a store run, on the recording in-memory file
@@ -812,11 +862,13 @@ type run = {
    in-memory store: an append acks the owner's next epoch, a failed
    append is refused by an injected write fault, a compaction folds the
    log at the acked epoch. With [dir_fsync_fails = i], the i-th
-   directory fsync fails; only then may publish or compaction raise. *)
-let drive ?dir_fsync_fails prng steps =
+   directory fsync fails; only then may publish or compaction raise.
+   The owner's table is 1-D, under [scheme] (multi-signature by
+   default). *)
+let drive ?dir_fsync_fails ?(scheme = Ifmh.Multi_signature) prng steps =
   let table = gen_table ~dims:1 prng in
   let n = List.length steps in
-  let indexes = Array.make (n + 1) (Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair) in
+  let indexes = Array.make (n + 1) (Ifmh.build ~scheme ~epoch:1 table fake_keypair) in
   let deltas =
     let tbl = ref table in
     Array.init n (fun i ->
@@ -938,6 +990,15 @@ let test_explore model () =
     (match List.rev run.marks with (_, Some e, _) :: _ -> e | _ -> 0);
   expect_explored "fixed run" run (explore ~model run)
 
+(* The same run on a one-signature table: one signed root per epoch,
+   so the snapshot and every delta frame have another shape. *)
+let test_explore_one_signature () =
+  let run = drive ~scheme:Ifmh.One_signature (Prng.create 91L) fixed_run in
+  List.iter
+    (fun (name, model) ->
+      expect_explored ("one-signature fixed run, " ^ name) run (explore ~model run))
+    [ ("reordering model", Mem_io.Reordering); ("in-order model", Mem_io.In_order) ]
+
 (* Each directory fsync of the run fails once in turn. A failed fsync of
    the compacted snapshot's directory must stop compaction before the
    log reset: if the reset went ahead, a crash that keeps the truncated
@@ -973,6 +1034,7 @@ let explorer_tests =
   [
     Alcotest.test_case "fixed run, reordering model" `Quick (test_explore Mem_io.Reordering);
     Alcotest.test_case "fixed run, in-order model" `Quick (test_explore Mem_io.In_order);
+    Alcotest.test_case "one-signature table, both models" `Quick test_explore_one_signature;
     Alcotest.test_case "a directory fsync fails" `Quick test_explore_dir_fsync_fails;
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:2 ~long_factor:10 ~name:"random runs, both models" arb_run
@@ -1161,6 +1223,7 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_fsck_torn_tail;
           Alcotest.test_case "stale frames" `Quick test_fsck_stale_frames;
           Alcotest.test_case "epoch gap" `Quick test_fsck_epoch_gap;
+          Alcotest.test_case "wal payload mutants" `Quick test_wal_payload_fuzz;
         ] );
       ("crash explorer", explorer_tests);
       ( "engine",
