@@ -1149,9 +1149,11 @@ let micro_tests () =
   (* 400 distinct replies of the multi-signature range row's shape, each
      at a point of its own, decoded twice: the ctx is warmed on the
      server's own response objects, and the rows run all first copies,
-     then all second ones. A record hit then always compares attributes
-     ([Record.equal]) after reaching the entry, the record and its
-     payload, as on a freshly decoded reply; no hit stops at [==]. *)
+     then all second ones. The decoded records come from the decoder's
+     intern table, shared by both copies, but none is the memo's, so a
+     record hit always compares attributes ([Record.equal]) after
+     reaching the entry, the record and its payload; no hit stops at
+     [==]. *)
   let stream_verifier =
     let srng = Prng.create 0x5EE7L in
     let replies =
@@ -1200,8 +1202,58 @@ let micro_tests () =
       ~attrs:(Array.init (Aqv_db.Record.arity hot_record) (Aqv_db.Record.attr hot_record))
       ~payload:(Aqv_db.Record.payload hot_record) ()
   in
-  (* hot_reply as a client decodes it: the same bytes, no record filled *)
-  let cold_reply () = Protocol.decode_reply (Aqv_util.Wire.reader hot_bytes) in
+  (* hot_reply as a client first decodes it: the same bytes, no record
+     filled. Each of hot_table's ids is decoded under other bytes first,
+     so every record misses the decoder's intern table and is fresh. *)
+  let evict =
+    let w = Aqv_util.Wire.writer () in
+    Array.iter
+      (fun r ->
+        Aqv_db.Record.encode w
+          (Aqv_db.Record.make ~id:(Aqv_db.Record.id r)
+             ~attrs:(Array.init (Aqv_db.Record.arity r) (Aqv_db.Record.attr r))
+             ~payload:"evict" ()))
+      (Table.records hot_table);
+    Aqv_util.Wire.contents w
+  in
+  let cold_reply () =
+    let r = Aqv_util.Wire.reader evict in
+    for _ = 1 to Table.size hot_table do
+      ignore (Aqv_db.Record.decode r)
+    done;
+    Protocol.decode_reply (Aqv_util.Wire.reader hot_bytes)
+  in
+  (* two hot-read-shaped records under one id, decoded in turn: each
+     finds the other's span in its slot, so every decode misses *)
+  let miss_bytes =
+    Array.map
+      (fun r ->
+        let w = Aqv_util.Wire.writer () in
+        Aqv_db.Record.encode w r;
+        Aqv_util.Wire.contents w)
+      [|
+        hot_record;
+        Aqv_db.Record.make ~id:(Aqv_db.Record.id hot_record)
+          ~attrs:(Array.init (Aqv_db.Record.arity other_record) (Aqv_db.Record.attr other_record))
+          ();
+      |]
+  in
+  let next_miss = ref 0 in
+  (* 400 distinct replies of hot_reply's shape, each at a point of its
+     own, decoded in turn: no reply object is reused, while their
+     records hit the intern table *)
+  let stream_bytes =
+    let srng = Prng.create 0xDEC0L in
+    Array.init 400 (fun _ ->
+        let x = Workload.weight_point hot_table srng in
+        let l, u =
+          Workload.range_for_result_size hot_table ~x ~size:(min 100 (Table.size hot_table))
+        in
+        let w = Aqv_util.Wire.writer () in
+        Protocol.encode_reply w (Protocol.Answer (Server.answer hot (Query.range ~x ~l ~u)));
+        Aqv_util.Wire.contents w)
+  in
+  let next_stream = ref 0 in
   ( [
     (* a run that does nothing: what the clock and the harness cost *)
     Test.make ~name:"floor" (Staged.stage (fun () -> ()));
@@ -1248,8 +1300,18 @@ let micro_tests () =
            let w = Aqv_util.Wire.writer () in
            Protocol.encode_reply w hot_reply;
            w));
+    (* the same bytes every run: after the first, every record is an
+       intern-table hit *)
     Test.make ~name:"reply-decode-hot"
       (Staged.stage (fun () -> Protocol.decode_reply (Aqv_util.Wire.reader hot_bytes)));
+    Test.make ~name:"reply-decode-stream"
+      (Staged.stage (fun () ->
+           next_stream := (!next_stream + 1) mod Array.length stream_bytes;
+           Protocol.decode_reply (Aqv_util.Wire.reader stream_bytes.(!next_stream))));
+    Test.make ~name:"record-decode-miss"
+      (Staged.stage (fun () ->
+           incr next_miss;
+           Aqv_db.Record.decode (Aqv_util.Wire.reader miss_bytes.(!next_miss land 1))));
     (* writers are allocated outside the timed loop, fresh for each
        sample: a row carries a writer's amortized growth to a few tens
        of KiB, as a wide reply's does, but not its creation *)

@@ -59,11 +59,27 @@ let decode_attrs r =
   | 2 -> let a = Q.decode r in [| a; Q.decode r |]
   | n -> Array.init n (fun _ -> Q.decode r)
 
+(* The intern table (see the interface). A slot changes by one store of
+   a whole immutable entry; [empty], never matched, fills unused ones. *)
+type entry = { span : string; record : t }
+
+let slots = 1 lsl 14
+let empty = { span = ""; record = make ~id:0 ~attrs:[||] () }
+let interned = Array.make slots empty
+
 let decode r =
+  let start = W.position r in
   let id = W.read_varint r in
-  let attrs = decode_attrs r in
-  let payload = W.read_bytes r in
-  { id; attrs; payload; bytes = "" }
+  let slot = id land (slots - 1) in
+  let e = interned.(slot) in
+  if e != empty && W.consume_from r start e.span then e.record
+  else begin
+    let attrs = decode_attrs r in
+    let payload = W.read_bytes r in
+    let record = { id; attrs; payload; bytes = "" } in
+    interned.(slot) <- { span = W.since r start; record };
+    record
+  end
 
 (* Domain-separation tags keep record commitments, the min sentinel and
    the max sentinel in disjoint digest spaces. *)

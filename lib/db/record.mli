@@ -9,9 +9,9 @@
     {b Cached bytes.} Both {!encode} and {!digest} are functions of the
     record's canonical encoding, which never changes once the record
     exists. A record keeps that encoding in one private field, empty
-    after {!make} and {!decode}; the first {!encode} or {!digest} fills
-    it from the record's own fields, never from the bytes it was decoded
-    from, so it is canonical by construction. Every later {!encode} is
+    after {!make}; the first {!encode} or {!digest} fills it from the
+    record's own fields, never from the bytes it was decoded from, so
+    it is canonical by construction. Every later {!encode} is
     one blit and every later {!digest} hashes the kept bytes: a record
     held by the server's index is encoded once, not once per reply.
     {!equal} and {!pp} ignore the field. Compare records with {!equal}
@@ -55,7 +55,11 @@ val encode : Aqv_util.Wire.writer -> t -> unit
     the cached bytes, filling them first if empty. *)
 
 val decode : Aqv_util.Wire.reader -> t
-(** A fresh record, its cached bytes empty: decoding costs no encode. *)
+(** Costs no encode. A process-wide table keeps, at [id land (2^14-1)],
+    the exact bytes a record was last decoded from and that record;
+    input that starts with them returns it, as a fresh decode, reading
+    left to right and stopping where the bytes say, would return an
+    equal record. So records decoded apart may be one value. *)
 
 val digest : t -> string
 (** The paper's [H(r_i)]: SHA-256 of a domain-separation tag and the

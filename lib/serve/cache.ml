@@ -22,6 +22,7 @@ type t = {
   tbl : (string, node) Hashtbl.t;
   sentinel : node;
   door : int array;  (* fingerprints seen once; -1 = empty *)
+  mutable first_offers : int;  (* since the door was last cleared *)
   mu : Mutex.t;
 }
 
@@ -37,6 +38,7 @@ let create ~capacity =
     tbl = Hashtbl.create (max 16 (min capacity 4096));
     sentinel = make_sentinel ();
     door = (if capacity > 0 then Array.make (door_mask + 1) (-1) else [||]);
+    first_offers = 0;
     mu = Mutex.create ();
   }
 
@@ -65,12 +67,18 @@ let find t key =
           push_front t n;
           Some n.value)
 
-(* true on the key's second offer; otherwise remembers its fingerprint *)
+(* true on the key's second offer; otherwise remembers its fingerprint,
+   in a door cleared after as many first offers as it has slots *)
 let admit t key =
   let h = Hashtbl.hash key in
   let slot = h land door_mask in
   t.door.(slot) = h
   || begin
+    t.first_offers <- t.first_offers + 1;
+    if t.first_offers > door_mask then begin
+      Array.fill t.door 0 (door_mask + 1) (-1);
+      t.first_offers <- 0
+    end;
     t.door.(slot) <- h;
     false
   end

@@ -8,7 +8,9 @@
     guaranteed the same reply, so serving the cached bytes is sound.
     A doorkeeper of 2{^14} key fingerprints keeps one-off requests out:
     a key is stored only when it is offered the second time, so replies
-    that never come back cost no entry and evict nothing. Thread-safe;
+    that never come back cost no entry and evict nothing. It forgets
+    every fingerprint after 2{^14} first offers, so a stream that comes
+    round again long after does not churn the table. Thread-safe;
     O(1) lookup and insertion with true LRU eviction. *)
 
 type t

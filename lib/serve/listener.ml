@@ -7,7 +7,7 @@ type t = {
   bound_port : int;
   stopped : bool Atomic.t;
   mu : Mutex.t;
-  mutable active : int; (* guarded by [mu] *)
+  mutable sessions : Unix.file_descr list; (* running, guarded by [mu] *)
 }
 
 let create ~port =
@@ -19,7 +19,7 @@ let create ~port =
   let bound_port =
     match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
   in
-  { sock; bound_port; stopped = Atomic.make false; mu = Mutex.create (); active = 0 }
+  { sock; bound_port; stopped = Atomic.make false; mu = Mutex.create (); sessions = [] }
 
 let port t = t.bound_port
 let stop t = Atomic.set t.stopped true
@@ -27,7 +27,7 @@ let stopped t = Atomic.get t.stopped
 
 let active t =
   Mutex.lock t.mu;
-  let n = t.active in
+  let n = List.length t.sessions in
   Mutex.unlock t.mu;
   n
 
@@ -42,9 +42,10 @@ let overloaded =
 let session_thread t ~on_error session fd =
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      (* closed under [mu]: [serve]'s shutdown never meets a reused fd *)
       Mutex.lock t.mu;
-      t.active <- t.active - 1;
+      t.sessions <- List.filter (fun s -> s <> fd) t.sessions;
+      (try Unix.close fd with Unix.Unix_error _ -> ());
       Mutex.unlock t.mu)
     (fun () ->
       try session fd with
@@ -69,8 +70,8 @@ let serve t ~max_conns ~drain_timeout ~on_shed ~on_error session =
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
       | conn, _ ->
         Mutex.lock t.mu;
-        let admitted = t.active < max_conns in
-        if admitted then t.active <- t.active + 1;
+        let admitted = List.length t.sessions < max_conns in
+        if admitted then t.sessions <- conn :: t.sessions;
         Mutex.unlock t.mu;
         if admitted then ignore (Thread.create (session_thread t ~on_error session) conn)
         else begin
@@ -79,7 +80,12 @@ let serve t ~max_conns ~drain_timeout ~on_shed ~on_error session =
           try Unix.close conn with Unix.Unix_error _ -> ()
         end
   done;
-  (* drain in-flight sessions, bounded *)
+  (* idle sessions read EOF and end, replies in flight still go out *)
+  Mutex.lock t.mu;
+  List.iter
+    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+    t.sessions;
+  Mutex.unlock t.mu;
   let deadline = Unix.gettimeofday () +. drain_timeout in
   while active t > 0 && Unix.gettimeofday () < deadline do
     Thread.delay 0.05

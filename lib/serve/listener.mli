@@ -13,8 +13,8 @@
       accept loop (a refusal costs no thread) and is closed;
     - one thread per admitted session, which closes its fd and releases
       its slot however the session ends;
-    - on stop, a bounded drain of the sessions still running, then the
-      close of the listening socket. *)
+    - on stop, EOF for every session's reads, a bounded drain of the
+      sessions still running, then the close of the listening socket. *)
 
 type t
 
@@ -43,9 +43,11 @@ val serve :
     and every connection past that is refused ([on_shed] is called once
     for each). When [session] raises, [Out_of_memory], [Stack_overflow]
     and [Assert_failure] are re-raised; any other exception is handed
-    to [on_error]. On stop, waits up to [drain_timeout] seconds for
-    running sessions (logging a warning, src ["aqv.listener"], for any
-    still active), then closes the listening socket and returns. *)
+    to [on_error]. On stop, shuts down every session socket's receive
+    side (its reads see EOF, its replies still go out), waits up to
+    [drain_timeout] seconds for running sessions (logging a warning, src
+    ["aqv.listener"], for any still active), then closes the listening
+    socket and returns. *)
 
 val stop : t -> unit
 (** Idempotent, signal-safe: flips the flag the accept loop polls. *)

@@ -204,6 +204,19 @@ let read_signed_uint_be r =
   let v = read_uint_be r in
   if v < 0 then (r.pos <- start; min_int) else if negative then -v else v
 
+let position r = r.pos
+let since r start = String.sub r.data start (r.pos - start)
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* eight bytes at a time, then the last few *)
+let consume_from r start s =
+  let n = String.length s and d = r.data and i = ref 0 in
+  let fits = start >= 0 && n <= String.length d - start in
+  while fits && !i + 8 <= n && (get64u s !i : int64) = get64u d (start + !i) do i := !i + 8 done;
+  while fits && !i < n && String.unsafe_get s !i = String.unsafe_get d (start + !i) do incr i done;
+  fits && !i = n && (r.pos <- start + n; true)
+
 (* built in order, in constant stack, with no reversed copy *)
 let[@tail_mod_cons] rec read_elements r f k =
   if k = 0 then []

@@ -92,6 +92,15 @@ val read_length : reader -> int
 (** A [varint] count or length no larger than the bytes left, as
     [read_bytes] and [read_array] read theirs. *)
 
+val position : reader -> int
+val since : reader -> int -> string
+(** [position r] is the offset of the next byte to read, [since r p]
+    the input from offset [p] up to it. *)
+
+val consume_from : reader -> int -> string -> bool
+(** [consume_from r p s]: whether the input from offset [p] starts with
+    [s]; if so the reader moves just past it, else it stays. *)
+
 val read_list : reader -> (reader -> 'a) -> 'a list
 
 val read_array : reader -> (reader -> 'a) -> 'a array

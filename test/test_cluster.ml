@@ -160,13 +160,12 @@ type node = {
   mutable n_stopped : bool;
 }
 
-let start_node ?hub ?(accept_republish = true) ?(port = 0) ?(drain_timeout = 2.)
-    ~store index =
+let start_node ?hub ?(accept_republish = true) ?(port = 0) ~store index =
   let config =
     {
       Engine.default_config with
       port;
-      drain_timeout;
+      drain_timeout = 2.;
       store = Some store;
       accept_republish;
       publisher = Option.map Hub.publisher hub;
@@ -883,8 +882,7 @@ let run_composed_faults seed =
           in
           let follower =
             ref
-              (start_node ~accept_republish:false ~drain_timeout:0.2
-                 ~store:(Store.publish ~dir:fdir index1) index1)
+              (start_node ~accept_republish:false ~store:(Store.publish ~dir:fdir index1) index1)
           in
           let follower_port = Engine.port !follower.n_engine in
           let tail =
@@ -961,8 +959,7 @@ let run_composed_faults seed =
                       (hex (save_bytes owner.(Ifmh.epoch recovered - 1)))
                       (hex (save_bytes recovered));
                     follower :=
-                      start_node ~accept_republish:false ~port:follower_port
-                        ~drain_timeout:0.2 ~store recovered;
+                      start_node ~accept_republish:false ~port:follower_port ~store recovered;
                     tail :=
                       Follower.start ~engine:!follower.n_engine
                         ~port:(Fault_net.port proxy_a) ()

@@ -136,15 +136,15 @@ let record_bytes_are_oracle =
    byte, unreduced, and under a sign byte other than 0 or 1. A record
    decoded from any of them encodes (and hashes) its fields' canonical
    bytes, never the bytes it was decoded from. *)
+let half_forms =
+  [
+    ("\x00", "\x01", "\x02");
+    ("\x00", "\x00\x01", "\x02");
+    ("\x00", "\x02", "\x04");
+    ("\x07", "\x01", "\x02");
+  ]
+
 let test_record_bytes_not_received () =
-  let half_forms =
-    [
-      ("\x00", "\x01", "\x02");
-      ("\x00", "\x00\x01", "\x02");
-      ("\x00", "\x02", "\x04");
-      ("\x07", "\x01", "\x02");
-    ]
-  in
   let canonical = Record_ref.bytes (Record.make ~id:5 ~attrs:[| Q.of_ints 1 2 |] ~payload:"p" ()) in
   List.iteri
     (fun i (sign, num, den) ->
@@ -206,6 +206,152 @@ let record_equal_ignores_cache =
       && Record.equal a b = same
       && Record.equal b a = same
       && same = String.equal (Record_ref.bytes a) (Record_ref.bytes b))
+
+(* --------------------------- record decode -------------------------- *)
+
+(* [Record.decode] returns the record it kept for a span of bytes when
+   the input starts with that span. Held to the field-by-field
+   reference decoder of test/ref, with the table warm: the same record,
+   the same bytes consumed, the same failure, on each record of an
+   input read to its end or its first failure. *)
+
+(* a decoded record and where the reader stopped, or the failure and
+   where it stopped *)
+type outcome = Got of Record.t * int | Raised of string * int
+
+let outcomes decode input =
+  let r = W.reader input in
+  let rec go acc =
+    if W.position r >= String.length input then List.rev acc
+    else
+      match decode r with
+      | record -> go (Got (record, W.position r) :: acc)
+      | exception e -> List.rev (Raised (Printexc.to_string e, W.position r) :: acc)
+  in
+  go []
+
+let same_outcome a b =
+  match (a, b) with
+  | Got (r, p), Got (r', p') -> p = p' && Record.equal r r'
+  | Raised (e, p), Raised (e', p') -> p = p' && String.equal e e'
+  | _ -> false
+
+let decodes_as_reference input =
+  List.equal same_outcome (outcomes Record.decode input) (outcomes Record_ref.decode input)
+
+let encode_fields (id, attrs, payload) = Record_ref.bytes (Record.make ~id ~attrs ~payload ())
+
+(* 1/2 under [form] of [half_forms], with this id and payload *)
+let half_bytes form id payload =
+  let sign, num, den = List.nth half_forms form in
+  let w = W.writer () in
+  W.varint w id;
+  W.varint w 1;
+  W.raw w sign;
+  W.bytes w num;
+  W.bytes w den;
+  W.bytes w payload;
+  W.contents w
+
+(* Ids share slots: a few small ones, and the same few 2^14 apart (a
+   slot is [id land (2^14 - 1)]). Zero to three attributes; the payload
+   is often empty, so a span often ends in a zero byte. *)
+let gen_decode_fields =
+  QCheck.Gen.(
+    triple
+      (map2
+         (fun k far -> if far then k + (1 lsl 14) else k)
+         (int_bound 5)
+         (frequency [ (3, return false); (1, return true) ]))
+      (array_size (int_bound 3) gen_attr)
+      (frequency [ (1, return ""); (1, string_size (int_bound 6)) ]))
+
+(* what follows an honest stream: the i-th record's span then garbage,
+   cut one byte short at the end of the input, a record with its id and
+   other contents, or 1/2 in a form of [half_forms] under its id *)
+type probe = Garbage of int * string | Cut of int | Twin of int | Half of int * int
+
+let gen_probe =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun i g -> Garbage (i, g)) nat (string_size (int_range 1 8));
+        map (fun i -> Cut i) nat;
+        map (fun i -> Twin i) nat;
+        map2 (fun i f -> Half (i, f)) nat (int_bound 3);
+      ])
+
+let print_probe = function
+  | Garbage (i, g) -> Printf.sprintf "Garbage (%d, %S)" i g
+  | Cut i -> Printf.sprintf "Cut %d" i
+  | Twin i -> Printf.sprintf "Twin %d" i
+  | Half (i, f) -> Printf.sprintf "Half (%d, %d)" i f
+
+let gen_decode_case =
+  QCheck.Gen.(pair (list_size (int_range 1 8) gen_decode_fields) (list_size (int_bound 8) gen_probe))
+
+(* the inputs of one case, in the order they are decoded: the honest
+   stream, each probe, the honest stream again *)
+let decode_inputs (records, probes) =
+  let spans = Array.of_list (List.map encode_fields records) in
+  let fields = Array.of_list records in
+  let nth i = i mod Array.length spans in
+  let probe = function
+    | Garbage (i, g) -> spans.(nth i) ^ g
+    | Cut i -> String.sub spans.(nth i) 0 (String.length spans.(nth i) - 1)
+    | Twin i ->
+      let id, attrs, payload = fields.(nth i) in
+      encode_fields (id, attrs, payload ^ "x")
+    | Half (i, form) ->
+      let id, _, payload = fields.(nth i) in
+      half_bytes form id payload
+  in
+  let honest = String.concat "" (Array.to_list spans) in
+  (honest :: List.map probe probes) @ [ honest ]
+
+let record_decode_is_reference =
+  qtest ~long_factor:20 "decode = the reference decoder, warm table"
+    (QCheck.make
+       ~print:(fun (records, probes) ->
+         String.concat "; " (List.map print_fields records)
+         ^ " | " ^ String.concat "; " (List.map print_probe probes))
+       gen_decode_case)
+    (fun case -> List.for_all decodes_as_reference (decode_inputs case))
+
+(* Two domains, each running three threads, decode overlapping streams
+   of colliding ids through the one table; every outcome is the
+   reference's. *)
+let test_record_decode_domains () =
+  let rng = Random.State.make [| 0xdec0de |] in
+  let cases = QCheck.Gen.generate ~rand:rng ~n:40 gen_decode_case in
+  let inputs = Array.of_list (List.concat_map decode_inputs cases) in
+  let want = Array.map (outcomes Record_ref.decode) inputs in
+  let n = Array.length inputs in
+  let worker k () =
+    let wrong = ref 0 in
+    for round = 0 to 49 do
+      for j = 0 to n - 1 do
+        let i = (j + (k * 7) + round) mod n in
+        if not (List.equal same_outcome (outcomes Record.decode inputs.(i)) want.(i)) then
+          incr wrong
+      done
+    done;
+    !wrong
+  in
+  let domain d () =
+    let threads =
+      List.init 3 (fun t ->
+          let wrong = ref 0 in
+          (wrong, Thread.create (fun () -> wrong := worker ((3 * d) + t) ()) ()))
+    in
+    List.fold_left
+      (fun acc (wrong, th) ->
+        Thread.join th;
+        acc + !wrong)
+      0 threads
+  in
+  let a = Domain.spawn (domain 0) and b = Domain.spawn (domain 1) in
+  check Alcotest.int "outcomes unlike the reference's" 0 (Domain.join a + Domain.join b)
 
 (* ----------------------------- template ----------------------------- *)
 
@@ -498,6 +644,11 @@ let () =
           Alcotest.test_case "never the received bytes" `Quick test_record_bytes_not_received;
           Alcotest.test_case "two domains, one set of records" `Quick test_record_bytes_domains;
           record_equal_ignores_cache;
+        ] );
+      ( "record decode",
+        [
+          record_decode_is_reference;
+          Alcotest.test_case "two domains, threads, one table" `Quick test_record_decode_domains;
         ] );
       ( "template",
         [

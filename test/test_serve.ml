@@ -152,6 +152,28 @@ let test_cache_one_off_flood () =
   check Alcotest.int "no one-off cached" 0
     (List.length (List.filter_map (Cache.find c) flood))
 
+(* The doorkeeper forgets every fingerprint after 2^14 first offers, so
+   a key offered again only after that many others is not admitted.
+   The others avoid the key's door slot (a fingerprint is
+   [Hashtbl.hash key] at slot [hash land (2^14 - 1)]), so without the
+   forgetting its fingerprint would still be there. *)
+let test_cache_door_forgets () =
+  let c = Cache.create ~capacity:4 in
+  let slot k = Hashtbl.hash k land ((1 lsl 14) - 1) in
+  let others =
+    Seq.ints 0
+    |> Seq.map (Printf.sprintf "one-off-%d")
+    |> Seq.filter (fun k -> slot k <> slot "late")
+    |> Seq.take (1 lsl 14)
+  in
+  Cache.add c "late" "v";
+  Seq.iter (fun k -> Cache.add c k "x") others;
+  Cache.add c "late" "v";
+  check Alcotest.(option string) "an offer after the window is a first offer" None
+    (Cache.find c "late");
+  Cache.add c "late" "v";
+  check Alcotest.(option string) "the next one admits" (Some "v") (Cache.find c "late")
+
 (* ------------------------------ faults ------------------------------ *)
 
 let test_faults_deterministic () =
@@ -646,6 +668,30 @@ let test_graceful_drain () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "server still reachable after stop"
 
+(* A keep-alive connection left idle across [Engine.stop] reads EOF: the
+   listener shuts down its sessions' receive side, so [serve] returns
+   well inside its drain timeout. *)
+let test_idle_session_ends_on_stop () =
+  let drain_timeout = 5. in
+  let t =
+    Engine.create { Engine.default_config with Engine.port = 0; drain_timeout } (Lazy.force index)
+  in
+  let th = Thread.create Engine.serve t in
+  Roundtrip.with_connection ~port:(Engine.port t) (fun fd ->
+      let w = Wire.writer () in
+      Protocol.encode_request w (Protocol.Run_query (topk_query 3));
+      ignore (Frame_io.write_frame fd (Wire.contents w));
+      check Alcotest.bool "the session answers first" true
+        (Frame_io.read_frame ~header_timeout:5. fd <> None);
+      let t0 = Unix.gettimeofday () in
+      Engine.stop t;
+      Thread.join th;
+      let took = Unix.gettimeofday () -. t0 in
+      if took > 1.5 then
+        Alcotest.failf "serve took %.2f s to return (drain %.0f s)" took drain_timeout;
+      check Alcotest.bool "the idle connection reads EOF" true
+        (Frame_io.read_frame ~header_timeout:5. fd = None))
+
 let () =
   Alcotest.run "aqv_serve"
     [
@@ -660,6 +706,7 @@ let () =
           Alcotest.test_case "capacity 0 disables" `Quick test_cache_disabled;
           Alcotest.test_case "admitted on second offer" `Quick test_cache_second_offer;
           Alcotest.test_case "one-off flood keeps repeater" `Quick test_cache_one_off_flood;
+          Alcotest.test_case "doorkeeper forgets" `Quick test_cache_door_forgets;
         ] );
       ( "faults",
         [
@@ -690,6 +737,7 @@ let () =
           Alcotest.test_case "fault injection never corrupts" `Quick
             test_fault_injection_never_corrupts;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
+          Alcotest.test_case "idle session ends on stop" `Quick test_idle_session_ends_on_stop;
           Alcotest.test_case "one writer per session" `Quick test_session_writer_reuse;
         ] );
       ( "hot-swap",

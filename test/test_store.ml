@@ -802,35 +802,109 @@ let wal_payloads log =
 let wal_frame payload =
   Crc32.be32 (String.length payload) ^ Crc32.be32 (Crc32.string payload) ^ payload
 
+(* Seeds a 3-frame multi-signature store in [dir] and calls [f i mutated]
+   for each byte mutant of frame [i]'s payload, with the store written
+   back holding it (length and CRC recomputed). *)
+let iter_wal_mutants dir f =
+  let _ = seed_store ~dims:1 ~scheme:Ifmh.Multi_signature (Prng.create 85L) dir 3 in
+  let wal_path = Store_ref.wal_path dir and snapshot_path = Store.snapshot_path dir in
+  let log = read_file wal_path and snapshot = read_file snapshot_path in
+  let payloads = wal_payloads log in
+  check Alcotest.int "three frames" 3 (List.length payloads);
+  List.iteri
+    (fun i payload ->
+      Util_ref.iter_mutants ~seed:(Int64.of_int (850 + i)) ~attempts:40 payload (fun mutated ->
+          write_file snapshot_path snapshot;
+          write_file wal_path
+            (String.concat ""
+               ("AQVWAL1\n"
+               :: List.mapi (fun j p -> wal_frame (if j = i then mutated else p)) payloads));
+          f i mutated))
+    payloads
+
 let test_wal_payload_fuzz () =
   with_dir (fun dir ->
-      let _ = seed_store ~dims:1 ~scheme:Ifmh.Multi_signature (Prng.create 85L) dir 3 in
-      let wal_path = Store_ref.wal_path dir and snapshot_path = Store.snapshot_path dir in
-      let log = read_file wal_path and snapshot = read_file snapshot_path in
-      let payloads = wal_payloads log in
-      check Alcotest.int "three frames" 3 (List.length payloads);
       let verdicts = Hashtbl.create 8 in
-      List.iteri
-        (fun i payload ->
-          Util_ref.iter_mutants ~seed:(Int64.of_int (850 + i)) ~attempts:40 payload (fun mutated ->
-              write_file snapshot_path snapshot;
-              write_file wal_path
-                (String.concat ""
-                   ("AQVWAL1\n"
-                   :: List.mapi (fun j p -> wal_frame (if j = i then mutated else p)) payloads));
-              let verdict =
-                match fsck_agrees dir with
-                | Ok r -> Printf.sprintf "Ok at epoch %d" r.Store.final_epoch
-                | Error e -> err_name e
-                | exception e ->
-                  Alcotest.failf "frame %d mutant %s raised %s" i (hex mutated)
-                    (Printexc.to_string e)
-              in
-              Hashtbl.replace verdicts verdict ()))
-        payloads;
+      iter_wal_mutants dir (fun i mutated ->
+          let verdict =
+            match fsck_agrees dir with
+            | Ok r -> Printf.sprintf "Ok at epoch %d" r.Store.final_epoch
+            | Error e -> err_name e
+            | exception e ->
+              Alcotest.failf "frame %d mutant %s raised %s" i (hex mutated)
+                (Printexc.to_string e)
+          in
+          Hashtbl.replace verdicts verdict ());
       (* the mutants reached the replay: some were refused by it *)
       check Alcotest.bool "some mutants refused at replay" true
         (Hashtbl.mem verdicts "Decode_failed" || Hashtbl.mem verdicts "Replay_failed"))
+
+(* A frame altered and its CRC recomputed can recover [Ok] (the CRC
+   guards against accidents only, and recovery checks no signature), to
+   an index other than the one appended. That costs availability only:
+   for each such mutant, a verifying client asks top-1..3 and a range
+   query at a point of every honest subdomain and accepts no reply that
+   differs from the honest store's; where the index differs, it rejects
+   some. *)
+let test_wal_tamper_availability_only () =
+  let encoded reply =
+    let w = Wire.writer () in
+    Protocol.encode_reply w reply;
+    Wire.contents w
+  in
+  let recovered dir =
+    match Store.open_dir dir with
+    | Ok (store, index, _) ->
+      Store.close store;
+      Some index
+    | Error _ -> None
+  in
+  (* the store as appended, seeded alike in a directory of its own *)
+  let index =
+    with_dir (fun dir ->
+        let _ = seed_store ~dims:1 ~scheme:Ifmh.Multi_signature (Prng.create 85L) dir 3 in
+        Option.get (recovered dir))
+  in
+  let table = Ifmh.table index in
+  let queries =
+    Array.to_list (Itree.leaves (Ifmh.itree index))
+    |> List.concat_map (fun leaf ->
+           let x = Aqv_num.Region.interior_point leaf.Itree.region in
+           let l, u = Workload.range_for_result_size table ~x ~size:2 in
+           Query.range ~x ~l ~u :: List.init 3 (fun k -> Query.top_k ~x ~k:(k + 1)))
+  in
+  let bundle = Protocol.bundle_of_index index Signer.Unverifiable in
+  let ctx =
+    Client.make_ctx ~template:bundle.Protocol.template ~domain:bundle.Protocol.domain
+      ~verify_signature:fake_keypair.Signer.verify
+  in
+  let tampered = ref 0 in
+  with_dir (fun dir ->
+      iter_wal_mutants dir (fun i mutated ->
+          match recovered dir with
+          | None -> ()
+          | Some served ->
+            let rejected =
+              List.filter
+                (fun q ->
+                  let request = Protocol.Run_query q in
+                  match Protocol.handle served request with
+                  | Protocol.Answer resp when Client.accepts ctx q resp ->
+                    if encoded (Protocol.Answer resp) <> encoded (Protocol.handle index request)
+                    then
+                      Alcotest.failf "frame %d mutant %s: a reply unlike the honest one accepted" i
+                        (hex mutated);
+                    false
+                  | _ -> true)
+                queries
+            in
+            if not (String.equal (save_bytes served) (save_bytes index)) then begin
+              incr tampered;
+              if rejected = [] then
+                Alcotest.failf "frame %d mutant %s: tampered index, every reply accepted" i
+                  (hex mutated)
+            end));
+  check Alcotest.bool "some mutants recovered a tampered index" true (!tampered > 0)
 
 (* -------------------------- crash explorer -------------------------- *)
 
@@ -1224,6 +1298,8 @@ let () =
           Alcotest.test_case "stale frames" `Quick test_fsck_stale_frames;
           Alcotest.test_case "epoch gap" `Quick test_fsck_epoch_gap;
           Alcotest.test_case "wal payload mutants" `Quick test_wal_payload_fuzz;
+          Alcotest.test_case "tampered wal frame costs availability only" `Quick
+            test_wal_tamper_availability_only;
         ] );
       ("crash explorer", explorer_tests);
       ( "engine",
