@@ -207,7 +207,7 @@ let record_equal_ignores_cache =
       && Record.equal b a = same
       && same = String.equal (Record_ref.bytes a) (Record_ref.bytes b))
 
-(* --------------------------- record decode -------------------------- *)
+(* --------------------------- decode -------------------------------- *)
 
 (* [Record.decode] returns the record it kept for a span of bytes when
    the input starts with that span. Held to the field-by-field
@@ -645,7 +645,7 @@ let () =
           Alcotest.test_case "two domains, one set of records" `Quick test_record_bytes_domains;
           record_equal_ignores_cache;
         ] );
-      ( "record decode",
+      ( "decode",
         [
           record_decode_is_reference;
           Alcotest.test_case "two domains, threads, one table" `Quick test_record_decode_domains;
