@@ -194,9 +194,10 @@ let run_serve dir port max_conns follow port_file =
     (match recovery with
     | None -> Printf.printf "bootstrapped at epoch %d\n" (Ifmh.epoch index)
     | Some r ->
-      Stats.recovered (Engine.stats engine)
-        ~torn_tail:(r.Store.torn_tail_bytes > 0)
-        ~coalesced:r.Store.replayed;
+      let stats = Engine.stats engine in
+      Stats.incr stats Recoveries;
+      Stats.add stats Frames_coalesced r.Store.replayed;
+      if r.Store.torn_tail_bytes > 0 then Stats.incr stats Torn_tail_truncations;
       Printf.printf
         "recovered epoch %d (snapshot epoch %d, %d delta(s) replayed, \
          coalesced into one rebuild, %d skipped, %d torn byte(s) truncated)\n"
@@ -213,10 +214,10 @@ let run_serve dir port max_conns follow port_file =
     in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    Printf.printf "serving %d records on 127.0.0.1:%d (max %d conns, cache %d)%s\n%!"
+    Printf.printf "serving %d records on 127.0.0.1:%d (max %d conns)%s\n%!"
       (Table.size (Ifmh.table index))
       (Engine.port engine)
-      config.Engine.max_conns config.Engine.cache_capacity
+      config.Engine.max_conns
       (match follow with
       | Some (host, port) ->
         Printf.sprintf " following %s:%d" (Unix.string_of_inet_addr host) port

@@ -40,7 +40,7 @@ let epoch t = Ifmh.epoch (Engine.index t.engine)
 let send_subscribe fd ~timeout ~from_epoch =
   let w = Frame_io.writer () in
   Protocol.encode_request w (Protocol.Subscribe { from_epoch });
-  ignore (Frame_io.write_framed ~timeout fd (Frame_io.framed w))
+  ignore (Frame_io.write_writer ~timeout fd w)
 
 (* Read and decode the next frame of a replication stream: [None] at
    EOF, [Error] for an undecodable frame. *)

@@ -1,43 +1,30 @@
-(* Classic hashtable + doubly-linked recency list, most recent at the
-   head. The sentinel node closes the ring so unlink/push need no
-   option cases.
+(* A hashtable that is cleared when it reaches [capacity]: the replies
+   a workload comes back to are admitted again at their next two
+   requests, and nothing is kept per entry to order an eviction.
 
    In front of it sits a doorkeeper: a fixed array of key fingerprints
    ([Hashtbl.hash key] at slot [hash land door_mask]). A miss is cached
    only when its fingerprint already sits in its slot, that is on the
    key's second offer; any other miss just records the fingerprint. So
-   one-off requests never evict the replies that come back, and cost a
-   hash and a store instead of a node and a table entry. A collision can
-   only admit a reply early: the table is still keyed by the full key. *)
-
-type node = {
-  key : string;
-  mutable value : string;
-  mutable prev : node;
-  mutable next : node;
-}
+   one-off requests never fill the table, and cost a hash and a store
+   instead of a table entry. A collision can only admit a reply early:
+   the table is still keyed by the full key. The door forgets the same
+   way the table does, all at once. *)
 
 type t = {
-  capacity : int;
-  tbl : (string, node) Hashtbl.t;
-  sentinel : node;
+  tbl : (string, string) Hashtbl.t;
   door : int array;  (* fingerprints seen once; -1 = empty *)
   mutable first_offers : int;  (* since the door was last cleared *)
   mu : Mutex.t;
 }
 
+let capacity = 1024
 let door_mask = (1 lsl 14) - 1
 
-let make_sentinel () =
-  let rec s = { key = ""; value = ""; prev = s; next = s } in
-  s
-
-let create ~capacity =
+let create () =
   {
-    capacity;
-    tbl = Hashtbl.create (max 16 (min capacity 4096));
-    sentinel = make_sentinel ();
-    door = (if capacity > 0 then Array.make (door_mask + 1) (-1) else [||]);
+    tbl = Hashtbl.create capacity;
+    door = Array.make (door_mask + 1) (-1);
     first_offers = 0;
     mu = Mutex.create ();
   }
@@ -46,26 +33,7 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let unlink n =
-  n.prev.next <- n.next;
-  n.next.prev <- n.prev
-
-let push_front t n =
-  n.next <- t.sentinel.next;
-  n.prev <- t.sentinel;
-  t.sentinel.next.prev <- n;
-  t.sentinel.next <- n
-
-let find t key =
-  if t.capacity <= 0 then None
-  else
-    locked t (fun () ->
-        match Hashtbl.find_opt t.tbl key with
-        | None -> None
-        | Some n ->
-          unlink n;
-          push_front t n;
-          Some n.value)
+let find t key = locked t (fun () -> Hashtbl.find_opt t.tbl key)
 
 (* true on the key's second offer; otherwise remembers its fingerprint,
    in a door cleared after as many first offers as it has slots *)
@@ -84,21 +52,9 @@ let admit t key =
   end
 
 let add t key value =
-  if t.capacity > 0 then
-    locked t (fun () ->
-        match Hashtbl.find_opt t.tbl key with
-        | Some n ->
-          n.value <- value;
-          unlink n;
-          push_front t n
-        | None ->
-          if admit t key then begin
-            let rec n = { key; value; prev = n; next = n } in
-            Hashtbl.replace t.tbl key n;
-            push_front t n;
-            if Hashtbl.length t.tbl > t.capacity then begin
-              let lru = t.sentinel.prev in
-              unlink lru;
-              Hashtbl.remove t.tbl lru.key
-            end
-          end)
+  locked t (fun () ->
+      let cached = Hashtbl.mem t.tbl key in
+      if cached || admit t key then begin
+        if (not cached) && Hashtbl.length t.tbl >= capacity then Hashtbl.clear t.tbl;
+        Hashtbl.replace t.tbl key (value ())
+      end)

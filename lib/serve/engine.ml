@@ -17,7 +17,6 @@ type config = {
   max_conns : int;
   idle_timeout : float;
   read_timeout : float;
-  cache_capacity : int;
   drain_timeout : float;
   store : Aqv_store.Store.t option;
   accept_republish : bool;
@@ -30,7 +29,6 @@ let default_config =
     max_conns = 64;
     idle_timeout = 10.;
     read_timeout = 5.;
-    cache_capacity = 1024;
     drain_timeout = 5.;
     store = None;
     accept_republish = true;
@@ -55,13 +53,13 @@ let create config index =
       index = Atomic.make index;
       listener = Listener.create ~port:config.port;
       stats = Stats.create ();
-      cache = Cache.create ~capacity:config.cache_capacity;
+      cache = Cache.create ();
       mu = Mutex.create ();
       republish_mu = Mutex.create ();
       compactor = None;
     }
   in
-  Stats.set_epoch t.stats (Ifmh.epoch index);
+  Stats.set t.stats Epoch (Ifmh.epoch index);
   t
 
 let port t = Listener.port t.listener
@@ -81,18 +79,25 @@ let swap_index t index' =
   if installed then Atomic.set t.index index';
   Mutex.unlock t.mu;
   if installed then begin
-    Stats.index_swapped t.stats;
-    Stats.set_epoch t.stats (Ifmh.epoch index')
+    Stats.incr t.stats Index_swaps;
+    Stats.set t.stats Epoch (Ifmh.epoch index')
   end;
   installed
 
-(* A reply leaves its writer once, already framed: the cache stores the
-   frame and a hit is one write of it. A session encodes every reply
-   into its one writer, which keeps the buffer its largest reply grew. *)
-let encode_reply_frame w reply =
+(* A session encodes every reply into its one writer, which keeps the
+   buffer its largest reply grew, and writes it from there as a frame.
+   Only a reply the cache admits is copied out, framed, so a hit is one
+   write of the stored frame. *)
+type action =
+  | Encoded  (* the reply is in the session's writer *)
+  | Cached of string
+  | Handoff of { from_epoch : int option }
+      (* the connection goes over to the replication publisher *)
+
+let encode w reply =
   Wire.reset w;
   Protocol.encode_reply w reply;
-  Frame_io.framed w
+  Encoded
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
@@ -112,7 +117,7 @@ let compact_store t store =
     (fun () ->
       try
         if Aqv_store.Store.maybe_compact store (Atomic.get t.index) then begin
-          Stats.compacted t.stats;
+          Stats.incr t.stats Compactions;
           Log.info (fun m ->
               m "store compacted at epoch %d" (Ifmh.epoch (Atomic.get t.index)))
         end
@@ -169,13 +174,13 @@ let republish t delta =
           | exception Aqv_store.Error.Error e ->
             Error ("Store: " ^ Aqv_store.Error.to_string e)
           | () ->
-            Option.iter (fun _ -> Stats.log_appended t.stats) t.config.store;
+            Option.iter (fun _ -> Stats.incr t.stats Log_appends) t.config.store;
             ignore (swap_index t index');
             Option.iter
               (fun p ->
                 p.ship ~base ~index:index' delta;
-                Stats.delta_shipped t.stats;
-                Stats.set_follower_lag t.stats (p.lag ()))
+                Stats.incr t.stats Deltas_shipped;
+                Stats.set t.stats Follower_lag_frames (p.lag ()))
               t.config.publisher;
             Log.info (fun m ->
                 m "republished: now serving epoch %d" (Ifmh.epoch index'));
@@ -200,90 +205,76 @@ let install_snapshot t index' =
         | exception Aqv_store.Error.Error e ->
           Error ("Store: " ^ Aqv_store.Error.to_string e)
         | () ->
-          Option.iter (fun _ -> Stats.compacted t.stats) t.config.store;
+          Option.iter (fun _ -> Stats.incr t.stats Compactions) t.config.store;
           ignore (swap_index t index');
           Log.info (fun m ->
               m "snapshot installed: now serving epoch %d" (Ifmh.epoch index'));
           Ok (Ifmh.epoch index'))
 
-(* What a session should do with one decoded request: answer it with a
-   framed reply, or hand the connection over to the replication
-   publisher. *)
-type action = Reply of string | Handoff of { from_epoch : int option }
-
-(* Compute (or fetch from cache) the framed reply for one raw request
-   payload, encoding into the session's writer [w]. Get_stats bypasses
-   the cache — its reply changes with every request. Malformed payloads
-   become Refused, uniformly for Failure and Invalid_argument
-   (Bytes/array bounds in decoders). *)
-let reply_bytes_for t w payload =
+(* The reply to one raw request payload: encoded into the session's
+   writer [w], or a cached frame. Get_stats bypasses the cache — its
+   reply changes with every request. Malformed payloads become Refused,
+   uniformly for Failure and Invalid_argument (Bytes/array bounds in
+   decoders). *)
+let reply_for t w payload =
+  let refused msg =
+    Stats.incr t.stats Replies_refused;
+    encode w (Protocol.Refused msg)
+  in
   match Protocol.decode_request (Wire.reader payload) with
   | exception (Failure msg | Invalid_argument msg) ->
-    Stats.on_request t.stats `Malformed;
-    Stats.on_refused t.stats;
-    Reply (encode_reply_frame w (Protocol.Refused msg))
+    Stats.incr t.stats Req_malformed;
+    refused msg
   | Protocol.Get_stats ->
-    Stats.on_request t.stats `Stats;
-    Reply (encode_reply_frame w (Protocol.Stats (Stats.to_assoc t.stats)))
+    Stats.incr t.stats Req_stats;
+    encode w (Protocol.Stats (Stats.to_assoc t.stats))
   | Protocol.Subscribe { from_epoch } -> (
-    Stats.on_request t.stats `Subscribe;
+    Stats.incr t.stats Req_subscribe;
     match t.config.publisher with
     | Some _ -> Handoff { from_epoch }
-    | None ->
-      Stats.on_refused t.stats;
-      Reply (encode_reply_frame w (Protocol.Refused "Engine: replication not enabled")))
-  | Protocol.Republish delta ->
+    | None -> refused "Engine: replication not enabled")
+  | Protocol.Republish delta -> (
     (* uncached, like Get_stats: a republish mutates serving state *)
-    Stats.on_request t.stats `Republish;
-    let reply =
-      if not t.config.accept_republish then begin
-        Stats.on_refused t.stats;
-        Protocol.Refused "Engine: read replica, republish to the primary"
-      end
-      else
-        match republish t delta with
-        | Ok epoch -> Protocol.Republished epoch
-        | Error msg ->
-          Stats.on_refused t.stats;
-          Protocol.Refused msg
-    in
-    Reply (encode_reply_frame w reply)
-  | request ->
-    Stats.on_request t.stats
+    Stats.incr t.stats Req_republish;
+    if not t.config.accept_republish then
+      refused "Engine: read replica, republish to the primary"
+    else
+      match republish t delta with
+      | Ok epoch -> encode w (Protocol.Republished epoch)
+      | Error msg -> refused msg)
+  | request -> (
+    Stats.incr t.stats
       (match request with
-      | Protocol.Run_query _ -> `Query
-      | Protocol.Run_rank _ -> `Rank
-      | Protocol.Run_count _ -> `Count
+      | Protocol.Run_query _ -> Req_query
+      | Protocol.Run_rank _ -> Req_rank
+      | Protocol.Run_count _ -> Req_count
       | Protocol.Get_stats | Protocol.Republish _ | Protocol.Subscribe _ ->
         assert false);
     (* one snapshot per request: the reply and its cache key always
        describe the same epoch, even if a swap lands mid-request *)
     let index = Atomic.get t.index in
     let key = string_of_int (Ifmh.epoch index) ^ ":" ^ payload in
-    (match Cache.find t.cache key with
+    match Cache.find t.cache key with
     | Some frame ->
-      Stats.cache_hit t.stats;
-      Reply frame
+      Stats.incr t.stats Cache_hits;
+      Cached frame
     | None ->
-      Stats.cache_miss t.stats;
-      let reply = Protocol.handle index request in
-      (match reply with
-      | Protocol.Refused _ -> Stats.on_refused t.stats
-      | _ -> ());
-      let frame = encode_reply_frame w reply in
-      Cache.add t.cache key frame;
-      Reply frame)
+      Stats.incr t.stats Cache_misses;
+      let action =
+        match Protocol.handle index request with
+        | Protocol.Refused msg -> refused msg
+        | reply -> encode w reply
+      in
+      Cache.add t.cache key (fun () -> Frame_io.framed w);
+      action)
 
 (* seconds to write one reply *)
 let write_timeout = 5.
 
-let send_reply t fd frame =
-  let n = Frame_io.write_framed ~timeout:write_timeout fd frame in
-  Stats.add_bytes_out t.stats n
-
 let session t fd =
-  Stats.conn_accepted t.stats;
+  Stats.incr t.stats Conns_accepted;
   let w = Frame_io.writer () in
+  let sent n = Stats.add t.stats Bytes_out n in
   let rec loop () =
     match
       Frame_io.read_frame ~header_timeout:t.config.idle_timeout
@@ -291,34 +282,37 @@ let session t fd =
     with
     | None -> () (* clean close *)
     | Some payload -> (
-      Stats.add_bytes_in t.stats (String.length payload + 4);
+      Stats.add t.stats Bytes_in (String.length payload + 4);
       let t0 = now_us () in
-      let action = reply_bytes_for t w payload in
+      let action = reply_for t w payload in
       Stats.observe_latency_us t.stats (now_us () - t0);
       match action with
-      | Reply frame ->
-        send_reply t fd frame;
+      | Encoded ->
+        sent (Frame_io.write_writer ~timeout:write_timeout fd w);
+        loop ()
+      | Cached frame ->
+        sent (Frame_io.write_framed ~timeout:write_timeout fd frame);
         loop ()
       | Handoff { from_epoch } ->
         (* the connection becomes a one-way replication stream; the
            publisher's feeder runs right here, in this session thread,
            so the fd stays owned (and finally closed) by the session *)
         let publisher = Option.get t.config.publisher in
-        Stats.follower_connected t.stats;
+        Stats.incr t.stats Followers_connected;
         Fun.protect
-          ~finally:(fun () -> Stats.follower_disconnected t.stats)
+          ~finally:(fun () -> Stats.add t.stats Followers_connected (-1))
           (fun () -> publisher.subscribe fd ~from_epoch))
   in
   loop ()
 
 let drop_session t exn =
-  Stats.session_dropped t.stats;
+  Stats.incr t.stats Sessions_dropped;
   Log.info (fun m -> m "session dropped: %s" (Printexc.to_string exn))
 
 let serve t =
   Listener.serve t.listener ~max_conns:t.config.max_conns
     ~drain_timeout:t.config.drain_timeout
-    ~on_shed:(fun () -> Stats.conn_refused t.stats)
+    ~on_shed:(fun () -> Stats.incr t.stats Conns_refused)
     ~on_error:(drop_session t) (session t);
   (* the caller closes the store after [serve] returns, so a background
      compaction must not outlive us *)

@@ -11,9 +11,11 @@
 
     - per-connection deadlines — [idle_timeout] to start a frame,
       [read_timeout] mid-frame, 5 s to write a reply;
-    - an LRU response cache keyed by [(request bytes, epoch)], sound
-      because the index is immutable within an epoch, that stores a
-      reply on the second request for it ({!Cache.add});
+    - a response cache of 1024 framed replies keyed by
+      [(epoch, request bytes)], sound because the index is immutable
+      within an epoch, that stores a reply on the second request for it
+      and is cleared when full ({!Cache}); a reply it does not store is
+      written from the session's writer without a copy;
     - live index updates: an owner [Protocol.Republish] frame replays a
       signed delta and atomically hot-swaps the served index
       ({!republish}), invalidating cached replies for free via the
@@ -57,9 +59,6 @@ type config = {
   max_conns : int;  (** concurrent session limit before shedding *)
   idle_timeout : float;  (** seconds to wait for a request to start; 0. = forever *)
   read_timeout : float;  (** seconds to finish reading a started frame *)
-  cache_capacity : int;
-      (** LRU entries; a reply is stored on its key's second request
-          ({!Cache.add}); 0 disables the response cache *)
   drain_timeout : float;  (** max seconds {!serve} waits for drain on stop *)
   store : Aqv_store.Store.t option;
       (** durable store: republishes are logged before the ack. The
@@ -73,9 +72,8 @@ type config = {
 }
 
 val default_config : config
-(** Port 7464, 64 connections, 10 s idle, 5 s read, 1024 cache
-    entries, 5 s drain, no store, republish accepted, no
-    publisher. *)
+(** Port 7464, 64 connections, 10 s idle, 5 s read, 5 s drain, no
+    store, republish accepted, no publisher. *)
 
 type t
 

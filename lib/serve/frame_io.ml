@@ -16,8 +16,8 @@ let read fd buf off len =
   try restart_on_eintr (fun () -> Unix.read fd buf off len)
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> raise Timeout
 
-let write fd s off len =
-  try restart_on_eintr (fun () -> Unix.write_substring fd s off len)
+let write fd buf off len =
+  try restart_on_eintr (fun () -> Unix.write fd buf off len)
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> raise Timeout
 
 (* Reads exactly [len] bytes; [`Eof] only if zero bytes had arrived. *)
@@ -69,20 +69,24 @@ let frame payload = header (String.length payload) ^ payload
 let writer () = Aqv_util.Wire.writer_after 4
 let framed w = Aqv_util.Wire.contents_with_header w (header (Aqv_util.Wire.size w))
 
-let write_all fd s =
-  let len = String.length s in
+(* writes the first [len] bytes of [buf] *)
+let write_all ?timeout fd buf len =
+  Option.iter (set_send_timeout fd) timeout;
   let rec go off =
     if off < len then
-      match write fd s off (len - off) with
+      match write fd buf off (len - off) with
       | 0 -> failwith "Frame_io: write returned 0"
       | k -> go (off + k)
   in
-  go 0
+  go 0;
+  len
 
 let write_framed ?timeout fd framed =
-  Option.iter (set_send_timeout fd) timeout;
-  write_all fd framed;
-  String.length framed
+  write_all ?timeout fd (Bytes.unsafe_of_string framed) (String.length framed)
+
+let write_writer ?timeout fd w =
+  let n = Aqv_util.Wire.size w in
+  write_all ?timeout fd (Aqv_util.Wire.buffer_with_header w (header n)) (n + 4)
 
 let write_frame ?timeout fd payload = write_framed ?timeout fd (frame payload)
-let write_raw fd s = try write_all fd s with _ -> ()
+let write_raw fd s = try ignore (write_framed fd s) with _ -> ()

@@ -31,13 +31,19 @@ val write_frame : ?timeout:float -> Unix.file_descr -> string -> int
 val writer : unit -> Aqv_util.Wire.writer
 (** A {!Aqv_util.Wire} writer that holds back room for the frame
     header, so what is encoded into it leaves as a frame in one copy
-    ({!framed}). An engine session encodes all its replies into one,
-    emptied by {!Aqv_util.Wire.reset} before each, and caches the
-    framed strings. *)
+    ({!framed}) or none ({!write_writer}). An engine session encodes
+    all its replies into one, emptied by {!Aqv_util.Wire.reset} before
+    each, writes each from it and copies only the replies it caches. *)
 
 val framed : Aqv_util.Wire.writer -> string
 (** The on-wire form (4-byte header + payload) of what was written to
     a {!writer}, as a copy: the writer can be reset and reused.
+    @raise Failure if the payload exceeds the frame cap. *)
+
+val write_writer : ?timeout:float -> Unix.file_descr -> Aqv_util.Wire.writer -> int
+(** Writes what was written to a {!writer} as one frame, straight from
+    the writer's buffer: no copy is made. Returns the frame's length.
+    @raise Timeout on an expired deadline
     @raise Failure if the payload exceeds the frame cap. *)
 
 val write_framed : ?timeout:float -> Unix.file_descr -> string -> int

@@ -68,7 +68,7 @@ let connect ?(opts = default_opts) ?host port =
 let ask ?(opts = default_opts) fd request =
   let w = Frame_io.writer () in
   Protocol.encode_request w request;
-  ignore (Frame_io.write_framed ~timeout:opts.read_timeout fd (Frame_io.framed w));
+  ignore (Frame_io.write_writer ~timeout:opts.read_timeout fd w);
   match
     Frame_io.read_frame ~header_timeout:opts.read_timeout
       ~body_timeout:opts.read_timeout fd

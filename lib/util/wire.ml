@@ -9,10 +9,12 @@ let contents w = Bytes.sub_string w.buf w.base (w.len - w.base)
 let size w = w.len - w.base
 let reset w = w.len <- w.base
 
-let contents_with_header w header =
+let buffer_with_header w header =
   if String.length header <> w.base then invalid_arg "Wire.contents_with_header";
   Bytes.blit_string header 0 w.buf 0 w.base;
-  Bytes.sub_string w.buf 0 w.len
+  w.buf
+
+let contents_with_header w header = Bytes.sub_string (buffer_with_header w header) 0 w.len
 
 let grow w need =
   let cap = max (w.len + need) (2 * Bytes.length w.buf) in

@@ -32,6 +32,12 @@ val contents_with_header : writer -> string -> string
     stored over the held-back bytes.
     @raise Invalid_argument unless [h] is exactly as long as they are. *)
 
+val buffer_with_header : writer -> string -> Bytes.t
+(** [buffer_with_header w h] stores [h] as [contents_with_header] does
+    and returns the writer's own buffer, not a copy: its first
+    [String.length h + size w] bytes are [h ^ contents w], until the
+    next write to [w] or {!reset}. Same [@raise]. *)
+
 val size : writer -> int
 (** The length of [contents]. *)
 

@@ -1,12 +1,12 @@
 (* Tests for the serving runtime (lib/serve) and the protocol framing
-   hardening that rides with it: exact-integer histograms, the LRU
-   response cache, deterministic fault injection through the test-side
-   frame proxy ([Aqv_ref.Fault_net]), edge cases of the
-   [Frame_io] framer every serving component runs (truncated / oversized
-   / junk — must fail cleanly, never hang or over-allocate), and the
-   concurrent engine itself (interleaving, per-connection deadlines,
-   load shedding, malformed and zero-denominator requests, in-band
-   stats, graceful drain). *)
+   hardening that rides with it: exact-integer histograms, the
+   response cache, the stats keys, deterministic fault injection
+   through the test-side frame proxy ([Aqv_ref.Fault_net]), edge cases
+   of the [Frame_io] framer every serving component runs (truncated /
+   oversized / junk — must fail cleanly, never hang or over-allocate),
+   and the concurrent engine itself (interleaving, per-connection
+   deadlines, load shedding, malformed and zero-denominator requests,
+   in-band stats, graceful drain). *)
 
 module Q = Aqv_num.Rational
 module Prng = Aqv_util.Prng
@@ -107,50 +107,43 @@ let test_histogram_merge () =
 (* ------------------------------ cache ------------------------------- *)
 
 (* [add] is an offer: a key is stored on its second offer *)
-let add_twice c k v =
-  Cache.add c k v;
-  Cache.add c k v
+let offer c k v = Cache.add c k (fun () -> v)
 
-let test_cache_lru () =
-  let c = Cache.create ~capacity:2 in
+let add_twice c k v =
+  offer c k v;
+  offer c k v
+
+let found c keys = List.length (List.filter_map (Cache.find c) keys)
+
+(* The table holds 1024 entries; the next key admitted clears it. *)
+let test_cache_cleared_when_full () =
+  let c = Cache.create () in
+  let keys = List.init 1024 (Printf.sprintf "k%d") in
+  List.iter (fun k -> add_twice c k k) keys;
+  check Alcotest.int "a full table holds every key" 1024 (found c keys);
   add_twice c "a" "1";
-  add_twice c "b" "2";
   check Alcotest.(option string) "a cached" (Some "1") (Cache.find c "a");
-  (* touching "a" makes "b" the LRU entry; adding "c" evicts it *)
-  add_twice c "c" "3";
-  check Alcotest.(option string) "b evicted" None (Cache.find c "b");
-  check Alcotest.(option string) "a kept" (Some "1") (Cache.find c "a");
-  check Alcotest.(option string) "c kept" (Some "3") (Cache.find c "c");
-  check Alcotest.int "bounded" 2
-    (List.length (List.filter_map (Cache.find c) [ "a"; "b"; "c" ]));
+  check Alcotest.int "bounded" 1 (found c ("a" :: keys));
   add_twice c "a" "9";
   check Alcotest.(option string) "value refreshed" (Some "9") (Cache.find c "a")
 
-let test_cache_disabled () =
-  let c = Cache.create ~capacity:0 in
-  add_twice c "k" "v";
-  check Alcotest.(option string) "disabled cache never hits" None (Cache.find c "k");
-  check Alcotest.int "disabled cache stays empty" 0
-    (List.length (List.filter_map (Cache.find c) [ "k" ]))
-
 let test_cache_second_offer () =
-  let c = Cache.create ~capacity:4 in
-  Cache.add c "k" "v";
+  let c = Cache.create () in
+  offer c "k" "v";
   check Alcotest.(option string) "first offer not cached" None (Cache.find c "k");
-  Cache.add c "k" "v";
+  offer c "k" "v";
   check Alcotest.(option string) "second offer cached" (Some "v") (Cache.find c "k");
-  Cache.add c "k" "w";
+  offer c "k" "w";
   check Alcotest.(option string) "a cached key is refreshed" (Some "w") (Cache.find c "k")
 
 let test_cache_one_off_flood () =
-  let c = Cache.create ~capacity:4 in
+  let c = Cache.create () in
   add_twice c "repeater" "r";
   let flood = List.init 10_000 (Printf.sprintf "one-off-%d") in
-  List.iter (fun k -> Cache.add c k "x") flood;
+  List.iter (fun k -> offer c k "x") flood;
   check Alcotest.(option string) "repeater survives the flood" (Some "r")
     (Cache.find c "repeater");
-  check Alcotest.int "no one-off cached" 0
-    (List.length (List.filter_map (Cache.find c) flood))
+  check Alcotest.int "no one-off cached" 0 (found c flood)
 
 (* The doorkeeper forgets every fingerprint after 2^14 first offers, so
    a key offered again only after that many others is not admitted.
@@ -158,7 +151,7 @@ let test_cache_one_off_flood () =
    [Hashtbl.hash key] at slot [hash land (2^14 - 1)]), so without the
    forgetting its fingerprint would still be there. *)
 let test_cache_door_forgets () =
-  let c = Cache.create ~capacity:4 in
+  let c = Cache.create () in
   let slot k = Hashtbl.hash k land ((1 lsl 14) - 1) in
   let others =
     Seq.ints 0
@@ -166,13 +159,35 @@ let test_cache_door_forgets () =
     |> Seq.filter (fun k -> slot k <> slot "late")
     |> Seq.take (1 lsl 14)
   in
-  Cache.add c "late" "v";
-  Seq.iter (fun k -> Cache.add c k "x") others;
-  Cache.add c "late" "v";
+  offer c "late" "v";
+  Seq.iter (fun k -> offer c k "x") others;
+  offer c "late" "v";
   check Alcotest.(option string) "an offer after the window is a first offer" None
     (Cache.find c "late");
-  Cache.add c "late" "v";
+  offer c "late" "v";
   check Alcotest.(option string) "the next one admits" (Some "v") (Cache.find c "late")
+
+(* ------------------------------ stats ------------------------------- *)
+
+(* perfbench and the router read these keys by name over [Get_stats] *)
+let test_stats_keys () =
+  let keys =
+    List.map fst (Stats.to_assoc (Stats.create ()))
+    |> List.filter (fun k -> not (String.starts_with ~prefix:"latency_us_le_" k))
+  in
+  check
+    Alcotest.(list string)
+    "to_assoc keys, in order"
+    [
+      "req_query"; "req_rank"; "req_count"; "req_stats"; "req_republish"; "req_subscribe";
+      "req_malformed"; "replies_refused"; "bytes_in"; "bytes_out"; "cache_hits";
+      "cache_misses"; "conns_accepted"; "conns_refused"; "sessions_dropped"; "index_swaps";
+      "log_appends"; "recoveries"; "torn_tail_truncations"; "frames_coalesced";
+      "compactions"; "epoch"; "followers_connected"; "deltas_shipped";
+      "follower_lag_frames"; "latency_us_count"; "latency_us_max"; "latency_us_p50";
+      "latency_us_p90"; "latency_us_p99";
+    ]
+    keys
 
 (* ------------------------------ faults ------------------------------ *)
 
@@ -427,7 +442,10 @@ let test_stats_and_cache_over_wire () =
 
 (* A session encodes every reply into one writer, reset per reply: each
    reply, longer or shorter than the one before it, must be the bytes a
-   fresh writer gives. The cache is off, so every reply is encoded. *)
+   fresh writer gives. The exchanges go three times over one connection:
+   the second pass admits each answer to the cache, the third is served
+   from it, so a stored frame that shared the writer's buffer would
+   come back holding a later reply. *)
 let test_session_writer_reuse () =
   let index = Lazy.force index and x = Lazy.force sample_x in
   let encoded f v =
@@ -459,18 +477,22 @@ let test_session_writer_reuse () =
       junk;
     ]
   in
-  with_engine ~config:{ Engine.default_config with Engine.cache_capacity = 0 } (fun _ port ->
+  with_engine (fun t port ->
       Roundtrip.with_connection ~port (fun fd ->
-          List.iteri
-            (fun i (payload, reply) ->
-              ignore (Frame_io.write_frame fd payload);
-              match Frame_io.read_frame ~header_timeout:5. ~body_timeout:5. fd with
-              | Some got ->
-                check Alcotest.string
-                  (Printf.sprintf "reply %d = fresh encode" i)
-                  (encoded Protocol.encode_reply reply) got
-              | None -> Alcotest.fail "connection closed")
-            exchanges))
+          for pass = 1 to 3 do
+            List.iteri
+              (fun i (payload, reply) ->
+                ignore (Frame_io.write_frame fd payload);
+                match Frame_io.read_frame ~header_timeout:5. ~body_timeout:5. fd with
+                | Some got ->
+                  check Alcotest.string
+                    (Printf.sprintf "pass %d: reply %d = fresh encode" pass i)
+                    (encoded Protocol.encode_reply reply) got
+                | None -> Alcotest.fail "connection closed")
+              exchanges
+          done;
+          check Alcotest.int "the third pass hit the cache" 6
+            (stat (Engine.stats t) "cache_hits")))
 
 (* The engine's replies pass through a seeded frame proxy that
    delays, truncates and drops them; the client retries through it. *)
@@ -604,9 +626,9 @@ let test_swap_under_concurrent_load () =
       check Alcotest.bool "post-swap replies observed" true (Atomic.get saw_new >= 1))
 
 (* The cache never changes a reply: one request stream, with repeats
-   and an epoch swap at a drawn position, gets byte-identical replies
-   from an engine with the default 1024-entry cache and from one with
-   none. *)
+   and an epoch swap at a drawn position, gets the bytes of a fresh
+   encode of [Protocol.handle] on the index the engine serves at that
+   position. *)
 let cache_law_requests =
   lazy
     (let table = Lazy.force table and x = Lazy.force sample_x in
@@ -619,7 +641,7 @@ let cache_law_requests =
        (fun request ->
          Wire.reset w;
          Protocol.encode_request w request;
-         Wire.contents w)
+         (request, Wire.contents w))
        (List.init 4 (fun k -> Protocol.Run_query (topk_query (k + 1)))
        @ range 5 @ range 12
        @ [ Protocol.Run_rank { x; record_id = 3 }; Protocol.Run_rank { x; record_id = 7 } ])
@@ -627,23 +649,31 @@ let cache_law_requests =
 
 let updated_index = lazy (snd (updated_pair ()))
 
-let replies_of ~cache_capacity ~swap_at stream =
-  let payloads = Lazy.force cache_law_requests in
-  with_engine ~config:{ Engine.default_config with Engine.cache_capacity } (fun t port ->
+let fresh_reply index request =
+  let w = Wire.writer () in
+  Protocol.encode_reply w (Protocol.handle index request);
+  Wire.contents w
+
+let replies_match ~swap_at stream =
+  let requests = Lazy.force cache_law_requests in
+  with_engine (fun t port ->
       Roundtrip.with_connection ~port (fun fd ->
           List.mapi
             (fun i r ->
               if i = swap_at then
                 ignore (Result.get_ok (Engine.install_snapshot t (Lazy.force updated_index)));
-              ignore (Frame_io.write_frame fd payloads.(r));
+              let index = Lazy.force (if i < swap_at then index else updated_index) in
+              let request, payload = requests.(r) in
+              ignore (Frame_io.write_frame fd payload);
               match Frame_io.read_frame ~header_timeout:5. ~body_timeout:5. fd with
-              | Some reply -> reply
+              | Some reply -> reply = fresh_reply index request
               | None -> Alcotest.fail "connection closed")
-            stream))
+            stream
+          |> List.for_all Fun.id))
 
-(* No shrinker: every case stands up two engines, so shrinking a
-   failure would take about a minute; the first counterexample is
-   printed as found. *)
+(* No shrinker: every case stands up an engine, so shrinking a failure
+   would take tens of seconds; the first counterexample is printed as
+   found. *)
 let test_cache_never_changes_a_reply =
   let pool = Array.length (Lazy.force cache_law_requests) in
   QCheck_alcotest.to_alcotest
@@ -651,9 +681,7 @@ let test_cache_never_changes_a_reply =
        (QCheck.make
           ~print:QCheck.Print.(pair (list int) int)
           QCheck.Gen.(pair (list_size (int_range 1 40) (int_bound (pool - 1))) (int_bound 40)))
-       (fun (stream, swap_at) ->
-         replies_of ~cache_capacity:1024 ~swap_at stream
-         = replies_of ~cache_capacity:0 ~swap_at stream))
+       (fun (stream, swap_at) -> replies_match ~swap_at stream))
 
 let test_graceful_drain () =
   let t = Engine.create { Engine.default_config with Engine.port = 0 } (Lazy.force index) in
@@ -702,12 +730,12 @@ let () =
         ] );
       ( "cache",
         [
-          Alcotest.test_case "lru eviction" `Quick test_cache_lru;
-          Alcotest.test_case "capacity 0 disables" `Quick test_cache_disabled;
+          Alcotest.test_case "cleared when full" `Quick test_cache_cleared_when_full;
           Alcotest.test_case "admitted on second offer" `Quick test_cache_second_offer;
           Alcotest.test_case "one-off flood keeps repeater" `Quick test_cache_one_off_flood;
           Alcotest.test_case "doorkeeper forgets" `Quick test_cache_door_forgets;
         ] );
+      ("stats", [ Alcotest.test_case "keys" `Quick test_stats_keys ]);
       ( "faults",
         [
           Alcotest.test_case "deterministic schedule" `Quick test_faults_deterministic;
