@@ -1254,6 +1254,33 @@ let micro_tests () =
         Aqv_util.Wire.contents w)
   in
   let next_stream = ref 0 in
+  (* perfbench's cold-read index: a dense 200-record 1-D family
+     (intercepts up to 1000, table seed 1, ~7.1 k subdomains) under
+     multi-signature, dry-signed. 4096 uniform points, with a range and
+     a KNN query at each drawn as that workload's trace draws them; each
+     run takes the next point, so the server rows land on cold subdomains
+     as its reads do. *)
+  let cold_table = Workload.lines_1d ~intercept_range:1000 ~n:(scaled 200) (Prng.create 1L) in
+  let cold = Ifmh.build ~scheme:Ifmh.Multi_signature cold_table dry_signer in
+  let crng = Prng.create 0xC01DL in
+  let cold_x = Array.init 4096 (fun _ -> Workload.weight_point cold_table crng) in
+  let cold_range =
+    Array.map
+      (fun x ->
+        let l = Prng.int_in crng 0 400 in
+        Query.range ~x ~l:(Q.of_int l) ~u:(Q.of_int (l + Prng.int_in crng 50 400)))
+      cold_x
+  in
+  let cold_knn =
+    Array.map
+      (fun x -> Query.knn ~x ~k:(1 + Prng.int crng 64) ~y:(Q.of_int (Prng.int_in crng 0 1000)))
+      cold_x
+  in
+  let next_cold = ref 0 in
+  let cold_next a =
+    next_cold := (!next_cold + 1) land 4095;
+    a.(!next_cold)
+  in
   ( [
     (* a run that does nothing: what the clock and the harness cost *)
     Test.make ~name:"floor" (Staged.stage (fun () -> ()));
@@ -1269,6 +1296,13 @@ let micro_tests () =
     Test.make ~name:"itree-locate" (Staged.stage (fun () -> Itree.locate (Ifmh.itree c.one) x));
     Test.make ~name:"ifmh-answer-top3" (Staged.stage (fun () -> Server.answer c.one q3));
     Test.make ~name:"mesh-answer-top3" (Staged.stage (fun () -> Mesh.answer c.mesh q3));
+    (* Server.answer's stages on the cold-read index: the I-tree descent
+       alone, then whole answers (descent, window search, assembly) *)
+    Test.make ~name:"server-locate" (Staged.stage (fun () -> Server.locate cold (cold_next cold_x)));
+    Test.make ~name:"server-answer-range"
+      (Staged.stage (fun () -> Server.answer cold (cold_next cold_range)));
+    Test.make ~name:"server-answer-knn"
+      (Staged.stage (fun () -> Server.answer cold (cold_next cold_knn)));
     Test.make ~name:"client-verify-top3"
       (Staged.stage (fun () ->
            Client.verify (verifier_for kp small_table) small_q small_resp));

@@ -270,14 +270,14 @@ let answer t query =
   let n = t.n in
   let score i =
     Aqv_util.Metrics.add_mesh_cells 1;
-    Linfun.eval fns.(Pvec.get cell.order i) x
+    Linfun.eval_unreduced fns.(Pvec.get cell.order i) x
   in
   let wlo, whi =
     match Query.window ~n ~score query with
     | Some (a, b) -> (a + 1, b + 1)
     | None ->
       let l = match query with Query.Range { l; _ } -> l | _ -> assert false in
-      let ins = Query.insertion_point ~n ~score l in
+      let ins = Query.insertion_point ~n ~score (Q.to_unreduced l) in
       (ins + 1, ins)
   in
   let tok_at pos = if pos = 0 then t.n else if pos = n + 1 then t.n + 1 else Pvec.get cell.order (pos - 1) in

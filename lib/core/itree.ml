@@ -180,9 +180,10 @@ let locate t x =
     match node.kind with
     | Leaf lf -> (List.rev path, lf)
     | Inode n ->
-      (* each descent step is one exact-rational sign test *)
+      (* each descent step is one exact-rational sign test, of the
+         unreduced value: the sign needs no gcd *)
       Aqv_util.Metrics.add_locate_sign_tests 1;
-      if Q.sign (Linfun.eval n.diff x) >= 0 then go n.above (node :: path)
+      if Q.sign_unreduced (Linfun.eval_unreduced n.diff x) >= 0 then go n.above (node :: path)
       else go n.below (node :: path)
   in
   go t.root []

@@ -79,7 +79,7 @@ let insertion_point ~n ~score v =
     if lo >= hi then lo
     else begin
       let mid = (lo + hi) / 2 in
-      if Q.compare (score mid) v < 0 then go (mid + 1) hi else go lo mid
+      if Q.compare_unreduced (score mid) v < 0 then go (mid + 1) hi else go lo mid
     end
   in
   go 0 n
@@ -92,30 +92,32 @@ let window ~n ~score t =
       let a = if k >= n then 0 else n - k in
       Some (a, n - 1)
     | Range { l; u; _ } ->
-      let a = insertion_point ~n ~score l in
+      let a = insertion_point ~n ~score (Q.to_unreduced l) in
+      let u = Q.to_unreduced u in
       (* smallest index with score > u *)
       let rec above_u lo hi =
         if lo >= hi then lo
         else begin
           let mid = (lo + hi) / 2 in
-          if Q.compare (score mid) u <= 0 then above_u (mid + 1) hi else above_u lo mid
+          if Q.compare_unreduced (score mid) u <= 0 then above_u (mid + 1) hi else above_u lo mid
         end
       in
       let b = above_u a n - 1 in
       if b < a then None else Some (a, b)
     | Knn { k; y; _ } ->
       let k = if k > n then n else k in
+      let y = Q.to_unreduced y in
       let p = insertion_point ~n ~score y in
+      (* every left candidate scores below y and every right one at or
+         above it, so |s_l - y| <= |s_r - y| exactly when
+         2y <= s_l + s_r: one sum and one compare, no gcd *)
+      let two_y = Q.add_unreduced y y in
       let left = ref (p - 1) and right = ref p in
       for _ = 1 to k do
         let take_left =
           if !left < 0 then false
           else if !right >= n then true
-          else begin
-            let dl = Q.abs (Q.sub (score !left) y) in
-            let dr = Q.abs (Q.sub (score !right) y) in
-            Q.compare dl dr <= 0
-          end
+          else Q.compare_unreduced two_y (Q.add_unreduced (score !left) (score !right)) <= 0
         in
         if take_left then decr left else incr right
       done;

@@ -28,15 +28,17 @@ val x : t -> Q.t array
 
 val pp : Format.formatter -> t -> unit
 
-val window : n:int -> score:(int -> Q.t) -> t -> (int * int) option
+val window : n:int -> score:(int -> Q.unreduced) -> t -> (int * int) option
 (** [window ~n ~score q] is the inclusive index window [(a, b)] of the
     answer within the ascending score sequence [score 0 .. score (n-1)],
     or [None] when the answer is empty. Every query type's answer is a
     consecutive window of the sorted list — the property the paper's
     verification structures rely on. The sequence must be
-    non-decreasing. *)
+    non-decreasing. Scores are only compared
+    ({!Aqv_num.Rational.compare_unreduced}), never reduced: a KNN step
+    takes the left candidate exactly when [2y <= s_l + s_r]. *)
 
-val insertion_point : n:int -> score:(int -> Q.t) -> Q.t -> int
+val insertion_point : n:int -> score:(int -> Q.unreduced) -> Q.unreduced -> int
 (** Smallest index whose score is [>= v]; [n] if none. *)
 
 val encode : Aqv_util.Wire.writer -> t -> unit

@@ -11,7 +11,7 @@ type located = {
   path : Itree.node list;
   leaf : Itree.leaf;
   fmh : int Mht.t;
-  score : int -> Q.t;
+  score : int -> Q.unreduced;
 }
 
 let locate index x =
@@ -21,7 +21,7 @@ let locate index x =
   (* every probe into the sorted list is an FMH-tree descent *)
   let score i =
     Aqv_util.Metrics.add_fmh_nodes 1;
-    Linfun.eval fns.(Mht.value fmh (i + 1)) x
+    Linfun.eval_unreduced fns.(Mht.value fmh (i + 1)) x
   in
   { path; leaf; fmh; score }
 
@@ -106,7 +106,7 @@ let answer_at index at query =
       (* empty range answer: boundaries are the two records around the
          insertion point of l *)
       let l = match query with Query.Range { l; _ } -> l | _ -> assert false in
-      let ins = Query.insertion_point ~n ~score:at.score l in
+      let ins = Query.insertion_point ~n ~score:at.score (Q.to_unreduced l) in
       (ins + 1, ins)
   in
   assemble index at window
@@ -120,10 +120,10 @@ let rank index ~x ~record_id =
   | Some target ->
     let at = locate index x in
     let n = Table.size table in
-    let s = Linfun.eval (Table.functions table).(target) x in
+    let s = Linfun.eval_unreduced (Table.functions table).(target) x in
     (* the record sits in the contiguous tie group of its score *)
     let rec find pos =
-      if pos > n || Q.compare (at.score (pos - 1)) s > 0 then
+      if pos > n || Q.compare_unreduced (at.score (pos - 1)) s > 0 then
         (* exact scores can only miss if the structures are corrupt *)
         invalid_arg "Server.rank: record not found in its subdomain order"
       else if Mht.value at.fmh pos = target then pos

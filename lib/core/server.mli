@@ -20,8 +20,9 @@ type located = {
   path : Itree.node list;  (** the I-tree descent, root first *)
   leaf : Itree.leaf;  (** the subdomain containing the input *)
   fmh : int Aqv_merkle.Mht.t;  (** its FMH-tree, which holds the sorted list ({!Sorting.leaf}) *)
-  score : int -> Aqv_num.Rational.t;
-      (** score at sorted position [i] (FMH leaf [i + 1]); ticks one FMH node *)
+  score : int -> Aqv_num.Rational.unreduced;
+      (** score at sorted position [i] (FMH leaf [i + 1]), unreduced, for
+          {!Query.window}; ticks one FMH node *)
 }
 
 val locate : Ifmh.t -> Aqv_num.Rational.t array -> located

@@ -14,6 +14,10 @@ let eval t x =
   if Array.length x <> Array.length t.coeffs then invalid_arg "Linfun.eval: dimension";
   Q.affine t.const t.coeffs x
 
+let eval_unreduced t x =
+  if Array.length x <> Array.length t.coeffs then invalid_arg "Linfun.eval: dimension";
+  Q.affine_unreduced t.const t.coeffs x
+
 let sub a b =
   if dim a <> dim b then invalid_arg "Linfun.sub: dimension";
   {

@@ -17,6 +17,10 @@ val const : t -> Rational.t
 val eval : t -> Rational.t array -> Rational.t
 (** @raise Invalid_argument on dimension mismatch. *)
 
+val eval_unreduced : t -> Rational.t array -> Rational.unreduced
+(** The value of {!eval}, without its final gcd: for a caller that only
+    takes its sign or compares it. @raise Invalid_argument as {!eval}. *)
+
 val sub : t -> t -> t
 (** Pointwise difference: the function whose zero set is the
     intersection hyperplane of the two arguments. *)

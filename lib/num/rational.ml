@@ -161,6 +161,15 @@ type unreduced = t
 let to_unreduced q = q
 let of_unreduced = function I { n; d } -> reduce n d | Z _ as q -> q
 let compare_unreduced = compare
+let sign_unreduced = sign
+
+(* [add]'s native cases without the final gcd; past their bounds, [add]
+   itself, which takes unreduced operands as they are *)
+let add_unreduced a b =
+  match (a, b) with
+  | I x, I y when x.d = y.d && Stdlib.abs x.n lor Stdlib.abs y.n < lim61 -> I { n = x.n + y.n; d = x.d }
+  | I x, I y when below lim30 x.n x.d y.n y.d -> I { n = (x.n * y.d) + (y.n * x.d); d = x.d * y.d }
+  | _ -> add a b
 
 (* [b + a.(0) * x.(0) + ...] over one running native fraction [num/den],
    left unreduced: a term over the running denominator is one add, any

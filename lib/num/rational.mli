@@ -94,6 +94,15 @@ val compare_unreduced : unreduced -> unreduced -> int
     magnitude below 2{^31} by cross-multiplication, and the rest by a
     {!Aqv_bigint.Bigint} cross-multiplication. No floats. *)
 
+val sign_unreduced : unreduced -> int
+(** [sign_unreduced a] is [sign (of_unreduced a)]: the numerator's sign,
+    read without reducing. *)
+
+val add_unreduced : unreduced -> unreduced -> unreduced
+(** The value of [add (of_unreduced a) (of_unreduced b)], left
+    unreduced: two native operands within {!add}'s bounds sum on
+    machine words, any others go through {!add}. *)
+
 val encode : Aqv_util.Wire.writer -> t -> unit
 (** Canonical wire encoding: a sign byte (1 for negative, else 0), then
     the numerator's magnitude and the denominator, each a

@@ -114,4 +114,5 @@ val serve : t -> unit
     [Assert_failure] are never caught. *)
 
 val stop : t -> unit
-(** Idempotent, signal-safe: flips a flag the accept loop polls. *)
+(** Idempotent, signal-safe: {!Listener.stop}, which wakes the accept
+    loop at once. *)

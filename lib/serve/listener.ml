@@ -6,6 +6,8 @@ type t = {
   sock : Unix.file_descr;
   bound_port : int;
   stopped : bool Atomic.t;
+  wake_r : Unix.file_descr; (* self-pipe: the first [stop] writes one byte *)
+  wake_w : Unix.file_descr;
   mu : Mutex.t;
   mutable sessions : Unix.file_descr list; (* running, guarded by [mu] *)
 }
@@ -19,10 +21,19 @@ let create ~port =
   let bound_port =
     match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
   in
-  { sock; bound_port; stopped = Atomic.make false; mu = Mutex.create (); sessions = [] }
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  { sock; bound_port; stopped = Atomic.make false; wake_r; wake_w; mu = Mutex.create (); sessions = [] }
 
 let port t = t.bound_port
-let stop t = Atomic.set t.stopped true
+
+(* Only the call that flips the flag writes, so the pipe gets exactly one
+   byte, and [serve] closes the pipe only once that byte is there: no
+   write lands on a closed or reused fd. No lock is taken, so a signal
+   handler may call this whichever thread it interrupts. *)
+let stop t =
+  if not (Atomic.exchange t.stopped true) then
+    ignore (Unix.single_write_substring t.wake_w "x" 0 1)
+
 let stopped t = Atomic.get t.stopped
 
 let active t =
@@ -55,17 +66,19 @@ let session_thread t ~on_error session fd =
         raise e
       | e -> on_error e)
 
-(* The accept loop polls [stopped] between short selects instead of
-   blocking in accept(2): signal handlers only set the flag, so
-   shutdown needs no pthread-kill / close-from-another-thread games. *)
+(* The accept loop blocks in select(2) on the listening socket and the
+   self-pipe, and ends once [stop]'s byte is there: a stop wakes it at
+   once, and an idle listener never wakes. Signal handlers only call
+   [stop], so shutdown needs no pthread-kill / close-from-another-thread
+   games. *)
 let serve t ~max_conns ~drain_timeout ~on_shed ~on_error session =
-  while not (stopped t) do
-    let readable =
-      match Unix.select [ t.sock ] [] [] 0.2 with
-      | r, _, _ -> r <> []
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-    in
-    if readable then
+  let woken = ref false in
+  while not !woken do
+    match Unix.select [ t.sock; t.wake_r ] [] [] (-1.) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | r, _, _ when List.mem t.wake_r r -> woken := true
+    | [], _, _ -> ()
+    | _ -> (
       match Unix.accept t.sock with
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
       | conn, _ ->
@@ -78,7 +91,7 @@ let serve t ~max_conns ~drain_timeout ~on_shed ~on_error session =
           on_shed ();
           Frame_io.write_raw conn overloaded;
           try Unix.close conn with Unix.Unix_error _ -> ()
-        end
+        end)
   done;
   (* idle sessions read EOF and end, replies in flight still go out *)
   Mutex.lock t.mu;
@@ -93,4 +106,6 @@ let serve t ~max_conns ~drain_timeout ~on_shed ~on_error session =
   let leftover = active t in
   if leftover > 0 then
     Log.warn (fun m -> m "drain timeout: %d session(s) still active" leftover);
-  try Unix.close t.sock with Unix.Unix_error _ -> ()
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ t.sock; t.wake_r; t.wake_w ]

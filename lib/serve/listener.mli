@@ -6,8 +6,9 @@
     the session itself:
 
     - bind and listen on 127.0.0.1 (backlog 64);
-    - a select-then-accept loop that polls a stop flag between short
-      selects, so a signal handler only has to call {!stop};
+    - a select-then-accept loop that sleeps until a connection or
+      {!stop}'s byte on a self-pipe arrives, so a stop wakes it at once
+      and a signal handler only has to call {!stop};
     - admission against a connection bound: past it, the connection
       gets a framed [Refused "overloaded"] written straight from the
       accept loop (a refusal costs no thread) and is closed;
@@ -50,6 +51,8 @@ val serve :
     socket and returns. *)
 
 val stop : t -> unit
-(** Idempotent, signal-safe: flips the flag the accept loop polls. *)
+(** Idempotent, signal-safe: the first call flips the stop flag and
+    wakes the accept loop through its self-pipe; later calls do
+    nothing. Takes no lock, so a signal handler may call it. *)
 
 val stopped : t -> bool

@@ -17,6 +17,7 @@ module Signer = Aqv_crypto.Signer
 module Mesh_ref = Aqv_ref.Mesh_ref
 module Num_ref = Aqv_ref.Num_ref
 module Core_ref = Aqv_ref.Core_ref
+module Window_ref = Aqv_ref.Window_ref
 open Aqv
 open Aqv_baseline
 
@@ -30,7 +31,9 @@ let keypair = lazy (Signer.generate ~bits:512 Signer.Rsa (Prng.create 42L))
 
 (* ------------------------- query semantics -------------------------- *)
 
-let arr_accessor a i = a.(i)
+(* the window search compares scores unreduced, as the server scores
+   them *)
+let arr_accessor a i = Q.to_unreduced a.(i)
 
 let test_window_topk () =
   let scores = Array.map Q.of_int [| 1; 3; 5; 7; 9 |] in
@@ -121,6 +124,97 @@ let window_vs_bruteforce =
         | None -> false
       in
       ok_topk && ok_range && ok_knn)
+
+(* Values for the window law: small integers and fractions, which tie
+   often; fractions whose numerator and denominator pass 2^31, so a
+   compare or a sum leaves machine words; and values past 2^63, held as
+   Bigints. *)
+let law_value =
+  let open QCheck.Gen in
+  let big = Q.of_decimal "9223372036854775808" in
+  frequency
+    [
+      (4, map Q.of_int (int_range (-6) 6));
+      (3, map2 Q.of_ints (int_range (-40) 40) (int_range 1 12));
+      (2, map2 Q.of_ints (int_range (-(1 lsl 40)) (1 lsl 40)) (int_range 1 (1 lsl 33)));
+      ( 1,
+        map2
+          (fun neg p -> Q.add (if neg then Q.neg big else big) (Q.of_ints p 3))
+          bool (int_range (-9) 9) );
+    ]
+
+(* A bound for a range or a KNN target: a score itself (a tie), the
+   midpoint of two scores (a KNN tie at equal distance), or any value. *)
+let law_bound vals =
+  let open QCheck.Gen in
+  let n = Array.length vals in
+  if n = 0 then law_value
+  else
+    frequency
+      [
+        (2, map (Array.get vals) (int_bound (n - 1)));
+        (2, map2 (fun i j -> Q.average vals.(i) vals.(j)) (int_bound (n - 1)) (int_bound (n - 1)));
+        (1, law_value);
+      ]
+
+(* Sorted scores (one in five cases all equal), a form for each, k up
+   to n + 3, a range (one in four empty-or-single-point, l = u) and a
+   KNN target. *)
+let law_case =
+  let open QCheck.Gen in
+  int_range 0 14 >>= fun n ->
+  frequency
+    [ (4, list_repeat n law_value); (1, map (fun v -> List.init n (fun _ -> v)) law_value) ]
+  >>= fun vs ->
+  let vals = Array.of_list (List.sort Q.compare vs) in
+  list_repeat n (int_bound 2) >>= fun forms ->
+  law_bound vals >>= fun b1 ->
+  frequency [ (3, law_bound vals); (1, return b1) ] >>= fun b2 ->
+  law_bound vals >>= fun y ->
+  int_range 1 (n + 3) >>= fun k ->
+  let l, u = if Q.compare b1 b2 <= 0 then (b1, b2) else (b2, b1) in
+  return (vals, Array.of_list forms, k, l, u, y)
+
+let print_law_case (vals, forms, k, l, u, y) =
+  Printf.sprintf "scores [%s] k=%d l=%s u=%s y=%s"
+    (String.concat "; "
+       (Array.to_list (Array.mapi (fun i v -> Printf.sprintf "%s#%d" (Q.to_string v) forms.(i)) vals)))
+    k (Q.to_string l) (Q.to_string u) (Q.to_string y)
+
+(* [v] unreduced, in one of three forms: as it is, as v/2 + v/2, or as
+   v/3 + 2v/3. [Rational.affine_unreduced] sums native terms over one
+   denominator without a gcd, so 3/5 becomes 6/10 or 45/75. *)
+let unreduced_form form v =
+  match form with
+  | 0 -> Q.to_unreduced v
+  | 1 -> Q.affine_unreduced (Q.div v (Q.of_int 2)) [| Q.of_ints 1 2 |] [| v |]
+  | _ -> Q.affine_unreduced (Q.div v (Q.of_int 3)) [| Q.of_ints 2 3 |] [| v |]
+
+(* The window law: [Query.window] and [Query.insertion_point] on
+   unreduced scores give the reduced oracle's window and insertion point
+   ([test/ref/window_ref.ml]) for every query type, and each unreduced
+   score has its reduced value's sign. *)
+let window_law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~long_factor:20 ~name:"unreduced window = reduced oracle"
+       (QCheck.make ~print:print_law_case law_case)
+       (fun (vals, forms, k, l, u, y) ->
+         let n = Array.length vals in
+         let unreduced = Array.mapi (fun i v -> unreduced_form forms.(i) v) vals in
+         let got = Query.window ~n ~score:(Array.get unreduced) in
+         let want = Window_ref.window ~n ~score:(Array.get vals) in
+         let same_insertion v =
+           Query.insertion_point ~n ~score:(Array.get unreduced) (Q.to_unreduced v)
+           = Window_ref.insertion_point ~n ~score:(Array.get vals) v
+         in
+         let x = [| Q.zero |] in
+         Array.for_all2
+           (fun v r -> Q.equal v (Q.of_unreduced r) && Q.sign_unreduced r = Q.sign v)
+           vals unreduced
+         && List.for_all
+              (fun q -> got q = want q)
+              [ Query.top_k ~x ~k; Query.range ~x ~l ~u; Query.knn ~x ~k ~y ]
+         && same_insertion l && same_insertion u && same_insertion y))
 
 (* ------------------------------ itree ------------------------------- *)
 
@@ -236,7 +330,7 @@ let reference_answer table query =
   let sorted = Workload.scores_at table x in
   let n = Array.length sorted in
   let scores = Array.map snd sorted in
-  match Query.window ~n ~score:(fun i -> scores.(i)) query with
+  match Window_ref.window ~n ~score:(Array.get scores) query with
   | None -> []
   | Some (a, b) -> List.init (b - a + 1) (fun k -> Table.record table (fst sorted.(a + k)))
 
@@ -845,6 +939,7 @@ let () =
           Alcotest.test_case "knn windows" `Quick test_window_knn;
           window_vs_bruteforce;
         ] );
+      ("window law", [ window_law ]);
       ( "itree",
         [
           Alcotest.test_case "1d structure" `Quick test_itree_1d_structure;

@@ -21,6 +21,7 @@ module Frame_io = Aqv_serve.Frame_io
 module Cache = Aqv_serve.Cache
 module Fault_net = Aqv_ref.Fault_net
 module Stats = Aqv_serve.Stats
+module Listener = Aqv_serve.Listener
 open Aqv
 
 let check = Alcotest.check
@@ -720,6 +721,38 @@ let test_idle_session_ends_on_stop () =
       check Alcotest.bool "the idle connection reads EOF" true
         (Frame_io.read_frame ~header_timeout:5. fd = None))
 
+(* [Listener.serve] on an idle listener returns promptly after [stop],
+   also after a [stop] that came before [serve]. The accept loop sleeps
+   in select until a connection or the stop arrives, so a missed wake is
+   a hang: [serve] runs in a thread of its own and the 5 s bound only
+   catches that. *)
+let test_listener_wakes_on_stop () =
+  let serve_then_stop ~stop_first =
+    let l = Listener.create ~port:0 in
+    if stop_first then Listener.stop l;
+    let returned = Atomic.make false in
+    let _ : Thread.t =
+      Thread.create
+        (fun () ->
+          Listener.serve l ~max_conns:1 ~drain_timeout:1. ~on_shed:ignore ~on_error:raise
+            (fun _ -> ());
+          Atomic.set returned true)
+        ()
+    in
+    (* let the loop reach its select *)
+    Thread.delay 0.05;
+    let t0 = Unix.gettimeofday () in
+    Listener.stop l;
+    Listener.stop l;
+    while (not (Atomic.get returned)) && Unix.gettimeofday () -. t0 < 5. do
+      Thread.delay 0.001
+    done;
+    if not (Atomic.get returned) then
+      Alcotest.failf "serve still running 5 s after stop (stop first: %b)" stop_first
+  in
+  serve_then_stop ~stop_first:false;
+  serve_then_stop ~stop_first:true
+
 let () =
   Alcotest.run "aqv_serve"
     [
@@ -766,6 +799,7 @@ let () =
             test_fault_injection_never_corrupts;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
           Alcotest.test_case "idle session ends on stop" `Quick test_idle_session_ends_on_stop;
+          Alcotest.test_case "listener wakes on stop" `Quick test_listener_wakes_on_stop;
           Alcotest.test_case "one writer per session" `Quick test_session_writer_reuse;
         ] );
       ( "hot-swap",
