@@ -9,7 +9,7 @@
          storage server: recover the store (validate the snapshot,
          truncate a torn log tail, replay surviving deltas), then serve
          framed requests through the concurrent Aqv_serve.Engine
-         (bounded connections, per-connection deadlines, LRU response
+         (bounded connections, per-connection deadlines, a response
          cache, graceful shutdown on SIGINT/SIGTERM). Accepted
          republishes are fsync'd to wal.log before the ack, so a
          crashed server restarts at the last acked epoch.
@@ -74,7 +74,6 @@ module Roundtrip = Aqv_serve.Roundtrip
 module Stats = Aqv_serve.Stats
 module Store = Aqv_store.Store
 module Store_error = Aqv_store.Error
-module Hub = Aqv_cluster.Hub
 module Follower = Aqv_cluster.Follower
 module Router = Aqv_cluster.Router
 open Aqv
@@ -176,10 +175,9 @@ let run_serve dir port max_conns follow port_file =
       (Store_error.to_string e);
     exit 1
   | Ok (store, index, recovery) ->
-    (* every server publishes its stream: a follower can itself have
+    (* every engine serves Subscribe: a follower can itself have
        followers (chained replication), because Engine.republish ships
        whatever it durably applied, whatever the source *)
-    let hub = Hub.create ~initial:index () in
     let config =
       {
         Engine.default_config with
@@ -187,7 +185,6 @@ let run_serve dir port max_conns follow port_file =
         max_conns;
         store = Some store;
         accept_republish = Option.is_none follow;
-        publisher = Some (Hub.publisher hub);
       }
     in
     let engine = Engine.create config index in
@@ -208,10 +205,7 @@ let run_serve dir port max_conns follow port_file =
         (fun (host, port) -> Follower.start ~host ~engine ~port ())
         follow
     in
-    let stop _ =
-      Hub.stop hub;
-      Engine.stop engine
-    in
+    let stop _ = Engine.stop engine in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     Printf.printf "serving %d records on 127.0.0.1:%d (max %d conns)%s\n%!"
@@ -225,7 +219,6 @@ let run_serve dir port max_conns follow port_file =
     Option.iter (fun pf -> write_file pf (string_of_int (Engine.port engine))) port_file;
     Engine.serve engine;
     Option.iter Follower.stop follower;
-    Hub.stop hub;
     Store.close store
 
 (* ------------------------------- route ------------------------------ *)
@@ -494,27 +487,33 @@ let start_replicas ?args sc ~primary ~epoch n =
   in
   (followers, router, converged)
 
-(* One republish, one connection, one verdict. The connection is opened
-   only once the delta is ready: an owner-side [Ifmh.apply] can outlast
-   the engine's idle_timeout, and a session held open across it gets
-   dropped server-side — the drop then surfaces as EPIPE on the next
-   write and, uncaught, kills the republisher thread silently. The ack
-   wait also gets a generous timeout (the server-side apply of a large
-   delta can outlast the default 5 s), and every failure mode — refusal,
-   timeout, connect error — is counted, never allowed to escape. *)
+(* One republish, one connection, one attempt: the acked epoch, or
+   [None] on a refusal or any transport failure. A republish is not
+   idempotent, so it is never resent: a retry of a delta that already
+   landed would be refused ("does not advance the epoch"). The
+   connection is opened only once the delta is ready: an owner-side
+   [Ifmh.apply] can outlast the engine's idle_timeout, and a session
+   held open across it gets dropped server-side. The ack wait gets a
+   generous timeout, because the server-side apply of a large delta can
+   outlast the default 5 s. *)
 let republish_opts = { Roundtrip.default_opts with read_timeout = 120. }
 
-let send_republish ~primary_port ~repub_hist ~repub_failures delta =
-  let t0 = Unix.gettimeofday () in
+let republish_once ~port delta =
   match
-    Roundtrip.with_connection ~opts:republish_opts ~port:primary_port (fun fd ->
+    Roundtrip.with_connection ~opts:republish_opts ~port (fun fd ->
         Roundtrip.ask ~opts:republish_opts fd (Protocol.Republish delta))
   with
-  | Protocol.Republished _ ->
+  | Protocol.Republished epoch -> Some epoch
+  | _ | (exception _) -> None
+
+(* [republish_once], timed send-to-ack; every failure is counted. *)
+let send_republish ~primary_port ~repub_hist ~repub_failures delta =
+  let t0 = Unix.gettimeofday () in
+  match republish_once ~port:primary_port delta with
+  | Some _ ->
     Histogram.observe repub_hist
       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
-  | _ -> incr repub_failures
-  | exception _ -> incr repub_failures
+  | None -> incr repub_failures
 
 (* ------------------------------ workload ----------------------------- *)
 
@@ -673,36 +672,13 @@ let run_workload spec_path replicas_override seed_override json_path =
       p999_us = Histogram.percentile_permille hist 999;
     }
   in
-  let violations = Spec.evaluate_slo spec.Spec.slo measured in
+  (* one row per declared bound, violated or not, for the report *)
+  let slo_rows = Spec.evaluate_slo spec.Spec.slo measured in
+  let violations = List.filter (fun r -> not r.Spec.ok) slo_rows in
   (* a client whose connection died (its server gone) leaves ops
      unobserved; each is a failure, so a lost child cannot fake a PASS *)
   let all_failures = !failures + !repub_failures + (total - Histogram.count hist) in
   let gate_ok = violations = [] && all_failures = 0 in
-  (* one row per declared bound, violated or not, for the report *)
-  let slo_rows =
-    let row bound limit actual =
-      let ok = not (List.exists (fun v -> v.Spec.bound = bound) violations) in
-      (bound, limit, actual, ok)
-    in
-    List.filter_map Fun.id
-      [
-        Option.map
-          (fun l -> row "min_throughput_rps" l measured.Spec.throughput_rps)
-          spec.Spec.slo.Spec.min_throughput_rps;
-        Option.map
-          (fun l ->
-            row "p50_us_max" (float_of_int l) (float_of_int measured.Spec.p50_us))
-          spec.Spec.slo.Spec.p50_us_max;
-        Option.map
-          (fun l ->
-            row "p99_us_max" (float_of_int l) (float_of_int measured.Spec.p99_us))
-          spec.Spec.slo.Spec.p99_us_max;
-        Option.map
-          (fun l ->
-            row "p999_us_max" (float_of_int l) (float_of_int measured.Spec.p999_us))
-          spec.Spec.slo.Spec.p999_us_max;
-      ]
-  in
   let topk, range, knn = Workload.Trace.op_counts trace in
   Printf.printf "workload \"%s\": %d records (dims %d, %s), %d clients x %d requests, %d replica(s)\n"
     spec.Spec.name spec.Spec.records spec.Spec.dims (Ifmh.scheme_name scheme)
@@ -733,7 +709,7 @@ let run_workload spec_path replicas_override seed_override json_path =
     memo.Client.record_hits memo.Client.record_misses memo.Client.node_hits
     memo.Client.node_misses memo.Client.signature_hits memo.Client.signature_misses;
   List.iter
-    (fun (bound, limit, actual, ok) ->
+    (fun { Spec.bound; limit; actual; ok } ->
       Printf.printf "  slo         %-34s limit %-12.6g actual %-12.6g %s\n" bound
         limit actual
         (if ok then "ok" else "VIOLATED"))
@@ -783,7 +759,7 @@ let run_workload spec_path replicas_override seed_override json_path =
                 ( "slo",
                   Json.List
                     (List.map
-                       (fun (bound, limit, actual, ok) ->
+                       (fun { Spec.bound; limit; actual; ok } ->
                          jO
                            [
                              ("bound", jS bound);
@@ -870,9 +846,8 @@ let selftest sc =
     [ Update.Modify (Record.make ~id:0 ~attrs:[| Q.of_int 7; Q.of_int 21 |] ()) ]
   in
   let index2 = Ifmh.apply keypair changes index in
-  (match ask (Protocol.Republish (Ifmh.delta ~changes index2)) with
-  | Protocol.Republished 2 -> Printf.printf "  %-32s ok\n" "republish acked (epoch 2)"
-  | _ -> expect_verified "republish acked (epoch 2)" false);
+  expect_verified "republish acked (epoch 2)"
+    (republish_once ~port:primary.port (Ifmh.delta ~changes index2) = Some 2);
   expect_verified "stats: delta logged before ack" (get "log_appends" >= 1);
   ignore (stop ~signal:Sys.sigkill sc primary.pid);
   let primary2 = start_serve sc "primary" in
@@ -925,9 +900,8 @@ let selftest sc =
       [ Update.Modify (Record.make ~id:(e mod 60) ~attrs:[| Q.of_int (e * 3); Q.of_int (e * 11) |] ()) ]
     in
     let next = Ifmh.apply keypair changes !cur in
-    (match ask2 (Protocol.Republish (Ifmh.delta ~changes next)) with
-    | Protocol.Republished e' when e' = e -> ()
-    | _ -> repub_ok := false);
+    if republish_once ~port:port2 (Ifmh.delta ~changes next) <> Some e then
+      repub_ok := false;
     cur := next
   done;
   Atomic.set load_stop true;
@@ -959,9 +933,8 @@ let selftest sc =
     [ Update.Modify (Record.make ~id:6 ~attrs:[| Q.of_int 66; Q.of_int 6 |] ()) ]
   in
   let index6 = Ifmh.apply keypair changes6 !cur in
-  (match ask2 (Protocol.Republish (Ifmh.delta ~changes:changes6 index6)) with
-  | Protocol.Republished 6 -> Printf.printf "  %-32s ok\n" "republish with a dead follower"
-  | _ -> expect_verified "republish with a dead follower" false);
+  expect_verified "republish with a dead follower"
+    (republish_once ~port:port2 (Ifmh.delta ~changes:changes6 index6) = Some 6);
   let ctx6 = Client.with_min_epoch ctx 6 in
   (* wait for the surviving follower to apply epoch 6 before reading
      through the router: epoch-minimum routing only protects the client

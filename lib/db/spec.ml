@@ -317,18 +317,23 @@ type measured = {
   p999_us : int;
 }
 
-type violation = { bound : string; limit : float; actual : float }
+type slo_row = { bound : string; limit : float; actual : float; ok : bool }
 
 let evaluate_slo (slo : slo) (m : measured) =
-  let acc = ref [] in
-  let violated bound limit actual = acc := { bound; limit; actual } :: !acc in
-  (match slo.min_throughput_rps with
-  | Some lim when m.throughput_rps < lim -> violated "min_throughput_rps" lim m.throughput_rps
-  | _ -> ());
-  let ceiling bound lim actual =
-    if actual > lim then violated bound (float_of_int lim) (float_of_int actual)
+  let ceiling bound limit actual =
+    Option.map
+      (fun l ->
+        { bound; limit = float_of_int l; actual = float_of_int actual; ok = actual <= l })
+      limit
   in
-  Option.iter (fun lim -> ceiling "p50_us_max" lim m.p50_us) slo.p50_us_max;
-  Option.iter (fun lim -> ceiling "p99_us_max" lim m.p99_us) slo.p99_us_max;
-  Option.iter (fun lim -> ceiling "p999_us_max" lim m.p999_us) slo.p999_us_max;
-  List.rev !acc
+  List.filter_map Fun.id
+    [
+      Option.map
+        (fun l ->
+          let actual = m.throughput_rps in
+          { bound = "min_throughput_rps"; limit = l; actual; ok = actual >= l })
+        slo.min_throughput_rps;
+      ceiling "p50_us_max" slo.p50_us_max m.p50_us;
+      ceiling "p99_us_max" slo.p99_us_max m.p99_us;
+      ceiling "p999_us_max" slo.p999_us_max m.p999_us;
+    ]

@@ -99,9 +99,11 @@ type measured = {
     the gate below is a pure function of this record, so its verdict is
     unit-testable without a clock or a server. *)
 
-type violation = { bound : string; limit : float; actual : float }
-(** One broken objective, named by its spec field. *)
+type slo_row = { bound : string; limit : float; actual : float; ok : bool }
+(** One declared objective, named by its spec field, with its limit,
+    the measured value and whether the value keeps it. *)
 
-val evaluate_slo : slo -> measured -> violation list
-(** Pure: no clock, no I/O, deterministic in its arguments. Empty means
-    the gate passes. *)
+val evaluate_slo : slo -> measured -> slo_row list
+(** One row per declared bound, in declaration order. Pure: no clock,
+    no I/O, deterministic in its arguments. The gate passes when every
+    row is [ok]. *)

@@ -9,13 +9,8 @@ type pool = {
   queue : task Queue.t;
   mutable stopped : bool;
   mutable workers : unit Domain.t array;
-  owner_pid : int;
   size : int;
 }
-
-(* pid at program start: a later mismatch means we are in a forked child,
-   where the parent's worker domains do not exist *)
-let load_pid = Unix.getpid ()
 
 let max_domains = 128
 
@@ -75,7 +70,6 @@ let create ?domains () =
       queue = Queue.create ();
       stopped = false;
       workers = [||];
-      owner_pid = Unix.getpid ();
       size;
     }
   in
@@ -83,17 +77,15 @@ let create ?domains () =
   p
 
 let shutdown p =
-  let ours = p.owner_pid = Unix.getpid () in
   Mutex.lock p.mutex;
   let first = not p.stopped in
   p.stopped <- true;
   Condition.broadcast p.cond;
   Mutex.unlock p.mutex;
-  if first && ours then Array.iter Domain.join p.workers;
+  if first then Array.iter Domain.join p.workers;
   p.workers <- [||]
 
-let alive p =
-  (not p.stopped) && Array.length p.workers > 0 && p.owner_pid = Unix.getpid ()
+let alive p = (not p.stopped) && Array.length p.workers > 0
 
 (* Chunks per executor: >1 so heterogeneous chunk costs (e.g. subdomains
    of very different crossing counts) still balance. *)
@@ -168,14 +160,9 @@ let default () =
   Mutex.lock default_lock;
   let p =
     match !default_ref with
-    | Some p when p.owner_pid = Unix.getpid () && not p.stopped -> p
+    | Some p when not p.stopped -> p
     | _ ->
-      let p =
-        (* in a forked child, never spawn: the runtime inherited domain
-           bookkeeping from a multi-domain parent *)
-        if Unix.getpid () <> load_pid then create ~domains:1 ()
-        else create ()
-      in
+      let p = create () in
       default_ref := Some p;
       p
   in

@@ -17,9 +17,7 @@
     The scheduler is work-sharing: the submitting caller executes chunks
     alongside the workers and, while waiting, drains whatever is queued
     — so nested [parallel_map] calls on one pool cannot deadlock (a
-    blocked outer task keeps executing inner tasks). After a [fork] the
-    worker domains exist only in the parent; a pool used from a forked
-    child detects the stale pid and runs sequentially. *)
+    blocked outer task keeps executing inner tasks). *)
 
 type pool
 
@@ -30,9 +28,7 @@ val create : ?domains:int -> unit -> pool
     @raise Invalid_argument if [domains < 1]. *)
 
 val default : unit -> pool
-(** The process-global pool, created on first use and torn down at exit.
-    In a forked child this returns a fresh sequential pool rather than
-    the parent's (dead) workers. *)
+(** The process-global pool, created on first use and torn down at exit. *)
 
 val size : pool -> int
 (** Total executors (workers + the submitting caller), [>= 1]. *)
@@ -51,5 +47,5 @@ val parallel_init : pool -> int -> (int -> 'b) -> 'b array
     @raise Invalid_argument if [n < 0]. *)
 
 val shutdown : pool -> unit
-(** Stop and join the workers. Idempotent; a no-op on pools inherited
-    through [fork]. Mapping over a shut-down pool runs sequentially. *)
+(** Stop and join the workers. Idempotent. Mapping over a shut-down
+    pool runs sequentially. *)

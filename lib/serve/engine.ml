@@ -6,12 +6,6 @@ let src = Logs.Src.create "aqv.serve" ~doc:"IFMH serving engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type publisher = {
-  subscribe : Unix.file_descr -> from_epoch:int option -> unit;
-  ship : base:Ifmh.t -> index:Ifmh.t -> Ifmh.delta -> unit;
-  lag : unit -> int;
-}
-
 type config = {
   port : int;
   max_conns : int;
@@ -20,7 +14,7 @@ type config = {
   drain_timeout : float;
   store : Aqv_store.Store.t option;
   accept_republish : bool;
-  publisher : publisher option;
+  hub : Hub.settings;
 }
 
 let default_config =
@@ -32,7 +26,7 @@ let default_config =
     drain_timeout = 5.;
     store = None;
     accept_republish = true;
-    publisher = None;
+    hub = Hub.default_settings;
   }
 
 type t = {
@@ -41,9 +35,12 @@ type t = {
   listener : Listener.t;
   stats : Stats.t;
   cache : Cache.t;
-  mu : Mutex.t;
   republish_mu : Mutex.t;
-  mutable compactor : Thread.t option;  (* guarded by [mu] *)
+      (* the one mutation lock: a republish, a snapshot install and a
+         compaction hold it throughout, and it guards the two fields
+         below *)
+  mutable hub : Hub.t option;  (* created by the first Subscribe *)
+  mutable compactor : Thread.t option;
 }
 
 let create config index =
@@ -54,8 +51,8 @@ let create config index =
       listener = Listener.create ~port:config.port;
       stats = Stats.create ();
       cache = Cache.create ();
-      mu = Mutex.create ();
       republish_mu = Mutex.create ();
+      hub = None;
       compactor = None;
     }
   in
@@ -67,22 +64,20 @@ let stats t = t.stats
 let stop t = Listener.stop t.listener
 let index t = Atomic.get t.index
 
-(* Hot swap: install a new index without restarting. The epoch must
-   strictly advance — swaps serialize under [t.mu], so two racing
-   republishes cannot install out of order; request paths never take the
-   lock, they just [Atomic.get] a snapshot. The response cache needs no
-   flushing: keys embed the epoch of the snapshot that produced them, so
-   pre-swap entries simply become unreachable. *)
+let locked t f =
+  Mutex.lock t.republish_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.republish_mu) f
+
+(* Hot swap: install a new index without restarting. Its callers hold
+   [republish_mu] and have checked that the epoch advances, so swaps
+   cannot install out of order; request paths never take the lock,
+   they just [Atomic.get] a snapshot. The response cache needs no
+   flushing: keys embed the epoch of the snapshot that produced them,
+   so pre-swap entries simply become unreachable. *)
 let swap_index t index' =
-  Mutex.lock t.mu;
-  let installed = Ifmh.epoch index' > Ifmh.epoch (Atomic.get t.index) in
-  if installed then Atomic.set t.index index';
-  Mutex.unlock t.mu;
-  if installed then begin
-    Stats.incr t.stats Index_swaps;
-    Stats.set t.stats Epoch (Ifmh.epoch index')
-  end;
-  installed
+  Atomic.set t.index index';
+  Stats.incr t.stats Index_swaps;
+  Stats.set t.stats Epoch (Ifmh.epoch index')
 
 (* A session encodes every reply into its one writer, which keeps the
    buffer its largest reply grew, and writes it from there as a frame.
@@ -92,7 +87,7 @@ type action =
   | Encoded  (* the reply is in the session's writer *)
   | Cached of string
   | Handoff of { from_epoch : int option }
-      (* the connection goes over to the replication publisher *)
+      (* the connection goes over to the replication hub *)
 
 let encode w reply =
   Wire.reset w;
@@ -104,48 +99,32 @@ let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 (* Compaction runs off the reply path: rewriting the snapshot of a
    large index (encode + write + fsync) can outlast a client's read
    timeout, and the triggering delta is already durable in the log, so
-   the Republished ack must not wait for it. The background step
-   retakes [republish_mu] — compaction swaps the store's log handle, so
-   it serializes with appends exactly like a republish — and rechecks
-   the policy under the lock, so a compaction that already happened (or
-   a log that grew past the threshold again) is handled correctly.
-   Failure only logs: an oversized log is still a correct log. *)
-let compact_store t store =
-  Mutex.lock t.republish_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.republish_mu)
-    (fun () ->
-      try
-        if Aqv_store.Store.maybe_compact store (Atomic.get t.index) then begin
-          Stats.incr t.stats Compactions;
-          Log.info (fun m ->
-              m "store compacted at epoch %d" (Ifmh.epoch (Atomic.get t.index)))
-        end
-      with Aqv_store.Error.Error e ->
-        Log.warn (fun m ->
-            m "store compaction failed: %s" (Aqv_store.Error.to_string e)))
-
-(* At most one compactor thread at a time; a due-check that races with
-   a finishing compaction just finds the fresh log not due next time. *)
+   the Republished ack must not wait for it. The compactor thread holds
+   [republish_mu] throughout — compaction swaps the store's log handle,
+   so it serializes with appends exactly like a republish — and
+   rechecks the policy under the lock, so a compaction that already
+   happened (or a log that grew past the threshold again) is handled
+   correctly. Failure only logs: an oversized log is still a correct
+   log. At most one compactor thread is pending at a time. Called with
+   [republish_mu] held. *)
 let schedule_compaction t =
   match t.config.store with
-  | None -> ()
-  | Some store when not (Aqv_store.Store.compaction_due store) -> ()
-  | Some store ->
-      Mutex.lock t.mu;
-      if Option.is_none t.compactor then
-        t.compactor <-
-          Some
-            (Thread.create
-               (fun () ->
-                 Fun.protect
-                   ~finally:(fun () ->
-                     Mutex.lock t.mu;
-                     t.compactor <- None;
-                     Mutex.unlock t.mu)
-                   (fun () -> compact_store t store))
-               ());
-      Mutex.unlock t.mu
+  | Some store when Option.is_none t.compactor && Aqv_store.Store.compaction_due store ->
+    let compact () =
+      locked t (fun () ->
+          t.compactor <- None;
+          try
+            if Aqv_store.Store.maybe_compact store (Atomic.get t.index) then begin
+              Stats.incr t.stats Compactions;
+              Log.info (fun m ->
+                  m "store compacted at epoch %d" (Ifmh.epoch (Atomic.get t.index)))
+            end
+          with Aqv_store.Error.Error e ->
+            Log.warn (fun m ->
+                m "store compaction failed: %s" (Aqv_store.Error.to_string e)))
+    in
+    t.compactor <- Some (Thread.create compact ())
+  | _ -> ()
 
 (* The single mutation path shared by the wire ([Protocol.Republish])
    and a follower replaying its replication stream. The whole path
@@ -157,10 +136,7 @@ let schedule_compaction t =
    strictly after its fsync here (durable-before-ship). A store append
    failure refuses the republish without touching serving state. *)
 let republish t delta =
-  Mutex.lock t.republish_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.republish_mu)
-    (fun () ->
+  locked t (fun () ->
       let base = Atomic.get t.index in
       match Ifmh.apply_delta delta base with
       | exception (Failure msg | Invalid_argument msg) -> Error msg
@@ -175,13 +151,13 @@ let republish t delta =
             Error ("Store: " ^ Aqv_store.Error.to_string e)
           | () ->
             Option.iter (fun _ -> Stats.incr t.stats Log_appends) t.config.store;
-            ignore (swap_index t index');
+            swap_index t index';
             Option.iter
-              (fun p ->
-                p.ship ~base ~index:index' delta;
+              (fun hub ->
+                Hub.ship hub ~base_epoch:(Ifmh.epoch base) delta;
                 Stats.incr t.stats Deltas_shipped;
-                Stats.set t.stats Follower_lag_frames (p.lag ()))
-              t.config.publisher;
+                Stats.set t.stats Follower_lag_frames (Hub.lag hub))
+              t.hub;
             Log.info (fun m ->
                 m "republished: now serving epoch %d" (Ifmh.epoch index'));
             schedule_compaction t;
@@ -190,12 +166,11 @@ let republish t delta =
 (* Full-state install, the follower's answer to [Snapshot_frame]: make
    the new index durable (snapshot rewrite + log reset — an interrupted
    compaction is benign, recovery skips stale frames) BEFORE serving
-   it, mirroring the append-then-swap order of [republish]. *)
+   it, mirroring the append-then-swap order of [republish]. The hub's
+   backlog then no longer leads to the served epoch, so it is emptied:
+   a subscriber behind it catches up by a snapshot of what is served. *)
 let install_snapshot t index' =
-  Mutex.lock t.republish_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.republish_mu)
-    (fun () ->
+  locked t (fun () ->
       if Ifmh.epoch index' <= Ifmh.epoch (Atomic.get t.index) then
         Error "Engine: snapshot does not advance the epoch"
       else
@@ -206,10 +181,23 @@ let install_snapshot t index' =
           Error ("Store: " ^ Aqv_store.Error.to_string e)
         | () ->
           Option.iter (fun _ -> Stats.incr t.stats Compactions) t.config.store;
-          ignore (swap_index t index');
+          swap_index t index';
+          Option.iter Hub.reset t.hub;
           Log.info (fun m ->
               m "snapshot installed: now serving epoch %d" (Ifmh.epoch index'));
           Ok (Ifmh.epoch index'))
+
+(* The hub, created by the first Subscribe: an engine no one subscribes
+   to runs no heartbeat thread and encodes no delta frame. None once
+   the engine stops, so no hub outlives [serve]. Called with
+   [republish_mu] held, which orders the creation against [ship],
+   [reset] and the stop in [serve]. *)
+let hub_locked t =
+  match t.hub with
+  | None when not (Listener.stopped t.listener) ->
+    t.hub <- Some (Hub.create t.config.hub t.index);
+    t.hub
+  | hub -> hub
 
 (* The reply to one raw request payload: encoded into the session's
    writer [w], or a cached frame. Get_stats bypasses the cache — its
@@ -227,12 +215,11 @@ let reply_for t w payload =
     refused msg
   | Protocol.Get_stats ->
     Stats.incr t.stats Req_stats;
+    Option.iter (fun hub -> Stats.set t.stats Follower_lag_frames (Hub.lag hub)) t.hub;
     encode w (Protocol.Stats (Stats.to_assoc t.stats))
-  | Protocol.Subscribe { from_epoch } -> (
+  | Protocol.Subscribe { from_epoch } ->
     Stats.incr t.stats Req_subscribe;
-    match t.config.publisher with
-    | Some _ -> Handoff { from_epoch }
-    | None -> refused "Engine: replication not enabled")
+    Handoff { from_epoch }
   | Protocol.Republish delta -> (
     (* uncached, like Get_stats: a republish mutates serving state *)
     Stats.incr t.stats Req_republish;
@@ -295,13 +282,15 @@ let session t fd =
         loop ()
       | Handoff { from_epoch } ->
         (* the connection becomes a one-way replication stream; the
-           publisher's feeder runs right here, in this session thread,
-           so the fd stays owned (and finally closed) by the session *)
-        let publisher = Option.get t.config.publisher in
-        Stats.incr t.stats Followers_connected;
-        Fun.protect
-          ~finally:(fun () -> Stats.add t.stats Followers_connected (-1))
-          (fun () -> publisher.subscribe fd ~from_epoch))
+           hub's feeder runs right here, in this session thread, so the
+           fd stays owned (and finally closed) by the session *)
+        Option.iter
+          (fun hub ->
+            Stats.incr t.stats Followers_connected;
+            Fun.protect
+              ~finally:(fun () -> Stats.add t.stats Followers_connected (-1))
+              (fun () -> Hub.subscribe hub fd ~from_epoch))
+          (locked t (fun () -> hub_locked t)))
   in
   loop ()
 
@@ -309,15 +298,20 @@ let drop_session t exn =
   Stats.incr t.stats Sessions_dropped;
   Log.info (fun m -> m "session dropped: %s" (Printexc.to_string exn))
 
+(* Once the accept loop ends, the hub stops before the drain: its
+   feeders wait on the hub, not on their sockets, and their sessions
+   end only when it releases them. *)
+let stop_hub t =
+  locked t (fun () ->
+      Option.iter Hub.stop t.hub;
+      t.hub <- None)
+
 let serve t =
   Listener.serve t.listener ~max_conns:t.config.max_conns
-    ~drain_timeout:t.config.drain_timeout
+    ~drain_timeout:t.config.drain_timeout ~on_stop:(fun () -> stop_hub t)
     ~on_shed:(fun () -> Stats.incr t.stats Conns_refused)
     ~on_error:(drop_session t) (session t);
   (* the caller closes the store after [serve] returns, so a background
      compaction must not outlive us *)
-  Mutex.lock t.mu;
-  let compactor = t.compactor in
-  Mutex.unlock t.mu;
-  Option.iter Thread.join compactor;
+  Option.iter Thread.join (locked t (fun () -> t.compactor));
   Log.info (fun m -> m "stopped: %a" Stats.pp t.stats)

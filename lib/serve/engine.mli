@@ -30,29 +30,17 @@
       [Republished] ack goes out (durable-before-ack) — an append
       failure yields [Refused] and leaves serving state untouched —
       and the store compacts under its policy as the log grows;
-    - optional replication: with a [publisher], every durably-acked
-      delta is handed to it strictly after the WAL fsync
-      (durable-before-ship), and [Protocol.Subscribe] sessions are
-      handed over to it wholesale ({!publisher}).
+    - replication: the first [Protocol.Subscribe] creates the
+      engine's {!Hub}, and each subscribing session becomes a feeder
+      of it. From then on every delta the engine applies is handed to
+      the hub strictly after the WAL fsync and the swap
+      (durable-before-ship), and a snapshot install empties its
+      backlog. The hub reads the served index and keeps no copy, and
+      {!serve} stops it; an engine no one subscribes to has no hub.
 
     The engine has no fault-injection hook: tests inject network
     faults with a frame-forwarding proxy that can sit on any link
     (client session, router leg, replication stream). *)
-
-type publisher = {
-  subscribe : Unix.file_descr -> from_epoch:int option -> unit;
-      (** Runs in the session thread that accepted the [Subscribe]: own
-          the connection until the subscriber is dropped, then return.
-          The session still closes the fd — never close it here. *)
-  ship : base:Aqv.Ifmh.t -> index:Aqv.Ifmh.t -> Aqv.Ifmh.delta -> unit;
-      (** Called under [republish_mu] right after the swap, once the
-          delta is fsync'd: fan it out to subscriber queues. Must not
-          block (enqueue only). *)
-  lag : unit -> int;  (** total frames enqueued but not yet written *)
-}
-(** The engine side of a replication hub ([Aqv_cluster.Hub]); kept
-    abstract here so [aqv_serve] does not depend on the cluster
-    library. *)
 
 type config = {
   port : int;  (** 0 picks an ephemeral port; see {!port} *)
@@ -67,13 +55,12 @@ type config = {
       (** when [false] (a read replica), wire [Protocol.Republish] is
           [Refused] — mutation arrives only through the replication
           stream via {!republish} *)
-  publisher : publisher option;
-      (** replication hub; [None] refuses [Protocol.Subscribe] *)
+  hub : Hub.settings;  (** the replication hub's, once one subscribes *)
 }
 
 val default_config : config
 (** Port 7464, 64 connections, 10 s idle, 5 s read, 5 s drain, no
-    store, republish accepted, no publisher. *)
+    store, republish accepted, {!Hub.default_settings}. *)
 
 type t
 
@@ -93,26 +80,30 @@ val index : t -> Aqv.Ifmh.t
 
 val republish : t -> Aqv.Ifmh.delta -> (int, string) result
 (** The single mutation path, shared by wire [Protocol.Republish] and a
-    follower replaying its replication stream: under the republish
-    lock, [apply_delta] → WAL append+fsync → atomic swap → ship to
-    the publisher. [Ok epoch'] only once all of that happened
-    (durable-before-ack and durable-before-ship); any failure is
-    [Error] with serving state untouched. *)
+    follower replaying its replication stream: under the engine's one
+    mutation lock, [apply_delta] → WAL append+fsync → atomic swap →
+    ship to the hub, if one exists. [Ok epoch'] only once all of that
+    happened (durable-before-ack and durable-before-ship); any failure
+    is [Error] with serving state untouched. *)
 
 val install_snapshot : t -> Aqv.Ifmh.t -> (int, string) result
 (** Full-state install (a follower bootstrapping from
     [Protocol.Snapshot_frame]): the new index must strictly advance the
     epoch and is made durable — [Aqv_store.Store.compact]: snapshot
-    rewrite + log reset — {e before} it is served. *)
+    rewrite + log reset — {e before} it is served. The hub's backlog
+    is then emptied and its subscribers dropped, so each catches up by
+    a snapshot of the index now served. *)
 
 val serve : t -> unit
 (** {!Listener.serve} with [max_conns] and [drain_timeout]; blocks
-    until {!stop}, then drains, closes the listening socket, and waits
-    for a running background compaction. Per-session failures are
-    logged (src ["aqv.serve"]) and counted as [sessions_dropped], never
-    silently swallowed — and [Out_of_memory], [Stack_overflow], and
+    until {!stop}, then stops the hub (releasing its feeder sessions),
+    drains, closes the listening socket, and waits for a running
+    background compaction. Per-session failures are logged (src
+    ["aqv.serve"]) and counted as [sessions_dropped], never silently
+    swallowed — and [Out_of_memory], [Stack_overflow], and
     [Assert_failure] are never caught. *)
 
 val stop : t -> unit
 (** Idempotent, signal-safe: {!Listener.stop}, which wakes the accept
-    loop at once. *)
+    loop at once. The only call a caller needs to stop the engine, its
+    hub and feeder sessions included. *)

@@ -1,12 +1,20 @@
 module Wire = Aqv_util.Wire
 module Protocol = Aqv.Protocol
 module Ifmh = Aqv.Ifmh
-module Frame_io = Aqv_serve.Frame_io
-module Engine = Aqv_serve.Engine
 
-let src = Logs.Src.create "aqv.cluster" ~doc:"WAL-shipping replication"
+let src = Logs.Src.create "aqv.hub" ~doc:"WAL-shipping replication"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+
+type settings = {
+  queue_cap : int;
+  backlog_cap : int;
+  heartbeat_interval : float;
+  write_timeout : float;
+}
+
+let default_settings =
+  { queue_cap = 64; backlog_cap = 64; heartbeat_interval = 1.0; write_timeout = 5.0 }
 
 (* One follower connection. The queue holds fully encoded reply frames
    (catch-up, deltas, heartbeats) awaiting the feeder's write; [cond]
@@ -21,18 +29,16 @@ type subscriber = {
 }
 
 (* A shipped delta the hub retains for catch-up: a [Delta_frame] reply,
-   already encoded, together with the epoch interval it covers. The
-   backlog is a contiguous chain by construction — every ship extends
-   it from the previous latest epoch, all under the hub mutex. *)
-type backlog_entry = { b_base : int; b_next : int; frame : string }
+   already encoded, and the epoch it applies to. The backlog is a
+   contiguous chain by construction: the engine ships every delta it
+   applies, in order, and {!reset} empties it when a snapshot install
+   breaks the chain. *)
+type backlog_entry = { b_base : int; frame : string }
 
 type t = {
+  settings : settings;
+  index : Ifmh.t Atomic.t; (* the engine's served index, only read here *)
   mu : Mutex.t;
-  queue_cap : int;
-  backlog_cap : int;
-  heartbeat_interval : float;
-  write_timeout : float;
-  mutable latest : Ifmh.t;
   mutable backlog : backlog_entry list; (* oldest first *)
   mutable subscribers : subscriber list;
   mutable next_sid : int;
@@ -49,6 +55,8 @@ let encode_reply reply =
   Protocol.encode_reply w reply;
   Wire.contents w
 
+let hello index = encode_reply (Protocol.Hello { epoch = Ifmh.epoch index })
+
 (* Enqueue one frame for one subscriber (hub mutex held). Backpressure
    lives here: a follower whose queue is full is not worth stalling the
    republish path for — mark it dropped and let it re-subscribe from
@@ -56,7 +64,7 @@ let encode_reply reply =
    feeder wakes up and exits. *)
 let enqueue_locked t sub frame =
   if not sub.dropped then
-    if Queue.length sub.queue >= t.queue_cap then begin
+    if Queue.length sub.queue >= t.settings.queue_cap then begin
       sub.dropped <- true;
       Queue.clear sub.queue;
       Log.info (fun m -> m "subscriber %d dropped: queue full (slow follower)" sub.sid)
@@ -64,12 +72,11 @@ let enqueue_locked t sub frame =
     else Queue.push frame sub.queue;
   Condition.signal sub.cond
 
-let fanout_locked t frame = List.iter (fun sub -> enqueue_locked t sub frame) t.subscribers
-
-(* Heartbeat thread: a periodic [Hello] so followers can detect a dead
-   primary by read timeout and observe their lag — and the only timed
-   wake-up the feeders have (stdlib [Condition] has no timed wait), so
-   it doubles as the liveness tick that lets them notice [stopped]. *)
+(* Heartbeat thread: a periodic [Hello] to every idle subscriber, so
+   followers can detect a dead primary by read timeout and observe
+   their lag. A subscriber with frames still queued gets none: it is
+   not idle, and a Hello must not push a queue its catch-up filled
+   past [queue_cap] and drop a follower that is not slow. *)
 let heartbeat_loop t =
   let rec sleep remaining =
     if remaining > 0. && not (locked t (fun () -> t.stopped)) then begin
@@ -78,50 +85,48 @@ let heartbeat_loop t =
     end
   in
   let rec loop () =
-    sleep t.heartbeat_interval;
+    sleep t.settings.heartbeat_interval;
     let live =
       locked t (fun () ->
-          if not t.stopped then
-            fanout_locked t (encode_reply (Protocol.Hello { epoch = Ifmh.epoch t.latest }));
+          (if not t.stopped then
+             let frame = hello (Atomic.get t.index) in
+             List.iter
+               (fun sub -> if Queue.is_empty sub.queue then enqueue_locked t sub frame)
+               t.subscribers);
           not t.stopped)
     in
     if live then loop ()
   in
   loop ()
 
-let create ?(queue_cap = 64) ?(backlog_cap = 64) ?(heartbeat_interval = 1.0)
-    ?(write_timeout = 5.0) ~initial () =
+let create settings index =
   let t =
-    {
-      mu = Mutex.create ();
-      queue_cap;
-      backlog_cap;
-      heartbeat_interval;
-      write_timeout;
-      latest = initial;
-      backlog = [];
-      subscribers = [];
-      next_sid = 0;
-      stopped = false;
-      heartbeat = None;
-    }
+    { settings; index; mu = Mutex.create (); backlog = []; subscribers = []; next_sid = 0;
+      stopped = false; heartbeat = None }
   in
   t.heartbeat <- Some (Thread.create heartbeat_loop t);
   t
 
-(* Called by the engine under its republish lock, strictly after the
-   delta's WAL fsync (durable-before-ship). Enqueue only — the actual
-   socket writes happen in the per-subscriber feeders. *)
-let ship t ~base ~index delta =
-  let b_base = Ifmh.epoch base in
-  let b_next = Ifmh.epoch index in
-  let frame = encode_reply (Protocol.Delta_frame { base_epoch = b_base; delta }) in
+(* Called by the engine under its mutation lock, strictly after the
+   delta's WAL fsync and the swap (durable-before-ship). Enqueue only —
+   the actual socket writes happen in the per-subscriber feeders. *)
+let ship t ~base_epoch delta =
+  let frame = encode_reply (Protocol.Delta_frame { base_epoch; delta }) in
   locked t (fun () ->
-      t.latest <- index;
-      let backlog = t.backlog @ [ { b_base; b_next; frame } ] in
-      let overflow = List.length backlog - t.backlog_cap in
-      t.backlog <- if overflow > 0 then List.filteri (fun i _ -> i >= overflow) backlog else backlog;
-      fanout_locked t frame)
+      let backlog = t.backlog @ [ { b_base = base_epoch; frame } ] in
+      let overflow = List.length backlog - t.settings.backlog_cap in
+      t.backlog <- List.filteri (fun i _ -> i >= overflow) backlog;
+      List.iter (fun sub -> enqueue_locked t sub frame) t.subscribers)
+
+let reset t =
+  locked t (fun () ->
+      t.backlog <- [];
+      List.iter
+        (fun sub ->
+          sub.dropped <- true;
+          Queue.clear sub.queue;
+          Condition.signal sub.cond)
+        t.subscribers)
 
 let lag t =
   locked t (fun () ->
@@ -129,24 +134,25 @@ let lag t =
         (fun acc sub -> if sub.dropped then acc else acc + Queue.length sub.queue)
         0 t.subscribers)
 
-let snapshot_frame_locked t =
-  let w = Wire.writer () in
-  Ifmh.save w t.latest;
-  encode_reply (Protocol.Snapshot_frame { index = Wire.contents w })
-
-(* Catch-up plan for a follower at epoch [e] (hub mutex held): the
-   backlog suffix starting exactly at [e] if the chain covers it, else
-   a full snapshot. *)
-let catchup_locked t from_epoch =
-  let latest = Ifmh.epoch t.latest in
+(* Catch-up plan for a follower at epoch [e] against the served [index]
+   (hub mutex held): the backlog suffix starting exactly at [e] if the
+   chain covers it, else a full snapshot. A swap whose delta is not
+   shipped yet makes the plan a snapshot, and that delta then reaches
+   the follower as a stale frame it skips. *)
+let catchup_locked t index from_epoch =
+  let snapshot () =
+    let w = Wire.writer () in
+    Ifmh.save w index;
+    [ encode_reply (Protocol.Snapshot_frame { index = Wire.contents w }) ]
+  in
   match from_epoch with
-  | Some e when e = latest -> []
+  | Some e when e = Ifmh.epoch index -> []
   | Some e -> (
     match List.filter (fun entry -> entry.b_base >= e) t.backlog with
     | first :: _ as suffix when first.b_base = e ->
       List.map (fun entry -> entry.frame) suffix
-    | _ -> [ snapshot_frame_locked t ])
-  | None -> [ snapshot_frame_locked t ]
+    | _ -> snapshot ())
+  | None -> snapshot ()
 
 (* Feeder: runs in the engine session thread that accepted the
    [Subscribe], so the fd stays owned (and eventually closed) there.
@@ -164,7 +170,8 @@ let feed t sub fd =
           (frames, sub.dropped || t.stopped))
     in
     List.iter
-      (fun frame -> ignore (Frame_io.write_frame ~timeout:t.write_timeout fd frame))
+      (fun frame ->
+        ignore (Frame_io.write_frame ~timeout:t.settings.write_timeout fd frame))
       frames;
     if not finished then loop ()
   in
@@ -179,17 +186,15 @@ let subscribe t fd ~from_epoch =
         if t.stopped then None
         else begin
           let sub =
-            {
-              sid = t.next_sid;
-              queue = Queue.create ();
-              cond = Condition.create ();
-              dropped = false;
-            }
+            { sid = t.next_sid; queue = Queue.create (); cond = Condition.create ();
+              dropped = false }
           in
           t.next_sid <- t.next_sid + 1;
           t.subscribers <- sub :: t.subscribers;
-          Queue.push (encode_reply (Protocol.Hello { epoch = Ifmh.epoch t.latest })) sub.queue;
-          List.iter (fun frame -> Queue.push frame sub.queue) (catchup_locked t from_epoch);
+          (* one read of the served index for the Hello and the plan *)
+          let index = Atomic.get t.index in
+          Queue.push (hello index) sub.queue;
+          List.iter (fun frame -> Queue.push frame sub.queue) (catchup_locked t index from_epoch);
           Some sub
         end)
   in
@@ -204,9 +209,6 @@ let subscribe t fd ~from_epoch =
         locked t (fun () ->
             t.subscribers <- List.filter (fun s -> s.sid <> sub.sid) t.subscribers))
       (fun () -> feed t sub fd)
-
-let publisher t =
-  { Engine.subscribe = subscribe t; ship = ship t; lag = (fun () -> lag t) }
 
 let stop t =
   locked t (fun () ->

@@ -71,7 +71,7 @@ let session_thread t ~on_error session fd =
    once, and an idle listener never wakes. Signal handlers only call
    [stop], so shutdown needs no pthread-kill / close-from-another-thread
    games. *)
-let serve t ~max_conns ~drain_timeout ~on_shed ~on_error session =
+let serve ?(on_stop = ignore) t ~max_conns ~drain_timeout ~on_shed ~on_error session =
   let woken = ref false in
   while not !woken do
     match Unix.select [ t.sock; t.wake_r ] [] [] (-1.) with
@@ -93,6 +93,7 @@ let serve t ~max_conns ~drain_timeout ~on_shed ~on_error session =
           try Unix.close conn with Unix.Unix_error _ -> ()
         end)
   done;
+  on_stop ();
   (* idle sessions read EOF and end, replies in flight still go out *)
   Mutex.lock t.mu;
   List.iter

@@ -31,6 +31,7 @@ val port : t -> int
 (** The actually bound port. *)
 
 val serve :
+  ?on_stop:(unit -> unit) ->
   t ->
   max_conns:int ->
   drain_timeout:float ->
@@ -44,11 +45,13 @@ val serve :
     and every connection past that is refused ([on_shed] is called once
     for each). When [session] raises, [Out_of_memory], [Stack_overflow]
     and [Assert_failure] are re-raised; any other exception is handed
-    to [on_error]. On stop, shuts down every session socket's receive
-    side (its reads see EOF, its replies still go out), waits up to
-    [drain_timeout] seconds for running sessions (logging a warning, src
-    ["aqv.listener"], for any still active), then closes the listening
-    socket and returns. *)
+    to [on_error]. On stop, calls [on_stop] (default: nothing; the
+    engine releases its replication feeders there, which wait on the
+    hub rather than on their socket), shuts down every session socket's
+    receive side (its reads see EOF, its replies still go out), waits
+    up to [drain_timeout] seconds for running sessions (logging a
+    warning, src ["aqv.listener"], for any still active), then closes
+    the listening socket and returns. *)
 
 val stop : t -> unit
 (** Idempotent, signal-safe: the first call flips the stop flag and

@@ -1,11 +1,13 @@
 (** Client-side request path with timeouts, bounded retry, and backoff.
 
-    All requests in the protocol are idempotent reads against an
-    immutable-per-epoch index, so retrying a failed roundtrip on a
-    fresh connection is always safe. Transport-level failures
+    Reads ([Run_query], [Run_rank], [Run_count], [Get_stats]) are
+    idempotent against an immutable-per-epoch index, so {!call} may
+    retry them on a fresh connection: transport-level failures
     (connection refused, reset, timeout, truncated reply, early EOF)
-    are retried up to [attempts] times with exponential backoff;
-    served replies — including [Refused] — are returned as-is. *)
+    are retried up to [attempts] times with exponential backoff, and
+    served replies — including [Refused] — are returned as-is.
+    [Republish] and [Subscribe] are not idempotent: send them once,
+    with {!ask} on a connection from {!connect} or {!with_connection}. *)
 
 type opts = {
   connect_timeout : float;  (** per-attempt connect(2) deadline, seconds *)
@@ -37,7 +39,8 @@ val call :
   ?opts:opts -> ?host:Unix.inet_addr -> port:int -> Aqv.Protocol.request ->
   Aqv.Protocol.reply
 (** Connect, ask, close — retrying the whole roundtrip on transport
-    failure. @raise Failure when every attempt failed. *)
+    failure, so for reads only: a resent [Republish] that had already
+    landed would be refused. @raise Failure when every attempt failed. *)
 
 val with_connection :
   ?opts:opts -> ?host:Unix.inet_addr -> port:int -> (Unix.file_descr -> 'a) -> 'a

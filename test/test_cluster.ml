@@ -27,7 +27,7 @@ module Engine = Aqv_serve.Engine
 module Stats = Aqv_serve.Stats
 module Frame_io = Aqv_serve.Frame_io
 module Roundtrip = Aqv_serve.Roundtrip
-module Hub = Aqv_cluster.Hub
+module Hub = Aqv_serve.Hub
 module Follower = Aqv_cluster.Follower
 module Router = Aqv_cluster.Router
 module Fault_net = Aqv_ref.Fault_net
@@ -149,18 +149,19 @@ let gen_chain ~scheme ~dims prng k =
 
 (* ------------------------- primary / follower ----------------------- *)
 
-(* One serving node: engine + store + serve thread (+ hub when it
-   publishes). [stop] is idempotent so tests can stop a node mid-test
-   (to crash or restart it) and the Fun.protect finally stays safe. *)
+(* One serving node: engine + store + serve thread; [hub] sets the
+   engine's replication hub, which its first subscriber creates.
+   [stop] is idempotent so tests can stop a node mid-test (to crash or
+   restart it) and the Fun.protect finally stays safe. *)
 type node = {
   n_engine : Engine.t;
   n_store : Store.t;
   n_thread : Thread.t;
-  n_hub : Hub.t option;
   mutable n_stopped : bool;
 }
 
-let start_node ?hub ?(accept_republish = true) ?(port = 0) ~store index =
+let start_node ?(hub = Hub.default_settings) ?(accept_republish = true) ?(port = 0)
+    ~store index =
   let config =
     {
       Engine.default_config with
@@ -168,7 +169,7 @@ let start_node ?hub ?(accept_republish = true) ?(port = 0) ~store index =
       drain_timeout = 2.;
       store = Some store;
       accept_republish;
-      publisher = Option.map Hub.publisher hub;
+      hub;
     }
   in
   let engine = Engine.create config index in
@@ -176,16 +177,14 @@ let start_node ?hub ?(accept_republish = true) ?(port = 0) ~store index =
     n_engine = engine;
     n_store = store;
     n_thread = Thread.create Engine.serve engine;
-    n_hub = hub;
     n_stopped = false;
   }
 
+(* [Engine.stop] alone: the engine stops its hub and its feeder
+   sessions itself *)
 let stop_node node =
   if not node.n_stopped then begin
     node.n_stopped <- true;
-    (* hub first: feeders run inside engine sessions and must wake up
-       for the engine drain to finish *)
-    Option.iter Hub.stop node.n_hub;
     Engine.stop node.n_engine;
     Thread.join node.n_thread;
     Store.close node.n_store
@@ -212,7 +211,7 @@ let test_follower_identity (scheme, dims, seed) () =
           let prng = Prng.create seed in
           let table = gen_table ~dims prng in
           let index1 = Ifmh.build ~scheme ~epoch:1 table fake_keypair in
-          let hub = Hub.create ~heartbeat_interval:0.2 ~initial:index1 () in
+          let hub = { Hub.default_settings with heartbeat_interval = 0.2 } in
           let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
           let follower =
             start_node ~accept_republish:false
@@ -323,9 +322,7 @@ let test_snapshot_install () =
           let scheme = Ifmh.Multi_signature and dims = 1 in
           let table = gen_table ~dims prng in
           let index1 = Ifmh.build ~scheme ~epoch:1 table fake_keypair in
-          let hub =
-            Hub.create ~backlog_cap:0 ~heartbeat_interval:0.2 ~initial:index1 ()
-          in
+          let hub = { Hub.default_settings with backlog_cap = 0; heartbeat_interval = 0.2 } in
           let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
           let follower =
             start_node ~accept_republish:false
@@ -397,7 +394,7 @@ let test_follower_crash_reconverge () =
           let scheme = Ifmh.Multi_signature and dims = 1 in
           let table = gen_table ~dims prng in
           let index1 = Ifmh.build ~scheme ~epoch:1 table fake_keypair in
-          let hub = Hub.create ~heartbeat_interval:0.2 ~initial:index1 () in
+          let hub = { Hub.default_settings with heartbeat_interval = 0.2 } in
           let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
           let tbl = ref table and index = ref index1 in
           let republish () =
@@ -475,7 +472,7 @@ let test_follower_stop_closes_once () =
       with_dir (fun fdir ->
           let table = gen_table ~dims:1 (Prng.create 121L) in
           let index1 = Ifmh.build ~scheme:Ifmh.One_signature ~epoch:1 table fake_keypair in
-          let hub = Hub.create ~heartbeat_interval:0.02 ~initial:index1 () in
+          let hub = { Hub.default_settings with heartbeat_interval = 0.02 } in
           let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
           let follower =
             start_node ~accept_republish:false ~store:(Store.publish ~dir:fdir index1) index1
@@ -528,148 +525,281 @@ let rec read_non_hello ?(timeout = 5.) fd =
   | Protocol.Hello _ -> read_non_hello ~timeout fd
   | reply -> reply
 
-let subscribe_pair hub ~from_epoch =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let th = Thread.create (fun () -> (Hub.publisher hub).Engine.subscribe a ~from_epoch) () in
-  (a, b, th)
-
-(* The hub's latest epoch as a subscriber learns it: the epoch of the
-   Hello it is sent first. The probe hangs up at once; the hub drops it
-   at its next write (a heartbeat at the latest), so it is gone by the
-   time this returns. *)
-let hub_latest_epoch hub =
-  let a, b, th = subscribe_pair hub ~from_epoch:None in
-  let epoch =
-    match read_reply b with
-    | Protocol.Hello { epoch } -> epoch
-    | _ -> Alcotest.fail "expected Hello first"
+(* true once the stream ends within [within] seconds, whatever frames
+   come before the end *)
+let closes ?(within = 5.) fd =
+  let deadline = Unix.gettimeofday () +. within in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    left > 0.
+    &&
+    match Frame_io.read_frame ~header_timeout:left ~body_timeout:left fd with
+    | None | (exception (Failure _ | Unix.Unix_error _)) -> true
+    | Some _ -> go ()
+    | exception Frame_io.Timeout -> false
   in
-  Unix.close b;
-  Thread.join th;
-  Unix.close a;
-  epoch
+  go ()
+
+(* A replication stream from [node]'s engine, as a follower opens one.
+   [rcvbuf] shrinks the receive buffer before the connect, so that a
+   subscriber that never reads fills the engine's socket soon. *)
+let subscribe_to ?rcvbuf node ~from_epoch =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Engine.port node.n_engine));
+  let w = Frame_io.writer () in
+  Protocol.encode_request w (Protocol.Subscribe { from_epoch });
+  ignore (Frame_io.write_writer ~timeout:5. fd w);
+  fd
+
+let close_all fds = List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds
+
+(* The hub's epoch as a subscriber learns it: the epoch of the Hello it
+   is sent first. The probe hangs up at once; the hub drops it at its
+   next write (a heartbeat at the latest). *)
+let hub_latest_epoch node =
+  let fd = subscribe_to node ~from_epoch:None in
+  Fun.protect
+    ~finally:(fun () -> close_all [ fd ])
+    (fun () ->
+      match read_reply fd with
+      | Protocol.Hello { epoch } -> epoch
+      | _ -> Alcotest.fail "expected Hello first")
+
+let republish_ok node delta =
+  match Engine.republish node.n_engine delta with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "republish failed: %s" msg
 
 (* Catch-up mode selection: up to date -> nothing; behind but covered
    by the backlog -> exactly the delta suffix; bootstrap (or past the
    backlog) -> a full snapshot. *)
 let test_hub_catchup_modes () =
-  let prng = Prng.create 103L in
-  let index1, steps = gen_chain ~scheme:Ifmh.Multi_signature ~dims:1 prng 2 in
-  let final = match List.rev steps with (_, _, u) :: _ -> u | [] -> assert false in
-  let hub = Hub.create ~heartbeat_interval:0.2 ~initial:index1 () in
-  let ship = (Hub.publisher hub).Engine.ship in
-  List.iter (fun (base, delta, updated) -> ship ~base ~index:updated delta) steps;
-  check Alcotest.int "hub latest" 3 (hub_latest_epoch hub);
-  (* up to date: a Hello, then heartbeats only *)
-  let a1, b1, th1 = subscribe_pair hub ~from_epoch:(Some 3) in
-  (match read_reply b1 with
-  | Protocol.Hello { epoch } -> check Alcotest.int "hello epoch" 3 epoch
-  | _ -> Alcotest.fail "expected Hello first");
-  (* heartbeats keep arriving; anything else within the window is a
-     catch-up frame the up-to-date subscriber must not get *)
-  let deadline = Unix.gettimeofday () +. 0.7 in
-  (try
-     while Unix.gettimeofday () < deadline do
-       match read_reply ~timeout:0.3 b1 with
-       | Protocol.Hello _ -> ()
-       | _ -> Alcotest.fail "up-to-date subscriber was sent catch-up frames"
-     done
-   with Frame_io.Timeout -> ());
-  (* behind, in the backlog: the delta suffix, in order *)
-  let a2, b2, th2 = subscribe_pair hub ~from_epoch:(Some 1) in
-  List.iter
-    (fun (base, _, updated) ->
-      match read_non_hello b2 with
-      | Protocol.Delta_frame { base_epoch; delta } ->
-        check Alcotest.int "suffix base" (Ifmh.epoch base) base_epoch;
-        check Alcotest.int "suffix next" (Ifmh.epoch updated) (Ifmh.delta_epoch delta)
-      | _ -> Alcotest.fail "expected a Delta_frame from the backlog")
-    steps;
-  (* bootstrap: one full snapshot of the latest index *)
-  let a3, b3, th3 = subscribe_pair hub ~from_epoch:None in
-  (match read_non_hello b3 with
-  | Protocol.Snapshot_frame { index } ->
-    check Alcotest.string "snapshot is the latest index"
-      (hex (save_bytes final)) (hex index)
-  | _ -> Alcotest.fail "expected a Snapshot_frame for bootstrap");
-  Hub.stop hub;
-  List.iter Thread.join [ th1; th2; th3 ];
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ a1; b1; a2; b2; a3; b3 ]
+  with_dir (fun dir ->
+      let prng = Prng.create 103L in
+      let index1, steps = gen_chain ~scheme:Ifmh.Multi_signature ~dims:1 prng 2 in
+      let final = match List.rev steps with (_, _, u) :: _ -> u | [] -> assert false in
+      let hub = { Hub.default_settings with heartbeat_interval = 0.2 } in
+      let node = start_node ~hub ~store:(Store.publish ~dir index1) index1 in
+      let fds = ref [] in
+      let subscribe ~from_epoch =
+        let fd = subscribe_to node ~from_epoch in
+        fds := fd :: !fds;
+        fd
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          stop_node node;
+          close_all !fds)
+        (fun () ->
+          (* the first subscriber creates the hub, and its backlog
+             starts at the epoch served then *)
+          check Alcotest.int "hub created at the served epoch" 1 (hub_latest_epoch node);
+          List.iter (fun (_, delta, _) -> republish_ok node delta) steps;
+          check Alcotest.int "hub latest" 3 (hub_latest_epoch node);
+          (* up to date: a Hello, then heartbeats only *)
+          let b1 = subscribe ~from_epoch:(Some 3) in
+          (match read_reply b1 with
+          | Protocol.Hello { epoch } -> check Alcotest.int "hello epoch" 3 epoch
+          | _ -> Alcotest.fail "expected Hello first");
+          (* heartbeats keep arriving; anything else within the window
+             is a catch-up frame the up-to-date subscriber must not get *)
+          let deadline = Unix.gettimeofday () +. 0.7 in
+          (try
+             while Unix.gettimeofday () < deadline do
+               match read_reply ~timeout:0.3 b1 with
+               | Protocol.Hello _ -> ()
+               | _ -> Alcotest.fail "up-to-date subscriber was sent catch-up frames"
+             done
+           with Frame_io.Timeout -> ());
+          (* behind, in the backlog: the delta suffix, in order *)
+          let b2 = subscribe ~from_epoch:(Some 1) in
+          List.iter
+            (fun (base, _, updated) ->
+              match read_non_hello b2 with
+              | Protocol.Delta_frame { base_epoch; delta } ->
+                check Alcotest.int "suffix base" (Ifmh.epoch base) base_epoch;
+                check Alcotest.int "suffix next" (Ifmh.epoch updated) (Ifmh.delta_epoch delta)
+              | _ -> Alcotest.fail "expected a Delta_frame from the backlog")
+            steps;
+          (* bootstrap: one full snapshot of the latest index *)
+          let b3 = subscribe ~from_epoch:None in
+          match read_non_hello b3 with
+          | Protocol.Snapshot_frame { index } ->
+            check Alcotest.string "snapshot is the latest index"
+              (hex (save_bytes final)) (hex index)
+          | _ -> Alcotest.fail "expected a Snapshot_frame for bootstrap"))
 
 (* Backpressure: a subscriber that never drains must be dropped --
-   ship stays enqueue-only and returns immediately -- and a fresh
-   subscription from the stale epoch replays the backlog to the tip. *)
+   shipping stays enqueue-only, so every republish returns -- and a
+   fresh subscription from the stale epoch replays the backlog to the
+   tip. *)
 let test_hub_slow_follower () =
-  let prng = Prng.create 104L in
-  let table = gen_table ~dims:1 prng in
-  let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
-  (* fat payloads so a handful of frames overwhelms the smallest
-     socket buffers the kernel will grant *)
-  let steps =
-    let index = ref index1 in
-    List.init 8 (fun i ->
-        let changes =
-          [
-            Update.Insert
-              (Record.make ~id:(2000 + i)
-                 ~attrs:[| Q.of_int (61 + i); Q.of_int i |]
-                 ~payload:(String.make 4096 'x') ());
-          ]
+  with_dir (fun dir ->
+      let prng = Prng.create 104L in
+      let table = gen_table ~dims:1 prng in
+      let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
+      (* fat payloads: the eight frames hold twice what the engine's
+         send buffer can grow to (Linux's tcp_wmem maximum, 4 MiB by
+         default), so a subscriber that never reads blocks the feeder *)
+      let payload_bytes =
+        let wmem_max =
+          try
+            In_channel.with_open_text "/proc/sys/net/ipv4/tcp_wmem" In_channel.input_all
+            |> String.split_on_char '\t' |> List.rev |> List.hd |> String.trim |> int_of_string
+          with Sys_error _ | Failure _ -> 4 lsl 20
         in
-        let updated = Ifmh.apply fake_keypair changes !index in
-        let step = (!index, Ifmh.delta ~changes updated, updated) in
-        index := updated;
-        step)
-  in
-  let final = match List.rev steps with (_, _, u) :: _ -> u | [] -> assert false in
-  let hub =
-    Hub.create ~queue_cap:2 ~heartbeat_interval:0.1 ~write_timeout:0.2
-      ~initial:index1 ()
-  in
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.setsockopt_int a Unix.SO_SNDBUF 1;
-  Unix.setsockopt_int b Unix.SO_RCVBUF 1;
-  (* [subscribe] returns once the hub drops the subscriber *)
-  let dropped = Atomic.make false in
-  let th =
-    Thread.create
-      (fun () ->
-        (Hub.publisher hub).Engine.subscribe a ~from_epoch:(Some 1);
-        Atomic.set dropped true)
-      ()
-  in
-  (* the Hello is queued as the hub registers the subscriber *)
-  check Alcotest.bool "subscriber registered" true
-    (match read_reply b with Protocol.Hello _ -> true | _ -> false);
-  (* the subscriber never reads: ship everything; every call returns
-     without blocking on the dead weight *)
-  let ship = (Hub.publisher hub).Engine.ship in
-  List.iter (fun (base, delta, updated) -> ship ~base ~index:updated delta) steps;
-  check Alcotest.int "hub latest" 9 (hub_latest_epoch hub);
-  check Alcotest.bool "slow follower dropped" true
-    (await 5. (fun () -> Atomic.get dropped));
-  Thread.join th;
-  check Alcotest.int "no queued frames for the dead" 0 ((Hub.publisher hub).Engine.lag ());
-  (* re-subscribe from the stale epoch: the backlog replays the chain *)
-  let c, d, th2 = subscribe_pair hub ~from_epoch:(Some 1) in
-  let replica = ref index1 in
-  List.iter
-    (fun _ ->
-      match read_non_hello d with
-      | Protocol.Delta_frame { base_epoch; delta } ->
-        check Alcotest.int "chain continuity" (Ifmh.epoch !replica) base_epoch;
-        replica := Ifmh.apply_delta delta !replica
-      | _ -> Alcotest.fail "expected a Delta_frame from the backlog")
-    steps;
-  check Alcotest.string "caught up byte-identically" (hex (save_bytes final))
-    (hex (save_bytes !replica));
-  Hub.stop hub;
-  Thread.join th2;
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ a; b; c; d ]
+        max 65536 (wmem_max / 4)
+      in
+      let steps =
+        let index = ref index1 in
+        List.init 8 (fun i ->
+            let changes =
+              [
+                Update.Insert
+                  (Record.make ~id:(2000 + i)
+                     ~attrs:[| Q.of_int (61 + i); Q.of_int i |]
+                     ~payload:(String.make payload_bytes 'x') ());
+              ]
+            in
+            let updated = Ifmh.apply fake_keypair changes !index in
+            let step = (!index, Ifmh.delta ~changes updated, updated) in
+            index := updated;
+            step)
+      in
+      let final = match List.rev steps with (_, _, u) :: _ -> u | [] -> assert false in
+      let hub =
+        { Hub.default_settings with queue_cap = 2; heartbeat_interval = 0.1; write_timeout = 0.2 }
+      in
+      let node = start_node ~hub ~store:(Store.publish ~dir index1) index1 in
+      let slow = subscribe_to ~rcvbuf:1 node ~from_epoch:(Some 1) in
+      let fds = ref [ slow ] in
+      Fun.protect
+        ~finally:(fun () ->
+          stop_node node;
+          close_all !fds)
+        (fun () ->
+          (* the Hello is queued as the hub registers the subscriber *)
+          check Alcotest.bool "subscriber registered" true
+            (match read_reply slow with Protocol.Hello _ -> true | _ -> false);
+          (* the subscriber never reads: republish everything; every call
+             returns without blocking on the dead weight *)
+          List.iter (fun (_, delta, _) -> republish_ok node delta) steps;
+          check Alcotest.int "hub latest" 9 (hub_latest_epoch node);
+          check Alcotest.bool "slow follower dropped" true
+            (await 5. (fun () -> stat (Engine.stats node.n_engine) "followers_connected" = 0));
+          (match Roundtrip.call ~port:(Engine.port node.n_engine) Protocol.Get_stats with
+          | Protocol.Stats kvs ->
+            check Alcotest.int "no queued frames for the dead" 0
+              (List.assoc "follower_lag_frames" kvs)
+          | _ -> Alcotest.fail "expected Stats");
+          (* re-subscribe from the stale epoch: the backlog replays the
+             chain *)
+          let d = subscribe_to node ~from_epoch:(Some 1) in
+          fds := d :: !fds;
+          let replica = ref index1 in
+          List.iter
+            (fun _ ->
+              match read_non_hello d with
+              | Protocol.Delta_frame { base_epoch; delta } ->
+                check Alcotest.int "chain continuity" (Ifmh.epoch !replica) base_epoch;
+                replica := Ifmh.apply_delta delta !replica
+              | _ -> Alcotest.fail "expected a Delta_frame from the backlog")
+            steps;
+          check Alcotest.string "caught up byte-identically" (hex (save_bytes final))
+            (hex (save_bytes !replica))))
+
+(* A follower that caught up by snapshot serves the snapshot's epoch,
+   and a subscriber of that follower must start from what it serves:
+   a Hello with the served epoch, a bootstrap snapshot of the served
+   index, then the next delta. The follower's hub exists before the
+   install (an early subscriber created it at epoch 1); the install
+   drops that subscriber, which would otherwise wait at epoch 1 for a
+   delta that can never follow on. *)
+let test_hub_after_snapshot_install () =
+  with_dir (fun pdir ->
+      with_dir (fun fdir ->
+          let prng = Prng.create 107L in
+          let index1, steps = gen_chain ~scheme:Ifmh.Multi_signature ~dims:1 prng 3 in
+          let hub = { Hub.default_settings with backlog_cap = 0; heartbeat_interval = 0.2 } in
+          let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
+          let follower =
+            start_node ~hub ~accept_republish:false ~store:(Store.publish ~dir:fdir index1) index1
+          in
+          let tail = ref None and fds = ref [] in
+          Fun.protect
+            ~finally:(fun () ->
+              Option.iter Follower.stop !tail;
+              stop_node primary;
+              stop_node follower;
+              close_all !fds)
+            (fun () ->
+              let early = subscribe_to follower ~from_epoch:None in
+              fds := [ early ];
+              (match read_reply early with
+              | Protocol.Hello { epoch } -> check Alcotest.int "early subscriber at epoch 1" 1 epoch
+              | _ -> Alcotest.fail "expected Hello first");
+              (* the primary runs two epochs ahead and keeps no backlog,
+                 so the follower catches up by snapshot *)
+              (match steps with
+              | (_, d1, _) :: (_, d2, _) :: _ -> List.iter (republish_ok primary) [ d1; d2 ]
+              | _ -> assert false);
+              tail :=
+                Some
+                  (Follower.start ~engine:follower.n_engine ~port:(Engine.port primary.n_engine) ());
+              check Alcotest.bool "follower installed the snapshot" true
+                (await 10. (fun () -> node_epoch follower = 3));
+              check Alcotest.bool "early subscriber dropped" true (closes early);
+              let sub = subscribe_to follower ~from_epoch:None in
+              fds := sub :: !fds;
+              (match read_reply sub with
+              | Protocol.Hello { epoch } -> check Alcotest.int "hello at the served epoch" 3 epoch
+              | _ -> Alcotest.fail "expected Hello first");
+              (match read_non_hello sub with
+              | Protocol.Snapshot_frame { index } ->
+                check Alcotest.string "bootstrap is the served index" (hex (node_image follower))
+                  (hex index)
+              | _ -> Alcotest.fail "expected a Snapshot_frame for bootstrap");
+              (match steps with
+              | [ _; _; (_, delta, _) ] -> republish_ok primary delta
+              | _ -> assert false);
+              match read_non_hello sub with
+              | Protocol.Delta_frame { base_epoch; delta } ->
+                check Alcotest.int "next delta from the served epoch" 3 base_epoch;
+                check Alcotest.int "next delta to epoch 4" 4 (Ifmh.delta_epoch delta)
+              | _ -> Alcotest.fail "expected the next Delta_frame")))
+
+(* [Engine.stop] alone stops a follower with a subscriber attached: the
+   engine releases the feeder session itself, so [serve] returns well
+   inside its 2 s drain bound, and the subscriber sees its stream end. *)
+let test_stop_with_subscriber () =
+  with_dir (fun pdir ->
+      with_dir (fun fdir ->
+          let index1, _ = gen_chain ~scheme:Ifmh.One_signature ~dims:1 (Prng.create 108L) 0 in
+          let primary = start_node ~store:(Store.publish ~dir:pdir index1) index1 in
+          let follower =
+            start_node ~accept_republish:false ~store:(Store.publish ~dir:fdir index1) index1
+          in
+          let tail =
+            Follower.start ~engine:follower.n_engine ~port:(Engine.port primary.n_engine) ()
+          in
+          let sub = subscribe_to follower ~from_epoch:(Some 1) in
+          Fun.protect
+            ~finally:(fun () ->
+              Follower.stop tail;
+              stop_node primary;
+              stop_node follower;
+              close_all [ sub ])
+            (fun () ->
+              check Alcotest.bool "subscriber attached" true
+                (match read_reply sub with Protocol.Hello _ -> true | _ -> false);
+              let t0 = Unix.gettimeofday () in
+              stop_node follower;
+              let elapsed = Unix.gettimeofday () -. t0 in
+              check Alcotest.bool
+                (Printf.sprintf "serve returned in %.2f s, under 1 s" elapsed)
+                true (elapsed < 1.);
+              check Alcotest.bool "subscriber's stream ended" true (closes sub))))
 
 (* ----------------------------- router ------------------------------- *)
 
@@ -874,7 +1004,7 @@ let run_composed_faults seed =
             Array.of_list
               (Query.range ~x ~l ~u :: List.init 3 (fun k -> Query.top_k ~x ~k:(k + 1)))
           in
-          let hub = Hub.create ~heartbeat_interval:0.01 ~initial:index1 () in
+          let hub = { Hub.default_settings with heartbeat_interval = 0.01 } in
           let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
           let proxy_a =
             Fault_net.start ~upstream:(Engine.port primary.n_engine)
@@ -1016,6 +1146,9 @@ let () =
         [
           Alcotest.test_case "catch-up modes" `Quick test_hub_catchup_modes;
           Alcotest.test_case "slow follower dropped" `Quick test_hub_slow_follower;
+          Alcotest.test_case "served epoch after snapshot install" `Quick
+            test_hub_after_snapshot_install;
+          Alcotest.test_case "engine stop releases subscribers" `Quick test_stop_with_subscriber;
         ] );
       ( "router",
         [
