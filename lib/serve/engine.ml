@@ -37,9 +37,9 @@ type t = {
   cache : Cache.t;
   republish_mu : Mutex.t;
       (* the one mutation lock: a republish, a snapshot install and a
-         compaction hold it throughout, and it guards the two fields
-         below *)
-  mutable hub : Hub.t option;  (* created by the first Subscribe *)
+         compaction hold it throughout; it guards [compactor] and
+         orders the hub's creation against [ship] and [reset] *)
+  hub : Hub.t option Atomic.t;  (* see [hub_locked] and [stop_hub] *)
   mutable compactor : Thread.t option;
 }
 
@@ -52,7 +52,7 @@ let create config index =
       stats = Stats.create ();
       cache = Cache.create ();
       republish_mu = Mutex.create ();
-      hub = None;
+      hub = Atomic.make None;
       compactor = None;
     }
   in
@@ -155,9 +155,8 @@ let republish t delta =
             Option.iter
               (fun hub ->
                 Hub.ship hub ~base_epoch:(Ifmh.epoch base) delta;
-                Stats.incr t.stats Deltas_shipped;
-                Stats.set t.stats Follower_lag_frames (Hub.lag hub))
-              t.hub;
+                Stats.incr t.stats Deltas_shipped)
+              (Atomic.get t.hub);
             Log.info (fun m ->
                 m "republished: now serving epoch %d" (Ifmh.epoch index'));
             schedule_compaction t;
@@ -182,22 +181,27 @@ let install_snapshot t index' =
         | () ->
           Option.iter (fun _ -> Stats.incr t.stats Compactions) t.config.store;
           swap_index t index';
-          Option.iter Hub.reset t.hub;
+          Option.iter Hub.reset (Atomic.get t.hub);
           Log.info (fun m ->
               m "snapshot installed: now serving epoch %d" (Ifmh.epoch index'));
           Ok (Ifmh.epoch index'))
 
+(* Whoever swaps the hub out stops it, so it stops once. No lock: a
+   stop never waits for a compaction to release [republish_mu]. *)
+let stop_hub t = Option.iter Hub.stop (Atomic.exchange t.hub None)
+
 (* The hub, created by the first Subscribe: an engine no one subscribes
-   to runs no heartbeat thread and encodes no delta frame. None once
-   the engine stops, so no hub outlives [serve]. Called with
-   [republish_mu] held, which orders the creation against [ship],
-   [reset] and the stop in [serve]. *)
+   to runs no heartbeat thread and encodes no delta frame. Called with
+   [republish_mu] held, which orders the creation against [ship] and
+   [reset]. The listener's flag is set before [serve] runs [stop_hub],
+   so a hub created as the engine stops is stopped by the re-check here
+   or by that [stop_hub]: no hub outlives [serve]. *)
 let hub_locked t =
-  match t.hub with
-  | None when not (Listener.stopped t.listener) ->
-    t.hub <- Some (Hub.create t.config.hub t.index);
-    t.hub
-  | hub -> hub
+  if Option.is_none (Atomic.get t.hub) && not (Listener.stopped t.listener) then begin
+    Atomic.set t.hub (Some (Hub.create t.config.hub t.index));
+    if Listener.stopped t.listener then stop_hub t
+  end;
+  Atomic.get t.hub
 
 (* The reply to one raw request payload: encoded into the session's
    writer [w], or a cached frame. Get_stats bypasses the cache — its
@@ -215,7 +219,9 @@ let reply_for t w payload =
     refused msg
   | Protocol.Get_stats ->
     Stats.incr t.stats Req_stats;
-    Option.iter (fun hub -> Stats.set t.stats Follower_lag_frames (Hub.lag hub)) t.hub;
+    Option.iter
+      (fun hub -> Stats.set t.stats Follower_lag_frames (Hub.lag hub))
+      (Atomic.get t.hub);
     encode w (Protocol.Stats (Stats.to_assoc t.stats))
   | Protocol.Subscribe { from_epoch } ->
     Stats.incr t.stats Req_subscribe;
@@ -301,11 +307,6 @@ let drop_session t exn =
 (* Once the accept loop ends, the hub stops before the drain: its
    feeders wait on the hub, not on their sockets, and their sessions
    end only when it releases them. *)
-let stop_hub t =
-  locked t (fun () ->
-      Option.iter Hub.stop t.hub;
-      t.hub <- None)
-
 let serve t =
   Listener.serve t.listener ~max_conns:t.config.max_conns
     ~drain_timeout:t.config.drain_timeout ~on_stop:(fun () -> stop_hub t)

@@ -6,15 +6,12 @@ let src = Logs.Src.create "aqv.hub" ~doc:"WAL-shipping replication"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type settings = {
-  queue_cap : int;
-  backlog_cap : int;
-  heartbeat_interval : float;
-  write_timeout : float;
-}
+type settings = { queue_cap : int; heartbeat_interval : float; write_timeout : float }
 
-let default_settings =
-  { queue_cap = 64; backlog_cap = 64; heartbeat_interval = 1.0; write_timeout = 5.0 }
+let default_settings = { queue_cap = 64; heartbeat_interval = 1.0; write_timeout = 5.0 }
+
+(* delta frames kept for catch-up *)
+let backlog_cap = 64
 
 (* One follower connection. The queue holds fully encoded reply frames
    (catch-up, deltas, heartbeats) awaiting the feeder's write; [cond]
@@ -114,7 +111,7 @@ let ship t ~base_epoch delta =
   let frame = encode_reply (Protocol.Delta_frame { base_epoch; delta }) in
   locked t (fun () ->
       let backlog = t.backlog @ [ { b_base = base_epoch; frame } ] in
-      let overflow = List.length backlog - t.settings.backlog_cap in
+      let overflow = List.length backlog - backlog_cap in
       t.backlog <- List.filteri (fun i _ -> i >= overflow) backlog;
       List.iter (fun sub -> enqueue_locked t sub frame) t.subscribers)
 

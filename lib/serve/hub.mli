@@ -11,21 +11,21 @@
     {!subscribe} from the session that accepted a [Subscribe].
 
     Catch-up: a follower subscribing at epoch [e] gets [Hello] plus the
-    suffix of a bounded backlog of delta frames starting exactly at [e]
-    when the chain covers it, otherwise a snapshot of the served index.
+    suffix of a backlog of the last 64 delta frames starting exactly at
+    [e] when the chain covers it, otherwise a snapshot of the served
+    index. The backlog starts empty when the hub is created.
     Backpressure: a follower whose bounded queue overflows, or whose
     write times out, is dropped, never allowed to stall the engine; it
     re-subscribes from its own durable store. *)
 
 type settings = {
   queue_cap : int;  (** frames queued per subscriber before it is dropped *)
-  backlog_cap : int;  (** delta frames kept for catch-up *)
   heartbeat_interval : float;  (** seconds between [Hello]s to an idle subscriber *)
   write_timeout : float;  (** seconds to write one frame *)
 }
 
 val default_settings : settings
-(** Queue 64, backlog 64, a [Hello] every 1 s, 5 s per write. *)
+(** Queue 64, a [Hello] every 1 s, 5 s per write. *)
 
 type t
 

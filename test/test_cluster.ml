@@ -311,8 +311,9 @@ let test_follower_identity (scheme, dims, seed) () =
 
 (* ------------------- snapshot catch-up / install -------------------- *)
 
-(* A follower too far behind for the backlog (here: a hub that retains
-   none) gets a full snapshot; the engine installs it durably
+(* A follower too far behind for the backlog (here: the primary's hub
+   is created by the follower's own Subscribe, after the primary ran
+   ahead, so it holds no delta yet) gets a full snapshot; the engine installs it durably
    (Store.compact) before serving, and the stream continues with
    deltas from the snapshot's epoch. *)
 let test_snapshot_install () =
@@ -322,7 +323,7 @@ let test_snapshot_install () =
           let scheme = Ifmh.Multi_signature and dims = 1 in
           let table = gen_table ~dims prng in
           let index1 = Ifmh.build ~scheme ~epoch:1 table fake_keypair in
-          let hub = { Hub.default_settings with backlog_cap = 0; heartbeat_interval = 0.2 } in
+          let hub = { Hub.default_settings with heartbeat_interval = 0.2 } in
           let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
           let follower =
             start_node ~accept_republish:false
@@ -344,7 +345,8 @@ let test_snapshot_install () =
               stop_node follower)
             (fun () ->
               (* primary runs ahead to epoch 4 before the follower dials
-                 in; with no backlog the only catch-up is a snapshot *)
+                 in; its hub, created by that Subscribe, holds no
+                 delta, so the only catch-up is a snapshot *)
               republish ();
               republish ();
               republish ();
@@ -525,6 +527,156 @@ let rec read_non_hello ?(timeout = 5.) fd =
   | Protocol.Hello _ -> read_non_hello ~timeout fd
   | reply -> reply
 
+let subscribe_pair hub ~from_epoch =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let th = Thread.create (fun () -> Hub.subscribe hub a ~from_epoch) () in
+  (a, b, th)
+
+(* A standalone hub over its own served-index cell, stepped in the
+   engine's order: swap the served index, then ship its delta. *)
+let ship hub served (base, delta, updated) =
+  Atomic.set served updated;
+  Hub.ship hub ~base_epoch:(Ifmh.epoch base) delta
+
+(* The hub's latest epoch as a subscriber learns it: the epoch of the
+   Hello it is sent first. The probe hangs up at once; the hub drops it
+   at its next write (a heartbeat at the latest), so it is gone by the
+   time this returns. *)
+let hub_latest_epoch hub =
+  let a, b, th = subscribe_pair hub ~from_epoch:None in
+  let epoch =
+    match read_reply b with
+    | Protocol.Hello { epoch } -> epoch
+    | _ -> Alcotest.fail "expected Hello first"
+  in
+  Unix.close b;
+  Thread.join th;
+  Unix.close a;
+  epoch
+
+(* Catch-up mode selection: up to date -> nothing; behind but covered
+   by the backlog -> exactly the delta suffix; bootstrap (or past the
+   backlog) -> a full snapshot. *)
+let test_hub_catchup_modes () =
+  let prng = Prng.create 103L in
+  let index1, steps = gen_chain ~scheme:Ifmh.Multi_signature ~dims:1 prng 2 in
+  let final = match List.rev steps with (_, _, u) :: _ -> u | [] -> assert false in
+  let served = Atomic.make index1 in
+  let hub = Hub.create { Hub.default_settings with heartbeat_interval = 0.2 } served in
+  List.iter (ship hub served) steps;
+  check Alcotest.int "hub latest" 3 (hub_latest_epoch hub);
+  (* up to date: a Hello, then heartbeats only *)
+  let a1, b1, th1 = subscribe_pair hub ~from_epoch:(Some 3) in
+  (match read_reply b1 with
+  | Protocol.Hello { epoch } -> check Alcotest.int "hello epoch" 3 epoch
+  | _ -> Alcotest.fail "expected Hello first");
+  (* heartbeats keep arriving; anything else within the window is a
+     catch-up frame the up-to-date subscriber must not get *)
+  let deadline = Unix.gettimeofday () +. 0.7 in
+  (try
+     while Unix.gettimeofday () < deadline do
+       match read_reply ~timeout:0.3 b1 with
+       | Protocol.Hello _ -> ()
+       | _ -> Alcotest.fail "up-to-date subscriber was sent catch-up frames"
+     done
+   with Frame_io.Timeout -> ());
+  (* behind, in the backlog: the delta suffix, in order *)
+  let a2, b2, th2 = subscribe_pair hub ~from_epoch:(Some 1) in
+  List.iter
+    (fun (base, _, updated) ->
+      match read_non_hello b2 with
+      | Protocol.Delta_frame { base_epoch; delta } ->
+        check Alcotest.int "suffix base" (Ifmh.epoch base) base_epoch;
+        check Alcotest.int "suffix next" (Ifmh.epoch updated) (Ifmh.delta_epoch delta)
+      | _ -> Alcotest.fail "expected a Delta_frame from the backlog")
+    steps;
+  (* bootstrap: one full snapshot of the latest index *)
+  let a3, b3, th3 = subscribe_pair hub ~from_epoch:None in
+  (match read_non_hello b3 with
+  | Protocol.Snapshot_frame { index } ->
+    check Alcotest.string "snapshot is the latest index"
+      (hex (save_bytes final)) (hex index)
+  | _ -> Alcotest.fail "expected a Snapshot_frame for bootstrap");
+  Hub.stop hub;
+  List.iter Thread.join [ th1; th2; th3 ];
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ a1; b1; a2; b2; a3; b3 ]
+
+(* Backpressure: a subscriber that never drains must be dropped --
+   ship stays enqueue-only and returns immediately -- and a fresh
+   subscription from the stale epoch replays the backlog to the tip. *)
+let test_hub_slow_follower () =
+  let prng = Prng.create 104L in
+  let table = gen_table ~dims:1 prng in
+  let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
+  (* fat payloads so a handful of frames overwhelms the smallest
+     socket buffers the kernel will grant *)
+  let steps =
+    let index = ref index1 in
+    List.init 8 (fun i ->
+        let changes =
+          [
+            Update.Insert
+              (Record.make ~id:(2000 + i)
+                 ~attrs:[| Q.of_int (61 + i); Q.of_int i |]
+                 ~payload:(String.make 4096 'x') ());
+          ]
+        in
+        let updated = Ifmh.apply fake_keypair changes !index in
+        let step = (!index, Ifmh.delta ~changes updated, updated) in
+        index := updated;
+        step)
+  in
+  let final = match List.rev steps with (_, _, u) :: _ -> u | [] -> assert false in
+  let served = Atomic.make index1 in
+  let hub =
+    Hub.create
+      { Hub.queue_cap = 2; heartbeat_interval = 0.1; write_timeout = 0.2 }
+      served
+  in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int a Unix.SO_SNDBUF 1;
+  Unix.setsockopt_int b Unix.SO_RCVBUF 1;
+  (* [subscribe] returns once the hub drops the subscriber *)
+  let dropped = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        Hub.subscribe hub a ~from_epoch:(Some 1);
+        Atomic.set dropped true)
+      ()
+  in
+  (* the Hello is queued as the hub registers the subscriber *)
+  check Alcotest.bool "subscriber registered" true
+    (match read_reply b with Protocol.Hello _ -> true | _ -> false);
+  (* the subscriber never reads: ship everything; every call returns
+     without blocking on the dead weight *)
+  List.iter (ship hub served) steps;
+  check Alcotest.int "hub latest" 9 (hub_latest_epoch hub);
+  check Alcotest.bool "slow follower dropped" true
+    (await 5. (fun () -> Atomic.get dropped));
+  Thread.join th;
+  check Alcotest.int "no queued frames for the dead" 0 (Hub.lag hub);
+  (* re-subscribe from the stale epoch: the backlog replays the chain *)
+  let c, d, th2 = subscribe_pair hub ~from_epoch:(Some 1) in
+  let replica = ref index1 in
+  List.iter
+    (fun _ ->
+      match read_non_hello d with
+      | Protocol.Delta_frame { base_epoch; delta } ->
+        check Alcotest.int "chain continuity" (Ifmh.epoch !replica) base_epoch;
+        replica := Ifmh.apply_delta delta !replica
+      | _ -> Alcotest.fail "expected a Delta_frame from the backlog")
+    steps;
+  check Alcotest.string "caught up byte-identically" (hex (save_bytes final))
+    (hex (save_bytes !replica));
+  Hub.stop hub;
+  Thread.join th2;
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ a; b; c; d ]
+
 (* true once the stream ends within [within] seconds, whatever frames
    come before the end *)
 let closes ?(within = 5.) fd =
@@ -540,12 +692,9 @@ let closes ?(within = 5.) fd =
   in
   go ()
 
-(* A replication stream from [node]'s engine, as a follower opens one.
-   [rcvbuf] shrinks the receive buffer before the connect, so that a
-   subscriber that never reads fills the engine's socket soon. *)
-let subscribe_to ?rcvbuf node ~from_epoch =
+(* A replication stream from [node]'s engine, as a follower opens one *)
+let subscribe_to node ~from_epoch =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Engine.port node.n_engine));
   let w = Frame_io.writer () in
   Protocol.encode_request w (Protocol.Subscribe { from_epoch });
@@ -554,160 +703,10 @@ let subscribe_to ?rcvbuf node ~from_epoch =
 
 let close_all fds = List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds
 
-(* The hub's epoch as a subscriber learns it: the epoch of the Hello it
-   is sent first. The probe hangs up at once; the hub drops it at its
-   next write (a heartbeat at the latest). *)
-let hub_latest_epoch node =
-  let fd = subscribe_to node ~from_epoch:None in
-  Fun.protect
-    ~finally:(fun () -> close_all [ fd ])
-    (fun () ->
-      match read_reply fd with
-      | Protocol.Hello { epoch } -> epoch
-      | _ -> Alcotest.fail "expected Hello first")
-
 let republish_ok node delta =
   match Engine.republish node.n_engine delta with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "republish failed: %s" msg
-
-(* Catch-up mode selection: up to date -> nothing; behind but covered
-   by the backlog -> exactly the delta suffix; bootstrap (or past the
-   backlog) -> a full snapshot. *)
-let test_hub_catchup_modes () =
-  with_dir (fun dir ->
-      let prng = Prng.create 103L in
-      let index1, steps = gen_chain ~scheme:Ifmh.Multi_signature ~dims:1 prng 2 in
-      let final = match List.rev steps with (_, _, u) :: _ -> u | [] -> assert false in
-      let hub = { Hub.default_settings with heartbeat_interval = 0.2 } in
-      let node = start_node ~hub ~store:(Store.publish ~dir index1) index1 in
-      let fds = ref [] in
-      let subscribe ~from_epoch =
-        let fd = subscribe_to node ~from_epoch in
-        fds := fd :: !fds;
-        fd
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          stop_node node;
-          close_all !fds)
-        (fun () ->
-          (* the first subscriber creates the hub, and its backlog
-             starts at the epoch served then *)
-          check Alcotest.int "hub created at the served epoch" 1 (hub_latest_epoch node);
-          List.iter (fun (_, delta, _) -> republish_ok node delta) steps;
-          check Alcotest.int "hub latest" 3 (hub_latest_epoch node);
-          (* up to date: a Hello, then heartbeats only *)
-          let b1 = subscribe ~from_epoch:(Some 3) in
-          (match read_reply b1 with
-          | Protocol.Hello { epoch } -> check Alcotest.int "hello epoch" 3 epoch
-          | _ -> Alcotest.fail "expected Hello first");
-          (* heartbeats keep arriving; anything else within the window
-             is a catch-up frame the up-to-date subscriber must not get *)
-          let deadline = Unix.gettimeofday () +. 0.7 in
-          (try
-             while Unix.gettimeofday () < deadline do
-               match read_reply ~timeout:0.3 b1 with
-               | Protocol.Hello _ -> ()
-               | _ -> Alcotest.fail "up-to-date subscriber was sent catch-up frames"
-             done
-           with Frame_io.Timeout -> ());
-          (* behind, in the backlog: the delta suffix, in order *)
-          let b2 = subscribe ~from_epoch:(Some 1) in
-          List.iter
-            (fun (base, _, updated) ->
-              match read_non_hello b2 with
-              | Protocol.Delta_frame { base_epoch; delta } ->
-                check Alcotest.int "suffix base" (Ifmh.epoch base) base_epoch;
-                check Alcotest.int "suffix next" (Ifmh.epoch updated) (Ifmh.delta_epoch delta)
-              | _ -> Alcotest.fail "expected a Delta_frame from the backlog")
-            steps;
-          (* bootstrap: one full snapshot of the latest index *)
-          let b3 = subscribe ~from_epoch:None in
-          match read_non_hello b3 with
-          | Protocol.Snapshot_frame { index } ->
-            check Alcotest.string "snapshot is the latest index"
-              (hex (save_bytes final)) (hex index)
-          | _ -> Alcotest.fail "expected a Snapshot_frame for bootstrap"))
-
-(* Backpressure: a subscriber that never drains must be dropped --
-   shipping stays enqueue-only, so every republish returns -- and a
-   fresh subscription from the stale epoch replays the backlog to the
-   tip. *)
-let test_hub_slow_follower () =
-  with_dir (fun dir ->
-      let prng = Prng.create 104L in
-      let table = gen_table ~dims:1 prng in
-      let index1 = Ifmh.build ~scheme:Ifmh.Multi_signature ~epoch:1 table fake_keypair in
-      (* fat payloads: the eight frames hold twice what the engine's
-         send buffer can grow to (Linux's tcp_wmem maximum, 4 MiB by
-         default), so a subscriber that never reads blocks the feeder *)
-      let payload_bytes =
-        let wmem_max =
-          try
-            In_channel.with_open_text "/proc/sys/net/ipv4/tcp_wmem" In_channel.input_all
-            |> String.split_on_char '\t' |> List.rev |> List.hd |> String.trim |> int_of_string
-          with Sys_error _ | Failure _ -> 4 lsl 20
-        in
-        max 65536 (wmem_max / 4)
-      in
-      let steps =
-        let index = ref index1 in
-        List.init 8 (fun i ->
-            let changes =
-              [
-                Update.Insert
-                  (Record.make ~id:(2000 + i)
-                     ~attrs:[| Q.of_int (61 + i); Q.of_int i |]
-                     ~payload:(String.make payload_bytes 'x') ());
-              ]
-            in
-            let updated = Ifmh.apply fake_keypair changes !index in
-            let step = (!index, Ifmh.delta ~changes updated, updated) in
-            index := updated;
-            step)
-      in
-      let final = match List.rev steps with (_, _, u) :: _ -> u | [] -> assert false in
-      let hub =
-        { Hub.default_settings with queue_cap = 2; heartbeat_interval = 0.1; write_timeout = 0.2 }
-      in
-      let node = start_node ~hub ~store:(Store.publish ~dir index1) index1 in
-      let slow = subscribe_to ~rcvbuf:1 node ~from_epoch:(Some 1) in
-      let fds = ref [ slow ] in
-      Fun.protect
-        ~finally:(fun () ->
-          stop_node node;
-          close_all !fds)
-        (fun () ->
-          (* the Hello is queued as the hub registers the subscriber *)
-          check Alcotest.bool "subscriber registered" true
-            (match read_reply slow with Protocol.Hello _ -> true | _ -> false);
-          (* the subscriber never reads: republish everything; every call
-             returns without blocking on the dead weight *)
-          List.iter (fun (_, delta, _) -> republish_ok node delta) steps;
-          check Alcotest.int "hub latest" 9 (hub_latest_epoch node);
-          check Alcotest.bool "slow follower dropped" true
-            (await 5. (fun () -> stat (Engine.stats node.n_engine) "followers_connected" = 0));
-          (match Roundtrip.call ~port:(Engine.port node.n_engine) Protocol.Get_stats with
-          | Protocol.Stats kvs ->
-            check Alcotest.int "no queued frames for the dead" 0
-              (List.assoc "follower_lag_frames" kvs)
-          | _ -> Alcotest.fail "expected Stats");
-          (* re-subscribe from the stale epoch: the backlog replays the
-             chain *)
-          let d = subscribe_to node ~from_epoch:(Some 1) in
-          fds := d :: !fds;
-          let replica = ref index1 in
-          List.iter
-            (fun _ ->
-              match read_non_hello d with
-              | Protocol.Delta_frame { base_epoch; delta } ->
-                check Alcotest.int "chain continuity" (Ifmh.epoch !replica) base_epoch;
-                replica := Ifmh.apply_delta delta !replica
-              | _ -> Alcotest.fail "expected a Delta_frame from the backlog")
-            steps;
-          check Alcotest.string "caught up byte-identically" (hex (save_bytes final))
-            (hex (save_bytes !replica))))
 
 (* A follower that caught up by snapshot serves the snapshot's epoch,
    and a subscriber of that follower must start from what it serves:
@@ -721,7 +720,7 @@ let test_hub_after_snapshot_install () =
       with_dir (fun fdir ->
           let prng = Prng.create 107L in
           let index1, steps = gen_chain ~scheme:Ifmh.Multi_signature ~dims:1 prng 3 in
-          let hub = { Hub.default_settings with backlog_cap = 0; heartbeat_interval = 0.2 } in
+          let hub = { Hub.default_settings with heartbeat_interval = 0.2 } in
           let primary = start_node ~hub ~store:(Store.publish ~dir:pdir index1) index1 in
           let follower =
             start_node ~hub ~accept_republish:false ~store:(Store.publish ~dir:fdir index1) index1
@@ -739,8 +738,9 @@ let test_hub_after_snapshot_install () =
               (match read_reply early with
               | Protocol.Hello { epoch } -> check Alcotest.int "early subscriber at epoch 1" 1 epoch
               | _ -> Alcotest.fail "expected Hello first");
-              (* the primary runs two epochs ahead and keeps no backlog,
-                 so the follower catches up by snapshot *)
+              (* the primary runs two epochs ahead before anyone
+                 subscribes to it, so its hub holds no delta and the
+                 follower catches up by snapshot *)
               (match steps with
               | (_, d1, _) :: (_, d2, _) :: _ -> List.iter (republish_ok primary) [ d1; d2 ]
               | _ -> assert false);
@@ -749,6 +749,8 @@ let test_hub_after_snapshot_install () =
                   (Follower.start ~engine:follower.n_engine ~port:(Engine.port primary.n_engine) ());
               check Alcotest.bool "follower installed the snapshot" true
                 (await 10. (fun () -> node_epoch follower = 3));
+              check Alcotest.int "caught up by snapshot, not by deltas" 1
+                (stat (Engine.stats follower.n_engine) "compactions");
               check Alcotest.bool "early subscriber dropped" true (closes early);
               let sub = subscribe_to follower ~from_epoch:None in
               fds := sub :: !fds;
