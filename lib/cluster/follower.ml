@@ -30,6 +30,10 @@ let reconnect_backoff = 0.1
    default roundtrip read timeout. *)
 let io_timeout = Roundtrip.default_opts.Roundtrip.read_timeout
 
+(* One connect attempt per redial: [run] already redials, so a stop
+   never waits out nested connect retries while the primary is down. *)
+let opts = { Roundtrip.default_opts with Roundtrip.attempts = 1 }
+
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
@@ -93,7 +97,7 @@ let apply_frame t reply =
    then tail frames until EOF, a read timeout (dead primary — the
    heartbeat should have arrived), or an unusable frame. *)
 let tail_once t =
-  let fd = Roundtrip.connect ~host:t.host t.port in
+  let fd = Roundtrip.connect ~opts ~host:t.host t.port in
   let abandoned = locked t (fun () ->
       if t.stopped then true else begin t.fd <- Some fd; false end)
   in

@@ -23,8 +23,9 @@ val start : ?host:Unix.inet_addr -> engine:Aqv_serve.Engine.t -> port:int -> uni
 (** Spawn the tailing thread against primary [host]:[port] (default
     127.0.0.1). The wait for the next frame is bounded by 10 s, which
     must exceed the primary's heartbeat interval; a lost stream is
-    redialed after 0.1 s. The engine should have
-    [accept_republish = false] so only this stream mutates it. *)
+    redialed after 0.1 s with one connection attempt, so a {!stop}
+    while the primary is down waits for at most one. The engine should
+    have [accept_republish = false] so only this stream mutates it. *)
 
 val stop : t -> unit
 (** Shut the live connection down, stop the thread, join it. *)

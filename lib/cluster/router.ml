@@ -128,28 +128,37 @@ let mark_served t i = locked t (fun () -> t.replicas.(i).served <- t.replicas.(i
    router adds no trust — bytes go to the replica and the replica's
    reply bytes come back, signatures untouched, so the client's
    verification spans the router unchanged. [conns] caches one
-   connection per replica for this client session. *)
+   connection per replica for this client session; one that fails
+   other than by a timeout may just be stale (engines close idle
+   sessions), so it is redialed once before the replica is marked down. *)
 let forward t conns payload =
-  let try_replica i =
-    let r = t.replicas.(i) in
-    let fd =
-      match conns.(i) with
-      | Some fd -> fd
-      | None ->
-        let fd = Roundtrip.connect ~opts ~host:r.host r.port in
-        conns.(i) <- Some fd;
-        fd
-    in
-    ignore (Frame_io.write_frame ~timeout:io_timeout fd payload);
-    match
-      Frame_io.read_frame ~header_timeout:io_timeout ~body_timeout:io_timeout fd
-    with
-    | Some reply -> reply
-    | None -> failwith "Router: replica closed the connection"
-  in
   let drop_conn i =
     Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) conns.(i);
     conns.(i) <- None
+  in
+  let try_replica i =
+    let r = t.replicas.(i) in
+    let ask fd =
+      ignore (Frame_io.write_frame ~timeout:io_timeout fd payload);
+      match
+        Frame_io.read_frame ~header_timeout:io_timeout ~body_timeout:io_timeout fd
+      with
+      | Some reply -> reply
+      | None -> failwith "Router: replica closed the connection"
+    in
+    let dial () =
+      let fd = Roundtrip.connect ~opts ~host:r.host r.port in
+      conns.(i) <- Some fd;
+      ask fd
+    in
+    match conns.(i) with
+    | None -> dial ()
+    | Some fd -> (
+      try ask fd with
+      | Frame_io.Timeout -> raise Frame_io.Timeout
+      | e when Roundtrip.transient e ->
+        drop_conn i;
+        dial ())
   in
   let rec go last_refused = function
     | [] -> (

@@ -11,10 +11,12 @@
     its ["epoch"] stats gauge; requests go round-robin among the
     replicas at the best known epoch, never to one behind it (a lagging
     follower would serve an older — still correctly signed — epoch that
-    clients pinned with [with_min_epoch] must reject). A replica that
-    fails a roundtrip is marked down until a poll succeeds again; on
-    transport failure the router retries the next candidate, and a
-    served [Refused] is only returned if every candidate refuses. *)
+    clients pinned with [with_min_epoch] must reject). A cached
+    connection that fails other than by a timeout (an engine closes an
+    idle session) is redialed once; a replica that still fails is marked
+    down until a poll succeeds again and the router retries the next
+    candidate. A served [Refused] is only returned if every candidate
+    refuses. *)
 
 type t
 

@@ -10,22 +10,24 @@
     (durable-before-ship), {!reset} after each snapshot install, and
     {!subscribe} from the session that accepted a [Subscribe].
 
-    Catch-up: a follower subscribing at epoch [e] gets [Hello] plus the
-    suffix of a backlog of the last 64 delta frames starting exactly at
-    [e] when the chain covers it, otherwise a snapshot of the served
-    index. The backlog starts empty when the hub is created.
-    Backpressure: a follower whose bounded queue overflows, or whose
-    write times out, is dropped, never allowed to stall the engine; it
-    re-subscribes from its own durable store. *)
+    One stream: the hub keeps its backlog of the last 64 delta frames
+    and the epoch its stream has reached, and each subscriber is a
+    cursor, the epoch its own stream has reached. A feeder whose cursor
+    is behind writes its catch-up plan: the backlog suffix starting
+    exactly at the cursor when the chain covers it, otherwise a
+    snapshot of the served index; live deltas and catch-up are the same
+    path. The backlog starts empty when the hub is created.
+    Backpressure: {!ship} never waits on a subscriber, and a follower
+    whose write times out is dropped, never allowed to stall the
+    engine; it re-subscribes from its own durable store. *)
 
 type settings = {
-  queue_cap : int;  (** frames queued per subscriber before it is dropped *)
   heartbeat_interval : float;  (** seconds between [Hello]s to an idle subscriber *)
   write_timeout : float;  (** seconds to write one frame *)
 }
 
 val default_settings : settings
-(** Queue 64, a [Hello] every 1 s, 5 s per write. *)
+(** A [Hello] every 1 s, 5 s per write. *)
 
 type t
 
@@ -34,20 +36,24 @@ val create : settings -> Aqv.Ifmh.t Atomic.t -> t
     starts the heartbeat thread. *)
 
 val ship : t -> base_epoch:int -> Aqv.Ifmh.delta -> unit
-(** Append the delta from [base_epoch] to the backlog and every queue.
-    Enqueue only: never blocks on a subscriber. *)
+(** Append the delta from [base_epoch] to the backlog, move the hub's
+    epoch to the delta's and wake the feeders. Never blocks on a
+    subscriber. *)
 
 val reset : t -> unit
 (** After a snapshot install: empty the backlog, whose chain no longer
-    reaches the served epoch, and drop every subscriber; each
-    re-subscribes and catches up by a snapshot. *)
+    reaches the served epoch, and move the hub's epoch to the served
+    one. Every attached subscriber stays; at its next wake it is
+    behind, and gets a snapshot of the served index. *)
 
 val subscribe : t -> Unix.file_descr -> from_epoch:int option -> unit
 (** Feed a subscriber from the calling session thread until it is
     dropped or the hub stops. Never closes the fd. *)
 
 val lag : t -> int
-(** Frames queued but not yet written, over live subscribers. *)
+(** Epochs by which live subscribers' streams trail the hub's, summed:
+    the deltas not yet written to them (one snapshot may stand for
+    many), and 1 for a bootstrap snapshot not yet written. *)
 
 val stop : t -> unit
 (** Release every feeder and stop the heartbeat thread. *)

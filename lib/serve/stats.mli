@@ -41,8 +41,8 @@ type counter =
   | Followers_connected  (** gauge: replication subscribers *)
   | Deltas_shipped  (** durably-acked deltas fanned out to subscribers *)
   | Follower_lag_frames
-      (** gauge: frames shipped but not yet written to a follower's
-          socket, refreshed on every ship and heartbeat *)
+      (** gauge: epochs by which the hub's subscribers' streams trail
+          the hub's, summed ({!Hub.lag}); refreshed by each [Get_stats] *)
 
 val create : unit -> t
 val incr : t -> counter -> unit

@@ -514,6 +514,37 @@ let test_follower_stop_closes_once () =
               done;
               check Alcotest.int "no pipe op saw EBADF" 0 (Atomic.get ebadf))))
 
+(* With its primary down, [Follower.stop] returns at once: the tail
+   dials once per redial, so a stop has no nested connect retries to
+   wait out. *)
+let test_follower_stop_primary_down () =
+  with_dir (fun fdir ->
+      let index1, _ = gen_chain ~scheme:Ifmh.One_signature ~dims:1 (Prng.create 122L) 0 in
+      (* a port nothing listens on *)
+      let dead_port =
+        let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        let port =
+          match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+        in
+        Unix.close s;
+        port
+      in
+      let follower =
+        start_node ~accept_republish:false ~store:(Store.publish ~dir:fdir index1) index1
+      in
+      Fun.protect
+        ~finally:(fun () -> stop_node follower)
+        (fun () ->
+          let tail = Follower.start ~engine:follower.n_engine ~port:dead_port () in
+          Thread.delay 0.3;
+          let t0 = Unix.gettimeofday () in
+          Follower.stop tail;
+          let elapsed = Unix.gettimeofday () -. t0 in
+          check Alcotest.bool
+            (Printf.sprintf "stop returned in %.2f s, under 1 s" elapsed)
+            true (elapsed < 1.)))
+
 (* ------------------------------ hub --------------------------------- *)
 
 let read_reply ?(timeout = 5.) fd =
@@ -632,7 +663,7 @@ let test_hub_slow_follower () =
   let served = Atomic.make index1 in
   let hub =
     Hub.create
-      { Hub.queue_cap = 2; heartbeat_interval = 0.1; write_timeout = 0.2 }
+      { Hub.heartbeat_interval = 0.1; write_timeout = 0.2 }
       served
   in
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -677,6 +708,87 @@ let test_hub_slow_follower () =
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     [ a; b; c; d ]
 
+(* Run [f] with every message of the hub's log source stalled 20 ms in
+   the reporter, as a log sink that blocks (a full stderr pipe) would
+   stall it. *)
+let with_stalled_hub_log f =
+  let src = List.find (fun s -> Logs.Src.name s = "aqv.hub") (Logs.Src.list ()) in
+  let level = Logs.Src.level src and reporter = Logs.reporter () in
+  Logs.Src.set_level src (Some Logs.Info);
+  Logs.set_reporter
+    {
+      Logs.report =
+        (fun _ _ ~over k _ ->
+          Thread.delay 0.02;
+          over ();
+          k ());
+    };
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.Src.set_level src level)
+    f
+
+(* Catch-up and live deltas are one stream: a subscriber that joins at
+   the oldest epoch of a full backlog while another thread ships more
+   deltas is sent every delta in order and is not dropped. The shipper
+   starts as soon as the subscriber is registered, and the stalled log
+   line the hub writes on a subscription gives its ships time to land
+   before the subscriber's catch-up is written. *)
+let test_hub_join_while_shipping () =
+  with_stalled_hub_log @@ fun () ->
+  let live = 16 in
+  let index1, steps =
+    gen_chain ~scheme:Ifmh.One_signature ~dims:1 (Prng.create 109L) (64 + live)
+  in
+  let backlog = List.filteri (fun i _ -> i < 64) steps
+  and more = List.filteri (fun i _ -> i >= 64) steps in
+  let final = 1 + 64 + live in
+  let served = Atomic.make index1 in
+  let hub = Hub.create { Hub.default_settings with heartbeat_interval = 0.05 } served in
+  List.iter (ship hub served) backlog;
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* the stream ends early only if the hub drops the subscriber *)
+  let th =
+    Thread.create
+      (fun () ->
+        Hub.subscribe hub a ~from_epoch:(Some 1);
+        Unix.shutdown a Unix.SHUTDOWN_ALL)
+      ()
+  in
+  let joined = Atomic.make false in
+  let shipper =
+    Thread.create
+      (fun () ->
+        (* spin on the hub's lock: registered once a stream lags, or
+           once the reader has its Hello *)
+        while Hub.lag hub = 0 && not (Atomic.get joined) do
+          ()
+        done;
+        List.iter (ship hub served) more)
+      ()
+  in
+  let rec follow epoch =
+    if epoch = final then epoch
+    else
+      match read_reply b with
+      | Protocol.Hello _ ->
+        Atomic.set joined true;
+        follow epoch
+      | Protocol.Delta_frame { base_epoch; delta } ->
+        check Alcotest.int "next delta in order" epoch base_epoch;
+        follow (Ifmh.delta_epoch delta)
+      | _ -> Alcotest.fail "expected a Delta_frame"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set joined true;
+      Thread.join shipper;
+      Hub.stop hub;
+      Thread.join th;
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
+    (fun () -> check Alcotest.int "ends at the last epoch" final (follow 1))
+
 (* true once the stream ends within [within] seconds, whatever frames
    come before the end *)
 let closes ?(within = 5.) fd =
@@ -713,8 +825,9 @@ let republish_ok node delta =
    a Hello with the served epoch, a bootstrap snapshot of the served
    index, then the next delta. The follower's hub exists before the
    install (an early subscriber created it at epoch 1); the install
-   drops that subscriber, which would otherwise wait at epoch 1 for a
-   delta that can never follow on. *)
+   leaves that subscriber attached, and after its epoch-1 bootstrap it
+   is sent a snapshot of the served index, as no delta can follow on
+   from epoch 1. *)
 let test_hub_after_snapshot_install () =
   with_dir (fun pdir ->
       with_dir (fun fdir ->
@@ -751,7 +864,14 @@ let test_hub_after_snapshot_install () =
                 (await 10. (fun () -> node_epoch follower = 3));
               check Alcotest.int "caught up by snapshot, not by deltas" 1
                 (stat (Engine.stats follower.n_engine) "compactions");
-              check Alcotest.bool "early subscriber dropped" true (closes early);
+              (match read_non_hello early with
+              | Protocol.Snapshot_frame _ -> ()
+              | _ -> Alcotest.fail "expected the early subscriber's bootstrap");
+              (match read_non_hello early with
+              | Protocol.Snapshot_frame { index } ->
+                check Alcotest.string "early subscriber gets the served index"
+                  (hex (node_image follower)) (hex index)
+              | _ -> Alcotest.fail "expected a Snapshot_frame after the install");
               let sub = subscribe_to follower ~from_epoch:None in
               fds := sub :: !fds;
               (match read_reply sub with
@@ -932,6 +1052,41 @@ let test_router_sheds_past_bound () =
         | _ -> Alcotest.fail "expected Stats once a slot was released"
       in
       served_again ())
+
+(* An engine closes a session idle past its [idle_timeout], which
+   leaves the router's cached connection to it stale: the next request
+   must redial the replica, not mark a healthy replica down. *)
+let test_router_redials_idle_replica () =
+  let index, _ = gen_chain ~scheme:Ifmh.Multi_signature ~dims:1 (Prng.create 110L) 0 in
+  let engine =
+    Engine.create
+      { Engine.default_config with port = 0; drain_timeout = 2.; idle_timeout = 0.2 }
+      index
+  in
+  let eth = Thread.create Engine.serve engine in
+  let router =
+    Router.create ~poll_interval:60. ~replicas:[ (Unix.inet_addr_loopback, Engine.port engine) ] ()
+  in
+  let rth = Thread.create Router.serve router in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      Thread.join rth;
+      Engine.stop engine;
+      Thread.join eth)
+    (fun () ->
+      Roundtrip.with_connection ~port:(Router.port router) (fun fd ->
+          let served_epoch () =
+            match Roundtrip.ask fd Protocol.Get_stats with
+            | Protocol.Stats kvs -> List.assoc_opt "epoch" kvs
+            | Protocol.Refused m -> Alcotest.failf "refused: %s" m
+            | _ -> Alcotest.fail "expected Stats through the router"
+          in
+          check Alcotest.(option int) "first request" (Some 1) (served_epoch ());
+          Thread.delay 0.6;
+          check Alcotest.(option int) "after the replica closed the idle connection" (Some 1)
+            (served_epoch ()));
+      check Alcotest.(list int) "replica not marked down" [ 1 ] (Router.epochs router))
 
 (* -------------------------- composed faults ------------------------- *)
 
@@ -1143,6 +1298,7 @@ let () =
           Alcotest.test_case "crash + reconverge" `Quick
             test_follower_crash_reconverge;
           Alcotest.test_case "stop closes once" `Quick test_follower_stop_closes_once;
+          Alcotest.test_case "stop with the primary down" `Quick test_follower_stop_primary_down;
         ] );
       ( "hub",
         [
@@ -1151,12 +1307,16 @@ let () =
           Alcotest.test_case "served epoch after snapshot install" `Quick
             test_hub_after_snapshot_install;
           Alcotest.test_case "engine stop releases subscribers" `Quick test_stop_with_subscriber;
+          Alcotest.test_case "join at the oldest backlog epoch while shipping" `Quick
+            test_hub_join_while_shipping;
         ] );
       ( "router",
         [
           Alcotest.test_case "epoch-minimum + failover" `Quick
             test_router_epoch_minimum;
           Alcotest.test_case "connection bound" `Quick test_router_sheds_past_bound;
+          Alcotest.test_case "redial a replica's idle-closed connection" `Quick
+            test_router_redials_idle_replica;
         ] );
       ("composed faults", [ test_composed_faults ]);
     ]
